@@ -129,6 +129,11 @@ class AdmissionController:
         """Requests parked in the wait queue (both lanes)."""
         return sum(len(lane) for lane in self._lanes.values())
 
+    def waiting_ids(self) -> List[int]:
+        """Request ids parked in the wait queue, lane by lane."""
+        lanes = self._lanes.values()
+        return [ticket.request_id for lane in lanes for ticket, _ in lane]
+
     # -- decisions ------------------------------------------------------------
 
     def _fits(self, pages: int) -> bool:

@@ -1,12 +1,12 @@
 """Per-request and service-wide metrics.
 
-Built on :mod:`repro.core.trace`: every request run by the
-:class:`~repro.service.server.AssemblyService` carries an
-:class:`~repro.core.trace.AssemblyTracer`, and its
-:class:`RequestMetrics` are distilled from the trace (fetches, aborts,
-emissions) plus the service clock (queue wait, service time).  The
-service clock is the device server's resolution counter — deterministic
-on the simulated disk, unlike wall time.
+Every request the :class:`~repro.service.server.AssemblyService` runs
+gets a :class:`RequestMetrics`: work counts (fetches, aborts, emissions,
+shared links) copied from its query's
+:class:`~repro.core.assembly.AssemblyStats` when it finishes, plus
+timings (queue wait, service time) on the service clock — the device
+server's resolution counter, deterministic on the simulated disk,
+unlike wall time.
 
 Global counters aggregate what no single request can see: disk seek
 totals, buffer faults, cache traffic, and admission outcomes.
@@ -24,14 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from repro.core import trace
-from repro.core.trace import AssemblyTracer
 from repro.obs.histograms import StreamingHistogram
 
 
 @dataclass
 class RequestMetrics:
-    """One request's life, in service-clock ticks and trace counts."""
+    """One request's life, in service-clock ticks and work counts."""
 
     request_id: int
     #: service clock when the request arrived.
@@ -79,14 +77,6 @@ class RequestMetrics:
         if self.started_at is None or self.completed_at is None:
             return None
         return self.completed_at - self.started_at
-
-    def absorb_trace(self, tracer: AssemblyTracer) -> None:
-        """Fold a finished request's trace into the counters."""
-        counts = tracer.counts()
-        self.fetches = counts.get(trace.FETCHED, 0)
-        self.emitted = counts.get(trace.EMITTED, 0)
-        self.aborted = counts.get(trace.ABORTED, 0)
-        self.shared_links = counts.get(trace.LINKED_SHARED, 0)
 
     def as_dict(self) -> Dict[str, object]:
         """Flat view for reports."""

@@ -18,12 +18,12 @@ the simulated disk.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from enum import Enum
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.assembled import AssembledComplexObject
 from repro.core.template import Template
-from repro.core.trace import AssemblyTracer
 from repro.errors import ServiceOverloadError, ServiceStateError
 from repro.obs.spans import Span, SpanRecorder
 from repro.service.admission import AdmissionController, AdmissionTicket
@@ -62,7 +62,6 @@ class _Request:
         self.pending_roots: List[Oid] = []
         self.ticket: Optional[AdmissionTicket] = None
         self.query: Optional[ClientQuery] = None
-        self.tracer: Optional[AssemblyTracer] = None
         self.assembly_kwargs: Dict[str, object] = {}
         self.cache_results: bool = True
         self.span: Optional[Span] = None
@@ -144,7 +143,8 @@ class AssemblyService:
             self.cache.wire(store)
         self.metrics = ServiceMetrics()
         self._requests: Dict[int, _Request] = {}
-        self._tickets: Dict[int, _Request] = {}
+        #: ids of RUNNING requests, ascending — all a step ever visits.
+        self._live: List[int] = []
         self._next_request_id = 0
 
     # -- submission ----------------------------------------------------------
@@ -213,6 +213,9 @@ class AssemblyService:
             del self._requests[request_id]
             del self.metrics.per_request[request_id]
             self.metrics.requests_submitted -= 1
+            self.metrics.cache_hits -= metrics.cache_hits
+            if request.cache_results:
+                self.metrics.cache_misses -= len(request.pending_roots)
             self.metrics.requests_rejected += 1
             if self.spans is not None and request.span is not None:
                 self.spans.end(request.span, outcome="rejected")
@@ -231,7 +234,6 @@ class AssemblyService:
 
     def _start(self, request: _Request) -> None:
         assert request.ticket is not None and not request.ticket.waiting
-        request.tracer = AssemblyTracer()
         if self.spans is not None:
             if request.wait_span is not None:
                 self.spans.end(request.wait_span)
@@ -241,10 +243,10 @@ class AssemblyService:
             request.pending_roots,
             request.template,
             window_size=request.ticket.window_size,
-            tracer=request.tracer,
             **request.assembly_kwargs,
         )
         request.status = RequestStatus.RUNNING
+        insort(self._live, request.request_id)
         request.metrics.started_at = self.clock
         request.metrics.window_size = request.ticket.window_size
         request.metrics.shrunk = request.ticket.shrunk
@@ -262,12 +264,19 @@ class AssemblyService:
         """
         advanced = self.server.step()
         finished_any = False
-        for request in list(self._requests.values()):
-            if request.status is RequestStatus.RUNNING:
-                self._collect(request)
-                if request.query is not None and request.query.finished:
-                    self._finish(request)
-                    finished_any = True
+        # Live requests only, in ascending id (docs/service.md, the step
+        # contract).  Finishing one may start queued ones; re-seeking past
+        # the id just served visits exactly those with a higher id.
+        live = self._live
+        position = 0
+        while position < len(live):
+            request_id = live[position]
+            request = self._requests[request_id]
+            self._collect(request)
+            if request.query.finished:
+                self._finish(request)
+                finished_any = True
+            position = bisect_right(live, request_id)
         return advanced or finished_any
 
     def run(self) -> None:
@@ -280,12 +289,7 @@ class AssemblyService:
         """
         while self.step():
             pass
-        stuck = [
-            r.request_id
-            for r in self._requests.values()
-            if r.status
-            not in (RequestStatus.DONE, RequestStatus.CANCELLED)
-        ]
+        stuck = sorted(self._live + self.admission.waiting_ids())
         if stuck:
             raise ServiceStateError(
                 f"service idle with unfinished requests {stuck}"
@@ -334,8 +338,6 @@ class AssemblyService:
         return report
 
     def _collect(self, request: _Request) -> None:
-        if request.query is None:
-            return
         for assembled in request.query.take_results():
             request.results.append(assembled)
             # Degraded objects are never cached: a later fault-free run
@@ -356,11 +358,14 @@ class AssemblyService:
             self.metrics.objects_degraded += stats.degraded_emitted
             self.metrics.fault_retries += stats.fault_retries
             self.metrics.fault_aborts += stats.fault_skipped
+            request.metrics.fetches = stats.fetches
+            request.metrics.emitted = stats.emitted
+            request.metrics.aborted = stats.aborted
+            request.metrics.shared_links = stats.shared_links
             request.metrics.fault_retries = stats.fault_retries
             request.metrics.degraded = stats.degraded_emitted
             self.server.deregister(request.query.query_id)
-        if request.tracer is not None:
-            request.metrics.absorb_trace(request.tracer)
+            self._live.remove(request.request_id)
         request.status = RequestStatus.DONE
         request.metrics.completed_at = self.clock
         self.metrics.requests_completed += 1
@@ -399,6 +404,7 @@ class AssemblyService:
             assert request.query is not None
             self.server.deregister(request.query.query_id)
             request.query = None
+            self._live.remove(request_id)
         if request.ticket is not None:
             if request.ticket.waiting:
                 self.admission.cancel_waiting(request.ticket)

@@ -127,6 +127,31 @@ class TestAdmissionIntegration:
         after = service.submit(layout.root_order[10:], template)
         assert len(service.result(after)) == 10
 
+    def test_rejected_request_leaves_no_cache_counts(self):
+        """A shed request's cache probes are rolled back with it: the
+        service-wide hit/miss totals cover accepted requests only."""
+        db, layout = build(n=20)
+        template = make_template(db)
+        service = AssemblyService(
+            layout.store,
+            budget_pages=pin_bound(8, template),
+            max_waiting=0,
+        )
+        roots = layout.root_order
+        warm = service.submit(roots[:4], template, window_size=8)
+        service.result(warm)
+        blocker = service.submit(roots[4:10], template, window_size=8)
+        with pytest.raises(ServiceOverloadError):
+            # Two hits (roots 0, 1) and three misses, then rejected.
+            service.submit(roots[:2] + roots[10:13], template)
+        accepted_roots = 4 + 6
+        metrics = service.metrics
+        assert metrics.cache_hits + metrics.cache_misses == accepted_roots
+        assert metrics.cache_hits == sum(
+            m.cache_hits for m in metrics.per_request.values()
+        )
+        assert len(service.result(blocker)) == 6
+
     def test_queued_request_starts_after_release(self):
         db, layout = build(n=20)
         template = make_template(db)

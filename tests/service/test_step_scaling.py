@@ -1,0 +1,126 @@
+"""A service step costs what the live requests cost, at any service age.
+
+A count, not a clock: one service lives through 800 closed-loop
+requests and the work per ``step()`` while serving requests 700–800 is
+compared with the work while serving the first 100 — the identical
+client mix, the result cache off so both windows assemble the same
+objects.  Work is counted as profiled function calls per step
+(deterministic, unlike wall time) and as how much of the request
+registry any single read inside a step could see.
+"""
+
+from __future__ import annotations
+
+import cProfile
+
+from repro.bench.harness import ExperimentConfig, build_layout
+from repro.service.server import AssemblyService, RequestStatus
+from repro.workloads.acob import make_template
+
+N_CLIENTS = 8
+WINDOW_REQUESTS = 100
+WINDOWS = 8
+
+
+class WatchedRegistry(dict):
+    """A request registry that records every whole-registry read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        #: len(registry) at each bulk read (iteration, values, items…).
+        self.bulk_reads = []
+
+    def _bulk(self):
+        self.bulk_reads.append(len(self))
+
+    def __iter__(self):
+        self._bulk()
+        return super().__iter__()
+
+    def keys(self):
+        self._bulk()
+        return super().keys()
+
+    def values(self):
+        self._bulk()
+        return super().values()
+
+    def items(self):
+        self._bulk()
+        return super().items()
+
+
+def closed_loop(service, template, schedule):
+    """Run ``schedule[client]`` request lists to completion; step count.
+
+    Each client keeps one request in flight and submits its next the
+    moment the previous one is done, like ``service_closed``.
+    """
+    cursors = [0] * len(schedule)
+    in_flight = {}
+    steps = 0
+
+    def submit_next(client):
+        if cursors[client] < len(schedule[client]):
+            roots = schedule[client][cursors[client]]
+            cursors[client] += 1
+            in_flight[client] = service.submit(roots, template, window_size=4)
+        else:
+            in_flight.pop(client, None)
+
+    for client in range(len(schedule)):
+        submit_next(client)
+    while in_flight:
+        assert service.step()
+        steps += 1
+        for client, request_id in list(in_flight.items()):
+            if service.poll(request_id) is RequestStatus.DONE:
+                submit_next(client)
+    return steps
+
+
+def profiled(call):
+    """``(result, total function calls)`` of ``call()`` under cProfile."""
+    profiler = cProfile.Profile()
+    result = profiler.runcall(call)
+    return result, sum(entry.callcount for entry in profiler.getstats())
+
+
+def test_step_work_is_flat_over_service_lifetime():
+    config = ExperimentConfig(
+        n_complex_objects=48,
+        clustering="inter-object",
+        scheduler="elevator",
+        window_size=8,
+        cluster_pages=64,
+    )
+    db, layout = build_layout(config)
+    template = make_template(db)
+    roots = layout.root_order
+    per_client = WINDOW_REQUESTS // N_CLIENTS + 1
+    schedule = [
+        [
+            [roots[(client * 7 + n * 3 + k) % len(roots)] for k in range(3)]
+            for n in range(per_client)
+        ]
+        for client in range(N_CLIENTS)
+    ]
+    service = AssemblyService(layout.store, cache_capacity=0)
+    service._requests = registry = WatchedRegistry(service._requests)
+
+    def window():
+        return closed_loop(service, template, schedule)
+
+    young_steps, young_calls = profiled(window)
+    for _ in range(WINDOWS - 2):
+        window()
+    assert len(registry) == (WINDOWS - 1) * per_client * N_CLIENTS
+    old_steps, old_calls = profiled(window)
+
+    assert old_steps == young_steps
+    young, old = young_calls / young_steps, old_calls / old_steps
+    assert abs(old - young) / young < 0.05, (young, old)
+    # Nothing a step builds may be sized by the service's history: the
+    # only reads of the registry are single-id lookups.
+    assert [n for n in registry.bulk_reads if n > N_CLIENTS] == []
+    assert service._live == []
