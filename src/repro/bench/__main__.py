@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Dict, List
+from typing import List
 
 from repro.bench.figures import ALL_FIGURES, DESCRIPTIONS
 from repro.bench.report import FigureResult, render
@@ -60,25 +60,6 @@ def main(argv: List[str] = None) -> int:
         help="fraction of window-slot subtrees kept in --trace-out "
         "(deterministic; default 1.0)",
     )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="run the selected figures under cProfile and print the "
-        "top functions by cumulative time (results are unchanged; "
-        "wall-clock timings= are inflated by profiling overhead)",
-    )
-    parser.add_argument(
-        "--profile-out",
-        metavar="FILE",
-        help="with --profile, also write the full pstats report to FILE",
-    )
-    parser.add_argument(
-        "--profile-top",
-        type=int,
-        default=25,
-        metavar="N",
-        help="functions shown by --profile (default 25)",
-    )
     args = parser.parse_args(argv)
 
     if args.list:
@@ -94,22 +75,12 @@ def main(argv: List[str] = None) -> int:
     if unknown:
         parser.error(f"unknown figures: {', '.join(unknown)}")
 
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-
     failures = 0
     collected: List[FigureResult] = []
-    timings: Dict[str, float] = {}
-    run_start = time.time()
     for name in names:
         start = time.time()
         produced = ALL_FIGURES[name]()
         elapsed = time.time() - start
-        timings[name] = elapsed
         figures = produced if isinstance(produced, list) else [produced]
         for figure in figures:
             print(render(figure))
@@ -118,29 +89,6 @@ def main(argv: List[str] = None) -> int:
         collected.extend(figures)
         print(f"[{name} completed in {elapsed:.1f}s]")
         print()
-    timings["total"] = time.time() - run_start
-
-    if profiler is not None:
-        import io
-        import pstats
-
-        profiler.disable()
-        buffer = io.StringIO()
-        stats = pstats.Stats(profiler, stream=buffer)
-        stats.sort_stats("cumulative").print_stats(args.profile_top)
-        print(buffer.getvalue())
-        if args.profile_out:
-            from pathlib import Path
-
-            target = Path(args.profile_out)
-            if str(target.parent) and not target.parent.exists():
-                target.parent.mkdir(parents=True, exist_ok=True)
-            full = io.StringIO()
-            pstats.Stats(profiler, stream=full).sort_stats(
-                "cumulative"
-            ).print_stats()
-            target.write_text(full.getvalue())
-            print(f"wrote full profile report to {target}")
     if args.csv:
         from repro.bench.export import write_csv
 
@@ -149,7 +97,7 @@ def main(argv: List[str] = None) -> int:
     if args.json:
         from repro.bench.export import write_json
 
-        print(f"wrote {write_json(collected, args.json, timings=timings)}")
+        print(f"wrote {write_json(collected, args.json)}")
     if args.trace_out:
         from repro.bench.harness import ExperimentConfig, trace_experiment
 

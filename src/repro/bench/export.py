@@ -12,7 +12,7 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 from repro.bench.report import FigureResult
 
@@ -86,17 +86,8 @@ def write_csv(figures: Sequence[FigureResult], directory: PathLike) -> List[Path
     return written
 
 
-def write_json(
-    figures: Sequence[FigureResult],
-    path: PathLike,
-    timings: Optional[Dict[str, float]] = None,
-) -> Path:
-    """Write every figure into one JSON document; returns the path.
-
-    ``timings`` maps driver names to harness wall-clock seconds (plus a
-    ``"total"`` entry); it is archival metadata — the regression gate
-    compares series and checks only, never machine-dependent timings.
-    """
+def write_json(figures: Sequence[FigureResult], path: PathLike) -> Path:
+    """Write every figure into one JSON document; returns the path."""
     target = Path(path)
     if target.parent and not target.parent.exists():
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -104,10 +95,6 @@ def write_json(
         "figures": [figure_to_dict(figure) for figure in figures],
         "violations_total": sum(len(f.violations) for f in figures),
     }
-    if timings is not None:
-        document["timings"] = {
-            name: round(seconds, 3) for name, seconds in timings.items()
-        }
     target.write_text(json.dumps(document, indent=2, sort_keys=True))
     return target
 

@@ -18,18 +18,26 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.bench.baselines import baseline_tid_scan
+from repro.bench.batch import figure_batch
+from repro.bench.elapsed import figure_elapsed
+from repro.bench.fabric import figure_fabric
 from repro.bench.harness import (
     ExperimentConfig,
     ExperimentResult,
     get_database,
     run_experiment,
 )
+from repro.bench.reorg import figure_reorg
 from repro.bench.report import (
     FigureResult,
     dominates,
     monotone_decreasing,
     roughly_flat,
 )
+from repro.bench.robustness import figure_robustness
+from repro.bench.service import figure_service
+from repro.bench.volcano import figure_volcano
 from repro.workloads.sharing import measure_sharing
 
 #: The paper's database sizes (complex objects).
@@ -955,83 +963,16 @@ ALL_FIGURES = {
     "ablation-multidevice": ablation_multi_device,
     "ablation-hypermodel": ablation_hypermodel_generality,
     "ablation-costmodel": ablation_cost_model,
+    "baseline-tidscan": baseline_tid_scan,
+    "service": figure_service,
+    "batch": figure_batch,
+    "elapsed": figure_elapsed,
+    "robustness": figure_robustness,
+    "fabric": figure_fabric,
+    "reorg": figure_reorg,
+    "volcano": figure_volcano,
 }
 
-
-def _register_baselines() -> None:
-    # Imported here to keep module load cheap and avoid cycles.
-    from repro.bench.baselines import baseline_tid_scan
-
-    ALL_FIGURES["baseline-tidscan"] = baseline_tid_scan
-
-
-def _register_service() -> None:
-    # Imported here to keep module load cheap and avoid cycles.
-    from repro.bench.service import figure_service
-
-    ALL_FIGURES["service"] = figure_service
-
-
-def _register_batch() -> None:
-    # Imported here to keep module load cheap and avoid cycles.
-    from repro.bench.batch import figure_batch
-
-    ALL_FIGURES["batch"] = figure_batch
-
-
-def _register_elapsed() -> None:
-    # Imported here to keep module load cheap and avoid cycles.
-    from repro.bench.elapsed import figure_elapsed
-
-    ALL_FIGURES["elapsed"] = figure_elapsed
-
-
-def _register_robustness() -> None:
-    # Imported here to keep module load cheap and avoid cycles.
-    from repro.bench.robustness import figure_robustness
-
-    ALL_FIGURES["robustness"] = figure_robustness
-
-
-def _register_fabric() -> None:
-    # Imported here to keep module load cheap and avoid cycles.
-    from repro.bench.fabric import figure_fabric
-
-    ALL_FIGURES["fabric"] = figure_fabric
-
-
-def _register_reorg() -> None:
-    # Imported here to keep module load cheap and avoid cycles.
-    from repro.bench.reorg import figure_reorg
-
-    ALL_FIGURES["reorg"] = figure_reorg
-
-
-def _register_perf() -> None:
-    # Imported here to keep module load cheap and avoid cycles.
-    # NOTE: perf reports wall-clock throughput — keep it OUT of the CI
-    # bench-regression family list; it is gated by perf_floor instead.
-    from repro.bench.perf import figure_perf
-
-    ALL_FIGURES["perf"] = figure_perf
-
-
-def _register_volcano() -> None:
-    # Imported here to keep module load cheap and avoid cycles.
-    from repro.bench.volcano import figure_volcano
-
-    ALL_FIGURES["volcano"] = figure_volcano
-
-
-_register_baselines()
-_register_service()
-_register_batch()
-_register_elapsed()
-_register_robustness()
-_register_fabric()
-_register_reorg()
-_register_perf()
-_register_volcano()
 
 #: One-line summaries for ``python -m repro.bench --list``.
 DESCRIPTIONS = {
@@ -1058,6 +999,5 @@ DESCRIPTIONS = {
     "robustness": "fault-injection robustness figures R-1..R-2",
     "fabric": "sharded fabric figures F-1..F-3 (load, hedging, shedding)",
     "reorg": "online reorganization figures G-1..G-3 (shifting hot set)",
-    "perf": "raw simulator throughput P-1 (wall clock; perf_floor gate)",
     "volcano": "composable assembly figures V-1..V-3 (plans, pushdown, exchange)",
 }

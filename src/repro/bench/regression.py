@@ -5,8 +5,9 @@ module compares a later run against it (programmatically or via
 ``python -m repro.bench.regression baseline.json current.json``, the
 CI gate), flagging:
 
-* figures or series that appeared/disappeared,
-* data points whose y value drifted beyond a relative tolerance,
+* figures, series or data points that appeared/disappeared,
+* data points whose y value differs (by more than ``--tolerance``,
+  which defaults to :data:`EXACT`),
 * shape checks that regressed from passing to failing.
 
 The simulated disk is deterministic, so on an unchanged tree the diff
@@ -21,6 +22,12 @@ from typing import Dict, List, Sequence, Union
 
 from repro.bench.export import load_json
 
+#: Relative y difference still read as "the same number".  Every series
+#: is a count or a simulated quantity, so the gate is exact; the slack
+#: only absorbs float summation order, which differs between
+#: interpreters (CPython 3.12 compensates ``sum()`` over floats).
+EXACT = 1e-9
+
 
 @dataclass
 class RegressionReport:
@@ -29,6 +36,7 @@ class RegressionReport:
     missing_figures: List[str] = field(default_factory=list)
     new_figures: List[str] = field(default_factory=list)
     missing_series: List[str] = field(default_factory=list)
+    new_series: List[str] = field(default_factory=list)
     drifted_points: List[str] = field(default_factory=list)
     regressed_checks: List[str] = field(default_factory=list)
 
@@ -39,6 +47,7 @@ class RegressionReport:
             self.missing_figures
             or self.new_figures
             or self.missing_series
+            or self.new_series
             or self.drifted_points
             or self.regressed_checks
         )
@@ -52,7 +61,8 @@ class RegressionReport:
             ("figures missing from current run", self.missing_figures),
             ("figures new in current run", self.new_figures),
             ("series missing from current run", self.missing_series),
-            ("points drifted beyond tolerance", self.drifted_points),
+            ("series new in current run", self.new_series),
+            ("points drifted, removed or added", self.drifted_points),
             ("shape checks regressed", self.regressed_checks),
         ):
             if items:
@@ -68,7 +78,7 @@ def _index_figures(document: dict) -> Dict[str, dict]:
 
 
 def compare_documents(
-    baseline: dict, current: dict, tolerance: float = 0.05
+    baseline: dict, current: dict, tolerance: float = EXACT
 ) -> RegressionReport:
     """Diff two result documents (as loaded by ``export.load_json``)."""
     report = RegressionReport()
@@ -86,8 +96,14 @@ def compare_documents(
             if name not in new_series:
                 report.missing_series.append(f"{figure_id} / {name}")
                 continue
-            new_points = {x: y for x, y in new_series[name]}
-            for x, old_y in old_series[name]:
+            old_points = dict(old_series[name])
+            new_points = dict(new_series[name])
+            for x in new_points:
+                if x not in old_points:
+                    report.drifted_points.append(
+                        f"{figure_id} / {name} @ x={x}: point added"
+                    )
+            for x, old_y in old_points.items():
                 if x not in new_points:
                     report.drifted_points.append(
                         f"{figure_id} / {name} @ x={x}: point removed"
@@ -100,6 +116,11 @@ def compare_documents(
                         f"{figure_id} / {name} @ x={x}: "
                         f"{old_y} -> {new_y}"
                     )
+        report.new_series.extend(
+            f"{figure_id} / {name}"
+            for name in new_series
+            if name not in old_series
+        )
         old_violations = set(old_fig.get("violations", []))
         for violation in new_fig.get("violations", []):
             if violation not in old_violations:
@@ -112,37 +133,12 @@ def compare_documents(
 def compare_files(
     baseline_path: Union[str, Path],
     current_path: Union[str, Path],
-    tolerance: float = 0.05,
+    tolerance: float = EXACT,
 ) -> RegressionReport:
     """Diff two JSON exports on disk."""
     return compare_documents(
         load_json(baseline_path), load_json(current_path), tolerance
     )
-
-
-def timing_deltas(
-    baseline: dict, current: dict, threshold: float = 0.25
-) -> List[str]:
-    """Warn-only wall-clock drift between two runs' ``timings=``.
-
-    Returns one line per driver whose harness wall time moved by more
-    than ``threshold`` (relative) in either direction.  Timings are
-    machine-dependent, so these lines are informational — they are
-    printed by the CLI but **never** affect the gate's exit status.
-    """
-    old = baseline.get("timings") or {}
-    new = current.get("timings") or {}
-    lines: List[str] = []
-    for name in sorted(set(old) & set(new)):
-        old_s, new_s = old[name], new[name]
-        if old_s <= 0:
-            continue
-        drift = (new_s - old_s) / old_s
-        if abs(drift) > threshold:
-            lines.append(
-                f"  {name}: {old_s:.1f}s -> {new_s:.1f}s ({drift:+.0%})"
-            )
-    return lines
 
 
 def main(argv: Union[Sequence[str], None] = None) -> int:
@@ -162,8 +158,8 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
     parser.add_argument(
         "--tolerance",
         type=float,
-        default=0.05,
-        help="relative y drift allowed per point (default 0.05)",
+        default=EXACT,
+        help=f"relative y drift allowed per point (default {EXACT})",
     )
     args = parser.parse_args(argv)
     try:
@@ -173,14 +169,6 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
         parser.error(f"cannot read results file: {exc.filename}")
     report = compare_documents(baseline, current, args.tolerance)
     print(report.describe())
-    drift = timing_deltas(baseline, current)
-    if drift:
-        print(
-            "wall-clock timing drift (warn-only, machine-dependent, "
-            "never gates):"
-        )
-        for line in drift:
-            print(line)
     return 0 if report.clean else 1
 
 

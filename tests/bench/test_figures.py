@@ -1,14 +1,16 @@
 """Reduced-scale runs of every figure driver.
 
 These use small databases so the whole suite stays fast; the full-scale
-shape checks run in ``benchmarks/``.  At this scale we assert the series
-exist, cover the right axes, and that scale-independent checks (exact
-accounting oracles) hold.
+shape checks run with ``python -m repro.bench``.  At this scale we
+assert the series exist, cover the right axes, and that
+scale-independent checks (exact accounting oracles) hold.
 """
 
 import pytest
 
 from repro.bench.figures import (
+    ALL_FIGURES,
+    DESCRIPTIONS,
     ablation_adaptive_scheduler,
     ablation_buffer_capacity,
     ablation_cost_model,
@@ -28,6 +30,22 @@ from repro.bench.figures import (
 )
 
 SMALL_SIZES = (100, 200)
+
+
+class TestRegistry:
+    def test_every_registered_figure_is_described(self):
+        assert list(ALL_FIGURES) == [
+            "fig11", "fig13", "fig14", "fig15", "fig16",
+            "buffer-bound", "df-invariance",
+            "ablation-scheduler", "ablation-buffer", "ablation-sharing",
+            "ablation-adaptive", "ablation-parallel", "ablation-tuning",
+            "ablation-multidevice", "ablation-hypermodel",
+            "ablation-costmodel", "baseline-tidscan",
+            "service", "batch", "elapsed", "robustness", "fabric",
+            "reorg", "volcano",
+        ]
+        missing = set(ALL_FIGURES) - set(DESCRIPTIONS)
+        assert not missing, f"figures without --list descriptions: {missing}"
 
 
 class TestFigure11:

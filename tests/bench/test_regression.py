@@ -4,7 +4,7 @@ from repro.bench.export import figure_to_dict, write_json
 from repro.bench.regression import (
     compare_documents,
     compare_files,
-    timing_deltas,
+    main,
 )
 from repro.bench.report import FigureResult
 
@@ -70,6 +70,22 @@ class TestCompare:
         report = compare_documents(make_document(), current)
         assert any("point removed" in p for p in report.drifted_points)
 
+    def test_added_series_dirties_the_report(self):
+        current = make_document()
+        current["figures"][0]["series"]["breadth-first"] = [[1000, 1.0]]
+        report = compare_documents(make_document(), current)
+        assert not report.clean
+        assert report.new_series == ["Figure 13A / breadth-first"]
+        assert "breadth-first" in report.describe()
+
+    def test_added_point_dirties_the_report(self):
+        current = make_document()
+        current["figures"][0]["series"]["elevator"].append([2000, 71.4])
+        report = compare_documents(make_document(), current)
+        assert report.drifted_points == [
+            "Figure 13A / elevator @ x=2000: point added"
+        ]
+
 
 class TestFiles:
     def test_compare_files_roundtrip(self, tmp_path):
@@ -83,42 +99,18 @@ class TestFiles:
         report = compare_files(base, curr)
         assert not report.clean
 
-
-class TestTimingDeltas:
-    """Warn-only wall-clock drift lines; never part of the gate."""
-
-    def test_stable_timings_produce_no_lines(self):
-        base = {"timings": {"fig": 10.0, "total": 12.0}}
-        assert timing_deltas(base, base) == []
-
-    def test_large_drift_is_reported_both_directions(self):
-        base = {"timings": {"slow": 10.0, "fast": 10.0}}
-        curr = {"timings": {"slow": 20.0, "fast": 5.0}}
-        lines = timing_deltas(base, curr)
-        assert any("slow" in line and "+100%" in line for line in lines)
-        assert any("fast" in line and "-50%" in line for line in lines)
-
-    def test_small_drift_stays_silent(self):
-        base = {"timings": {"fig": 10.0}}
-        curr = {"timings": {"fig": 11.0}}
-        assert timing_deltas(base, curr) == []
-
-    def test_missing_timings_are_tolerated(self):
-        assert timing_deltas({}, {"timings": {"fig": 1.0}}) == []
-        assert timing_deltas({"timings": {"fig": 1.0}}, {}) == []
-
-    def test_zero_baseline_skipped(self):
-        base = {"timings": {"fig": 0.0}}
-        curr = {"timings": {"fig": 9.0}}
-        assert timing_deltas(base, curr) == []
-
-    def test_drift_never_dirties_the_report(self):
-        """Doubling every timing leaves the bit-identity gate clean."""
-        base = make_document()
-        base["timings"] = {"fig": 10.0}
-        curr = make_document()
-        curr["timings"] = {"fig": 20.0}
-        assert compare_documents(base, curr).clean
+    def test_default_gate_is_exact(self, tmp_path, capsys):
+        """A 1 % drift fails the CLI when no tolerance is passed."""
+        figure = FigureResult(
+            figure_id="F", title="t", x_label="x", y_label="y"
+        )
+        figure.add_point("s", 1, 100.0)
+        base = write_json([figure], tmp_path / "base.json")
+        figure.series["s"][0] = (1, 101.0)
+        curr = write_json([figure], tmp_path / "curr.json")
+        assert main([str(base), str(curr)]) == 1
+        assert "100.0 -> 101.0" in capsys.readouterr().out
+        assert main([str(base), str(curr), "--tolerance", "0.05"]) == 0
 
 
 class TestEndToEnd:

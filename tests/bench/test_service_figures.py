@@ -1,6 +1,6 @@
 """Reduced-scale runs of the service figures and the regression CLI.
 
-The full-scale checks run in ``benchmarks/bench_service.py``; at this
+The full-scale checks run with ``python -m repro.bench service``; at this
 scale we still assert the two acceptance claims — the device server
 beating naive per-client assembly on seek distance at >= 4 concurrent
 clients, and the result cache cutting repeat-round page faults by at
