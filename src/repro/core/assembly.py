@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.obs.spans import Span, SpanRecorder
@@ -373,8 +373,9 @@ class Assembly(VolcanoIterator):
 
         Completion-driven drivers (:class:`repro.core.multidevice.
         PipelinedAssembly`) pop per-device batches from this pool and
-        hand the resolved references back through
-        :meth:`resolve_external_batch`.  Only available while open.
+        hand them back through :meth:`resolve_external_batch` (or, if
+        they could not be resolved, :meth:`requeue`).  Only available
+        while open.
         """
         if self._scheduler is None:
             raise AssemblyError("scheduler is only bound while open")
@@ -422,6 +423,21 @@ class Assembly(VolcanoIterator):
             if ref.owner not in self._window:
                 continue  # owner aborted after this ref was queued
             self._resolve(ref)
+
+    def requeue(self, refs: Iterable[UnresolvedReference]) -> None:
+        """Take back references an external driver popped, unresolved.
+
+        A driver that cannot resolve a popped batch — its device went
+        down, or a fault ended the drive with requests in flight —
+        returns it here.  References whose owner left the window in
+        the meantime are dropped: nothing would resolve them, and a
+        pool that outlives this operator must not keep them.
+        """
+        assert self._window is not None and self._scheduler is not None
+        window = self._window
+        self._scheduler.add_siblings(
+            [ref for ref in refs if ref.owner in window]
+        )
 
     def drain_emitted(self) -> List[AssembledComplexObject]:
         """Hand over every completed complex object buffered so far.
@@ -580,23 +596,35 @@ class Assembly(VolcanoIterator):
         if ref.owner in self._window and state.is_complete():
             self._complete(state)
 
-    def needs_fetch(self, ref: UnresolvedReference) -> bool:
-        """Would resolving ``ref`` right now take the disk path?
+    def fetch_pages(
+        self,
+        refs: Iterable[UnresolvedReference],
+        pages: Optional[List[int]] = None,
+    ) -> List[int]:
+        """The distinct pages resolving ``refs`` right now would read.
 
-        False for references whose owner already aborted and for those
-        the shared-component table or a preassembled input satisfies
-        without I/O.  Batch drivers (this operator's own
-        :meth:`_resolve_batch` and the service device server) use this
-        to decide which pages are worth prefetching.
+        In batch order (the order a coalesced read should sweep them),
+        appended to ``pages`` when given so a driver whose batch mixes
+        operators builds one list across them.  References whose owner
+        already aborted, and those the shared-component table or a
+        preassembled input satisfies without I/O, contribute nothing.
+        Every batch driver decides what to prefetch here.
         """
         assert self._window is not None
-        if ref.owner not in self._window:
-            return False
-        if self._use_sharing and ref.oid in self._shared:
-            return False
-        if ref.oid in self._preassembled:
-            return False
-        return True
+        if pages is None:
+            pages = []
+        window = self._window
+        shared = self._shared if self._use_sharing else ()
+        preassembled = self._preassembled
+        page_of = self._store.page_of
+        for ref in refs:
+            oid = ref.oid
+            if ref.owner not in window or oid in shared or oid in preassembled:
+                continue
+            page_id = page_of(oid)
+            if page_id not in pages:
+                pages.append(page_id)
+        return pages
 
     def _resolve_batch(self, refs: List[UnresolvedReference]) -> None:
         """Resolve one scheduler batch behind a coalesced prefetch.
@@ -611,15 +639,7 @@ class Assembly(VolcanoIterator):
         not fit the pin bound the prefetch is skipped and the batch
         degrades to per-reference fetching.
         """
-        fetch_pages: List[int] = []
-        seen_pages = set()
-        for ref in refs:
-            if not self.needs_fetch(ref):
-                continue
-            page_id = self._store.page_of(ref.oid)
-            if page_id not in seen_pages:
-                seen_pages.add(page_id)
-                fetch_pages.append(page_id)
+        fetch_pages = self.fetch_pages(refs)
         prefetched: List[int] = []
         batch_span = None
         if self._spans is not None and fetch_pages:

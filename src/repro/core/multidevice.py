@@ -21,7 +21,7 @@ backlog; the operator consumes completions as they arrive).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.core.assembled import AssembledComplexObject
 from repro.core.assembly import Assembly
@@ -34,10 +34,10 @@ from repro.errors import (
     AssemblyError,
     BufferFullError,
     DeviceDownError,
-    SchedulerError,
     TransientReadError,
 )
-from repro.storage.events import AsyncIOEngine, InFlightIO
+from repro.storage.buffer import BufferManager
+from repro.storage.events import AsyncIOEngine
 from repro.storage.faults import DeviceHealthTracker, RetryPolicy
 from repro.storage.multidisk import MultiDeviceDisk
 
@@ -106,21 +106,11 @@ class MultiDeviceScheduler(ReferenceScheduler):
     def __len__(self) -> int:
         return sum(len(queue) for queue in self._queues)
 
-    def queue_depths(self) -> List[int]:
-        """Pending references per device (for balance diagnostics)."""
-        return [len(queue) for queue in self._queues]
-
     # -- per-device view (event-driven drivers) ------------------------------
 
-    def devices_pending(self) -> List[int]:
-        return [
-            device
-            for device, queue in enumerate(self._queues)
-            if len(queue) > 0
-        ]
-
-    def device_depth(self, device: int) -> int:
-        return len(self._queues[device])
+    def queue_depths(self) -> List[int]:
+        """Pending references per device."""
+        return [len(queue) for queue in self._queues]
 
     def pop_on(self, device: int) -> UnresolvedReference:
         self.ops += 1
@@ -135,7 +125,9 @@ class MultiDeviceScheduler(ReferenceScheduler):
 
 @dataclass
 class PipelineStats:
-    """Counters for one :class:`PipelinedAssembly` run."""
+    """The :class:`CompletionLoop`'s counters: what one
+    :class:`PipelinedAssembly` accumulates over its runs, and what
+    ``DeviceServer.run_overlapped`` folds into its report."""
 
     #: I/O requests issued to the engine (including zero-read ones).
     issued: int = 0
@@ -158,19 +150,232 @@ class PipelineStats:
     quarantine_wait_ms: float = 0.0
 
 
+class CompletionLoop:
+    """The completion-driven loop under every overlapped driver (§7).
+
+    Keeps each device that has pending references loaded with up to
+    ``issue_depth`` outstanding sweep batches (deepest backlog first,
+    ties to the lowest device), waits for the earliest completion,
+    resolves that batch — which may expose new references — and issues
+    again, until the pool is dry and nothing is in flight.  Elapsed
+    time is the engine's clock: ``max`` over device timelines plus
+    exposed CPU, not ``sum`` over reads.
+
+    Each batch's distinct fetch pages are pinned at issue with one
+    ``fix_many`` and unfixed once the batch has resolved; :meth:`_issue`
+    says what happens when the pin bound, a down device or exhausted
+    retries get in the way.  If an exception leaves the loop, the pins
+    and references of everything still in flight are handed back
+    before it propagates.
+
+    What is being driven arrives as hooks:
+
+    ``depths()``
+        pending references per device, indexed by device.
+    ``pop(device)``
+        remove and return the next sweep batch on ``device``.
+    ``fetch_pages(batch)``
+        the distinct pages resolving ``batch`` would read, sweep order.
+    ``resolve(batch)``
+        resolve a batch whose pages are pinned (or, on the fallback
+        paths, fetch per reference under the operators' own policies).
+    ``requeue(batch)``
+        put an unresolved batch back into the pool.
+    ``pool_dry()``
+        pool empty and nothing in flight: release whatever is stuck
+        and return ``True`` to go on, or ``False`` when finished.
+    """
+
+    def __init__(
+        self,
+        engine: AsyncIOEngine,
+        buffer: BufferManager,
+        health: DeviceHealthTracker,
+        stats: PipelineStats,
+        issue_depth: int,
+        retry_policy: Optional[RetryPolicy],
+        *,
+        depths: Callable[[], List[int]],
+        pop: Callable[[int], list],
+        fetch_pages: Callable[[list], List[int]],
+        resolve: Callable[[list], None],
+        requeue: Callable[[list], None],
+        pool_dry: Callable[[], bool],
+        cpu_ms_per_ref: float = 0.0,
+    ) -> None:
+        self._engine = engine
+        self._buffer = buffer
+        self.health = health
+        self.stats = stats
+        self._issue_depth = issue_depth
+        self._retry_policy = retry_policy
+        self._depths = depths
+        self._pop = pop
+        self._fetch_pages = fetch_pages
+        self._resolve = resolve
+        self._requeue = requeue
+        self._pool_dry = pool_dry
+        self._cpu_ms_per_ref = cpu_ms_per_ref
+
+    # -- issuing -------------------------------------------------------------
+
+    def _issue_ready(self) -> None:
+        """Issue batches until every pending device is at issue depth."""
+        engine = self._engine
+        now = engine.clock.now  # issuing does not move the clock
+        while True:
+            best, best_depth = -1, 0
+            for device, depth in enumerate(self._depths()):
+                if (
+                    depth > best_depth
+                    and engine.in_flight(device) < self._issue_depth
+                    and self.health.available(device, now)
+                ):
+                    best, best_depth = device, depth
+            if best < 0:
+                break
+            self._issue(best, self._pop(best))
+        self.stats.max_in_flight = max(
+            self.stats.max_in_flight, engine.in_flight()
+        )
+
+    def _issue(self, device: int, batch: list) -> None:
+        engine = self._engine
+        stats = self.stats
+        pages = self._fetch_pages(batch)
+        stats.issued += 1
+        if not pages:
+            # Nothing needs the disk (shared/preassembled/aborted):
+            # complete at "now" without occupying the device timeline.
+            engine.issue(device, None, payload=(batch, pages))
+            stats.zero_read_issues += 1
+            return
+        try:
+            io = engine.issue(
+                device,
+                self._fix_with_retry(device, pages),
+                payload=(batch, pages),
+            )
+        except BufferFullError:
+            # The pin bound cannot take the whole batch: degrade to
+            # per-reference fetching.
+            stats.sync_fallbacks += 1
+            self._resolve_on_timeline(device, batch)
+        except DeviceDownError as exc:
+            # Quarantine the device and put the sweep back in the pool;
+            # it re-issues once the circuit breaker reopens.
+            self.health.record_failure(
+                device, now=engine.clock.now, retry_after=exc.retry_after
+            )
+            stats.fault_requeues += len(batch)
+            self._requeue(batch)
+        except TransientReadError:
+            # Issue-time retries ran out: the owning operators' retry
+            # policies and degradation modes decide.
+            self.health.record_failure(device, now=engine.clock.now)
+            stats.fault_fallbacks += 1
+            self._resolve_on_timeline(device, batch)
+        else:
+            if io.physical_reads:
+                stats.physical_issues += 1
+            else:
+                stats.zero_read_issues += 1
+
+    def _resolve_on_timeline(self, device: int, batch: list) -> None:
+        """Resolve ``batch`` synchronously, as a request on ``device``'s
+        timeline so its reads are charged where they happened."""
+        self._engine.issue(
+            device, lambda: self._resolve(batch), payload=([], [])
+        )
+
+    def _fix_with_retry(self, device: int, pages: List[int]):
+        """An io_fn pinning ``pages``, retrying transient faults.
+
+        Retries happen *inside* the issued request, so both the wasted
+        reads and the injected backoff are priced on the device's
+        timeline.  Device-down faults and pin-bound overflows are not
+        retried here — they propagate to :meth:`_issue`'s handlers.
+        """
+        injector = self._engine.disk.fault_injector
+        policy = self._retry_policy
+
+        def io_fn():
+            attempt = 0
+            while True:
+                try:
+                    result = self._buffer.fix_many(pages)
+                except TransientReadError:
+                    if policy is None or not policy.should_retry(attempt):
+                        raise
+                    backoff = policy.backoff_ms(
+                        attempt, self._engine.cost_model
+                    )
+                    if injector is not None:
+                        injector.charge_backoff(backoff)
+                    self.stats.fault_retries += 1
+                    attempt += 1
+                else:
+                    if injector is not None:
+                        self.health.record_success(device)
+                    return result
+
+        return io_fn
+
+    # -- driving -------------------------------------------------------------
+
+    def run(self) -> None:
+        """Drive the pool dry."""
+        engine = self._engine
+        unfix = self._buffer.unfix
+        try:
+            while True:
+                self._issue_ready()
+                if engine.idle():
+                    now = engine.clock.now
+                    recovery = (
+                        self.health.next_recovery(now)
+                        if any(self._depths())
+                        else None
+                    )
+                    if recovery is not None:
+                        # References pending but nothing issuable:
+                        # every pending device is quarantined.  Let
+                        # simulated time pass to the earliest recovery.
+                        self.stats.quarantine_wait_ms += recovery - now
+                        engine.wait_until(recovery)
+                    elif not self._pool_dry():
+                        return
+                    continue
+                batch, pinned = engine.wait_next().payload
+                try:
+                    if batch:
+                        self._resolve(batch)
+                finally:
+                    for page_id in pinned:
+                        unfix(page_id)
+                if self._cpu_ms_per_ref and batch:
+                    engine.spend_cpu(self._cpu_ms_per_ref * len(batch))
+        finally:
+            # Only an escaping exception finds requests still in
+            # flight: their pins go back to the buffer and their
+            # references to the pool, so whoever catches it can close
+            # (or keep serving) without leaking either.
+            while not engine.idle():
+                batch, pinned = engine.wait_next().payload
+                for page_id in pinned:
+                    unfix(page_id)
+                self._requeue(batch)
+
+
 class PipelinedAssembly:
-    """Completion-driven driver: overlapped I/O across device timelines.
+    """One operator under the completion loop: overlapped I/O across
+    device timelines.
 
     Wraps an open (or openable) :class:`~repro.core.assembly.Assembly`
     and an :class:`~repro.storage.events.AsyncIOEngine` over the same
-    disk.  The loop keeps every device that has pending references fed
-    with up to ``issue_depth`` outstanding requests (deepest queue
-    first, like :class:`MultiDeviceScheduler`), waits for the earliest
-    completion, resolves the completed batch's references — which may
-    emit objects, abort owners, admit new roots, and expose new
-    references — and re-issues.  Elapsed time is the engine's clock:
-    ``max`` over device timelines plus exposed CPU, not ``sum`` over
-    reads.
+    disk, and drives the operator's own pool through
+    :class:`CompletionLoop`; resolving a completed batch may emit
+    objects, abort owners, admit new roots, and expose new references.
 
     ``issue_depth=1`` with a single device and ``batch_pages=1``
     degenerates to the synchronous loop exactly (the property-tested
@@ -220,190 +425,44 @@ class PipelinedAssembly:
         )
         self.stats = PipelineStats()
 
-    # -- issuing -------------------------------------------------------------
-
-    def _next_device(self) -> int:
-        """The deepest pending, non-quarantined device with a free
-        issue slot, or -1."""
-        scheduler = self._assembly.scheduler
-        now = self._engine.clock.now
-        best = -1
-        best_key: Tuple[int, int] = (0, 0)
-        for device in scheduler.devices_pending():
-            if self._engine.in_flight(device) >= self._issue_depth:
-                continue
-            if not self.health.available(device, now):
-                continue
-            key = (-scheduler.device_depth(device), device)
-            if best < 0 or key < best_key:
-                best, best_key = device, key
-        return best
-
-    def _issue_ready(self) -> None:
-        """Issue batches until every pending device is at issue depth."""
-        while True:
-            device = self._next_device()
-            if device < 0:
-                return
-            scheduler = self._assembly.scheduler
-            if self._batch_pages == 1:
-                refs = [scheduler.pop_on(device)]
-            else:
-                refs = scheduler.pop_batch_on(device, self._batch_pages)
-            self._issue_batch(device, refs)
-            self.stats.max_in_flight = max(
-                self.stats.max_in_flight, self._engine.in_flight()
-            )
-
-    def _issue_batch(
-        self, device: int, refs: List[UnresolvedReference]
-    ) -> None:
-        assembly = self._assembly
-        store = assembly.store
-        fetch_pages: List[int] = []
-        seen = set()
-        for ref in refs:
-            if not assembly.needs_fetch(ref):
-                continue
-            page_id = store.page_of(ref.oid)
-            if page_id not in seen:
-                seen.add(page_id)
-                fetch_pages.append(page_id)
-        self.stats.issued += 1
-        if not fetch_pages:
-            # Nothing needs the disk (shared/preassembled/aborted):
-            # complete at "now" without occupying the device timeline.
-            self._engine.issue(device, None, payload=(refs, []))
-            self.stats.zero_read_issues += 1
-            return
-        try:
-            io = self._engine.issue(
-                device,
-                self._fix_with_retry(device, fetch_pages),
-                payload=(refs, fetch_pages),
-            )
-        except BufferFullError:
-            # The pin bound cannot take the whole batch: degrade to the
-            # synchronous per-reference path, still on this device's
-            # timeline so its reads are charged where they happened.
-            self.stats.sync_fallbacks += 1
-            self._engine.issue(
-                device,
-                lambda: assembly.resolve_external_batch(refs),
-                payload=([], []),
-            )
-            return
-        except DeviceDownError as exc:
-            # Quarantine the device and put the sweep back in the pool;
-            # it re-issues once the circuit breaker reopens.
-            self.health.record_failure(
-                device,
-                now=self._engine.clock.now,
-                retry_after=exc.retry_after,
-            )
-            self.stats.fault_requeues += len(refs)
-            assembly.scheduler.add_siblings(refs)
-            return
-        except TransientReadError:
-            # Issue-time retries ran out: resolve synchronously so the
-            # operator's own retry policy and degradation mode decide
-            # (its reads still price on this device's timeline).
-            self.health.record_failure(
-                device, now=self._engine.clock.now
-            )
-            self.stats.fault_fallbacks += 1
-            self._engine.issue(
-                device,
-                lambda: assembly.resolve_external_batch(refs),
-                payload=([], []),
-            )
-            return
-        if io.physical_reads:
-            self.stats.physical_issues += 1
-        else:
-            self.stats.zero_read_issues += 1
-
-    def _fix_with_retry(self, device: int, fetch_pages: List[int]):
-        """An io_fn pinning ``fetch_pages``, retrying transient faults.
-
-        Retries happen *inside* the issued request, so both the wasted
-        reads and the injected backoff are priced on the device's
-        timeline.  Device-down faults and pin-bound overflows are not
-        retried here — they propagate to :meth:`_issue_batch`'s
-        handlers (quarantine / sync fallback).
-        """
-        buffer = self._assembly.store.buffer
-        injector = self._engine.disk.fault_injector
-
-        def io_fn():
-            attempt = 0
-            while True:
-                try:
-                    result = buffer.fix_many(fetch_pages)
-                except TransientReadError:
-                    policy = self._retry_policy
-                    if policy is None or not policy.should_retry(attempt):
-                        raise
-                    backoff = policy.backoff_ms(
-                        attempt, self._engine.cost_model
-                    )
-                    if injector is not None:
-                        injector.charge_backoff(backoff)
-                    self.stats.fault_retries += 1
-                    attempt += 1
-                else:
-                    if attempt or injector is not None:
-                        self.health.record_success(device)
-                    return result
-
-        return io_fn
-
-    # -- completing ----------------------------------------------------------
-
-    def _complete_io(self, io: InFlightIO) -> None:
-        refs, pinned = io.payload
-        try:
-            if refs:
-                self._assembly.resolve_external_batch(refs)
-        finally:
-            for page_id in pinned:
-                self._assembly.store.buffer.unfix(page_id)
-        if self._cpu_ms_per_ref and refs:
-            self._engine.spend_cpu(self._cpu_ms_per_ref * len(refs))
-
-    # -- driving -------------------------------------------------------------
-
     def run(self) -> List[AssembledComplexObject]:
         """Drive the operator to completion; returns everything emitted."""
         assembly = self._assembly
         if not assembly.is_open:
             assembly.open()
+        scheduler = assembly.scheduler
+        batch_pages = self._batch_pages
         out: List[AssembledComplexObject] = []
-        while True:
-            self._issue_ready()
-            if self._engine.idle():
-                out.extend(assembly.drain_emitted())
-                if assembly.is_drained():
-                    break
-                if len(assembly.scheduler) > 0:
-                    # References pending but nothing issuable: every
-                    # pending device is quarantined.  Let simulated
-                    # time pass to the earliest recovery and retry.
-                    recovery = self.health.next_recovery(
-                        self._engine.clock.now
-                    )
-                    if recovery is not None:
-                        self.stats.quarantine_wait_ms += (
-                            recovery - self._engine.clock.now
-                        )
-                        self._engine.wait_until(recovery)
-                        continue
-                # Pool dry, nothing in flight, window still occupied:
-                # deferred references must run now (raises if truly
-                # stalled, mirroring the synchronous safety valve).
-                assembly.release_stuck_deferred()
-                continue
-            self._complete_io(self._engine.wait_next())
+
+        def pop(device: int) -> List[UnresolvedReference]:
+            if batch_pages == 1:
+                return [scheduler.pop_on(device)]
+            return scheduler.pop_batch_on(device, batch_pages)
+
+        def pool_dry() -> bool:
             out.extend(assembly.drain_emitted())
+            if assembly.is_drained():
+                return False
+            # Window still occupied: deferred references must run now
+            # (raises if truly stalled, mirroring the synchronous
+            # safety valve).
+            assembly.release_stuck_deferred()
+            return True
+
+        CompletionLoop(
+            self._engine,
+            assembly.store.buffer,
+            self.health,
+            self.stats,
+            self._issue_depth,
+            self._retry_policy,
+            depths=scheduler.queue_depths,
+            pop=pop,
+            fetch_pages=assembly.fetch_pages,
+            resolve=assembly.resolve_external_batch,
+            requeue=assembly.requeue,
+            pool_dry=pool_dry,
+            cpu_ms_per_ref=self._cpu_ms_per_ref,
+        ).run()
         assembly.close()
         return out

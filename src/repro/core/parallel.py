@@ -14,9 +14,10 @@ This module makes both sides of that argument executable:
 
 * :class:`InterleavedAssemblies` — K assembly operators over disjoint
   root partitions, each with its **own** scheduler queue, stepped
-  round-robin against one shared disk.  Each operator believes it owns
-  the device; their elevator sweeps fight, and seek distance degrades
-  as K grows.
+  round-robin against one shared disk (exchange's deal and merge,
+  :class:`~repro.volcano.exchange.PartitionedExecute`, with an
+  assembly fragment).  Each operator believes it owns the device;
+  their elevator sweeps fight, and seek distance degrades as K grows.
 * :class:`DeviceServerAssembly` — the server-per-device fix: the same
   K partitions, each registered as a client query of the real device
   server (:class:`repro.service.device_server.DeviceServer`), so every
@@ -24,11 +25,9 @@ This module makes both sides of that argument executable:
 
 Both are ordinary Volcano iterators, so the ablation benchmark can
 compare them like-for-like.  ``DeviceServerAssembly`` is kept as a
-thin wrapper (with the deprecated
-:data:`PartitionedDeviceServerAssembly` alias) for the static
-K-partition use case; the service layer in :mod:`repro.service` is the
-full multi-client generalization — dynamic query registry, admission
-control, result caching.
+thin wrapper for the static K-partition use case; the service layer in
+:mod:`repro.service` is the full multi-client generalization — dynamic
+query registry, admission control, result caching.
 """
 
 from __future__ import annotations
@@ -43,26 +42,20 @@ from repro.core.template import Template
 from repro.errors import AssemblyError
 from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import ListSource, Row, VolcanoIterator
+from repro.volcano.exchange import PartitionedExecute
+from repro.volcano.iterator import Row, VolcanoIterator
 
 
-def _partition_roots(roots: List[Oid], n_partitions: int) -> List[List[Oid]]:
-    if n_partitions <= 0:
-        raise AssemblyError("need at least one partition")
-    partitions: List[List[Oid]] = [[] for _ in range(n_partitions)]
-    for index, root in enumerate(roots):
-        partitions[index % n_partitions].append(root)
-    return partitions
-
-
-class InterleavedAssemblies(VolcanoIterator):
+class InterleavedAssemblies(PartitionedExecute):
     """K independent assembly operators contending for one device.
 
-    Each partition gets its own :class:`Assembly` (own window, own
-    scheduler queue).  ``next`` serves the partitions round-robin, one
-    emitted complex object per turn — the demand pattern a parallel
-    query plan would generate.  Because each operator's elevator plans
-    sweeps without seeing the others' fetches, the disk head is yanked
+    Exchange (:class:`~repro.volcano.exchange.PartitionedExecute`)
+    with an :class:`Assembly` fragment: each round-robin partition of
+    the roots gets its own operator (own window, own scheduler queue),
+    and ``next`` serves the partitions round-robin, one emitted
+    complex object per turn — the demand pattern a parallel query plan
+    would generate.  Because each operator's elevator plans sweeps
+    without seeing the others' fetches, the disk head is yanked
     between K uncoordinated sweep positions.
     """
 
@@ -76,52 +69,25 @@ class InterleavedAssemblies(VolcanoIterator):
         scheduler: str = "elevator",
         **assembly_kwargs,
     ) -> None:
-        super().__init__()
-        self._partitions = _partition_roots(list(roots), n_partitions)
+        if n_partitions <= 0:
+            raise AssemblyError("need at least one partition")
         per_window = max(1, window_size // n_partitions)
-        self.operators: List[Assembly] = [
-            Assembly(
-                ListSource(part),
+        super().__init__(
+            roots,
+            n_partitions,
+            lambda source: Assembly(
+                source,
                 store,
                 template,
                 window_size=per_window,
                 scheduler=scheduler,
                 **assembly_kwargs,
-            )
-            for part in self._partitions
-        ]
-        self._alive: List[bool] = []
-        self._turn = 0
-
-    def _open(self) -> None:
-        for operator in self.operators:
-            operator.open()
-        self._alive = [True] * len(self.operators)
-        self._turn = 0
-
-    def _next(self) -> Optional[Row]:
-        remaining = sum(self._alive)
-        while remaining:
-            index = self._turn % len(self.operators)
-            self._turn += 1
-            if not self._alive[index]:
-                continue
-            row = self.operators[index].next()
-            if row is None:
-                self._alive[index] = False
-                remaining -= 1
-                continue
-            return row
-        return None
-
-    def _close(self) -> None:
-        for operator, alive in zip(self.operators, self._alive):
-            if operator.is_open:
-                operator.close()
+            ),
+        )
 
     def total_fetches(self) -> int:
-        """Object fetches across all partitions."""
-        return sum(op.stats.fetches for op in self.operators)
+        """Object fetches across all partitions (readable after close)."""
+        return sum(op.stats.fetches for op in self._plans)
 
 
 class DeviceServerAssembly(VolcanoIterator):
@@ -136,8 +102,7 @@ class DeviceServerAssembly(VolcanoIterator):
     assumption exactly as the paper predicts.  ``next`` emits completed
     objects round-robin across partitions.
 
-    The original static K-partition class survives under this name (and
-    the deprecated :data:`PartitionedDeviceServerAssembly` alias) so
+    The original static K-partition class survives under this name so
     existing imports keep working; new code that wants live queries,
     admission control, or caching should use
     :class:`repro.service.server.AssemblyService` directly.
@@ -160,7 +125,12 @@ class DeviceServerAssembly(VolcanoIterator):
                 "the device server schedules with its global elevator; "
                 f"per-partition scheduler {scheduler!r} is not supported"
             )
-        self._partitions = _partition_roots(list(roots), n_partitions)
+        if n_partitions <= 0:
+            raise AssemblyError("need at least one partition")
+        roots = list(roots)
+        self._partitions = [
+            roots[index::n_partitions] for index in range(n_partitions)
+        ]
         self._store = store
         self._template = template
         self._per_window = max(1, window_size // n_partitions)
@@ -211,9 +181,3 @@ class DeviceServerAssembly(VolcanoIterator):
             query.stats.fetches
             for query in self._server.active_queries()
         )
-
-
-#: Deprecated alias, kept so pre-service import sites keep working.
-#: Use :class:`DeviceServerAssembly` (static partitions) or the full
-#: :class:`repro.service.server.AssemblyService` (live clients).
-PartitionedDeviceServerAssembly = DeviceServerAssembly

@@ -497,20 +497,16 @@ class ReferenceScheduler(ABC):
 
     # -- per-device view (event-driven drivers) ------------------------------
     #
-    # The pipelined driver issues I/O per physical device while other
+    # The completion loop issues I/O per physical device while other
     # devices have requests in flight, so it needs to pop *for a given
     # device* rather than globally.  Single-device pools present
     # themselves as device 0; :class:`repro.core.multidevice.
-    # MultiDeviceScheduler` overrides all four methods to expose its
+    # MultiDeviceScheduler` overrides all three methods to expose its
     # per-device elevator queues.
 
-    def devices_pending(self) -> List[int]:
-        """Devices with at least one pending reference."""
-        return [0] if len(self) > 0 else []
-
-    def device_depth(self, device: int) -> int:
-        """Pending references routed to one device."""
-        return len(self) if device == 0 else 0
+    def queue_depths(self) -> List[int]:
+        """Pending references per device, indexed by device."""
+        return [len(self)]
 
     def pop_on(self, device: int) -> UnresolvedReference:
         """Pop the next reference destined for one device."""

@@ -34,6 +34,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.assembled import AssembledComplexObject
 from repro.core.assembly import Assembly
+from repro.core.multidevice import CompletionLoop, PipelineStats
 from repro.core.schedulers import (
     ReferenceScheduler,
     SweepPool,
@@ -43,11 +44,9 @@ from repro.core.template import Template
 from repro.errors import (
     AssemblyError,
     BufferFullError,
-    DeviceDownError,
     FaultError,
     SchedulerError,
     ServiceStateError,
-    TransientReadError,
 )
 from repro.storage.costmodel import CostModel
 from repro.storage.events import AsyncIOEngine
@@ -469,7 +468,7 @@ class DeviceServer:
         injector = self.store.disk.fault_injector
         return injector.now if injector is not None else 0.0
 
-    def _deepest_queue(self) -> "_DeviceQueue":
+    def _deepest_device(self) -> int:
         # Deepest queue first: elevator sweeps pay off in proportion to
         # queue depth (same rule as MultiDeviceScheduler); ties resolve
         # to the lowest device index, deterministically.  Quarantined
@@ -478,44 +477,63 @@ class DeviceServer:
         # probed anyway (on the synchronous path, only attempts advance
         # the injector's op clock, so probing is what ends an outage).
         now = self._fault_now()
-        best_queue = None
+        best = None
         best_depth = 0
-        probe_queue = None
+        probe = None
         probe_recovery = None
         for device, queue in enumerate(self._queues):
-            if len(queue) == 0:
+            depth = len(queue)
+            if depth == 0:
                 continue
             if not self.health.available(device, now):
                 recovery = self.health.quarantined_until(device)
                 if probe_recovery is None or recovery < probe_recovery:
-                    probe_queue, probe_recovery = queue, recovery
+                    probe, probe_recovery = device, recovery
                 continue
-            if len(queue) > best_depth:
-                best_queue = queue
-                best_depth = len(queue)
-        if best_queue is None:
-            best_queue = probe_queue
-        if best_queue is None:
+            if depth > best_depth:
+                best, best_depth = device, depth
+        if best is None:
+            best = probe
+        if best is None:
             raise SchedulerError("device server pool is empty")
-        return best_queue
+        return best
 
-    def _pop_next(self) -> Tuple[int, UnresolvedReference]:
-        starved = self._starved_query()
-        if starved is not None:
-            for queue in self._queues:
-                if queue.has_query(starved):
-                    return queue.pop_for_query(starved)
-        return self._deepest_queue().pop_next()
+    def _pop(
+        self, device: int, starved: Optional[int] = None
+    ) -> List[Tuple[int, UnresolvedReference]]:
+        """Pop the next sweep batch on ``device``.
 
-    def _pop_next_batch(self) -> List[Tuple[int, UnresolvedReference]]:
-        starved = self._starved_query()
+        One reference — the SCAN-next one, or query ``starved``'s
+        nearest — or, with ``batch_pages`` ≥ 2, everything pending on
+        the sweep-next page(s).  A reference stops counting as pending
+        here, at pop, on every path: until it is served or requeued it
+        belongs to the popped batch.
+        """
+        queue = self._queues[device]
         if starved is not None:
-            for queue in self._queues:
-                if queue.has_query(starved):
-                    return [queue.pop_for_query(starved)]
-        return self._deepest_queue().pop_batch(
-            self.batch_pages, self.store.buffer.is_resident
-        )
+            batch = [queue.pop_for_query(starved)]
+        elif self.batch_pages > 1:
+            batch = queue.pop_batch(
+                self.batch_pages, self.store.buffer.is_resident
+            )
+        else:
+            batch = [queue.pop_next()]
+        pending = self._pending
+        for query_id, _ref in batch:
+            pending[query_id] -= 1
+        return batch
+
+    def _fetch_pages(
+        self, batch: List[Tuple[int, UnresolvedReference]]
+    ) -> List[int]:
+        """The distinct pages serving ``batch`` would read, sweep order."""
+        pages: List[int] = []
+        queries = self._queries
+        for query_id, ref in batch:
+            query = queries[query_id]
+            if not query.finished:
+                query.assembly.fetch_pages((ref,), pages)
+        return pages
 
     def _prefetch(
         self, batch: List[Tuple[int, UnresolvedReference]]
@@ -527,16 +545,7 @@ class DeviceServer:
         pin bound cannot take the whole batch (per-reference fetching
         still works then, just without coalescing).
         """
-        fetch_pages: List[int] = []
-        seen = set()
-        for query_id, ref in batch:
-            query = self._queries[query_id]
-            if query.finished or not query.assembly.needs_fetch(ref):
-                continue
-            page_id = self.store.page_of(ref.oid)
-            if page_id not in seen:
-                seen.add(page_id)
-                fetch_pages.append(page_id)
+        fetch_pages = self._fetch_pages(batch)
         if len(fetch_pages) < 2:
             return []
         try:
@@ -570,49 +579,92 @@ class DeviceServer:
         is empty but some query is unfinished, stuck deferred
         references are released (the selective-assembly corner the
         core operator handles the same way).
+
+        If a query's operator raises (a ``fail_fast`` fault), the error
+        propagates with every *other* query whole: their references
+        popped in the same batch are back in the pool, no prefetch pin
+        is held, and further steps keep serving them once the failed
+        query is deregistered.
         """
         if self.pending_total() == 0 and not self._release_stuck():
             return False
-        if self.batch_pages > 1:
-            batch = self._pop_next_batch()
-            prefetched = self._prefetch(batch)
+        starved = self._starved_query()
+        if starved is None:
+            device = self._deepest_device()
         else:
-            batch = [self._pop_next()]
-            prefetched = []
+            device = next(
+                index
+                for index, queue in enumerate(self._queues)
+                if queue.has_query(starved)
+            )
+        batch = self._pop(device, starved)
+        prefetched = self._prefetch(batch) if self.batch_pages > 1 else []
         pop_span = None
-        if self.spans is not None and batch:
+        if self.spans is not None:
             pop_span = self.spans.begin(
                 "scheduler-pop",
                 kind="scheduler-pop",
-                device=self._device_of(batch[0][1].page_id),
+                device=device,
                 refs=len(batch),
                 prefetched=len(prefetched),
             )
         try:
-            for query_id, ref in batch:
-                self._pending[query_id] -= 1
-                query = self._queries[query_id]
-                self.resolutions += 1
-                for other_id, other in self._queries.items():
-                    if other.finished or other_id == query_id:
-                        continue
-                    if self._pending[other_id] > 0:
-                        other.waited += 1
-                query.waited = 0
-                query.served += 1
-                if self.reorg is not None:
-                    # One affinity observation per resolved reference,
-                    # grouped by the client request it was fetched for —
-                    # the co-access context recurring queries share.
-                    self.reorg.observe(query_id, ref.oid)
-                query.assembly.resolve_external(ref)
-                self._collect(query)
+            self._serve(batch)
         finally:
             for page_id in prefetched:
                 self.store.buffer.unfix(page_id)
             if pop_span is not None:
                 self.spans.end(pop_span)
         return True
+
+    def _serve(self, batch: List[Tuple[int, UnresolvedReference]]) -> None:
+        """Hand each popped reference to its owning query's operator.
+
+        The one per-reference path under :meth:`step` and the
+        completion loop: service clock, fairness counters, affinity
+        observation, resolution, collection.  If an operator raises,
+        the unserved rest of the batch goes back to the pool first.
+        """
+        queries = self._queries
+        pending = self._pending
+        reorg = self.reorg
+        served = 0
+        try:
+            for query_id, ref in batch:
+                served += 1
+                query = queries[query_id]
+                self.resolutions += 1
+                for other_id, other in queries.items():
+                    if other.finished or other_id == query_id:
+                        continue
+                    if pending[other_id] > 0:
+                        other.waited += 1
+                query.waited = 0
+                query.served += 1
+                if reorg is not None:
+                    # One affinity observation per resolved reference,
+                    # grouped by the client request it was fetched for —
+                    # the co-access context recurring queries share.
+                    reorg.observe(query_id, ref.oid)
+                if query.finished:
+                    # The query completed (or was aborted down to empty)
+                    # while this batch was out of the pool; its operator
+                    # is closed and the reference is necessarily stale.
+                    continue
+                query.assembly.resolve_external(ref)
+                self._collect(query)
+        except BaseException:
+            self._requeue(batch[served:])
+            raise
+
+    def _requeue(
+        self, batch: List[Tuple[int, UnresolvedReference]]
+    ) -> None:
+        """Put popped, unserved references back into the pool."""
+        for query_id, ref in batch:
+            query = self._queries.get(query_id)
+            if query is not None and not query.finished:
+                query.assembly.requeue((ref,))
 
     def _release_stuck(self) -> bool:
         released = False
@@ -626,7 +678,9 @@ class DeviceServer:
         return released and self.pending_total() > 0
 
     def _collect(self, query: ClientQuery) -> None:
-        query.output.extend(query.assembly.drain_emitted())
+        emitted = query.assembly.drain_emitted()
+        if emitted:
+            query.output.extend(emitted)
         if (
             not query.finished
             and self._pending[query.query_id] == 0
@@ -652,8 +706,6 @@ class DeviceServer:
                 f"(template does not match the data?)"
             )
 
-    # -- overlapped execution ------------------------------------------------
-
     def run_overlapped(
         self,
         cost_model: Optional[CostModel] = None,
@@ -662,14 +714,12 @@ class DeviceServer:
     ) -> OverlapReport:
         """Drive every query with overlapped per-device I/O.
 
-        The event-driven counterpart of :meth:`run`: each device with
-        pending references is kept loaded with up to ``issue_depth``
-        outstanding sweep batches (deepest queue first), and the
-        earliest completion resolves next — so concurrent clients'
-        fetches on different devices genuinely overlap, and the
-        service's cost is elapsed time, not the sum of every read.
-        Assembled output, like in :meth:`run`, lands in each query's
-        buffer.
+        The event-driven counterpart of :meth:`run`: the server's pool
+        under :class:`~repro.core.multidevice.CompletionLoop`, so
+        concurrent clients' fetches on different devices genuinely
+        overlap and the service's cost is elapsed time, not the sum of
+        every read.  Assembled output, like in :meth:`run`, lands in
+        each query's buffer.
 
         The starvation override applies to the synchronous step loop
         only; overlap itself keeps every backlogged device moving, and
@@ -681,195 +731,39 @@ class DeviceServer:
         engine = AsyncIOEngine(self.store.disk, cost_model, spans=self.spans)
         resolved_before = self.resolutions
         quarantines_before = self.health.total_quarantines()
-        report = OverlapReport()
-        while True:
-            while True:
-                now = engine.clock.now
-                best = -1
-                best_key: Tuple[int, int] = (0, 0)
-                for device, queue in enumerate(self._queues):
-                    if len(queue) == 0:
-                        continue
-                    if engine.in_flight(device) >= issue_depth:
-                        continue
-                    if not self.health.available(device, now):
-                        continue
-                    key = (-len(queue), device)
-                    if best < 0 or key < best_key:
-                        best, best_key = device, key
-                if best < 0:
-                    break
-                self._issue_overlapped(engine, best, retry_policy, report)
-            if engine.idle():
-                if self.pending_total() > 0:
-                    # Every pending device is quarantined: idle the
-                    # event clock to the earliest recovery and retry.
-                    recovery = self.health.next_recovery(engine.clock.now)
-                    if recovery is not None:
-                        report.quarantine_wait_ms += (
-                            recovery - engine.clock.now
-                        )
-                        engine.wait_until(recovery)
-                        continue
-                if not self._release_stuck():
-                    break
-                continue
-            batch, pinned = engine.wait_next().payload
-            try:
-                self._resolve_overlapped(batch)
-            finally:
-                for page_id in pinned:
-                    self.store.buffer.unfix(page_id)
+        stats = PipelineStats()
+        CompletionLoop(
+            engine,
+            self.store.buffer,
+            self.health,
+            stats,
+            issue_depth,
+            retry_policy,
+            depths=self.queue_depths,
+            pop=self._pop,
+            fetch_pages=self._fetch_pages,
+            resolve=self._serve,
+            requeue=self._requeue,
+            pool_dry=self._release_stuck,
+        ).run()
         self._require_all_finished()
-        report.elapsed_ms = engine.elapsed
-        report.device_busy_ms = [
-            engine.busy_time(d) for d in range(engine.n_devices)
-        ]
-        report.device_utilization = engine.utilizations()
-        report.issued = engine.issues
-        report.resolutions = self.resolutions - resolved_before
-        report.quarantines = (
-            self.health.total_quarantines() - quarantines_before
+        return OverlapReport(
+            elapsed_ms=engine.elapsed,
+            device_busy_ms=[
+                engine.busy_time(d) for d in range(engine.n_devices)
+            ],
+            device_utilization=engine.utilizations(),
+            issued=engine.issues,
+            resolutions=self.resolutions - resolved_before,
+            sync_fallbacks=stats.sync_fallbacks,
+            fault_retries=stats.fault_retries,
+            fault_requeues=stats.fault_requeues,
+            fault_fallbacks=stats.fault_fallbacks,
+            quarantines=(
+                self.health.total_quarantines() - quarantines_before
+            ),
+            quarantine_wait_ms=stats.quarantine_wait_ms,
         )
-        return report
-
-    def _issue_overlapped(
-        self,
-        engine: AsyncIOEngine,
-        device: int,
-        retry_policy: Optional[RetryPolicy],
-        report: OverlapReport,
-    ) -> None:
-        """Pop one sweep batch on ``device`` and issue it, folding
-        fallbacks, retries and requeues into ``report``."""
-        queue = self._queues[device]
-        if self.batch_pages > 1:
-            batch = queue.pop_batch(
-                self.batch_pages, self.store.buffer.is_resident
-            )
-        else:
-            batch = [queue.pop_next()]
-        for query_id, _ref in batch:
-            self._pending[query_id] -= 1
-        fetch_pages: List[int] = []
-        seen = set()
-        for query_id, ref in batch:
-            query = self._queries[query_id]
-            if query.finished or not query.assembly.needs_fetch(ref):
-                continue
-            page_id = self.store.page_of(ref.oid)
-            if page_id not in seen:
-                seen.add(page_id)
-                fetch_pages.append(page_id)
-        if not fetch_pages:
-            engine.issue(device, None, payload=(batch, []))
-            return
-        try:
-            engine.issue(
-                device,
-                self._fix_with_retry(
-                    engine, device, fetch_pages, retry_policy, report
-                ),
-                payload=(batch, fetch_pages),
-            )
-        except BufferFullError:
-            # Pin bound overflow: resolve synchronously on this
-            # device's timeline (reads still priced where they happen).
-            report.sync_fallbacks += 1
-            engine.issue(
-                device,
-                lambda: self._resolve_overlapped(batch),
-                payload=([], []),
-            )
-        except DeviceDownError as exc:
-            # Quarantine the device and put the whole batch back in
-            # the pool; it re-issues once the breaker reopens.
-            self.health.record_failure(
-                device, now=engine.clock.now, retry_after=exc.retry_after
-            )
-            report.fault_requeues += len(batch)
-            self._requeue(batch)
-        except TransientReadError:
-            # Issue-time retries ran out: hand the batch to the owning
-            # operators' synchronous fault handling (retry policies and
-            # degradation modes are per-query there).
-            self.health.record_failure(device, now=engine.clock.now)
-            report.fault_fallbacks += 1
-            engine.issue(
-                device,
-                lambda: self._resolve_overlapped(batch),
-                payload=([], []),
-            )
-
-    def _fix_with_retry(
-        self,
-        engine: AsyncIOEngine,
-        device: int,
-        fetch_pages: List[int],
-        retry_policy: Optional[RetryPolicy],
-        report: OverlapReport,
-    ):
-        """An io_fn pinning ``fetch_pages``, retrying transient faults
-        inside the issued request (wasted reads and backoff price on
-        the device's timeline)."""
-        injector = self.store.disk.fault_injector
-
-        def io_fn():
-            attempt = 0
-            while True:
-                try:
-                    result = self.store.buffer.fix_many(fetch_pages)
-                except TransientReadError:
-                    if retry_policy is None or not retry_policy.should_retry(
-                        attempt
-                    ):
-                        raise
-                    backoff = retry_policy.backoff_ms(
-                        attempt, engine.cost_model
-                    )
-                    if injector is not None:
-                        injector.charge_backoff(backoff)
-                    report.fault_retries += 1
-                    attempt += 1
-                else:
-                    if injector is not None:
-                        self.health.record_success(device)
-                    return result
-
-        return io_fn
-
-    def _requeue(
-        self, batch: List[Tuple[int, UnresolvedReference]]
-    ) -> None:
-        """Put a popped batch back into the pool (device was down)."""
-        for query_id, ref in batch:
-            query = self._queries.get(query_id)
-            if query is None or query.finished:
-                continue
-            self._enqueue(query_id, ref)
-
-    def _resolve_overlapped(
-        self, batch: List[Tuple[int, UnresolvedReference]]
-    ) -> None:
-        for query_id, ref in batch:
-            query = self._queries[query_id]
-            if query.finished:
-                # The query completed (or was aborted down to empty)
-                # while this batch was in flight; its operator is
-                # closed and the reference is necessarily stale.
-                continue
-            self.resolutions += 1
-            for other_id, other in self._queries.items():
-                if other.finished or other_id == query_id:
-                    continue
-                if self._pending[other_id] > 0:
-                    other.waited += 1
-            query.waited = 0
-            query.served += 1
-            if self.reorg is not None:
-                self.reorg.observe(query_id, ref.oid)
-            query.assembly.resolve_external(ref)
-            self._collect(query)
 
     # -- results ------------------------------------------------------------
 

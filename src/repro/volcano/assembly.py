@@ -22,11 +22,11 @@ closes the gap with three operators:
   rewrite rule can fold it into the template below (Section 6.5's
   selective assembly) without changing the row multiset.
 * :class:`ParallelAssembly` — the paper's §7 "parallel assembly" via
-  exchange: root rows are partitioned (round-robin, or by a fabric
-  shard router), each partition is assembled by its own engine over
-  its own store replica or shard, and the partition outputs merge in
-  deterministic round-robin demand order exactly like
-  :class:`~repro.volcano.exchange.PartitionedExecute`.  Elapsed time
+  exchange: a :class:`~repro.volcano.exchange.PartitionedExecute`
+  whose fragment assembles each partition (round-robin, or dealt by a
+  fabric shard router) with its own engine over its own store replica
+  or shard; dealing and the deterministic round-robin merge are the
+  exchange operator's.  Elapsed time
   is priced on the PR 3 event clock: the ``"sync"`` driver reads each
   partition's :class:`~repro.storage.costmodel.CostedDisk` service
   total (bit-identical to the event engine at depth 1 — the E-3
@@ -40,6 +40,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro.errors import PlanError
+from repro.volcano.exchange import PartitionedExecute
 from repro.volcano.filters import Filter
 from repro.volcano.iterator import ListSource, Row, VolcanoIterator
 
@@ -211,34 +212,32 @@ class ComponentFilter(Filter):
 PARALLEL_DRIVERS = ("sync", "pipelined")
 
 
-class ParallelAssembly(VolcanoIterator):
+class ParallelAssembly(PartitionedExecute):
     """Exchange-parallel assembly over per-partition stores.
 
-    ``source`` yields root OIDs; ``stores`` holds one independent
-    store per partition (bit-identical replicas for round-robin
-    partitioning, or fabric shards each holding only its own objects —
-    see :mod:`repro.fabric.parallel` for both builders).
-    ``partition_fn(row, position)`` routes each root to a partition;
-    the default is positional round-robin, exchange's classic deal.
-
-    The merge is demand-driven round-robin over the partition streams,
-    so output order is a deterministic function of the partition
-    streams — the property the differential conformance suite pins.
+    :class:`~repro.volcano.exchange.PartitionedExecute` — its deal
+    (``partition_fn(row, position)``, positional round-robin by
+    default) and its deterministic round-robin merge — with one
+    assembly engine per partition as the fragment.  ``source`` yields
+    root OIDs; ``stores`` holds one independent store per partition
+    (bit-identical replicas for round-robin partitioning, or fabric
+    shards each holding only its own objects — see
+    :mod:`repro.fabric.parallel` for both builders).
 
     Drivers:
 
-    * ``"sync"`` — each partition runs the plain synchronous engine;
-      partitions interleave per ``next()`` call.  Elapsed time is read
-      off each partition's :class:`~repro.storage.costmodel.CostedDisk`
-      service-time accumulator, which the PR 3 event engine reproduces
-      bit-for-bit at issue depth 1 (the E-3 anchor) — so ``max`` over
-      partitions *is* the event-clock elapsed of the parallel run.
+    * ``"sync"`` — each partition's fragment is the plain synchronous
+      engine; partitions interleave per ``next()`` call.  Elapsed time
+      is read off each partition's
+      :class:`~repro.storage.costmodel.CostedDisk` service-time
+      accumulator, which the PR 3 event engine reproduces bit-for-bit
+      at issue depth 1 (the E-3 anchor) — so ``max`` over partitions
+      *is* the event-clock elapsed of the parallel run.
     * ``"pipelined"`` — each partition runs to completion at ``open``
       under its own :class:`~repro.storage.events.AsyncIOEngine` and
-      :class:`~repro.core.multidevice.PipelinedAssembly` completion
-      loop (issue-ahead via ``issue_depth``); rows are then merged
-      from the buffered partition outputs in the same round-robin
-      order.  Elapsed is ``max`` over the engines' clocks.
+      :class:`~repro.core.multidevice.PipelinedAssembly` (issue-ahead
+      via ``issue_depth``); its fragment is a source over the buffered
+      output.  Elapsed is ``max`` over the engines' clocks.
     """
 
     def __init__(
@@ -252,7 +251,6 @@ class ParallelAssembly(VolcanoIterator):
         issue_depth: int = 1,
         **engine_kwargs: object,
     ) -> None:
-        super().__init__()
         if not stores:
             raise PlanError("ParallelAssembly needs at least one store")
         if driver not in PARALLEL_DRIVERS:
@@ -261,20 +259,16 @@ class ParallelAssembly(VolcanoIterator):
             )
         if issue_depth <= 0:
             raise PlanError("issue_depth must be positive")
-        self._source = source
+        super().__init__(
+            source, len(stores), self._partition_plan, partition_fn
+        )
         self._stores = list(stores)
         self._template = template.finalize()
-        self._partition_fn = partition_fn
         self._driver = driver
         self._issue_depth = issue_depth
         self._engine_kwargs = dict(engine_kwargs)
-        self._engines: List[Assembly] = []
         self._io_engines: List[object] = []
-        self._buffers: List[List[Row]] = []
-        self._positions: List[int] = []
-        self._alive: List[bool] = []
         self._service_t0: List[float] = []
-        self._turn = 0
 
     @property
     def n_partitions(self) -> int:
@@ -308,108 +302,42 @@ class ParallelAssembly(VolcanoIterator):
             for store, t0 in zip(self._stores, self._service_t0)
         )
 
-    # -- iterator protocol ---------------------------------------------------
-
-    def _deal(self) -> List[List[Row]]:
-        """Drain the source and deal roots to partitions."""
-        partitions: List[List[Row]] = [[] for _ in self._stores]
-        self._source.open()
-        position = 0
-        while True:
-            row = self._source.next()
-            if row is None:
-                break
-            if self._partition_fn is None:
-                index = position % len(self._stores)
-            else:
-                index = self._partition_fn(row, position)
-            if not 0 <= index < len(self._stores):
-                raise PlanError(
-                    f"partition_fn routed row {position} to {index}, "
-                    f"outside 0..{len(self._stores) - 1}"
-                )
-            partitions[index].append(row)
-            position += 1
-        self._source.close()
-        return partitions
-
     def _open(self) -> None:
-        partitions = self._deal()
-        self._service_t0 = [
-            getattr(store.disk, "service_time_total", 0.0)
-            for store in self._stores
-        ]
+        self._io_engines = []
+        self._service_t0 = []
+        super()._open()
+
+    def _partition_plan(
+        self, source: VolcanoIterator, index: int
+    ) -> VolcanoIterator:
+        """Partition ``index``'s fragment: its engine, or (pipelined) a
+        source over what its engine assembled."""
         from repro.core.assembly import Assembly
 
-        self._engines = [
-            Assembly(
-                ListSource(part),
-                store,
-                self._template,
-                **self._engine_kwargs,
-            )
-            for part, store in zip(partitions, self._stores)
-        ]
-        self._io_engines = []
-        self._buffers = [[] for _ in self._engines]
-        self._positions = [0] * len(self._engines)
-        self._alive = [True] * len(self._engines)
-        self._turn = 0
-        if self._driver == "pipelined":
-            from repro.core.multidevice import PipelinedAssembly
-            from repro.storage.costmodel import CostModel
-            from repro.storage.events import AsyncIOEngine
+        store = self._stores[index]
+        self._service_t0.append(
+            getattr(store.disk, "service_time_total", 0.0)
+        )
+        engine = Assembly(
+            source, store, self._template, **self._engine_kwargs
+        )
+        if self._driver == "sync":
+            return engine
+        from repro.core.multidevice import PipelinedAssembly
+        from repro.storage.costmodel import CostModel
+        from repro.storage.events import AsyncIOEngine
 
-            for index, (engine, store) in enumerate(
-                zip(self._engines, self._stores)
-            ):
-                cost_model = getattr(store.disk, "cost_model", None)
-                io_engine = AsyncIOEngine(
-                    store.disk,
-                    cost_model if cost_model is not None else CostModel(),
-                )
-                pipeline = PipelinedAssembly(
-                    engine,
-                    io_engine,
-                    issue_depth=self._issue_depth,
-                    batch_pages=int(
-                        self._engine_kwargs.get("batch_pages", 1)
-                    ),
-                )
-                self._buffers[index] = pipeline.run()
-                self._io_engines.append(io_engine)
-        else:
-            for engine in self._engines:
-                engine.open()
-
-    def _next(self) -> Optional[Row]:
-        n = len(self._engines)
-        remaining = sum(self._alive)
-        while remaining:
-            index = self._turn % n
-            self._turn += 1
-            if not self._alive[index]:
-                continue
-            row = self._fetch(index)
-            if row is None:
-                self._alive[index] = False
-                remaining -= 1
-                continue
-            return row
-        return None
-
-    def _fetch(self, index: int) -> Optional[Row]:
-        if self._driver == "pipelined":
-            buffer = self._buffers[index]
-            position = self._positions[index]
-            if position >= len(buffer):
-                return None
-            self._positions[index] = position + 1
-            return buffer[position]
-        return self._engines[index].next()
-
-    def _close(self) -> None:
-        for engine in self._engines:
-            if engine.is_open:
-                engine.close()
-        self._buffers = []
+        cost_model = getattr(store.disk, "cost_model", None)
+        io_engine = AsyncIOEngine(
+            store.disk,
+            cost_model if cost_model is not None else CostModel(),
+        )
+        self._io_engines.append(io_engine)
+        return ListSource(
+            PipelinedAssembly(
+                engine,
+                io_engine,
+                issue_depth=self._issue_depth,
+                batch_pages=int(self._engine_kwargs.get("batch_pages", 1)),
+            ).run()
+        )

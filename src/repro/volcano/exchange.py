@@ -12,14 +12,18 @@ partitions (Section 5, reason three).
 :class:`PartitionedExecute` therefore reproduces exchange's plan shape:
 it splits an input into ``n`` partitions, runs a plan fragment over
 each partition *serially*, and interleaves their outputs in demand
-order.  Benchmarks use it to demonstrate why independent per-partition
-elevator queues break the exclusive-device assumption (Section 7).
+order.  It is the one deal and the one merge under every partitioned
+way of running assembly: :class:`repro.core.parallel.
+InterleavedAssemblies` (Ablation A-5's independent per-partition
+elevator queues, which break the exclusive-device assumption of
+Section 7) and :class:`repro.volcano.assembly.ParallelAssembly`
+(Figure V-3's per-shard engines) are this operator plus a fragment.
 """
 
 from __future__ import annotations
 
 import inspect
-from typing import Callable, List, Optional
+from typing import Callable, Iterable, List, Optional, Union
 
 from repro.errors import PlanError
 from repro.volcano.iterator import ListSource, Row, VolcanoIterator
@@ -96,7 +100,14 @@ class Partition(VolcanoIterator):
 
 
 class PartitionedExecute(VolcanoIterator):
-    """Run a plan fragment per round-robin partition; merge demand-driven.
+    """Run a plan fragment per partition; merge demand-driven.
+
+    ``rows`` is the input: a source operator, or a plain list of rows.
+    It is drained at ``open`` and dealt to ``n_partitions`` lists —
+    positionally round-robin, exchange's classic deal, or wherever
+    ``partition_fn(row, position)`` routes each row (a shard router,
+    say; an index outside ``0..n_partitions-1`` is a
+    :class:`PlanError`).
 
     ``fragment(source)`` builds the per-partition plan over a
     :class:`ListSource` of that partition's rows.  A fragment taking a
@@ -104,39 +115,60 @@ class PartitionedExecute(VolcanoIterator):
     with the partition number — how shard-local fragments pick their
     own store (see :mod:`repro.fabric.parallel`).  Partitions execute
     serially but their outputs interleave round-robin, which is how
-    exchange's merge side appears to its consumer.
+    exchange's merge side appears to its consumer; output order is a
+    deterministic function of the partition streams.  The fragments'
+    plans stay readable (statistics) after ``close``, until the next
+    ``open`` builds fresh ones.
     """
 
     def __init__(
         self,
-        rows: List[Row],
+        rows: Union[VolcanoIterator, Iterable[Row]],
         n_partitions: int,
-        fragment: Callable[[VolcanoIterator], VolcanoIterator],
+        fragment: Callable[..., VolcanoIterator],
+        partition_fn: Optional[Callable[[Row, int], int]] = None,
     ) -> None:
         super().__init__()
         if n_partitions <= 0:
             raise PlanError("n_partitions must be positive")
-        self._input_rows = list(rows)
+        self._source = (
+            rows if isinstance(rows, VolcanoIterator) else ListSource(rows)
+        )
         self._n = n_partitions
-        self._fragment = fragment
-        self._fragment_indexed = _fragment_wants_index(fragment)
+        self._fragment = (
+            fragment
+            if _fragment_wants_index(fragment)
+            else lambda source, _index: fragment(source)
+        )
+        self._partition_fn = partition_fn or (
+            lambda _row, position: position % n_partitions
+        )
         self._plans: List[VolcanoIterator] = []
         self._alive: List[bool] = []
         self._turn = 0
 
-    def _open(self) -> None:
+    def _deal(self) -> List[List[Row]]:
+        """Drain the source and deal its rows to partitions."""
         partitions: List[List[Row]] = [[] for _ in range(self._n)]
-        for position, row in enumerate(self._input_rows):
-            partitions[position % self._n].append(row)
-        if self._fragment_indexed:
-            self._plans = [
-                self._fragment(ListSource(part), index)
-                for index, part in enumerate(partitions)
-            ]
-        else:
-            self._plans = [
-                self._fragment(ListSource(part)) for part in partitions
-            ]
+        self._source.open()
+        try:
+            for position, row in enumerate(iter(self._source.next, None)):
+                index = self._partition_fn(row, position)
+                if not 0 <= index < self._n:
+                    raise PlanError(
+                        f"partition_fn routed row {position} to {index}, "
+                        f"outside 0..{self._n - 1}"
+                    )
+                partitions[index].append(row)
+        finally:
+            self._source.close()
+        return partitions
+
+    def _open(self) -> None:
+        self._plans = [
+            self._fragment(ListSource(part), index)
+            for index, part in enumerate(self._deal())
+        ]
         for plan in self._plans:
             plan.open()
         self._alive = [True] * self._n
@@ -158,7 +190,6 @@ class PartitionedExecute(VolcanoIterator):
         return None
 
     def _close(self) -> None:
-        for plan, alive in zip(self._plans, self._alive):
+        for plan in self._plans:
             if plan.is_open:
                 plan.close()
-        self._plans = []

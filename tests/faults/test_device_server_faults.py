@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cluster.layout import layout_database
 from repro.cluster.policies import InterObjectClustering
+from repro.errors import FaultError
 from repro.service.device_server import DeviceServer
 from repro.storage.buffer import BufferManager
+from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import (
     DownInterval,
     FaultConfig,
@@ -43,6 +47,25 @@ def build_striped(n=40, n_devices=4, batch_pages=4, config=None,
     first = server.register(layout.root_order[:half], template, **kwargs)
     second = server.register(layout.root_order[half:], template, **kwargs)
     return injector, store, server, first, second
+
+
+def build_faulty(disk, n):
+    """``n`` objects on ``disk`` under a 5 % transient read-error rate."""
+    db = generate_acob(n, seed=2)
+    store = ObjectStore(disk, BufferManager(disk))
+    layout = layout_database(
+        db.complex_objects,
+        store,
+        InterObjectClustering(
+            cluster_pages=64, disk_order=db.type_ids_depth_first()
+        ),
+        shared=db.shared_pool,
+    )
+    FaultInjector(
+        FaultConfig(seed=0, read_error_rate=0.05, max_consecutive_failures=2)
+    ).attach(disk)
+    server = DeviceServer(store, batch_pages=4)
+    return store, server, layout.root_order, make_template(db)
 
 
 class TestSynchronousSweep:
@@ -85,6 +108,24 @@ class TestSynchronousSweep:
         assert first.finished and second.finished
         assert len(first.output) + len(second.output) == 40
         assert injector.stats.down_rejections > 0
+        assert store.buffer.pinned_pages == 0
+
+    def test_fail_fast_fault_leaves_other_queries_whole(self):
+        """A sweep batch mixes queries; when one client's fail-fast
+        fault escapes ``step``, the other clients' references popped in
+        the same batch go back to the pool."""
+        store, server, roots, template = build_faulty(SimulatedDisk(), 200)
+        failing = server.register(roots[0::2], template, window_size=32)
+        other = server.register(
+            roots[1::2], template, window_size=32,
+            retry_policy=RetryPolicy(max_retries=4),
+        )
+        with pytest.raises(FaultError):
+            server.run()
+        server.deregister(failing.query_id)
+        assert server.pending_of(other.query_id) == server.pending_total()
+        server.run()
+        assert other.finished and len(other.output) == 100
         assert store.buffer.pinned_pages == 0
 
     def test_queries_share_one_health_tracker(self):
@@ -135,6 +176,26 @@ class TestOverlapped:
         assert report.fault_requeues > 0
         assert report.quarantines >= 1
         assert report.elapsed_ms >= 200.0
+        assert store.buffer.pinned_pages == 0
+
+    def test_escaping_fault_hands_back_in_flight_pins(self):
+        """A fail-fast fault leaves ``run_overlapped`` with requests
+        still in flight; their prefetch pins and references are handed
+        back, so the server keeps serving."""
+        store, server, roots, template = build_faulty(
+            MultiDeviceDisk(n_devices=4, pages_per_device=2048), 120
+        )
+        failing = server.register(roots, template, window_size=32)
+        with pytest.raises(FaultError):
+            server.run_overlapped(issue_depth=3)
+        server.deregister(failing.query_id)
+        assert store.buffer.pinned_pages == 0
+        retrying = server.register(
+            roots, template, window_size=32,
+            retry_policy=RetryPolicy(max_retries=4),
+        )
+        server.run()
+        assert retrying.finished and len(retrying.output) == 120
         assert store.buffer.pinned_pages == 0
 
     def test_fault_counters_fold_into_service_metrics(self):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cluster.layout import layout_database
 from repro.cluster.policies import InterObjectClustering
 from repro.core.assembly import Assembly
 from repro.core.multidevice import MultiDeviceScheduler, PipelinedAssembly
+from repro.errors import FaultError
 from repro.storage.buffer import BufferManager
 from repro.storage.costmodel import CostModel
 from repro.storage.events import AsyncIOEngine
@@ -21,7 +24,8 @@ from repro.volcano.iterator import ListSource
 from repro.workloads.acob import generate_acob, make_template
 
 
-def build(n=40, n_devices=2, config=None, issue_retry=None, op_retry=None):
+def build(n=40, n_devices=2, config=None, issue_retry=None, op_retry=None,
+          window=None, issue_depth=2):
     db = generate_acob(n, seed=2)
     disk = MultiDeviceDisk(n_devices=n_devices, pages_per_device=2048)
     store = ObjectStore(disk, BufferManager(disk))
@@ -39,13 +43,13 @@ def build(n=40, n_devices=2, config=None, issue_retry=None, op_retry=None):
         ListSource(layout.root_order),
         store,
         make_template(db),
-        window_size=4 * n_devices,
+        window_size=window or 4 * n_devices,
         scheduler=MultiDeviceScheduler(disk),
         retry_policy=op_retry,
     )
     engine = AsyncIOEngine(disk, CostModel())
     driver = PipelinedAssembly(
-        operator, engine, issue_depth=2, batch_pages=4,
+        operator, engine, issue_depth=issue_depth, batch_pages=4,
         retry_policy=issue_retry,
     )
     return injector, engine, driver, operator, store
@@ -129,4 +133,21 @@ class TestExhaustedIssueRetries:
         assert driver.stats.fault_retries > 0
         # Generous issue-time retries mean no fallback was needed.
         assert driver.stats.fault_fallbacks == 0
+        assert store.buffer.pinned_pages == 0
+
+
+class TestEscapingFault:
+    def test_in_flight_pins_are_handed_back(self):
+        """With no retry policy the first fault leaves ``run`` while
+        other requests are in flight; closing the operator must then
+        find every prefetch pin already returned."""
+        _inj, _engine, driver, operator, store = build(
+            n=120, n_devices=4, window=32, issue_depth=3,
+            config=FaultConfig(
+                seed=0, read_error_rate=0.05, max_consecutive_failures=2
+            ),
+        )
+        with pytest.raises(FaultError):
+            driver.run()
+        operator.close()
         assert store.buffer.pinned_pages == 0

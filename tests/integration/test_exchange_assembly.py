@@ -1,5 +1,7 @@
 """Exchange-style partitioned assembly (the Section 7 plan shape)."""
 
+import pytest
+
 from repro.cluster.layout import layout_database
 from repro.cluster.policies import InterObjectClustering
 from repro.core.assembly import Assembly
@@ -115,3 +117,114 @@ def test_indexed_fragments_bind_partition_local_replicas():
     for replica in replicas:
         assert replica.store.disk.stats.reads > 0
     assert store.disk.stats.reads == 0  # the original store was not touched
+
+
+# -- differential anchors: the exchange wrappers against the operator ------
+#
+# InterleavedAssemblies and ParallelAssembly are PartitionedExecute plus a
+# fragment; these two cases pin that equivalence down to the per-read
+# seek history, whichever way the wrappers are built.
+
+
+def _disk_stats(disk):
+    stats = disk.stats
+    return (
+        stats.reads,
+        stats.read_seek_total,
+        stats.pages_read,
+        stats.run_reads,
+        list(stats.read_seeks),
+    )
+
+
+@pytest.mark.parametrize("n_partitions", [1, 2, 4, 8])
+def test_interleaved_assemblies_equal_partitioned_execute(n_partitions):
+    from repro.bench.harness import ExperimentConfig, build_layout
+    from repro.core.parallel import InterleavedAssemblies
+
+    window = 48
+    config = ExperimentConfig(
+        n_complex_objects=400,
+        clustering="inter-object",
+        scheduler="elevator",
+        window_size=window,
+        cluster_pages=64,
+    )
+
+    db, layout = build_layout(config)
+    wrapper = InterleavedAssemblies(
+        layout.root_order, layout.store, make_template(db),
+        n_partitions=n_partitions, window_size=window,
+    )
+    wrapper_roots = [cobj.root_oid for cobj in wrapper.execute()]
+    wrapper_stats = _disk_stats(layout.store.disk)
+
+    db, layout = build_layout(config)
+    store, template = layout.store, make_template(db)
+    plan = PartitionedExecute(
+        layout.root_order,
+        n_partitions,
+        lambda source: Assembly(
+            source, store, template,
+            window_size=max(1, window // n_partitions),
+        ),
+    )
+    plan_roots = [cobj.root_oid for cobj in plan.execute()]
+
+    assert len(wrapper_roots) == 400
+    assert wrapper_roots == plan_roots
+    assert wrapper_stats == _disk_stats(store.disk)
+    assert store.buffer.pinned_pages == 0
+
+
+@pytest.mark.parametrize("n_partitions", [1, 3])
+def test_parallel_assembly_equals_partitioned_execute_over_replicas(
+    n_partitions,
+):
+    from repro.fabric.parallel import build_replica_partitions
+    from repro.volcano.assembly import ParallelAssembly
+    from repro.volcano.iterator import ListSource
+
+    db = generate_acob(60, seed=23)
+    template = make_template(db)
+
+    def replicas():
+        store = ObjectStore(SimulatedDisk())
+        layout = layout_database(
+            db.complex_objects,
+            store,
+            InterObjectClustering(cluster_pages=32),
+            shared=db.shared_pool,
+        )
+        return layout.root_order, build_replica_partitions(
+            layout, n_partitions
+        )
+
+    roots, wrapper_replicas = replicas()
+    wrapper = ParallelAssembly(
+        ListSource(roots),
+        [replica.store for replica in wrapper_replicas],
+        template,
+        window_size=4,
+    )
+    wrapper_rows = [cobj.root_oid for cobj in wrapper.execute()]
+
+    roots, plan_replicas = replicas()
+    plan = PartitionedExecute(
+        roots,
+        n_partitions,
+        lambda source, index: Assembly(
+            source, plan_replicas[index].store, template, window_size=4
+        ),
+    )
+    plan_rows = [cobj.root_oid for cobj in plan.execute()]
+
+    assert len(wrapper_rows) == 60
+    assert wrapper_rows == plan_rows
+    for mine, theirs in zip(wrapper_replicas, plan_replicas):
+        assert _disk_stats(mine.store.disk) == _disk_stats(theirs.store.disk)
+    elapsed = max(
+        replica.store.disk.service_time_total for replica in plan_replicas
+    )
+    assert elapsed > 0
+    assert wrapper.elapsed_ms() == elapsed

@@ -69,3 +69,37 @@ class TestPartitionedExecute:
     def test_bad_partition_count(self):
         with pytest.raises(PlanError):
             PartitionedExecute(rows=[], n_partitions=0, fragment=lambda s: s)
+
+    def test_partition_fn_routes_rows(self):
+        op = PartitionedExecute(
+            rows=list(range(6)),
+            n_partitions=2,
+            fragment=lambda source, index: Project(
+                source, lambda n: (index, n)
+            ),
+            partition_fn=lambda row, _position: 0 if row < 4 else 1,
+        )
+        # partitions: [0, 1, 2, 3] and [4, 5]; merged round-robin.
+        assert op.execute() == [
+            (0, 0), (1, 4), (0, 1), (1, 5), (0, 2), (0, 3),
+        ]
+
+    def test_partition_fn_out_of_range(self):
+        op = PartitionedExecute(
+            rows=[0, 1, 2],
+            n_partitions=2,
+            fragment=lambda source: source,
+            partition_fn=lambda _row, position: position,
+        )
+        with pytest.raises(PlanError, match="routed row 2 to 2"):
+            op.open()
+
+    def test_source_operator_input(self):
+        source = Project(ListSource(list(range(5))), lambda n: n + 100)
+        op = PartitionedExecute(
+            rows=source, n_partitions=2, fragment=lambda part: part
+        )
+        assert op.execute() == [100, 101, 102, 103, 104]
+        assert not source.is_open
+        # Reopening deals from the source again, not from a stale copy.
+        assert op.execute() == [100, 101, 102, 103, 104]
