@@ -43,8 +43,6 @@ from repro.core import (
     AssemblyStats,
     AssemblyTracer,
     ComponentIterator,
-    DeviceServerAssembly,
-    InterleavedAssemblies,
     Predicate,
     StackedAssembly,
     Template,
@@ -59,6 +57,7 @@ from repro.database import BoundQuery, Database
 from repro.errors import ReproError
 from repro.objects import GraphBuilder, TypeRegistry
 from repro.query import ComplexObjectQuery, Optimizer, retrieve
+from repro.service import DeviceServerAssembly
 from repro.storage import (
     BTree,
     BufferManager,
@@ -67,7 +66,13 @@ from repro.storage import (
     Oid,
     SimulatedDisk,
 )
-from repro.volcano import Filter, ListSource, Project, VolcanoIterator
+from repro.volcano import (
+    Filter,
+    InterleavedAssemblies,
+    ListSource,
+    Project,
+    VolcanoIterator,
+)
 
 __version__ = "1.0.0"
 

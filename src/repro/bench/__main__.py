@@ -15,7 +15,9 @@ import sys
 import time
 from typing import List
 
+from repro.bench.export import write_csv, write_json
 from repro.bench.figures import ALL_FIGURES, DESCRIPTIONS
+from repro.bench.harness import ExperimentConfig, trace_experiment
 from repro.bench.report import FigureResult, render
 
 
@@ -90,17 +92,11 @@ def main(argv: List[str] = None) -> int:
         print(f"[{name} completed in {elapsed:.1f}s]")
         print()
     if args.csv:
-        from repro.bench.export import write_csv
-
         paths = write_csv(collected, args.csv)
         print(f"wrote {len(paths)} CSV file(s) to {args.csv}")
     if args.json:
-        from repro.bench.export import write_json
-
         print(f"wrote {write_json(collected, args.json)}")
     if args.trace_out:
-        from repro.bench.harness import ExperimentConfig, trace_experiment
-
         config = ExperimentConfig(n_complex_objects=100, window_size=8)
         result, path = trace_experiment(
             config, args.trace_out, sample_rate=args.trace_sample_rate

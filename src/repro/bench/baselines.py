@@ -32,7 +32,7 @@ from repro.bench.harness import ExperimentConfig, build_layout
 from repro.bench.report import FigureResult, monotone_decreasing
 from repro.core.assembly import Assembly
 from repro.core.template import Template, TemplateNode
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.volcano.scan import TidScan
 
 

@@ -42,7 +42,7 @@ from repro.bench.harness import (
 from repro.bench.report import FigureResult
 from repro.core.assembly import Assembly
 from repro.core.schedulers import ReferenceScheduler, UnresolvedReference
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.workloads.acob import make_template, payload_predicate
 
 #: Batch sizes swept by every figure (1 = the paper's unbatched loop).

@@ -54,7 +54,7 @@ from repro.storage.costmodel import CostedDisk, CostModel
 from repro.storage.events import AsyncIOEngine
 from repro.storage.multidisk import MultiDeviceDisk
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.workloads.acob import make_template
 
 #: Device counts swept by E-1 (1 = the synchronous baseline geometry).

@@ -25,6 +25,7 @@ from repro.bench.fabric import figure_fabric
 from repro.bench.harness import (
     ExperimentConfig,
     ExperimentResult,
+    build_layout,
     get_database,
     run_experiment,
 )
@@ -38,6 +39,21 @@ from repro.bench.report import (
 from repro.bench.robustness import figure_robustness
 from repro.bench.service import figure_service
 from repro.bench.volcano import figure_volcano
+from repro.cluster.layout import layout_database
+from repro.cluster.policies import InterObjectClustering
+from repro.core.assembly import Assembly
+from repro.core.multidevice import MultiDeviceScheduler
+from repro.core.tuning import max_window_for_buffer, tune_window
+from repro.iterator import ListSource
+from repro.service.device_server import DeviceServerAssembly
+from repro.storage.buffer import BufferManager
+from repro.storage.costmodel import CostedDisk
+from repro.storage.disk import SimulatedDisk
+from repro.storage.multidisk import MultiDeviceDisk
+from repro.storage.store import ObjectStore
+from repro.volcano.assembly import InterleavedAssemblies
+from repro.workloads.acob import generate_acob, make_template
+from repro.workloads.hypermodel import generate_hypermodel, hypermodel_template
 from repro.workloads.sharing import measure_sharing
 
 #: The paper's database sizes (complex objects).
@@ -606,9 +622,6 @@ def ablation_parallel_contention(
     assumption no longer holds.'  The device server re-merges all
     partitions into one queue and restores single-operator seeks.
     """
-    from repro.bench.harness import build_layout
-    from repro.core.parallel import DeviceServerAssembly, InterleavedAssemblies
-    from repro.workloads.acob import make_template as acob_template
 
     figure = FigureResult(
         figure_id="Ablation A-5",
@@ -626,7 +639,7 @@ def ablation_parallel_contention(
     for k in partition_counts:
         db, layout = build_layout(config)
         op = InterleavedAssemblies(
-            layout.root_order, layout.store, acob_template(db),
+            layout.root_order, layout.store, make_template(db),
             n_partitions=k, window_size=window,
         )
         emitted = sum(1 for _ in op.rows())
@@ -637,7 +650,7 @@ def ablation_parallel_contention(
 
         db, layout = build_layout(config)
         server = DeviceServerAssembly(
-            layout.root_order, layout.store, acob_template(db),
+            layout.root_order, layout.store, make_template(db),
             n_partitions=k, window_size=window,
         )
         emitted = sum(1 for _ in server.rows())
@@ -666,7 +679,6 @@ def ablation_window_tuning(
 ) -> FigureResult:
     """Section 7: 'for a given buffer size the window size can be
     tuned so that performance is maximized.'"""
-    from repro.core.tuning import max_window_for_buffer, tune_window
 
     figure = FigureResult(
         figure_id="Ablation A-6",
@@ -724,16 +736,6 @@ def ablation_multi_device(
     is the **maximum per-device seek total** (the critical path), with
     the window scaled to keep per-device queue depth constant.
     """
-    from repro.cluster.layout import layout_database as lay
-    from repro.cluster.policies import InterObjectClustering
-    from repro.core.assembly import Assembly as Asm
-    from repro.core.multidevice import MultiDeviceScheduler
-    from repro.storage.buffer import BufferManager
-    from repro.storage.multidisk import MultiDeviceDisk
-    from repro.storage.store import ObjectStore
-    from repro.volcano.iterator import ListSource
-    from repro.workloads.acob import generate_acob
-    from repro.workloads.acob import make_template as acob_template
 
     figure = FigureResult(
         figure_id="Ablation A-7",
@@ -749,7 +751,7 @@ def ablation_multi_device(
             pages_per_device=(7 * 512) // n_devices + 600,
         )
         store = ObjectStore(disk, BufferManager(disk))
-        layout = lay(
+        layout = layout_database(
             db.complex_objects,
             store,
             InterObjectClustering(
@@ -757,10 +759,10 @@ def ablation_multi_device(
             ),
             shared=db.shared_pool,
         )
-        operator = Asm(
+        operator = Assembly(
             ListSource(layout.root_order),
             store,
-            acob_template(db),
+            make_template(db),
             window_size=window_per_device * n_devices,
             scheduler=MultiDeviceScheduler(disk),
         )
@@ -796,18 +798,6 @@ def ablation_hypermodel_generality(
     size, and the shared-component table saves exactly the duplicate
     annotation references.
     """
-    from repro.cluster.layout import layout_database as lay
-    from repro.cluster.policies import InterObjectClustering
-    from repro.core.assembly import Assembly as Asm
-    from repro.storage.buffer import BufferManager
-    from repro.storage.disk import SimulatedDisk
-    from repro.storage.store import ObjectStore
-    from repro.volcano.iterator import ListSource
-    from repro.workloads.hypermodel import (
-        generate_hypermodel,
-        hypermodel_template,
-    )
-    from repro.workloads.sharing import measure_sharing
 
     figure = FigureResult(
         figure_id="Ablation A-8",
@@ -823,13 +813,13 @@ def ablation_hypermodel_generality(
     def run(scheduler: str, window: int):
         disk = SimulatedDisk()
         store = ObjectStore(disk, BufferManager(disk))
-        layout = lay(
+        layout = layout_database(
             db.complex_objects,
             store,
             InterObjectClustering(cluster_pages=2048),
             shared=db.shared_pool,
         )
-        operator = Asm(
+        operator = Assembly(
             ListSource(layout.root_order),
             store,
             hypermodel_template(),
@@ -881,15 +871,6 @@ def ablation_cost_model(
     window) is not an artifact of the seek-only metric — while the
     *magnitude* of the win legitimately shrinks.
     """
-    from repro.cluster.layout import layout_database as lay
-    from repro.cluster.policies import InterObjectClustering
-    from repro.core.assembly import Assembly as Asm
-    from repro.storage.buffer import BufferManager
-    from repro.storage.costmodel import CostedDisk
-    from repro.storage.store import ObjectStore
-    from repro.volcano.iterator import ListSource
-    from repro.workloads.acob import generate_acob
-    from repro.workloads.acob import make_template as acob_template
 
     figure = FigureResult(
         figure_id="Ablation A-9",
@@ -902,7 +883,7 @@ def ablation_cost_model(
     def run(scheduler: str, window: int):
         disk = CostedDisk()
         store = ObjectStore(disk, BufferManager(disk))
-        layout = lay(
+        layout = layout_database(
             db.complex_objects,
             store,
             InterObjectClustering(
@@ -910,10 +891,10 @@ def ablation_cost_model(
             ),
             shared=db.shared_pool,
         )
-        operator = Asm(
+        operator = Assembly(
             ListSource(layout.root_order),
             store,
-            acob_template(db),
+            make_template(db),
             window_size=window,
             scheduler=scheduler,
         )

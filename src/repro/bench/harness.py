@@ -15,7 +15,7 @@ disk so no state leaks between runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.cluster.layout import (
     LayoutResult,
@@ -32,19 +32,18 @@ from repro.cluster.policies import (
 )
 from repro.core.assembly import Assembly
 from repro.errors import ReproError
+from repro.iterator import ListSource
+from repro.obs.export import write_chrome_trace, write_jsonl
+from repro.obs.spans import SpanRecorder
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import ListSource
 from repro.workloads.acob import (
     ACOBDatabase,
     generate_acob,
     make_template,
     payload_predicate,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.obs.spans import SpanRecorder
 
 #: Clustering names accepted by :class:`ExperimentConfig`.
 CLUSTERINGS = ("inter-object", "intra-object", "unclustered")
@@ -214,7 +213,7 @@ def build_assembly(
     config: ExperimentConfig,
     database: ACOBDatabase,
     layout: LayoutResult,
-    spans: Optional["SpanRecorder"] = None,
+    spans: Optional[SpanRecorder] = None,
 ) -> Assembly:
     """Construct the assembly operator for one run.
 
@@ -249,7 +248,7 @@ def build_assembly(
 
 
 def run_experiment(
-    config: ExperimentConfig, spans: Optional["SpanRecorder"] = None
+    config: ExperimentConfig, spans: Optional[SpanRecorder] = None
 ) -> ExperimentResult:
     """Execute one parameter point and collect all metrics.
 
@@ -299,9 +298,6 @@ def trace_experiment(
     ``sample_rate`` thins window-slot subtrees deterministically; the
     experiment result itself is unaffected by tracing or sampling.
     """
-    from repro.obs.export import write_chrome_trace, write_jsonl
-    from repro.obs.spans import SpanRecorder
-
     if fmt not in ("chrome", "jsonl"):
         raise ReproError(
             f"unknown trace format {fmt!r} (want 'chrome' or 'jsonl')"

@@ -40,7 +40,7 @@ from repro.errors import ServiceStateError
 from repro.service.server import AssemblyService, RequestStatus
 from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.workloads.acob import make_template
 
 #: Request schedule: ``schedule[client][request]`` is a list of roots.

@@ -43,9 +43,9 @@ from repro.fabric.parallel import build_shard_partitions, partition_fn_for
 from repro.storage.buffer import BufferManager
 from repro.storage.costmodel import CostedDisk
 from repro.storage.store import ObjectStore
-from repro.volcano.assembly import AssemblyOperator, ComponentFilter, ParallelAssembly
+from repro.volcano.assembly import ComponentFilter, ParallelAssembly
 from repro.volcano.filters import Filter, Project
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.volcano.plan import push_down_component_filters
 from repro.workloads.acob import make_template, payload_predicate
 
@@ -109,7 +109,7 @@ def figure_volcano(
         plan_store, plan_layout = _costed_layout(db, cluster_pages)
         plan = Project(
             Filter(
-                AssemblyOperator(
+                Assembly(
                     ListSource(plan_layout.root_order),
                     plan_store,
                     make_template(db),
@@ -148,7 +148,7 @@ def figure_volcano(
     for selectivity in selectivities:
         above_store, above_layout = _costed_layout(db, cluster_pages)
         above_rows = ComponentFilter(
-            AssemblyOperator(
+            Assembly(
                 ListSource(above_layout.root_order),
                 above_store,
                 make_template(db),
@@ -162,7 +162,7 @@ def figure_volcano(
         pushed_store, pushed_layout = _costed_layout(db, cluster_pages)
         pushed_plan, decisions = push_down_component_filters(
             ComponentFilter(
-                AssemblyOperator(
+                Assembly(
                     ListSource(pushed_layout.root_order),
                     pushed_store,
                     make_template(db),

@@ -1,6 +1,5 @@
 """The paper's contribution: the assembly operator and its companions."""
 
-from repro.core.adaptive import AdaptiveElevatorScheduler
 from repro.core.assembled import AssembledComplexObject, AssembledObject
 from repro.core.assembly import (
     FAIL_FAST,
@@ -14,7 +13,6 @@ from repro.core.multidevice import (
     PipelinedAssembly,
     PipelineStats,
 )
-from repro.core.parallel import DeviceServerAssembly, InterleavedAssemblies
 from repro.core.tuning import (
     TuningResult,
     max_window_for_buffer,
@@ -31,6 +29,7 @@ from repro.core.predicates import (
 )
 from repro.core.schedulers import (
     SCHEDULERS,
+    AdaptiveElevatorScheduler,
     BreadthFirstScheduler,
     CScanScheduler,
     DepthFirstScheduler,
@@ -53,12 +52,10 @@ __all__ = [
     "AssemblyTracer",
     "BreadthFirstScheduler",
     "CScanScheduler",
-    "DeviceServerAssembly",
     "FAIL_FAST",
     "PARTIAL",
     "SKIP_OBJECT",
     "TraceEvent",
-    "InterleavedAssemblies",
     "TuningResult",
     "max_window_for_buffer",
     "pin_bound",

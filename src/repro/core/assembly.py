@@ -33,14 +33,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, Union
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.obs.spans import Span, SpanRecorder
+from typing import Deque, Dict, Iterable, List, Optional, Union
 
 from repro.core.assembled import AssembledComplexObject, AssembledObject
 from repro.core import trace
 from repro.core.component_iterator import ChildReference, ComponentIterator
+from repro.core.predicates import Predicate
 from repro.core.schedulers import (
     ReferenceScheduler,
     UnresolvedReference,
@@ -52,12 +50,15 @@ from repro.errors import (
     AssemblyError,
     BufferFullError,
     FaultError,
+    PlanError,
     RetriesExhaustedError,
 )
+from repro.iterator import Row, VolcanoIterator
+from repro.obs.spans import Span, SpanRecorder
 from repro.storage.faults import DeviceHealthTracker, RetryPolicy
 from repro.storage.oid import Oid
+from repro.storage.record import ObjectRecord
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import Row, VolcanoIterator
 
 #: Graceful-degradation modes for faulted fetches.
 FAIL_FAST = "fail_fast"
@@ -217,27 +218,31 @@ class Assembly(VolcanoIterator):
         selective: Optional[bool] = None,
         preassembled: Optional[Dict[Oid, AssembledObject]] = None,
         pin_pages: bool = True,
-        tracer: Optional["AssemblyTracer"] = None,
+        tracer: Optional[trace.AssemblyTracer] = None,
         shared_table_capacity: Optional[int] = None,
         batch_pages: int = 1,
         retry_policy: Optional[RetryPolicy] = None,
         on_fault: str = FAIL_FAST,
         health: Optional[DeviceHealthTracker] = None,
-        spans: Optional["SpanRecorder"] = None,
-        parent_span: Optional["Span"] = None,
+        spans: Optional[SpanRecorder] = None,
+        parent_span: Optional[Span] = None,
     ) -> None:
         super().__init__()
         self._source = source
         self._store = store
-        self._template = template.finalize()
-        self._component_iter = ComponentIterator(self._template)
+        # The template lives on the component iterator (its interpreter):
+        # one attribute, and push_predicate swaps both at once.
+        self._component_iter = ComponentIterator(template.finalize())
         if window_size <= 0:
             raise AssemblyError("window_size must be positive")
         self._window_size = window_size
         self._scheduler_spec = scheduler
         self._use_sharing = use_sharing_statistics
+        #: the caller's choice; None = on exactly when the (possibly
+        #: rewritten) template has predicates.
+        self._selective_choice = selective
         self._selective = (
-            self._template.has_predicates() if selective is None else selective
+            template.has_predicates() if selective is None else selective
         )
         self._preassembled = dict(preassembled or {})
         self._pin_pages = pin_pages
@@ -257,8 +262,8 @@ class Assembly(VolcanoIterator):
         self._health = health
         self._spans = spans
         self._parent_span = parent_span
-        self._assembly_span: Optional["Span"] = None
-        self._slot_spans: Dict[int, "Span"] = {}
+        self._assembly_span: Optional[Span] = None
+        self._slot_spans: Dict[int, Span] = {}
 
         self._scheduler: Optional[ReferenceScheduler] = None
         self._window: Optional[Window] = None
@@ -267,6 +272,55 @@ class Assembly(VolcanoIterator):
         self._seq = 0
         self._source_done = False
         self.stats = AssemblyStats()
+
+    # -- plan-facing surface -------------------------------------------------
+
+    @property
+    def template(self) -> Template:
+        """The (possibly rewritten) template the next ``open`` will use."""
+        return self._component_iter.template
+
+    @property
+    def source(self) -> VolcanoIterator:
+        """The input operator: what plan introspection walks into, in
+        place of scanning ``vars()`` (:func:`repro.volcano.plan.child_operators`)."""
+        return self._source
+
+    def replace_source(self, old: VolcanoIterator, new: VolcanoIterator) -> bool:
+        """Swap the input in place (plan rewrites); True if ``old`` was it."""
+        if self._source is not old:
+            return False
+        self._source = new
+        return True
+
+    def push_predicate(self, label: str, predicate: Predicate) -> None:
+        """Fold ``predicate`` onto the template node ``label``.
+
+        :meth:`Template.with_predicate` on a clone, so the caller's
+        template is never mutated; the ``selective=None`` default is
+        re-derived from the rewritten template.  Only legal while the
+        operator is not open.
+        """
+        if self.is_open:
+            raise PlanError("cannot push a predicate into an open operator")
+        template = self.template.with_predicate(label, predicate)
+        self._component_iter = ComponentIterator(template)
+        if self._selective_choice is None:
+            self._selective = template.has_predicates()
+
+    def _scheduler_name(self) -> str:
+        spec = self._scheduler_spec
+        return spec if isinstance(spec, str) else type(spec).__name__
+
+    def describe(self) -> str:
+        """One-line ``explain`` rendering: window, scheduler, predicates."""
+        template = self.template
+        return (
+            f"Assembly(window={self._window_size}, "
+            f"scheduler={self._scheduler_name()}, "
+            f"predicates={template.predicate_count}, "
+            f"pushed={template.pushed_predicates})"
+        )
 
     # -- protocol ------------------------------------------------------------
 
@@ -288,21 +342,23 @@ class Assembly(VolcanoIterator):
         if self._tracer is not None:
             self._tracer.clear()
         if self._spans is not None:
-            scheduler_name = (
-                self._scheduler_spec
-                if isinstance(self._scheduler_spec, str)
-                else type(self._scheduler_spec).__name__
-            )
             self._assembly_span = self._spans.begin(
                 "assembly",
                 parent=self._parent_span,
                 kind="assembly",
                 window=self._window_size,
-                scheduler=scheduler_name,
+                scheduler=self._scheduler_name(),
             )
             self._slot_spans = {}
         self._source.open()
-        self._fill_window()
+        try:
+            self._fill_window()
+        except BaseException:
+            # A root that cannot be admitted (unknown OID, wrong row
+            # type) must not strand the ones before it: retract them
+            # from the (possibly shared) pool, unpin, close the source.
+            self._close()
+            raise
 
     def _next(self) -> Optional[AssembledComplexObject]:
         assert self._scheduler is not None and self._window is not None
@@ -501,12 +557,13 @@ class Assembly(VolcanoIterator):
 
     def _admit_root_oid(self, oid: Oid) -> None:
         assert self._window is not None and self._scheduler is not None
+        template = self._component_iter.template
         state = self._window.admit(
             oid,
-            total_nodes=self._template.node_count,
-            total_predicates=self._template.predicate_count,
+            total_nodes=template.node_count,
+            total_predicates=template.predicate_count,
         )
-        root_node = self._template.root
+        root_node = template.root
         ref = UnresolvedReference(
             oid=oid,
             page_id=self._store.page_of(oid),
@@ -1026,8 +1083,6 @@ class Assembly(VolcanoIterator):
         self, state: ComplexObjectState, root: AssembledObject
     ) -> bool:
         """Run predicates on already-assembled nodes; abort on failure."""
-        from repro.storage.record import ObjectRecord
-
         for obj in root.walk():
             predicate = obj.node.predicate
             if predicate is None:

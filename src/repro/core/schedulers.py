@@ -787,14 +787,169 @@ class CScanScheduler(ReferenceScheduler):
         return len(self._pool)
 
 
-#: Scheduler registry keyed by benchmark-table names.  The adaptive
-#: scheduler (Section 7's integrated algorithm) registers itself here
-#: on import of :mod:`repro.core.adaptive`.
+#: Default detour budget, in pages, granted to a certain rejector
+#: (rejection = 1.0).  A reference with rejection r may be served up to
+#: ``r * DETOUR_PAGES`` pages "too early" in the sweep.
+DEFAULT_DETOUR_PAGES = 64
+
+
+class AdaptiveElevatorScheduler(ReferenceScheduler):
+    """Elevator scheduling integrated with predicates, sharing, buffer:
+    Section 7's "primary scheduling algorithm".
+
+    "Currently, assembly operates entirely with one scheduling
+    algorithm.  Also, scheduling priorities based on shared sub-objects
+    and predicates have not been integrated into a single scheduling
+    algorithm.  The primary scheduling algorithm will be the elevator
+    algorithm modified to account for predicates, sharing and the
+    buffer size." (Section 7)  This class is that integration:
+
+    * **buffer awareness** — a reference whose target page is already
+      resident in the buffer costs no disk seek at all; the base
+      elevator orders it by page number anyway.  The adaptive scheduler
+      serves resident-page references immediately (cost 0), which both
+      saves seeks and resolves references before their pages can be
+      evicted (the sharing-retention concern of Section 5).
+    * **predicate awareness** — the elevator breaks same-page ties
+      toward the higher rejection probability; the adaptive scheduler
+      goes further: a reference likely to *abort* its complex object is
+      worth a bounded detour, because a successful abort retracts that
+      object's remaining references entirely.  The detour budget is
+      ``rejection x detour_pages``.
+
+    The result degrades exactly to the plain elevator when the template
+    has no predicates and the buffer has no relevant residents.
+
+    Parameters
+    ----------
+    head_fn:
+        Current disk-head position (as for the plain elevator).
+    resident_fn:
+        Predicate telling whether a page is currently buffered; wired
+        to ``BufferManager.is_resident`` by the assembly operator.
+    detour_pages:
+        Seek distance a certain rejector is allowed to cost above the
+        sweep-optimal choice.  0 disables predicate-driven detours.
+    """
+
+    name = "adaptive"
+
+    def __init__(
+        self,
+        head_fn: Optional[Callable[[], int]] = None,
+        resident_fn: Optional[Callable[[int], bool]] = None,
+        detour_pages: int = DEFAULT_DETOUR_PAGES,
+    ) -> None:
+        super().__init__()
+        if detour_pages < 0:
+            raise SchedulerError("detour_pages must be non-negative")
+        self._head_fn = head_fn if head_fn is not None else (lambda: 0)
+        self._resident_fn = resident_fn if resident_fn is not None else (
+            lambda _page: False
+        )
+        self._detour = detour_pages
+        self._pool = SweepPool()
+        self._direction = 1
+        #: references served for free because their page was resident.
+        self.resident_hits = 0
+        #: references served out of sweep order to chase a rejection.
+        self.detours = 0
+
+    # -- pool maintenance ---------------------------------------------------
+
+    def add(self, ref: UnresolvedReference) -> None:
+        self.ops += 1
+        self._pool.add(ref)
+
+    def __len__(self) -> int:
+        return len(self._pool)
+
+    def remove_owner(self, owner: int) -> List[UnresolvedReference]:
+        removed = self._pool.remove_owner(owner)
+        self.ops += len(removed)
+        return removed
+
+    # -- selection ---------------------------------------------------------------
+
+    def pop(self) -> UnresolvedReference:
+        self.require_nonempty()
+        self.ops += 1
+        ref = self._pick()
+        self._pool.remove_ref(ref)
+        return ref
+
+    def _pick(self) -> UnresolvedReference:
+        head = self._head_fn()
+
+        # 1. Buffer awareness: any resident-page reference is free.
+        for page, _rej, _seq, ref in self._pool.live_entries():
+            if self._resident_fn(page):
+                self.resident_hits += 1
+                return ref
+
+        # 2. The sweep-optimal (plain elevator) candidate.
+        entry, self._direction = self._pool.peek_next(head, self._direction)
+        base_ref = entry[3]
+        if self._detour == 0:
+            return base_ref
+        base_distance = abs(entry[0] - head)
+
+        # 3. Predicate awareness: a likelier rejector may pre-empt the
+        #    sweep choice if its extra distance fits its detour budget.
+        best = base_ref
+        best_rejection = base_ref.rejection
+        for page, _rej, _seq, ref in self._pool.live_entries():
+            if ref.rejection <= best_rejection:
+                continue
+            extra = abs(page - head) - base_distance
+            if extra <= ref.rejection * self._detour:
+                best = ref
+                best_rejection = ref.rejection
+        if best is not base_ref:
+            self.detours += 1
+        return best
+
+    def pop_batch(self, max_pages: int = 1) -> List[UnresolvedReference]:
+        """Batched pop: the chosen reference's whole page (plus its
+        contiguous continuation in the sweep direction) comes along.
+
+        The anchor is picked by the same buffer/predicate-aware logic
+        as :meth:`pop`, so batching changes *grouping*, not priorities.
+        A resident-page anchor batches only its own page — those
+        references are free, and extending the run would charge seeks
+        the buffer already paid.
+        """
+        self.require_nonempty()
+        self.ops += 1
+        anchor = self._pick()
+        was_resident = self._resident_fn(anchor.page_id)
+        self._pool.remove_ref(anchor)
+        refs = [anchor]
+        refs.extend(self._pool.take_page(anchor.page_id))
+        if not was_resident:
+            pages = 1
+            while pages < max_pages:
+                next_page = anchor.page_id + self._direction * pages
+                if next_page < 0:
+                    break
+                more = self._pool.take_page(next_page)
+                if not more:
+                    break
+                refs.extend(more)
+                pages += 1
+        return refs
+
+
+#: Scheduler registry keyed by benchmark-table names.
 SCHEDULERS: Dict[str, type] = {
-    DepthFirstScheduler.name: DepthFirstScheduler,
-    BreadthFirstScheduler.name: BreadthFirstScheduler,
-    ElevatorScheduler.name: ElevatorScheduler,
-    CScanScheduler.name: CScanScheduler,
+    cls.name: cls
+    for cls in (
+        DepthFirstScheduler,
+        BreadthFirstScheduler,
+        ElevatorScheduler,
+        CScanScheduler,
+        AdaptiveElevatorScheduler,
+    )
 }
 
 
@@ -810,20 +965,12 @@ def make_scheduler(
     pop, the elevator and C-SCAN only on batched pops.  Schedulers that
     need neither ignore them.
     """
-    if name == "adaptive":
-        # Imported lazily to avoid a circular import at module load.
-        from repro.core.adaptive import AdaptiveElevatorScheduler
-
-        return AdaptiveElevatorScheduler(
-            head_fn=head_fn, resident_fn=resident_fn
-        )
     try:
         cls = SCHEDULERS[name]
     except KeyError:
         raise SchedulerError(
-            f"unknown scheduler {name!r}; choose from "
-            f"{sorted(SCHEDULERS) + ['adaptive']}"
+            f"unknown scheduler {name!r}; choose from {sorted(SCHEDULERS)}"
         ) from None
-    if cls in (ElevatorScheduler, CScanScheduler):
-        return cls(head_fn=head_fn, resident_fn=resident_fn)
-    return cls()
+    if cls in (DepthFirstScheduler, BreadthFirstScheduler):
+        return cls()  # position-blind: no head or buffer to consult
+    return cls(head_fn=head_fn, resident_fn=resident_fn)

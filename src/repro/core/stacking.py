@@ -24,7 +24,7 @@ from repro.core.template import Template
 from repro.errors import AssemblyError
 from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import Row, VolcanoIterator
+from repro.iterator import Row, VolcanoIterator
 
 
 class StackedAssembly(VolcanoIterator):

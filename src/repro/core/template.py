@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import TemplateError
-from repro.core.predicates import Predicate
+from repro.core.predicates import Predicate, conjunction
 
 
 @dataclass
@@ -194,6 +194,8 @@ class Template:
         self.root = root
         self._by_label: Dict[str, TemplateNode] = {}
         self._finalized = False
+        #: predicates folded in by :meth:`with_predicate` (explain()).
+        self.pushed_predicates = 0
 
     # -- finalization -----------------------------------------------------------
 
@@ -217,8 +219,8 @@ class Template:
     def clone(self) -> "Template":
         """An independent deep copy (labels preserved, finalized).
 
-        The optimizer uses clones to push predicates into a query's
-        template without mutating the shared catalog template.
+        :meth:`with_predicate` pushes predicates into a clone, never
+        into the shared catalog template.
         """
         self._require_finalized()
 
@@ -235,6 +237,23 @@ class Template:
             return copy
 
         return Template(rec(self.root)).finalize()
+
+    def with_predicate(self, label: str, predicate: Predicate) -> "Template":
+        """A clone with ``predicate`` folded onto the node ``label``.
+
+        The one predicate-pushdown rule (Section 6.5's selective
+        assembly), under both the query optimizer and the plan rewrite:
+        a predicate already on the node conjoins (selectivities
+        multiply), the clone is re-annotated, and this template is left
+        untouched.
+        """
+        template = self.clone()
+        node = template.node(label)
+        if node.predicate is not None:
+            predicate = conjunction([node.predicate, predicate])
+        node.predicate = predicate
+        template.pushed_predicates = self.pushed_predicates + 1
+        return template.reannotate()
 
     def reannotate(self) -> "Template":
         """Recompute derived statistics after mutating annotations.

@@ -22,6 +22,7 @@ when an experiment needs it.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.cluster.layout import LayoutResult, layout_database
@@ -34,15 +35,16 @@ from repro.core.assembled import AssembledComplexObject
 from repro.core.assembly import Assembly
 from repro.core.template import Template
 from repro.errors import PlanError, ReproError
+from repro.iterator import ListSource
 from repro.objects.builder import GraphBuilder
 from repro.objects.model import ComplexObjectDef, ObjectDef, TypeRegistry
 from repro.query.logical import ComplexObjectQuery, retrieve
 from repro.query.optimizer import OptimizedPlan, Optimizer
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import SimulatedDisk
-from repro.storage.oid import Oid
+from repro.storage.oid import OID_SIZE, Oid
+from repro.storage.snapshot import load_store, save_store
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import ListSource
 
 
 class BoundQuery:
@@ -212,10 +214,6 @@ class Database:
         pages and OID directory; the sidecar carries the root list in
         canonical input order so :meth:`open` can restore queryability.
         """
-        from pathlib import Path
-
-        from repro.storage.snapshot import save_store
-
         if self._layout is None:
             raise ReproError("nothing to save: database has not been loaded")
         save_store(self.store, path)
@@ -237,12 +235,6 @@ class Database:
         registry starts empty (schemas are code, not snapshot state —
         re-define types if you intend to build more objects).
         """
-        from pathlib import Path
-
-        from repro.cluster.layout import LayoutResult
-        from repro.storage.oid import OID_SIZE
-        from repro.storage.snapshot import load_store
-
         database = cls(
             buffer_capacity=buffer_capacity, window_ceiling=window_ceiling
         )

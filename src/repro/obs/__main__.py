@@ -25,6 +25,7 @@ import json
 import sys
 from typing import List, Optional
 
+from repro.obs.demo import demo_service_run
 from repro.obs.export import (
     diff_spans,
     read_jsonl,
@@ -41,8 +42,6 @@ def _render(args: argparse.Namespace) -> int:
         spans = read_jsonl(args.trace)
         source = args.trace
     else:
-        from repro.obs.demo import demo_service_run
-
         recorder, _service = demo_service_run(sample_rate=args.sample_rate)
         spans = recorder.spans
         source = "demo service run"

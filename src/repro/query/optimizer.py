@@ -33,7 +33,7 @@ from repro.query.logical import ComplexObjectQuery
 from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
 from repro.volcano.filters import Filter, Project
-from repro.volcano.iterator import ListSource, VolcanoIterator
+from repro.iterator import ListSource, VolcanoIterator
 from repro.volcano.plan import explain as explain_plan
 
 #: The paper's diminishing-returns window (Section 6.3.3).
@@ -99,24 +99,16 @@ class Optimizer:
     def _push_predicates(self, query: ComplexObjectQuery) -> Template:
         """Rule 1: move component predicates into a template clone.
 
-        Several predicates on one component conjoin (selectivities
-        multiply); a predicate already on the catalog template conjoins
-        too, so query restrictions stack on schema-level invariants.
+        A fold of :meth:`Template.with_predicate`: several predicates
+        on one component conjoin (selectivities multiply); a predicate
+        already on the catalog template conjoins too, so query
+        restrictions stack on schema-level invariants.
         """
-        from repro.core.predicates import conjunction
-
-        by_label = {}
+        template = query.template
         for component in query.component_predicates:
-            by_label.setdefault(component.label, []).append(
-                component.predicate
+            template = template.with_predicate(
+                component.label, component.predicate
             )
-        template = query.template.clone()
-        for label, predicates in by_label.items():
-            node = template.node(label)
-            if node.predicate is not None:
-                predicates = [node.predicate] + predicates
-            node.predicate = conjunction(predicates)
-        template.reannotate()
         return template
 
     def _choose_scheduler(self, template: Template) -> str:

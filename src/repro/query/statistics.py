@@ -29,7 +29,7 @@ from repro.errors import PlanError
 from repro.storage.oid import Oid
 from repro.storage.record import ObjectRecord
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 
 
 @dataclass

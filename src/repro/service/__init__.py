@@ -26,6 +26,7 @@ from repro.service.cache import AssembledObjectCache, CacheStats
 from repro.service.device_server import (
     ClientQuery,
     DeviceServer,
+    DeviceServerAssembly,
     OverlapReport,
 )
 from repro.service.metrics import RequestMetrics, ServiceMetrics
@@ -39,6 +40,7 @@ __all__ = [
     "CacheStats",
     "ClientQuery",
     "DeviceServer",
+    "DeviceServerAssembly",
     "OverlapReport",
     "RequestMetrics",
     "RequestStatus",

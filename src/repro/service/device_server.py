@@ -2,8 +2,8 @@
 
 Section 7 of the paper: "each server would maintain a queue of requests
 and would fetch objects on behalf of one or more assembly operators."
-Where :class:`repro.core.parallel.DeviceServerAssembly` demonstrated the
-idea for K *static* partitions of one root set, this module generalizes
+Where :class:`DeviceServerAssembly` (below) demonstrates the idea for K
+*static* partitions of one root set, :class:`DeviceServer` generalizes
 it to a dynamic registry of independent client queries:
 
 * Each registered query is an ordinary :class:`~repro.core.assembly.
@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.cluster.reorg import Reorganizer
 from repro.core.assembled import AssembledComplexObject
 from repro.core.assembly import Assembly
 from repro.core.multidevice import CompletionLoop, PipelineStats
@@ -48,13 +49,13 @@ from repro.errors import (
     SchedulerError,
     ServiceStateError,
 )
+from repro.iterator import ListSource, Row, VolcanoIterator
 from repro.storage.costmodel import CostModel
 from repro.storage.events import AsyncIOEngine
 from repro.storage.faults import DeviceHealthTracker, RetryPolicy
 from repro.storage.multidisk import MultiDeviceDisk
 from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import ListSource, VolcanoIterator
 
 #: Default starvation bound: a query never waits more than this many
 #: global resolutions between services while it has references pending.
@@ -344,8 +345,6 @@ class DeviceServer:
         #: quarantine the device for the whole sweep).
         self.health = DeviceHealthTracker(len(self._queues))
         if reorg_policy is not None:
-            from repro.cluster.reorg import Reorganizer
-
             self.reorg: Optional[Reorganizer] = Reorganizer(
                 store,
                 reorg_policy,
@@ -401,7 +400,11 @@ class DeviceServer:
         query = ClientQuery(query_id, assembly)
         self._queries[query_id] = query
         self._pending[query_id] = 0
-        assembly.open()  # fills the window; roots flow into the pool
+        try:
+            assembly.open()  # fills the window; roots flow into the pool
+        except BaseException:
+            self.deregister(query_id)  # it retracted what it had admitted
+            raise
         self._collect(query)
         return query
 
@@ -793,3 +796,106 @@ class DeviceServer:
                 self._emit_turn = (self._emit_turn + offset + 1) % n
                 return query_id, query.output.pop(0)
         return None
+
+
+class DeviceServerAssembly(VolcanoIterator):
+    """The server-per-device fix as one operator: K partitions, one queue.
+
+    "The effectiveness of elevator scheduling depends on exclusive
+    control of the physical device.  When multiple assembly operators
+    (or parallel invocations of a single assembly operator) are
+    executing, each assumes sole control of the device and
+    independently issues object fetch requests. … A possible solution
+    could involve a server-per-device architecture.  Each server would
+    maintain a queue of requests and would fetch objects on behalf of
+    one or more assembly operators." (Section 7)
+
+    :class:`~repro.volcano.assembly.InterleavedAssemblies` is the
+    problem half of that argument; this is the fix, as a thin wrapper
+    over :class:`DeviceServer` for the static K-partition case.  Each
+    of the K round-robin partitions of the roots registers as one
+    client query (window ``window_size // K``); all their references
+    merge into the server's single global elevator sweep,
+    re-establishing the exclusive-control assumption exactly as the
+    paper predicts.  ``next`` emits completed objects round-robin
+    across partitions.  Both are ordinary Volcano iterators, so the
+    ablation benchmark (Figure A-5) compares them like-for-like; code
+    that wants live queries, admission control or caching should use
+    :class:`repro.service.server.AssemblyService` directly.
+    """
+
+    def __init__(
+        self,
+        roots: List[Oid],
+        store: ObjectStore,
+        template: Template,
+        n_partitions: int,
+        window_size: int = 50,
+        scheduler: str = "elevator",
+        batch_pages: int = 1,
+        **assembly_kwargs,
+    ) -> None:
+        super().__init__()
+        if scheduler != "elevator":
+            raise AssemblyError(
+                "the device server schedules with its global elevator; "
+                f"per-partition scheduler {scheduler!r} is not supported"
+            )
+        if n_partitions <= 0:
+            raise AssemblyError("need at least one partition")
+        roots = list(roots)
+        self._partitions = [
+            roots[index::n_partitions] for index in range(n_partitions)
+        ]
+        self._store = store
+        self._template = template
+        self._per_window = max(1, window_size // n_partitions)
+        # batch_pages drives the server's global sweep, not the client
+        # operators (their proxy schedulers never pop).
+        self._batch_pages = batch_pages
+        self._assembly_kwargs = assembly_kwargs
+        self._server: Optional[DeviceServer] = None
+
+    def _open(self) -> None:
+        self._server = DeviceServer(
+            self._store,
+            starvation_bound=None,
+            batch_pages=self._batch_pages,
+        )
+        try:
+            for part in self._partitions:
+                self._server.register(
+                    part,
+                    self._template,
+                    window_size=self._per_window,
+                    **self._assembly_kwargs,
+                )
+        except BaseException:
+            self._close()  # the partitions already registered stay open otherwise
+            raise
+
+    def _next(self) -> Optional[Row]:
+        assert self._server is not None
+        while True:
+            emitted = self._server.next_result()
+            if emitted is not None:
+                return emitted[1]
+            if not self._server.step():
+                return None
+
+    def _close(self) -> None:
+        # Release any pins still held by unfinished queries; the server
+        # (and its per-query stats) stay readable until the next open.
+        if self._server is not None:
+            for query in self._server.active_queries():
+                if query.assembly.is_open:
+                    query.assembly.close()
+
+    def total_fetches(self) -> int:
+        """Object fetches through the device server."""
+        if self._server is None:
+            return 0
+        return sum(
+            query.stats.fetches
+            for query in self._server.active_queries()
+        )

@@ -25,6 +25,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.core.assembled import AssembledComplexObject
 from repro.core.template import Template
 from repro.errors import ServiceOverloadError, ServiceStateError
+from repro.obs.export import write_chrome_trace, write_jsonl
 from repro.obs.spans import Span, SpanRecorder
 from repro.service.admission import AdmissionController, AdmissionTicket
 from repro.service.cache import AssembledObjectCache
@@ -169,8 +170,15 @@ class AssemblyService:
         admission, no disk); the rest go through admission control and,
         once granted, into the device server.  Raises
         :class:`~repro.errors.ServiceOverloadError` when the budget is
-        exhausted and the wait queue is full.
+        exhausted and the wait queue is full, and
+        :class:`~repro.errors.UnknownOidError` for a root the store does
+        not hold; a rejected submit leaves no trace in the service.
         """
+        # Roots come from outside the program: every one is checked
+        # against the OID directory before anything is counted.
+        roots = list(roots)
+        for root in roots:
+            self.store.directory.lookup(root)
         template = template.finalize()
         fingerprint = template.fingerprint()
         request_id = self._next_request_id
@@ -463,8 +471,6 @@ class AssemblyService:
             raise ServiceStateError(
                 "export_trace() needs a service built with span_recorder="
             )
-        from repro.obs.export import write_chrome_trace, write_jsonl
-
         if fmt == "chrome":
             return str(write_chrome_trace(self.spans.spans, path))
         if fmt == "jsonl":

@@ -8,11 +8,12 @@ from repro.volcano.aggregate import HashAggregate, count_aggregate, sum_aggregat
 from repro.volcano.assembly import (
     AssemblyOperator,
     ComponentFilter,
+    InterleavedAssemblies,
     ParallelAssembly,
 )
 from repro.volcano.exchange import Partition, PartitionedExecute
 from repro.volcano.filters import Distinct, Filter, Limit, Project
-from repro.volcano.iterator import (
+from repro.iterator import (
     GeneratorSource,
     ListSource,
     Row,
@@ -53,6 +54,7 @@ __all__ = [
     "HashAggregate",
     "HashJoin",
     "IndexScan",
+    "InterleavedAssemblies",
     "Limit",
     "ListSource",
     "MergeJoin",

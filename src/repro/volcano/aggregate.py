@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.volcano.iterator import Row, VolcanoIterator
+from repro.iterator import Row, VolcanoIterator
 
 
 class HashAggregate(VolcanoIterator):

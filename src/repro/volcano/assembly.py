@@ -1,19 +1,14 @@
-"""Assembly as a composable Volcano operator (paper, Figure 1).
+"""Assembly inside the set processor (paper, Figure 1).
 
 The paper draws the assembly operator *inside* the set processor: it
 "conforms to the iterator paradigm by providing open, next and close
 calls" and therefore composes with every other physical operator.
-:mod:`repro.core.assembly` already implements the engine as a
-:class:`~repro.volcano.iterator.VolcanoIterator`, but plans had to wire
-it in by hand, outside the algebra's planning utilities.  This module
-closes the gap with three operators:
+:class:`~repro.core.assembly.Assembly` *is* that operator — a
+:class:`~repro.iterator.VolcanoIterator` with the plan-facing surface
+rewrite rules need (``template``, ``push_predicate``, ``source`` /
+``replace_source``, ``describe``); ``AssemblyOperator`` is its
+historical name.  This module holds the operators built around it:
 
-* :class:`AssemblyOperator` — the algebra-facing wrapper.  It owns the
-  template (so plan rewrite rules can push predicates into it before
-  ``open``), builds a fresh engine at every ``open`` (clean re-open
-  semantics, identical code path — and therefore identical
-  ``DiskStats`` — to driving :class:`~repro.core.assembly.Assembly`
-  directly), and renders its physical parameters in ``explain()``.
 * :class:`ComponentFilter` — a :class:`~repro.volcano.filters.Filter`
   that evaluates a storage-level :class:`~repro.core.predicates.Predicate`
   against one labelled component of each assembled complex object.
@@ -33,146 +28,42 @@ closes the gap with three operators:
   anchor) and reports the max over partitions; the ``"pipelined"``
   driver runs each partition under a real
   :class:`~repro.storage.events.AsyncIOEngine` completion loop.
+* :class:`InterleavedAssemblies` — §7's exclusive-device *problem*: K
+  engines over one shared disk, each with its own scheduler queue
+  (the fix, ``DeviceServerAssembly``, lives in :mod:`repro.service`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
-from repro.errors import PlanError
+from repro.core.assembly import Assembly
+from repro.core.multidevice import PipelinedAssembly
+from repro.core.predicates import Predicate
+from repro.core.template import Template
+from repro.errors import AssemblyError, PlanError
+from repro.iterator import ListSource, Row, VolcanoIterator
+from repro.storage.costmodel import CostModel
+from repro.storage.events import AsyncIOEngine
+from repro.storage.oid import Oid
+from repro.storage.record import ObjectRecord, RecordFormat
+from repro.storage.store import ObjectStore
 from repro.volcano.exchange import PartitionedExecute
 from repro.volcano.filters import Filter
-from repro.volcano.iterator import ListSource, Row, VolcanoIterator
 
-if TYPE_CHECKING:  # pragma: no cover - types only; see note below
-    from repro.core.assembly import Assembly
-    from repro.core.predicates import Predicate
-    from repro.core.template import Template
-    from repro.storage.record import ObjectRecord
-    from repro.storage.store import ObjectStore
-
-# NOTE: repro.core.assembly itself subclasses VolcanoIterator, so this
-# module sits *below* repro.core in the import graph despite wrapping
-# its engine.  All repro.core / repro.storage imports are deferred to
-# call sites to keep ``import repro`` acyclic.
+#: The engine is the plan operator; this is its historical name, kept
+#: because the frozen observatory workload ``plan_pushdown`` imports it
+#: from :mod:`repro.volcano`, as do published plans.
+AssemblyOperator = Assembly
 
 
-class AssemblyOperator(VolcanoIterator):
-    """Composable assembly: wraps the engine behind the iterator contract.
-
-    The operator owns ``template`` (a clone is taken on every predicate
-    pushdown, so the caller's template is never mutated) and
-    constructs a fresh :class:`~repro.core.assembly.Assembly` engine at
-    each ``open`` from the stored parameters.  Rows are
-    :class:`~repro.core.assembled.AssembledComplexObject` instances,
-    exactly as the bare engine emits them.
-    """
-
-    def __init__(
-        self,
-        source: VolcanoIterator,
-        store: ObjectStore,
-        template: Template,
-        **engine_kwargs: object,
-    ) -> None:
-        super().__init__()
-        self._source = source
-        self._store = store
-        self._template = template.finalize()
-        self._engine_kwargs = dict(engine_kwargs)
-        #: number of predicates folded in by rewrite rules (explain()).
-        self.pushed_predicates = 0
-        # The engine is deliberately kept in a dict, not an attribute:
-        # plan introspection (plan.child_operators) scans attributes
-        # for VolcanoIterator values, and the engine holds the same
-        # source instance this operator does — a visible engine would
-        # make the source appear twice and fail validate_plan.
-        self._engine_box = {"engine": None}
-
-    # -- plan-facing surface -------------------------------------------------
-
-    @property
-    def template(self) -> Template:
-        """The (possibly rewritten) template the next ``open`` will use."""
-        return self._template
-
-    @property
-    def store(self) -> ObjectStore:
-        """The object store assembled from."""
-        return self._store
-
-    @property
-    def engine(self) -> Optional[Assembly]:
-        """The engine of the current/last execution (None before open)."""
-        return self._engine_box["engine"]
-
-    @property
-    def stats(self):
-        """Engine statistics of the current/last execution."""
-        engine = self._engine_box["engine"]
-        if engine is None:
-            raise PlanError("AssemblyOperator has no stats before open()")
-        return engine.stats
-
-    def push_predicate(self, label: str, predicate: Predicate) -> None:
-        """Fold ``predicate`` onto the template node ``label``.
-
-        Mirrors the optimizer's pushdown rule: the template is cloned,
-        an existing predicate on the node conjoins (selectivities
-        multiply), and the clone is re-annotated.  Only legal while
-        the operator is not open.
-        """
-        from repro.core.predicates import conjunction
-
-        if self.is_open:
-            raise PlanError("cannot push a predicate into an open operator")
-        template = self._template.clone()
-        node = template.node(label)
-        if node.predicate is not None:
-            predicate = conjunction([node.predicate, predicate])
-        node.predicate = predicate
-        self._template = template.reannotate()
-        self.pushed_predicates += 1
-
-    def describe(self) -> str:
-        """One-line ``explain`` rendering: window, scheduler, predicates."""
-        scheduler = self._engine_kwargs.get("scheduler", "elevator")
-        name = scheduler if isinstance(scheduler, str) else type(scheduler).__name__
-        return (
-            f"AssemblyOperator(window={self._engine_kwargs.get('window_size', 1)}, "
-            f"scheduler={name}, predicates={self._template.predicate_count}, "
-            f"pushed={self.pushed_predicates})"
-        )
-
-    # -- iterator protocol ---------------------------------------------------
-
-    def _open(self) -> None:
-        from repro.core.assembly import Assembly
-
-        engine = Assembly(
-            self._source, self._store, self._template, **self._engine_kwargs
-        )
-        engine.open()
-        self._engine_box["engine"] = engine
-
-    def _next(self) -> Optional[Row]:
-        return self._engine_box["engine"].next()
-
-    def _close(self) -> None:
-        # The engine is kept (not dropped) so stats stay inspectable
-        # after close, exactly like the bare driver's post-run reads.
-        self._engine_box["engine"].close()
-
-
-def component_record(component) -> "ObjectRecord":
+def component_record(component) -> ObjectRecord:
     """Rebuild the storage-level record of an assembled component.
 
     Predicates are storage-level (they see ints and raw refs), so
     post-assembly evaluation must reconstruct the record exactly as
     the engine saw it at fetch time.
     """
-    from repro.storage.record import ObjectRecord, RecordFormat
-
     fmt = RecordFormat(
         n_ints=len(component.ints), n_refs=len(component.ref_oids)
     )
@@ -312,8 +203,6 @@ class ParallelAssembly(PartitionedExecute):
     ) -> VolcanoIterator:
         """Partition ``index``'s fragment: its engine, or (pipelined) a
         source over what its engine assembled."""
-        from repro.core.assembly import Assembly
-
         store = self._stores[index]
         self._service_t0.append(
             getattr(store.disk, "service_time_total", 0.0)
@@ -323,10 +212,6 @@ class ParallelAssembly(PartitionedExecute):
         )
         if self._driver == "sync":
             return engine
-        from repro.core.multidevice import PipelinedAssembly
-        from repro.storage.costmodel import CostModel
-        from repro.storage.events import AsyncIOEngine
-
         cost_model = getattr(store.disk, "cost_model", None)
         io_engine = AsyncIOEngine(
             store.disk,
@@ -341,3 +226,56 @@ class ParallelAssembly(PartitionedExecute):
                 batch_pages=int(self._engine_kwargs.get("batch_pages", 1)),
             ).run()
         )
+
+
+class InterleavedAssemblies(PartitionedExecute):
+    """K independent assembly operators contending for one device.
+
+    "When multiple assembly operators (or parallel invocations of a
+    single assembly operator) are executing, each assumes sole control
+    of the device and independently issues object fetch requests.
+    Therefore, there are two or more independent queues of requests for
+    the device and the exclusive control assumption no longer holds."
+    (Section 7)
+
+    Exchange (:class:`~repro.volcano.exchange.PartitionedExecute`)
+    with an :class:`Assembly` fragment: each round-robin partition of
+    the roots gets its own operator (own window, own scheduler queue),
+    and ``next`` serves the partitions round-robin, one emitted
+    complex object per turn — the demand pattern a parallel query plan
+    would generate.  Because each operator's elevator plans sweeps
+    without seeing the others' fetches, the disk head is yanked
+    between K uncoordinated sweep positions, and seek distance degrades
+    as K grows.  :class:`repro.service.DeviceServerAssembly` is the
+    paper's fix over the same K partitions.
+    """
+
+    def __init__(
+        self,
+        roots: List[Oid],
+        store: ObjectStore,
+        template: Template,
+        n_partitions: int,
+        window_size: int = 50,
+        scheduler: str = "elevator",
+        **assembly_kwargs,
+    ) -> None:
+        if n_partitions <= 0:
+            raise AssemblyError("need at least one partition")
+        per_window = max(1, window_size // n_partitions)
+        super().__init__(
+            roots,
+            n_partitions,
+            lambda source: Assembly(
+                source,
+                store,
+                template,
+                window_size=per_window,
+                scheduler=scheduler,
+                **assembly_kwargs,
+            ),
+        )
+
+    def total_fetches(self) -> int:
+        """Object fetches across all partitions (readable after close)."""
+        return sum(op.stats.fetches for op in self._plans)

@@ -13,7 +13,7 @@ partitions (Section 5, reason three).
 it splits an input into ``n`` partitions, runs a plan fragment over
 each partition *serially*, and interleaves their outputs in demand
 order.  It is the one deal and the one merge under every partitioned
-way of running assembly: :class:`repro.core.parallel.
+way of running assembly: :class:`repro.volcano.assembly.
 InterleavedAssemblies` (Ablation A-5's independent per-partition
 elevator queues, which break the exclusive-device assumption of
 Section 7) and :class:`repro.volcano.assembly.ParallelAssembly`
@@ -26,7 +26,7 @@ import inspect
 from typing import Callable, Iterable, List, Optional, Union
 
 from repro.errors import PlanError
-from repro.volcano.iterator import ListSource, Row, VolcanoIterator
+from repro.iterator import ListSource, Row, VolcanoIterator
 
 
 def _fragment_wants_index(fragment: Callable) -> bool:
@@ -169,8 +169,12 @@ class PartitionedExecute(VolcanoIterator):
             self._fragment(ListSource(part), index)
             for index, part in enumerate(self._deal())
         ]
-        for plan in self._plans:
-            plan.open()
+        try:
+            for plan in self._plans:
+                plan.open()
+        except BaseException:
+            self._close()  # the fragments already opened hold windows and pins
+            raise
         self._alive = [True] * self._n
         self._turn = 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Set
 
 from repro.errors import PlanError
-from repro.volcano.iterator import Row, VolcanoIterator
+from repro.iterator import Row, VolcanoIterator
 
 
 class Filter(VolcanoIterator):

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import PlanError
 from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import Row, VolcanoIterator
+from repro.iterator import Row, VolcanoIterator
 
 
 class NestedLoopsJoin(VolcanoIterator):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.errors import PlanError
-from repro.volcano.iterator import Row, VolcanoIterator
+from repro.iterator import Row, VolcanoIterator
 
 
 class MergeJoin(VolcanoIterator):

@@ -12,7 +12,7 @@ plan-building mistake of wiring one operator instance into two places
 (its open/next/close state cannot serve two consumers).
 
 Two rewrite/planning rules live here as well, both over the assembly
-operator of :mod:`repro.volcano.assembly`:
+operator (:class:`repro.core.assembly.Assembly`):
 
 * :func:`push_down_component_filters` folds ``ComponentFilter``
   predicates into the assembly template directly below them
@@ -28,16 +28,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple
 
+from repro.core.assembly import Assembly
 from repro.errors import PlanError
-from repro.volcano.iterator import Row, VolcanoIterator
+from repro.iterator import ListSource, Row, VolcanoIterator
+from repro.volcano.assembly import ComponentFilter
+from repro.volcano.filters import Filter
+from repro.volcano.joins import HashJoin
 
 
 def child_operators(operator: VolcanoIterator) -> List[VolcanoIterator]:
     """The operator's direct inputs, found by attribute introspection.
 
     Attributes holding a :class:`VolcanoIterator` (or a list/tuple of
-    them) are considered inputs, in attribute definition order.
+    them) are considered inputs, in attribute definition order.  The
+    assembly engine is asked for its ``source`` instead: ``vars()``
+    would materialise the instance ``__dict__`` of the one operator
+    whose attribute reads are the hot path (docs/perf.md).
     """
+    if isinstance(operator, Assembly):
+        return [operator.source]
     children: List[VolcanoIterator] = []
     for name, value in vars(operator).items():
         if name.startswith("__"):
@@ -133,6 +142,8 @@ def replace_child(
     Works through the same attribute introspection as
     :func:`child_operators`, including list and tuple members.
     """
+    if isinstance(parent, Assembly):
+        return parent.replace_source(old, new)
     for name, value in vars(parent).items():
         if name.startswith("__"):
             continue
@@ -174,7 +185,7 @@ def push_down_component_filters(
     plan: VolcanoIterator,
 ) -> Tuple[VolcanoIterator, List[PushdownDecision]]:
     """Fold every ``ComponentFilter`` sitting directly on an
-    ``AssemblyOperator`` into that operator's template.
+    :class:`Assembly` into that operator's template.
 
     Returns the rewritten plan root and the decisions taken, in
     application order.  The rule is conservative: a filter separated
@@ -183,8 +194,6 @@ def push_down_component_filters(
     component record either way); disk statistics are *not* — aborting
     failing objects early is the entire point (Section 6.5).
     """
-    from repro.volcano.assembly import AssemblyOperator, ComponentFilter
-
     decisions: List[PushdownDecision] = []
     changed = True
     while changed:
@@ -197,7 +206,7 @@ def push_down_component_filters(
             if not isinstance(operator, ComponentFilter):
                 continue
             target = child_operators(operator)
-            if len(target) != 1 or not isinstance(target[0], AssemblyOperator):
+            if len(target) != 1 or not isinstance(target[0], Assembly):
                 continue
             assembly = target[0]
             if operator.is_open or assembly.is_open:
@@ -287,13 +296,9 @@ class AssemblyJoinPlan:
 def _assemble_then_join(
     roots, build_rows, build_key, store, template, engine_kwargs
 ) -> VolcanoIterator:
-    from repro.volcano.assembly import AssemblyOperator
-    from repro.volcano.iterator import ListSource
-    from repro.volcano.joins import HashJoin
-
     return HashJoin(
         build=ListSource(list(build_rows)),
-        probe=AssemblyOperator(
+        probe=Assembly(
             ListSource(list(roots)), store, template, **engine_kwargs
         ),
         build_key=build_key,
@@ -304,16 +309,11 @@ def _assemble_then_join(
 def _join_then_assemble(
     roots, build_rows, build_key, store, template, engine_kwargs
 ) -> VolcanoIterator:
-    from repro.volcano.assembly import AssemblyOperator
-    from repro.volcano.filters import Filter
-    from repro.volcano.iterator import ListSource
-    from repro.volcano.joins import HashJoin
-
     matches = {build_key(row) for row in build_rows}
     semi_join = Filter(ListSource(list(roots)), matches.__contains__)
     return HashJoin(
         build=ListSource(list(build_rows)),
-        probe=AssemblyOperator(semi_join, store, template, **engine_kwargs),
+        probe=Assembly(semi_join, store, template, **engine_kwargs),
         build_key=build_key,
         probe_key=lambda row: row.root_oid,
     )

@@ -18,7 +18,7 @@ from repro.storage.heap import HeapFile
 from repro.storage.oid import Oid, Rid
 from repro.storage.record import ObjectRecord
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import Row, VolcanoIterator
+from repro.iterator import Row, VolcanoIterator
 
 
 class FileScan(VolcanoIterator):

@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.errors import PlanError
 from repro.storage.heap import HeapFile
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import Row, VolcanoIterator
+from repro.iterator import Row, VolcanoIterator
 
 #: Default rows held in memory per run.
 DEFAULT_RUN_CAPACITY = 1024

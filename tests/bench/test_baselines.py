@@ -34,7 +34,7 @@ class TestStreaming:
         for one complex object up to the entire window.' (Section 4)"""
         from repro.bench.harness import ExperimentConfig, build_layout
         from repro.core.assembly import Assembly
-        from repro.volcano.iterator import ListSource
+        from repro.iterator import ListSource
         from repro.volcano.scan import TidScan
 
         config = ExperimentConfig(

@@ -25,7 +25,7 @@ from repro.core.schedulers import make_scheduler
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.workloads.acob import generate_acob, make_template
 from tests.faults.test_chaos_property import fingerprint
 

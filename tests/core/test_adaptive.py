@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.adaptive import AdaptiveElevatorScheduler
-from repro.core.schedulers import make_scheduler
+from repro.core.schedulers import AdaptiveElevatorScheduler, make_scheduler
 from repro.errors import SchedulerError
 
 from tests.core.test_schedulers import drain, ref
@@ -87,7 +86,7 @@ class TestPoolSemantics:
 class TestEndToEnd:
     def test_assembles_correctly(self, small_acob, small_layout):
         from repro.core.assembly import Assembly
-        from repro.volcano.iterator import ListSource
+        from repro.iterator import ListSource
         from repro.workloads.acob import make_template
 
         op = Assembly(

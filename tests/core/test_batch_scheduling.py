@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.adaptive import AdaptiveElevatorScheduler
 from repro.core.schedulers import (
+    AdaptiveElevatorScheduler,
     BreadthFirstScheduler,
     CScanScheduler,
     DepthFirstScheduler,

@@ -11,6 +11,7 @@ import pytest
 from repro.cluster.layout import layout_database
 from repro.cluster.policies import Unclustered
 from repro.core.assembly import Assembly
+from repro.core.schedulers import ElevatorScheduler
 from repro.core.template import Template, TemplateNode, binary_tree_template
 from repro.errors import (
     AssemblyError,
@@ -22,7 +23,7 @@ from repro.storage.buffer import BufferManager
 from repro.storage.disk import SimulatedDisk
 from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.workloads.acob import generate_acob, make_template
 
 
@@ -43,6 +44,31 @@ class TestDanglingReferences:
         op = Assembly(ListSource([ghost]), store, make_template(db))
         with pytest.raises(UnknownOidError):
             op.execute()
+
+    @pytest.mark.parametrize("bad_row", [Oid(99, 12345), "not-an-oid"])
+    def test_failed_open_strands_nothing(self, bad_row):
+        """A root that cannot be admitted undoes the ones before it:
+        an externally owned pool (a device server's is shared by every
+        client) keeps no reference of theirs, no page stays pinned, and
+        the source is closed — the operator never opened, so nobody
+        could close it afterwards."""
+        db, store, layout = load()
+        pool = ElevatorScheduler(head_fn=lambda: store.disk.head_position)
+        source = ListSource(layout.root_order[:2] + [bad_row])
+        op = Assembly(
+            source, store, make_template(db), window_size=4, scheduler=pool
+        )
+        with pytest.raises((UnknownOidError, AssemblyError)):
+            op.open()
+        assert len(pool) == 0
+        assert store.buffer.pinned_pages == 0
+        assert not source.is_open and not op.is_open
+        # The shared pool is clean: the next operator over it completes.
+        good = Assembly(
+            ListSource(layout.root_order[2:4]), store, make_template(db),
+            window_size=4, scheduler=pool,
+        )
+        assert len(good.execute()) == 2
 
     def test_dangling_child_reference(self):
         """A stored reference to a never-stored OID fails at fetch."""

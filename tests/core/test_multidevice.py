@@ -12,7 +12,7 @@ from repro.errors import SchedulerError
 from repro.storage.buffer import BufferManager
 from repro.storage.multidisk import MultiDeviceDisk
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.workloads.acob import generate_acob, make_template
 
 NODE = TemplateNode("n")

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.parallel import DeviceServerAssembly, InterleavedAssemblies
+from repro.service.device_server import DeviceServerAssembly
+from repro.volcano.assembly import InterleavedAssemblies
 from repro.errors import AssemblyError
 from repro.workloads.acob import make_template
 

@@ -33,7 +33,7 @@ from repro.storage.costmodel import CostedDisk, CostModel
 from repro.storage.events import AsyncIOEngine
 from repro.storage.multidisk import MultiDeviceDisk
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.workloads.acob import (
     generate_acob,
     make_template,

@@ -10,9 +10,9 @@ scheduler and checks those contracts.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adaptive import AdaptiveElevatorScheduler
 from repro.core.multidevice import MultiDeviceScheduler
 from repro.core.schedulers import (
+    AdaptiveElevatorScheduler,
     BreadthFirstScheduler,
     CScanScheduler,
     DepthFirstScheduler,

@@ -8,7 +8,7 @@ from repro.core.assembly import Assembly
 from repro.errors import AssemblyError
 from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.workloads.acob import generate_acob, make_template
 
 

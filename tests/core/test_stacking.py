@@ -10,7 +10,7 @@ from repro.core.template import Template, TemplateNode
 from repro.errors import AssemblyError
 from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 
 from tests.core.test_assembly import (
     figure4_database,

@@ -6,7 +6,7 @@ from repro.core import trace
 from repro.core.assembly import Assembly
 from repro.core.trace import AssemblyTracer, TraceEvent
 from repro.storage.oid import Oid
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.workloads.acob import generate_acob, make_template, payload_predicate
 
 from tests.core.test_assembly import (

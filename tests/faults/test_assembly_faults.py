@@ -9,7 +9,7 @@ from repro.core.assembly import FAIL_FAST, PARTIAL, SKIP_OBJECT, Assembly
 from repro.errors import AssemblyError, FaultError, RetriesExhaustedError
 from repro.service.server import AssemblyService
 from repro.storage.faults import FaultConfig, FaultInjector, RetryPolicy
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.workloads.acob import make_template
 
 

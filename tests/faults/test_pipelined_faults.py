@@ -20,7 +20,7 @@ from repro.storage.faults import (
 )
 from repro.storage.multidisk import MultiDeviceDisk
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.workloads.acob import generate_acob, make_template
 
 

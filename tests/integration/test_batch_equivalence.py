@@ -17,7 +17,7 @@ import pytest
 
 from repro.bench.harness import ExperimentConfig, build_assembly, build_layout
 from repro.core.assembly import Assembly
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.workloads.acob import make_template, payload_predicate
 
 SCHEDULERS = ("depth-first", "breadth-first", "elevator", "cscan", "adaptive")

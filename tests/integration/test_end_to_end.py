@@ -16,7 +16,7 @@ from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
 from repro.volcano.aggregate import count_aggregate
 from repro.volcano.filters import Filter, Project
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.volcano.scan import IndexScan
 from repro.workloads.acob import generate_acob, make_template
 

@@ -140,7 +140,7 @@ def _disk_stats(disk):
 @pytest.mark.parametrize("n_partitions", [1, 2, 4, 8])
 def test_interleaved_assemblies_equal_partitioned_execute(n_partitions):
     from repro.bench.harness import ExperimentConfig, build_layout
-    from repro.core.parallel import InterleavedAssemblies
+    from repro.volcano.assembly import InterleavedAssemblies
 
     window = 48
     config = ExperimentConfig(
@@ -183,7 +183,7 @@ def test_parallel_assembly_equals_partitioned_execute_over_replicas(
 ):
     from repro.fabric.parallel import build_replica_partitions
     from repro.volcano.assembly import ParallelAssembly
-    from repro.volcano.iterator import ListSource
+    from repro.iterator import ListSource
 
     db = generate_acob(60, seed=23)
     template = make_template(db)

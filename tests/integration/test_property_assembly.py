@@ -30,7 +30,7 @@ from repro.core.template import Template, TemplateNode
 from repro.objects.builder import GraphBuilder
 from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 
 
 @st.composite

@@ -17,7 +17,7 @@ from repro.core.assembly import Assembly
 from repro.core.trace import AssemblyTracer
 from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 
 from tests.core.test_assembly import (
     figure4_database,

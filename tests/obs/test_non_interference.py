@@ -24,7 +24,7 @@ from repro.storage.buffer import BufferManager
 from repro.storage.costmodel import CostedDisk
 from repro.storage.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.workloads.acob import generate_acob, make_template
 
 from tests.faults.test_chaos_property import (

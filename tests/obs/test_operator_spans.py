@@ -18,7 +18,7 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
 from repro.volcano.assembly import AssemblyOperator, ParallelAssembly
 from repro.volcano.filters import Filter
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.workloads.acob import generate_acob, make_template
 
 

@@ -9,7 +9,7 @@ from repro.query.logical import retrieve
 from repro.query.optimizer import Optimizer
 from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.workloads.acob import generate_acob, make_template, payload_predicate
 
 

@@ -6,7 +6,7 @@ from repro.bench.harness import ExperimentConfig, build_layout
 from repro.core.assembly import Assembly
 from repro.errors import ServiceStateError
 from repro.service.cache import AssembledObjectCache
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.workloads.acob import make_template
 
 

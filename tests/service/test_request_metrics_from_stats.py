@@ -18,7 +18,7 @@ from repro.core.assembly import PARTIAL, Assembly
 from repro.core.trace import AssemblyTracer
 from repro.service.server import AssemblyService, RequestStatus
 from repro.storage.faults import FaultConfig, FaultInjector
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.workloads.acob import make_template, payload_predicate
 
 

@@ -4,8 +4,14 @@ import pytest
 
 from repro.bench.harness import ExperimentConfig, build_layout
 from repro.core.tuning import pin_bound
-from repro.errors import ServiceOverloadError, ServiceStateError
+from repro.errors import (
+    ServiceOverloadError,
+    ServiceStateError,
+    UnknownOidError,
+)
+from repro.service.device_server import DeviceServer, DeviceServerAssembly
 from repro.service.server import AssemblyService, RequestStatus
+from repro.storage.oid import Oid
 from repro.workloads.acob import make_template
 
 
@@ -68,6 +74,71 @@ class TestSubmitPollResult:
             service.run()
             seeks.append(list(layout.store.disk.stats.read_seeks))
         assert seeks[0] == seeks[1]
+
+
+class TestUnknownRoot:
+    """One client's bad root OID must not touch anyone else's request."""
+
+    def test_rejected_submit_leaves_no_trace(self):
+        db, layout = build(n=6)
+        template = make_template(db)
+        service = AssemblyService(layout.store)
+        roots = layout.root_order
+
+        def state():
+            return (
+                service.server.pending_total(),
+                [q.query_id for q in service.server.active_queries()],
+                service.admission.granted_pages,
+                list(service._live),
+                service.metrics.snapshot(),
+                layout.store.buffer.pinned_pages,
+            )
+
+        before = state()
+        with pytest.raises(UnknownOidError):
+            service.submit(
+                roots[:2] + [Oid(99, 12345)], template, window_size=4
+            )
+        assert state() == before
+        good = service.submit(roots[2:4], template, window_size=4)
+        service.run()
+        assert len(service.result(good)) == 2
+
+    def test_failed_register_drops_the_query(self):
+        """Below the service: a register whose open() raises leaves the
+        server's pool and registry as they were."""
+        db, layout = build(n=6)
+        template = make_template(db)
+        server = DeviceServer(layout.store)
+        roots = layout.root_order
+        with pytest.raises(UnknownOidError):
+            server.register(
+                roots[:2] + [Oid(99, 12345)], template, window_size=4
+            )
+        assert server.pending_total() == 0
+        assert server.active_queries() == []
+        assert layout.store.buffer.pinned_pages == 0
+        query = server.register(roots[2:4], template, window_size=4)
+        server.run()
+        assert len(query.take_results()) == 2
+
+    def test_failed_partition_closes_the_ones_before_it(self):
+        db, layout = build(n=6)
+        # Two round-robin partitions: the ghost lands in the second.
+        operator = DeviceServerAssembly(
+            layout.root_order[:3] + [Oid(99, 12345)],
+            layout.store,
+            make_template(db),
+            n_partitions=2,
+            window_size=8,
+        )
+        with pytest.raises(UnknownOidError):
+            operator.open()
+        assert layout.store.buffer.pinned_pages == 0
+        assert not any(
+            q.assembly.is_open for q in operator._server.active_queries()
+        )
 
 
 class TestCacheIntegration:

@@ -98,7 +98,7 @@ class TestClockReplacement:
         from repro.cluster.policies import Unclustered
         from repro.core.assembly import Assembly
         from repro.storage.store import ObjectStore
-        from repro.volcano.iterator import ListSource
+        from repro.iterator import ListSource
         from repro.workloads.acob import generate_acob, make_template
 
         db = generate_acob(30, seed=4)

@@ -11,7 +11,7 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.multidisk import MultiDeviceDisk
 from repro.storage.snapshot import load_store, save_store
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.workloads.acob import generate_acob, make_template
 
 

@@ -1,7 +1,7 @@
 """Tests for hash aggregation."""
 
 from repro.volcano.aggregate import HashAggregate, count_aggregate, sum_aggregate
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 
 ROWS = [("a", 1), ("b", 2), ("a", 3), ("c", 4), ("a", 5)]
 

@@ -12,7 +12,7 @@ from repro.errors import IteratorStateError
 from repro.volcano.aggregate import count_aggregate
 from repro.volcano.exchange import Partition, PartitionedExecute
 from repro.volcano.filters import Distinct, Filter, Limit, Project
-from repro.volcano.iterator import GeneratorSource, ListSource
+from repro.iterator import GeneratorSource, ListSource
 from repro.volcano.joins import (
     HashJoin,
     NestedLoopsJoin,
@@ -79,6 +79,16 @@ def parallel_assembly_factory():
         [store_a, store_b],
         make_template(db),
         window_size=2,
+    )
+
+
+def interleaved_assemblies_factory():
+    from repro.volcano.assembly import InterleavedAssemblies
+    from repro.workloads.acob import make_template
+
+    db, store, layout = _laid_out_store()
+    return InterleavedAssemblies(
+        layout.root_order, store, make_template(db), 2, window_size=4
     )
 
 
@@ -183,6 +193,7 @@ OPERATOR_FACTORIES = {
     "assembly-operator": assembly_operator_factory,
     "component-filter": component_filter_factory,
     "parallel-assembly": parallel_assembly_factory,
+    "interleaved-assemblies": interleaved_assemblies_factory,
     "file-scan": file_scan_factory,
     "index-scan": index_scan_factory,
     "store-scan": store_scan_factory,

@@ -33,7 +33,7 @@ from repro.storage.store import ObjectStore
 from repro.volcano.aggregate import count_aggregate
 from repro.volcano.assembly import AssemblyOperator, ParallelAssembly
 from repro.volcano.filters import Filter, Project
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.volcano.joins import HashJoin
 from repro.volcano.plan import validate_plan
 from repro.volcano.sort import ExternalSort

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.errors import PlanError
+from repro.errors import PlanError, UnknownOidError
 from repro.volcano.exchange import Partition, PartitionedExecute
 from repro.volcano.filters import Project
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 
 
 class TestPartition:
@@ -103,3 +103,58 @@ class TestPartitionedExecute:
         assert not source.is_open
         # Reopening deals from the source again, not from a stale copy.
         assert op.execute() == [100, 101, 102, 103, 104]
+
+
+class TestFailedOpen:
+    """``open()`` failing on fragment k closes fragments 0..k-1: the
+    exchange never opened, so nobody could close them afterwards."""
+
+    @staticmethod
+    def _exchanges():
+        from repro.cluster.layout import layout_database
+        from repro.cluster.policies import Unclustered
+        from repro.core.assembly import Assembly
+        from repro.storage.disk import SimulatedDisk
+        from repro.storage.oid import Oid
+        from repro.storage.store import ObjectStore
+        from repro.volcano.assembly import InterleavedAssemblies, ParallelAssembly
+        from repro.workloads.acob import generate_acob, make_template
+
+        db = generate_acob(6, seed=1)
+        store = ObjectStore(SimulatedDisk())
+        layout = layout_database(db.complex_objects, store, Unclustered())
+        template = make_template(db)
+        # Round-robin over two partitions: the ghost lands in the second.
+        roots = layout.root_order[:3] + [Oid(99, 1)]
+        return store, {
+            "partitioned-execute": lambda: PartitionedExecute(
+                roots,
+                2,
+                lambda source: Assembly(
+                    source, store, template, window_size=4
+                ),
+            ),
+            "interleaved-assemblies": lambda: InterleavedAssemblies(
+                roots, store, template, 2, window_size=4
+            ),
+            "parallel-assembly": lambda: ParallelAssembly(
+                ListSource(roots),
+                [store, store],
+                template,
+                driver="sync",
+                window_size=4,
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        ["partitioned-execute", "interleaved-assemblies", "parallel-assembly"],
+    )
+    def test_opened_fragments_are_closed(self, name):
+        store, exchanges = self._exchanges()
+        exchange = exchanges[name]()
+        with pytest.raises(UnknownOidError):
+            exchange.open()
+        assert [plan.is_open for plan in exchange._plans] == [False, False]
+        assert store.buffer.pinned_pages == 0
+        assert not exchange.is_open

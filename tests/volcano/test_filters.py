@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import PlanError
 from repro.volcano.filters import Distinct, Filter, Limit, Project
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 
 
 class TestFilter:
@@ -66,7 +66,7 @@ class TestLimit:
                 pulled.append(n)
                 yield n
 
-        from repro.volcano.iterator import GeneratorSource
+        from repro.iterator import GeneratorSource
 
         Limit(GeneratorSource(gen), 2).execute()
         assert len(pulled) == 2

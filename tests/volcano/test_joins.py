@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import PlanError
 from repro.storage.oid import Oid
 from repro.storage.record import ObjectRecord
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.volcano.joins import (
     HashJoin,
     NestedLoopsJoin,

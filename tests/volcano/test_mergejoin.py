@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PlanError
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.volcano.joins import HashJoin
 from repro.volcano.mergejoin import MergeJoin
 from repro.volcano.sort import ExternalSort

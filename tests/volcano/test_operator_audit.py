@@ -18,7 +18,7 @@ import inspect
 from pathlib import Path
 
 import repro.volcano
-from repro.volcano.iterator import VolcanoIterator
+from repro.iterator import VolcanoIterator
 from repro.volcano.plan import describe_operator, walk_plan
 
 from test_conformance import OPERATOR_FACTORIES
@@ -65,7 +65,7 @@ def audited_instances():
 class TestOperatorAudit:
     def test_finds_the_operators(self):
         names = set(operator_classes())
-        assert {"AssemblyOperator", "ComponentFilter", "ParallelAssembly"} <= names
+        assert {"InterleavedAssemblies", "ComponentFilter", "ParallelAssembly"} <= names
         assert len(names) >= 18
 
     def test_every_operator_is_exported(self):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import PlanError
 from repro.volcano.filters import Filter, Project
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.volcano.joins import HashJoin
 from repro.volcano.plan import (
     child_operators,

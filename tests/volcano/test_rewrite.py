@@ -27,7 +27,7 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
 from repro.volcano.assembly import AssemblyOperator, ComponentFilter
 from repro.volcano.filters import Filter
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.volcano.plan import (
     explain,
     plan_assembly_join,
@@ -164,6 +164,61 @@ class TestPushdownMetamorphic:
         plan.close()
 
 
+class TestEngineInThePlan:
+    """The engine itself sits in the plan: what the facade used to
+    guarantee by building a fresh engine per ``open`` must hold for the
+    one engine object."""
+
+    @staticmethod
+    def _run(operator, store):
+        """(rows, disk stats, aborted) of one execution from a cold,
+        rewound store — the state every execution below starts in."""
+        store.buffer.drop_clean()
+        store.disk.reset_stats()
+        rows = multiset(operator.execute())
+        return rows, store.disk.stats.snapshot(), operator.stats.aborted
+
+    def test_pushdown_then_reopen_matches_a_fresh_engine(self):
+        store, layout = fresh_store()
+        operator = AssemblyOperator(
+            ListSource(layout.root_order), store, make_template(_DB),
+            window_size=3,
+        )
+        operator.push_predicate(_LABELS[1], payload_predicate(0.3))
+        first = self._run(operator, store)
+        second = self._run(operator, store)
+        fresh = AssemblyOperator(
+            ListSource(layout.root_order), store, operator.template,
+            window_size=3, selective=None,
+        )
+        assert first == second == self._run(fresh, store)
+        assert first[2] > 0  # the pushed predicate is evaluated and selective
+
+    def test_plan_utilities_never_vars_the_engine(self, monkeypatch):
+        """``vars()`` materialises an instance ``__dict__`` and slows
+        every later attribute read of the hottest object in the plan
+        (docs/perf.md); introspection asks the engine for its source."""
+        import repro.volcano.plan as plan_module
+        from repro.core.assembly import Assembly
+
+        seen = []
+
+        def recording_vars(obj):
+            seen.append(type(obj))
+            return vars(obj)
+
+        monkeypatch.setattr(plan_module, "vars", recording_vars, raising=False)
+        plan = build_from_recipe(
+            [("component", 1, 0.7), ("sort",), ("component", 2, 0.3)]
+        )
+        validate_plan(plan)
+        rewritten, decisions = push_down_component_filters(plan)
+        assert len(decisions) == 1
+        validate_plan(rewritten)
+        assert "Assembly(" in explain(rewritten)
+        assert seen and Assembly not in seen
+
+
 class TestJoinOrderMetamorphic:
     def _run(self, join_fraction):
         store, layout = fresh_store()
@@ -220,5 +275,5 @@ class TestJoinOrderMetamorphic:
         planned, _roots, _build = self._run(0.2)
         rendering = planned.explain()
         assert "join order: join-then-assemble" in rendering
-        assert "AssemblyOperator" in rendering
+        assert "Assembly(" in rendering
         assert "HashJoin" in rendering

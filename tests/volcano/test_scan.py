@@ -9,7 +9,7 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.heap import HeapFile
 from repro.storage.oid import Oid
 from repro.storage.record import ObjectRecord
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.volcano.scan import FileScan, IndexScan, StoreScan, TidScan
 
 

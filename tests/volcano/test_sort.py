@@ -10,7 +10,7 @@ from repro.errors import PlanError
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.volcano.sort import ExternalSort
 
 

@@ -9,7 +9,7 @@ from repro.errors import ReproError
 from repro.objects.model import validate_database
 from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.workloads.bom import (
     MAX_SUBPARTS,
     bom_template,

@@ -10,7 +10,7 @@ from repro.objects.model import validate_database
 from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
 from repro.volcano.filters import Filter
-from repro.volcano.iterator import ListSource
+from repro.iterator import ListSource
 from repro.workloads.person import (
     FATHER_SLOT,
     RESIDENCE_SLOT,

@@ -65,7 +65,7 @@ class TestExpectedFetches:
         from repro.core.assembly import Assembly
         from repro.storage.disk import SimulatedDisk
         from repro.storage.store import ObjectStore
-        from repro.volcano.iterator import ListSource
+        from repro.iterator import ListSource
         from repro.workloads.acob import make_template
 
         db = generate_acob(30, sharing=0.25, seed=5)
