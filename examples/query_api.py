@@ -17,7 +17,6 @@ Run:  python examples/query_api.py
 
 from repro import Database, Predicate
 from repro.workloads.person import (
-    RESIDENCE_SLOT,
     generate_people,
     lives_close_to_father,
     person_template,

@@ -31,7 +31,7 @@ reduced scale; defaults match the other Section 6 figures.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.bench.harness import get_database
 from repro.bench.report import FigureResult, monotone_decreasing

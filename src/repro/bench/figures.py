@@ -16,7 +16,7 @@ objects).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.bench.baselines import baseline_tid_scan
 from repro.bench.batch import figure_batch
@@ -24,7 +24,6 @@ from repro.bench.elapsed import figure_elapsed
 from repro.bench.fabric import figure_fabric
 from repro.bench.harness import (
     ExperimentConfig,
-    ExperimentResult,
     build_layout,
     get_database,
     run_experiment,
@@ -585,7 +584,6 @@ def ablation_adaptive_scheduler(
         x_label="percentage selectivity",
         y_label=Y_LABEL,
     )
-    adaptive_wins = True
     for scheduler in ("elevator", "adaptive"):
         for selectivity in selectivities:
             result = run_experiment(

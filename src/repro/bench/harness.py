@@ -14,8 +14,8 @@ disk so no state leaks between runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cluster.layout import (
     LayoutResult,

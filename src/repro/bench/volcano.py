@@ -73,7 +73,6 @@ def _costed_layout(db, cluster_pages: int):
         InterObjectClustering(cluster_pages=cluster_pages),
         shared=db.shared_pool,
     )
-    disk.service_time_total = 0.0
     return store, layout
 
 

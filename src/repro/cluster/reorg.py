@@ -17,11 +17,11 @@ ingredients earlier PRs landed:
 * :class:`ReorgPlanner` — greedy agglomeration of hot co-accessed
   objects into page-sized clusters (Darmont's advocacy for simplicity:
   no graph partitioning, just sorted edges).
-* :class:`DeviceIdleTracker` — a cost-model clock over the physical
-  read stream (via :meth:`~repro.storage.disk.SimulatedDisk.
-  add_io_observer`), keeping per-device busy intervals so migration
-  I/O can be placed — and *proven*, interval against interval — inside
-  idle windows.
+* :class:`DeviceIdleTracker` — a view over a
+  :class:`~repro.storage.costmodel.DeviceLedger` that retains every
+  priced read as a per-device interval, serving and migration alike,
+  so migration I/O can be placed — and *proven*, interval against
+  interval — inside idle windows.
 * :class:`Reorganizer` — prices each migration batch through
   :class:`~repro.storage.costmodel.CostModel`, executes it through
   :meth:`~repro.storage.store.ObjectStore.migrate` (buffer-coherent,
@@ -42,9 +42,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.errors import ServiceStateError, TransientReadError
-from repro.storage.costmodel import CostModel
+from repro.storage.costmodel import MIGRATION, SERVING, CostModel, DeviceLedger
 from repro.storage.disk import Extent
-from repro.storage.multidisk import MultiDeviceDisk
 from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
 
@@ -315,18 +314,16 @@ class ReorgRound:
 
 
 class DeviceIdleTracker:
-    """Per-device busy intervals on a cost-model clock.
+    """Serving and migration intervals of one disk, device by device.
 
-    Attaches to the disk's additive read-observer tap (the same tap the
-    observability layer uses — strictly observational) and prices every
-    physical read with the cost model, appending one ``[start, end)``
-    interval per read to the owning device's timeline.  Each device's
-    clock advances read-by-read, so the timeline is exactly the busy
-    schedule an event-driven engine would have produced for the same
-    read sequence.
+    A view over a :class:`~repro.storage.costmodel.DeviceLedger` that
+    retains intervals — strictly observational, like every ledger.
+    Each device's clock advances read by read, so the timeline is
+    exactly the busy schedule an event-driven engine would have
+    produced for the same read sequence.
 
     While the :class:`Reorganizer` holds :meth:`migration_guard`, reads
-    land in a separate per-device *migration* ledger instead.  A
+    are stamped as *migration* intervals instead of serving ones.  A
     migration interval starts at the device's current ``busy_until``
     watermark — the detected idle window — which is what makes the
     no-overlap property (:meth:`overlaps`) checkable rather than merely
@@ -337,74 +334,73 @@ class DeviceIdleTracker:
         self, disk, cost_model: Optional[CostModel] = None
     ) -> None:
         self._disk = disk
-        self.cost_model = cost_model or CostModel()
-        if isinstance(disk, MultiDeviceDisk):
-            self._n_devices = disk.n_devices
-            self._pages_per_device: Optional[int] = disk.pages_per_device
-        else:
-            self._n_devices = 1
-            self._pages_per_device = None
-        self._busy_until = [0.0] * self._n_devices
-        self.busy_intervals: List[List[Tuple[float, float]]] = [
-            [] for _ in range(self._n_devices)
-        ]
-        self.migration_intervals: List[List[Tuple[float, float]]] = [
-            [] for _ in range(self._n_devices)
-        ]
-        self._migrating = False
-        self._observer = disk.add_io_observer(self._observe)
+        self.ledger = DeviceLedger(disk, cost_model, intervals=True)
+        self.cost_model = self.ledger.cost_model
+        disk.add_read_tap(self.ledger.record)
 
     def detach(self) -> None:
         """Stop watching the disk (idempotent)."""
-        self._disk.remove_io_observer(self._observer)
+        self._disk.remove_read_tap(self.ledger.record)
 
     @property
     def n_devices(self) -> int:
         """Devices tracked (1 on a single-spindle disk)."""
-        return self._n_devices
+        return self.ledger.n_devices
 
     def device_of(self, page_id: int) -> int:
         """Which device timeline a page belongs to."""
-        if self._pages_per_device is None:
-            return 0
-        return page_id // self._pages_per_device
+        return self._disk.device_of(page_id)
 
     def busy_until(self, device: int) -> float:
         """The device's idle watermark: end of its last priced I/O."""
-        return self._busy_until[device]
+        return self.ledger.busy_until[device]
 
-    def _observe(self, start_page: int, distance: int, n_pages: int) -> None:
-        device = self.device_of(start_page)
-        duration = self.cost_model.run_service_time(distance, n_pages)
-        begin = self._busy_until[device]
-        interval = (begin, begin + duration)
-        if self._migrating:
-            self.migration_intervals[device].append(interval)
-        else:
-            self.busy_intervals[device].append(interval)
-        self._busy_until[device] = interval[1]
+    def _intervals(self, kind: str) -> List[List[Tuple[float, float]]]:
+        return [
+            [(begin, end) for begin, end, k, _p, _s in timeline if k == kind]
+            for timeline in self.ledger.intervals
+        ]
+
+    @property
+    def busy_intervals(self) -> List[List[Tuple[float, float]]]:
+        """Per device, the ``(begin, end)`` of every serving read."""
+        return self._intervals(SERVING)
+
+    @property
+    def migration_intervals(self) -> List[List[Tuple[float, float]]]:
+        """Per device, the ``(begin, end)`` of every migration read."""
+        return self._intervals(MIGRATION)
 
     @contextmanager
     def migration_guard(self) -> Iterator[None]:
-        """Route reads to the migration ledger while held."""
-        self._migrating = True
+        """Stamp reads as migration intervals while held."""
+        self.ledger.kind = MIGRATION
         try:
             yield
         finally:
-            self._migrating = False
+            self.ledger.kind = SERVING
 
     def overlaps(self) -> List[Tuple[int, Tuple[float, float], Tuple[float, float]]]:
         """Every (device, busy, migration) interval pair that overlaps.
 
         Empty by construction — migration I/O starts at the device's
         idle watermark — and the property suite asserts exactly that.
+        One merge pass per device: both interval lists are time-sorted
+        and internally disjoint, so whichever interval ends first can
+        overlap nothing further and is stepped past.
         """
         violations = []
-        for device in range(self._n_devices):
-            for busy in self.busy_intervals[device]:
-                for migration in self.migration_intervals[device]:
-                    if busy[0] < migration[1] and migration[0] < busy[1]:
-                        violations.append((device, busy, migration))
+        pairs = zip(self.busy_intervals, self.migration_intervals)
+        for device, (busy, migration) in enumerate(pairs):
+            b = m = 0
+            while b < len(busy) and m < len(migration):
+                serving, moving = busy[b], migration[m]
+                if serving[0] < moving[1] and moving[0] < serving[1]:
+                    violations.append((device, serving, moving))
+                if serving[1] <= moving[1]:
+                    b += 1
+                else:
+                    m += 1
         return violations
 
 
@@ -534,12 +530,6 @@ class Reorganizer:
         return cost
 
     # -- execution ------------------------------------------------------------
-
-    @dataclass
-    class _Skip:
-        """Why :meth:`run_round` did nothing (diagnostics)."""
-
-        reason: str
 
     def run_round(self, force: bool = False) -> ReorgRound:
         """Plan and execute one migration batch inside the idle window.

@@ -15,8 +15,8 @@ OID directory again, which is the whole point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.core.template import TemplateNode
 from repro.errors import AssemblyError

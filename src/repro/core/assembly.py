@@ -32,7 +32,7 @@ Mechanics, all from the paper:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Union
 
 from repro.core.assembled import AssembledComplexObject, AssembledObject

@@ -17,7 +17,7 @@ on.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.assembled import AssembledObject
 from repro.core.template import Template, TemplateNode

@@ -24,7 +24,7 @@ detection and buffer-bound math).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import TemplateError

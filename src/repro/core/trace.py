@@ -18,7 +18,7 @@ order or results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.storage.oid import Oid

@@ -23,18 +23,13 @@ when an experiment needs it.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.cluster.layout import LayoutResult, layout_database
-from repro.cluster.policies import (
-    POLICIES,
-    ClusteringPolicy,
-    InterObjectClustering,
-)
-from repro.core.assembled import AssembledComplexObject
+from repro.cluster.policies import POLICIES, ClusteringPolicy
 from repro.core.assembly import Assembly
 from repro.core.template import Template
-from repro.errors import PlanError, ReproError
+from repro.errors import ReproError
 from repro.iterator import ListSource
 from repro.objects.builder import GraphBuilder
 from repro.objects.model import ComplexObjectDef, ObjectDef, TypeRegistry

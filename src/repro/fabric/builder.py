@@ -94,7 +94,6 @@ def build_sharded_fabric(
     """
     if replicas_per_shard <= 0:
         raise FabricError("replicas_per_shard must be positive")
-    cost_model = cost_model if cost_model is not None else CostModel()
     router = ConsistentHashRouter(n_shards, vnodes=vnodes)
     partitions: List[List] = [[] for _ in range(n_shards)]
     for cobj in database.complex_objects:

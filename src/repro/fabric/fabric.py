@@ -61,7 +61,7 @@ from repro.fabric.router import ConsistentHashRouter
 from repro.obs.slo import SLOTracker
 from repro.service.metrics import ServiceMetrics
 from repro.service.server import AssemblyService, RequestStatus
-from repro.storage.costmodel import CostModel
+from repro.storage.costmodel import CostModel, DeviceLedger
 from repro.storage.events import EventQueue
 from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
@@ -141,11 +141,12 @@ class SheddingPolicy:
 class ShardReplica:
     """One replica: a full service stack plus its private clock.
 
-    The replica prices every physical read its service performs
-    through the disk's additive I/O observer and advances ``clock``
-    by the sum (times ``speed_factor`` — heterogeneous replica
-    hardware), plus any fault-injected delay.  Observation is
-    additive, so attaching it never changes the service's behavior.
+    A :class:`~repro.storage.costmodel.DeviceLedger` on the replica's
+    disk prices every physical read its service performs; each
+    submit/step is one ledger bracket, and ``clock`` advances by the
+    bracket's priced reads (times ``speed_factor`` — heterogeneous
+    replica hardware) plus any fault-injected delay.  A ledger only
+    watches, so attaching it never changes the service's behavior.
 
     ``submit_kwargs`` are applied to every ``service.submit`` on this
     replica (e.g. a per-replica ``retry_policy`` / ``on_fault`` mode
@@ -168,19 +169,14 @@ class ShardReplica:
         self.replica_id = replica_id
         self.store = store
         self.service = service
-        self.cost_model = cost_model if cost_model is not None else CostModel()
+        self.ledger = DeviceLedger(store.disk, cost_model)
+        self.cost_model = self.ledger.cost_model
+        store.disk.add_read_tap(self.ledger.record)
         self.speed_factor = speed_factor
         self.submit_kwargs = dict(submit_kwargs or {})
         self.clock = 0.0
-        self._accumulated_ms = 0.0
         #: service request id -> in-flight fabric request.
         self.outstanding: Dict[int, "FabricRequest"] = {}
-        store.disk.add_io_observer(self._price_read)
-
-    def _price_read(self, start: int, distance: int, n_pages: int) -> None:
-        self._accumulated_ms += self.cost_model.run_service_time(
-            distance, n_pages
-        )
 
     @property
     def depth(self) -> int:
@@ -194,17 +190,16 @@ class ShardReplica:
 
     def _charge(self, action: Callable[[], Any]) -> Any:
         """Run ``action`` and bill its priced I/O to the clock."""
-        injector = getattr(self.store.disk, "fault_injector", None)
-        injected_before = (
-            injector.injected_ms_total if injector is not None else 0.0
-        )
-        before = self._accumulated_ms
+        ledger = self.ledger
+        # Bracketed on the running total: the clock advances by the
+        # total's growth, the same float difference it always has.
+        before = ledger.total
+        mark = ledger.mark(before)
         try:
             return action()
         finally:
-            delta = self._accumulated_ms - before
-            if injector is not None:
-                delta += injector.injected_ms_total - injected_before
+            _reads, _pages, after, injected = ledger.since(mark)
+            delta = after - before + injected
             if delta:
                 self.clock += delta * self.speed_factor
 

@@ -60,7 +60,7 @@ def _fresh_store(
     costed: bool, cost_model: Optional[CostModel]
 ) -> ObjectStore:
     if costed:
-        disk = CostedDisk(cost_model if cost_model is not None else CostModel())
+        disk = CostedDisk(cost_model)
     else:
         disk = SimulatedDisk()
     return ObjectStore(disk, BufferManager(disk))

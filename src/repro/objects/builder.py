@@ -21,7 +21,6 @@ from repro.objects.model import (
     validate_database,
 )
 from repro.storage.oid import Oid
-from repro.storage.record import PAPER_FORMAT, RecordFormat
 
 
 class GraphBuilder:

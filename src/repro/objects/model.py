@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import RecordError, ReproError
+from repro.errors import ReproError
 from repro.storage.oid import NULL_OID, Oid
 from repro.storage.record import PAPER_FORMAT, ObjectRecord, RecordFormat
 

@@ -1,18 +1,16 @@
-"""Per-device I/O timelines distilled from the disk's read capture.
+"""Per-device I/O timelines distilled from the disk's read tap.
 
-The simulated disk already tells the event engine about every physical
-read through its I/O listener; this module taps the same capture as a
-pure *observer* (the enrichment added for observability:
-:meth:`~repro.storage.disk.SimulatedDisk.add_io_observer` fans reads
-out to any number of taps without disturbing the engine's exclusive
-listener slot).  Each read becomes an :class:`IOSample` — clock stamp,
-device, start page, seek distance, pages transferred — from which the
-timeline answers the Section 6/7 questions the flat counters cannot:
-where did each device's time go, how did seek distance evolve over the
-run, which device was the utilization bottleneck.
+:class:`DeviceIOTimeline` attaches to the one read tap the simulated
+disk has (:meth:`~repro.storage.disk.SimulatedDisk.add_read_tap` — any
+number of taps can watch, none changes what the disk does).  Each read
+becomes an :class:`IOSample` — clock stamp, device, start page, seek
+distance, pages transferred — from which the timeline answers the
+Section 6/7 questions the flat counters cannot: where did each device's
+time go, how did seek distance evolve over the run, which device was
+the utilization bottleneck.
 
-Service times are *derived* at readout (priced under a
-:class:`~repro.storage.costmodel.CostModel`), never charged back to
+Service times are read from the timeline's own
+:class:`~repro.storage.costmodel.DeviceLedger`, never charged back to
 the disk: attaching a timeline changes no accounting anywhere.
 """
 
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.storage.costmodel import CostModel
+from repro.storage.costmodel import CostModel, DeviceLedger
 from repro.storage.disk import SimulatedDisk
 
 from repro.obs.spans import SpanRecorder
@@ -50,15 +48,14 @@ class DeviceIOTimeline:
     Parameters
     ----------
     disk:
-        The disk to observe.  Multi-device disks attribute each sample
-        to the owning device via ``device_of``.
+        The disk to observe; each sample carries its owning device.
     clock_fn:
         Stamp source (simulated clock).  ``None`` stamps each sample
         with the running count of observed reads — deterministic
         ordering without a time axis.
     cost_model:
-        Pricing used at readout to derive busy time and utilization
-        (default: the A-9 period model).
+        Pricing of the timeline's ledger, from which busy time and
+        utilization are read (default: the A-9 period model).
     spans:
         Optional recorder; each observed read is also added as a
         completed zero-width ``device-io-sample`` span, putting raw
@@ -74,25 +71,22 @@ class DeviceIOTimeline:
     ) -> None:
         self.disk = disk
         self._clock_fn = clock_fn
-        self.cost_model = cost_model if cost_model is not None else CostModel()
+        #: fed by :meth:`_on_read`: exactly the sampled reads.
+        self.ledger = DeviceLedger(disk, cost_model)
+        self.cost_model = self.ledger.cost_model
         self.spans = spans
         self.samples: List[IOSample] = []
-        self._device_of = getattr(disk, "device_of", None)
-        self._observer = None
 
     # -- attachment ----------------------------------------------------------
 
     def attach(self) -> "DeviceIOTimeline":
         """Start observing (idempotent); returns self for chaining."""
-        if self._observer is None:
-            self._observer = self.disk.add_io_observer(self._on_read)
+        self.disk.add_read_tap(self._on_read)
         return self
 
     def detach(self) -> None:
         """Stop observing (idempotent)."""
-        if self._observer is not None:
-            self.disk.remove_io_observer(self._observer)
-            self._observer = None
+        self.disk.remove_read_tap(self._on_read)
 
     def __enter__(self) -> "DeviceIOTimeline":
         return self.attach()
@@ -107,10 +101,10 @@ class DeviceIOTimeline:
             return float(self._clock_fn())
         return float(len(self.samples))
 
-    def _on_read(self, start_page: int, distance: int, pages: int) -> None:
-        device = 0
-        if self._device_of is not None:
-            device = self._device_of(start_page)
+    def _on_read(
+        self, device: int, start_page: int, distance: int, pages: int
+    ) -> None:
+        self.ledger.record(device, start_page, distance, pages)
         sample = IOSample(
             at=self._now(),
             device=device,
@@ -146,15 +140,10 @@ class DeviceIOTimeline:
         ]
 
     def busy_ms(self, device: Optional[int] = None) -> float:
-        """Derived service time, one device or all (cost-model priced)."""
-        total = 0.0
-        for sample in self.samples:
-            if device is not None and sample.device != device:
-                continue
-            total += self.cost_model.run_service_time(
-                sample.distance, sample.pages
-            )
-        return total
+        """Service time of the sampled reads, one device or all."""
+        if device is None:
+            return self.ledger.total
+        return self.ledger.busy_until[device]
 
     def utilization(self, span_ms: Optional[float] = None) -> Dict[int, float]:
         """Per-device busy fraction over ``span_ms``.

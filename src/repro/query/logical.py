@@ -23,8 +23,8 @@ The :mod:`repro.query.optimizer` turns this into a physical plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.assembled import AssembledComplexObject
 from repro.core.predicates import Predicate

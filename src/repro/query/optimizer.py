@@ -23,7 +23,7 @@ implements the rules that matter for the assembly operator:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.core.assembly import Assembly
 from repro.core.template import Template

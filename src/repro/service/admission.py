@@ -25,7 +25,7 @@ and admission accounting cannot drift apart.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, List, Optional
 
 from repro.core.template import Template

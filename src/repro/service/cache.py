@@ -22,8 +22,8 @@ structures as immutable (all of this repository does).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.assembled import AssembledComplexObject
 from repro.errors import ServiceStateError

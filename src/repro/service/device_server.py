@@ -51,9 +51,9 @@ from repro.errors import (
 )
 from repro.iterator import ListSource, Row, VolcanoIterator
 from repro.storage.costmodel import CostModel
+from repro.storage.disk import SimulatedDisk
 from repro.storage.events import AsyncIOEngine
 from repro.storage.faults import DeviceHealthTracker, RetryPolicy
-from repro.storage.multidisk import MultiDeviceDisk
 from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
 
@@ -321,15 +321,11 @@ class DeviceServer:
         self.batch_pages = batch_pages
         self.spans = spans
         disk = store.disk
-        if isinstance(disk, MultiDeviceDisk):
-            self._queues = [
-                _DeviceQueue(self._head_fn(disk, device))
-                for device in range(disk.n_devices)
-            ]
-            self._pages_per_device: Optional[int] = disk.pages_per_device
-        else:
-            self._queues = [_DeviceQueue(lambda: disk.head_position)]
-            self._pages_per_device = None
+        self._queues = [
+            _DeviceQueue(self._head_fn(disk, device))
+            for device in range(disk.n_devices)
+        ]
+        self._pages_per_device = disk.pages_per_device
         self._queries: Dict[int, ClientQuery] = {}
         self._pending: Dict[int, int] = {}
         self._next_query_id = 0
@@ -354,7 +350,7 @@ class DeviceServer:
             self.reorg = None
 
     @staticmethod
-    def _head_fn(disk: MultiDeviceDisk, device: int):
+    def _head_fn(disk: SimulatedDisk, device: int):
         return lambda: disk.head_of(device)
 
     # -- registration ---------------------------------------------------------
@@ -419,14 +415,9 @@ class DeviceServer:
 
     # -- pool maintenance (called by the proxy schedulers) --------------------
 
-    def _device_of(self, page_id: int) -> int:
-        if self._pages_per_device is None:
-            return 0
-        return page_id // self._pages_per_device
-
     def _enqueue(self, query_id: int, ref: UnresolvedReference) -> None:
         self._seq += 1
-        self._queues[self._device_of(ref.page_id)].add(
+        self._queues[ref.page_id // self._pages_per_device].add(
             query_id, self._seq, ref
         )
         self._pending[query_id] += 1

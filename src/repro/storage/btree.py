@@ -18,7 +18,7 @@ allowed unless the tree is created ``unique=True``.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import (

@@ -13,10 +13,16 @@ service-time model in which seeks are only one component?
     + rotational_latency                   (average half rotation)
     + transfer                             (one page)
 
-:class:`CostedDisk` is a :class:`SimulatedDisk` that additionally
-accumulates service time under a cost model; the A-9 ablation re-ranks
-the schedulers by service time and checks the orderings hold (while
-honestly reporting how much the *ratios* shrink).
+:class:`DeviceLedger` is the one place a *performed* read becomes
+device time: fed from a disk's read tap, it prices each physical read
+once.  Every simulated clock in the repo is a query over one —
+:class:`CostedDisk` (the synchronous total; the A-9 ablation re-ranks
+the schedulers by it and checks the orderings hold, while honestly
+reporting how much the *ratios* shrink), the event engine's device
+timelines, a fabric replica's clock, the observability timeline and
+the reorganizer's idle windows.  Estimates of reads *not yet
+performed* (migration pricing, hedge delays, retry back-off) call
+:class:`CostModel` directly.
 
 Default constants approximate a late-1980s disk (the paper's era):
 ~30 ms full-stroke seek over ~1000 cylinders, 3600 rpm (8.3 ms average
@@ -26,6 +32,7 @@ rotational latency), ~1 ms settle, ~0.3 ms to transfer 1 KB.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.errors import DiskError
 from repro.storage.disk import SimulatedDisk
@@ -82,28 +89,140 @@ SEEK_ONLY = CostModel(
 )
 
 
+#: Interval kinds: reads served for a query, reads a migration performed.
+SERVING = "serving"
+MIGRATION = "migration"
+
+#: One retained ledger entry: ``(start_ms, end_ms, kind, pages, seek)``.
+Interval = Tuple[float, float, str, int, int]
+
+
+class DeviceLedger:
+    """Per-device simulated time of the reads one disk performed.
+
+    :meth:`record` is a read tap: whoever wants the ledger fed adds it
+    to the disk (``disk.add_read_tap(ledger.record)``).  A read
+    normally occupies its own device back to back with that device's
+    previous read (``busy_until`` advances by its price).  While a
+    *bracket* is open (:meth:`mark` … :meth:`since`) reads are instead
+    folded, left to right, onto the bracket's origin and placed by
+    nobody: the bracket's owner decides where that time goes
+    (:meth:`occupy` for the event engine, a private clock for a fabric
+    replica) — or drops it, when the bracketed action raised.
+
+    Every consumer keeps its own float fold: ``total`` is ``0.0 + c1 +
+    c2 …`` over all reads, ``busy_until[d]`` the same over device
+    ``d``'s, a bracket ``origin + c1 + c2 …`` — which is what lets a
+    serialized event engine reproduce :class:`CostedDisk`'s sum
+    bit-for-bit.
+
+    ``intervals`` says whether to retain one :data:`Interval` per
+    occupation; consumers that only read scalars leave it off, so a
+    long run costs them no memory.
+    """
+
+    def __init__(
+        self,
+        disk: SimulatedDisk,
+        cost_model: Optional[CostModel] = None,
+        intervals: bool = False,
+    ) -> None:
+        self.disk = disk
+        self.cost_model = cost_model if cost_model is not None else CostModel()
+        self.n_devices = disk.n_devices
+        #: what :meth:`occupy` stamps on retained intervals.
+        self.kind = SERVING
+        #: per device, in occupation order; ``None`` when not retained.
+        self.intervals: Optional[List[List[Interval]]] = (
+            [] if intervals else None
+        )
+        #: the open bracket, ``[end_ms, reads, pages]`` so far, if any.
+        self._bracket: Optional[List] = None
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget all recorded time."""
+        #: milliseconds of every read recorded, bracketed or not.
+        self.total = 0.0
+        #: per device: end of its last occupation / milliseconds occupied.
+        self.busy_until: List[float] = [0.0] * self.n_devices
+        self.busy_time: List[float] = [0.0] * self.n_devices
+        if self.intervals is not None:
+            self.intervals = [[] for _ in range(self.n_devices)]
+
+    # -- recording -----------------------------------------------------------
+
+    def record(
+        self, device: int, start_page: int, seek: int, n_pages: int
+    ) -> None:
+        """Price one performed read — the only place that happens."""
+        cost = self.cost_model.run_service_time(seek, n_pages)
+        self.total += cost
+        bracket = self._bracket
+        if bracket is not None:
+            bracket[0] += cost
+            bracket[1] += 1
+            bracket[2] += n_pages
+        else:
+            # occupy(), inlined: this runs once per physical read.
+            begin = self.busy_until[device]
+            end = self.busy_until[device] = begin + cost
+            self.busy_time[device] += cost
+            if self.intervals is not None:
+                self.intervals[device].append(
+                    (begin, end, self.kind, n_pages, seek)
+                )
+
+    def occupy(
+        self, device: int, begin: float, end: float,
+        pages: int = 0, seek: int = 0,
+    ) -> None:
+        """Put ``[begin, end)`` on ``device``'s timeline."""
+        self.busy_until[device] = end
+        self.busy_time[device] += end - begin
+        if self.intervals is not None:
+            self.intervals[device].append((begin, end, self.kind, pages, seek))
+
+    # -- brackets ------------------------------------------------------------
+
+    def mark(self, origin: float) -> float:
+        """Open a bracket: fold the reads from now on onto ``origin``.
+
+        Returns the mark to hand to :meth:`since`.
+        """
+        self._bracket = [origin, 0, 0]
+        injector = self.disk.fault_injector
+        return 0.0 if injector is None else injector.injected_ms_total
+
+    def since(self, mark: float) -> Tuple[int, int, float, float]:
+        """Close the bracket: ``(reads, pages, end_ms, injected_ms)``.
+
+        ``end_ms`` is the origin plus the price of each read performed
+        since :meth:`mark`; ``injected_ms`` is what a fault injector
+        added meanwhile (latency spikes, retry back-off) — time the
+        bracket's owner bills beside the reads.
+        """
+        (end, reads, pages), self._bracket = self._bracket, None
+        injector = self.disk.fault_injector
+        injected = 0.0 if injector is None else injector.injected_ms_total - mark
+        return reads, pages, end, injected
+
+
 class CostedDisk(SimulatedDisk):
     """A simulated disk that also accumulates service time."""
 
-    def __init__(self, cost_model: CostModel = CostModel(), **kwargs) -> None:
+    def __init__(
+        self, cost_model: Optional[CostModel] = None, **kwargs
+    ) -> None:
         super().__init__(**kwargs)
-        self.cost_model = cost_model
-        #: accumulated read service time, in milliseconds.
-        self.service_time_total = 0.0
+        self.ledger = DeviceLedger(self, cost_model)
+        self.cost_model = self.ledger.cost_model
+        self.add_read_tap(self.ledger.record)
 
-    def read(self, page_id: int):
-        page = super().read(page_id)
-        distance = self.stats.read_seeks[-1]
-        self.service_time_total += self.cost_model.service_time(distance)
-        return page
-
-    def read_run(self, start: int, n_pages: int):
-        pages = super().read_run(start, n_pages)
-        distance = self.stats.read_seeks[-1]
-        self.service_time_total += self.cost_model.run_service_time(
-            distance, n_pages
-        )
-        return pages
+    @property
+    def service_time_total(self) -> float:
+        """Accumulated read service time, in milliseconds."""
+        return self.ledger.total
 
     @property
     def avg_service_time_per_read(self) -> float:
@@ -113,6 +232,6 @@ class CostedDisk(SimulatedDisk):
         return self.service_time_total / self.stats.reads
 
     def reset_stats(self, head_to_zero: bool = True) -> None:
-        """Also zeroes the service-time accumulator."""
+        """Also zeroes the service-time ledger."""
         super().reset_stats(head_to_zero=head_to_zero)
-        self.service_time_total = 0.0
+        self.ledger.reset()

@@ -15,20 +15,17 @@ make breadth-first scheduling pathological in Figure 11A.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DiskError, ExtentError
 from repro.storage.page import PAGE_SIZE, Page
 
-#: Observer of physical reads: called with ``(seek_distance, n_pages)``
-#: once per physical read operation (a multi-page run is one call).
-IoListener = Callable[[int, int], None]
-
-#: Additive observer of physical reads: called with ``(start_page,
-#: seek_distance, n_pages)`` once per physical read operation.  Unlike
-#: the exclusive :data:`IoListener` slot, any number can be attached.
-IoObserver = Callable[[int, int, int], None]
+#: A read tap: called with ``(device, start_page, seek_distance,
+#: n_pages)`` once per physical read operation (a multi-page run is one
+#: call), after the head moved and :class:`DiskStats` was charged.
+ReadTap = Callable[[int, int, int, int], None]
 
 
 @dataclass
@@ -161,6 +158,9 @@ class SimulatedDisk:
     charges the distance.
     """
 
+    #: Devices behind the page address space (one head each).
+    n_devices = 1
+
     def __init__(self, n_pages: Optional[int] = None) -> None:
         """``n_pages`` bounds the address space; ``None`` means unbounded."""
         if n_pages is not None and n_pages <= 0:
@@ -168,10 +168,12 @@ class SimulatedDisk:
         self._limit = n_pages
         self._pages: Dict[int, bytes] = {}
         self._next_free = 0
-        self._head = 0
+        #: pages each device owns: a single spindle owns them all.
+        self.pages_per_device = n_pages if n_pages is not None else sys.maxsize
+        #: head position per device.
+        self._heads: List[int] = [0]
         self.stats = DiskStats()
-        self._io_listener: Optional[IoListener] = None
-        self._io_observers: List[IoObserver] = []
+        self._read_taps: List[ReadTap] = []
         #: optional :class:`repro.storage.faults.FaultInjector`; its
         #: ``before_read`` gate runs ahead of any head movement or
         #: accounting, so a failed attempt leaves the disk untouched.
@@ -184,10 +186,19 @@ class SimulatedDisk:
         """Bytes per page (always :data:`PAGE_SIZE`)."""
         return PAGE_SIZE
 
+    def device_of(self, page_id: int) -> int:
+        """Which device owns ``page_id`` (always 0 on a single spindle)."""
+        self._check(page_id)
+        return page_id // self.pages_per_device
+
+    def head_of(self, device: int) -> int:
+        """Current head position of one device, in pages."""
+        return self._heads[device]
+
     @property
     def head_position(self) -> int:
-        """Current head position in pages — elevator scheduling input."""
-        return self._head
+        """Head of device 0 — elevator scheduling input."""
+        return self._heads[0]
 
     @property
     def allocated_pages(self) -> int:
@@ -242,84 +253,65 @@ class SimulatedDisk:
 
     # -- I/O ------------------------------------------------------------------
 
-    def _seek_to(self, page_id: int) -> int:
-        distance = abs(page_id - self._head)
-        self._head = page_id
-        return distance
-
-    def _settle_at(self, page_id: int) -> None:
-        """Move the head without charging a seek.
-
-        Used by :meth:`read_run` after the transfer: the pages of a
-        contiguous run pass under the head for free, which is the whole
-        point of run batching.
-        """
-        self._head = page_id
-
     def _page_image(self, page_id: int) -> Page:
         image = self._pages.get(page_id)
         if image is None:
             return Page(page_id)
         return Page.from_bytes(page_id, image)
 
-    def set_io_listener(
-        self, listener: Optional[IoListener]
-    ) -> Optional[IoListener]:
-        """Install an observer of physical reads; returns the previous one.
+    def add_read_tap(self, tap: ReadTap) -> ReadTap:
+        """Attach a read tap (once, however often asked); returns it.
 
-        The listener is called ``(seek_distance, n_pages)`` once per
-        physical read operation — a multi-page run is a single call.
-        The event-driven engine (:mod:`repro.storage.events`) uses this
-        to price exactly the reads one asynchronous request performed.
+        Taps are called ``(device, start_page, seek_distance, n_pages)``
+        once per physical read, after the read was accounted.  Any
+        number can attach, and attaching one changes no accounting or
+        head movement anywhere — taps only *watch* reads the caller
+        already decided to perform.  This is the disk's one post-read
+        hook: every simulated clock is a
+        :class:`~repro.storage.costmodel.DeviceLedger` fed from it.
         """
-        previous = self._io_listener
-        self._io_listener = listener
-        return previous
+        if tap not in self._read_taps:
+            self._read_taps.append(tap)
+        return tap
 
-    def add_io_observer(self, observer: IoObserver) -> IoObserver:
-        """Attach an additive read observer; returns it for removal.
+    def remove_read_tap(self, tap: ReadTap) -> None:
+        """Detach one tap added by :meth:`add_read_tap` (idempotent)."""
+        try:
+            self._read_taps.remove(tap)
+        except ValueError:
+            pass
 
-        Observers are called ``(start_page, seek_distance, n_pages)``
-        after the exclusive listener, once per physical read.  They are
-        the observability layer's tap (:mod:`repro.obs.devices`): any
-        number can attach, and attaching one changes no accounting,
-        head movement, or listener behaviour anywhere — observers only
-        *watch* reads the caller already decided to perform.
-        """
-        self._io_observers.append(observer)
-        return observer
-
-    def remove_io_observer(self, observer: IoObserver) -> None:
-        """Detach one observer added by :meth:`add_io_observer`."""
-        if observer in self._io_observers:
-            self._io_observers.remove(observer)
-
-    def _notify_read(self, start: int, distance: int, n_pages: int) -> None:
-        """Fan a physical read out to the listener and all observers."""
-        if self._io_listener is not None:
-            self._io_listener(distance, n_pages)
-        for observer in self._io_observers:
-            observer(start, distance, n_pages)
-
-    def read(self, page_id: int) -> Page:
-        """Read a page, moving the head and charging the seek.
+    def _perform_read(self, device: int, start: int, n_pages: int) -> None:
+        """Serve one physical read — the only place a read moves a head.
 
         With a fault injector attached the read may raise a
         :class:`~repro.errors.FaultError` *before* the head moves or
         anything is accounted — a retried read then performs the exact
-        seek the fault-free run would have.
+        seek the fault-free run would have.  Otherwise: one seek of
+        ``|start − head|`` pages on ``device``, whose head settles on the
+        run's last page (the pages of a contiguous run pass under the
+        head for free, which is the whole point of run batching); one
+        read and ``n_pages`` pages accounted; then every tap is told.
         """
-        self._check(page_id)
         if self.fault_injector is not None:
-            self.fault_injector.before_read(page_id, 1)
-        distance = self._seek_to(page_id)
+            self.fault_injector.before_read(start, n_pages)
+        heads = self._heads
+        distance = abs(start - heads[device])
+        heads[device] = start + n_pages - 1
         stats = self.stats
         stats.reads += 1
-        stats.pages_read += 1
+        if n_pages > 1:
+            stats.run_reads += 1
+        stats.pages_read += n_pages
         stats.read_seek_total += distance
         stats.read_seeks.append(distance)
-        if self._io_listener is not None or self._io_observers:
-            self._notify_read(page_id, distance, 1)
+        for tap in self._read_taps:
+            tap(device, start, distance, n_pages)
+
+    def read(self, page_id: int) -> Page:
+        """Read a page, moving the head and charging the seek."""
+        self._check(page_id)
+        self._perform_read(page_id // self.pages_per_device, page_id, 1)
         return self._page_image(page_id)
 
     def read_run(self, start: int, n_pages: int) -> List[Page]:
@@ -330,27 +322,27 @@ class SimulatedDisk:
         Accounting: one read, one seek of ``|start − head|`` pages,
         ``n_pages`` pages transferred.  This is the §4 "single disk
         access" promise extended to contiguous runs — the cost model in
-        :class:`~repro.storage.costmodel.CostedDisk` adds per-page
-        transfer time on top.
+        :mod:`repro.storage.costmodel` adds per-page transfer time on
+        top.  A run that crosses a device boundary becomes one physical
+        read per device: each chunk charges a seek against its own
+        device's head, exactly as if the chunks had been requested
+        separately.
         """
         if n_pages <= 0:
             raise DiskError("read_run needs at least one page")
+        end = start + n_pages
         self._check(start)
-        self._check(start + n_pages - 1)
-        if self.fault_injector is not None:
-            self.fault_injector.before_read(start, n_pages)
-        distance = self._seek_to(start)
-        stats = self.stats
-        if n_pages > 1:
-            self._settle_at(start + n_pages - 1)
-            stats.run_reads += 1
-        stats.reads += 1
-        stats.pages_read += n_pages
-        stats.read_seek_total += distance
-        stats.read_seeks.append(distance)
-        if self._io_listener is not None or self._io_observers:
-            self._notify_read(start, distance, n_pages)
-        return [self._page_image(start + i) for i in range(n_pages)]
+        self._check(end - 1)
+        per_device = self.pages_per_device
+        cursor = start
+        while cursor < end:
+            device = cursor // per_device
+            chunk_end = (device + 1) * per_device
+            if chunk_end > end:
+                chunk_end = end
+            self._perform_read(device, cursor, chunk_end - cursor)
+            cursor = chunk_end
+        return [self._page_image(page_id) for page_id in range(start, end)]
 
     def read_batch(self, page_ids: Sequence[int]) -> List[Page]:
         """Read several pages, coalescing contiguous ids into runs.
@@ -370,27 +362,39 @@ class SimulatedDisk:
 
     def write(self, page: Page) -> None:
         """Write a page image back, moving the head."""
-        self._check(page.page_id)
-        distance = self._seek_to(page.page_id)
+        page_id = page.page_id
+        self._check(page_id)
+        device = page_id // self.pages_per_device
+        distance = abs(page_id - self._heads[device])
+        self._heads[device] = page_id
         self.stats.writes += 1
         self.stats.write_seek_total += distance
-        self._pages[page.page_id] = page.to_bytes()
+        self._pages[page_id] = page.to_bytes()
 
     # -- statistics -------------------------------------------------------------
 
+    def charge_busy(self, device: int, milliseconds: float) -> None:
+        """Mirror device time an event-driven engine scheduled into
+        ``stats.busy_ms`` (the disk itself never prices anything)."""
+        self.stats.busy_ms += milliseconds
+
     def reset_stats(self, head_to_zero: bool = True) -> None:
-        """Forget all accounting; optionally park the head at page 0.
+        """Forget all accounting; optionally park each head at its
+        device's first page.
 
         Benchmarks call this between database loading and measurement,
         mirroring the paper's separation of load and query phases.
         """
         self.stats = DiskStats()
         if head_to_zero:
-            self._head = 0
+            self._heads = [
+                device * self.pages_per_device
+                for device in range(self.n_devices)
+            ]
 
     def __repr__(self) -> str:
         limit = "unbounded" if self._limit is None else str(self._limit)
         return (
             f"SimulatedDisk(pages={limit}, allocated={self._next_free}, "
-            f"head={self._head})"
+            f"head={self._heads[0]})"
         )

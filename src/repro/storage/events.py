@@ -12,8 +12,8 @@ SimulatedDisk` (including :class:`~repro.storage.costmodel.CostedDisk`
 and :class:`~repro.storage.multidisk.MultiDeviceDisk`).  A caller
 *issues* an I/O request against one device: the request's physical
 reads execute immediately (the simulation has no data latency — only
-time is modelled), are priced read-by-read under a
-:class:`~repro.storage.costmodel.CostModel`, and the request is
+time is modelled), are priced read-by-read by the engine's
+:class:`~repro.storage.costmodel.DeviceLedger`, and the request is
 scheduled to *complete* at::
 
     max(now, device busy-until) + sum(run_service_time(...) per read)
@@ -37,9 +37,8 @@ import heapq
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import DiskError
-from repro.storage.costmodel import CostModel
+from repro.storage.costmodel import CostModel, DeviceLedger
 from repro.storage.disk import SimulatedDisk
-from repro.storage.multidisk import MultiDeviceDisk
 
 
 class EventClock:
@@ -208,15 +207,15 @@ class AsyncIOEngine:
         spans: Optional[Any] = None,
     ) -> None:
         self.disk = disk
-        self.cost_model = cost_model if cost_model is not None else CostModel()
+        #: the device timelines.  Fed only while a request's ``io_fn``
+        #: runs: reads nobody issued are not the engine's, and a
+        #: discarded engine leaves nothing behind on the disk.
+        self.ledger = DeviceLedger(disk, cost_model)
+        self._tap = self.ledger.record
+        self.cost_model = self.ledger.cost_model
         self.spans = spans
         self.clock = EventClock()
-        if isinstance(disk, MultiDeviceDisk):
-            self.n_devices = disk.n_devices
-        else:
-            self.n_devices = 1
-        self._busy_until: List[float] = [0.0] * self.n_devices
-        self._busy_time: List[float] = [0.0] * self.n_devices
+        self.n_devices = disk.n_devices
         self._in_flight: List[int] = [0] * self.n_devices
         self._completions: List[Tuple[float, int, InFlightIO]] = []
         self._next_handle = 0
@@ -231,17 +230,14 @@ class AsyncIOEngine:
         self.wait_time = 0.0
         # A fault injector's down intervals should run on *this* clock,
         # not its synchronous op counter, once an engine drives the disk.
-        injector = getattr(disk, "fault_injector", None)
-        if injector is not None:
-            injector.bind_clock(lambda: self.clock.now)
+        if disk.fault_injector is not None:
+            disk.fault_injector.bind_clock(lambda: self.clock.now)
 
     # -- geometry ------------------------------------------------------------
 
     def device_of(self, page_id: int) -> int:
         """Which timeline a page belongs to."""
-        if isinstance(self.disk, MultiDeviceDisk):
-            return self.disk.device_of(page_id)
-        return 0
+        return self.disk.device_of(page_id)
 
     def in_flight(self, device: Optional[int] = None) -> int:
         """Outstanding requests on one device (or overall)."""
@@ -264,57 +260,43 @@ class AsyncIOEngine:
         """Issue one request: run its reads now, complete them later.
 
         ``io_fn`` performs the request's physical reads (typically a
-        ``buffer.fix_many``); every read it triggers is captured through
-        the disk's I/O listener and priced with
-        :meth:`CostModel.run_service_time`.  The request starts when
-        the device frees up (``max(now, busy_until)``) and completes
-        after its summed service time; a request that triggered no
-        physical read completes at ``now`` without occupying the
-        device.  If ``io_fn`` raises, nothing is scheduled and the
+        ``buffer.fix_many``); every read it triggers falls inside one
+        ledger bracket, folded read by read onto the request's start.
+        The request starts when the device frees up (``max(now,
+        busy_until)``) and completes after its summed service time; a
+        request that triggered no physical read completes at ``now``
+        without occupying the device.  If ``io_fn`` raises, nothing is
+        scheduled, the device timeline is not charged, and the
         exception propagates (``fix_many``'s admission check raises
         before touching any frame, so accounting stays consistent).
         """
         if not 0 <= device < self.n_devices:
             raise DiskError(f"no device {device}")
-        reads: List[Tuple[int, int]] = []
-        injector = getattr(self.disk, "fault_injector", None)
-        injected_before = (
-            injector.injected_ms_total if injector is not None else 0.0
-        )
-        previous = self.disk.set_io_listener(
-            lambda distance, n_pages: reads.append((distance, n_pages))
-        )
-        try:
-            if io_fn is not None:
-                io_fn()
-        finally:
-            self.disk.set_io_listener(previous)
-        # Latency spikes and retry backoffs injected while this
-        # request's reads ran occupy the issuing device's timeline.
-        injected = (
-            injector.injected_ms_total - injected_before
-            if injector is not None
-            else 0.0
-        )
+        ledger = self.ledger
         issue_time = self.clock.now
-        pages_total = 0
+        reads = pages_total = 0
+        injected = 0.0
+        if io_fn is not None:
+            start = ledger.busy_until[device]
+            if start < issue_time:
+                start = issue_time
+            # The bracket accumulates left-to-right from ``start``, one
+            # term per physical read, so a serialized schedule
+            # reproduces CostedDisk's float sum exactly.
+            mark = ledger.mark(start)
+            self.disk.add_read_tap(self._tap)
+            try:
+                io_fn()
+            finally:
+                self.disk.remove_read_tap(self._tap)
+                reads, pages_total, complete, injected = ledger.since(mark)
         if reads or injected:
-            start = max(issue_time, self._busy_until[device])
-            # Accumulate left-to-right, one term per physical read, so a
-            # serialized schedule reproduces CostedDisk's float sum exactly.
-            complete = start
-            run_service_time = self.cost_model.run_service_time
-            for distance, n_pages in reads:
-                complete += run_service_time(distance, n_pages)
-                pages_total += n_pages
+            # Latency spikes and retry backoffs injected while this
+            # request's reads ran occupy the issuing device's timeline.
             if injected:
                 complete += injected
-            self._busy_until[device] = complete
-            busy = complete - start
-            self._busy_time[device] += busy
-            self.disk.stats.busy_ms += busy
-            if isinstance(self.disk, MultiDeviceDisk):
-                self.disk.device_stats[device].busy_ms += busy
+            ledger.occupy(device, start, complete, pages_total)
+            self.disk.charge_busy(device, complete - start)
         else:
             start = issue_time
             complete = issue_time
@@ -325,7 +307,7 @@ class AsyncIOEngine:
             handle=handle,
             device=device,
             payload=payload,
-            physical_reads=len(reads),
+            physical_reads=reads,
             pages_read=pages_total,
             issue_time=issue_time,
             start_time=start,
@@ -398,14 +380,14 @@ class AsyncIOEngine:
     def busy_time(self, device: Optional[int] = None) -> float:
         """Milliseconds one device (or all of them, summed) served I/O."""
         if device is None:
-            return sum(self._busy_time)
-        return self._busy_time[device]
+            return sum(self.ledger.busy_time)
+        return self.ledger.busy_time[device]
 
     def utilization(self, device: int) -> float:
         """Busy fraction of one device's timeline (0.0 before any I/O)."""
         if self.clock.now == 0.0:
             return 0.0
-        return self._busy_time[device] / self.clock.now
+        return self.ledger.busy_time[device] / self.clock.now
 
     def utilizations(self) -> List[float]:
         """Per-device busy fractions."""

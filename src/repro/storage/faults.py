@@ -184,7 +184,7 @@ class FaultInjector:
 
     def attach(self, disk: SimulatedDisk) -> "FaultInjector":
         """Install this injector on ``disk``; returns self for chaining."""
-        if getattr(disk, "fault_injector", None) is not None:
+        if disk.fault_injector is not None:
             raise DiskError("disk already has a fault injector attached")
         disk.fault_injector = self
         self._disk = disk
@@ -231,12 +231,6 @@ class FaultInjector:
 
     # -- the hook ------------------------------------------------------------
 
-    def _device_of(self, page_id: int) -> int:
-        device_fn = getattr(self._disk, "device_of", None)
-        if device_fn is None:
-            return 0
-        return device_fn(page_id)
-
     def next_recovery(self, device: int, now: float) -> Optional[float]:
         """End of the outage covering ``now`` on ``device`` (or None)."""
         for interval in self._down_by_device.get(device, ()):
@@ -256,7 +250,7 @@ class FaultInjector:
         """
         self.stats.reads_seen += 1
         op = self.stats.reads_seen
-        device = self._device_of(start)
+        device = self._disk.device_of(start)
 
         recovery = self.next_recovery(device, self.now)
         if recovery is not None:

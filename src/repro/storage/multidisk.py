@@ -21,7 +21,7 @@ matching per-device request queues live in
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.errors import DiskError, ExtentError
 from repro.storage.disk import DiskStats, Extent, SimulatedDisk
@@ -38,99 +38,47 @@ class MultiDeviceDisk(SimulatedDisk):
         super().__init__(n_pages=n_devices * pages_per_device)
         self.n_devices = n_devices
         self.pages_per_device = pages_per_device
-        # Per-device head, parked at the device's first page.
-        self._heads: List[int] = [
-            d * pages_per_device for d in range(n_devices)
-        ]
+        #: per-device stats (aggregate stats stay on ``self.stats``).
+        self.device_stats: List[DiskStats] = []
+        # Parks each head at its device's first page, fills device_stats.
+        self.reset_stats()
         # Per-device allocation cursor and round-robin pointer.
         self._device_free: List[int] = list(self._heads)
         self._next_device = 0
-        #: per-device stats (aggregate stats stay on ``self.stats``).
-        self.device_stats: List[DiskStats] = [
-            DiskStats() for _ in range(n_devices)
-        ]
+        self.add_read_tap(self._record_device_read)
 
-    # -- geometry ------------------------------------------------------------
+    # -- per-device accounting -----------------------------------------------
 
-    def device_of(self, page_id: int) -> int:
-        """Which device owns ``page_id``."""
-        self._check(page_id)
-        return page_id // self.pages_per_device
-
-    def head_of(self, device: int) -> int:
-        """Current head position of one device."""
-        return self._heads[device]
-
-    @property
-    def head_position(self) -> int:
-        """Head of device 0 (single-device callers); prefer head_of."""
-        return self._heads[0]
-
-    # -- seek model ---------------------------------------------------------------
-
-    def _seek_to(self, page_id: int) -> int:
-        device = page_id // self.pages_per_device
-        distance = abs(page_id - self._heads[device])
-        self._heads[device] = page_id
-        return distance
-
-    def _settle_at(self, page_id: int) -> None:
-        self._heads[page_id // self.pages_per_device] = page_id
-
-    def _record_device_read(self, device: int, n_pages: int) -> None:
+    def _record_device_read(
+        self, device: int, _start: int, seek: int, n_pages: int
+    ) -> None:
+        """The disk's own read tap: mirror the read into its device."""
         stats = self.device_stats[device]
         stats.reads += 1
         stats.pages_read += n_pages
         if n_pages > 1:
             stats.run_reads += 1
-        seek = self.stats.read_seeks[-1]
         stats.read_seek_total += seek
         stats.read_seeks.append(seek)
 
-    def write(self, page) -> None:
-        """Write a page, mirroring the charge into its device's ledger.
+    def charge_busy(self, device: int, milliseconds: float) -> None:
+        """Mirror engine-scheduled device time, per device too."""
+        self.stats.busy_ms += milliseconds
+        self.device_stats[device].busy_ms += milliseconds
 
-        The seek is charged against the owning device's head via the
-        overridden ``_seek_to``; recording it here too keeps the
-        invariant that the per-device stats always sum to the
-        aggregate — for writes exactly as for reads, and consistently
-        across ``reset_stats``.
+    def write(self, page) -> None:
+        """Write a page, mirroring the charge into its device's stats.
+
+        The seek is charged against the owning device's head; recording
+        it here too keeps the invariant that the per-device stats always
+        sum to the aggregate — for writes exactly as for reads, and
+        consistently across ``reset_stats``.
         """
         before = self.stats.write_seek_total
         super().write(page)
-        stats = self.device_stats[self.device_of(page.page_id)]
+        stats = self.device_stats[page.page_id // self.pages_per_device]
         stats.writes += 1
         stats.write_seek_total += self.stats.write_seek_total - before
-
-    def read(self, page_id: int):
-        page = super().read(page_id)
-        self._record_device_read(page_id // self.pages_per_device, 1)
-        return page
-
-    def read_run(self, start: int, n_pages: int) -> List:
-        """Read a run, splitting it at device boundaries.
-
-        A run that crosses devices becomes one physical read per
-        device: each chunk charges a seek against its own device's
-        head, exactly as if the chunks had been requested separately.
-        I/O observers (:meth:`~repro.storage.disk.SimulatedDisk.
-        add_io_observer`) fire once per chunk with that chunk's start
-        page, so a multi-device observer can attribute every sample to
-        its owning device via :meth:`device_of`.
-        """
-        if n_pages <= 0:
-            raise DiskError("read_run needs at least one page")
-        pages: List = []
-        cursor, remaining = start, n_pages
-        while remaining > 0:
-            device = self.device_of(cursor)
-            device_end = (device + 1) * self.pages_per_device
-            chunk = min(remaining, device_end - cursor)
-            pages.extend(super().read_run(cursor, chunk))
-            self._record_device_read(device, chunk)
-            cursor += chunk
-            remaining -= chunk
-        return pages
 
     # -- allocation -------------------------------------------------------------------
 
@@ -175,12 +123,9 @@ class MultiDeviceDisk(SimulatedDisk):
     # -- statistics -------------------------------------------------------------------------
 
     def reset_stats(self, head_to_zero: bool = True) -> None:
-        super().reset_stats(head_to_zero=False)
+        """Also forgets the per-device stats."""
+        super().reset_stats(head_to_zero=head_to_zero)
         self.device_stats = [DiskStats() for _ in range(self.n_devices)]
-        if head_to_zero:
-            self._heads = [
-                d * self.pages_per_device for d in range(self.n_devices)
-            ]
 
     def __repr__(self) -> str:
         return (

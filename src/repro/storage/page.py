@@ -17,7 +17,7 @@ does not — exactly the paper's packing.
 from __future__ import annotations
 
 import struct
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.errors import BadSlotError, PageError, PageFullError
 

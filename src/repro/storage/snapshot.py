@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 from repro.errors import StorageError
 from repro.storage.buffer import BufferManager

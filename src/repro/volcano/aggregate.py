@@ -8,7 +8,7 @@ group by group.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.iterator import Row, VolcanoIterator
 

@@ -43,7 +43,6 @@ from repro.core.predicates import Predicate
 from repro.core.template import Template
 from repro.errors import AssemblyError, PlanError
 from repro.iterator import ListSource, Row, VolcanoIterator
-from repro.storage.costmodel import CostModel
 from repro.storage.events import AsyncIOEngine
 from repro.storage.oid import Oid
 from repro.storage.record import ObjectRecord, RecordFormat
@@ -212,10 +211,8 @@ class ParallelAssembly(PartitionedExecute):
         )
         if self._driver == "sync":
             return engine
-        cost_model = getattr(store.disk, "cost_model", None)
         io_engine = AsyncIOEngine(
-            store.disk,
-            cost_model if cost_model is not None else CostModel(),
+            store.disk, getattr(store.disk, "cost_model", None)
         )
         self._io_engines.append(io_engine)
         return ListSource(

@@ -17,7 +17,7 @@ This module provides the relational comparanda:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import PlanError
 from repro.storage.oid import Oid

@@ -13,7 +13,7 @@ benchmark and its tests check against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.objects.model import ComplexObjectDef, ObjectDef
 from repro.storage.oid import Oid

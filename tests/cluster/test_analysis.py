@@ -1,6 +1,5 @@
 """Tests for layout diagnostics — the Figure 8–12 claims, measured."""
 
-import pytest
 
 from repro.cluster.analysis import describe_profile, profile_layout
 from repro.cluster.layout import layout_database

@@ -204,6 +204,20 @@ class TestDeviceIdleTracker:
         assert tracker.migration_intervals[0]
         assert tracker.overlaps() == []
 
+    def test_overlapping_serving_and_migration_pair_is_reported(self):
+        store, _layout = build_store()
+        tracker = DeviceIdleTracker(store.disk)
+        ledger = tracker.ledger
+        # Hand-built: serving [0, 4) [4, 9) [20, 22); a migration that
+        # starts inside the second serving read, and one in the clear.
+        ledger.occupy(0, 0.0, 4.0)
+        ledger.occupy(0, 4.0, 9.0)
+        with tracker.migration_guard():
+            ledger.occupy(0, 8.0, 12.0)
+            ledger.occupy(0, 12.0, 20.0)
+        ledger.occupy(0, 20.0, 22.0)
+        assert tracker.overlaps() == [(0, (4.0, 9.0), (8.0, 12.0))]
+
     def test_detach_stops_observing(self):
         store, layout = build_store()
         tracker = DeviceIdleTracker(store.disk)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.assembled import AssembledComplexObject, AssembledObject
-from repro.core.template import Template, TemplateNode, binary_tree_template
+from repro.core.template import binary_tree_template
 from repro.errors import AssemblyError
 from repro.storage.oid import NULL_OID, Oid
 from repro.storage.record import ObjectRecord

@@ -9,16 +9,13 @@ and breadth-first scheduling.
 import pytest
 
 from repro.cluster.layout import layout_database
-from repro.cluster.policies import InterObjectClustering, Unclustered
+from repro.cluster.policies import Unclustered
 from repro.core.assembled import AssembledComplexObject
 from repro.core.assembly import Assembly
-from repro.core.predicates import Predicate, int_less_than
-from repro.core.template import Template, TemplateNode, binary_tree_template
+from repro.core.template import Template, TemplateNode
 from repro.errors import AssemblyError
 from repro.objects.builder import GraphBuilder
-from repro.storage.buffer import BufferManager
 from repro.storage.disk import SimulatedDisk
-from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
 from repro.iterator import ListSource
 from repro.workloads.acob import generate_acob, make_template
@@ -287,7 +284,7 @@ class TestSharing:
 
     def test_shared_components_loaded_once(self):
         db, _store, op = self.make()
-        emitted = op.execute()
+        op.execute()
         # Every reference beyond the first to a pool object is a link.
         from repro.workloads.sharing import measure_sharing
 

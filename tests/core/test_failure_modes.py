@@ -168,8 +168,6 @@ class TestDirectoryCorruption:
 class TestStalledAssembly:
     def test_stall_raises_instead_of_spinning(self):
         """A window with nothing schedulable raises AssemblyError."""
-        from repro.core.window import Window
-
         db, store, layout = load()
         op = Assembly(ListSource([]), store, make_template(db))
         op.open()

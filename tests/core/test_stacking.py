@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.cluster.layout import layout_database
-from repro.cluster.policies import Unclustered
 from repro.core.assembly import Assembly
 from repro.core.stacking import StackedAssembly
 from repro.core.template import Template, TemplateNode

@@ -138,7 +138,7 @@ class TestRecursion:
     def test_recurse_to_non_ancestor_rejected(self):
         root = TemplateNode("root")
         child = root.child(0, "child")
-        sibling = root.child(1, "sibling")
+        root.child(1, "sibling")
         child.recurse(0, "sibling", max_depth=1)
         with pytest.raises(TemplateError):
             Template(root).finalize()

@@ -41,7 +41,7 @@ class TestWindow:
     def test_peak_occupancy(self):
         window = Window(3)
         a = window.admit(Oid(1, 1), 1, 0)
-        b = window.admit(Oid(1, 2), 1, 0)
+        window.admit(Oid(1, 2), 1, 0)
         window.retire(a.serial)
         window.admit(Oid(1, 3), 1, 0)
         assert window.peak_occupancy == 2

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.harness import ExperimentConfig, build_layout
-from repro.core.assembly import FAIL_FAST, PARTIAL, SKIP_OBJECT, Assembly
+from repro.core.assembly import PARTIAL, SKIP_OBJECT, Assembly
 from repro.errors import AssemblyError, FaultError, RetriesExhaustedError
 from repro.service.server import AssemblyService
 from repro.storage.faults import FaultConfig, FaultInjector, RetryPolicy

@@ -1,4 +1,4 @@
-"""Tests for the disk observer tap and per-device I/O timelines."""
+"""Tests for the disk read tap and per-device I/O timelines."""
 
 import pytest
 
@@ -13,33 +13,25 @@ class TestIoObserverTap:
     def test_observer_sees_start_distance_pages(self):
         disk = SimulatedDisk()
         seen = []
-        disk.add_io_observer(lambda s, d, n: seen.append((s, d, n)))
+        disk.add_read_tap(lambda dev, s, d, n: seen.append((dev, s, d, n)))
         disk.read(5)
         disk.read_run(10, 3)
-        assert seen == [(5, 5, 1), (10, 10 - 5, 3)]
+        assert seen == [(0, 5, 5, 1), (0, 10, 10 - 5, 3)]
 
     def test_observers_are_additive_and_removable(self):
         disk = SimulatedDisk()
         first, second = [], []
-        keep = disk.add_io_observer(lambda s, d, n: first.append(s))
-        drop = disk.add_io_observer(lambda s, d, n: second.append(s))
+        disk.add_read_tap(lambda dev, s, d, n: first.append(s))
+        drop = disk.add_read_tap(lambda dev, s, d, n: second.append(s))
         disk.read(1)
-        disk.remove_io_observer(drop)
+        disk.remove_read_tap(drop)
+        disk.remove_read_tap(drop)  # idempotent
         disk.read(2)
         assert first == [1, 2] and second == [1]
 
-    def test_observer_coexists_with_exclusive_listener(self):
-        disk = SimulatedDisk()
-        listened, observed = [], []
-        disk.set_io_listener(lambda d, n: listened.append((d, n)))
-        disk.add_io_observer(lambda s, d, n: observed.append((s, d, n)))
-        disk.read(4)
-        assert listened == [(4, 1)]
-        assert observed == [(4, 4, 1)]
-
     def test_observing_changes_no_accounting(self):
         bare, tapped = SimulatedDisk(), SimulatedDisk()
-        tapped.add_io_observer(lambda s, d, n: None)
+        tapped.add_read_tap(lambda dev, s, d, n: None)
         for disk in (bare, tapped):
             disk.read(7)
             disk.read_run(20, 4)

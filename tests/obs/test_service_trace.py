@@ -169,7 +169,7 @@ class TestRetrySpans:
         recorder = SpanRecorder(
             clock_fn=lambda: float(disk.stats.pages_read)
         )
-        injector = FaultInjector(
+        FaultInjector(
             FaultConfig(seed=11, read_error_rate=0.3,
                         max_consecutive_failures=2)
         ).attach(disk)

@@ -5,7 +5,7 @@ import pytest
 from repro.core.predicates import always_true, int_less_than
 from repro.core.template import binary_tree_template
 from repro.errors import PlanError, TemplateError
-from repro.query.logical import ComplexObjectQuery, retrieve
+from repro.query.logical import retrieve
 from repro.storage.oid import Oid
 
 

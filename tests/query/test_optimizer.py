@@ -9,7 +9,6 @@ from repro.query.logical import retrieve
 from repro.query.optimizer import Optimizer
 from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
-from repro.iterator import ListSource
 from repro.workloads.acob import generate_acob, make_template, payload_predicate
 
 

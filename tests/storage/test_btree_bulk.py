@@ -1,6 +1,5 @@
 """Tests for B+-tree bulk loading."""
 
-import random
 
 import pytest
 from hypothesis import given, settings

@@ -124,22 +124,36 @@ class TestIssueAndComplete:
         assert disk.device_stats[0].busy_ms == 11.0
         assert disk.device_stats[1].busy_ms == 31.0
 
-    def test_listener_restored_after_issue(self):
+    def test_read_outside_issue_is_not_billed_to_a_request(self):
         disk, engine = self.make()
-        seen = []
-        disk.set_io_listener(lambda d, n: seen.append((d, n)))
         engine.issue(0, lambda: disk.read(10))
-        disk.read(20)  # outside the engine: the outer listener fires
-        assert seen == [(10, 1)]
+        disk.read(20)  # outside the engine: no bracket is open
+        io = engine.issue(0, lambda: disk.read(30))
+        # Only the bracketed read (20 -> 30, one page) is this request's,
+        # and the device timeline holds the two requests back to back.
+        assert io.physical_reads == 1
+        assert io.pages_read == 1
+        assert (io.start_time, io.complete_time) == (11.0, 22.0)
 
-    def test_listener_restored_when_io_fn_raises(self):
+    def test_raising_io_fn_schedules_and_charges_nothing(self):
         disk, engine = self.make()
+
+        def read_then_fail():
+            disk.read(10)
+            disk.read(10_000)
+
         with pytest.raises(DiskError):
-            engine.issue(0, lambda: disk.read(10_000))
-        # Nothing scheduled, and the disk listener is back to None.
+            engine.issue(0, read_then_fail)
+        # Nothing scheduled, nothing on the device timeline, and the
+        # bracket is closed again: the next request starts at time zero
+        # and is billed its own read only.
         assert engine.idle()
         assert engine.issues == 0
-        assert disk._io_listener is None
+        assert engine.busy_time() == 0.0
+        assert disk.stats.busy_ms == 0.0
+        io = engine.issue(0, lambda: disk.read(12))
+        assert (io.start_time, io.complete_time) == (0.0, 3.0)
+        assert io.physical_reads == 1
 
     def test_spend_cpu_overlaps_in_flight_io(self):
         disk, engine = self.make()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.layout import layout_database
-from repro.cluster.policies import InterObjectClustering, Unclustered
+from repro.cluster.policies import InterObjectClustering
 from repro.core.assembly import Assembly
 from repro.errors import StorageError
 from repro.storage.buffer import BufferManager

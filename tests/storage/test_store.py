@@ -3,11 +3,9 @@
 import pytest
 
 from repro.errors import DuplicateOidError, PageFullError, StorageError
-from repro.storage.buffer import BufferManager
-from repro.storage.disk import SimulatedDisk
 from repro.storage.oid import Oid
 from repro.storage.record import ObjectRecord
-from repro.storage.store import ObjectStore, PagePlanner
+from repro.storage.store import PagePlanner
 
 
 def record(marker: int) -> ObjectRecord:

@@ -6,7 +6,6 @@ from repro import Database
 from repro.cluster.policies import IntraObjectClustering
 from repro.errors import ReproError
 from repro.workloads.person import (
-    FATHER_SLOT,
     RESIDENCE_SLOT,
     lives_close_to_father,
     person_template,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import IteratorStateError
-from repro.iterator import GeneratorSource, ListSource, VolcanoIterator
+from repro.iterator import GeneratorSource, ListSource
 
 
 class TestProtocol:

@@ -10,12 +10,7 @@ from repro.objects.model import validate_database
 from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
 from repro.iterator import ListSource
-from repro.workloads.bom import (
-    MAX_SUBPARTS,
-    bom_template,
-    generate_bom,
-    rolled_up_cost,
-)
+from repro.workloads.bom import bom_template, generate_bom, rolled_up_cost
 
 
 class TestGenerator:

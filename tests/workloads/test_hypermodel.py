@@ -11,7 +11,6 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
 from repro.iterator import ListSource
 from repro.workloads.hypermodel import (
-    ANNOTATION_SLOT,
     FANOUT,
     generate_hypermodel,
     hypermodel_template,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster.layout import layout_database
-from repro.cluster.policies import InterObjectClustering, Unclustered
+from repro.cluster.policies import Unclustered
 from repro.core.assembly import Assembly
 from repro.errors import ReproError
 from repro.objects.model import validate_database
