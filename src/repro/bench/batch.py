@@ -19,9 +19,7 @@ These figures quantify the three layers of that win:
 * **B-3** — reference-pool maintenance ops (footnote 5's "CPU cost of
   set-oriented assembly") on a selective workload, comparing the
   owner-indexed pool against a replica of the original O(n) sorted-list
-  pool, across batch sizes.  Wall-clock timings go to the figure notes
-  (they are machine-dependent; the regression gate compares series and
-  checks only).
+  pool, across batch sizes.
 
 All drivers accept size overrides so the test suite can run them at
 reduced scale; defaults match the other Section 6 figures.
@@ -29,7 +27,6 @@ reduced scale; defaults match the other Section 6 figures.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left, insort
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -241,8 +238,8 @@ def figure_batch(
         selectivity=selectivity,
     )
 
-    def selective_run(scheduler, batch: int) -> Tuple[int, int, float]:
-        """(pool ops, emitted, seconds) of one abort-heavy run."""
+    def selective_run(scheduler, batch: int) -> Tuple[int, int]:
+        """(pool ops, emitted) of one abort-heavy run."""
         database, layout = build_layout(base_config)
         template = make_template(
             database,
@@ -263,28 +260,28 @@ def figure_batch(
             selective=False,
             batch_pages=batch,
         )
-        started = time.perf_counter()
         emitted = sum(1 for _ in operator.rows())
-        elapsed = time.perf_counter() - started
-        return operator.stats.scheduler_ops, emitted, elapsed
+        return operator.stats.scheduler_ops, emitted
 
     indexed_ops: Dict[int, int] = {}
     indexed_emitted: Dict[int, int] = {}
     for batch in batch_sizes:
-        ops, emitted, elapsed = selective_run("elevator", batch)
+        ops, emitted = selective_run("elevator", batch)
         indexed_ops[batch] = ops
         indexed_emitted[batch] = emitted
         b3.add_point("owner-indexed pool", batch, ops)
         b3.notes.append(
-            f"owner-indexed pool, b={batch}: {elapsed * 1000:.0f} ms wall"
+            f"owner-indexed pool, b={batch}: {ops} ops, {emitted} emitted"
         )
 
     # The legacy pool knows nothing of batches; its single run anchors a
     # flat comparison line at the unbatched operation count.
-    legacy_ops, legacy_emitted, elapsed = selective_run(None, 1)
+    legacy_ops, legacy_emitted = selective_run(None, 1)
     for batch in batch_sizes:
         b3.add_point("legacy list pool (unbatched)", batch, legacy_ops)
-    b3.notes.append(f"legacy list pool, b=1: {elapsed * 1000:.0f} ms wall")
+    b3.notes.append(
+        f"legacy list pool, b=1: {legacy_ops} ops, {legacy_emitted} emitted"
+    )
     b3.check(
         "owner-indexed pool strictly below the legacy list pool",
         indexed_ops[unbatched] < legacy_ops,

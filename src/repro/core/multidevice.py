@@ -21,6 +21,7 @@ backlog; the operator consumes completions as they arrive).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional
 
 from repro.core.assembled import AssembledComplexObject
@@ -37,27 +38,37 @@ from repro.errors import (
     TransientReadError,
 )
 from repro.storage.buffer import BufferManager
+from repro.storage.disk import SimulatedDisk
 from repro.storage.events import AsyncIOEngine
 from repro.storage.faults import DeviceHealthTracker, RetryPolicy
 from repro.storage.multidisk import MultiDeviceDisk
 
 
+def device_elevators(
+    disk: SimulatedDisk,
+    resident_fn: Optional[Callable[[int], bool]] = None,
+) -> List[ElevatorScheduler]:
+    """One elevator per device of ``disk``, each sweeping its own head.
+
+    The §7 server array, built in one place for the operator-private
+    :class:`MultiDeviceScheduler` and the service-wide device server.
+    """
+    return [
+        ElevatorScheduler(partial(disk.head_of, device), resident_fn)
+        for device in range(disk.n_devices)
+    ]
+
+
 class MultiDeviceScheduler(ReferenceScheduler):
-    """One elevator per device, served round-robin."""
+    """One elevator per device; ``pop`` serves the deepest queue."""
 
     name = "multi-device"
 
     def __init__(self, disk: MultiDeviceDisk) -> None:
         super().__init__()
         self._disk = disk
-        self._queues: List[ElevatorScheduler] = [
-            ElevatorScheduler(head_fn=self._head_fn(device))
-            for device in range(disk.n_devices)
-        ]
+        self._queues = device_elevators(disk)
         self._turn = 0
-
-    def _head_fn(self, device: int):
-        return lambda: self._disk.head_of(device)
 
     # -- pool maintenance -----------------------------------------------------
 
@@ -101,6 +112,7 @@ class MultiDeviceScheduler(ReferenceScheduler):
         removed: List[UnresolvedReference] = []
         for queue in self._queues:
             removed.extend(queue.remove_owner(owner))
+        self.ops += len(removed)
         return removed
 
     def __len__(self) -> int:

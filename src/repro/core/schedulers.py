@@ -26,10 +26,16 @@ overhead claim can be measured (ablation A-1).  The counters are kept
 (or a ``pop_batch``, which performs a single positioning search) is
 one operation, and ``remove_owner`` counts one operation per reference
 actually retracted.  The pools back this accounting with matching
-asymptotics — the sorted sweep pools and both deque pools keep an
+asymptotics — the sorted sweep pool and both deque pools keep an
 **owner index**, so retracting an aborted object's k references costs
 O(k) bookkeeping instead of the full-pool rebuild the original
 implementation paid (which made abort-heavy runs quadratic).
+
+There is one sorted pool (:class:`SweepPool`, constructed only here)
+and one scheduler body over it (:class:`_SweepScheduler`): the
+elevator, C-SCAN and the adaptive elevator differ only in their pick,
+and the device server's per-device request queues (§7) are plain
+elevators holding many clients' references.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from typing import (
     Callable,
     Deque,
     Dict,
-    Hashable,
     Iterator,
     List,
     Optional,
@@ -65,10 +70,17 @@ class UnresolvedReference:
     is the highest rejection probability in the referenced subtree,
     used for equal-cost tie-breaking.
 
+    Everything a pool needs to know about an entry is read from the
+    reference itself: ``owner`` and ``seq`` (the tie-break sequence —
+    whoever owns the pool stamps it: the operator for a private pool,
+    the device server with its global admission sequence for a shared
+    one), and ``client``, which names the query a reference belongs to
+    when several operators share one pool (``None`` in a private pool).
+    No pool keeps a per-reference side table.
+
     A slotted plain class rather than a dataclass: references are the
     single most-allocated object of a run (one per edge of every
-    assembled complex object), and the pools key them by identity, so
-    the dict-free layout is pure savings.
+    assembled complex object), so the dict-free layout is pure savings.
     """
 
     __slots__ = (
@@ -81,6 +93,7 @@ class UnresolvedReference:
         "seq",
         "rejection",
         "is_root",
+        "client",
     )
 
     def __init__(
@@ -104,6 +117,7 @@ class UnresolvedReference:
         self.seq = seq
         self.rejection = rejection
         self.is_root = is_root
+        self.client: Optional[int] = None
 
     def __repr__(self) -> str:
         return (
@@ -113,15 +127,15 @@ class UnresolvedReference:
 
 
 class SweepPool:
-    """Owner-indexed sorted pool shared by the sweep schedulers.
+    """Owner-indexed sorted pool under every sweep scheduler.
 
     Entries stay sorted by ``(page_id, -rejection, seq)``, exactly the
     order the original list pools used, so SCAN positioning is one
     bisect.  Two structural changes make maintenance cheap:
 
-    * an **owner index** maps each owner to its live references, so
-      :meth:`remove_owner` touches only the retracted entries (O(k))
-      instead of rebuilding the pool (O(n));
+    * an **owner index** maps each ``(ref.client, ref.owner)`` to its
+      live references, so :meth:`remove_owner` touches only the
+      retracted entries (O(k)) instead of rebuilding the pool (O(n));
     * removals are **lazy**: a retracted entry becomes a tombstone in
       the sorted list and is purged either when a sweep passes over it
       or when tombstones reach half the list, triggering one O(n)
@@ -138,8 +152,6 @@ class SweepPool:
         "_entries",
         "_dead",
         "_owners",
-        "_owner_of",
-        "_seq_of",
         "_live",
         "_page_live",
         "_recent_pages",
@@ -149,9 +161,9 @@ class SweepPool:
     def __init__(self) -> None:
         self._entries: List[Tuple[int, float, int, UnresolvedReference]] = []
         self._dead: Set[int] = set()
-        self._owners: Dict[Hashable, Dict[int, UnresolvedReference]] = {}
-        self._owner_of: Dict[int, Hashable] = {}
-        self._seq_of: Dict[int, int] = {}
+        self._owners: Dict[
+            Tuple[Optional[int], int], Dict[int, UnresolvedReference]
+        ] = {}
         self._live = 0
         #: live references per page — lets the zero-seek probe iterate
         #: distinct pending pages instead of individual references.
@@ -169,58 +181,39 @@ class SweepPool:
 
     # -- maintenance --------------------------------------------------------
 
-    def add(
-        self,
-        ref: UnresolvedReference,
-        owner_key: Optional[Hashable] = None,
-        seq: Optional[int] = None,
-    ) -> None:
-        """Insert a reference.
-
-        ``owner_key`` defaults to ``ref.owner``; callers that multiplex
-        several clients into one pool (the device server) pass a
-        composite key.  ``seq`` overrides the sort tie-break sequence
-        for the same reason — per-assembly sequence numbers are not
-        globally unique.
-        """
-        key = ref.owner if owner_key is None else owner_key
-        entry_seq = ref.seq if seq is None else seq
+    def add(self, ref: UnresolvedReference) -> None:
+        """Insert a reference, filed under what it says about itself."""
         ref_id = id(ref)
         if ref_id in self._dead:
             # The same object is being re-added while its old entry is
             # still a tombstone; purge eagerly so it cannot resurrect.
             self._compact()
-        insort(self._entries, (ref.page_id, -ref.rejection, entry_seq, ref))
-        self._owners.setdefault(key, {})[ref_id] = ref
-        self._owner_of[ref_id] = key
-        self._seq_of[ref_id] = entry_seq
+        insort(self._entries, (ref.page_id, -ref.rejection, ref.seq, ref))
+        self._owners.setdefault((ref.client, ref.owner), {})[ref_id] = ref
         self._live += 1
         page_live = self._page_live
         page_live[ref.page_id] = page_live.get(ref.page_id, 0) + 1
         self._recent_pages.add(ref.page_id)
 
     def _unindex(self, ref: UnresolvedReference) -> None:
-        ref_id = id(ref)
-        key = self._owner_of.pop(ref_id)
-        self._seq_of.pop(ref_id, None)
+        key = (ref.client, ref.owner)
         bucket = self._owners[key]
-        del bucket[ref_id]
+        del bucket[id(ref)]
         if not bucket:
             del self._owners[key]
         self._live -= 1
         self._drop_page_ref(ref.page_id)
 
-    def remove_owner(self, owner_key: Hashable) -> List[UnresolvedReference]:
+    def remove_owner(
+        self, owner: int, client: Optional[int] = None
+    ) -> List[UnresolvedReference]:
         """Retract every reference of one owner — O(k) in the retracted."""
-        bucket = self._owners.pop(owner_key, None)
+        bucket = self._owners.pop((client, owner), None)
         if not bucket:
             return []
         removed = list(bucket.values())
         for ref in removed:
-            ref_id = id(ref)
-            del self._owner_of[ref_id]
-            self._seq_of.pop(ref_id, None)
-            self._dead.add(ref_id)
+            self._dead.add(id(ref))
             self._drop_page_ref(ref.page_id)
         self._live -= len(removed)
         if len(self._dead) * 2 > len(self._entries):
@@ -259,10 +252,6 @@ class SweepPool:
         for entry in self._entries:
             if id(entry[3]) not in self._dead:
                 yield entry
-
-    def seq_of(self, ref: UnresolvedReference) -> int:
-        """The sort sequence this pool filed ``ref`` under."""
-        return self._seq_of[id(ref)]
 
     # -- positioning --------------------------------------------------------
 
@@ -350,6 +339,25 @@ class SweepPool:
         """Like :meth:`pop_next` but leaves the entry in the pool."""
         index, direction = self._locate_next(head, direction)
         return self._entries[index], direction
+
+    def nearest_of(
+        self, client: Optional[int], head: int
+    ) -> Optional[UnresolvedReference]:
+        """``client``'s live reference nearest ``head`` (ties to the
+        lowest sequence), left in the pool; ``None`` when it has none.
+
+        Linear scan — its one caller, the device server's starvation
+        override, is rare by construction.
+        """
+        best: Optional[UnresolvedReference] = None
+        best_cost: Optional[Tuple[int, int]] = None
+        for page, _rej, seq, ref in self.live_entries():
+            if ref.client != client:
+                continue
+            cost = (abs(page - head), seq)
+            if best_cost is None or cost < best_cost:
+                best, best_cost = ref, cost
+        return best
 
     # -- batched sweeps ------------------------------------------------------
 
@@ -659,20 +667,26 @@ class BreadthFirstScheduler(_IndexedDequeScheduler):
         return self._take(self._deque.popleft)
 
 
-class ElevatorScheduler(ReferenceScheduler):
-    """SCAN over physical page numbers (Section 6.2's third algorithm).
+class _SweepScheduler(ReferenceScheduler):
+    """The one body under every sweep scheduler.
 
-    The pool is kept sorted by ``(page_id, -rejection, seq)``.  ``pop``
-    continues in the current sweep direction from the disk head's
-    position and reverses at the end, like the classic elevator.
+    A :class:`SweepPool` ordered by physical page, a head probe, an
+    optional buffer-residency probe and a sweep direction — plus every
+    operation that does not depend on *which* reference is next: adding,
+    retracting an owner, counting, refusing to pop an empty pool, and
+    the resident-first prelude of a batched pop.  A subclass states
+    only its pick, in ``pop`` and ``pop_batch``.
+
     ``head_fn`` supplies the live head position (wired to the simulated
-    disk by the assembly operator).
+    disk by the assembly operator).  ``resident_fn`` (the buffer
+    manager's residency probe) is what :meth:`_resident_batch` serves
+    zero-seek batches from; the elevator and C-SCAN consult it on
+    batched pops only, so their single-reference ``pop`` keeps the
+    paper's pure sweep.
 
-    ``resident_fn`` (the buffer manager's residency probe) is consulted
-    only by :meth:`pop_batch`: a pending page that is already buffered
-    is served first, as a zero-seek batch, before the sweep spends any
-    head movement.  Single-reference :meth:`pop` deliberately ignores
-    residency so the §6.2 reproduction keeps the paper's pure SCAN.
+    The device server's per-device queues are elevators too (§7: "each
+    server would maintain a queue of requests"), holding many clients'
+    references, with :meth:`pop_nearest` as the fairness override.
     """
 
     __slots__ = (
@@ -682,8 +696,6 @@ class ElevatorScheduler(ReferenceScheduler):
         "_direction",
         "resident_batches",
     )
-
-    name = "elevator"
 
     def __init__(
         self,
@@ -702,37 +714,82 @@ class ElevatorScheduler(ReferenceScheduler):
         self.ops += 1
         self._pool.add(ref)
 
-    def pop(self) -> UnresolvedReference:
-        self.require_nonempty()
+    def remove_owner(
+        self, owner: int, client: Optional[int] = None
+    ) -> List[UnresolvedReference]:
+        """Retract every reference of ``client``'s aborted object."""
+        removed = self._pool.remove_owner(owner, client)
+        self.ops += len(removed)
+        return removed
+
+    def __len__(self) -> int:
+        return self._pool._live
+
+    def _begin_pop(self) -> None:
+        """Every pop starts here: refuse an empty pool, count one op."""
+        if not self._pool._live:
+            raise SchedulerError(f"{self.name} scheduler pool is empty")
         self.ops += 1
+
+    def _resident_batch(self) -> List[UnresolvedReference]:
+        """Begin a batched pop; the zero-seek batch if there is one.
+
+        A pending page that is already buffered is served first, whole,
+        before the sweep spends any head movement.  ``[]`` sends the
+        caller on to its sweep pick.
+        """
+        self._begin_pop()
+        if self._resident_fn is None:
+            return []
+        refs = self._pool.take_resident_page(self._resident_fn)
+        if refs:
+            self.resident_batches += 1
+        return refs
+
+    def pop_nearest(self, client: int) -> Optional[UnresolvedReference]:
+        """Pop ``client``'s reference nearest the head, or ``None`` when
+        it has nothing pending here.
+
+        The device server's starvation override: instead of the
+        SCAN-next entry, serve the starved query's cheapest fetch.
+        """
+        ref = self._pool.nearest_of(client, self._head_fn())
+        if ref is not None:
+            self.ops += 1
+            self._pool.remove_ref(ref)
+        return ref
+
+
+class ElevatorScheduler(_SweepScheduler):
+    """SCAN over physical page numbers (Section 6.2's third algorithm).
+
+    ``pop`` continues in the current sweep direction from the disk
+    head's position and reverses at the end, like the classic elevator;
+    ``pop_batch`` takes the sweep-next page whole, plus its contiguous
+    continuation in the sweep direction.
+    """
+
+    __slots__ = ()
+
+    name = "elevator"
+
+    def pop(self) -> UnresolvedReference:
+        self._begin_pop()
         ref, self._direction = self._pool.pop_next(
             self._head_fn(), self._direction
         )
         return ref
 
     def pop_batch(self, max_pages: int = 1) -> List[UnresolvedReference]:
-        self.require_nonempty()
-        self.ops += 1
-        if self._resident_fn is not None:
-            refs = self._pool.take_resident_page(self._resident_fn)
-            if refs:
-                self.resident_batches += 1
-                return refs
-        refs, self._direction = self._pool.pop_batch_next(
-            self._head_fn(), self._direction, max_pages
-        )
+        refs = self._resident_batch()
+        if not refs:
+            refs, self._direction = self._pool.pop_batch_next(
+                self._head_fn(), self._direction, max_pages
+            )
         return refs
 
-    def remove_owner(self, owner: int) -> List[UnresolvedReference]:
-        removed = self._pool.remove_owner(owner)
-        self.ops += len(removed)
-        return removed
 
-    def __len__(self) -> int:
-        return len(self._pool)
-
-
-class CScanScheduler(ReferenceScheduler):
+class CScanScheduler(_SweepScheduler):
     """Circular SCAN: sweep upward only, wrap to the lowest page.
 
     The classic fairness variant of the elevator: instead of reversing
@@ -740,51 +797,21 @@ class CScanScheduler(ReferenceScheduler):
     sweeps up again.  Under pure seek-distance accounting the wrap
     costs a long seek, so C-SCAN trades a little total movement for
     bounded per-request waiting — worth having as a comparison point
-    for the §6.2 scheduling study.  ``resident_fn`` plays the same
-    batch-only role as on :class:`ElevatorScheduler`.
+    for the §6.2 scheduling study.
     """
 
-    __slots__ = ("_head_fn", "_resident_fn", "_pool", "resident_batches")
+    __slots__ = ()
 
     name = "cscan"
 
-    def __init__(
-        self,
-        head_fn: Optional[Callable[[], int]] = None,
-        resident_fn: Optional[Callable[[int], bool]] = None,
-    ) -> None:
-        super().__init__()
-        self._head_fn = head_fn if head_fn is not None else (lambda: 0)
-        self._resident_fn = resident_fn
-        self._pool = SweepPool()
-        self.resident_batches = 0
-
-    def add(self, ref: UnresolvedReference) -> None:
-        self.ops += 1
-        self._pool.add(ref)
-
     def pop(self) -> UnresolvedReference:
-        self.require_nonempty()
-        self.ops += 1
+        self._begin_pop()
         return self._pool.pop_cscan(self._head_fn())
 
     def pop_batch(self, max_pages: int = 1) -> List[UnresolvedReference]:
-        self.require_nonempty()
-        self.ops += 1
-        if self._resident_fn is not None:
-            refs = self._pool.take_resident_page(self._resident_fn)
-            if refs:
-                self.resident_batches += 1
-                return refs
-        return self._pool.pop_batch_cscan(self._head_fn(), max_pages)
-
-    def remove_owner(self, owner: int) -> List[UnresolvedReference]:
-        removed = self._pool.remove_owner(owner)
-        self.ops += len(removed)
-        return removed
-
-    def __len__(self) -> int:
-        return len(self._pool)
+        return self._resident_batch() or self._pool.pop_batch_cscan(
+            self._head_fn(), max_pages
+        )
 
 
 #: Default detour budget, in pages, granted to a certain rejector
@@ -793,7 +820,7 @@ class CScanScheduler(ReferenceScheduler):
 DEFAULT_DETOUR_PAGES = 64
 
 
-class AdaptiveElevatorScheduler(ReferenceScheduler):
+class AdaptiveElevatorScheduler(_SweepScheduler):
     """Elevator scheduling integrated with predicates, sharing, buffer:
     Section 7's "primary scheduling algorithm".
 
@@ -826,7 +853,8 @@ class AdaptiveElevatorScheduler(ReferenceScheduler):
         Current disk-head position (as for the plain elevator).
     resident_fn:
         Predicate telling whether a page is currently buffered; wired
-        to ``BufferManager.is_resident`` by the assembly operator.
+        to ``BufferManager.is_resident`` by the assembly operator and
+        consulted by every pick, single or batched.
     detour_pages:
         Seek distance a certain rejector is allowed to cost above the
         sweep-optimal choice.  0 disables predicate-driven detours.
@@ -840,40 +868,20 @@ class AdaptiveElevatorScheduler(ReferenceScheduler):
         resident_fn: Optional[Callable[[int], bool]] = None,
         detour_pages: int = DEFAULT_DETOUR_PAGES,
     ) -> None:
-        super().__init__()
         if detour_pages < 0:
             raise SchedulerError("detour_pages must be non-negative")
-        self._head_fn = head_fn if head_fn is not None else (lambda: 0)
-        self._resident_fn = resident_fn if resident_fn is not None else (
-            lambda _page: False
+        super().__init__(
+            head_fn,
+            resident_fn if resident_fn is not None else (lambda _page: False),
         )
         self._detour = detour_pages
-        self._pool = SweepPool()
-        self._direction = 1
         #: references served for free because their page was resident.
         self.resident_hits = 0
         #: references served out of sweep order to chase a rejection.
         self.detours = 0
 
-    # -- pool maintenance ---------------------------------------------------
-
-    def add(self, ref: UnresolvedReference) -> None:
-        self.ops += 1
-        self._pool.add(ref)
-
-    def __len__(self) -> int:
-        return len(self._pool)
-
-    def remove_owner(self, owner: int) -> List[UnresolvedReference]:
-        removed = self._pool.remove_owner(owner)
-        self.ops += len(removed)
-        return removed
-
-    # -- selection ---------------------------------------------------------------
-
     def pop(self) -> UnresolvedReference:
-        self.require_nonempty()
-        self.ops += 1
+        self._begin_pop()
         ref = self._pick()
         self._pool.remove_ref(ref)
         return ref
@@ -919,8 +927,7 @@ class AdaptiveElevatorScheduler(ReferenceScheduler):
         references are free, and extending the run would charge seeks
         the buffer already paid.
         """
-        self.require_nonempty()
-        self.ops += 1
+        self._begin_pop()
         anchor = self._pick()
         was_resident = self._resident_fn(anchor.page_id)
         self._pool.remove_ref(anchor)

@@ -8,12 +8,14 @@ it to a dynamic registry of independent client queries:
 
 * Each registered query is an ordinary :class:`~repro.core.assembly.
   Assembly` operator, with its own window, template and root stream —
-  but its scheduler is a :class:`_ProxyScheduler` that forwards every
-  unresolved reference into the server's **global** pool.
-* The global pool keeps one elevator (SCAN) queue per physical device
-  (multi-device aware via :class:`~repro.storage.multidisk.
-  MultiDeviceDisk`), so all concurrent queries share a single sweep per
-  head — the exclusive-control assumption restored service-wide.
+  but its scheduler is a :class:`_ProxyScheduler` that names the query
+  on every unresolved reference (``ref.client``) and forwards it into
+  the server's **global** pool.
+* The global pool is one :class:`~repro.core.schedulers.
+  ElevatorScheduler` per physical device — the very class a private
+  operator sweeps with, built by :func:`~repro.core.multidevice.
+  device_elevators` — so all concurrent queries share a single sweep
+  per head: the exclusive-control assumption restored service-wide.
 * Fairness: pure SCAN can park on one query's hot region while another
   query's references wait at the far end of the disk.  The server
   counts, per query, how many global resolutions have happened since
@@ -30,17 +32,17 @@ tests rely on this determinism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.cluster.reorg import Reorganizer
 from repro.core.assembled import AssembledComplexObject
 from repro.core.assembly import Assembly
-from repro.core.multidevice import CompletionLoop, PipelineStats
-from repro.core.schedulers import (
-    ReferenceScheduler,
-    SweepPool,
-    UnresolvedReference,
+from repro.core.multidevice import (
+    CompletionLoop,
+    PipelineStats,
+    device_elevators,
 )
+from repro.core.schedulers import ReferenceScheduler, UnresolvedReference
 from repro.core.template import Template
 from repro.errors import (
     AssemblyError,
@@ -51,7 +53,6 @@ from repro.errors import (
 )
 from repro.iterator import ListSource, Row, VolcanoIterator
 from repro.storage.costmodel import CostModel
-from repro.storage.disk import SimulatedDisk
 from repro.storage.events import AsyncIOEngine
 from repro.storage.faults import DeviceHealthTracker, RetryPolicy
 from repro.storage.oid import Oid
@@ -61,18 +62,15 @@ from repro.storage.store import ObjectStore
 #: global resolutions between services while it has references pending.
 DEFAULT_STARVATION_BOUND = 64
 
-#: Sort key of one pooled entry: (page, -rejection, global seq).
-_EntryKey = Tuple[int, float, int]
-
 
 class _ProxyScheduler(ReferenceScheduler):
     """Per-query scheduler that forwards into the server's global pool.
 
     The owning :class:`~repro.core.assembly.Assembly` believes this is
-    its private reference pool; every ``add`` lands in the device
-    server's per-device elevator queues tagged with the query id, and
-    ``pop`` is forbidden — only the server drains the pool, through
-    :meth:`Assembly.resolve_external`.
+    its private reference pool; every ``add`` writes the query id onto
+    the reference (``ref.client``) and lands it in the device server's
+    per-device elevator queues, and ``pop`` is forbidden — only the
+    server drains the pool, through :meth:`Assembly.resolve_external`.
     """
 
     name = "device-server-proxy"
@@ -83,9 +81,11 @@ class _ProxyScheduler(ReferenceScheduler):
         self._query_id = query_id
 
     def add(self, ref: UnresolvedReference) -> None:
-        """Forward one reference into the global pool."""
+        """Forward one reference, named as this query's, into the
+        global pool."""
         self.ops += 1
-        self._server._enqueue(self._query_id, ref)
+        ref.client = self._query_id
+        self._server._enqueue(ref)
 
     def pop(self) -> UnresolvedReference:
         """Forbidden: the device server owns draining."""
@@ -102,103 +102,6 @@ class _ProxyScheduler(ReferenceScheduler):
 
     def __len__(self) -> int:
         return self._server.pending_of(self._query_id)
-
-
-class _DeviceQueue:
-    """One device's share of the global pool: a SCAN-ordered SweepPool.
-
-    Entries carry the server's global sequence number as their sort
-    tie-break (per-assembly sequence numbers are not unique across
-    queries) and are owner-indexed under ``(query_id, owner)``, so
-    retracting one query's aborted complex object costs O(k) instead
-    of the full-pool rebuild the original list paid.
-    """
-
-    def __init__(self, head_fn) -> None:
-        self._head_fn = head_fn
-        self._pool = SweepPool()
-        self._tags: Dict[int, int] = {}  # id(ref) -> query_id
-        self._query_count: Dict[int, int] = {}
-        self._direction = 1
-
-    def __len__(self) -> int:
-        return len(self._pool)
-
-    def add(self, query_id: int, seq: int, ref: UnresolvedReference) -> None:
-        """Insert one tagged reference in sweep order."""
-        self._pool.add(ref, owner_key=(query_id, ref.owner), seq=seq)
-        self._tags[id(ref)] = query_id
-        self._query_count[query_id] = self._query_count.get(query_id, 0) + 1
-
-    def _untag(self, ref: UnresolvedReference) -> int:
-        query_id = self._tags.pop(id(ref))
-        self._query_count[query_id] -= 1
-        if self._query_count[query_id] == 0:
-            del self._query_count[query_id]
-        return query_id
-
-    def pop_next(self) -> Tuple[int, UnresolvedReference]:
-        """Pop the SCAN-next entry for this device's head."""
-        ref, self._direction = self._pool.pop_next(
-            self._head_fn(), self._direction
-        )
-        return self._untag(ref), ref
-
-    def pop_batch(
-        self,
-        max_pages: int,
-        resident_fn: Optional[Callable[[int], bool]] = None,
-    ) -> List[Tuple[int, UnresolvedReference]]:
-        """Pop the sweep-next page group plus its contiguous run.
-
-        The batch may mix queries — that is the point: concurrent
-        clients whose references share a page (or a run) get them all
-        satisfied by one physical read.  A buffer-resident page, if
-        any is pending, is served first at zero seek.
-        """
-        if resident_fn is not None:
-            refs = self._pool.take_resident_page(resident_fn)
-            if refs:
-                return [(self._untag(ref), ref) for ref in refs]
-        refs, self._direction = self._pool.pop_batch_next(
-            self._head_fn(), self._direction, max_pages
-        )
-        return [(self._untag(ref), ref) for ref in refs]
-
-    def pop_for_query(self, query_id: int) -> Tuple[int, UnresolvedReference]:
-        """Pop the entry of ``query_id`` nearest this device's head.
-
-        The starvation override: instead of the global SCAN-next entry,
-        serve the starved query's cheapest pending fetch.  Linear scan —
-        the override is rare by construction.
-        """
-        head = self._head_fn()
-        best_ref: Optional[UnresolvedReference] = None
-        best_cost: Optional[Tuple[int, int]] = None
-        for page, _rej, seq, ref in self._pool.live_entries():
-            if self._tags.get(id(ref)) != query_id:
-                continue
-            cost = (abs(page - head), seq)
-            if best_cost is None or cost < best_cost:
-                best_ref = ref
-                best_cost = cost
-        if best_ref is None:
-            raise SchedulerError(
-                f"query {query_id} has no pending reference on this device"
-            )
-        self._pool.remove_ref(best_ref)
-        return self._untag(best_ref), best_ref
-
-    def retract(self, query_id: int, owner: int) -> List[UnresolvedReference]:
-        """Remove every entry of one query's aborted complex object."""
-        removed = self._pool.remove_owner((query_id, owner))
-        for ref in removed:
-            self._untag(ref)
-        return removed
-
-    def has_query(self, query_id: int) -> bool:
-        """Any pending entry of ``query_id`` on this device?"""
-        return self._query_count.get(query_id, 0) > 0
 
 
 @dataclass
@@ -320,12 +223,12 @@ class DeviceServer:
         self.starvation_bound = starvation_bound
         self.batch_pages = batch_pages
         self.spans = spans
-        disk = store.disk
-        self._queues = [
-            _DeviceQueue(self._head_fn(disk, device))
-            for device in range(disk.n_devices)
-        ]
-        self._pages_per_device = disk.pages_per_device
+        #: the global pool, one elevator per device; only batched pops
+        #: (``batch_pages`` ≥ 2) consult the residency probe.
+        self._queues = device_elevators(
+            store.disk, store.buffer.is_resident
+        )
+        self._pages_per_device = store.disk.pages_per_device
         self._queries: Dict[int, ClientQuery] = {}
         self._pending: Dict[int, int] = {}
         self._next_query_id = 0
@@ -348,10 +251,6 @@ class DeviceServer:
             )
         else:
             self.reorg = None
-
-    @staticmethod
-    def _head_fn(disk: SimulatedDisk, device: int):
-        return lambda: disk.head_of(device)
 
     # -- registration ---------------------------------------------------------
 
@@ -415,17 +314,18 @@ class DeviceServer:
 
     # -- pool maintenance (called by the proxy schedulers) --------------------
 
-    def _enqueue(self, query_id: int, ref: UnresolvedReference) -> None:
+    def _enqueue(self, ref: UnresolvedReference) -> None:
+        # Per-assembly sequence numbers are not unique across queries:
+        # the pool's tie-break is the global admission sequence.
         self._seq += 1
-        self._queues[ref.page_id // self._pages_per_device].add(
-            query_id, self._seq, ref
-        )
-        self._pending[query_id] += 1
+        ref.seq = self._seq
+        self._queues[ref.page_id // self._pages_per_device].add(ref)
+        self._pending[ref.client] += 1
 
     def _retract(self, query_id: int, owner: int) -> List[UnresolvedReference]:
         removed: List[UnresolvedReference] = []
         for queue in self._queues:
-            removed.extend(queue.retract(query_id, owner))
+            removed.extend(queue.remove_owner(owner, query_id))
         if removed:
             self._pending[query_id] -= len(removed)
         return removed
@@ -492,46 +392,51 @@ class DeviceServer:
             raise SchedulerError("device server pool is empty")
         return best
 
-    def _pop(
-        self, device: int, starved: Optional[int] = None
-    ) -> List[Tuple[int, UnresolvedReference]]:
+    def _pop(self, device: int) -> List[UnresolvedReference]:
         """Pop the next sweep batch on ``device``.
 
-        One reference — the SCAN-next one, or query ``starved``'s
-        nearest — or, with ``batch_pages`` ≥ 2, everything pending on
-        the sweep-next page(s).  A reference stops counting as pending
-        here, at pop, on every path: until it is served or requeued it
-        belongs to the popped batch.
+        One reference — the SCAN-next one — or, with ``batch_pages``
+        ≥ 2, everything pending on the sweep-next page(s), possibly
+        across queries: concurrent clients whose references share a
+        page (or a run) get them all satisfied by one physical read.
+        A reference stops counting as pending here, at pop, on every
+        path: until it is served or requeued it belongs to the popped
+        batch.
         """
         queue = self._queues[device]
-        if starved is not None:
-            batch = [queue.pop_for_query(starved)]
-        elif self.batch_pages > 1:
-            batch = queue.pop_batch(
-                self.batch_pages, self.store.buffer.is_resident
-            )
+        if self.batch_pages > 1:
+            batch = queue.pop_batch(self.batch_pages)
         else:
-            batch = [queue.pop_next()]
+            batch = [queue.pop()]
         pending = self._pending
-        for query_id, _ref in batch:
-            pending[query_id] -= 1
+        for ref in batch:
+            pending[ref.client] -= 1
         return batch
 
-    def _fetch_pages(
-        self, batch: List[Tuple[int, UnresolvedReference]]
-    ) -> List[int]:
+    def _pop_starved(
+        self, query_id: int
+    ) -> Tuple[int, List[UnresolvedReference]]:
+        """The starvation override: ``(device, [ref])`` for the starved
+        query's reference nearest the head of the first device that
+        holds one."""
+        for device, queue in enumerate(self._queues):
+            ref = queue.pop_nearest(query_id)
+            if ref is not None:
+                self._pending[query_id] -= 1
+                return device, [ref]
+        raise SchedulerError(f"query {query_id} has no pending reference")
+
+    def _fetch_pages(self, batch: List[UnresolvedReference]) -> List[int]:
         """The distinct pages serving ``batch`` would read, sweep order."""
         pages: List[int] = []
         queries = self._queries
-        for query_id, ref in batch:
-            query = queries[query_id]
+        for ref in batch:
+            query = queries[ref.client]
             if not query.finished:
                 query.assembly.fetch_pages((ref,), pages)
         return pages
 
-    def _prefetch(
-        self, batch: List[Tuple[int, UnresolvedReference]]
-    ) -> List[int]:
+    def _prefetch(self, batch: List[UnresolvedReference]) -> List[int]:
         """Pin the batch's fetch pages with one coalesced read.
 
         Returns the pinned page ids (to unfix after the batch), or
@@ -585,13 +490,9 @@ class DeviceServer:
         starved = self._starved_query()
         if starved is None:
             device = self._deepest_device()
+            batch = self._pop(device)
         else:
-            device = next(
-                index
-                for index, queue in enumerate(self._queues)
-                if queue.has_query(starved)
-            )
-        batch = self._pop(device, starved)
+            device, batch = self._pop_starved(starved)
         prefetched = self._prefetch(batch) if self.batch_pages > 1 else []
         pop_span = None
         if self.spans is not None:
@@ -611,7 +512,7 @@ class DeviceServer:
                 self.spans.end(pop_span)
         return True
 
-    def _serve(self, batch: List[Tuple[int, UnresolvedReference]]) -> None:
+    def _serve(self, batch: List[UnresolvedReference]) -> None:
         """Hand each popped reference to its owning query's operator.
 
         The one per-reference path under :meth:`step` and the
@@ -624,8 +525,9 @@ class DeviceServer:
         reorg = self.reorg
         served = 0
         try:
-            for query_id, ref in batch:
+            for ref in batch:
                 served += 1
+                query_id = ref.client
                 query = queries[query_id]
                 self.resolutions += 1
                 for other_id, other in queries.items():
@@ -651,12 +553,10 @@ class DeviceServer:
             self._requeue(batch[served:])
             raise
 
-    def _requeue(
-        self, batch: List[Tuple[int, UnresolvedReference]]
-    ) -> None:
+    def _requeue(self, batch: List[UnresolvedReference]) -> None:
         """Put popped, unserved references back into the pool."""
-        for query_id, ref in batch:
-            query = self._queries.get(query_id)
+        for ref in batch:
+            query = self._queries.get(ref.client)
             if query is not None and not query.finished:
                 query.assembly.requeue((ref,))
 

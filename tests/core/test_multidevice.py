@@ -13,7 +13,11 @@ from repro.storage.buffer import BufferManager
 from repro.storage.multidisk import MultiDeviceDisk
 from repro.storage.store import ObjectStore
 from repro.iterator import ListSource
-from repro.workloads.acob import generate_acob, make_template
+from repro.workloads.acob import (
+    generate_acob,
+    make_template,
+    payload_predicate,
+)
 
 NODE = TemplateNode("n")
 
@@ -84,14 +88,43 @@ class TestScheduler:
         scheduler.add(ref(1, page=5, owner=7, seq=1))
         scheduler.add(ref(2, page=105, owner=7, seq=2))
         scheduler.add(ref(3, page=6, owner=8, seq=3))
+        before = scheduler.ops
         removed = scheduler.remove_owner(7)
         assert len(removed) == 2
         assert len(scheduler) == 1
+        # The module contract: one operation per reference retracted,
+        # wherever it was queued — and none for an owner with nothing.
+        assert scheduler.ops == before + 2
+        assert scheduler.remove_owner(7) == []
+        assert scheduler.ops == before + 2
 
     def test_empty_pop(self):
         _disk, scheduler = self.make()
         with pytest.raises(SchedulerError):
             scheduler.pop()
+
+
+def abort_heavy_ops(scheduler_of, n=120):
+    """``(scheduler_ops, aborted)`` of an eager, half-rejecting run on
+    a single-device disk under the pool ``scheduler_of(disk)`` names."""
+    db = generate_acob(n, seed=2)
+    disk = MultiDeviceDisk(n_devices=1, pages_per_device=7 * 64 + 128)
+    store = ObjectStore(disk, BufferManager(disk))
+    layout = layout_database(
+        db.complex_objects, store, InterObjectClustering(cluster_pages=64)
+    )
+    operator = Assembly(
+        ListSource(layout.root_order),
+        store,
+        make_template(
+            db, predicate_position=3, predicate=payload_predicate(0.5)
+        ),
+        window_size=20,
+        scheduler=scheduler_of(disk),
+        selective=False,
+    )
+    operator.execute()
+    return operator.stats.scheduler_ops, operator.stats.aborted
 
 
 def run_assembly(n_devices, window, n=300):
@@ -140,6 +173,14 @@ class TestMultiDeviceAssembly:
             s.read_seek_total for s in striped.device_stats
         )
         assert striped_critical < single_critical
+
+    def test_aborts_cost_what_they_cost_the_single_elevator(self):
+        """On one device the multi-device pool *is* one elevator, so an
+        abort-heavy run must count the same operations — retractions
+        included, which the outer pool used to leave out."""
+        multi_ops, aborted = abort_heavy_ops(MultiDeviceScheduler)
+        assert aborted > 0
+        assert (multi_ops, aborted) == abort_heavy_ops(lambda _disk: "elevator")
 
     def test_reads_spread_across_devices(self):
         disk = run_assembly(n_devices=4, window=20)

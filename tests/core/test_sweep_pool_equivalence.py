@@ -17,6 +17,12 @@ The residency model follows the buffer's real contract: a page can
 *become* resident only after a read, and reads happen only to pages
 just popped from the pool (or to pages with nothing pending, loaded by
 some other consumer of the buffer); eviction can happen at any time.
+
+A second property drives the pool the way the device server does: the
+references of several clients in one pool, told apart by ``ref.client``
+alone, with window serials that collide across clients, a global
+admission sequence as the tie-break, per-client retraction and the
+starvation override's nearest-to-head pick.
 """
 
 from hypothesis import given, settings
@@ -32,9 +38,9 @@ NODE = TemplateNode("n")
 N_PAGES = 48
 
 
-def make_ref(serial, page, owner, rejection, seq):
+def make_ref(serial, page, owner, rejection, seq, client=None):
     """One pool entry; ``rejection`` exercises the sort tie-break."""
-    return UnresolvedReference(
+    ref = UnresolvedReference(
         oid=Oid(1, serial),
         page_id=page,
         owner=owner,
@@ -44,6 +50,8 @@ def make_ref(serial, page, owner, rejection, seq):
         seq=seq,
         rejection=rejection,
     )
+    ref.client = client
+    return ref
 
 
 class NaiveSweepPool:
@@ -68,16 +76,25 @@ class NaiveSweepPool:
         self.entries.append((ref.page_id, -ref.rejection, seq, ref))
         self.entries.sort(key=lambda entry: entry[:3])
 
-    def remove_owner(self, owner):
-        """Retract one owner's references, in insertion (seq) order."""
-        removed = sorted(
-            (entry for entry in self.entries if entry[3].owner == owner),
-            key=lambda entry: entry[2],
-        )
-        self.entries = [
-            entry for entry in self.entries if entry[3].owner != owner
-        ]
+    def remove_owner(self, owner, client=None):
+        """Retract one client's owner, in insertion (seq) order."""
+        def hit(entry):
+            return (entry[3].client, entry[3].owner) == (client, owner)
+
+        removed = sorted(filter(hit, self.entries), key=lambda e: e[2])
+        self.entries = [entry for entry in self.entries if not hit(entry)]
         return [entry[3] for entry in removed]
+
+    def nearest_of(self, client, head):
+        """Full scan: ``client``'s entry nearest ``head``, lowest seq."""
+        mine = [entry for entry in self.entries if entry[3].client == client]
+        if not mine:
+            return None
+        return min(mine, key=lambda e: (abs(e[0] - head), e[2]))[3]
+
+    def remove_ref(self, ref):
+        """Retract one specific reference."""
+        self.entries = [e for e in self.entries if e[3] is not ref]
 
     def _locate(self, head, direction):
         """SCAN positioning: next entry and possibly reversed direction."""
@@ -366,3 +383,115 @@ def test_probe_after_every_op_matches_full_scan(ops):
         refs = pool.take_resident_page(resident_fn)
         assert_same_refs(refs, naive.take_resident_page(resident_fn))
         assert_same_state(pool, naive)
+
+
+@st.composite
+def shared_pool_op_streams(draw):
+    """Op streams of a pool several clients share (the device server's).
+
+    Clients 0..2 each number their owners 0..2, so every window serial
+    collides across clients.
+    """
+    client = st.integers(0, 2)
+    owner = st.integers(0, 2)
+    return draw(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("add"),
+                    st.integers(0, 11),            # page: shared often
+                    client,
+                    owner,
+                    st.integers(0, 1),             # rejection grade
+                ),
+                st.tuples(st.just("pop")),
+                st.tuples(st.just("batch"), st.integers(1, 3)),
+                st.tuples(st.just("retract"), client, owner),
+                st.tuples(st.just("nearest"), client),
+            ),
+            max_size=120,
+        )
+    )
+
+
+@given(shared_pool_op_streams())
+@settings(max_examples=60, deadline=None)
+def test_shared_pool_tells_clients_apart_by_the_reference_alone(ops):
+    """What the device server does to a pool, against the full scans.
+
+    Retracting one client's owner leaves the other clients' same-numbered
+    owners intact; same-page, same-rejection references of different
+    clients pop in global admission order; and the per-client
+    nearest-to-head pick is the one a full scan finds.
+    """
+    pool = SweepPool()
+    naive = NaiveSweepPool()
+    head, direction = 0, 1
+    admitted = 0
+    born = {}  # client -> its operator's own (colliding) sequence
+
+    for op in ops:
+        kind = op[0]
+        if kind == "add":
+            _, page, client, owner, grade = op
+            born[client] = born.get(client, 0) + 1
+            ref = make_ref(
+                admitted, page, owner, grade / 2.0, born[client], client
+            )
+            # The server stamps its global admission sequence onto the
+            # reference at enqueue; the pool reads nothing else.
+            admitted += 1
+            ref.seq = admitted
+            pool.add(ref)
+            naive.add(ref, ref.seq)
+        elif kind == "pop" and len(naive):
+            prev_direction = direction
+            ref, direction = pool.pop_next(head, prev_direction)
+            naive_ref, naive_dir = naive.pop_next(head, prev_direction)
+            assert ref is naive_ref
+            assert direction == naive_dir
+            head = ref.page_id
+        elif kind == "batch" and len(naive):
+            prev_direction = direction
+            refs, direction = pool.pop_batch_next(head, prev_direction, op[1])
+            naive_refs, naive_dir = naive.pop_batch_next(
+                head, prev_direction, op[1]
+            )
+            assert_same_refs(refs, naive_refs)
+            assert direction == naive_dir
+            # One page's references come out in admission order within a
+            # rejection grade, whichever clients they belong to.
+            for first, second in zip(refs, refs[1:]):
+                if first.page_id == second.page_id:
+                    assert (-first.rejection, first.seq) < (
+                        -second.rejection, second.seq
+                    )
+            head = refs[-1].page_id
+        elif kind == "retract":
+            _, client, owner = op
+            others = [
+                entry for entry in naive.entries
+                if (entry[3].client, entry[3].owner) != (client, owner)
+            ]
+            removed = pool.remove_owner(owner, client)
+            assert_same_refs(removed, naive.remove_owner(owner, client))
+            assert all(
+                (ref.client, ref.owner) == (client, owner) for ref in removed
+            )
+            assert naive.entries == others
+        elif kind == "nearest":
+            ref = pool.nearest_of(op[1], head)
+            assert ref is naive.nearest_of(op[1], head)
+            if ref is not None:
+                assert ref.client == op[1]
+                pool.remove_ref(ref)
+                naive.remove_ref(ref)
+                head = ref.page_id
+        assert_same_state(pool, naive)
+
+    while len(naive):
+        prev_direction = direction
+        ref, direction = pool.pop_next(head, prev_direction)
+        assert ref is naive.pop_next(head, prev_direction)[0]
+        head = ref.page_id
+    assert len(pool) == 0
