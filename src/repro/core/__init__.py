@@ -19,7 +19,7 @@ from repro.core.tuning import (
     pin_bound,
     tune_window,
 )
-from repro.core.component_iterator import ChildReference, ComponentIterator
+from repro.core.component_iterator import ComponentIterator
 from repro.core.predicates import (
     Predicate,
     always_false,
@@ -60,7 +60,6 @@ __all__ = [
     "max_window_for_buffer",
     "pin_bound",
     "tune_window",
-    "ChildReference",
     "ComplexObjectState",
     "ComponentIterator",
     "DepthFirstScheduler",

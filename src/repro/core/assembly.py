@@ -32,12 +32,12 @@ Mechanics, all from the paper:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Union
+from dataclasses import asdict, dataclass
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.assembled import AssembledComplexObject, AssembledObject
 from repro.core import trace
-from repro.core.component_iterator import ChildReference, ComponentIterator
+from repro.core.component_iterator import ComponentIterator
 from repro.core.predicates import Predicate
 from repro.core.schedulers import (
     ReferenceScheduler,
@@ -99,27 +99,9 @@ class AssemblyStats:
     #: degraded complex objects emitted (``partial`` mode).
     degraded_emitted: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict view for benchmark tables."""
-        return {
-            "emitted": self.emitted,
-            "aborted": self.aborted,
-            "fetches": self.fetches,
-            "shared_links": self.shared_links,
-            "refs_resolved": self.refs_resolved,
-            "deferred_scheduled": self.deferred_scheduled,
-            "peak_pinned_pages": self.peak_pinned_pages,
-            "scheduler_ops": self.scheduler_ops,
-            "shared_evictions": self.shared_evictions,
-            "prefetch_batches": self.prefetch_batches,
-            "prefetch_pages": self.prefetch_pages,
-            "fault_events": self.fault_events,
-            "fault_retries": self.fault_retries,
-            "fault_backoff_ms": self.fault_backoff_ms,
-            "fault_skipped": self.fault_skipped,
-            "missing_components": self.missing_components,
-            "degraded_emitted": self.degraded_emitted,
-        }
+    def as_dict(self) -> Dict[str, float]:
+        """Plain-dict view for benchmark tables: every field, in order."""
+        return asdict(self)
 
 
 class _SharedEntry:
@@ -376,17 +358,13 @@ class Assembly(VolcanoIterator):
                 # Window occupied but nothing scheduled: only legal if
                 # some state holds deferred refs that must now run
                 # (e.g. a predicate subtree turned out to be absent).
-                self._flush_stuck_deferred()
-                continue
-            if self._batch_pages > 1:
+                self.release_stuck_deferred()
+            elif self._batch_pages > 1:
                 self._resolve_batch(
                     self._scheduler.pop_batch(self._batch_pages)
                 )
-                continue
-            ref = self._scheduler.pop()
-            if ref.owner not in self._window:
-                continue  # owner aborted after this ref was queued
-            self._resolve(ref)
+            else:
+                self._resolve((self._scheduler.pop(),))
 
     def _close(self) -> None:
         assert self._window is not None
@@ -448,15 +426,10 @@ class Assembly(VolcanoIterator):
         The assembly service's device server owns the scheduler pool
         for every registered query; it pops the globally best reference
         and hands it back to the owning operator through this hook.
-        References whose owner aborted after queuing are ignored, the
-        same way :meth:`next`'s internal loop skips them.
         """
         if not self.is_open:
             raise AssemblyError("resolve_external() on a non-open operator")
-        assert self._window is not None
-        if ref.owner not in self._window:
-            return
-        self._resolve(ref)
+        self._resolve((ref,))
 
     def resolve_external_batch(
         self, refs: List[UnresolvedReference]
@@ -464,21 +437,15 @@ class Assembly(VolcanoIterator):
         """Resolve one completed I/O batch popped by an external driver.
 
         The event-driven drivers pop a per-device sweep batch, issue
-        its pages asynchronously, and call this on completion.  Owner
-        liveness is re-checked before every reference — exactly like
-        the internal :meth:`_resolve_batch` loop — so a predicate abort
-        mid-batch retracts its in-flight siblings.  The caller owns any
-        prefetch pins (each reference then resolves as a buffer hit).
+        its pages asynchronously, and call this on completion.  The
+        caller owns any prefetch pins (each reference then resolves as
+        a buffer hit).
         """
         if not self.is_open:
             raise AssemblyError(
                 "resolve_external_batch() on a non-open operator"
             )
-        assert self._window is not None
-        for ref in refs:
-            if ref.owner not in self._window:
-                continue  # owner aborted after this ref was queued
-            self._resolve(ref)
+        self._resolve(refs)
 
     def requeue(self, refs: Iterable[UnresolvedReference]) -> None:
         """Take back references an external driver popped, unresolved.
@@ -516,19 +483,31 @@ class Assembly(VolcanoIterator):
         assert self._window is not None
         return self._source_done and self._window.is_empty and not self._emit
 
-    def release_stuck_deferred(self) -> bool:
-        """Reschedule deferred references of stalled in-window objects.
+    def release_stuck_deferred(self) -> None:
+        """Safety valve: reschedule deferred references of stalled objects.
 
-        External drivers call this when the operator's pool ran dry but
-        :meth:`is_drained` is still false; returns whether anything was
-        released.  Raises :class:`AssemblyError` if the operator is
-        truly stalled (window occupied, nothing deferred), mirroring
-        the internal safety valve.
+        Every driver calls this when the pool ran dry with the window
+        still occupied (:meth:`is_drained` false).  With correct
+        accounting it never fires; it exists so a template/data
+        mismatch degrades to eager assembly instead of an infinite
+        loop, and it raises :class:`AssemblyError` if the operator is
+        truly stalled (window occupied, nothing deferred).
         """
         if not self.is_open:
             raise AssemblyError("release_stuck_deferred() on a non-open operator")
-        self._flush_stuck_deferred()
-        return True
+        assert self._scheduler is not None and self._window is not None
+        released_any = False
+        for state in self._window.states():
+            if state.deferred:
+                refs = state.deferred
+                state.deferred = []
+                self._scheduler.add_siblings(refs)
+                released_any = True
+        if not released_any:
+            raise AssemblyError(
+                "assembly stalled: window occupied but no references "
+                "pending (template does not match the data?)"
+            )
 
     # -- window management ---------------------------------------------------------
 
@@ -563,22 +542,14 @@ class Assembly(VolcanoIterator):
             total_nodes=template.node_count,
             total_predicates=template.predicate_count,
         )
-        root_node = template.root
-        ref = UnresolvedReference(
-            oid=oid,
-            page_id=self._store.page_of(oid),
-            owner=state.serial,
-            node=root_node,
-            parent=None,
-            parent_slot=-1,
-            seq=self._next_seq(),
-            rejection=self._component_iter.subtree_rejection(root_node),
-            is_root=True,
-        )
+        ref = self._component_iter.root_reference(oid)
+        ref.page_id = self._store.page_of(oid)
+        ref.owner = state.serial
+        ref.seq = self._next_seq()
         if self._tracer is not None:
             self._tracer.record(
                 trace.ADMITTED, state.serial, oid,
-                label=root_node.label, page_id=ref.page_id,
+                label=ref.node.label, page_id=ref.page_id,
             )
         self._begin_slot_span(state.serial, oid)
         self._scheduler.add(ref)
@@ -601,6 +572,10 @@ class Assembly(VolcanoIterator):
             total_predicates=missing_predicates,
         )
         state.root = root
+        if self._tracer is not None:
+            self._tracer.record(
+                trace.ADMITTED, state.serial, root.oid, label=root.node.label
+            )
         self._begin_slot_span(state.serial, root.oid)
         # Predicates on nodes the partial input already materialized.
         if not self._evaluate_materialized_predicates(state, root):
@@ -638,20 +613,48 @@ class Assembly(VolcanoIterator):
 
     # -- resolution --------------------------------------------------------------------
 
-    def _resolve(self, ref: UnresolvedReference) -> None:
-        assert self._window is not None
-        state = self._window.get(ref.owner)
-        self.stats.refs_resolved += 1
+    def _route(
+        self, ref: UnresolvedReference
+    ) -> Tuple[Optional[ComplexObjectState], Optional[Callable]]:
+        """Where a popped reference stands right now: ``(state, link)``.
 
+        ``state`` is the owner's window state — ``None`` once the owner
+        left the window (aborted after the reference was queued), which
+        makes the reference stale.  ``link`` satisfies a live reference
+        from memory — the shared-component table or a pre-assembled
+        input — and is ``None`` when resolving it means a fetch.
+        """
+        state = self._window.find(ref.owner)
+        if state is None:
+            return None, None
         if self._use_sharing and ref.oid in self._shared:
-            self._link_shared(state, ref)
-        elif ref.oid in self._preassembled:
-            self._link_preassembled(state, ref)
-        else:
-            self._fetch_and_expand(state, ref)
+            return state, self._link_shared
+        if ref.oid in self._preassembled:
+            return state, self._link_preassembled
+        return state, None
 
-        if ref.owner in self._window and state.is_complete():
-            self._complete(state)
+    def _resolve(self, refs: Iterable[UnresolvedReference]) -> None:
+        """The step: resolve popped references, in the order given.
+
+        Every driver ends here — :meth:`next` (one reference or one
+        prefetched batch), :meth:`resolve_external` and
+        :meth:`resolve_external_batch` — owning only its popping and its
+        prefetch pins.  Liveness is decided per reference, at its turn:
+        a predicate abort earlier in the batch retracts the siblings
+        that were popped with it.
+        """
+        for ref in refs:
+            state, link = self._route(ref)
+            if state is None:
+                continue
+            self.stats.refs_resolved += 1
+            if link is None:
+                self._fetch_and_expand(state, ref)
+            else:
+                link(state, ref)
+            # An abort marks the state, so this is false for a retired one.
+            if state.is_complete():
+                self._complete(state)
 
     def fetch_pages(
         self,
@@ -664,21 +667,18 @@ class Assembly(VolcanoIterator):
         appended to ``pages`` when given so a driver whose batch mixes
         operators builds one list across them.  References whose owner
         already aborted, and those the shared-component table or a
-        preassembled input satisfies without I/O, contribute nothing.
-        Every batch driver decides what to prefetch here.
+        preassembled input satisfies without I/O, contribute nothing
+        (:meth:`_route`).  Every batch driver decides what to prefetch
+        here.
         """
-        assert self._window is not None
         if pages is None:
             pages = []
-        window = self._window
-        shared = self._shared if self._use_sharing else ()
-        preassembled = self._preassembled
         page_of = self._store.page_of
         for ref in refs:
-            oid = ref.oid
-            if ref.owner not in window or oid in shared or oid in preassembled:
+            state, link = self._route(ref)
+            if state is None or link is not None:
                 continue
-            page_id = page_of(oid)
+            page_id = page_of(ref.oid)
             if page_id not in pages:
                 pages.append(page_id)
         return pages
@@ -688,13 +688,10 @@ class Assembly(VolcanoIterator):
 
         The distinct pages the batch will fetch are pinned with one
         :meth:`BufferManager.fix_many` (one physical read per
-        contiguous run) before the per-reference resolution runs, so
-        every coalesced reference is a buffer hit.  Resolution itself
-        is unchanged — including the owner-liveness re-check before
-        each reference, so a predicate abort mid-batch retracts its
-        siblings exactly as in the unbatched loop.  If the batch does
-        not fit the pin bound the prefetch is skipped and the batch
-        degrades to per-reference fetching.
+        contiguous run) before the step runs, so every coalesced
+        reference is a buffer hit.  If the batch does not fit the pin
+        bound the prefetch is skipped and the batch degrades to
+        per-reference fetching.
         """
         fetch_pages = self.fetch_pages(refs)
         prefetched: List[int] = []
@@ -722,11 +719,7 @@ class Assembly(VolcanoIterator):
                 self.stats.fault_events += 1
                 prefetched = []
         try:
-            for ref in refs:
-                assert self._window is not None
-                if ref.owner not in self._window:
-                    continue  # owner aborted earlier in this batch
-                self._resolve(ref)
+            self._resolve(refs)
         finally:
             for page_id in prefetched:
                 self._store.buffer.unfix(page_id)
@@ -778,11 +771,6 @@ class Assembly(VolcanoIterator):
             state, ref.node.subtree_predicates - still_missing_preds
         )
 
-    def _fault_now(self) -> float:
-        """Current fault-clock time (0.0 with no injector attached)."""
-        injector = self._store.disk.fault_injector
-        return injector.now if injector is not None else 0.0
-
     def _fetch_record(self, ref: UnresolvedReference):
         """Fetch one object, retrying faults under the retry policy.
 
@@ -812,7 +800,7 @@ class Assembly(VolcanoIterator):
                 if self._health is not None:
                     self._health.record_failure(
                         device,
-                        now=self._fault_now(),
+                        now=self._store.disk.fault_now(),
                         retry_after=getattr(exc, "retry_after", None),
                     )
                 if self._tracer is not None:
@@ -848,9 +836,8 @@ class Assembly(VolcanoIterator):
                 attempt += 1
             else:
                 if self._health is not None:
-                    device_fn = getattr(self._store.disk, "device_of", None)
                     self._health.record_success(
-                        device_fn(ref.page_id) if device_fn else 0
+                        self._store.disk.device_of(ref.page_id)
                     )
                 return record
 
@@ -896,12 +883,11 @@ class Assembly(VolcanoIterator):
         """The disk path: fetch, pin, swizzle, expand, test predicate."""
         fetch_span = None
         if self._spans is not None:
-            device_fn = getattr(self._store.disk, "device_of", None)
             fetch_span = self._spans.begin(
                 "fetch",
                 parent=self._slot_spans.get(state.serial),
                 kind="fetch",
-                device=device_fn(ref.page_id) if device_fn else 0,
+                device=self._store.disk.device_of(ref.page_id),
                 oid=str(ref.oid),
                 page=ref.page_id,
             )
@@ -928,8 +914,8 @@ class Assembly(VolcanoIterator):
                 label=ref.node.label, page_id=page_id,
             )
 
-        assembled, children = self._component_iter.materialize(
-            ref.oid, ref.node, record
+        assembled, children, missing_nodes, missing_predicates = (
+            self._component_iter.materialize(ref.oid, ref.node, record)
         )
 
         share_this = self._use_sharing and ref.node.shared
@@ -966,12 +952,7 @@ class Assembly(VolcanoIterator):
             self._trim_shared_table()
 
         self._attach(state, ref, assembled)
-        state.outstanding_nodes -= 1
-
-        missing_nodes, missing_predicates = (
-            self._component_iter.missing_subtree_counts(assembled, children)
-        )
-        state.outstanding_nodes -= missing_nodes
+        state.outstanding_nodes -= 1 + missing_nodes
         predicates_newly_resolved = missing_predicates
         if ref.node.predicate is not None:
             predicates_newly_resolved += 1
@@ -1014,9 +995,13 @@ class Assembly(VolcanoIterator):
             ref.parent.swizzle(ref.parent_slot, assembled)
 
     def _schedule_children(
-        self, state: ComplexObjectState, children: List[ChildReference]
+        self, state: ComplexObjectState, children: List[UnresolvedReference]
     ) -> None:
-        """Queue child references, deferring predicate-blind ones.
+        """Place and queue child references, deferring predicate-blind ones.
+
+        The component iterator built the references; their placement —
+        physical page, owner, sequence number in slot order — is
+        stamped here, at scheduling time.
 
         While the owner still has undecided predicates, references
         whose subtree cannot reject the object are withheld — "first
@@ -1027,30 +1012,21 @@ class Assembly(VolcanoIterator):
         now: List[UnresolvedReference] = []
         gate = self._selective and state.gate_references()
         page_of = self._store.page_of
-        subtree_rejection = self._component_iter.subtree_rejection
         serial = state.serial
         for child in children:
-            node = child.node
             self._seq += 1
-            unresolved = UnresolvedReference(
-                oid=child.oid,
-                page_id=page_of(child.oid),
-                owner=serial,
-                node=node,
-                parent=child.parent,
-                parent_slot=child.slot,
-                seq=self._seq,
-                rejection=subtree_rejection(node),
-            )
+            child.page_id = page_of(child.oid)
+            child.owner = serial
+            child.seq = self._seq
             if gate and child.node.subtree_predicates == 0:
-                state.deferred.append(unresolved)
+                state.deferred.append(child)
                 if self._tracer is not None:
                     self._tracer.record(
-                        trace.DEFERRED, state.serial, child.oid,
+                        trace.DEFERRED, serial, child.oid,
                         label=child.node.label,
                     )
             else:
-                now.append(unresolved)
+                now.append(child)
         if now:
             self._scheduler.add_siblings(now)
 
@@ -1096,27 +1072,6 @@ class Assembly(VolcanoIterator):
                 self._abort(state)
                 return False
         return True
-
-    def _flush_stuck_deferred(self) -> None:
-        """Safety valve: release deferred refs of stalled states.
-
-        With correct accounting this never fires; it exists so a
-        template/data mismatch degrades to eager assembly instead of an
-        infinite loop, and it raises if there is truly nothing to do.
-        """
-        assert self._scheduler is not None and self._window is not None
-        released_any = False
-        for state in self._window.states():
-            if state.deferred:
-                refs = state.deferred
-                state.deferred = []
-                self._scheduler.add_siblings(refs)
-                released_any = True
-        if not released_any:
-            raise AssemblyError(
-                "assembly stalled: window occupied but no references "
-                "pending (template does not match the data?)"
-            )
 
     # -- retirement ----------------------------------------------------------------------
 

@@ -17,85 +17,80 @@ on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.core.assembled import AssembledObject
+from repro.core.schedulers import UnresolvedReference
 from repro.core.template import Template, TemplateNode
 from repro.errors import AssemblyError
 from repro.storage.oid import Oid
 from repro.storage.record import ObjectRecord
 
-
-class ChildReference:
-    """A reference the component iterator wants resolved.
-
-    A lighter precursor of
-    :class:`~repro.core.schedulers.UnresolvedReference`: the assembly
-    operator adds owner/sequence bookkeeping before scheduling it.
-    """
-
-    __slots__ = ("oid", "node", "parent", "slot")
-
-    def __init__(
-        self,
-        oid: Oid,
-        node: TemplateNode,
-        parent: AssembledObject,
-        slot: int,
-    ) -> None:
-        self.oid = oid
-        self.node = node
-        self.parent = parent
-        self.slot = slot
-
-    def __repr__(self) -> str:
-        return f"ChildReference({self.oid} via slot {self.slot} of {self.parent.oid})"
+#: ``page_id`` / ``owner`` / ``seq`` of a reference the engine has not
+#: placed yet: where the object lives, whose window slot it fills and
+#: its position in the pool are the engine's to stamp, at scheduling.
+UNPLACED = -1
 
 
 class ComponentIterator:
-    """Template interpreter for the assembly operator."""
+    """Template interpreter for the assembly operator.
+
+    Every reference the engine pools is built here, complete except
+    for its placement (:data:`UNPLACED`): template node, parent, slot
+    and the node's rejection hint are read off the template once, so
+    the engine stamps three fields and schedules the very object this
+    class yielded.
+    """
 
     def __init__(self, template: Template) -> None:
         template.finalize()
         self.template = template
-        self._rejection_cache: Dict[str, float] = {}
 
-    # -- statistics ------------------------------------------------------------
-
-    def subtree_rejection(self, node: TemplateNode) -> float:
-        """Highest rejection probability of any predicate in the subtree.
-
-        This is Section 5's scheduling hint: among equal-cost fetches,
-        prefer the component most likely to reject the whole object.
-        """
-        cached = self._rejection_cache.get(node.label)
-        if cached is not None:
-            return cached
-        best = 0.0
-        for sub in node.walk():
-            if sub.predicate is not None:
-                best = max(best, sub.predicate.rejection_probability)
-        self._rejection_cache[node.label] = best
-        return best
+    def root_reference(self, oid: Oid) -> UnresolvedReference:
+        """The window-root reference of the complex object at ``oid``."""
+        root = self.template.root
+        return UnresolvedReference(
+            oid=oid,
+            page_id=UNPLACED,
+            owner=UNPLACED,
+            node=root,
+            parent=None,
+            parent_slot=-1,
+            seq=UNPLACED,
+            rejection=root.subtree_rejection,
+            is_root=True,
+        )
 
     # -- materialization -----------------------------------------------------------
 
     def materialize(
         self, oid: Oid, node: TemplateNode, record: ObjectRecord
-    ) -> Tuple[AssembledObject, List[ChildReference]]:
+    ) -> Tuple[AssembledObject, List[UnresolvedReference], int, int]:
         """Build the in-memory object and list its unresolved children.
 
-        Children whose reference slot holds a null OID simply do not
-        exist in this instance (the data may be shallower than the
-        template, e.g. a person without a recorded father).
+        Returns ``(assembled, children, missing_nodes,
+        missing_predicates)`` — everything the engine needs from one
+        fetched object; see :meth:`expand` for the last three.
         """
         assembled = AssembledObject(oid, node, record)
-        children = self.expand(assembled)
-        return assembled, children
+        return (assembled, *self.expand(assembled))
 
-    def expand(self, assembled: AssembledObject) -> List[ChildReference]:
-        """Unresolved children of one (possibly pre-built) object."""
-        refs: List[ChildReference] = []
+    def expand(
+        self, assembled: AssembledObject
+    ) -> Tuple[List[UnresolvedReference], int, int]:
+        """Unresolved children of one (possibly pre-built) object.
+
+        One pass over the template node's child slots yields
+        ``(children, missing_nodes, missing_predicates)``.  A slot
+        holding a null OID has no instance (the data may be shallower
+        than the template, e.g. a person without a recorded father):
+        the whole template subtree below it will never be fetched, so
+        its nodes and predicates are totalled for the owner's
+        outstanding-node and pending-predicate counters to shrink by.
+        """
+        refs: List[UnresolvedReference] = []
+        missing_nodes = 0
+        missing_predicates = 0
         swizzled = assembled.children
         ref_oids = assembled.ref_oids
         n_refs = len(ref_oids)
@@ -109,20 +104,33 @@ class ComponentIterator:
                 )
             target = ref_oids[slot]
             if target.is_null():
+                missing_nodes += child_node.subtree_nodes
+                missing_predicates += child_node.subtree_predicates
                 continue
-            refs.append(ChildReference(target, child_node, assembled, slot))
-        return refs
+            refs.append(
+                UnresolvedReference(
+                    oid=target,
+                    page_id=UNPLACED,
+                    owner=UNPLACED,
+                    node=child_node,
+                    parent=assembled,
+                    parent_slot=slot,
+                    seq=UNPLACED,
+                    rejection=child_node.subtree_rejection,
+                )
+            )
+        return refs, missing_nodes, missing_predicates
 
     def expand_partial(
         self, root: AssembledObject
-    ) -> List[ChildReference]:
+    ) -> List[UnresolvedReference]:
         """All unresolved references anywhere in a partial assembly.
 
         Walks the already-swizzled structure and collects every
         template-followed slot that still holds only an OID — the
         Section 4 behaviour for partially assembled sub-objects.
         """
-        refs: List[ChildReference] = []
+        refs: List[UnresolvedReference] = []
         seen = set()
         stack = [root]
         while stack:
@@ -130,28 +138,6 @@ class ComponentIterator:
             if id(obj) in seen:
                 continue
             seen.add(id(obj))
-            refs.extend(self.expand(obj))
+            refs.extend(self.expand(obj)[0])
             stack.extend(obj.children.values())
         return refs
-
-    # -- completion accounting --------------------------------------------------------
-
-    def missing_subtree_counts(
-        self, assembled: AssembledObject, resolved_children: List[ChildReference]
-    ) -> Tuple[int, int]:
-        """(nodes, predicates) of template subtrees that have no instance.
-
-        When a reference slot is null, the whole template subtree below
-        it will never be fetched; the owner's outstanding-node and
-        pending-predicate counters must shrink accordingly.
-        """
-        live_slots = {ref.slot for ref in resolved_children}
-        swizzled = assembled.children
-        missing_nodes = 0
-        missing_predicates = 0
-        for slot, child_node in assembled.node.child_items():
-            if slot in live_slots or slot in swizzled:
-                continue
-            missing_nodes += child_node.subtree_nodes
-            missing_predicates += child_node.subtree_predicates
-        return missing_nodes, missing_predicates

@@ -80,6 +80,10 @@ class TemplateNode:
         # Derived at finalize():
         self.subtree_predicates = 0
         self.subtree_nodes = 0
+        #: highest rejection probability of any predicate in the subtree
+        #: — Section 5's scheduling hint: among equal-cost fetches,
+        #: prefer the component most likely to reject the whole object.
+        self.subtree_rejection = 0.0
         self.depth = 0
 
     # -- construction ---------------------------------------------------------
@@ -344,13 +348,19 @@ class Template:
     def _annotate(self, node: TemplateNode, depth: int) -> None:
         node.depth = depth
         nodes = 1
-        predicates = 1 if node.predicate is not None else 0
+        predicates = 0
+        rejection = 0.0
+        if node.predicate is not None:
+            predicates = 1
+            rejection = node.predicate.rejection_probability
         for child in node._children.values():
             self._annotate(child, depth + 1)
             nodes += child.subtree_nodes
             predicates += child.subtree_predicates
+            rejection = max(rejection, child.subtree_rejection)
         node.subtree_nodes = nodes
         node.subtree_predicates = predicates
+        node.subtree_rejection = rejection
 
     # -- queries ---------------------------------------------------------------------
 

@@ -109,6 +109,10 @@ class Window:
         self.peak_occupancy = max(self.peak_occupancy, len(self._states))
         return state
 
+    def find(self, serial: int) -> Optional[ComplexObjectState]:
+        """State of a complex object, or ``None`` once it left the window."""
+        return self._states.get(serial)
+
     def get(self, serial: int) -> ComplexObjectState:
         """State of an in-window complex object."""
         try:

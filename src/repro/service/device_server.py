@@ -357,11 +357,6 @@ class DeviceServer:
                 worst_wait = query.waited
         return worst_id
 
-    def _fault_now(self) -> float:
-        """Current fault-clock time (0.0 with no injector attached)."""
-        injector = self.store.disk.fault_injector
-        return injector.now if injector is not None else 0.0
-
     def _deepest_device(self) -> int:
         # Deepest queue first: elevator sweeps pay off in proportion to
         # queue depth (same rule as MultiDeviceScheduler); ties resolve
@@ -370,7 +365,7 @@ class DeviceServer:
         # quarantined, in which case the earliest-recovering one is
         # probed anyway (on the synchronous path, only attempts advance
         # the injector's op clock, so probing is what ends an outage).
-        now = self._fault_now()
+        now = self.store.disk.fault_now()
         best = None
         best_depth = 0
         probe = None
@@ -459,7 +454,7 @@ class DeviceServer:
             self.prefetch_fault_fallbacks += 1
             self.health.record_failure(
                 getattr(exc, "device", 0),
-                now=self._fault_now(),
+                now=self.store.disk.fault_now(),
                 retry_after=getattr(exc, "retry_after", None),
             )
             return []

@@ -179,6 +179,11 @@ class SimulatedDisk:
         #: accounting, so a failed attempt leaves the disk untouched.
         self.fault_injector = None
 
+    def fault_now(self) -> float:
+        """Current fault-clock time (0.0 with no injector attached)."""
+        injector = self.fault_injector
+        return injector.now if injector is not None else 0.0
+
     # -- geometry -----------------------------------------------------------
 
     @property

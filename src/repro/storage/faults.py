@@ -38,7 +38,7 @@ event engine — the same elapsed time, which the replay tests assert.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import (
@@ -140,14 +140,7 @@ class FaultStats:
 
     def as_dict(self) -> Dict[str, float]:
         """Flat view for reports and replay comparisons."""
-        return {
-            "reads_seen": self.reads_seen,
-            "transient_errors": self.transient_errors,
-            "latency_spikes": self.latency_spikes,
-            "down_rejections": self.down_rejections,
-            "injected_spike_ms": self.injected_spike_ms,
-            "backoff_ms": self.backoff_ms,
-        }
+        return asdict(self)
 
 
 class FaultInjector:
