@@ -79,8 +79,6 @@ class AssemblyStats:
     deferred_scheduled: int = 0
     peak_pinned_pages: int = 0
     scheduler_ops: int = 0
-    #: shared-table entries dropped under a capacity bound.
-    shared_evictions: int = 0
     #: multi-page prefetches issued for coalesced batches.
     prefetch_batches: int = 0
     #: pages covered by those prefetches.
@@ -105,15 +103,16 @@ class AssemblyStats:
 
 
 class _SharedEntry:
-    """A shared component held in the shared-component table."""
+    """A shared component held in the shared-component table, created
+    for its first referrer with that referrer's fetch pin."""
 
     __slots__ = ("assembled", "refcount", "page_id", "pinned")
 
     def __init__(self, assembled: AssembledObject, page_id: int) -> None:
         self.assembled = assembled
-        self.refcount = 0
+        self.refcount = 1
         self.page_id = page_id
-        self.pinned = False
+        self.pinned = True
 
 
 class Assembly(VolcanoIterator):
@@ -147,9 +146,6 @@ class Assembly(VolcanoIterator):
     preassembled:
         OID → :class:`AssembledObject` map of sub-objects assembled by
         a lower assembly operator (Figure 17's stacking).
-    pin_pages:
-        Keep the pages of in-window components fixed in the buffer
-        (the paper's buffer-space cost of windows, Section 6.3.3).
     batch_pages:
         Maximum distinct pages per scheduler batch.  1 (default)
         reproduces the paper's one-reference-at-a-time loop exactly;
@@ -199,9 +195,7 @@ class Assembly(VolcanoIterator):
         use_sharing_statistics: bool = True,
         selective: Optional[bool] = None,
         preassembled: Optional[Dict[Oid, AssembledObject]] = None,
-        pin_pages: bool = True,
         tracer: Optional[trace.AssemblyTracer] = None,
-        shared_table_capacity: Optional[int] = None,
         batch_pages: int = 1,
         retry_policy: Optional[RetryPolicy] = None,
         on_fault: str = FAIL_FAST,
@@ -227,11 +221,7 @@ class Assembly(VolcanoIterator):
             template.has_predicates() if selective is None else selective
         )
         self._preassembled = dict(preassembled or {})
-        self._pin_pages = pin_pages
         self._tracer = tracer
-        if shared_table_capacity is not None and shared_table_capacity <= 0:
-            raise AssemblyError("shared_table_capacity must be positive")
-        self._shared_capacity = shared_table_capacity
         if batch_pages <= 0:
             raise AssemblyError("batch_pages must be positive")
         self._batch_pages = batch_pages
@@ -656,23 +646,16 @@ class Assembly(VolcanoIterator):
             if state.is_complete():
                 self._complete(state)
 
-    def fetch_pages(
-        self,
-        refs: Iterable[UnresolvedReference],
-        pages: Optional[List[int]] = None,
-    ) -> List[int]:
+    def fetch_pages(self, refs: Iterable[UnresolvedReference]) -> List[int]:
         """The distinct pages resolving ``refs`` right now would read.
 
-        In batch order (the order a coalesced read should sweep them),
-        appended to ``pages`` when given so a driver whose batch mixes
-        operators builds one list across them.  References whose owner
-        already aborted, and those the shared-component table or a
-        preassembled input satisfies without I/O, contribute nothing
-        (:meth:`_route`).  Every batch driver decides what to prefetch
-        here.
+        In batch order (the order a coalesced read should sweep them).
+        References whose owner already aborted, and those the
+        shared-component table or a preassembled input satisfies
+        without I/O, contribute nothing (:meth:`_route`).  Every batch
+        driver decides what to prefetch here.
         """
-        if pages is None:
-            pages = []
+        pages: List[int] = []
         page_of = self._store.page_of
         for ref in refs:
             state, link = self._route(ref)
@@ -782,10 +765,7 @@ class Assembly(VolcanoIterator):
         raises :class:`~repro.errors.RetriesExhaustedError` (or the
         original fault when no policy was given).
         """
-        if self._pin_pages:
-            fetch = self._store.fetch_pinned
-        else:
-            fetch = self._store.fetch
+        fetch = self._store.fetch_pinned
         injector = self._store.disk.fault_injector
         if injector is None:
             return fetch(ref.oid)
@@ -919,13 +899,10 @@ class Assembly(VolcanoIterator):
         )
 
         share_this = self._use_sharing and ref.node.shared
-        if self._pin_pages:
-            if share_this:
-                # The shared entry owns the pin; released when the last
-                # in-window referrer lets go (Section 5, reason two).
-                pass
-            else:
-                state.pinned_pages.append(page_id)
+        if not share_this:
+            # (A shared entry owns its pin instead; released when the
+            # last in-window referrer lets go — Section 5, reason two.)
+            state.pinned_pages.append(page_id)
 
         # Early abort on this node's predicate (Section 6.5).
         if ref.node.predicate is not None:
@@ -936,20 +913,16 @@ class Assembly(VolcanoIterator):
                     state.serial, ref.oid, label=ref.node.label,
                 )
             if not passed:
-                if self._pin_pages and share_this:
+                if share_this:
                     # Pin not yet handed to a shared entry: release it.
                     self._store.buffer.unfix(page_id)
                 self._abort(state)
                 return
 
         if share_this:
-            entry = _SharedEntry(assembled, page_id)
-            entry.refcount = 1
-            entry.pinned = self._pin_pages
             assembled.shared_in = True
-            self._shared[ref.oid] = entry
+            self._shared[ref.oid] = _SharedEntry(assembled, page_id)
             state.shared_oids.append(ref.oid)
-            self._trim_shared_table()
 
         self._attach(state, ref, assembled)
         state.outstanding_nodes -= 1 + missing_nodes
@@ -959,28 +932,6 @@ class Assembly(VolcanoIterator):
 
         self._schedule_children(state, children)
         self._note_predicates_resolved(state, predicates_newly_resolved)
-
-    def _trim_shared_table(self) -> None:
-        """Drop unreferenced entries beyond the capacity bound.
-
-        "After a component is no longer referenced, it is subject to
-        replacement" (Section 5): entries with a zero reference count
-        are evictable, oldest first; re-referencing an evicted
-        component simply fetches it again.  In-use entries are never
-        dropped, so the table may transiently exceed the bound when
-        every entry is live.
-        """
-        if self._shared_capacity is None:
-            return
-        if len(self._shared) <= self._shared_capacity:
-            return
-        for oid in list(self._shared):
-            if len(self._shared) <= self._shared_capacity:
-                return
-            entry = self._shared[oid]
-            if entry.refcount == 0:
-                del self._shared[oid]
-                self.stats.shared_evictions += 1
 
     def _attach(
         self,
@@ -1076,9 +1027,8 @@ class Assembly(VolcanoIterator):
     # -- retirement ----------------------------------------------------------------------
 
     def _release_pins(self, state: ComplexObjectState) -> None:
-        if self._pin_pages:
-            for page_id in state.pinned_pages:
-                self._store.buffer.unfix(page_id)
+        for page_id in state.pinned_pages:
+            self._store.buffer.unfix(page_id)
         state.pinned_pages = []
         for oid in state.shared_oids:
             entry = self._shared.get(oid)

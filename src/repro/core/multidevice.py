@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.core.assembled import AssembledComplexObject
 from repro.core.assembly import Assembly
@@ -37,24 +37,20 @@ from repro.errors import (
     DeviceDownError,
     TransientReadError,
 )
-from repro.storage.buffer import BufferManager
 from repro.storage.disk import SimulatedDisk
 from repro.storage.events import AsyncIOEngine
 from repro.storage.faults import DeviceHealthTracker, RetryPolicy
 from repro.storage.multidisk import MultiDeviceDisk
 
 
-def device_elevators(
-    disk: SimulatedDisk,
-    resident_fn: Optional[Callable[[int], bool]] = None,
-) -> List[ElevatorScheduler]:
+def device_elevators(disk: SimulatedDisk) -> List[ElevatorScheduler]:
     """One elevator per device of ``disk``, each sweeping its own head.
 
     The §7 server array, built in one place for the operator-private
     :class:`MultiDeviceScheduler` and the service-wide device server.
     """
     return [
-        ElevatorScheduler(partial(disk.head_of, device), resident_fn)
+        ElevatorScheduler(partial(disk.head_of, device))
         for device in range(disk.n_devices)
     ]
 
@@ -137,9 +133,7 @@ class MultiDeviceScheduler(ReferenceScheduler):
 
 @dataclass
 class PipelineStats:
-    """The :class:`CompletionLoop`'s counters: what one
-    :class:`PipelinedAssembly` accumulates over its runs, and what
-    ``DeviceServer.run_overlapped`` folds into its report."""
+    """What one :class:`PipelinedAssembly` accumulates over its runs."""
 
     #: I/O requests issued to the engine (including zero-read ones).
     issued: int = 0
@@ -162,13 +156,17 @@ class PipelineStats:
     quarantine_wait_ms: float = 0.0
 
 
-class CompletionLoop:
-    """The completion-driven loop under every overlapped driver (§7).
+class PipelinedAssembly:
+    """The overlapped driver (§7): one operator under a completion-driven
+    loop, its I/O overlapped across device timelines.
 
-    Keeps each device that has pending references loaded with up to
-    ``issue_depth`` outstanding sweep batches (deepest backlog first,
-    ties to the lowest device), waits for the earliest completion,
-    resolves that batch — which may expose new references — and issues
+    Wraps an open (or openable) :class:`~repro.core.assembly.Assembly`
+    and an :class:`~repro.storage.events.AsyncIOEngine` over the same
+    disk.  :meth:`run` keeps each device that has pending references
+    loaded with up to ``issue_depth`` outstanding sweep batches (deepest
+    backlog first, ties to the lowest device), waits for the earliest
+    completion, resolves that batch — which may emit objects, abort
+    owners, admit new roots and expose new references — and issues
     again, until the pool is dry and nothing is in flight.  Elapsed
     time is the engine's clock: ``max`` over device timelines plus
     exposed CPU, not ``sum`` over reads.
@@ -176,68 +174,64 @@ class CompletionLoop:
     Each batch's distinct fetch pages are pinned at issue with one
     ``fix_many`` and unfixed once the batch has resolved; :meth:`_issue`
     says what happens when the pin bound, a down device or exhausted
-    retries get in the way.  If an exception leaves the loop, the pins
-    and references of everything still in flight are handed back
+    retries get in the way.  If an exception leaves :meth:`run`, the
+    pins and references of everything still in flight are handed back
     before it propagates.
 
-    What is being driven arrives as hooks:
+    ``issue_depth=1`` with a single device and ``batch_pages=1``
+    degenerates to the synchronous loop exactly (the property-tested
+    invariance); deeper issue hides ``cpu_ms_per_ref`` of resolution
+    work per reference behind the in-flight reads.
 
-    ``depths()``
-        pending references per device, indexed by device.
-    ``pop(device)``
-        remove and return the next sweep batch on ``device``.
-    ``fetch_pages(batch)``
-        the distinct pages resolving ``batch`` would read, sweep order.
-    ``resolve(batch)``
-        resolve a batch whose pages are pinned (or, on the fallback
-        paths, fetch per reference under the operators' own policies).
-    ``requeue(batch)``
-        put an unresolved batch back into the pool.
-    ``pool_dry()``
-        pool empty and nothing in flight: release whatever is stuck
-        and return ``True`` to go on, or ``False`` when finished.
+    Known waste, by design: with ``issue_depth > 1`` a second reference
+    to a *shared* component can be issued while the first is still in
+    flight — the shared-component table only satisfies references after
+    the first resolves — costing a duplicate (usually buffer-hit) fetch
+    but never a duplicate materialization.
     """
 
     def __init__(
         self,
+        assembly: Assembly,
         engine: AsyncIOEngine,
-        buffer: BufferManager,
-        health: DeviceHealthTracker,
-        stats: PipelineStats,
-        issue_depth: int,
-        retry_policy: Optional[RetryPolicy],
-        *,
-        depths: Callable[[], List[int]],
-        pop: Callable[[int], list],
-        fetch_pages: Callable[[list], List[int]],
-        resolve: Callable[[list], None],
-        requeue: Callable[[list], None],
-        pool_dry: Callable[[], bool],
+        issue_depth: int = 1,
+        batch_pages: int = 1,
         cpu_ms_per_ref: float = 0.0,
+        retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
+        if issue_depth <= 0:
+            raise AssemblyError("issue_depth must be positive")
+        if batch_pages <= 0:
+            raise AssemblyError("batch_pages must be positive")
+        if cpu_ms_per_ref < 0:
+            raise AssemblyError("cpu_ms_per_ref must be non-negative")
+        if engine.disk is not assembly.store.disk:
+            raise AssemblyError(
+                "engine and assembly must drive the same disk"
+            )
+        self._assembly = assembly
         self._engine = engine
-        self._buffer = buffer
-        self.health = health
-        self.stats = stats
+        self._buffer = assembly.store.buffer
         self._issue_depth = issue_depth
-        self._retry_policy = retry_policy
-        self._depths = depths
-        self._pop = pop
-        self._fetch_pages = fetch_pages
-        self._resolve = resolve
-        self._requeue = requeue
-        self._pool_dry = pool_dry
+        self._batch_pages = batch_pages
         self._cpu_ms_per_ref = cpu_ms_per_ref
+        self._retry_policy = retry_policy
+        #: per-device circuit breaker over the engine clock; a down
+        #: device's sweeps are re-queued and the device skipped until
+        #: its quarantine expires.
+        self.health = DeviceHealthTracker(engine.n_devices)
+        self.stats = PipelineStats()
 
     # -- issuing -------------------------------------------------------------
 
-    def _issue_ready(self) -> None:
+    def _issue_ready(self, scheduler: ReferenceScheduler) -> None:
         """Issue batches until every pending device is at issue depth."""
         engine = self._engine
+        batch_pages = self._batch_pages
         now = engine.clock.now  # issuing does not move the clock
         while True:
             best, best_depth = -1, 0
-            for device, depth in enumerate(self._depths()):
+            for device, depth in enumerate(scheduler.queue_depths()):
                 if (
                     depth > best_depth
                     and engine.in_flight(device) < self._issue_depth
@@ -246,15 +240,19 @@ class CompletionLoop:
                     best, best_depth = device, depth
             if best < 0:
                 break
-            self._issue(best, self._pop(best))
+            if batch_pages == 1:
+                batch = [scheduler.pop_on(best)]
+            else:
+                batch = scheduler.pop_batch_on(best, batch_pages)
+            self._issue(best, batch)
         self.stats.max_in_flight = max(
             self.stats.max_in_flight, engine.in_flight()
         )
 
-    def _issue(self, device: int, batch: list) -> None:
+    def _issue(self, device: int, batch: List[UnresolvedReference]) -> None:
         engine = self._engine
         stats = self.stats
-        pages = self._fetch_pages(batch)
+        pages = self._assembly.fetch_pages(batch)
         stats.issued += 1
         if not pages:
             # Nothing needs the disk (shared/preassembled/aborted):
@@ -280,10 +278,10 @@ class CompletionLoop:
                 device, now=engine.clock.now, retry_after=exc.retry_after
             )
             stats.fault_requeues += len(batch)
-            self._requeue(batch)
+            self._assembly.requeue(batch)
         except TransientReadError:
-            # Issue-time retries ran out: the owning operators' retry
-            # policies and degradation modes decide.
+            # Issue-time retries ran out: the operator's retry policy
+            # and degradation mode decide.
             self.health.record_failure(device, now=engine.clock.now)
             stats.fault_fallbacks += 1
             self._resolve_on_timeline(device, batch)
@@ -293,11 +291,15 @@ class CompletionLoop:
             else:
                 stats.zero_read_issues += 1
 
-    def _resolve_on_timeline(self, device: int, batch: list) -> None:
+    def _resolve_on_timeline(
+        self, device: int, batch: List[UnresolvedReference]
+    ) -> None:
         """Resolve ``batch`` synchronously, as a request on ``device``'s
         timeline so its reads are charged where they happened."""
         self._engine.issue(
-            device, lambda: self._resolve(batch), payload=([], [])
+            device,
+            lambda: self._assembly.resolve_external_batch(batch),
+            payload=([], []),
         )
 
     def _fix_with_retry(self, device: int, pages: List[int]):
@@ -335,18 +337,23 @@ class CompletionLoop:
 
     # -- driving -------------------------------------------------------------
 
-    def run(self) -> None:
-        """Drive the pool dry."""
+    def run(self) -> List[AssembledComplexObject]:
+        """Drive the operator to completion; returns everything emitted."""
+        assembly = self._assembly
+        if not assembly.is_open:
+            assembly.open()
         engine = self._engine
+        scheduler = assembly.scheduler
         unfix = self._buffer.unfix
+        out: List[AssembledComplexObject] = []
         try:
             while True:
-                self._issue_ready()
+                self._issue_ready(scheduler)
                 if engine.idle():
                     now = engine.clock.now
                     recovery = (
                         self.health.next_recovery(now)
-                        if any(self._depths())
+                        if any(scheduler.queue_depths())
                         else None
                     )
                     if recovery is not None:
@@ -355,13 +362,19 @@ class CompletionLoop:
                         # simulated time pass to the earliest recovery.
                         self.stats.quarantine_wait_ms += recovery - now
                         engine.wait_until(recovery)
-                    elif not self._pool_dry():
-                        return
+                    else:
+                        out.extend(assembly.drain_emitted())
+                        if assembly.is_drained():
+                            break
+                        # Window still occupied: deferred references
+                        # must run now (raises if truly stalled,
+                        # mirroring the synchronous safety valve).
+                        assembly.release_stuck_deferred()
                     continue
                 batch, pinned = engine.wait_next().payload
                 try:
                     if batch:
-                        self._resolve(batch)
+                        assembly.resolve_external_batch(batch)
                 finally:
                     for page_id in pinned:
                         unfix(page_id)
@@ -376,105 +389,6 @@ class CompletionLoop:
                 batch, pinned = engine.wait_next().payload
                 for page_id in pinned:
                     unfix(page_id)
-                self._requeue(batch)
-
-
-class PipelinedAssembly:
-    """One operator under the completion loop: overlapped I/O across
-    device timelines.
-
-    Wraps an open (or openable) :class:`~repro.core.assembly.Assembly`
-    and an :class:`~repro.storage.events.AsyncIOEngine` over the same
-    disk, and drives the operator's own pool through
-    :class:`CompletionLoop`; resolving a completed batch may emit
-    objects, abort owners, admit new roots, and expose new references.
-
-    ``issue_depth=1`` with a single device and ``batch_pages=1``
-    degenerates to the synchronous loop exactly (the property-tested
-    invariance); deeper issue hides ``cpu_ms_per_ref`` of resolution
-    work per reference behind the in-flight reads.
-
-    Known waste, by design: with ``issue_depth > 1`` a second reference
-    to a *shared* component can be issued while the first is still in
-    flight — the shared-component table only satisfies references after
-    the first resolves — costing a duplicate (usually buffer-hit) fetch
-    but never a duplicate materialization.
-    """
-
-    def __init__(
-        self,
-        assembly: Assembly,
-        engine: AsyncIOEngine,
-        issue_depth: int = 1,
-        batch_pages: int = 1,
-        cpu_ms_per_ref: float = 0.0,
-        retry_policy: Optional[RetryPolicy] = None,
-        health: Optional[DeviceHealthTracker] = None,
-    ) -> None:
-        if issue_depth <= 0:
-            raise AssemblyError("issue_depth must be positive")
-        if batch_pages <= 0:
-            raise AssemblyError("batch_pages must be positive")
-        if cpu_ms_per_ref < 0:
-            raise AssemblyError("cpu_ms_per_ref must be non-negative")
-        if engine.disk is not assembly.store.disk:
-            raise AssemblyError(
-                "engine and assembly must drive the same disk"
-            )
-        self._assembly = assembly
-        self._engine = engine
-        self._issue_depth = issue_depth
-        self._batch_pages = batch_pages
-        self._cpu_ms_per_ref = cpu_ms_per_ref
-        self._retry_policy = retry_policy
-        #: per-device circuit breaker over the engine clock; a down
-        #: device's sweeps are re-queued and the device skipped until
-        #: its quarantine expires.
-        self.health = (
-            health
-            if health is not None
-            else DeviceHealthTracker(engine.n_devices)
-        )
-        self.stats = PipelineStats()
-
-    def run(self) -> List[AssembledComplexObject]:
-        """Drive the operator to completion; returns everything emitted."""
-        assembly = self._assembly
-        if not assembly.is_open:
-            assembly.open()
-        scheduler = assembly.scheduler
-        batch_pages = self._batch_pages
-        out: List[AssembledComplexObject] = []
-
-        def pop(device: int) -> List[UnresolvedReference]:
-            if batch_pages == 1:
-                return [scheduler.pop_on(device)]
-            return scheduler.pop_batch_on(device, batch_pages)
-
-        def pool_dry() -> bool:
-            out.extend(assembly.drain_emitted())
-            if assembly.is_drained():
-                return False
-            # Window still occupied: deferred references must run now
-            # (raises if truly stalled, mirroring the synchronous
-            # safety valve).
-            assembly.release_stuck_deferred()
-            return True
-
-        CompletionLoop(
-            self._engine,
-            assembly.store.buffer,
-            self.health,
-            self.stats,
-            self._issue_depth,
-            self._retry_policy,
-            depths=scheduler.queue_depths,
-            pop=pop,
-            fetch_pages=assembly.fetch_pages,
-            resolve=assembly.resolve_external_batch,
-            requeue=assembly.requeue,
-            pool_dry=pool_dry,
-            cpu_ms_per_ref=self._cpu_ms_per_ref,
-        ).run()
+                assembly.requeue(batch)
         assembly.close()
         return out

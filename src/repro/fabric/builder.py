@@ -76,7 +76,6 @@ def build_sharded_fabric(
     starvation_bound: Optional[int] = 64,
     max_waiting: int = 16,
     min_window: int = 1,
-    batch_pages: int = 1,
     layout_seed: int = 0,
     vnodes: int = 64,
     cost_model: Optional[CostModel] = None,
@@ -120,7 +119,6 @@ def build_sharded_fabric(
                 starvation_bound=starvation_bound,
                 max_waiting=max_waiting,
                 min_window=min_window,
-                batch_pages=batch_pages,
             )
             factor = (speed_factors or {}).get((shard_id, replica_id), 1.0)
             replicas.append(

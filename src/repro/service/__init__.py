@@ -27,7 +27,6 @@ from repro.service.device_server import (
     ClientQuery,
     DeviceServer,
     DeviceServerAssembly,
-    OverlapReport,
 )
 from repro.service.metrics import RequestMetrics, ServiceMetrics
 from repro.service.server import AssemblyService, RequestStatus
@@ -41,7 +40,6 @@ __all__ = [
     "ClientQuery",
     "DeviceServer",
     "DeviceServerAssembly",
-    "OverlapReport",
     "RequestMetrics",
     "RequestStatus",
     "ServiceMetrics",

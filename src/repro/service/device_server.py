@@ -31,30 +31,17 @@ tests rely on this determinism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.cluster.reorg import Reorganizer
 from repro.core.assembled import AssembledComplexObject
 from repro.core.assembly import Assembly
-from repro.core.multidevice import (
-    CompletionLoop,
-    PipelineStats,
-    device_elevators,
-)
+from repro.core.multidevice import device_elevators
 from repro.core.schedulers import ReferenceScheduler, UnresolvedReference
 from repro.core.template import Template
-from repro.errors import (
-    AssemblyError,
-    BufferFullError,
-    FaultError,
-    SchedulerError,
-    ServiceStateError,
-)
+from repro.errors import AssemblyError, SchedulerError, ServiceStateError
 from repro.iterator import ListSource, Row, VolcanoIterator
-from repro.storage.costmodel import CostModel
-from repro.storage.events import AsyncIOEngine
-from repro.storage.faults import DeviceHealthTracker, RetryPolicy
+from repro.storage.faults import DeviceHealthTracker
 from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
 
@@ -104,38 +91,6 @@ class _ProxyScheduler(ReferenceScheduler):
         return self._server.pending_of(self._query_id)
 
 
-@dataclass
-class OverlapReport:
-    """What one :meth:`DeviceServer.run_overlapped` execution cost.
-
-    ``elapsed_ms`` is the event clock at quiescence — ``max`` over
-    device timelines — against which ``device_busy_ms`` gives each
-    device's utilization; their *sum* is what the synchronous
-    one-read-at-a-time loop would have paid for the same reads.
-    """
-
-    elapsed_ms: float = 0.0
-    device_busy_ms: List[float] = field(default_factory=list)
-    device_utilization: List[float] = field(default_factory=list)
-    #: I/O requests issued (including zero-read completions).
-    issued: int = 0
-    #: references resolved while the report was collected.
-    resolutions: int = 0
-    #: batches that overflowed the pin bound and resolved synchronously.
-    sync_fallbacks: int = 0
-    #: transient faults retried at issue time (on device timelines).
-    fault_retries: int = 0
-    #: references re-queued because their device was quarantined.
-    fault_requeues: int = 0
-    #: batches whose issue-time retries ran out and resolved through
-    #: the owning operators' synchronous fault handling.
-    fault_fallbacks: int = 0
-    #: circuit-breaker openings during the run.
-    quarantines: int = 0
-    #: milliseconds the sweep idled waiting for quarantined devices.
-    quarantine_wait_ms: float = 0.0
-
-
 class ClientQuery:
     """One live client query registered with a device server.
 
@@ -183,19 +138,11 @@ class DeviceServer:
         Maximum global resolutions a query with pending references may
         wait between services (per-query fairness).  ``None`` disables
         the bound (pure global SCAN).
-    batch_pages:
-        Maximum distinct pages per global sweep batch.  1 (default)
-        keeps the original one-reference-per-step loop; ≥ 2 makes each
-        step serve everything pending on the sweep-next page(s) —
-        possibly across queries — behind one coalesced, prefetched
-        read, with buffer-resident pages served first at zero seek.
     spans:
         Optional :class:`~repro.obs.spans.SpanRecorder` shared with
         every registered query's operator (unless the caller passes its
-        own ``spans=`` to :meth:`register`).  Synchronous sweeps record
-        ``scheduler-pop`` spans; :meth:`run_overlapped` hands the
-        recorder to its :class:`AsyncIOEngine`, whose ``device-io``
-        spans carry exact event-clock stamps.  Strictly observational.
+        own ``spans=`` to :meth:`register`).  Each step records one
+        ``scheduler-pop`` span.  Strictly observational.
     reorg_policy:
         Optional :class:`~repro.cluster.reorg.ReorgPolicy` enabling the
         online reorganizer.  The server then feeds every resolved
@@ -211,23 +158,16 @@ class DeviceServer:
         self,
         store: ObjectStore,
         starvation_bound: Optional[int] = DEFAULT_STARVATION_BOUND,
-        batch_pages: int = 1,
         spans=None,
         reorg_policy=None,
     ) -> None:
         if starvation_bound is not None and starvation_bound <= 0:
             raise ServiceStateError("starvation_bound must be positive")
-        if batch_pages <= 0:
-            raise ServiceStateError("batch_pages must be positive")
         self.store = store
         self.starvation_bound = starvation_bound
-        self.batch_pages = batch_pages
         self.spans = spans
-        #: the global pool, one elevator per device; only batched pops
-        #: (``batch_pages`` ≥ 2) consult the residency probe.
-        self._queues = device_elevators(
-            store.disk, store.buffer.is_resident
-        )
+        #: the global pool, one elevator per device.
+        self._queues = device_elevators(store.disk)
         self._pages_per_device = store.disk.pages_per_device
         self._queries: Dict[int, ClientQuery] = {}
         self._pending: Dict[int, int] = {}
@@ -236,9 +176,6 @@ class DeviceServer:
         self._emit_turn = 0
         #: total references resolved across all queries (the service clock).
         self.resolutions = 0
-        #: coalesced prefetch reads that faulted and fell back to
-        #: per-reference fetching (synchronous batched path).
-        self.prefetch_fault_fallbacks = 0
         #: per-device circuit breaker, shared with every registered
         #: query's operator (failures recorded on their fetch paths
         #: quarantine the device for the whole sweep).
@@ -387,173 +324,86 @@ class DeviceServer:
             raise SchedulerError("device server pool is empty")
         return best
 
-    def _pop(self, device: int) -> List[UnresolvedReference]:
-        """Pop the next sweep batch on ``device``.
+    def _pop(self, device: int) -> UnresolvedReference:
+        """Pop the SCAN-next reference on ``device``.
 
-        One reference — the SCAN-next one — or, with ``batch_pages``
-        ≥ 2, everything pending on the sweep-next page(s), possibly
-        across queries: concurrent clients whose references share a
-        page (or a run) get them all satisfied by one physical read.
-        A reference stops counting as pending here, at pop, on every
-        path: until it is served or requeued it belongs to the popped
-        batch.
+        A reference stops counting as pending here, at pop: until it is
+        served it belongs to the step that popped it.
         """
-        queue = self._queues[device]
-        if self.batch_pages > 1:
-            batch = queue.pop_batch(self.batch_pages)
-        else:
-            batch = [queue.pop()]
-        pending = self._pending
-        for ref in batch:
-            pending[ref.client] -= 1
-        return batch
+        ref = self._queues[device].pop()
+        self._pending[ref.client] -= 1
+        return ref
 
-    def _pop_starved(
-        self, query_id: int
-    ) -> Tuple[int, List[UnresolvedReference]]:
-        """The starvation override: ``(device, [ref])`` for the starved
+    def _pop_starved(self, query_id: int) -> Tuple[int, UnresolvedReference]:
+        """The starvation override: ``(device, ref)`` for the starved
         query's reference nearest the head of the first device that
         holds one."""
         for device, queue in enumerate(self._queues):
             ref = queue.pop_nearest(query_id)
             if ref is not None:
                 self._pending[query_id] -= 1
-                return device, [ref]
+                return device, ref
         raise SchedulerError(f"query {query_id} has no pending reference")
-
-    def _fetch_pages(self, batch: List[UnresolvedReference]) -> List[int]:
-        """The distinct pages serving ``batch`` would read, sweep order."""
-        pages: List[int] = []
-        queries = self._queries
-        for ref in batch:
-            query = queries[ref.client]
-            if not query.finished:
-                query.assembly.fetch_pages((ref,), pages)
-        return pages
-
-    def _prefetch(self, batch: List[UnresolvedReference]) -> List[int]:
-        """Pin the batch's fetch pages with one coalesced read.
-
-        Returns the pinned page ids (to unfix after the batch), or
-        ``[]`` when fewer than two distinct pages need the disk or the
-        pin bound cannot take the whole batch (per-reference fetching
-        still works then, just without coalescing).
-        """
-        fetch_pages = self._fetch_pages(batch)
-        if len(fetch_pages) < 2:
-            return []
-        try:
-            self.store.buffer.fix_many(fetch_pages)
-        except BufferFullError:
-            return []
-        except FaultError as exc:
-            # A faulted coalesced read falls back to per-reference
-            # fetching, where each query's own retry/degradation
-            # policy decides; the health tracker hears about it so the
-            # sweep can route around a quarantined device.
-            self.prefetch_fault_fallbacks += 1
-            self.health.record_failure(
-                getattr(exc, "device", 0),
-                now=self.store.disk.fault_now(),
-                retry_after=getattr(exc, "retry_after", None),
-            )
-            return []
-        return fetch_pages
 
     # -- execution -----------------------------------------------------------
 
     def step(self) -> bool:
-        """Resolve one sweep step globally; ``False`` when idle.
+        """Resolve one reference globally; ``False`` when idle.
 
-        Pops the sweep-next (or starvation-overridden) reference —
-        or, with ``batch_pages`` ≥ 2, everything pending on the
-        sweep-next page(s), prefetched with one coalesced read — hands
-        each reference to its owning query's operator, and collects
-        any complex objects that completed as a result.  When the pool
-        is empty but some query is unfinished, stuck deferred
-        references are released (the selective-assembly corner the
-        core operator handles the same way).
+        Pops the sweep-next (or starvation-overridden) reference, hands
+        it to its owning query's operator, and collects any complex
+        objects that completed as a result.  When the pool is empty but
+        some query is unfinished, stuck deferred references are
+        released (the selective-assembly corner the core operator
+        handles the same way).
 
-        If a query's operator raises (a ``fail_fast`` fault), the error
-        propagates with every *other* query whole: their references
-        popped in the same batch are back in the pool, no prefetch pin
-        is held, and further steps keep serving them once the failed
-        query is deregistered.
+        If the query's operator raises (a ``fail_fast`` fault), the
+        error propagates with every *other* query whole: further steps
+        keep serving them once the failed query is deregistered.
         """
         if self.pending_total() == 0 and not self._release_stuck():
             return False
         starved = self._starved_query()
         if starved is None:
             device = self._deepest_device()
-            batch = self._pop(device)
+            ref = self._pop(device)
         else:
-            device, batch = self._pop_starved(starved)
-        prefetched = self._prefetch(batch) if self.batch_pages > 1 else []
+            device, ref = self._pop_starved(starved)
         pop_span = None
         if self.spans is not None:
             pop_span = self.spans.begin(
-                "scheduler-pop",
-                kind="scheduler-pop",
-                device=device,
-                refs=len(batch),
-                prefetched=len(prefetched),
+                "scheduler-pop", kind="scheduler-pop", device=device
             )
         try:
-            self._serve(batch)
+            self._serve(ref)
         finally:
-            for page_id in prefetched:
-                self.store.buffer.unfix(page_id)
             if pop_span is not None:
                 self.spans.end(pop_span)
         return True
 
-    def _serve(self, batch: List[UnresolvedReference]) -> None:
-        """Hand each popped reference to its owning query's operator.
-
-        The one per-reference path under :meth:`step` and the
-        completion loop: service clock, fairness counters, affinity
-        observation, resolution, collection.  If an operator raises,
-        the unserved rest of the batch goes back to the pool first.
-        """
+    def _serve(self, ref: UnresolvedReference) -> None:
+        """Hand a popped reference to its owning query's operator:
+        service clock, fairness counters, affinity observation,
+        resolution, collection."""
         queries = self._queries
         pending = self._pending
-        reorg = self.reorg
-        served = 0
-        try:
-            for ref in batch:
-                served += 1
-                query_id = ref.client
-                query = queries[query_id]
-                self.resolutions += 1
-                for other_id, other in queries.items():
-                    if other.finished or other_id == query_id:
-                        continue
-                    if pending[other_id] > 0:
-                        other.waited += 1
-                query.waited = 0
-                query.served += 1
-                if reorg is not None:
-                    # One affinity observation per resolved reference,
-                    # grouped by the client request it was fetched for —
-                    # the co-access context recurring queries share.
-                    reorg.observe(query_id, ref.oid)
-                if query.finished:
-                    # The query completed (or was aborted down to empty)
-                    # while this batch was out of the pool; its operator
-                    # is closed and the reference is necessarily stale.
-                    continue
-                query.assembly.resolve_external(ref)
-                self._collect(query)
-        except BaseException:
-            self._requeue(batch[served:])
-            raise
-
-    def _requeue(self, batch: List[UnresolvedReference]) -> None:
-        """Put popped, unserved references back into the pool."""
-        for ref in batch:
-            query = self._queries.get(ref.client)
-            if query is not None and not query.finished:
-                query.assembly.requeue((ref,))
+        query_id = ref.client
+        query = queries[query_id]
+        self.resolutions += 1
+        for other_id, other in queries.items():
+            if other.finished or other_id == query_id:
+                continue
+            if pending[other_id] > 0:
+                other.waited += 1
+        query.waited = 0
+        query.served += 1
+        if self.reorg is not None:
+            # One affinity observation per resolved reference, grouped
+            # by the client request it was fetched for — the co-access
+            # context recurring queries share.
+            self.reorg.observe(query_id, ref.oid)
+        query.assembly.resolve_external(ref)
+        self._collect(query)
 
     def _release_stuck(self) -> bool:
         released = False
@@ -594,65 +444,6 @@ class DeviceServer:
                 f"device server idle with unfinished queries {unfinished} "
                 f"(template does not match the data?)"
             )
-
-    def run_overlapped(
-        self,
-        cost_model: Optional[CostModel] = None,
-        issue_depth: int = 2,
-        retry_policy: Optional[RetryPolicy] = None,
-    ) -> OverlapReport:
-        """Drive every query with overlapped per-device I/O.
-
-        The event-driven counterpart of :meth:`run`: the server's pool
-        under :class:`~repro.core.multidevice.CompletionLoop`, so
-        concurrent clients' fetches on different devices genuinely
-        overlap and the service's cost is elapsed time, not the sum of
-        every read.  Assembled output, like in :meth:`run`, lands in
-        each query's buffer.
-
-        The starvation override applies to the synchronous step loop
-        only; overlap itself keeps every backlogged device moving, and
-        the per-query ``waited`` counters remain maintained for
-        diagnostics.
-        """
-        if issue_depth <= 0:
-            raise ServiceStateError("issue_depth must be positive")
-        engine = AsyncIOEngine(self.store.disk, cost_model, spans=self.spans)
-        resolved_before = self.resolutions
-        quarantines_before = self.health.total_quarantines()
-        stats = PipelineStats()
-        CompletionLoop(
-            engine,
-            self.store.buffer,
-            self.health,
-            stats,
-            issue_depth,
-            retry_policy,
-            depths=self.queue_depths,
-            pop=self._pop,
-            fetch_pages=self._fetch_pages,
-            resolve=self._serve,
-            requeue=self._requeue,
-            pool_dry=self._release_stuck,
-        ).run()
-        self._require_all_finished()
-        return OverlapReport(
-            elapsed_ms=engine.elapsed,
-            device_busy_ms=[
-                engine.busy_time(d) for d in range(engine.n_devices)
-            ],
-            device_utilization=engine.utilizations(),
-            issued=engine.issues,
-            resolutions=self.resolutions - resolved_before,
-            sync_fallbacks=stats.sync_fallbacks,
-            fault_retries=stats.fault_retries,
-            fault_requeues=stats.fault_requeues,
-            fault_fallbacks=stats.fault_fallbacks,
-            quarantines=(
-                self.health.total_quarantines() - quarantines_before
-            ),
-            quarantine_wait_ms=stats.quarantine_wait_ms,
-        )
 
     # -- results ------------------------------------------------------------
 
@@ -717,16 +508,9 @@ class DeviceServerAssembly(VolcanoIterator):
         template: Template,
         n_partitions: int,
         window_size: int = 50,
-        scheduler: str = "elevator",
-        batch_pages: int = 1,
         **assembly_kwargs,
     ) -> None:
         super().__init__()
-        if scheduler != "elevator":
-            raise AssemblyError(
-                "the device server schedules with its global elevator; "
-                f"per-partition scheduler {scheduler!r} is not supported"
-            )
         if n_partitions <= 0:
             raise AssemblyError("need at least one partition")
         roots = list(roots)
@@ -736,18 +520,11 @@ class DeviceServerAssembly(VolcanoIterator):
         self._store = store
         self._template = template
         self._per_window = max(1, window_size // n_partitions)
-        # batch_pages drives the server's global sweep, not the client
-        # operators (their proxy schedulers never pop).
-        self._batch_pages = batch_pages
         self._assembly_kwargs = assembly_kwargs
         self._server: Optional[DeviceServer] = None
 
     def _open(self) -> None:
-        self._server = DeviceServer(
-            self._store,
-            starvation_bound=None,
-            batch_pages=self._batch_pages,
-        )
+        self._server = DeviceServer(self._store, starvation_bound=None)
         try:
             for part in self._partitions:
                 self._server.register(

@@ -138,11 +138,9 @@ class ServiceMetrics:
     reorg_cache_invalidations: int = 0
     #: cost-model milliseconds the migration batches were priced at.
     reorg_io_ms: float = 0.0
-    #: event-clock milliseconds of the last overlapped run (None until
-    #: the service has run under the event-driven engine).
+    #: simulated milliseconds of the run (None until a driver on a
+    #: simulated clock — the fabric's fleet roll-up — sets it).
     elapsed_ms: Optional[float] = None
-    #: per-device busy fraction of that run (empty until overlapped).
-    device_utilization: List[float] = field(default_factory=list)
     #: streaming latency distribution (service-clock ticks), fed on
     #: every completion — observability-independent by construction.
     latency_hist: StreamingHistogram = field(
@@ -186,13 +184,6 @@ class ServiceMetrics:
         if metrics.run_time is not None:
             self.run_time_hist.record(float(metrics.run_time))
 
-    def record_overlap(self, report) -> None:
-        """Fold an :class:`~repro.service.device_server.OverlapReport`
-        into the service-wide counters (elapsed time, utilization)."""
-        self.elapsed_ms = report.elapsed_ms
-        self.device_utilization = list(report.device_utilization)
-        self.fault_retries += getattr(report, "fault_retries", 0)
-
     #: counter fields merge() sums; everything else needs special care.
     _SUMMED_FIELDS = (
         "requests_submitted",
@@ -224,8 +215,8 @@ class ServiceMetrics:
         This is the fabric's fleet roll-up: counters add, the streaming
         histograms merge bucket-wise (so fleet p90/p99 come from the
         combined distribution, **not** from averaging per-shard
-        percentiles), ``elapsed_ms`` takes the max (the fleet is as
-        slow as its slowest shard) and device utilizations concatenate.
+        percentiles) and ``elapsed_ms`` takes the max (the fleet is as
+        slow as its slowest shard).
         Per-request entries are appended under fresh keys — request ids
         are only unique within one service.
         """
@@ -241,7 +232,6 @@ class ServiceMetrics:
                 if self.elapsed_ms is None
                 else max(self.elapsed_ms, other.elapsed_ms)
             )
-        self.device_utilization.extend(other.device_utilization)
         next_key = max(self.per_request, default=-1) + 1
         for offset, metrics in enumerate(other.per_request.values()):
             self.per_request[next_key + offset] = metrics
@@ -316,5 +306,4 @@ class ServiceMetrics:
             "queue_wait_hist": self.queue_wait_hist.snapshot(),
             "run_time_hist": self.run_time_hist.snapshot(),
             "elapsed_ms": self.elapsed_ms,
-            "device_utilization": list(self.device_utilization),
         }

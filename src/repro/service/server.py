@@ -93,9 +93,6 @@ class AssemblyService:
         every query's operator; recording is strictly observational —
         results and :class:`ServiceMetrics` are bit-identical with or
         without it.  Export the trace with :meth:`export_trace`.
-    batch_pages:
-        Distinct pages per device-server scheduler batch (see
-        :class:`DeviceServer`); 1 keeps the paper's unbatched sweep.
     reorg_policy:
         Optional :class:`~repro.cluster.reorg.ReorgPolicy` enabling
         online reorganization.  The device server feeds the affinity
@@ -116,7 +113,6 @@ class AssemblyService:
         max_waiting: int = 16,
         min_window: int = 1,
         span_recorder: Optional[SpanRecorder] = None,
-        batch_pages: int = 1,
         reorg_policy=None,
     ) -> None:
         self.store = store
@@ -126,7 +122,6 @@ class AssemblyService:
         self.server = DeviceServer(
             store,
             starvation_bound=starvation_bound,
-            batch_pages=batch_pages,
             spans=span_recorder,
             reorg_policy=reorg_policy,
         )

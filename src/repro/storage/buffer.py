@@ -53,14 +53,12 @@ class BufferStats:
 class _Frame:
     """One buffered page plus its pin count."""
 
-    __slots__ = ("page", "pin_count", "dirty", "referenced")
+    __slots__ = ("page", "pin_count", "dirty")
 
     def __init__(self, page: Page) -> None:
         self.page = page
         self.pin_count = 0
         self.dirty = False
-        # Clock policy's reference bit (second chance).
-        self.referenced = True
 
 
 class BufferManager:
@@ -71,47 +69,24 @@ class BufferManager:
     space to hold the largest database, so no page replacement
     occurs").  The restricted-buffer ablation passes a finite capacity.
 
-    Replacement (over unpinned frames only) is selectable:
-
-    * ``policy="lru"`` (default) — least-recently-used, tracked by
-      access order;
-    * ``policy="clock"`` — the classic second-chance sweep: a hand
-      cycles the frames clearing reference bits, evicting the first
-      unreferenced, unpinned frame it meets.  Near-LRU behaviour at
-      O(1) bookkeeping per hit, which is why real buffer managers
-      (including the systems of the paper's era) prefer it.
+    Replacement is least-recently-used over unpinned frames, tracked
+    by access order.
 
     A ``fix`` pins the frame (incrementing its pin count); ``unfix``
     releases one pin.  Evicting is only legal for frames with pin
     count zero.
     """
 
-    #: accepted replacement policies.
-    POLICIES = ("lru", "clock")
-
     def __init__(
-        self,
-        disk: SimulatedDisk,
-        capacity: Optional[int] = None,
-        policy: str = "lru",
+        self, disk: SimulatedDisk, capacity: Optional[int] = None
     ) -> None:
         if capacity is not None and capacity <= 0:
             raise BufferFullError("buffer capacity must be positive")
-        if policy not in self.POLICIES:
-            raise BufferFullError(
-                f"policy must be one of {self.POLICIES}, got {policy!r}"
-            )
         self._disk = disk
         self._capacity = capacity
-        self.policy = policy
         # Insertion order doubles as LRU order for unpinned frames;
-        # move_to_end on access keeps it current.  The clock policy
-        # uses the same ordered dict as its circular frame list.
+        # move_to_end on access keeps it current.
         self._frames: "OrderedDict[int, _Frame]" = OrderedDict()
-        # Clock hand: the page id the next sweep examines first.
-        # Persists across evictions, which is what gives re-referenced
-        # frames their second chance.
-        self._clock_hand_page: Optional[int] = None
         self._ever_resident: Set[int] = set()
         self._pinned_count = 0
         self._reserved_frames = 0
@@ -190,58 +165,15 @@ class BufferManager:
     # -- replacement ------------------------------------------------------------
 
     def _evict_one(self) -> None:
-        if self.policy == "clock":
-            self._evict_clock()
-        else:
-            self._evict_lru()
-
-    def _drop_frame(self, page_id: int) -> None:
-        frame = self._frames[page_id]
-        if frame.dirty:
-            self._disk.write(frame.page)
-        del self._frames[page_id]
-        self.stats.evictions += 1
-
-    def _evict_lru(self) -> None:
+        """Drop the least recently used unpinned frame (writing it
+        back first if dirty)."""
         for page_id, frame in self._frames.items():
             if frame.pin_count == 0:
-                self._drop_frame(page_id)
+                if frame.dirty:
+                    self._disk.write(frame.page)
+                del self._frames[page_id]
+                self.stats.evictions += 1
                 return
-        raise BufferFullError(
-            f"all {len(self._frames)} frames are pinned; cannot evict"
-        )
-
-    def _evict_clock(self) -> None:
-        """Second-chance sweep: clear reference bits until a victim."""
-        pages = list(self._frames)
-        if not pages:
-            raise BufferFullError("no frames to evict")
-        start = 0
-        if self._clock_hand_page is not None:
-            try:
-                start = pages.index(self._clock_hand_page)
-            except ValueError:
-                start = 0  # the hand's page was dropped; restart
-        # Two full sweeps suffice: the first clears reference bits,
-        # the second must find an unreferenced frame unless all pinned.
-        n = len(pages)
-        for step in range(2 * n):
-            index = (start + step) % n
-            frame = self._frames[pages[index]]
-            if frame.pin_count > 0:
-                continue
-            if frame.referenced:
-                frame.referenced = False
-                continue
-            # Park the hand on the frame after the victim (the victim
-            # itself is about to disappear from the frame list).
-            self._clock_hand_page = (
-                pages[(index + 1) % n] if n > 1 else None
-            )
-            if self._clock_hand_page == pages[index]:
-                self._clock_hand_page = None
-            self._drop_frame(pages[index])
-            return
         raise BufferFullError(
             f"all {len(self._frames)} frames are pinned; cannot evict"
         )
@@ -265,9 +197,7 @@ class BufferManager:
         frame = self._frames.get(page_id)
         if frame is not None:
             stats.hits += 1
-            frame.referenced = True
-            if self.policy == "lru":
-                self._frames.move_to_end(page_id)
+            self._frames.move_to_end(page_id)
         else:
             stats.faults += 1
             if page_id in self._ever_resident:

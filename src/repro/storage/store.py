@@ -215,21 +215,8 @@ class ObjectStore:
 
     def fetch(self, oid: Oid) -> ObjectRecord:
         """Read one object through the buffer (fix, copy, unfix)."""
-        rid = self.directory.lookup(oid)
-        with self.buffer.fixed(rid.page_id) as page:
-            stored = page.read(rid.slot)
-        cached = self._decoded.get(rid)
-        if cached is not None and cached[0] == stored:
-            if cached[1] != oid:
-                raise StorageError(
-                    f"directory said {oid} at {rid}, page holds {cached[1]}"
-                )
-            return self._record_from_cache(cached)
-        stored_oid, record = self._decode_stored(stored)
-        if stored_oid != oid:
-            raise StorageError(
-                f"directory said {oid} at {rid}, page holds {stored_oid}"
-            )
+        record = self.fetch_pinned(oid)
+        self.unpin(oid)
         return record
 
     def fetch_pinned(self, oid: Oid) -> ObjectRecord:
@@ -242,21 +229,21 @@ class ObjectStore:
         """
         rid = self.directory.lookup(oid)
         page = self.buffer.fix(rid.page_id)
-        stored = page.read(rid.slot)
-        cached = self._decoded.get(rid)
-        if cached is not None and cached[0] == stored:
-            if cached[1] != oid:
-                self.buffer.unfix(rid.page_id)
+        try:
+            stored = page.read(rid.slot)
+            cached = self._decoded.get(rid)
+            if cached is not None and cached[0] == stored:
+                stored_oid = cached[1]
+                record = self._record_from_cache(cached)
+            else:
+                stored_oid, record = self._decode_stored(stored)
+            if stored_oid != oid:
                 raise StorageError(
-                    f"directory said {oid} at {rid}, page holds {cached[1]}"
+                    f"directory said {oid} at {rid}, page holds {stored_oid}"
                 )
-            return self._record_from_cache(cached)
-        stored_oid, record = self._decode_stored(stored)
-        if stored_oid != oid:
-            self.buffer.unfix(rid.page_id)
-            raise StorageError(
-                f"directory said {oid} at {rid}, page holds {stored_oid}"
-            )
+        except BaseException:
+            self.buffer.unfix(rid.page_id)  # a failed fetch holds no pin
+            raise
         return record
 
     def unpin(self, oid: Oid) -> None:

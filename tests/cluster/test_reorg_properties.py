@@ -1,8 +1,7 @@
 """Safety properties of online reorganization, pinned by hypothesis.
 
 Three contracts from :mod:`repro.cluster.reorg`, tested across service
-configurations (clustering × window × device-server batching × fault
-rate) the way the chaos suite pins the fault machinery:
+configurations (clustering × window × fault rate) the way the chaos suite pins the fault machinery:
 
 * **Reorg off is bit-identical** — a service built with
   ``reorg_policy=None`` produces the same results, the same
@@ -54,7 +53,6 @@ def content_of(cobj):
 def run_service(
     clustering,
     window,
-    batch_pages,
     rate,
     fault_seed,
     reorg_policy=None,
@@ -78,7 +76,7 @@ def run_service(
     )
     template = make_template(database)
     store = layout.store
-    kwargs = {"cache_capacity": 0, "batch_pages": batch_pages}
+    kwargs = {"cache_capacity": 0}
     if pass_kwarg:
         kwargs["reorg_policy"] = reorg_policy
     service = AssemblyService(store, **kwargs)
@@ -114,19 +112,18 @@ def run_service(
 @given(
     clustering=st.sampled_from(CLUSTERINGS),
     window=st.integers(min_value=1, max_value=8),
-    batch_pages=st.sampled_from((1, 4)),
     rate=st.sampled_from((0.0, 0.15)),
     fault_seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_reorg_off_is_bit_identical_to_no_kwarg(
-    clustering, window, batch_pages, rate, fault_seed
+    clustering, window, rate, fault_seed
 ):
     off, off_content = run_service(
-        clustering, window, batch_pages, rate, fault_seed,
+        clustering, window, rate, fault_seed,
         reorg_policy=None, pass_kwarg=True,
     )
     plain, plain_content = run_service(
-        clustering, window, batch_pages, rate, fault_seed,
+        clustering, window, rate, fault_seed,
         pass_kwarg=False,
     )
     assert off_content == plain_content
@@ -139,19 +136,18 @@ def test_reorg_off_is_bit_identical_to_no_kwarg(
 @given(
     clustering=st.sampled_from(CLUSTERINGS),
     window=st.integers(min_value=1, max_value=8),
-    batch_pages=st.sampled_from((1, 4)),
     rate=st.sampled_from((0.0, 0.15)),
     fault_seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_reorg_on_assembles_byte_equal_objects(
-    clustering, window, batch_pages, rate, fault_seed
+    clustering, window, rate, fault_seed
 ):
     plain, plain_content = run_service(
-        clustering, window, batch_pages, rate, fault_seed,
+        clustering, window, rate, fault_seed,
         pass_kwarg=False,
     )
     reorg, reorg_content = run_service(
-        clustering, window, batch_pages, rate, fault_seed,
+        clustering, window, rate, fault_seed,
         reorg_policy=AGGRESSIVE,
     )
     assert reorg_content == plain_content
@@ -168,14 +164,13 @@ def test_reorg_on_assembles_byte_equal_objects(
 @given(
     clustering=st.sampled_from(CLUSTERINGS),
     window=st.integers(min_value=1, max_value=8),
-    batch_pages=st.sampled_from((1, 4)),
     fault_seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_migration_io_never_overlaps_serving_io(
-    clustering, window, batch_pages, fault_seed
+    clustering, window, fault_seed
 ):
     service, _content = run_service(
-        clustering, window, batch_pages, 0.0, fault_seed,
+        clustering, window, 0.0, fault_seed,
         reorg_policy=AGGRESSIVE,
     )
     reorg = service.server.reorg

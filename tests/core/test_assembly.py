@@ -205,18 +205,6 @@ class TestCorrectness:
         op.close()
         assert store.buffer.pinned_pages == 0
 
-    def test_no_pinning_mode(self, small_acob, small_layout):
-        store = small_layout.store
-        op = Assembly(
-            ListSource(small_layout.root_order),
-            store,
-            make_template(small_acob),
-            window_size=5,
-            pin_pages=False,
-        )
-        op.execute()
-        assert op.stats.peak_pinned_pages <= 1
-
     def test_window_size_validation(self, small_acob, small_layout):
         with pytest.raises(AssemblyError):
             Assembly(

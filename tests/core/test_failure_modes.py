@@ -126,16 +126,6 @@ class TestBufferPressure:
         with pytest.raises(BufferFullError):
             op.execute()
 
-    def test_unpinned_mode_survives_tiny_buffer(self):
-        db, store, layout = load(n=40, buffer_capacity=4)
-        op = Assembly(
-            ListSource(layout.root_order), store, make_template(db),
-            window_size=10, pin_pages=False,
-        )
-        emitted = op.execute()
-        assert len(emitted) == 40
-        assert store.buffer.stats.re_reads > 0
-
     def test_failed_run_leaves_no_pins_after_close(self):
         db, store, layout = load(n=40, buffer_capacity=16)
         op = Assembly(

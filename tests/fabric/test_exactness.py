@@ -7,7 +7,7 @@ engine and chaos exactness suites:
   a fabric run is **bit-identical** to driving the underlying
   :class:`AssemblyService` directly — same per-request results, same
   disk statistics, same service-metrics snapshot.  Property-tested
-  across clusterings, window sizes, batch sizes and database sizes.
+  across clusterings, window sizes and database sizes.
 * Arrival *timing* never changes *content*: the same specs delivered
   open-loop at Poisson times emit the same objects per request as the
   all-at-t=0 run (latencies differ, payloads do not).
@@ -47,7 +47,7 @@ from tests.faults.test_chaos_property import (
 MAX_WAITING = 10_000  # keep admission out of the comparison
 
 
-def build_direct(db, clustering, cluster_pages, buffer_capacity, batch_pages):
+def build_direct(db, clustering, cluster_pages, buffer_capacity):
     """The unsharded reference: the builder's construction, by hand."""
     disk = SimulatedDisk()
     store = ObjectStore(disk, BufferManager(disk, capacity=buffer_capacity))
@@ -65,7 +65,6 @@ def build_direct(db, clustering, cluster_pages, buffer_capacity, batch_pages):
         starvation_bound=64,
         max_waiting=MAX_WAITING,
         min_window=1,
-        batch_pages=batch_pages,
     )
     return store, layout, service
 
@@ -87,12 +86,11 @@ def content_fingerprint(emitted):
 @given(
     clustering=st.sampled_from(CLUSTERINGS),
     window=st.integers(min_value=1, max_value=8),
-    batch_pages=st.sampled_from((1, 2, 4)),
     n=st.integers(min_value=10, max_value=30),
     buffer_capacity=st.sampled_from((None, 200)),
 )
 def test_degenerate_fabric_is_bit_identical_to_the_plain_service(
-    clustering, window, batch_pages, n, buffer_capacity
+    clustering, window, n, buffer_capacity
 ):
     db = generate_acob(n, seed=2)
     fabric = build_sharded_fabric(
@@ -102,7 +100,6 @@ def test_degenerate_fabric_is_bit_identical_to_the_plain_service(
         clustering=clustering,
         cluster_pages=64,
         buffer_capacity=buffer_capacity,
-        batch_pages=batch_pages,
         max_waiting=MAX_WAITING,
     )
     specs = open_loop_workload(
@@ -115,9 +112,7 @@ def test_degenerate_fabric_is_bit_identical_to_the_plain_service(
     report = fabric.run(specs)
     assert not report.shed
 
-    store, _layout, service = build_direct(
-        db, clustering, 64, buffer_capacity, batch_pages
-    )
+    store, _layout, service = build_direct(db, clustering, 64, buffer_capacity)
     template = make_template(db)
     ids = [
         service.submit(

@@ -1,4 +1,4 @@
-"""The device server under faults: sync sweep and overlapped runs."""
+"""The device server under faults: the synchronous sweep."""
 
 from __future__ import annotations
 
@@ -21,8 +21,7 @@ from repro.storage.store import ObjectStore
 from repro.workloads.acob import generate_acob, make_template
 
 
-def build_striped(n=40, n_devices=4, batch_pages=4, config=None,
-                  register_kwargs=None):
+def build_striped(n=40, n_devices=4, config=None, register_kwargs=None):
     db = generate_acob(n, seed=2)
     disk = MultiDeviceDisk(
         n_devices=n_devices,
@@ -40,7 +39,7 @@ def build_striped(n=40, n_devices=4, batch_pages=4, config=None,
     injector = None
     if config is not None:
         injector = FaultInjector(config).attach(disk)
-    server = DeviceServer(store, batch_pages=batch_pages)
+    server = DeviceServer(store)
     template = make_template(db)
     kwargs = register_kwargs or {}
     half = n // 2
@@ -64,7 +63,7 @@ def build_faulty(disk, n):
     FaultInjector(
         FaultConfig(seed=0, read_error_rate=0.05, max_consecutive_failures=2)
     ).attach(disk)
-    server = DeviceServer(store, batch_pages=4)
+    server = DeviceServer(store)
     return store, server, layout.root_order, make_template(db)
 
 
@@ -85,13 +84,12 @@ class TestSynchronousSweep:
         assert first.finished and second.finished
         got = sorted(c.root.oid for c in first.output + second.output)
         assert got == expected
-        # Faults were absorbed somewhere: either a coalesced prefetch
-        # fell back, or a per-reference fetch retried.
+        # The faults were absorbed by per-reference fetch retries.
         retried = (
             first.assembly.stats.fault_retries
             + second.assembly.stats.fault_retries
         )
-        assert retried + server.prefetch_fault_fallbacks > 0
+        assert retried > 0
         assert store.buffer.pinned_pages == 0
 
     def test_outage_waited_out_on_the_op_clock(self):
@@ -111,9 +109,8 @@ class TestSynchronousSweep:
         assert store.buffer.pinned_pages == 0
 
     def test_fail_fast_fault_leaves_other_queries_whole(self):
-        """A sweep batch mixes queries; when one client's fail-fast
-        fault escapes ``step``, the other clients' references popped in
-        the same batch go back to the pool."""
+        """When one client's fail-fast fault escapes ``step``, every
+        other client's references are still in the pool."""
         store, server, roots, template = build_faulty(SimulatedDisk(), 200)
         failing = server.register(roots[0::2], template, window_size=32)
         other = server.register(
@@ -133,84 +130,3 @@ class TestSynchronousSweep:
         assert first.assembly._health is server.health
         assert second.assembly._health is server.health
 
-
-class TestOverlapped:
-    def test_transient_retries_on_device_timelines(self):
-        _inj, _store, server, first, second = build_striped()
-        server.run()
-        expected = sorted(c.root.oid for c in first.output + second.output)
-
-        injector, store, server, first, second = build_striped(
-            config=FaultConfig(
-                seed=3, read_error_rate=0.1, max_consecutive_failures=2
-            ),
-            register_kwargs=dict(retry_policy=RetryPolicy(max_retries=2)),
-        )
-        report = server.run_overlapped(
-            issue_depth=2, retry_policy=RetryPolicy(max_retries=2)
-        )
-        assert first.finished and second.finished
-        got = sorted(c.root.oid for c in first.output + second.output)
-        assert got == expected
-        assert injector.stats.transient_errors > 0
-        assert report.fault_retries + report.fault_fallbacks > 0
-        # The injected backoff landed on the device timelines.
-        assert report.elapsed_ms > 0
-        assert store.buffer.pinned_pages == 0
-
-    def test_outage_requeues_and_waits_out_the_quarantine(self):
-        injector, store, server, first, second = build_striped(
-            config=FaultConfig(
-                down_intervals=(
-                    DownInterval(device=0, start=0.0, end=200.0),
-                ),
-            ),
-            register_kwargs=dict(retry_policy=RetryPolicy(max_retries=2)),
-        )
-        report = server.run_overlapped(
-            issue_depth=2, retry_policy=RetryPolicy(max_retries=2)
-        )
-        assert first.finished and second.finished
-        assert len(first.output) + len(second.output) == 40
-        assert injector.stats.down_rejections > 0
-        assert report.fault_requeues > 0
-        assert report.quarantines >= 1
-        assert report.elapsed_ms >= 200.0
-        assert store.buffer.pinned_pages == 0
-
-    def test_escaping_fault_hands_back_in_flight_pins(self):
-        """A fail-fast fault leaves ``run_overlapped`` with requests
-        still in flight; their prefetch pins and references are handed
-        back, so the server keeps serving."""
-        store, server, roots, template = build_faulty(
-            MultiDeviceDisk(n_devices=4, pages_per_device=2048), 120
-        )
-        failing = server.register(roots, template, window_size=32)
-        with pytest.raises(FaultError):
-            server.run_overlapped(issue_depth=3)
-        server.deregister(failing.query_id)
-        assert store.buffer.pinned_pages == 0
-        retrying = server.register(
-            roots, template, window_size=32,
-            retry_policy=RetryPolicy(max_retries=4),
-        )
-        server.run()
-        assert retrying.finished and len(retrying.output) == 120
-        assert store.buffer.pinned_pages == 0
-
-    def test_fault_counters_fold_into_service_metrics(self):
-        from repro.service.metrics import ServiceMetrics
-
-        _injector, _store, server, _first, _second = build_striped(
-            config=FaultConfig(
-                seed=3, read_error_rate=0.1, max_consecutive_failures=2
-            ),
-            register_kwargs=dict(retry_policy=RetryPolicy(max_retries=2)),
-        )
-        report = server.run_overlapped(
-            issue_depth=2, retry_policy=RetryPolicy(max_retries=2)
-        )
-        metrics = ServiceMetrics()
-        metrics.record_overlap(report)
-        assert metrics.fault_retries == report.fault_retries
-        assert metrics.snapshot()["fault_retries"] == report.fault_retries

@@ -8,6 +8,7 @@ from repro.bench.harness import ExperimentConfig, build_layout
 from repro.cluster.layout import layout_database
 from repro.cluster.policies import InterObjectClustering
 from repro.core.assembly import Assembly
+from repro.core.multidevice import MultiDeviceScheduler, PipelinedAssembly
 from repro.core.tuning import pin_bound
 from repro.errors import ServiceStateError
 from repro.obs.demo import demo_service_run
@@ -17,6 +18,7 @@ from repro.service.device_server import DeviceServer
 from repro.service.server import AssemblyService
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import SimulatedDisk
+from repro.storage.events import AsyncIOEngine
 from repro.storage.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.storage.multidisk import MultiDeviceDisk
 from repro.storage.store import ObjectStore
@@ -127,7 +129,8 @@ class TestServiceSpans:
 
 
 class TestEngineSpans:
-    def build_striped_server(self, recorder):
+    def test_overlapped_run_emits_device_io_spans(self):
+        recorder = SpanRecorder()
         db = generate_acob(24, seed=2)
         disk = MultiDeviceDisk(n_devices=2, pages_per_device=2048)
         store = ObjectStore(disk, BufferManager(disk))
@@ -138,16 +141,13 @@ class TestEngineSpans:
             ),
             shared=db.shared_pool,
         )
-        server = DeviceServer(store, spans=recorder)
-        recorder.bind_clock(lambda: float(server.resolutions))
-        query = server.register(layout.root_order, make_template(db))
-        return server, query
-
-    def test_overlapped_run_emits_device_io_spans(self):
-        recorder = SpanRecorder()
-        server, query = self.build_striped_server(recorder)
-        report = server.run_overlapped(issue_depth=2)
-        assert query.finished
+        engine = AsyncIOEngine(disk, spans=recorder)
+        operator = Assembly(
+            ListSource(layout.root_order), store, make_template(db),
+            window_size=8, scheduler=MultiDeviceScheduler(disk),
+        )
+        emitted = PipelinedAssembly(operator, engine, issue_depth=2).run()
+        assert len(emitted) == 24
         ios = recorder.of_kind("device-io")
         assert ios
         # Event-clock stamps: spans end within the run's elapsed time,
@@ -155,7 +155,7 @@ class TestEngineSpans:
         # times (positive).
         assert {span.device for span in ios} == {0, 1}
         assert all(span.duration > 0 for span in ios)
-        assert all(span.end <= report.elapsed_ms + 1e-9 for span in ios)
+        assert all(span.end <= engine.elapsed + 1e-9 for span in ios)
         assert all("physical_reads" in span.attrs for span in ios)
 
 

@@ -172,69 +172,3 @@ class TestMultiDevice:
         # Extents stripe round-robin, so both heads actually moved.
         assert all(stats.reads > 0 for stats in disk.device_stats)
 
-
-class TestOverlapped:
-    """run_overlapped: same results as run(), but on the event clock."""
-
-    def build_striped(self, n=40, n_devices=4, batch_pages=4):
-        db = generate_acob(n, seed=2)
-        disk = MultiDeviceDisk(
-            n_devices=n_devices,
-            pages_per_device=(7 * 64) // n_devices + 128,
-        )
-        store = ObjectStore(disk, BufferManager(disk))
-        layout = layout_database(
-            db.complex_objects,
-            store,
-            InterObjectClustering(
-                cluster_pages=64, disk_order=db.type_ids_depth_first()
-            ),
-            shared=db.shared_pool,
-        )
-        server = DeviceServer(store, batch_pages=batch_pages)
-        template = make_template(db)
-        half = n // 2
-        first = server.register(layout.root_order[:half], template)
-        second = server.register(layout.root_order[half:], template)
-        return store, server, first, second
-
-    def test_same_results_as_synchronous(self):
-        _store, server, first, second = self.build_striped()
-        server.run()
-        expected = sorted(
-            c.root.oid for c in first.output + second.output
-        )
-        store, server, first, second = self.build_striped()
-        report = server.run_overlapped(issue_depth=2)
-        assert first.finished and second.finished
-        assert (
-            sorted(c.root.oid for c in first.output + second.output)
-            == expected
-        )
-        for cobj in first.output + second.output:
-            cobj.verify_swizzled()
-        assert store.buffer.pinned_pages == 0
-        assert report.resolutions > 0
-
-    def test_overlap_beats_the_synchronous_sum(self):
-        _store, server, _q1, _q2 = self.build_striped()
-        report = server.run_overlapped(issue_depth=2)
-        assert report.elapsed_ms < sum(report.device_busy_ms)
-        assert len(report.device_utilization) == 4
-        assert all(u <= 1.0 + 1e-9 for u in report.device_utilization)
-
-    def test_invalid_issue_depth(self):
-        _store, server, _q1, _q2 = self.build_striped(n=4)
-        with pytest.raises(ServiceStateError):
-            server.run_overlapped(issue_depth=0)
-
-    def test_metrics_record_overlap(self):
-        from repro.service.metrics import ServiceMetrics
-
-        _store, server, _q1, _q2 = self.build_striped()
-        report = server.run_overlapped(issue_depth=2)
-        metrics = ServiceMetrics()
-        metrics.record_overlap(report)
-        snapshot = metrics.snapshot()
-        assert snapshot["elapsed_ms"] == report.elapsed_ms
-        assert snapshot["device_utilization"] == report.device_utilization

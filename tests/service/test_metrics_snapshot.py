@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.service.device_server import OverlapReport
 from repro.service.metrics import RequestMetrics, ServiceMetrics
 
 
@@ -40,26 +39,6 @@ class TestServiceMetricsSnapshot:
         assert snapshot["hedge_fired"] == 0
         assert snapshot["hedge_won"] == 0
         assert snapshot["queue_wait_ticks"] == 0
-
-    def test_snapshot_is_detached_from_the_live_lists(self):
-        metrics = ServiceMetrics()
-        metrics.device_utilization = [0.5, 0.25]
-        snapshot = metrics.snapshot()
-        snapshot["device_utilization"].append(1.0)
-        assert metrics.device_utilization == [0.5, 0.25]
-
-    def test_record_overlap_folds_fault_retries_additively(self):
-        metrics = ServiceMetrics()
-        report = OverlapReport(
-            elapsed_ms=10.0,
-            device_utilization=[1.0],
-            fault_retries=3,
-        )
-        metrics.record_overlap(report)
-        metrics.record_overlap(report)
-        assert metrics.fault_retries == 6
-        assert metrics.elapsed_ms == 10.0
-        assert metrics.snapshot()["fault_retries"] == 6
 
 
 class TestServiceMetricsMerge:
@@ -111,16 +90,13 @@ class TestServiceMetricsMerge:
         ServiceMetrics.merged([part, self.make([7.0])])
         assert part.snapshot() == before
 
-    def test_elapsed_is_max_and_utilization_concatenates(self):
+    def test_elapsed_is_max(self):
         a = self.make([])
         a.elapsed_ms = 10.0
-        a.device_utilization = [0.5]
         b = self.make([])
         b.elapsed_ms = 30.0
-        b.device_utilization = [0.9, 0.1]
         merged = ServiceMetrics.merged([a, b])
         assert merged.elapsed_ms == 30.0
-        assert merged.device_utilization == [0.5, 0.9, 0.1]
         assert ServiceMetrics.merged([self.make([]), a]).elapsed_ms == 10.0
 
     def test_per_request_entries_are_rekeyed_without_collision(self):
@@ -166,30 +142,3 @@ class TestRequestMetricsAsDict:
         assert metrics.queue_wait == 4
         assert metrics.latency == 16
 
-
-class TestOverlapReportShape:
-    def test_fault_counters_exist_with_zero_defaults(self):
-        report = OverlapReport()
-        assert report.fault_retries == 0
-        assert report.fault_requeues == 0
-        assert report.fault_fallbacks == 0
-        assert report.quarantines == 0
-        assert report.quarantine_wait_ms == 0.0
-
-    def test_field_inventory(self):
-        """The full report surface, pinned: removing or renaming a
-        field breaks ServiceMetrics.record_overlap consumers."""
-        names = {field.name for field in dataclasses.fields(OverlapReport)}
-        assert names == {
-            "elapsed_ms",
-            "device_busy_ms",
-            "device_utilization",
-            "issued",
-            "resolutions",
-            "sync_fallbacks",
-            "fault_retries",
-            "fault_requeues",
-            "fault_fallbacks",
-            "quarantines",
-            "quarantine_wait_ms",
-        }

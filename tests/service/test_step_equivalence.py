@@ -41,7 +41,7 @@ class RescanService(AssemblyService):
         return advanced or finished_any
 
 
-def build(service_class, batch_pages):
+def build(service_class):
     config = ExperimentConfig(
         n_complex_objects=N_OBJECTS,
         clustering="inter-object",
@@ -51,9 +51,7 @@ def build(service_class, batch_pages):
         buffer_capacity=TIGHT_BUDGET,
     )
     db, layout = build_layout(config)
-    service = service_class(
-        layout.store, max_waiting=5, batch_pages=batch_pages
-    )
+    service = service_class(layout.store, max_waiting=5)
     return service, layout, make_template(db)
 
 
@@ -152,11 +150,10 @@ rules = st.one_of(
     # waiters in both lanes before the free-form rules begin.
     burst=st.lists(submits, min_size=4, max_size=8),
     rest=st.lists(rules, max_size=25),
-    batch_pages=st.sampled_from([1, 4]),
 )
-def test_live_index_step_equals_full_rescan(burst, rest, batch_pages):
-    oracle, oracle_layout, template = build(RescanService, batch_pages)
-    service, layout, _ = build(AssemblyService, batch_pages)
+def test_live_index_step_equals_full_rescan(burst, rest):
+    oracle, oracle_layout, template = build(RescanService)
+    service, layout, _ = build(AssemblyService)
     oracle_ids, ids = [], []
     for rule in burst + rest + [("step", 400)]:
         expected = apply(rule, oracle, oracle_layout, template, oracle_ids)
@@ -180,7 +177,7 @@ def test_release_starts_a_higher_id_mid_sweep():
     0 — both have higher ids, so the same step visits them — and the
     index stays sorted although 2 was inserted first.
     """
-    service, layout, template = build(AssemblyService, batch_pages=1)
+    service, layout, template = build(AssemblyService)
     roots = layout.root_order
     first = service.submit(roots[:4], template, window_size=4)
     fifo = service.submit(roots[4:8], template, window_size=4)

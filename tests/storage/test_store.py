@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DuplicateOidError, PageFullError, StorageError
-from repro.storage.oid import Oid
+from repro.storage.oid import Oid, Rid
 from repro.storage.record import ObjectRecord
 from repro.storage.store import PagePlanner
 
@@ -84,6 +84,21 @@ class TestPinnedFetch:
         assert store.buffer.pin_count(extent.start) == 2
         store.unpin(Oid(1, 1))
         store.unpin(Oid(1, 2))
+
+
+    @pytest.mark.parametrize("slot", [0, 5])
+    def test_failed_fetch_holds_no_pin(self, store, slot):
+        """A directory entry that points at another object's slot (0)
+        or at no slot at all (5) fails either fetch form with the page
+        unpinned."""
+        extent = store.disk.allocate(1)
+        store.store_at(Oid(1, 1), record(1), extent.start)
+        store.store_at(Oid(1, 2), record(2), extent.start)
+        store.directory.relocate(Oid(1, 2), Rid(extent.start, slot))
+        for fetch in (store.fetch, store.fetch_pinned):
+            with pytest.raises(StorageError):
+                fetch(Oid(1, 2))
+            assert store.buffer.pin_count(extent.start) == 0
 
 
 class TestScanExtent:
