@@ -27,11 +27,6 @@ from repro.bench.figures import (
     figure_15,
     figure_16,
 )
-from repro.bench.regression import (
-    RegressionReport,
-    compare_documents,
-    compare_files,
-)
 from repro.bench.harness import (
     ExperimentConfig,
     ExperimentResult,
@@ -53,7 +48,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "FigureResult",
-    "RegressionReport",
     "ablation_adaptive_scheduler",
     "ablation_buffer_capacity",
     "ablation_cost_model",
@@ -66,8 +60,6 @@ __all__ = [
     "baseline_tid_scan",
     "buffer_pin_bound",
     "clear_database_cache",
-    "compare_documents",
-    "compare_files",
     "depth_first_window_invariance",
     "figure_11",
     "figure_13",

@@ -39,6 +39,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.errors import ServiceStateError, TransientReadError
@@ -50,9 +51,18 @@ from repro.storage.store import ObjectStore
 #: Canonical (unordered) pair key of two OIDs.
 PairKey = Tuple[Oid, Oid]
 
+# The sketch keys objects and edges by integers.  An OID's code is
+# ``(type_id << 64) | serial`` — the big-endian ``>HQ`` of
+# ``Oid.encode`` read as one number, so codes order exactly as OIDs do —
+# and an edge's code is ``(low << 80) | high``, which orders as the
+# ``(low, high)`` OID pair, so the hot-edge sort breaks ties on plain
+# integers.
+_M64 = (1 << 64) - 1
+_M80 = (1 << 80) - 1
 
-def _pair(a: Oid, b: Oid) -> PairKey:
-    return (a, b) if a <= b else (b, a)
+
+def _oid_of(code: int) -> Oid:
+    return Oid(code >> 64, code & _M64)
 
 
 @dataclass(frozen=True)
@@ -97,6 +107,10 @@ class ReorgPolicy:
             raise ServiceStateError(
                 "max_migrations_per_round must be positive"
             )
+        if self.min_observations < 0:
+            raise ServiceStateError("min_observations must be non-negative")
+        if self.prune_epsilon <= 0:
+            raise ServiceStateError("prune_epsilon must be positive")
         if self.group_capacity <= 0:
             raise ServiceStateError("group_capacity must be positive")
         if self.affinity_window < 2:
@@ -126,9 +140,10 @@ class AffinitySketch:
 
     def __init__(self, policy: ReorgPolicy) -> None:
         self._policy = policy
-        self._weights: Dict[PairKey, float] = {}
-        self._heat: Dict[Oid, float] = {}
-        self._groups: "OrderedDict[Hashable, List[Oid]]" = OrderedDict()
+        #: edge code -> decayed weight (codes: see the module's note).
+        self._weights: Dict[int, float] = {}
+        #: context -> OID codes of its last ``affinity_window`` references.
+        self._groups: "OrderedDict[Hashable, List[int]]" = OrderedDict()
         #: references observed since construction (never decayed).
         self.observations = 0
 
@@ -138,7 +153,6 @@ class AffinitySketch:
     def observe(self, group_key: Hashable, oid: Oid) -> None:
         """Record that ``oid`` was resolved for the group's object."""
         self.observations += 1
-        self._heat[oid] = self._heat.get(oid, 0.0) + 1.0
         group = self._groups.get(group_key)
         if group is None:
             while len(self._groups) >= self._policy.group_capacity:
@@ -149,22 +163,20 @@ class AffinitySketch:
             self._groups.move_to_end(group_key)
         window = self._policy.affinity_window
         recent = group[-window:]
-        if oid in recent:
+        code = (oid.type_id << 64) | oid.serial
+        if code in recent:
             return
         weights = self._weights
+        shifted = code << 80
         for other in recent:
-            key = _pair(oid, other)
+            key = (other << 80) | code if other < code else shifted | other
             weights[key] = weights.get(key, 0.0) + 1.0
-        group.append(oid)
+        group.append(code)
         if len(group) > window:
             del group[: len(group) - window]
 
-    def heat_of(self, oid: Oid) -> float:
-        """Decayed access count of one object."""
-        return self._heat.get(oid, 0.0)
-
     def decay(self) -> None:
-        """Age every statistic by one round; prune negligible entries."""
+        """Age every edge weight by one round; prune negligible ones."""
         factor = self._policy.decay
         epsilon = self._policy.prune_epsilon
         self._weights = {
@@ -172,11 +184,23 @@ class AffinitySketch:
             for key, weight in self._weights.items()
             if (aged := weight * factor) >= epsilon
         }
-        self._heat = {
-            oid: aged
-            for oid, heat in self._heat.items()
-            if (aged := heat * factor) >= epsilon
-        }
+
+    def hot_codes(self) -> List[Tuple[int, float]]:
+        """``(edge code, weight)`` at or above ``min_weight``, heaviest
+        first, ties by code — the order of :meth:`hot_edges`.
+
+        Two stable sorts on C-level keys (code, then weight descending)
+        give the ``(-weight, pair)`` order without a key per edge.
+        """
+        threshold = self._policy.min_weight
+        edges = [
+            (code, weight)
+            for code, weight in self._weights.items()
+            if weight >= threshold
+        ]
+        edges.sort(key=itemgetter(0))
+        edges.sort(key=itemgetter(1), reverse=True)
+        return edges
 
     def hot_edges(self) -> List[Tuple[PairKey, float]]:
         """Edges at or above ``min_weight``, heaviest first.
@@ -184,14 +208,10 @@ class AffinitySketch:
         Ties break on the OID pair itself, so two sketches fed the same
         stream plan the same migrations.
         """
-        threshold = self._policy.min_weight
-        edges = [
-            (key, weight)
-            for key, weight in self._weights.items()
-            if weight >= threshold
+        return [
+            ((_oid_of(code >> 80), _oid_of(code & _M80)), weight)
+            for code, weight in self.hot_codes()
         ]
-        edges.sort(key=lambda item: (-item[1], item[0]))
-        return edges
 
 
 class ReorgPlanner:
@@ -215,11 +235,13 @@ class ReorgPlanner:
         objects_per_page: int,
     ) -> List[List[Oid]]:
         """Page-sized clusters worth migrating, hottest first."""
-        cluster_of: Dict[Oid, int] = {}
-        members: Dict[int, List[Oid]] = {}
+        cluster_of: Dict[int, int] = {}
+        members: Dict[int, List[int]] = {}
         weight_of: Dict[int, float] = {}
         next_id = 0
-        for (a, b), weight in sketch.hot_edges():
+        for code, weight in sketch.hot_codes():
+            a = code >> 80
+            b = code & _M80
             ca = cluster_of.get(a)
             cb = cluster_of.get(b)
             if ca is None and cb is None:
@@ -238,8 +260,8 @@ class ReorgPlanner:
             elif ca != cb:
                 low, high = (ca, cb) if ca < cb else (cb, ca)
                 if len(members[low]) + len(members[high]) <= objects_per_page:
-                    for oid in members[high]:
-                        cluster_of[oid] = low
+                    for member in members[high]:
+                        cluster_of[member] = low
                     members[low].extend(members.pop(high))
                     weight_of[low] += weight_of.pop(high) + weight
             else:
@@ -247,12 +269,13 @@ class ReorgPlanner:
 
         planned: List[Tuple[float, int, List[Oid]]] = []
         budget = self._policy.max_migrations_per_round
-        for cluster_id, oids in members.items():
-            if len(oids) < 2 or len(oids) > budget:
+        for cluster_id, codes in members.items():
+            if len(codes) < 2 or len(codes) > budget:
                 continue
+            oids = [Oid(code >> 64, code & _M64) for code in sorted(codes)]
             if len({page_of(oid) for oid in oids}) <= 1:
                 continue  # already co-located: nothing to gain
-            planned.append((-weight_of[cluster_id], cluster_id, sorted(oids)))
+            planned.append((-weight_of[cluster_id], cluster_id, oids))
         planned.sort()
 
         clusters: List[List[Oid]] = []

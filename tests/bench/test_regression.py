@@ -1,5 +1,11 @@
 """Tests for benchmark regression comparison."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
 from repro.bench.export import figure_to_dict, write_json
 from repro.bench.regression import (
     compare_documents,
@@ -111,6 +117,32 @@ class TestFiles:
         assert main([str(base), str(curr)]) == 1
         assert "100.0 -> 101.0" in capsys.readouterr().out
         assert main([str(base), str(curr), "--tolerance", "0.05"]) == 0
+
+
+class TestCommandLine:
+    def test_module_runs_without_a_runpy_warning(self):
+        """``-m repro.bench.regression`` must not find itself already
+        imported by the package ``__init__`` (runpy's RuntimeWarning)."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-W",
+                "error::RuntimeWarning",
+                "-m",
+                "repro.bench.regression",
+                "--help",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
 
 
 class TestEndToEnd:

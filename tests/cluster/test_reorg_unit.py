@@ -39,6 +39,9 @@ class TestPolicyValidation:
             {"decay": 1.5},
             {"min_weight": 0.0},
             {"max_migrations_per_round": 0},
+            {"min_observations": -1},
+            {"prune_epsilon": 0.0},
+            {"prune_epsilon": -0.05},
             {"group_capacity": 0},
             {"affinity_window": 1},
         ],
@@ -101,7 +104,6 @@ class TestAffinitySketch:
         assert dict(sketch.hot_edges())[(oid(1), oid(2))] == 0.5
         sketch.decay()  # 0.5 -> 0.25 < epsilon, pruned
         assert len(sketch) == 0
-        assert sketch.heat_of(oid(1)) == 0.0
 
     def test_group_capacity_is_an_lru(self):
         sketch = AffinitySketch(
