@@ -58,7 +58,7 @@ from repro.obs.spans import Span, SpanRecorder
 from repro.storage.faults import DeviceHealthTracker, RetryPolicy
 from repro.storage.oid import Oid
 from repro.storage.record import ObjectRecord
-from repro.storage.store import ObjectStore
+from repro.storage.store import ObjectStore, StoredRecord
 
 #: Graceful-degradation modes for faulted fetches.
 FAIL_FAST = "fail_fast"
@@ -300,9 +300,12 @@ class Assembly(VolcanoIterator):
         if isinstance(self._scheduler_spec, ReferenceScheduler):
             self._scheduler = self._scheduler_spec
         else:
+            # Over the disk, not ``self``: a probe closing over the
+            # operator is a cycle, freed only by the cycle collector.
+            disk = self._store.disk
             self._scheduler = make_scheduler(
                 self._scheduler_spec,
-                head_fn=lambda: self._store.disk.head_position,
+                head_fn=lambda: disk.head_position,
                 resident_fn=self._store.buffer.is_resident,
             )
         self._window = Window(self._window_size)
@@ -754,7 +757,7 @@ class Assembly(VolcanoIterator):
             state, ref.node.subtree_predicates - still_missing_preds
         )
 
-    def _fetch_record(self, ref: UnresolvedReference):
+    def _fetch_record(self, ref: UnresolvedReference) -> StoredRecord:
         """Fetch one object, retrying faults under the retry policy.
 
         The fault-free path (no injector on the disk) is a plain fetch
@@ -885,9 +888,9 @@ class Assembly(VolcanoIterator):
         page_id = ref.page_id
         state.fetches += 1
         self.stats.fetches += 1
-        self.stats.peak_pinned_pages = max(
-            self.stats.peak_pinned_pages, self._store.buffer.pinned_pages
-        )
+        pinned = self._store.buffer.pinned_pages
+        if pinned > self.stats.peak_pinned_pages:
+            self.stats.peak_pinned_pages = pinned
         if self._tracer is not None:
             self._tracer.record(
                 trace.FETCHED, state.serial, ref.oid,
@@ -904,9 +907,11 @@ class Assembly(VolcanoIterator):
             # last in-window referrer lets go — Section 5, reason two.)
             state.pinned_pages.append(page_id)
 
-        # Early abort on this node's predicate (Section 6.5).
-        if ref.node.predicate is not None:
-            passed = ref.node.predicate.evaluate(record)
+        # Early abort on this node's predicate (Section 6.5), tested on
+        # a mutable copy: the fetched record is the store's own.
+        predicate = ref.node.predicate
+        if predicate is not None:
+            passed = predicate.evaluate(record.to_record(self._store.fmt))
             if self._tracer is not None:
                 self._tracer.record(
                     trace.PREDICATE_PASSED if passed else trace.PREDICATE_FAILED,
@@ -927,7 +932,7 @@ class Assembly(VolcanoIterator):
         self._attach(state, ref, assembled)
         state.outstanding_nodes -= 1 + missing_nodes
         predicates_newly_resolved = missing_predicates
-        if ref.node.predicate is not None:
+        if predicate is not None:
             predicates_newly_resolved += 1
 
         self._schedule_children(state, children)

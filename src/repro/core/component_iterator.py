@@ -23,8 +23,8 @@ from repro.core.assembled import AssembledObject
 from repro.core.schedulers import UnresolvedReference
 from repro.core.template import Template, TemplateNode
 from repro.errors import AssemblyError
-from repro.storage.oid import Oid
-from repro.storage.record import ObjectRecord
+from repro.storage.oid import NULL_OID, Oid
+from repro.storage.store import StoredRecord
 
 #: ``page_id`` / ``owner`` / ``seq`` of a reference the engine has not
 #: placed yet: where the object lives, whose window slot it fills and
@@ -64,13 +64,15 @@ class ComponentIterator:
     # -- materialization -----------------------------------------------------------
 
     def materialize(
-        self, oid: Oid, node: TemplateNode, record: ObjectRecord
+        self, oid: Oid, node: TemplateNode, record: StoredRecord
     ) -> Tuple[AssembledObject, List[UnresolvedReference], int, int]:
         """Build the in-memory object and list its unresolved children.
 
         Returns ``(assembled, children, missing_nodes,
         missing_predicates)`` — everything the engine needs from one
-        fetched object; see :meth:`expand` for the last three.
+        fetched object; see :meth:`expand` for the last three.  The
+        assembled object keeps the record's tuples themselves (the
+        store's cached values), not copies.
         """
         assembled = AssembledObject(oid, node, record)
         return (assembled, *self.expand(assembled))
@@ -103,20 +105,16 @@ class ComponentIterator:
                     f"{slot}, record has {n_refs}"
                 )
             target = ref_oids[slot]
-            if target.is_null():
+            if target == NULL_OID:
                 missing_nodes += child_node.subtree_nodes
                 missing_predicates += child_node.subtree_predicates
                 continue
+            # (oid, page_id, owner, node, parent, parent_slot, seq,
+            # rejection): positional, as keywords cost more per call.
             refs.append(
                 UnresolvedReference(
-                    oid=target,
-                    page_id=UNPLACED,
-                    owner=UNPLACED,
-                    node=child_node,
-                    parent=assembled,
-                    parent_slot=slot,
-                    seq=UNPLACED,
-                    rejection=child_node.subtree_rejection,
+                    target, UNPLACED, UNPLACED, child_node, assembled,
+                    slot, UNPLACED, child_node.subtree_rejection,
                 )
             )
         return refs, missing_nodes, missing_predicates

@@ -113,13 +113,6 @@ class Window:
         """State of a complex object, or ``None`` once it left the window."""
         return self._states.get(serial)
 
-    def get(self, serial: int) -> ComplexObjectState:
-        """State of an in-window complex object."""
-        try:
-            return self._states[serial]
-        except KeyError:
-            raise WindowError(f"complex object {serial} is not in the window") from None
-
     def retire(self, serial: int) -> ComplexObjectState:
         """Remove a completed or aborted complex object."""
         try:

@@ -21,6 +21,7 @@ structures as immutable (all of this repository does).
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
@@ -89,7 +90,7 @@ class AssembledObjectCache:
         self._entries: "OrderedDict[CacheKey, _CacheEntry]" = OrderedDict()
         self._by_member: Dict[Oid, Set[CacheKey]] = {}
         self.stats = CacheStats()
-        self._wired_store: Optional[ObjectStore] = None
+        self._wired_store: Optional["weakref.ref[ObjectStore]"] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -166,15 +167,21 @@ class AssembledObjectCache:
     # -- store wiring ---------------------------------------------------------
 
     def wire(self, store: ObjectStore) -> None:
-        """Subscribe to a store's writes (idempotent per store)."""
-        if self._wired_store is store:
+        """Subscribe to a store's writes (idempotent per store).
+
+        The store's hook list holds the cache; the cache holds the
+        store only weakly, so the pair is no reference cycle.
+        """
+        if self._wired_store is not None and self._wired_store() is store:
             return
         self.unwire()
         store.add_write_hook(self.invalidate)
-        self._wired_store = store
+        self._wired_store = weakref.ref(store)
 
     def unwire(self) -> None:
         """Stop following the previously wired store's writes."""
         if self._wired_store is not None:
-            self._wired_store.remove_write_hook(self.invalidate)
+            store = self._wired_store()
+            if store is not None:
+                store.remove_write_hook(self.invalidate)
             self._wired_store = None

@@ -181,10 +181,11 @@ class DeviceServer:
         #: quarantine the device for the whole sweep).
         self.health = DeviceHealthTracker(len(self._queues))
         if reorg_policy is not None:
+            queues = self._queues  # not ``self``: that would be a cycle
             self.reorg: Optional[Reorganizer] = Reorganizer(
                 store,
                 reorg_policy,
-                idle_check=lambda: self.pending_total() == 0,
+                idle_check=lambda: not any(map(len, queues)),
             )
         else:
             self.reorg = None
@@ -428,22 +429,6 @@ class DeviceServer:
             query.finished = True
             if query.assembly.is_open:
                 query.assembly.close()
-
-    def run(self) -> None:
-        """Step until every registered query has finished."""
-        while self.step():
-            pass
-        self._require_all_finished()
-
-    def _require_all_finished(self) -> None:
-        unfinished = [
-            q.query_id for q in self._queries.values() if not q.finished
-        ]
-        if unfinished:
-            raise AssemblyError(
-                f"device server idle with unfinished queries {unfinished} "
-                f"(template does not match the data?)"
-            )
 
     # -- results ------------------------------------------------------------
 

@@ -130,20 +130,9 @@ class ObjectRecord:
             )
 
     def encode(self) -> bytes:
-        """Serialize the payload (no OID prefix)."""
+        """Serialize the payload (no OID prefix); :meth:`RecordFormat.decode`
+        reads it back."""
         return self.fmt.encode(self.ints, self.refs)
-
-    @classmethod
-    def decode(cls, data: bytes, fmt: RecordFormat = PAPER_FORMAT) -> "ObjectRecord":
-        """Deserialize a payload produced by :meth:`encode`."""
-        ints, refs = fmt.decode(data)
-        # fmt.decode guarantees the field counts, so the __post_init__
-        # length validation is skipped on this (hot) construction path.
-        record = cls.__new__(cls)
-        record.ints = list(ints)
-        record.refs = list(refs)
-        record.fmt = fmt
-        return record
 
     def live_refs(self) -> List[Oid]:
         """The non-null references, in slot order."""

@@ -14,7 +14,7 @@ With the paper's 96-byte payload this packs nine objects per 1 KB page.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import (
     DuplicateOidError,
@@ -27,6 +27,27 @@ from repro.storage.disk import Extent, SimulatedDisk
 from repro.storage.oid import OID_SIZE, Oid, OidDirectory, Rid
 from repro.storage.page import Page
 from repro.storage.record import PAPER_FORMAT, ObjectRecord, RecordFormat
+
+
+class StoredRecord(NamedTuple):
+    """One stored object as the store decoded it, immutable.
+
+    ``ints`` and ``refs`` are the decoded field values, ``oid`` the
+    owner OID the stored bytes carry and ``stored`` those bytes (OID
+    prefix + payload).  The decoded-record cache holds one per object,
+    and :meth:`ObjectStore.fetch_pinned` hands out that very entry: a
+    fetch copies nothing, and whoever keeps the fields (an assembled
+    object) shares the cache's tuples.
+    """
+
+    ints: Tuple[int, ...]
+    refs: Tuple[Oid, ...]
+    oid: Oid
+    stored: bytes
+
+    def to_record(self, fmt: RecordFormat) -> ObjectRecord:
+        """A fresh, mutable :class:`ObjectRecord` with copies of the fields."""
+        return ObjectRecord(list(self.ints), list(self.refs), fmt)
 
 
 class ObjectStore:
@@ -51,16 +72,13 @@ class ObjectStore:
         self.directory = OidDirectory()
         self._stored_size = OID_SIZE + fmt.payload_size
         self._write_hooks: List[Callable[[Oid], None]] = []
-        # Write-through cache of decoded field values, keyed by RID:
-        # rid -> (stored bytes, owner OID, int values, reference OIDs).
-        # A fetch only uses an entry when the page still holds exactly
-        # the remembered bytes, so out-of-band page mutation (fault
-        # injection, corruption tests) safely falls back to the codec,
-        # and the owner OID keeps the directory cross-check intact.
-        # Values are immutable tuples — fetches hand out fresh lists.
-        self._decoded: Dict[
-            Rid, Tuple[bytes, Oid, Tuple[int, ...], Tuple[Oid, ...]]
-        ] = {}
+        # Write-through cache of decoded objects, keyed by RID.  A fetch
+        # only uses an entry when the page still holds exactly the
+        # entry's bytes, so out-of-band page mutation (fault injection,
+        # corruption tests) safely falls back to the codec, and the
+        # owner OID keeps the directory cross-check intact.  Entries
+        # are immutable and handed out as they are.
+        self._decoded: Dict[Rid, StoredRecord] = {}
 
     # -- write hooks ------------------------------------------------------------
 
@@ -131,8 +149,8 @@ class ObjectStore:
         self._disk.write(page)
         rid = Rid(page_id, slot)
         self.directory.register(oid, rid)
-        self._decoded[rid] = (
-            stored, oid, tuple(record.ints), tuple(record.refs)
+        self._decoded[rid] = StoredRecord(
+            tuple(record.ints), tuple(record.refs), oid, stored
         )
         self._notify_write(oid)
         return rid
@@ -148,9 +166,7 @@ class ObjectStore:
         """
         page = self._disk.read(page_id)
         rids: List[Rid] = []
-        entries: List[
-            Tuple[bytes, Oid, Tuple[int, ...], Tuple[Oid, ...]]
-        ] = []
+        entries: List[StoredRecord] = []
         for oid, record in items:
             if oid in self.directory:
                 raise DuplicateOidError(f"{oid} already stored")
@@ -160,7 +176,7 @@ class ObjectStore:
             slot = page.insert(stored)
             rids.append(Rid(page_id, slot))
             entries.append(
-                (stored, oid, tuple(record.ints), tuple(record.refs))
+                StoredRecord(tuple(record.ints), tuple(record.refs), oid, stored)
             )
         self._disk.write(page)
         for (oid, _record), rid, entry in zip(items, rids, entries):
@@ -171,9 +187,7 @@ class ObjectStore:
 
     # -- snapshot / restore ----------------------------------------------------
 
-    def dump_decoded(
-        self,
-    ) -> "Dict[Rid, Tuple[bytes, Oid, Tuple[int, ...], Tuple[Oid, ...]]]":
+    def dump_decoded(self) -> Dict[Rid, StoredRecord]:
         """A copy of the decoded-record cache (snapshot support).
 
         Entries are immutable tuples, so the copy is shallow and safe
@@ -181,10 +195,7 @@ class ObjectStore:
         """
         return dict(self._decoded)
 
-    def load_decoded(
-        self,
-        entries: "Dict[Rid, Tuple[bytes, Oid, Tuple[int, ...], Tuple[Oid, ...]]]",
-    ) -> None:
+    def load_decoded(self, entries: Dict[Rid, StoredRecord]) -> None:
         """Install decoded-cache entries captured by :meth:`dump_decoded`."""
         self._decoded = dict(entries)
 
@@ -194,52 +205,43 @@ class ObjectStore:
         """Physical page of ``oid`` — the elevator scheduler's sort key."""
         return self.directory.page_of(oid)
 
-    def _decode_stored(self, stored: bytes) -> Tuple[Oid, ObjectRecord]:
-        oid = Oid.decode(stored[:OID_SIZE])
-        record = ObjectRecord.decode(stored[OID_SIZE:], self.fmt)
-        return oid, record
-
-    def _record_from_cache(
-        self, cached: Tuple[bytes, Oid, Tuple[int, ...], Tuple[Oid, ...]]
-    ) -> ObjectRecord:
-        """An :class:`ObjectRecord` built from a decoded-cache entry.
-
-        Fresh lists every time: callers may mutate the record without
-        touching the cache.
-        """
-        record = ObjectRecord.__new__(ObjectRecord)
-        record.ints = list(cached[2])
-        record.refs = list(cached[3])
-        record.fmt = self.fmt
-        return record
+    def _decode_stored(self, stored: bytes) -> StoredRecord:
+        ints, refs = self.fmt.decode(stored[OID_SIZE:])
+        return StoredRecord(ints, refs, Oid.decode(stored[:OID_SIZE]), stored)
 
     def fetch(self, oid: Oid) -> ObjectRecord:
-        """Read one object through the buffer (fix, copy, unfix)."""
+        """Read one object through the buffer (fix, copy, unfix).
+
+        Returns a fresh, mutable :class:`ObjectRecord`: the caller may
+        change it without touching what later fetches see.
+        """
         record = self.fetch_pinned(oid)
         self.unpin(oid)
-        return record
+        return record.to_record(self.fmt)
 
-    def fetch_pinned(self, oid: Oid) -> ObjectRecord:
+    def fetch_pinned(self, oid: Oid) -> StoredRecord:
         """Read one object and leave its page pinned.
 
         The assembly operator uses this form: the page stays fixed
         until the owning complex object is emitted (or aborted), which
         is how partially assembled objects are guaranteed resident.
         Callers must balance with :meth:`unpin`.
+
+        Returns the decoded-cache entry itself while the page still
+        holds the bytes it was decoded from — no copy — and a fresh
+        decode of the page otherwise.  Either way the record is
+        immutable; :meth:`fetch` is the form that hands out a copy.
         """
         rid = self.directory.lookup(oid)
         page = self.buffer.fix(rid.page_id)
         try:
             stored = page.read(rid.slot)
-            cached = self._decoded.get(rid)
-            if cached is not None and cached[0] == stored:
-                stored_oid = cached[1]
-                record = self._record_from_cache(cached)
-            else:
-                stored_oid, record = self._decode_stored(stored)
-            if stored_oid != oid:
+            record = self._decoded.get(rid)
+            if record is None or record.stored != stored:
+                record = self._decode_stored(stored)
+            if record.oid != oid:
                 raise StorageError(
-                    f"directory said {oid} at {rid}, page holds {stored_oid}"
+                    f"directory said {oid} at {rid}, page holds {record.oid}"
                 )
         except BaseException:
             self.buffer.unfix(rid.page_id)  # a failed fetch holds no pin
@@ -267,8 +269,8 @@ class ObjectStore:
         stored = oid.encode() + record.encode()
         with self.buffer.fixed(rid.page_id, dirty=True) as page:
             page.update(rid.slot, stored)
-        self._decoded[rid] = (
-            stored, oid, tuple(record.ints), tuple(record.refs)
+        self._decoded[rid] = StoredRecord(
+            tuple(record.ints), tuple(record.refs), oid, stored
         )
         self._notify_write(oid)
 
@@ -316,7 +318,8 @@ class ObjectStore:
             with self.buffer.fixed(page_id) as page:
                 stored_records = [rec for _slot, rec in page.records()]
             for stored in stored_records:
-                yield self._decode_stored(stored)
+                record = self._decode_stored(stored)
+                yield record.oid, record.to_record(self.fmt)
 
     def __len__(self) -> int:
         return len(self.directory)

@@ -84,14 +84,17 @@ class ComponentFilter(Filter):
     ) -> None:
         self.label = label
         self.predicate = predicate
-        super().__init__(child, self._passes)
 
-    def _passes(self, row: Row) -> bool:
-        root = getattr(row, "root", None)
-        component = root.find(self.label) if root is not None else None
-        if component is None:
-            return False
-        return self.predicate.evaluate(component_record(component))
+        # Not a bound method: a filter holding one is a cycle, and one
+        # pushdown drops would leave its input to the cycle collector.
+        def passes(row: Row) -> bool:
+            root = getattr(row, "root", None)
+            component = root.find(label) if root is not None else None
+            if component is None:
+                return False
+            return predicate.evaluate(component_record(component))
+
+        super().__init__(child, passes)
 
     def describe(self) -> str:
         """One-line ``explain`` rendering: the filtered label and predicate."""

@@ -34,9 +34,8 @@ class TestWindow:
         with pytest.raises(WindowError):
             Window(1).retire(42)
 
-    def test_get_unknown(self):
-        with pytest.raises(WindowError):
-            Window(1).get(0)
+    def test_find_unknown(self):
+        assert Window(1).find(0) is None
 
     def test_peak_occupancy(self):
         window = Window(3)

@@ -19,6 +19,7 @@ from repro.storage.faults import (
 from repro.storage.multidisk import MultiDeviceDisk
 from repro.storage.store import ObjectStore
 from repro.workloads.acob import generate_acob, make_template
+from tests.service.test_device_server import drive
 
 
 def build_striped(n=40, n_devices=4, config=None, register_kwargs=None):
@@ -70,7 +71,7 @@ def build_faulty(disk, n):
 class TestSynchronousSweep:
     def test_transient_faults_retried_same_results(self):
         _inj, _store, server, first, second = build_striped()
-        server.run()
+        drive(server)
         expected = sorted(c.root.oid for c in first.output + second.output)
 
         injector, store, server, first, second = build_striped(
@@ -79,7 +80,7 @@ class TestSynchronousSweep:
             ),
             register_kwargs=dict(retry_policy=RetryPolicy(max_retries=2)),
         )
-        server.run()
+        drive(server)
         assert injector.stats.transient_errors > 0
         assert first.finished and second.finished
         got = sorted(c.root.oid for c in first.output + second.output)
@@ -102,7 +103,7 @@ class TestSynchronousSweep:
             ),
             register_kwargs=dict(retry_policy=RetryPolicy(max_retries=60)),
         )
-        server.run()
+        drive(server)
         assert first.finished and second.finished
         assert len(first.output) + len(second.output) == 40
         assert injector.stats.down_rejections > 0
@@ -118,10 +119,10 @@ class TestSynchronousSweep:
             retry_policy=RetryPolicy(max_retries=4),
         )
         with pytest.raises(FaultError):
-            server.run()
+            drive(server)
         server.deregister(failing.query_id)
         assert server.pending_of(other.query_id) == server.pending_total()
-        server.run()
+        drive(server)
         assert other.finished and len(other.output) == 100
         assert store.buffer.pinned_pages == 0
 

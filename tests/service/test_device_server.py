@@ -24,6 +24,18 @@ def build(n=40):
     return build_layout(config)
 
 
+def drive(server):
+    """Step ``server`` until idle; every registered query must be done."""
+    while server.step():
+        pass
+    unfinished = [
+        query.query_id
+        for query in server.active_queries()
+        if not query.finished
+    ]
+    assert not unfinished, f"server idle with unfinished queries {unfinished}"
+
+
 class TestRegistry:
     def test_two_queries_share_one_sweep(self):
         db, layout = build()
@@ -31,7 +43,7 @@ class TestRegistry:
         template = make_template(db)
         first = server.register(layout.root_order[:20], template)
         second = server.register(layout.root_order[20:], template)
-        server.run()
+        drive(server)
         assert first.finished and second.finished
         assert len(first.output) == 20 and len(second.output) == 20
         for cobj in first.output + second.output:
@@ -63,7 +75,7 @@ class TestRegistry:
         assert server.pending_of(query.query_id) > 0
         server.deregister(query.query_id)
         assert server.pending_of(query.query_id) == 0
-        server.run()
+        drive(server)
         assert keeper.finished
         assert layout.store.buffer.pinned_pages == 0
 
@@ -73,7 +85,7 @@ class TestRegistry:
         template = make_template(db)
         first = server.register(layout.root_order[:10], template)
         second = server.register(layout.root_order[10:], template)
-        server.run()
+        drive(server)
         order = []
         while True:
             emitted = server.next_result()
@@ -145,7 +157,7 @@ class TestDeterminism:
             template = make_template(db)
             server.register(layout.root_order[:15], template)
             server.register(layout.root_order[15:], template)
-            server.run()
+            drive(server)
             seeks.append(list(layout.store.disk.stats.read_seeks))
         assert seeks[0] == seeks[1]
 
@@ -167,7 +179,7 @@ class TestMultiDevice:
         server = DeviceServer(store)
         assert len(server.queue_depths()) == 2
         query = server.register(layout.root_order, make_template(db))
-        server.run()
+        drive(server)
         assert query.finished and len(query.output) == 30
         # Extents stripe round-robin, so both heads actually moved.
         assert all(stats.reads > 0 for stats in disk.device_stats)

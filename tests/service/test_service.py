@@ -13,6 +13,7 @@ from repro.service.device_server import DeviceServer, DeviceServerAssembly
 from repro.service.server import AssemblyService, RequestStatus
 from repro.storage.oid import Oid
 from repro.workloads.acob import make_template
+from tests.service.test_device_server import drive
 
 
 def build(n=30, buffer_capacity=None):
@@ -120,7 +121,7 @@ class TestUnknownRoot:
         assert server.active_queries() == []
         assert layout.store.buffer.pinned_pages == 0
         query = server.register(roots[2:4], template, window_size=4)
-        server.run()
+        drive(server)
         assert len(query.take_results()) == 2
 
     def test_failed_partition_closes_the_ones_before_it(self):

@@ -53,9 +53,9 @@ class TestObjectRecord:
             ints=[1, -2, 3, 4],
             refs=[Oid(1, i + 1) for i in range(8)],
         )
-        decoded = ObjectRecord.decode(record.encode())
-        assert decoded.ints == record.ints
-        assert decoded.refs == record.refs
+        ints, refs = PAPER_FORMAT.decode(record.encode())
+        assert list(ints) == record.ints
+        assert list(refs) == record.refs
 
     def test_live_refs_skips_nulls(self):
         refs = [NULL_OID] * 8
@@ -87,6 +87,6 @@ class TestObjectRecord:
         record = ObjectRecord(
             ints=list(ints), refs=[Oid(t, s) for t, s in ref_pairs]
         )
-        decoded = ObjectRecord.decode(record.encode())
-        assert decoded.ints == record.ints
-        assert decoded.refs == record.refs
+        ints, refs = PAPER_FORMAT.decode(record.encode())
+        assert list(ints) == record.ints
+        assert list(refs) == record.refs
