@@ -659,12 +659,11 @@ class Assembly(VolcanoIterator):
         driver decides what to prefetch here.
         """
         pages: List[int] = []
-        page_of = self._store.page_of
         for ref in refs:
             state, link = self._route(ref)
             if state is None or link is not None:
                 continue
-            page_id = page_of(ref.oid)
+            page_id = ref.page_id  # stamped when it was scheduled
             if page_id not in pages:
                 pages.append(page_id)
         return pages

@@ -171,8 +171,9 @@ class PipelinedAssembly:
     time is the engine's clock: ``max`` over device timelines plus
     exposed CPU, not ``sum`` over reads.
 
-    Each batch's distinct fetch pages are pinned at issue with one
-    ``fix_many`` and unfixed once the batch has resolved; :meth:`_issue`
+    Each batch's distinct fetch pages are pinned at issue (plain fixes
+    when all are resident, else one ``fix_many`` inside the engine's
+    ledger bracket) and unfixed once the batch has resolved; :meth:`_issue`
     says what happens when the pin bound, a down device or exhausted
     retries get in the way.  If an exception leaves :meth:`run`, the
     pins and references of everything still in flight are handed back
@@ -216,6 +217,7 @@ class PipelinedAssembly:
         self._batch_pages = batch_pages
         self._cpu_ms_per_ref = cpu_ms_per_ref
         self._retry_policy = retry_policy
+        self._in_flight = engine.in_flight_by_device
         #: per-device circuit breaker over the engine clock; a down
         #: device's sweeps are re-queued and the device skipped until
         #: its quarantine expires.
@@ -228,14 +230,18 @@ class PipelinedAssembly:
         """Issue batches until every pending device is at issue depth."""
         engine = self._engine
         batch_pages = self._batch_pages
+        issue_depth = self._issue_depth
+        available = self.health.available
+        in_flight = self._in_flight
         now = engine.clock.now  # issuing does not move the clock
+        depths = scheduler.queue_depths()
         while True:
             best, best_depth = -1, 0
-            for device, depth in enumerate(scheduler.queue_depths()):
+            for device, depth in enumerate(depths):
                 if (
                     depth > best_depth
-                    and engine.in_flight(device) < self._issue_depth
-                    and self.health.available(device, now)
+                    and in_flight[device] < issue_depth
+                    and available(device, now)
                 ):
                     best, best_depth = device, depth
             if best < 0:
@@ -244,22 +250,38 @@ class PipelinedAssembly:
                 batch = [scheduler.pop_on(best)]
             else:
                 batch = scheduler.pop_batch_on(best, batch_pages)
-            self._issue(best, batch)
+            if self._issue(best, batch):
+                # A fallback may have added references on any device.
+                depths = scheduler.queue_depths()
+            else:
+                depths[best] -= len(batch)
         self.stats.max_in_flight = max(
-            self.stats.max_in_flight, engine.in_flight()
+            self.stats.max_in_flight, sum(in_flight)
         )
 
-    def _issue(self, device: int, batch: List[UnresolvedReference]) -> None:
+    def _issue(self, device: int, batch: List[UnresolvedReference]) -> bool:
+        """Issue one popped batch; True if it took a fallback instead."""
         engine = self._engine
         stats = self.stats
         pages = self._assembly.fetch_pages(batch)
         stats.issued += 1
-        if not pages:
-            # Nothing needs the disk (shared/preassembled/aborted):
-            # complete at "now" without occupying the device timeline.
+        buffer = self._buffer
+        is_resident = buffer.is_resident
+        for page_id in pages:
+            if not is_resident(page_id):
+                break
+        else:
+            # Nothing reads, so nothing can fault: pin and complete at
+            # "now".  Plain fixes suffice: every page already holds a
+            # frame, so fix_many's admission test (immovable + distinct
+            # <= frames <= capacity) could not fail.
+            for page_id in pages:
+                buffer.fix(page_id)
+            if pages and engine.disk.fault_injector is not None:
+                self.health.record_success(device)
             engine.issue(device, None, payload=(batch, pages))
             stats.zero_read_issues += 1
-            return
+            return False
         try:
             io = engine.issue(
                 device,
@@ -290,6 +312,8 @@ class PipelinedAssembly:
                 stats.physical_issues += 1
             else:
                 stats.zero_read_issues += 1
+            return False
+        return True
 
     def _resolve_on_timeline(
         self, device: int, batch: List[UnresolvedReference]

@@ -393,14 +393,12 @@ class SweepPool:
         """
         refs = self.take_page(page_id)
         pages = 1
+        page_live = self._page_live
         while refs and pages < max_pages:
             next_page = page_id + direction * pages
-            if next_page < 0:
+            if next_page not in page_live:  # also every page below 0
                 break
-            more = self.take_page(next_page)
-            if not more:
-                break
-            refs.extend(more)
+            refs.extend(self.take_page(next_page))
             pages += 1
         return refs
 

@@ -18,10 +18,13 @@ scheduled to *complete* at::
 
     max(now, device busy-until) + sum(run_service_time(...) per read)
 
-A completion heap orders requests across devices; :meth:`wait_next`
-pops the earliest one and advances the clock to it.  Elapsed time is
-therefore ``max`` over device timelines plus any exposed CPU
-(:meth:`spend_cpu`), not ``sum`` over reads.
+Requests with reads wait in a completion heap; a request that reads
+nothing completes at issue and waits in a FIFO *ready lane*.  Both are
+in ``(complete, handle)`` order — the lane because the clock never runs
+backwards and handles only grow — so :meth:`wait_next`, taking the
+smaller head and advancing the clock to it, delivers one heap's order.
+Elapsed time is therefore ``max`` over device timelines plus any
+exposed CPU (:meth:`spend_cpu`), not ``sum`` over reads.
 
 Exactness invariant (property-tested): with **one device, issue depth
 1, batch 1**, requests serialize perfectly — every ``complete`` is the
@@ -34,7 +37,8 @@ bit-for-bit.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
 
 from repro.errors import DiskError
 from repro.storage.costmodel import CostModel, DeviceLedger
@@ -139,7 +143,6 @@ class InFlightIO:
         "payload",
         "physical_reads",
         "pages_read",
-        "issue_time",
         "start_time",
         "complete_time",
     )
@@ -148,35 +151,19 @@ class InFlightIO:
         self,
         handle: int,
         device: int,
-        payload: Any = None,
-        physical_reads: int = 0,
-        pages_read: int = 0,
-        issue_time: float = 0.0,
-        start_time: float = 0.0,
-        complete_time: float = 0.0,
+        payload: Any,
+        physical_reads: int,
+        pages_read: int,
+        start_time: float,
+        complete_time: float,
     ) -> None:
         self.handle = handle
         self.device = device
         self.payload = payload
         self.physical_reads = physical_reads
         self.pages_read = pages_read
-        self.issue_time = issue_time
         self.start_time = start_time
         self.complete_time = complete_time
-
-    @property
-    def service_time(self) -> float:
-        """Milliseconds the device worked on this request."""
-        return self.complete_time - self.start_time
-
-    def __repr__(self) -> str:
-        return (
-            f"InFlightIO(handle={self.handle}, device={self.device}, "
-            f"physical_reads={self.physical_reads}, "
-            f"pages={self.pages_read}, "
-            f"start={self.start_time:.3f}, "
-            f"complete={self.complete_time:.3f})"
-        )
 
 
 class AsyncIOEngine:
@@ -192,19 +179,12 @@ class AsyncIOEngine:
         Pricing for physical reads (default: the A-9 period model).
         Pass a :class:`CostedDisk`'s own model to keep the engine's
         clock and the disk's synchronous accumulator in agreement.
-    spans:
-        Optional :class:`~repro.obs.spans.SpanRecorder`.  Each request
-        that touched a device is recorded as a completed ``device-io``
-        span with its exact issue/start/complete stamps — purely
-        observational: the engine's scheduling, pricing and clock are
-        byte-for-byte identical with or without a recorder attached.
     """
 
     def __init__(
         self,
         disk: SimulatedDisk,
         cost_model: Optional[CostModel] = None,
-        spans: Optional[Any] = None,
     ) -> None:
         self.disk = disk
         #: the device timelines.  Fed only while a request's ``io_fn``
@@ -213,11 +193,12 @@ class AsyncIOEngine:
         self.ledger = DeviceLedger(disk, cost_model)
         self._tap = self.ledger.record
         self.cost_model = self.ledger.cost_model
-        self.spans = spans
         self.clock = EventClock()
         self.n_devices = disk.n_devices
         self._in_flight: List[int] = [0] * self.n_devices
+        #: ``(complete, handle, io)``: a heap with reads, a lane without.
         self._completions: List[Tuple[float, int, InFlightIO]] = []
+        self._ready: Deque[Tuple[float, int, InFlightIO]] = deque()
         self._next_handle = 0
         #: requests issued (including zero-read completions).
         self.issues = 0
@@ -233,21 +214,16 @@ class AsyncIOEngine:
         if disk.fault_injector is not None:
             disk.fault_injector.bind_clock(lambda: self.clock.now)
 
-    # -- geometry ------------------------------------------------------------
+    # -- occupancy -----------------------------------------------------------
 
-    def device_of(self, page_id: int) -> int:
-        """Which timeline a page belongs to."""
-        return self.disk.device_of(page_id)
-
-    def in_flight(self, device: Optional[int] = None) -> int:
-        """Outstanding requests on one device (or overall)."""
-        if device is None:
-            return sum(self._in_flight)
-        return self._in_flight[device]
+    @property
+    def in_flight_by_device(self) -> Sequence[int]:
+        """Outstanding requests per device: a live view, not a copy."""
+        return self._in_flight
 
     def idle(self) -> bool:
         """No request outstanding on any device?"""
-        return not self._completions
+        return not self._completions and not self._ready
 
     # -- issue / complete ----------------------------------------------------
 
@@ -265,10 +241,13 @@ class AsyncIOEngine:
         The request starts when the device frees up (``max(now,
         busy_until)``) and completes after its summed service time; a
         request that triggered no physical read completes at ``now``
-        without occupying the device.  If ``io_fn`` raises, nothing is
-        scheduled, the device timeline is not charged, and the
-        exception propagates (``fix_many``'s admission check raises
-        before touching any frame, so accounting stays consistent).
+        without occupying the device and waits in the ready lane, still
+        in flight until :meth:`wait_next` delivers it.  ``io_fn=None``
+        declares up front that the request reads nothing, so it skips
+        the bracket.  If ``io_fn`` raises, nothing is scheduled, the
+        device timeline is not charged, and the exception propagates
+        (``fix_many``'s admission check raises before touching any
+        frame, so accounting stays consistent).
         """
         if not 0 <= device < self.n_devices:
             raise DiskError(f"no device {device}")
@@ -304,43 +283,36 @@ class AsyncIOEngine:
         handle = self._next_handle
         self._next_handle += 1
         io = InFlightIO(
-            handle=handle,
-            device=device,
-            payload=payload,
-            physical_reads=reads,
-            pages_read=pages_total,
-            issue_time=issue_time,
-            start_time=start,
-            complete_time=complete,
+            handle, device, payload, reads, pages_total, start, complete
         )
-        heapq.heappush(self._completions, (complete, handle, io))
+        if reads or injected:
+            heapq.heappush(self._completions, (complete, handle, io))
+        else:
+            self._ready.append((complete, handle, io))
         self._in_flight[device] += 1
         self.issues += 1
-        if self.spans is not None and (reads or injected):
-            self.spans.add(
-                "device-io",
-                start=start,
-                end=complete,
-                kind="device-io",
-                device=device,
-                handle=handle,
-                issue_time=issue_time,
-                physical_reads=io.physical_reads,
-                pages=io.pages_read,
-            )
         return io
 
     def wait_next(self) -> InFlightIO:
         """Pop the earliest completion, advancing the clock to it.
+
+        The earliest is the smaller ``(complete, handle)`` of the ready
+        lane's head and the completion heap's top: both are sorted by
+        that key, so the merge is the order a single heap would give.
 
         A completion scheduled *before* the current time — possible when
         :meth:`spend_cpu` pushed the clock past it — was fully hidden
         behind that CPU work and is delivered immediately, without
         moving the clock.
         """
-        if not self._completions:
+        completions = self._completions
+        ready = self._ready
+        if ready and (not completions or ready[0] < completions[0]):
+            complete, _handle, io = ready.popleft()
+        elif completions:
+            complete, _handle, io = heapq.heappop(completions)
+        else:
             raise DiskError("wait_next() with no I/O in flight")
-        complete, _handle, io = heapq.heappop(self._completions)
         if complete > self.clock.now:
             self.clock.advance_to(complete)
         self._in_flight[io.device] -= 1

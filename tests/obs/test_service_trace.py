@@ -8,7 +8,6 @@ from repro.bench.harness import ExperimentConfig, build_layout
 from repro.cluster.layout import layout_database
 from repro.cluster.policies import InterObjectClustering
 from repro.core.assembly import Assembly
-from repro.core.multidevice import MultiDeviceScheduler, PipelinedAssembly
 from repro.core.tuning import pin_bound
 from repro.errors import ServiceStateError
 from repro.obs.demo import demo_service_run
@@ -18,9 +17,7 @@ from repro.service.device_server import DeviceServer
 from repro.service.server import AssemblyService
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import SimulatedDisk
-from repro.storage.events import AsyncIOEngine
 from repro.storage.faults import FaultConfig, FaultInjector, RetryPolicy
-from repro.storage.multidisk import MultiDeviceDisk
 from repro.storage.store import ObjectStore
 from repro.iterator import ListSource
 from repro.workloads.acob import generate_acob, make_template
@@ -126,37 +123,6 @@ class TestServiceSpans:
         service = AssemblyService(layout.store)
         with pytest.raises(ServiceStateError):
             service.export_trace(str(tmp_path / "t.json"))
-
-
-class TestEngineSpans:
-    def test_overlapped_run_emits_device_io_spans(self):
-        recorder = SpanRecorder()
-        db = generate_acob(24, seed=2)
-        disk = MultiDeviceDisk(n_devices=2, pages_per_device=2048)
-        store = ObjectStore(disk, BufferManager(disk))
-        layout = layout_database(
-            db.complex_objects, store,
-            InterObjectClustering(
-                cluster_pages=64, disk_order=db.type_ids_depth_first()
-            ),
-            shared=db.shared_pool,
-        )
-        engine = AsyncIOEngine(disk, spans=recorder)
-        operator = Assembly(
-            ListSource(layout.root_order), store, make_template(db),
-            window_size=8, scheduler=MultiDeviceScheduler(disk),
-        )
-        emitted = PipelinedAssembly(operator, engine, issue_depth=2).run()
-        assert len(emitted) == 24
-        ios = recorder.of_kind("device-io")
-        assert ios
-        # Event-clock stamps: spans end within the run's elapsed time,
-        # across both devices, and durations are the modelled service
-        # times (positive).
-        assert {span.device for span in ios} == {0, 1}
-        assert all(span.duration > 0 for span in ios)
-        assert all(span.end <= engine.elapsed + 1e-9 for span in ios)
-        assert all("physical_reads" in span.attrs for span in ios)
 
 
 class TestRetrySpans:

@@ -1,9 +1,14 @@
-"""The event-driven I/O engine: clock, timelines, overlap accounting."""
+"""The event-driven I/O engine: clock, timelines, overlap accounting,
+and the ready lane checked against a single completion heap."""
+
+import heapq
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DiskError
-from repro.storage.costmodel import CostModel
+from repro.storage.costmodel import CostModel, DeviceLedger
 from repro.storage.disk import SimulatedDisk
 from repro.storage.events import AsyncIOEngine, EventClock
 from repro.storage.multidisk import MultiDeviceDisk
@@ -38,7 +43,6 @@ class TestIssueAndComplete:
         disk = SimulatedDisk(n_pages=50)
         engine = AsyncIOEngine(disk, LINEAR)
         assert engine.n_devices == 1
-        assert engine.device_of(42) == 0
 
     def test_bad_device_raises(self):
         _disk, engine = self.make()
@@ -100,9 +104,7 @@ class TestIssueAndComplete:
         engine.issue(0, lambda: disk.read(10))
         engine.issue(0, lambda: disk.read(20))
         engine.issue(1, lambda: disk.read(110))
-        assert engine.in_flight(0) == 2
-        assert engine.in_flight(1) == 1
-        assert engine.in_flight() == 3
+        assert list(engine.in_flight_by_device) == [2, 1]
         assert not engine.idle()
         for _ in range(3):
             engine.wait_next()
@@ -170,3 +172,146 @@ class TestIssueAndComplete:
         _disk, engine = self.make()
         with pytest.raises(DiskError):
             engine.spend_cpu(-1.0)
+
+
+class HeapEngine:
+    """The engine before the ready lane: every request on one heap.
+
+    The oracle for :class:`TestReadyLane`.  It prices reads through its
+    own :class:`DeviceLedger` bracket exactly as the engine does, and
+    orders every completion — reads or none — by ``(complete, handle)``
+    on a single heap.
+    """
+
+    def __init__(self, disk, cost_model):
+        self.disk = disk
+        self.ledger = DeviceLedger(disk, cost_model)
+        self.tap = self.ledger.record
+        self.now = 0.0
+        self.in_flight = [0] * disk.n_devices
+        self.heap = []
+        self.next_handle = 0
+        self.issues = 0
+        self.zero_read_issues = 0
+
+    def issue(self, device, io_fn):
+        start = complete = self.now
+        reads = 0
+        if io_fn is not None:
+            start = max(self.now, self.ledger.busy_until[device])
+            mark = self.ledger.mark(start)
+            self.disk.add_read_tap(self.tap)
+            try:
+                io_fn()
+            finally:
+                self.disk.remove_read_tap(self.tap)
+                reads, pages, end, _injected = self.ledger.since(mark)
+            if reads:
+                complete = end
+                self.ledger.occupy(device, start, complete, pages)
+        if not reads:
+            self.zero_read_issues += 1
+        heapq.heappush(self.heap, (complete, self.next_handle, device))
+        self.next_handle += 1
+        self.in_flight[device] += 1
+        self.issues += 1
+
+    def wait_next(self):
+        complete, handle, device = heapq.heappop(self.heap)
+        self.now = max(self.now, complete)
+        self.in_flight[device] -= 1
+        return handle
+
+
+class LaneFirstEngine(AsyncIOEngine):
+    """A wrong merge: drains the ready lane before looking at the heap."""
+
+    def wait_next(self):
+        if self._ready:
+            self._in_flight[self._ready[0][2].device] -= 1
+            return self._ready.popleft()[2]
+        return super().wait_next()
+
+
+PAGES_PER_DEVICE = 40
+
+#: one step of an engine program.
+OPS = st.one_of(
+    st.tuples(st.just("read"), st.integers(0, 3),
+              st.integers(0, PAGES_PER_DEVICE - 1)),
+    st.tuples(st.just("none"), st.integers(0, 3)),
+    st.tuples(st.just("no-read"), st.integers(0, 3)),
+    st.tuples(st.just("cpu"), st.integers(0, 30)),
+    st.tuples(st.just("until"), st.integers(0, 60)),
+    st.tuples(st.just("wait"),),
+)
+
+
+def check_against_heap(engine_cls, n_devices, program):
+    """Run ``program`` on both engines, comparing after every step."""
+    disks = [
+        MultiDeviceDisk(n_devices=n_devices, pages_per_device=PAGES_PER_DEVICE)
+        for _ in range(2)
+    ]
+    engine = engine_cls(disks[0], LINEAR)
+    oracle = HeapEngine(disks[1], LINEAR)
+    delivered, expected = [], []
+    for op in program:
+        kind = op[0]
+        if kind in ("read", "none", "no-read"):
+            device = op[1] % n_devices
+            if kind == "read":
+                page = device * PAGES_PER_DEVICE + op[2]
+                fns = [lambda d=disk: d.read(page) for disk in disks]
+            elif kind == "none":
+                fns = [None, None]
+            else:
+                fns = [lambda: None, lambda: None]
+            engine.issue(device, fns[0])
+            oracle.issue(device, fns[1])
+        elif kind == "cpu":
+            engine.spend_cpu(float(op[1]))
+            oracle.now += op[1]
+        elif kind == "until":
+            engine.wait_until(float(op[1]))
+            oracle.now = max(oracle.now, op[1])
+        elif not engine.idle():
+            delivered.append((engine.wait_next().handle, engine.clock.now))
+            expected.append((oracle.wait_next(), oracle.now))
+        assert delivered == expected
+        assert engine.clock.now == oracle.now
+        assert list(engine.in_flight_by_device) == oracle.in_flight
+        for device in range(n_devices):
+            assert engine.busy_time(device) == oracle.ledger.busy_time[device]
+        assert engine.idle() == (not oracle.heap)
+        assert engine.issues == oracle.issues
+        assert engine.zero_read_issues == oracle.zero_read_issues
+
+
+class TestReadyLane:
+    """Zero-read requests on a FIFO lane deliver in one heap's order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_devices=st.integers(1, 4),
+        program=st.lists(OPS, min_size=20, max_size=80),
+    )
+    def test_lane_and_heap_merge_like_one_heap(self, n_devices, program):
+        check_against_heap(AsyncIOEngine, n_devices, program)
+
+    def test_lane_first_merge_is_caught(self):
+        # A read completing at 11 ms, CPU past it to 25 ms, then a
+        # zero-read request at 25 ms: the read must come out first.
+        program = [("read", 0, 10), ("cpu", 25), ("none", 0), ("wait",)]
+        check_against_heap(AsyncIOEngine, 1, program)
+        with pytest.raises(AssertionError):
+            check_against_heap(LaneFirstEngine, 1, program)
+
+    def test_equal_completion_times_tie_by_handle(self):
+        # The read completes at exactly the lane entry's time: the
+        # earlier handle (the read) is delivered first.
+        program = [("read", 0, 10), ("cpu", 11), ("none", 0),
+                   ("wait",), ("wait",)]
+        check_against_heap(AsyncIOEngine, 1, program)
+        with pytest.raises(AssertionError):
+            check_against_heap(LaneFirstEngine, 1, program)
