@@ -48,9 +48,6 @@ from repro.storage.disk import Extent
 from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
 
-#: Canonical (unordered) pair key of two OIDs.
-PairKey = Tuple[Oid, Oid]
-
 # The sketch keys objects and edges by integers.  An OID's code is
 # ``(type_id << 64) | serial`` — the big-endian ``>HQ`` of
 # ``Oid.encode`` read as one number, so codes order exactly as OIDs do —
@@ -59,10 +56,6 @@ PairKey = Tuple[Oid, Oid]
 # integers.
 _M64 = (1 << 64) - 1
 _M80 = (1 << 80) - 1
-
-
-def _oid_of(code: int) -> Oid:
-    return Oid(code >> 64, code & _M64)
 
 
 @dataclass(frozen=True)
@@ -187,7 +180,8 @@ class AffinitySketch:
 
     def hot_codes(self) -> List[Tuple[int, float]]:
         """``(edge code, weight)`` at or above ``min_weight``, heaviest
-        first, ties by code — the order of :meth:`hot_edges`.
+        first, ties by code — that is, by the ``(low, high)`` OID pair,
+        so two sketches fed the same stream plan the same migrations.
 
         Two stable sorts on C-level keys (code, then weight descending)
         give the ``(-weight, pair)`` order without a key per edge.
@@ -201,17 +195,6 @@ class AffinitySketch:
         edges.sort(key=itemgetter(0))
         edges.sort(key=itemgetter(1), reverse=True)
         return edges
-
-    def hot_edges(self) -> List[Tuple[PairKey, float]]:
-        """Edges at or above ``min_weight``, heaviest first.
-
-        Ties break on the OID pair itself, so two sketches fed the same
-        stream plan the same migrations.
-        """
-        return [
-            ((_oid_of(code >> 80), _oid_of(code & _M80)), weight)
-            for code, weight in self.hot_codes()
-        ]
 
 
 class ReorgPlanner:

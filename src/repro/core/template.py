@@ -198,6 +198,7 @@ class Template:
         self.root = root
         self._by_label: Dict[str, TemplateNode] = {}
         self._finalized = False
+        self._fingerprint: Optional[str] = None
         #: predicates folded in by :meth:`with_predicate` (explain()).
         self.pushed_predicates = 0
 
@@ -269,6 +270,7 @@ class Template:
         """
         self._require_finalized()
         self._annotate(self.root, depth=0)
+        self._fingerprint = None
         return self
 
     def _unroll_all(self) -> None:
@@ -417,11 +419,25 @@ class Template:
         selectivity — predicate *functions* are opaque, so distinct
         predicates should carry distinct names).  The assembly service
         keys its result cache by (root OID, fingerprint).
+
+        The digest is computed once and memoised; :meth:`reannotate`
+        (the contract after mutating annotations) clears it.
         """
         self._require_finalized()
+        if self._fingerprint is not None:
+            return self._fingerprint
         parts: List[str] = []
-
-        def render(node: TemplateNode, slot: Optional[int]) -> None:
+        # Pre-order with an explicit stack (``None`` closes a subtree):
+        # a recursive local function would be a reference cycle.
+        stack: List[Optional[Tuple[TemplateNode, Optional[int]]]] = [
+            (self.root, None)
+        ]
+        while stack:
+            item = stack.pop()
+            if item is None:
+                parts.append(")")
+                continue
+            node, slot = item
             predicate = ""
             if node.predicate is not None:
                 predicate = (
@@ -431,12 +447,13 @@ class Template:
                 f"{slot}|{node.label}|{node.type_name}|{int(node.shared)}"
                 f"|{node.sharing_degree!r}|{predicate}"
             )
-            for child_slot in node.child_slots():
-                render(node.children[child_slot], child_slot)
-            parts.append(")")
-
-        render(self.root, None)
-        return hashlib.sha1("\n".join(parts).encode()).hexdigest()
+            stack.append(None)
+            stack.extend(
+                (child, child_slot)
+                for child_slot, child in reversed(node.child_items())
+            )
+        self._fingerprint = hashlib.sha1("\n".join(parts).encode()).hexdigest()
+        return self._fingerprint
 
     def describe(self) -> str:
         """Multi-line, indented rendering (for logs and docs)."""

@@ -18,11 +18,11 @@ it to a dynamic registry of independent client queries:
   per head: the exclusive-control assumption restored service-wide.
 * Fairness: pure SCAN can park on one query's hot region while another
   query's references wait at the far end of the disk.  The server
-  counts, per query, how many global resolutions have happened since
-  the query was last served; any query starved past
-  ``starvation_bound`` preempts the sweep and gets its nearest
-  reference served next.  Completed objects are emitted round-robin
-  across queries with output pending.
+  stamps each query with the service clock when it was last served
+  (or when its pending count last rose from zero); the query with the
+  oldest stamp, once starved past ``starvation_bound``, preempts the
+  sweep and gets its nearest reference served next.  Completed objects
+  are emitted round-robin across queries with output pending.
 
 Every tie in the sweep breaks on a global admission sequence number, so
 a given registration order replays the exact same fetch sequence —
@@ -31,6 +31,7 @@ tests rely on this determinism.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.cluster.reorg import Reorganizer
@@ -95,20 +96,21 @@ class ClientQuery:
     """One live client query registered with a device server.
 
     Wraps the query's :class:`~repro.core.assembly.Assembly` operator
-    plus the service-side bookkeeping: output buffer, starvation
-    counter, and completion flag.  Handed back by
+    plus the service-side bookkeeping: output buffer, fairness stamp,
+    and completion flag.  Handed back by
     :meth:`DeviceServer.register`; results are taken with
     :meth:`take_results` (or via the server's round-robin
     :meth:`DeviceServer.next_result`).
     """
 
-    def __init__(self, query_id: int, assembly: Assembly) -> None:
+    def __init__(self, query_id: int, assembly: Assembly, stamp: int) -> None:
         self.query_id = query_id
         self.assembly = assembly
         #: completed complex objects not yet taken by the client.
         self.output: List[AssembledComplexObject] = []
-        #: global resolutions since this query was last served.
-        self.waited = 0
+        #: service clock when this query was last served, or when its
+        #: pending count last rose from zero (see DeviceServer.waited).
+        self.stamp = stamp
         #: resolutions served to this query (fairness diagnostics).
         self.served = 0
         self.finished = False
@@ -171,6 +173,17 @@ class DeviceServer:
         self._pages_per_device = store.disk.pages_per_device
         self._queries: Dict[int, ClientQuery] = {}
         self._pending: Dict[int, int] = {}
+        self._pending_total = 0
+        #: ``(stamp, query id)`` min-heap: the oldest live stamp is the
+        #: most starved query.  Entries go stale when a query is
+        #: restamped or runs dry and are dropped once they surface.
+        #: No bound, no heap: nothing would ever read it.
+        self._stamps: Optional[List[Tuple[int, int]]] = (
+            None if starvation_bound is None else []
+        )
+        #: ids of the queries collected during the current step (reset
+        #: by :meth:`step`): only they can have output or be finished.
+        self.touched: List[int] = []
         self._next_query_id = 0
         self._seq = 0
         self._emit_turn = 0
@@ -230,7 +243,7 @@ class DeviceServer:
             scheduler=proxy,
             **assembly_kwargs,
         )
-        query = ClientQuery(query_id, assembly)
+        query = ClientQuery(query_id, assembly, self.resolutions)
         self._queries[query_id] = query
         self._pending[query_id] = 0
         try:
@@ -258,7 +271,16 @@ class DeviceServer:
         self._seq += 1
         ref.seq = self._seq
         self._queues[ref.page_id // self._pages_per_device].add(ref)
-        self._pending[ref.client] += 1
+        self._pending_total += 1
+        client = ref.client
+        pending = self._pending
+        if not pending[client]:
+            # Rising from zero: the query starts waiting now.
+            now = self.resolutions
+            self._queries[client].stamp = now
+            if self._stamps is not None:
+                heappush(self._stamps, (now, client))
+        pending[client] += 1
 
     def _retract(self, query_id: int, owner: int) -> List[UnresolvedReference]:
         removed: List[UnresolvedReference] = []
@@ -266,6 +288,7 @@ class DeviceServer:
             removed.extend(queue.remove_owner(owner, query_id))
         if removed:
             self._pending[query_id] -= len(removed)
+            self._pending_total -= len(removed)
         return removed
 
     def pending_of(self, query_id: int) -> int:
@@ -274,7 +297,7 @@ class DeviceServer:
 
     def pending_total(self) -> int:
         """Pending pool references across all queries."""
-        return sum(len(queue) for queue in self._queues)
+        return self._pending_total
 
     def queue_depths(self) -> List[int]:
         """Pending references per device (balance diagnostics)."""
@@ -282,18 +305,32 @@ class DeviceServer:
 
     # -- scheduling ---------------------------------------------------------
 
+    def waited(self, query_id: int) -> int:
+        """Global resolutions since ``query_id`` was last served, counted
+        while it had references pending (0 when it has none)."""
+        if not self._pending[query_id]:
+            return 0
+        return self.resolutions - self._queries[query_id].stamp
+
     def _starved_query(self) -> Optional[int]:
-        if self.starvation_bound is None:
+        # The oldest live stamp waited longest; equal stamps go to the
+        # lowest query id.  A query's pending count only reaches zero
+        # when it is served, so its stamp is exact while it has any.
+        stamps = self._stamps
+        if stamps is None:
             return None
-        worst_id: Optional[int] = None
-        worst_wait = self.starvation_bound - 1
-        for query_id, query in self._queries.items():
-            if query.finished or self._pending[query_id] == 0:
+        queries = self._queries
+        pending = self._pending
+        while stamps:
+            stamp, query_id = stamps[0]
+            query = queries.get(query_id)
+            if query is None or query.stamp != stamp or not pending[query_id]:
+                heappop(stamps)
                 continue
-            if query.waited > worst_wait:
-                worst_id = query_id
-                worst_wait = query.waited
-        return worst_id
+            if self.resolutions - stamp >= self.starvation_bound:
+                return query_id
+            return None
+        return None
 
     def _deepest_device(self) -> int:
         # Deepest queue first: elevator sweeps pay off in proportion to
@@ -303,6 +340,9 @@ class DeviceServer:
         # quarantined, in which case the earliest-recovering one is
         # probed anyway (on the synchronous path, only attempts advance
         # the injector's op clock, so probing is what ends an outage).
+        # A lone queue is the deepest or the only probe: either way, 0.
+        if len(self._queues) == 1:
+            return 0
         now = self.store.disk.fault_now()
         best = None
         best_depth = 0
@@ -333,6 +373,7 @@ class DeviceServer:
         """
         ref = self._queues[device].pop()
         self._pending[ref.client] -= 1
+        self._pending_total -= 1
         return ref
 
     def _pop_starved(self, query_id: int) -> Tuple[int, UnresolvedReference]:
@@ -343,6 +384,7 @@ class DeviceServer:
             ref = queue.pop_nearest(query_id)
             if ref is not None:
                 self._pending[query_id] -= 1
+                self._pending_total -= 1
                 return device, ref
         raise SchedulerError(f"query {query_id} has no pending reference")
 
@@ -362,7 +404,8 @@ class DeviceServer:
         error propagates with every *other* query whole: further steps
         keep serving them once the failed query is deregistered.
         """
-        if self.pending_total() == 0 and not self._release_stuck():
+        self.touched = []
+        if not self._pending_total and not self._release_stuck():
             return False
         starved = self._starved_query()
         if starved is None:
@@ -384,19 +427,14 @@ class DeviceServer:
 
     def _serve(self, ref: UnresolvedReference) -> None:
         """Hand a popped reference to its owning query's operator:
-        service clock, fairness counters, affinity observation,
-        resolution, collection."""
-        queries = self._queries
-        pending = self._pending
+        service clock, fairness stamp, affinity observation, resolution,
+        collection."""
         query_id = ref.client
-        query = queries[query_id]
-        self.resolutions += 1
-        for other_id, other in queries.items():
-            if other.finished or other_id == query_id:
-                continue
-            if pending[other_id] > 0:
-                other.waited += 1
-        query.waited = 0
+        query = self._queries[query_id]
+        self.resolutions = now = self.resolutions + 1
+        query.stamp = now
+        if self._stamps is not None and self._pending[query_id]:
+            heappush(self._stamps, (now, query_id))
         query.served += 1
         if self.reorg is not None:
             # One affinity observation per resolved reference, grouped
@@ -415,9 +453,10 @@ class DeviceServer:
                 query.assembly.release_stuck_deferred()
                 released = self._pending[query.query_id] > 0 or released
                 self._collect(query)
-        return released and self.pending_total() > 0
+        return released and self._pending_total > 0
 
     def _collect(self, query: ClientQuery) -> None:
+        self.touched.append(query.query_id)
         emitted = query.assembly.drain_emitted()
         if emitted:
             query.output.extend(emitted)

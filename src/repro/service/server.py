@@ -18,7 +18,6 @@ the simulated disk.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
 from enum import Enum
 from typing import Dict, Iterable, List, Optional
 
@@ -139,8 +138,8 @@ class AssemblyService:
             self.cache.wire(store)
         self.metrics = ServiceMetrics()
         self._requests: Dict[int, _Request] = {}
-        #: ids of RUNNING requests, ascending — all a step ever visits.
-        self._live: List[int] = []
+        #: query id -> request id of every RUNNING request.
+        self._running: Dict[int, int] = {}
         self._next_request_id = 0
 
     # -- submission ----------------------------------------------------------
@@ -249,7 +248,7 @@ class AssemblyService:
             **request.assembly_kwargs,
         )
         request.status = RequestStatus.RUNNING
-        insort(self._live, request.request_id)
+        self._running[request.query.query_id] = request.request_id
         request.metrics.started_at = self.clock
         request.metrics.window_size = request.ticket.window_size
         request.metrics.shrunk = request.ticket.shrunk
@@ -265,21 +264,25 @@ class AssemblyService:
         Returns ``False`` when nothing is left to do: no pending
         references, no running queries, no admissible waiters.
         """
-        advanced = self.server.step()
+        server = self.server
+        advanced = server.step()
         finished_any = False
-        # Live requests only, in ascending id (docs/service.md, the step
-        # contract).  Finishing one may start queued ones; re-seeking past
-        # the id just served visits exactly those with a higher id.
-        live = self._live
-        position = 0
-        while position < len(live):
-            request_id = live[position]
+        # Only the queries the step collected can have output or be
+        # finished: visit their requests in ascending id (docs/service.md,
+        # the step contract).  A request started inside this sweep was
+        # collected by _start and cannot be finished yet.
+        touched = server.touched
+        running = self._running
+        if len(touched) == 1:
+            request_ids = (running[touched[0]],)
+        else:
+            request_ids = sorted({running[query_id] for query_id in touched})
+        for request_id in request_ids:
             request = self._requests[request_id]
             self._collect(request)
             if request.query.finished:
                 self._finish(request)
                 finished_any = True
-            position = bisect_right(live, request_id)
         return advanced or finished_any
 
     def run(self) -> None:
@@ -292,7 +295,7 @@ class AssemblyService:
         """
         while self.step():
             pass
-        stuck = sorted(self._live + self.admission.waiting_ids())
+        stuck = sorted([*self._running.values(), *self.admission.waiting_ids()])
         if stuck:
             raise ServiceStateError(
                 f"service idle with unfinished requests {stuck}"
@@ -368,7 +371,7 @@ class AssemblyService:
             request.metrics.fault_retries = stats.fault_retries
             request.metrics.degraded = stats.degraded_emitted
             self.server.deregister(request.query.query_id)
-            self._live.remove(request.request_id)
+            del self._running[request.query.query_id]
         request.status = RequestStatus.DONE
         request.metrics.completed_at = self.clock
         self.metrics.requests_completed += 1
@@ -406,8 +409,8 @@ class AssemblyService:
         if request.status is RequestStatus.RUNNING:
             assert request.query is not None
             self.server.deregister(request.query.query_id)
+            del self._running[request.query.query_id]
             request.query = None
-            self._live.remove(request_id)
         if request.ticket is not None:
             if request.ticket.waiting:
                 self.admission.cancel_waiting(request.ticket)
@@ -428,7 +431,12 @@ class AssemblyService:
 
     def poll(self, request_id: int) -> RequestStatus:
         """Current lifecycle state of one request."""
-        return self._request(request_id).status
+        try:
+            return self._requests[request_id].status
+        except KeyError:
+            raise ServiceStateError(
+                f"unknown request id {request_id}"
+            ) from None
 
     def result(self, request_id: int) -> List[AssembledComplexObject]:
         """Drive the service until ``request_id`` finishes; its objects.

@@ -31,6 +31,16 @@ def oid(serial):
     return Oid(1, serial)
 
 
+def edge(a, b):
+    """The sketch's code for the edge between ``oid(a)`` and ``oid(b)``."""
+    low, high = sorted((oid(a), oid(b)))
+    return (
+        (((low.type_id << 64) | low.serial) << 80)
+        | (high.type_id << 64)
+        | high.serial
+    )
+
+
 class TestPolicyValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -63,10 +73,10 @@ class TestAffinitySketch:
             sketch.observe(("q", _repeat), oid(1))
             sketch.observe(("q", _repeat), oid(2))
             sketch.observe(("q", _repeat), oid(3))
-        edges = dict(sketch.hot_edges())
-        assert edges[(oid(1), oid(2))] == 2.0
-        assert edges[(oid(1), oid(3))] == 2.0
-        assert edges[(oid(2), oid(3))] == 2.0
+        edges = dict(sketch.hot_codes())
+        assert edges[edge(1, 2)] == 2.0
+        assert edges[edge(1, 3)] == 2.0
+        assert edges[edge(2, 3)] == 2.0
 
     def test_different_contexts_never_pair(self):
         sketch = AffinitySketch(ReorgPolicy(min_weight=1.0))
@@ -89,9 +99,9 @@ class TestAffinitySketch:
         sketch.observe("q", oid(2))
         sketch.observe("q", oid(3))  # pairs with 1 and 2
         sketch.observe("q", oid(4))  # window is [2, 3]: no (1, 4) edge
-        edges = dict(sketch.hot_edges())
-        assert (oid(1), oid(4)) not in edges
-        assert (oid(3), oid(4)) in edges
+        edges = dict(sketch.hot_codes())
+        assert edge(1, 4) not in edges
+        assert edge(3, 4) in edges
 
     def test_decay_ages_and_prunes(self):
         sketch = AffinitySketch(
@@ -101,7 +111,7 @@ class TestAffinitySketch:
         sketch.observe("q", oid(2))
         assert len(sketch) == 1
         sketch.decay()  # 1.0 -> 0.5, survives
-        assert dict(sketch.hot_edges())[(oid(1), oid(2))] == 0.5
+        assert dict(sketch.hot_codes())[edge(1, 2)] == 0.5
         sketch.decay()  # 0.5 -> 0.25 < epsilon, pruned
         assert len(sketch) == 0
 
@@ -114,9 +124,9 @@ class TestAffinitySketch:
         sketch.observe("a", oid(3))  # refreshes "a"
         sketch.observe("c", oid(4))  # evicts "b", the coldest
         sketch.observe("b", oid(5))  # "b" restarts empty: no (2, 5) edge
-        edges = dict(sketch.hot_edges())
-        assert (oid(1), oid(3)) in edges
-        assert (oid(2), oid(5)) not in edges
+        edges = dict(sketch.hot_codes())
+        assert edge(1, 3) in edges
+        assert edge(2, 5) not in edges
 
     def test_hot_edges_is_deterministically_ordered(self):
         sketch = AffinitySketch(ReorgPolicy(min_weight=1.0))
@@ -125,12 +135,12 @@ class TestAffinitySketch:
         sketch.observe("q", oid(2))
         sketch.observe("r", oid(1))
         sketch.observe("r", oid(2))
-        edges = sketch.hot_edges()
+        edges = sketch.hot_codes()
         # (1, 2) has weight 2; the weight-1 edges tie-break on OID pair.
-        assert edges[0] == ((oid(1), oid(2)), 2.0)
+        assert edges[0] == (edge(1, 2), 2.0)
         assert edges[1:] == [
-            ((oid(1), oid(3)), 1.0),
-            ((oid(2), oid(3)), 1.0),
+            (edge(1, 3), 1.0),
+            (edge(2, 3), 1.0),
         ]
 
 

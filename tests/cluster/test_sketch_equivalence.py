@@ -5,12 +5,13 @@ sort hot edges with a ``(-weight, pair)`` key per edge; it now keys
 objects and edges by order-preserving integers and the planner
 agglomerates on those.  The old sketch and planner are kept here as the
 oracle.  Both are driven through the same generated observe / decay /
-hot_edges / plan programs over OIDs drawn from the whole encodable
+hot-edge / plan programs over OIDs drawn from the whole encodable
 range — ``type_id`` up to ``0xFFFF``, ``serial`` up to ``2**64 - 1``,
 serials on both sides of ``2**32`` and the same serial under several
 types — and everything observable must agree after every operation:
-the hot-edge list element by element with bit-equal weights, the edge
-count, the observation count and the planned clusters.
+the hot-edge list element by element with bit-equal weights (the
+oracle's OID pairs encoded as the sketch's edge codes), the edge count,
+the observation count and the planned clusters.
 """
 
 from __future__ import annotations
@@ -163,10 +164,28 @@ def programs(draw):
     return draw(POLICIES), pool, ops
 
 
+def edge_code(low, high):
+    """The sketch's code for the edge ``(low, high)``, ``low <= high``."""
+    return (
+        (((low.type_id << 64) | low.serial) << 80)
+        | (high.type_id << 64)
+        | high.serial
+    )
+
+
 def observable(sketch):
     """Hot edges with bit-exact weights, edge count, observations."""
-    edges = [(pair, weight.hex()) for pair, weight in sketch.hot_edges()]
+    edges = [(code, weight.hex()) for code, weight in sketch.hot_codes()]
     return edges, len(sketch), sketch.observations
+
+
+def oracle_observable(oracle):
+    """:func:`observable` of the tuple-keyed oracle, pairs encoded."""
+    edges = [
+        (edge_code(low, high), weight.hex())
+        for (low, high), weight in oracle.hot_edges()
+    ]
+    return edges, len(oracle), oracle.observations
 
 
 @settings(max_examples=300, deadline=None)
@@ -188,4 +207,4 @@ def test_integer_keyed_sketch_matches_the_tuple_oracle(program):
             expected = tuple_plan(policy, oracle, pages.__getitem__, op[2])
             assert clusters == expected
             assert all(type(o) is Oid for c in clusters for o in c)
-        assert observable(sketch) == observable(oracle)
+        assert observable(sketch) == oracle_observable(oracle)

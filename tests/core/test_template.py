@@ -93,6 +93,17 @@ class TestFinalize:
         assert template.predicate_count == 1
         assert template.node("left").subtree_predicates == 1
 
+    def test_fingerprint_memo_is_cleared_by_reannotate(self):
+        template = simple_template()
+        first = template.fingerprint()
+        assert template.fingerprint() is first  # the memo, not a re-render
+        template.node("left").predicate = int_less_than(0, 10, 0.5)
+        template.reannotate()
+        second = template.fingerprint()
+        assert second != first
+        assert template.fingerprint() is second
+        assert second == template.clone().fingerprint()  # fresh render
+
     def test_node_lookup_unknown(self):
         with pytest.raises(TemplateError):
             simple_template().node("ghost")

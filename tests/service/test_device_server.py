@@ -122,7 +122,7 @@ class TestFairness:
         n_queries = 5
         while server.step():
             for query in server.active_queries():
-                assert query.waited <= bound + n_queries
+                assert server.waited(query.query_id) <= bound + n_queries
         assert slow.finished and all(q.finished for q in fast)
         assert all(q.served > 0 for q in fast)
 
@@ -141,7 +141,10 @@ class TestFairness:
         while server.step():
             worst = max(
                 worst,
-                max(q.waited for q in server.active_queries()),
+                max(
+                    server.waited(q.query_id)
+                    for q in server.active_queries()
+                ),
             )
         assert worst > 4 + 5
 

@@ -91,7 +91,7 @@ class TestUnknownRoot:
                 service.server.pending_total(),
                 [q.query_id for q in service.server.active_queries()],
                 service.admission.granted_pages,
-                list(service._live),
+                dict(service._running),
                 service.metrics.snapshot(),
                 layout.store.buffer.pinned_pages,
             )

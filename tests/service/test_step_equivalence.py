@@ -1,13 +1,24 @@
-"""The live-index ``step`` is the full-rescan ``step``, interleaving by interleaving.
+"""The touched-query ``step`` is the full-rescan ``step``, interleaving by interleaving.
 
 ``AssemblyService.step`` used to rescan every request the service had
-ever accepted; it now sweeps a sorted index of the RUNNING ones.  The
-old loop is kept here as the oracle and both services are driven
-through the same generated submit / step / cancel / result programs
-under an admission budget tight enough that low ids wait while higher
-(priority) ids run and that a finishing request starts waiters in the
-middle of a sweep.  Everything a client or an operator can observe must
-agree after every single rule.
+ever accepted; it now visits only the requests whose queries the device
+server collected during the step.  The old loop is kept here as the
+oracle and both services are driven through the same generated submit /
+step / cancel / result programs under an admission budget tight enough
+that low ids wait while higher (priority) ids run and that a finishing
+request starts waiters in the middle of a sweep.  Everything a client
+or an operator can observe must agree after every single rule.
+
+The device server's fairness has an oracle of its own: the per-query
+``waited`` counters (bumped on every other pending query at each
+resolution, scanned in full for the most starved) that the clock stamps
+replaced.  Both servers run the same programs under a small starvation
+bound, so overrides fire, and over a template whose predicate counts
+promise one predicate more than the data decides: objects park their
+deferred references until the pool runs dry, so queries wait at zero
+pending while unfinished — the case where a stamp and a counter could
+part.  Pop order, services per query and every query's wait must agree
+after every rule.
 """
 
 from __future__ import annotations
@@ -17,13 +28,19 @@ from hypothesis import strategies as st
 
 from repro.bench.harness import ExperimentConfig, build_layout
 from repro.errors import ServiceOverloadError, ServiceStateError
+from repro.service.device_server import DeviceServer
 from repro.service.server import AssemblyService, RequestStatus
-from repro.workloads.acob import make_template
+from repro.workloads.acob import make_template, payload_predicate
 
 N_OBJECTS = 24
 #: pin_bound(4, 7-node template) = 25: one window-4 request fills the
 #: budget, everything behind it queues and later starts shrunk.
 TIGHT_BUDGET = 25
+#: small enough that the starvation override fires in most programs.
+STARVATION_BOUND = 3
+#: room for several queries at once, so stamps tie and the override
+#: has to pick among them.
+FAIR_BUDGET = 64
 
 
 class RescanService(AssemblyService):
@@ -41,18 +58,83 @@ class RescanService(AssemblyService):
         return advanced or finished_any
 
 
-def build(service_class):
+class RecordingServer(DeviceServer):
+    """A device server that logs every reference it serves."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pops = []
+
+    def _serve(self, ref):
+        self.pops.append((ref.client, ref.oid))
+        super()._serve(ref)
+
+
+class CountingServer(RecordingServer):
+    """The fairness the stamps replaced: a ``waited`` counter per query."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.counters = {}
+
+    def waited(self, query_id):
+        return self.counters.get(query_id, 0)
+
+    def _starved_query(self):
+        worst_id = None
+        worst_wait = self.starvation_bound - 1
+        for query_id, query in self._queries.items():
+            if query.finished or self._pending[query_id] == 0:
+                continue
+            if self.waited(query_id) > worst_wait:
+                worst_id = query_id
+                worst_wait = self.waited(query_id)
+        return worst_id
+
+    def _serve(self, ref):
+        for other_id, other in self._queries.items():
+            if other.finished or other_id == ref.client:
+                continue
+            if self._pending[other_id] > 0:
+                self.counters[other_id] = self.waited(other_id) + 1
+        self.counters[ref.client] = 0
+        super()._serve(ref)
+
+
+def parking_template(db):
+    """``n1`` filters half the objects; ``n5`` is counted as a predicate
+    node but carries none, so no surviving object ever decides its last
+    predicate: each parks its deferred references until the whole pool
+    runs dry and the server's safety valve releases them."""
+    template = make_template(
+        db, predicate_position=1, predicate=payload_predicate(0.5)
+    )
+    template.node("n5").predicate = payload_predicate(0.5)
+    template.reannotate()
+    template.node("n5").predicate = None  # stale on purpose
+    return template
+
+
+def build(service_class, server_class=None):
+    """``(service, layout, template)``; with ``server_class`` the service
+    runs on that device server under :data:`STARVATION_BOUND` and
+    :data:`FAIR_BUDGET`, and the template is :func:`parking_template`."""
     config = ExperimentConfig(
         n_complex_objects=N_OBJECTS,
         clustering="inter-object",
         scheduler="elevator",
         window_size=8,
         cluster_pages=64,
-        buffer_capacity=TIGHT_BUDGET,
+        buffer_capacity=TIGHT_BUDGET if server_class is None else FAIR_BUDGET,
     )
     db, layout = build_layout(config)
     service = service_class(layout.store, max_waiting=5)
-    return service, layout, make_template(db)
+    if server_class is None:
+        return service, layout, make_template(db)
+    service.server = server_class(
+        layout.store, starvation_bound=STARVATION_BOUND
+    )
+    return service, layout, parking_template(db)
 
 
 def observe(service, layout, accepted):
@@ -117,13 +199,31 @@ def apply(rule, service, layout, template, accepted):
         return type(exc)
 
 
-def check_live_index(service, accepted):
-    running = {
+def running_ids(service):
+    """Request ids in the service's query-id -> request-id map, sorted."""
+    return sorted(service._running.values())
+
+
+def check_running_index(service, accepted):
+    running = [
         rid for rid in accepted
         if service.poll(rid) is RequestStatus.RUNNING
+    ]
+    assert running_ids(service) == sorted(running)
+    for query_id, rid in service._running.items():
+        assert service._requests[rid].query.query_id == query_id
+
+
+def fairness(service):
+    """What the device server decided and how long each query waited."""
+    server = service.server
+    return {
+        "pops": list(server.pops),
+        "queries": {
+            query.query_id: (query.served, server.waited(query.query_id))
+            for query in server.active_queries()
+        },
     }
-    assert set(service._live) == running
-    assert service._live == sorted(service._live)
 
 
 submits = st.tuples(
@@ -163,19 +263,61 @@ def test_live_index_step_equals_full_rescan(burst, rest):
         assert observe(service, layout, ids) == observe(
             oracle, oracle_layout, oracle_ids
         ), rule
-        check_live_index(service, ids)
-        check_live_index(oracle, oracle_ids)
-    assert service._live == []
+        check_running_index(service, ids)
+        check_running_index(oracle, oracle_ids)
+    assert service._running == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    burst=st.lists(submits, min_size=4, max_size=8),
+    rest=st.lists(rules, max_size=25),
+)
+def test_stamp_fairness_equals_waited_counters(burst, rest):
+    oracle, oracle_layout, template = build(AssemblyService, CountingServer)
+    service, layout, _ = build(AssemblyService, RecordingServer)
+    oracle_ids, ids = [], []
+    for rule in burst + rest + [("step", 400)]:
+        expected = apply(rule, oracle, oracle_layout, template, oracle_ids)
+        got = apply(rule, service, layout, template, ids)
+        assert got == expected, rule
+        assert fairness(service) == fairness(oracle), rule
+        assert observe(service, layout, ids) == observe(
+            oracle, oracle_layout, oracle_ids
+        ), rule
+    assert service._running == {}
+
+
+def test_parked_queries_wait_at_zero_pending():
+    """The fairness programs reach the case they exist for: an
+    unfinished query with nothing pending, with overrides firing."""
+    service, layout, template = build(AssemblyService, RecordingServer)
+    roots = layout.root_order
+    for index in range(3):
+        service.submit(roots[index::3], template, window_size=1)
+    server = service.server
+    parked = overrides = 0
+    while True:
+        starved = server._starved_query()
+        overrides += starved is not None
+        if not service.step():
+            break
+        parked += sum(
+            not query.finished and server.pending_of(query.query_id) == 0
+            for query in server.active_queries()
+        )
+    assert parked > 0 and overrides > 0
+    assert service._running == {}
 
 
 def test_release_starts_a_higher_id_mid_sweep():
-    """The case the sorted index exists for, pinned without hypothesis.
+    """A finishing request starts waiters mid-sweep, pinned without
+    hypothesis.
 
     Request 0 holds the whole budget; 1 (FIFO) and 2 (priority) queue.
     When 0 finishes, its release starts 2 (asked for a window of 1) and
     then 1 (shrunk to fit beside it) inside the sweep that is finishing
-    0 — both have higher ids, so the same step visits them — and the
-    index stays sorted although 2 was inserted first.
+    0; both are RUNNING when the step returns.
     """
     service, layout, template = build(AssemblyService)
     roots = layout.root_order
@@ -184,13 +326,13 @@ def test_release_starts_a_higher_id_mid_sweep():
     urgent = service.submit(
         roots[8:12], template, window_size=1, priority=True
     )
-    assert service._live == [first]
+    assert running_ids(service) == [first]
     assert service.admission.waiting_ids() == [urgent, fifo]
     while service.poll(first) is not RequestStatus.DONE:
         assert service.step()
     assert service.request_metrics(fifo).shrunk
-    assert service._live == [fifo, urgent]
+    assert running_ids(service) == [fifo, urgent]
     service.run()
-    assert service._live == []
+    assert service._running == {}
     for rid in (first, fifo, urgent):
         assert len(service.result(rid)) == 4

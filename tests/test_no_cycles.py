@@ -121,6 +121,36 @@ def test_service_with_cache_and_reorg():
     assert cyclic_garbage(run) == {}
 
 
+def test_submitting_leaves_no_template_cycle():
+    """``submit`` fingerprints the template; rendering the digest must
+    not leave a cycle (a recursive local function is one) per call."""
+    db, _disk, store, layout = small_stack()
+    template = make_template(db)  # finalized, not yet fingerprinted
+
+    def run():
+        service = AssemblyService(store, cache_capacity=0)
+        for start in range(0, 10, 2):
+            service.submit(layout.root_order[start:start + 2], template)
+        service.run()
+        return service.metrics.requests_completed
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert run() > 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        from_template = [
+            obj for obj in gc.garbage
+            if getattr(obj, "__module__", None) == "repro.core.template"
+        ]
+        assert from_template == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
 def test_volcano_plan():
     def run():
         db, _disk, store, layout = small_stack()
