@@ -59,7 +59,6 @@ from repro.objects import GraphBuilder, TypeRegistry
 from repro.query import ComplexObjectQuery, Optimizer, retrieve
 from repro.service import DeviceServerAssembly
 from repro.storage import (
-    BTree,
     BufferManager,
     HeapFile,
     ObjectStore,
@@ -82,7 +81,6 @@ __all__ = [
     "Assembly",
     "AssemblyStats",
     "AssemblyTracer",
-    "BTree",
     "BoundQuery",
     "ComplexObjectQuery",
     "Database",

@@ -1,11 +1,5 @@
 """Clustering policies and the layout engine (paper Section 6.1)."""
 
-from repro.cluster.analysis import (
-    ExtentFill,
-    LayoutProfile,
-    describe_profile,
-    profile_layout,
-)
 from repro.cluster.layout import (
     LayoutResult,
     LayoutSnapshot,
@@ -39,10 +33,8 @@ __all__ = [
     "AffinitySketch",
     "ClusteringPolicy",
     "DeviceIdleTracker",
-    "ExtentFill",
     "InterObjectClustering",
     "IntraObjectClustering",
-    "LayoutProfile",
     "LayoutResult",
     "LayoutSnapshot",
     "Migration",
@@ -53,9 +45,7 @@ __all__ = [
     "ReorgPolicy",
     "ReorgRound",
     "Unclustered",
-    "describe_profile",
     "layout_database",
-    "profile_layout",
     "restore_layout",
     "snapshot_layout",
 ]

@@ -22,7 +22,6 @@ when an experiment needs it.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.cluster.layout import LayoutResult, layout_database
@@ -37,8 +36,7 @@ from repro.query.logical import ComplexObjectQuery, retrieve
 from repro.query.optimizer import OptimizedPlan, Optimizer
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import SimulatedDisk
-from repro.storage.oid import OID_SIZE, Oid
-from repro.storage.snapshot import load_store, save_store
+from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
 
 
@@ -199,61 +197,6 @@ class Database:
         return Assembly(
             ListSource(chosen), self.store, template, **assembly_kwargs
         )
-
-    # -- persistence -----------------------------------------------------------------
-
-    def save(self, path) -> None:
-        """Snapshot the loaded database to ``path`` (+ ``path``.roots).
-
-        The store snapshot (:mod:`repro.storage.snapshot`) carries the
-        pages and OID directory; the sidecar carries the root list in
-        canonical input order so :meth:`open` can restore queryability.
-        """
-        if self._layout is None:
-            raise ReproError("nothing to save: database has not been loaded")
-        save_store(self.store, path)
-        sidecar = Path(str(path) + ".roots")
-        sidecar.write_bytes(
-            b"".join(oid.encode() for oid in self._layout.root_order)
-        )
-
-    @classmethod
-    def open(
-        cls,
-        path,
-        buffer_capacity: Optional[int] = None,
-        window_ceiling: int = 50,
-    ) -> "Database":
-        """Reopen a database saved with :meth:`save`.
-
-        The reopened database is immediately queryable; the type
-        registry starts empty (schemas are code, not snapshot state —
-        re-define types if you intend to build more objects).
-        """
-        database = cls(
-            buffer_capacity=buffer_capacity, window_ceiling=window_ceiling
-        )
-        store = load_store(path, buffer_capacity=buffer_capacity)
-        database.disk = store.disk
-        database.buffer = store.buffer
-        database.store = store
-
-        sidecar = Path(str(path) + ".roots").read_bytes()
-        if len(sidecar) % OID_SIZE:
-            raise ReproError("corrupt roots sidecar")
-        roots = [
-            Oid.decode(sidecar[i : i + OID_SIZE])
-            for i in range(0, len(sidecar), OID_SIZE)
-        ]
-        database._layout = LayoutResult(
-            store=store,
-            policy_name="snapshot",
-            roots=list(roots),
-            root_order=list(roots),
-            extents={},
-            object_count=len(store.directory),
-        )
-        return database
 
     # -- measurement ---------------------------------------------------------------
 

@@ -69,18 +69,6 @@ class DuplicateOidError(StorageError):
     """An OID was stored twice."""
 
 
-class IndexError_(StorageError):
-    """B-tree index failure (duplicate key on a unique index, ...)."""
-
-
-class DuplicateKeyError(IndexError_):
-    """Insertion of a key that already exists in a unique index."""
-
-
-class KeyNotFoundError(IndexError_):
-    """Deletion or lookup of a key that is not in the index."""
-
-
 class FaultError(StorageError):
     """Base class of injected I/O failures (:mod:`repro.storage.faults`).
 

@@ -8,12 +8,7 @@ controller.  See ``docs/fabric.md`` for the model and its exactness
 anchor to the single-server path.
 """
 
-from repro.fabric.arrivals import (
-    ArrivalProcess,
-    DiurnalArrivals,
-    MMPPArrivals,
-    PoissonArrivals,
-)
+from repro.fabric.arrivals import ArrivalProcess, PoissonArrivals
 from repro.fabric.builder import build_sharded_fabric, open_loop_workload
 from repro.fabric.parallel import (
     ShardPartition,
@@ -36,11 +31,9 @@ from repro.fabric.router import ConsistentHashRouter
 __all__ = [
     "ArrivalProcess",
     "ConsistentHashRouter",
-    "DiurnalArrivals",
     "FabricReport",
     "FabricRequest",
     "HedgePolicy",
-    "MMPPArrivals",
     "PoissonArrivals",
     "RequestSpec",
     "ServiceFabric",

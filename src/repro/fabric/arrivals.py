@@ -10,16 +10,11 @@ progress, as Darmont & Gruenwald's simulation methodology (PAPERS.md)
 prescribes for clustering comparisons whose conclusions flip with the
 arrival pattern.
 
-Three processes, all seeded and deterministic (``random.Random`` is a
-fixed algorithm across platforms):
-
-* :class:`PoissonArrivals` — memoryless traffic at a constant rate.
-* :class:`MMPPArrivals` — a two-state Markov-modulated Poisson
-  process: quiet periods punctuated by bursts, the standard bursty
-  traffic model.
-* :class:`DiurnalArrivals` — a sinusoidal rate curve (day/night
-  load), realized by Lewis–Shedler thinning of a dominating Poisson
-  process.
+:class:`PoissonArrivals` — memoryless traffic at a constant rate — is
+the process the F-series figures and the open-loop fabric workload
+drive; :class:`ArrivalProcess` holds the seed and the replayable
+``times(n)``.  Streams are deterministic (``random.Random`` is a fixed
+algorithm across platforms).
 
 Timestamps are absolute simulated milliseconds; rates are requests
 per second (the natural unit for offered load).  ``times(n)`` always
@@ -29,7 +24,6 @@ many runs without order-of-use effects.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Iterator, List
 
@@ -68,102 +62,3 @@ class PoissonArrivals(ArrivalProcess):
         while True:
             now += rng.expovariate(self.rate_per_s) * 1000.0
             yield now
-
-
-class MMPPArrivals(ArrivalProcess):
-    """Two-state Markov-modulated Poisson process (bursty traffic).
-
-    The process alternates between a *quiet* state emitting at
-    ``quiet_rate_per_s`` and a *burst* state emitting at
-    ``burst_rate_per_s``; state dwell times are exponential with the
-    given means.  Because the exponential is memoryless, an arrival
-    gap that crosses the next state switch can simply be redrawn from
-    the new state's rate at the switch point — the textbook MMPP
-    simulation.
-    """
-
-    def __init__(
-        self,
-        quiet_rate_per_s: float,
-        burst_rate_per_s: float,
-        mean_quiet_s: float = 2.0,
-        mean_burst_s: float = 0.5,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(seed)
-        for name, value in (
-            ("quiet_rate_per_s", quiet_rate_per_s),
-            ("burst_rate_per_s", burst_rate_per_s),
-            ("mean_quiet_s", mean_quiet_s),
-            ("mean_burst_s", mean_burst_s),
-        ):
-            if value <= 0:
-                raise FabricError(f"{name} must be positive")
-        self.quiet_rate_per_s = quiet_rate_per_s
-        self.burst_rate_per_s = burst_rate_per_s
-        self.mean_quiet_s = mean_quiet_s
-        self.mean_burst_s = mean_burst_s
-
-    def _generate(self, rng: random.Random) -> Iterator[float]:
-        now = 0.0
-        bursting = False
-        switch = now + rng.expovariate(1.0 / self.mean_quiet_s) * 1000.0
-        while True:
-            rate = (
-                self.burst_rate_per_s if bursting else self.quiet_rate_per_s
-            )
-            candidate = now + rng.expovariate(rate) * 1000.0
-            if candidate < switch:
-                now = candidate
-                yield now
-            else:
-                now = switch
-                bursting = not bursting
-                dwell = (
-                    self.mean_burst_s if bursting else self.mean_quiet_s
-                )
-                switch = now + rng.expovariate(1.0 / dwell) * 1000.0
-
-
-class DiurnalArrivals(ArrivalProcess):
-    """Sinusoidal rate curve: ``base * (1 + amplitude*sin(2πt/period))``.
-
-    Realized by thinning: candidates arrive at the peak rate and are
-    kept with probability ``rate(t)/peak`` — the Lewis–Shedler method
-    for non-homogeneous Poisson processes.  ``amplitude`` must stay
-    below 1 so the rate never touches zero (a zero-rate trough would
-    let ``times(n)`` spin unboundedly).
-    """
-
-    def __init__(
-        self,
-        base_rate_per_s: float,
-        amplitude: float = 0.8,
-        period_s: float = 60.0,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(seed)
-        if base_rate_per_s <= 0:
-            raise FabricError("base_rate_per_s must be positive")
-        if not 0.0 <= amplitude < 1.0:
-            raise FabricError("amplitude must be in [0, 1)")
-        if period_s <= 0:
-            raise FabricError("period_s must be positive")
-        self.base_rate_per_s = base_rate_per_s
-        self.amplitude = amplitude
-        self.period_s = period_s
-
-    def rate_at(self, t_ms: float) -> float:
-        """The instantaneous rate (requests/s) at simulated time ``t_ms``."""
-        phase = 2.0 * math.pi * (t_ms / 1000.0) / self.period_s
-        return self.base_rate_per_s * (
-            1.0 + self.amplitude * math.sin(phase)
-        )
-
-    def _generate(self, rng: random.Random) -> Iterator[float]:
-        peak = self.base_rate_per_s * (1.0 + self.amplitude)
-        now = 0.0
-        while True:
-            now += rng.expovariate(peak) * 1000.0
-            if rng.random() <= self.rate_at(now) / peak:
-                yield now

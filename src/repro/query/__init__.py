@@ -11,23 +11,13 @@ from repro.query.optimizer import (
     Optimizer,
     PhysicalChoice,
 )
-from repro.query.statistics import (
-    LabelStatistics,
-    SampleStatistics,
-    annotate_from_sample,
-    collect_statistics,
-)
 
 __all__ = [
     "ComplexObjectQuery",
     "ComponentPredicate",
     "DEFAULT_WINDOW_CEILING",
-    "LabelStatistics",
     "OptimizedPlan",
     "Optimizer",
     "PhysicalChoice",
-    "SampleStatistics",
-    "annotate_from_sample",
-    "collect_statistics",
     "retrieve",
 ]

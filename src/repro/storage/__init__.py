@@ -1,12 +1,14 @@
-"""Storage substrate: simulated disk, pages, buffer manager, files, index.
+"""Storage substrate: simulated disk, pages, buffer manager, object store.
 
-This package is the "file system with heap files, B-trees, and buffer
-management" that Volcano provides (paper, Section 3), built over a
-seek-accounting :class:`~repro.storage.disk.SimulatedDisk` — the
-measurement instrument behind every figure in Section 6.
+This package is the part of Volcano's "file system with heap files,
+B-trees, and buffer management" (paper, Section 3) that the measured
+figures use: pages, the buffer, the object store and its OID
+directory, heap files for sort runs, built over a seek-accounting
+:class:`~repro.storage.disk.SimulatedDisk` — the measurement instrument
+behind every figure in Section 6.  No figure reads an index: the
+Section 2 baseline takes its pointers from the layout's root order.
 """
 
-from repro.storage.btree import BTree
 from repro.storage.buffer import BufferManager, BufferStats
 from repro.storage.disk import DiskStats, Extent, SimulatedDisk
 from repro.storage.events import AsyncIOEngine, EventClock, InFlightIO
@@ -20,7 +22,6 @@ from repro.storage.faults import (
 )
 from repro.storage.heap import HeapFile
 from repro.storage.multidisk import MultiDeviceDisk
-from repro.storage.snapshot import load_store, save_store
 from repro.storage.oid import NULL_OID, OID_SIZE, Oid, OidDirectory, Rid
 from repro.storage.page import PAGE_SIZE, Page, records_per_page
 from repro.storage.record import (
@@ -33,7 +34,6 @@ from repro.storage.store import ObjectStore, PagePlanner
 
 __all__ = [
     "AsyncIOEngine",
-    "BTree",
     "BufferManager",
     "BufferStats",
     "DeviceHealthTracker",
@@ -62,7 +62,5 @@ __all__ = [
     "RecordFormat",
     "Rid",
     "SimulatedDisk",
-    "load_store",
     "records_per_page",
-    "save_store",
 ]

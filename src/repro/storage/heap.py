@@ -1,13 +1,12 @@
 """Heap files: append-ordered record files over the simulated disk.
 
-Volcano's file system provides heap files (Section 3); here they back
-the relational side of the query engine — file scans feed the iterator
-tree, and the assembly operator's *input* (the set of root OIDs) often
-comes from a heap-file or index scan.
+Volcano's file system provides heap files (Section 3); here they hold
+the sorted runs that :class:`~repro.volcano.sort.ExternalSort` spills.
 
-A heap file owns a chain of pages allocated in extents and supports
-append, fetch-by-RID, update, delete, and full scans.  Records are raw
-byte strings; schemas live above this layer.
+A heap file owns a chain of pages allocated in extents, fills each
+extent's pages in order, and supports append, fetch-by-RID, update,
+delete, and full scans of the pages written.  Records are raw byte
+strings; schemas live above this layer.
 """
 
 from __future__ import annotations
@@ -45,17 +44,22 @@ class HeapFile:
         self._extent_pages = extent_pages
         self.name = name
         self._pages: List[int] = []
+        self._next_page = self._extent_end = 0
         self._record_count = 0
 
     # -- growth ------------------------------------------------------------
 
     def _grow(self) -> None:
-        extent = self._disk.allocate(self._extent_pages)
-        self._pages.extend(range(extent.start, extent.end))
+        """Add the next page of the current extent, claiming one if spent."""
+        if self._next_page == self._extent_end:
+            extent = self._disk.allocate(self._extent_pages)
+            self._next_page, self._extent_end = extent.start, extent.end
+        self._pages.append(self._next_page)
+        self._next_page += 1
 
     @property
     def page_ids(self) -> Tuple[int, ...]:
-        """All pages of the file, in file order."""
+        """The pages that hold the file's records, in file order."""
         return tuple(self._pages)
 
     def __len__(self) -> int:

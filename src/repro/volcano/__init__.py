@@ -19,13 +19,7 @@ from repro.iterator import (
     Row,
     VolcanoIterator,
 )
-from repro.volcano.joins import (
-    HashJoin,
-    NestedLoopsJoin,
-    OneToOneMatch,
-    PointerJoin,
-)
-from repro.volcano.mergejoin import MergeJoin
+from repro.volcano.joins import HashJoin
 from repro.volcano.plan import (
     AssemblyJoinChoice,
     AssemblyJoinPlan,
@@ -38,7 +32,7 @@ from repro.volcano.plan import (
     validate_plan,
     walk_plan,
 )
-from repro.volcano.scan import FileScan, IndexScan, StoreScan, TidScan
+from repro.volcano.scan import StoreScan, TidScan
 from repro.volcano.sort import ExternalSort
 
 __all__ = [
@@ -48,22 +42,16 @@ __all__ = [
     "ComponentFilter",
     "Distinct",
     "ExternalSort",
-    "FileScan",
     "Filter",
     "GeneratorSource",
     "HashAggregate",
     "HashJoin",
-    "IndexScan",
     "InterleavedAssemblies",
     "Limit",
     "ListSource",
-    "MergeJoin",
-    "NestedLoopsJoin",
-    "OneToOneMatch",
     "ParallelAssembly",
     "Partition",
     "PartitionedExecute",
-    "PointerJoin",
     "Project",
     "PushdownDecision",
     "Row",

@@ -1,97 +1,25 @@
-"""Scan operators: file scan, index scan, and the TID-scan baseline.
+"""Scan operators: the TID-scan baseline and the object-store scan.
 
 The TID scan is the related-work seed of the whole paper (Section 2):
 looking up pointers retrieved from an unclustered index is expensive;
 sorting the full pointer set first avoids seeks but "may require
 substantial sort space"; the assembly operator generalizes the middle
 ground.  :class:`TidScan` implements both endpoints (naive order and
-fully sorted order) so benchmarks can bracket the assembly operator.
+fully sorted order) so the Section 2 baseline figure can bracket the
+assembly operator.  It is the engine's one pointer-lookup operator:
+``order="input"`` is the functional (pointer) join that dereferences
+one OID per input row.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import PlanError
-from repro.storage.btree import BTree
-from repro.storage.heap import HeapFile
-from repro.storage.oid import Oid, Rid
+from repro.storage.oid import Oid
 from repro.storage.record import ObjectRecord
 from repro.storage.store import ObjectStore
 from repro.iterator import Row, VolcanoIterator
-
-
-class FileScan(VolcanoIterator):
-    """Full scan of a heap file, in physical (file) order.
-
-    Yields ``(rid, record_bytes)``, or ``decode(rid, bytes)`` when a
-    decoder is supplied.
-    """
-
-    def __init__(
-        self,
-        heap: HeapFile,
-        decode: Optional[Callable[[Rid, bytes], Row]] = None,
-    ) -> None:
-        super().__init__()
-        self._heap = heap
-        self._decode = decode
-        self._iter: Optional[Iterator[Tuple[Rid, bytes]]] = None
-
-    def _open(self) -> None:
-        self._iter = self._heap.scan()
-
-    def _next(self) -> Optional[Row]:
-        assert self._iter is not None
-        try:
-            rid, data = next(self._iter)
-        except StopIteration:
-            return None
-        if self._decode is None:
-            return rid, data
-        return self._decode(rid, data)
-
-    def _close(self) -> None:
-        self._iter = None
-
-
-class IndexScan(VolcanoIterator):
-    """Range scan over a B+-tree, in key order.
-
-    Yields ``(key, value_bytes)``, or ``decode(key, value)`` rows.
-    """
-
-    def __init__(
-        self,
-        index: BTree,
-        low: Optional[int] = None,
-        high: Optional[int] = None,
-        decode: Optional[Callable[[int, bytes], Row]] = None,
-    ) -> None:
-        super().__init__()
-        if low is not None and high is not None and low > high:
-            raise PlanError(f"index scan range [{low}, {high}] is empty")
-        self._index = index
-        self._low = low
-        self._high = high
-        self._decode = decode
-        self._iter: Optional[Iterator[Tuple[int, bytes]]] = None
-
-    def _open(self) -> None:
-        self._iter = self._index.range_scan(self._low, self._high)
-
-    def _next(self) -> Optional[Row]:
-        assert self._iter is not None
-        try:
-            key, value = next(self._iter)
-        except StopIteration:
-            return None
-        if self._decode is None:
-            return key, value
-        return self._decode(key, value)
-
-    def _close(self) -> None:
-        self._iter = None
 
 
 class TidScan(VolcanoIterator):

@@ -89,10 +89,10 @@ class ExternalSort(VolcanoIterator):
             row = self._child.next()
             if row is None:
                 break
-            batch.append(row)
-            if len(batch) >= self._capacity:
+            if len(batch) == self._capacity:
                 self._spill_run(batch)
                 batch = []
+            batch.append(row)
         self._child.close()
 
         if not self._run_files:
@@ -104,8 +104,7 @@ class ExternalSort(VolcanoIterator):
             self._merge_heap = []
             return
 
-        if batch:
-            self._spill_run(batch)
+        self._spill_run(batch)
 
         # Initialize the multiway merge over spilled runs.
         self._cursors = [run.scan() for run in self._run_files]

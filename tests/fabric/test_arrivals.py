@@ -1,33 +1,16 @@
-"""Open-loop arrival processes: determinism, rates, burstiness."""
+"""Open-loop arrival processes: determinism and rate."""
 
 from __future__ import annotations
-
-import math
-import statistics
 
 import pytest
 
 from repro.errors import FabricError
-from repro.fabric.arrivals import (
-    DiurnalArrivals,
-    MMPPArrivals,
-    PoissonArrivals,
-)
-
-
-def gaps(times):
-    return [b - a for a, b in zip([0.0] + times[:-1], times)]
+from repro.fabric.arrivals import PoissonArrivals
 
 
 class TestCommonContract:
     @pytest.mark.parametrize(
-        "process",
-        [
-            PoissonArrivals(10.0, seed=3),
-            MMPPArrivals(2.0, 80.0, seed=3),
-            DiurnalArrivals(10.0, seed=3),
-        ],
-        ids=["poisson", "mmpp", "diurnal"],
+        "process", [PoissonArrivals(10.0, seed=3)], ids=["poisson"]
     )
     def test_times_are_positive_increasing_and_replayable(self, process):
         times = process.times(200)
@@ -62,56 +45,3 @@ class TestPoisson:
     def test_rate_must_be_positive(self):
         with pytest.raises(FabricError):
             PoissonArrivals(0.0)
-
-
-class TestMMPP:
-    def test_burstier_than_poisson(self):
-        """Gap coefficient of variation > 1: the signature of a
-        Markov-modulated process with far-apart state rates (a plain
-        Poisson stream has CoV == 1)."""
-        times = MMPPArrivals(
-            1.0, 100.0, mean_quiet_s=2.0, mean_burst_s=0.5, seed=11
-        ).times(2000)
-        gs = gaps(times)
-        cov = statistics.pstdev(gs) / statistics.mean(gs)
-        assert cov > 1.2
-
-    def test_mean_rate_between_the_state_rates(self):
-        times = MMPPArrivals(2.0, 50.0, seed=5).times(2000)
-        rate = len(times) / (times[-1] / 1000.0)
-        assert 2.0 < rate < 50.0
-
-    def test_parameter_validation(self):
-        with pytest.raises(FabricError):
-            MMPPArrivals(0.0, 10.0)
-        with pytest.raises(FabricError):
-            MMPPArrivals(1.0, 10.0, mean_quiet_s=0.0)
-
-
-class TestDiurnal:
-    def test_rate_curve_peaks_and_troughs(self):
-        process = DiurnalArrivals(10.0, amplitude=0.8, period_s=60.0)
-        assert process.rate_at(15_000.0) == pytest.approx(18.0)  # peak
-        assert process.rate_at(45_000.0) == pytest.approx(2.0)  # trough
-        assert process.rate_at(0.0) == pytest.approx(10.0)
-
-    def test_arrivals_follow_the_curve(self):
-        """More arrivals land in high-rate half-periods than low-rate
-        ones — the thinning actually thins."""
-        process = DiurnalArrivals(
-            10.0, amplitude=0.9, period_s=60.0, seed=13
-        )
-        high = low = 0
-        for t in process.times(2000):
-            phase = math.sin(2.0 * math.pi * (t / 1000.0) / 60.0)
-            if phase > 0:
-                high += 1
-            else:
-                low += 1
-        assert high > 2 * low
-
-    def test_amplitude_must_leave_a_positive_trough(self):
-        with pytest.raises(FabricError):
-            DiurnalArrivals(10.0, amplitude=1.0)
-        with pytest.raises(FabricError):
-            DiurnalArrivals(10.0, amplitude=-0.1)

@@ -5,14 +5,12 @@ import pytest
 from repro.cluster.layout import layout_database
 from repro.cluster.policies import InterObjectClustering
 from repro.core.assembly import Assembly
-from repro.storage.btree import BTree
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
 from repro.volcano.filters import Project
 from repro.iterator import ListSource
-from repro.volcano.mergejoin import MergeJoin
-from repro.volcano.scan import IndexScan
+from repro.volcano.joins import HashJoin
 from repro.volcano.sort import ExternalSort
 from repro.storage.oid import Oid
 from repro.workloads.acob import generate_acob, make_template
@@ -33,18 +31,12 @@ def world():
 
 
 def test_bulk_loaded_index_feeds_assembly(world):
-    """Bulk-build a root index, range-scan it, assemble the range."""
+    """A key-ordered list of encoded root pointers, as a bulk-loaded
+    root index would yield it: decode a range of it, assemble the range."""
     db, store, layout = world
-    index = BTree(store.disk, store.buffer, unique=True)
-    index.bulk_load(
-        sorted(
-            (i, root.encode()) for i, root in enumerate(layout.roots)
-        )
-    )
-    index.check_invariants()
     source = Project(
-        IndexScan(index, low=20, high=39),
-        lambda row: Oid.decode(row[1]),
+        ListSource([root.encode() for root in layout.roots[20:40]]),
+        Oid.decode,
     )
     op = Assembly(source, store, make_template(db), window_size=8)
     emitted = op.execute()
@@ -52,8 +44,9 @@ def test_bulk_loaded_index_feeds_assembly(world):
 
 
 def test_merge_join_over_two_assemblies(world):
-    """Self-join assembled objects on a traversed attribute, via
-    sort + merge join — four operators deep, two assembly pipelines."""
+    """Self-join assembled objects on a traversed attribute: both sides
+    sorted on the join key, then joined by ``HashJoin`` — four operators
+    deep, two assembly pipelines."""
     db, store, layout = world
 
     def assembled_stream():
@@ -68,10 +61,10 @@ def test_merge_join_over_two_assemblies(world):
             lambda c: (c.root.follow(0, 0).ints[3] % 7, c.root.ints[0]),
         )
 
-    left = ExternalSort(assembled_stream(), key=lambda r: r[0])
-    right = ExternalSort(assembled_stream(), key=lambda r: r[0])
-    join = MergeJoin(
-        left, right, left_key=lambda r: r[0], right_key=lambda r: r[0]
+    build = ExternalSort(assembled_stream(), key=lambda r: r[0])
+    probe = ExternalSort(assembled_stream(), key=lambda r: r[0])
+    join = HashJoin(
+        build, probe, build_key=lambda r: r[0], probe_key=lambda r: r[0]
     )
     pairs = join.execute()
 
@@ -86,9 +79,10 @@ def test_merge_join_over_two_assemblies(world):
 
 
 def test_database_facade_with_sampled_statistics():
-    """The full data-driven loop through the Database facade."""
+    """A component predicate through the Database facade's optimizer,
+    its selectivity measured on a sample of the generated objects."""
     from repro import Database
-    from repro.query import annotate_from_sample, retrieve
+    from repro.core.predicates import int_less_than
     from repro.workloads.acob import PAYLOAD_RANGE
 
     db = generate_acob(120, seed=15)
@@ -97,14 +91,14 @@ def test_database_facade_with_sampled_statistics():
         db.complex_objects, clustering="unclustered", shared=db.shared_pool
     )
     bound = int(0.25 * PAYLOAD_RANGE)
-    annotated = annotate_from_sample(
-        make_template(db),
-        database.store,
-        database.roots,
-        predicates={"n2": lambda r: r.ints[3] < bound},
-        sample_size=60,
+    sample = db.payloads[:60]
+    selectivity = sum(1 for p in sample if p[2] < bound) / len(sample)
+    results = (
+        database.query(make_template(db))
+        .where_component(
+            "n2", int_less_than(3, bound, selectivity=selectivity)
+        )
+        .run()
     )
-    database.reset_measurement()
-    results = database.optimize(retrieve(annotated)).execute()
     expected = sum(1 for payloads in db.payloads if payloads[2] < bound)
     assert len(results) == expected

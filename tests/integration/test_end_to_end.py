@@ -9,7 +9,6 @@ from repro.cluster.policies import (
     Unclustered,
 )
 from repro.core.assembly import Assembly
-from repro.storage.btree import BTree
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import SimulatedDisk
 from repro.storage.oid import Oid
@@ -17,7 +16,6 @@ from repro.storage.store import ObjectStore
 from repro.volcano.aggregate import count_aggregate
 from repro.volcano.filters import Filter, Project
 from repro.iterator import ListSource
-from repro.volcano.scan import IndexScan
 from repro.workloads.acob import generate_acob, make_template
 
 
@@ -73,14 +71,12 @@ def test_reads_equal_touched_pages_with_unbounded_buffer():
 
 
 def test_index_scan_feeds_assembly():
-    """Roots come from a B-tree index, as in a real access plan."""
+    """Roots arrive as encoded pointers, as an index scan would yield
+    them, and are decoded by a Project, as in a real access plan."""
     db, store, layout = make_layout("unclustered", n=25)
-    index = BTree(store.disk, store.buffer, unique=True, name="roots-by-id")
-    for index_key, root in enumerate(layout.roots):
-        index.insert(index_key, root.encode())
     source = Project(
-        IndexScan(index, low=5, high=14),
-        lambda row: Oid.decode(row[1]),
+        ListSource([root.encode() for root in layout.roots[5:15]]),
+        Oid.decode,
     )
     op = Assembly(source, store, make_template(db), window_size=4)
     emitted = op.execute()

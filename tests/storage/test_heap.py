@@ -91,3 +91,21 @@ class TestScan:
         heap.flush()
         buffer.drop_clean()
         assert heap.fetch(rid) == b"durable"
+
+
+class TestExtentUse:
+    def test_records_fill_contiguous_pages_and_a_cold_scan_reads_only_them(self):
+        """Each extent's pages fill in order; unwritten pages are never read."""
+        disk = SimulatedDisk()
+        buffer = BufferManager(disk)
+        heap = HeapFile(disk, buffer)  # 8-page extents
+        for i in range(400):
+            heap.append(bytes([i % 256]) * 90)
+        first = heap.page_ids[0]
+        assert heap.page_ids == tuple(range(first, first + 40))
+        assert disk.allocated_pages == 40
+        heap.flush()
+        buffer.drop_clean()
+        disk.reset_stats()
+        assert len(list(heap.scan())) == 400
+        assert disk.stats.reads == 40

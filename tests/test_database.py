@@ -138,46 +138,6 @@ class TestWindowFromBuffer:
         assert plan.execute()
 
 
-class TestPersistence:
-    def test_save_and_open_roundtrip(self, tmp_path):
-        source, database = build_people_db()
-        oracle = (
-            database.query(person_template())
-            .where(lives_close_to_father)
-            .run()
-        )
-        database.save(tmp_path / "people.db")
-
-        reopened = Database.open(tmp_path / "people.db")
-        assert len(reopened.roots) == 40
-        results = (
-            reopened.query(person_template())
-            .where(lives_close_to_father)
-            .run()
-        )
-        assert {c.root_oid for c in results} == {c.root_oid for c in oracle}
-
-    def test_save_unloaded_rejected(self, tmp_path):
-        with pytest.raises(ReproError):
-            Database().save(tmp_path / "empty.db")
-
-    def test_open_applies_buffer_capacity(self, tmp_path):
-        _source, database = build_people_db()
-        database.save(tmp_path / "people.db")
-        reopened = Database.open(tmp_path / "people.db", buffer_capacity=64)
-        assert reopened.buffer.capacity == 64
-        plan = reopened.query(person_template()).plan()
-        assert plan.choice.window_size == 18  # sized from the buffer
-
-    def test_corrupt_sidecar_rejected(self, tmp_path):
-        _source, database = build_people_db()
-        database.save(tmp_path / "people.db")
-        sidecar = tmp_path / "people.db.roots"
-        sidecar.write_bytes(sidecar.read_bytes() + b"xx")
-        with pytest.raises(ReproError):
-            Database.open(tmp_path / "people.db")
-
-
 class TestMeasurement:
     def test_reset_between_queries(self):
         _source, database = build_people_db()

@@ -32,8 +32,6 @@ class TestHierarchy:
             errors.RecordError,
             errors.UnknownOidError,
             errors.DuplicateOidError,
-            errors.DuplicateKeyError,
-            errors.KeyNotFoundError,
             errors.FaultError,
         ):
             assert issubclass(cls, errors.StorageError)

@@ -13,14 +13,8 @@ from repro.volcano.aggregate import count_aggregate
 from repro.volcano.exchange import Partition, PartitionedExecute
 from repro.volcano.filters import Distinct, Filter, Limit, Project
 from repro.iterator import GeneratorSource, ListSource
-from repro.volcano.joins import (
-    HashJoin,
-    NestedLoopsJoin,
-    OneToOneMatch,
-    PointerJoin,
-)
-from repro.volcano.mergejoin import MergeJoin
-from repro.volcano.scan import FileScan, IndexScan, StoreScan, TidScan
+from repro.volcano.joins import HashJoin
+from repro.volcano.scan import StoreScan, TidScan
 from repro.volcano.sort import ExternalSort
 
 
@@ -109,30 +103,6 @@ def _record_store():
     return store, extent, oids
 
 
-def file_scan_factory():
-    from repro.storage.buffer import BufferManager
-    from repro.storage.disk import SimulatedDisk
-    from repro.storage.heap import HeapFile
-
-    disk = SimulatedDisk()
-    heap = HeapFile(disk, BufferManager(disk))
-    for payload in (b"a", b"b", b"c"):
-        heap.append(payload)
-    return FileScan(heap)
-
-
-def index_scan_factory():
-    from repro.storage.btree import BTree
-    from repro.storage.buffer import BufferManager
-    from repro.storage.disk import SimulatedDisk
-
-    disk = SimulatedDisk()
-    tree = BTree(disk, BufferManager(disk), max_leaf_keys=4, max_internal_keys=4)
-    for key in range(8):
-        tree.insert(key, key.to_bytes(10, "big"))
-    return IndexScan(tree, low=1, high=6)
-
-
 def store_scan_factory():
     store, extent, _oids = _record_store()
     return StoreScan(store, extent)
@@ -141,15 +111,6 @@ def store_scan_factory():
 def tid_scan_factory():
     store, _extent, oids = _record_store()
     return TidScan(ListSource(oids), store, order="sorted")
-
-
-def pointer_join_factory():
-    store, _extent, oids = _record_store()
-    return PointerJoin(
-        ListSource([("row", oid) for oid in oids]),
-        store,
-        extract=lambda row: row[1],
-    )
 
 
 OPERATOR_FACTORIES = {
@@ -166,20 +127,6 @@ OPERATOR_FACTORIES = {
         build_key=lambda r: r[0],
         probe_key=lambda r: r[0],
     ),
-    "nested-loops": lambda: NestedLoopsJoin(
-        ListSource([1, 2]),
-        ListSource([2, 3]),
-        predicate=lambda l, r: l == r,
-    ),
-    "match": lambda: OneToOneMatch.union(
-        ListSource([1, 2]), ListSource([2, 3])
-    ),
-    "merge-join": lambda: MergeJoin(
-        ListSource([(1, "a"), (2, "b")]),
-        ListSource([(1, "x"), (2, "y")]),
-        left_key=lambda r: r[0],
-        right_key=lambda r: r[0],
-    ),
     "aggregate": lambda: count_aggregate(
         ListSource("aabbc"), group_key=lambda c: c
     ),
@@ -194,11 +141,8 @@ OPERATOR_FACTORIES = {
     "component-filter": component_filter_factory,
     "parallel-assembly": parallel_assembly_factory,
     "interleaved-assemblies": interleaved_assemblies_factory,
-    "file-scan": file_scan_factory,
-    "index-scan": index_scan_factory,
     "store-scan": store_scan_factory,
     "tid-scan": tid_scan_factory,
-    "pointer-join": pointer_join_factory,
 }
 
 

@@ -1,62 +1,12 @@
-"""Tests for scan operators, including the TID-scan baseline."""
+"""Tests for the TID-scan baseline and the object-store scan."""
 
 import pytest
 
 from repro.errors import PlanError
-from repro.storage.btree import BTree
-from repro.storage.buffer import BufferManager
-from repro.storage.disk import SimulatedDisk
-from repro.storage.heap import HeapFile
 from repro.storage.oid import Oid
 from repro.storage.record import ObjectRecord
 from repro.iterator import ListSource
-from repro.volcano.scan import FileScan, IndexScan, StoreScan, TidScan
-
-
-class TestFileScan:
-    def test_scans_in_file_order(self):
-        disk = SimulatedDisk()
-        heap = HeapFile(disk, BufferManager(disk))
-        payloads = [f"r{i}".encode() for i in range(5)]
-        for p in payloads:
-            heap.append(p)
-        rows = FileScan(heap).execute()
-        assert [record for _rid, record in rows] == payloads
-
-    def test_decode_hook(self):
-        disk = SimulatedDisk()
-        heap = HeapFile(disk, BufferManager(disk))
-        heap.append(b"42")
-        rows = FileScan(heap, decode=lambda rid, data: int(data)).execute()
-        assert rows == [42]
-
-
-class TestIndexScan:
-    def make_index(self):
-        disk = SimulatedDisk()
-        tree = BTree(disk, BufferManager(disk), max_leaf_keys=4, max_internal_keys=4)
-        for key in range(20):
-            tree.insert(key, key.to_bytes(10, "big"))
-        return tree
-
-    def test_full_scan_key_order(self):
-        rows = IndexScan(self.make_index()).execute()
-        assert [key for key, _ in rows] == list(range(20))
-
-    def test_range(self):
-        rows = IndexScan(self.make_index(), low=5, high=8).execute()
-        assert [key for key, _ in rows] == [5, 6, 7, 8]
-
-    def test_decode(self):
-        rows = IndexScan(
-            self.make_index(), low=3, high=3,
-            decode=lambda k, v: int.from_bytes(v, "big"),
-        ).execute()
-        assert rows == [3]
-
-    def test_bad_range(self):
-        with pytest.raises(PlanError):
-            IndexScan(self.make_index(), low=9, high=2)
+from repro.volcano.scan import StoreScan, TidScan
 
 
 class TestTidScan:

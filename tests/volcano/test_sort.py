@@ -37,6 +37,18 @@ class TestInMemory:
     def test_empty_input(self):
         assert ExternalSort(ListSource([]), key=lambda n: n).execute() == []
 
+    def test_input_of_exactly_one_run_is_not_spilled(self):
+        data = [3, 1, 4, 2]
+        store = make_store()
+        spilling = ExternalSort(
+            ListSource(data), key=lambda n: n, run_capacity=4, store=store
+        )
+        assert spilling.execute() == [1, 2, 3, 4]
+        assert spilling.runs_spilled == 0
+        assert store.disk.allocated_pages == 0
+        in_memory = ExternalSort(ListSource(data), key=lambda n: n, run_capacity=4)
+        assert in_memory.execute() == [1, 2, 3, 4]
+
     def test_overflow_without_store_rejected(self):
         op = ExternalSort(ListSource(range(10)), key=lambda n: n, run_capacity=4)
         with pytest.raises(PlanError):
