@@ -43,6 +43,7 @@ from repro.cluster.policies import InterObjectClustering
 from repro.core.assembly import Assembly
 from repro.core.multidevice import MultiDeviceScheduler
 from repro.core.tuning import max_window_for_buffer, tune_window
+from repro.errors import ReproError
 from repro.iterator import ListSource
 from repro.service.device_server import DeviceServerAssembly
 from repro.storage.buffer import BufferManager
@@ -314,7 +315,7 @@ def figure_15(
     """
     pin_bound = 6 * (large_window - 1) + 7
     if buffer_capacity <= pin_bound:
-        raise ValueError(
+        raise ReproError(
             f"buffer of {buffer_capacity} frames cannot hold a window "
             f"of {large_window} (pin bound {pin_bound})"
         )

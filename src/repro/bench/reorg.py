@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.bench.harness import ExperimentConfig, build_layout
 from repro.bench.report import FigureResult
 from repro.cluster.reorg import DeviceIdleTracker, ReorgPolicy
+from repro.errors import ReproError
 from repro.service.server import AssemblyService
 from repro.storage.oid import Oid
 from repro.workloads.acob import make_template
@@ -74,7 +75,7 @@ def _make_schedule(
     perm = list(roots)
     rng.shuffle(perm)
     if len(perm) < 2 * n_groups * group_size:
-        raise ValueError("database too small for two disjoint query sets")
+        raise ReproError("database too small for two disjoint query sets")
     groups = [
         perm[i * group_size : (i + 1) * group_size]
         for i in range(2 * n_groups)

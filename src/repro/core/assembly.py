@@ -462,8 +462,11 @@ class Assembly(VolcanoIterator):
         via :meth:`resolve_external` appends completions to the emit
         buffer, and the driver collects them between steps.
         """
-        drained = list(self._emit)
-        self._emit.clear()
+        emit = self._emit
+        if not emit:
+            return []
+        drained = list(emit)
+        emit.clear()
         return drained
 
     def is_drained(self) -> bool:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional
 
+from repro.errors import AssemblyError
 from repro.storage.oid import Oid
 
 #: Event kinds, in rough lifecycle order.
@@ -105,7 +106,7 @@ class AssemblyTracer:
     ) -> None:
         """Append one event (kind must be a known constant)."""
         if kind not in KINDS:
-            raise ValueError(f"unknown trace event kind {kind!r}")
+            raise AssemblyError(f"unknown trace event kind {kind!r}")
         at = -1.0 if self.clock_fn is None else float(self.clock_fn())
         self.events.append(
             TraceEvent(

@@ -18,7 +18,10 @@ The fabric multiplexes replicas the way the event engine multiplexes
 devices: it always steps the busy replica with the *smallest* clock,
 and delivers due events (arrivals, hedge timers) from a
 :class:`~repro.storage.events.EventQueue` whenever no busy replica
-lags behind the event.  Idle replicas jump forward to the arrival
+lags behind the event.  Between two events the busy replicas sit on
+a heap, and a step completes exactly the requests its service step
+finished, so a step costs one resolution whatever the fleet's size
+or backlog.  Idle replicas jump forward to the arrival
 they receive.  Elapsed time is therefore ``max`` over replica
 timelines, never ``sum`` — and the whole schedule is deterministic:
 same specs, same seeds, bit-identical results, clocks and metrics.
@@ -52,7 +55,9 @@ fabric turned a request away under overload.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heapreplace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.template import Template
@@ -218,7 +223,17 @@ class ShardReplica:
 
     def step(self) -> bool:
         """One service step, billed to the replica clock."""
-        return self._charge(self.service.step)
+        # _charge, inlined: this runs once per resolution.
+        ledger = self.ledger
+        before = ledger.total
+        mark = ledger.mark(before)
+        try:
+            return self.service.step()
+        finally:
+            _reads, _pages, after, injected = ledger.since(mark)
+            delta = after - before + injected
+            if delta:
+                self.clock += delta * self.speed_factor
 
     def __repr__(self) -> str:
         return (
@@ -350,11 +365,11 @@ class FabricReport:
 
     def percentile_latency_ms(self, fraction: float) -> Optional[float]:
         """Exact served-latency percentile over the whole run."""
+        if not 0.0 < fraction <= 1.0:
+            raise FabricError("fraction must be in (0, 1]")
         ordered = self.latencies_ms()
         if not ordered:
             return None
-        if not 0.0 < fraction <= 1.0:
-            raise FabricError("fraction must be in (0, 1]")
         index = min(len(ordered) - 1, int(fraction * len(ordered)))
         return ordered[index]
 
@@ -406,23 +421,23 @@ class ServiceFabric:
         ]
         for request in requests:
             events.schedule(request.spec.arrival_ms, ("arrival", request))
+        replicas = sorted(
+            (r for shard in self.shards for r in shard.replicas),
+            key=lambda r: (r.shard_id, r.replica_id),
+        )
+        # The rank breaks clock ties: lowest (shard_id, replica_id) first.
+        ranked = list(enumerate(replicas))
+        next_event = events.next_time()
         while True:
-            next_event = events.next_time()
-            busy = [
-                replica
-                for shard in self.shards
-                for replica in shard.replicas
-                if replica.outstanding
-            ]
-            if busy:
-                replica = min(
-                    busy,
-                    key=lambda r: (r.clock, r.shard_id, r.replica_id),
-                )
-                if next_event is None or replica.clock < next_event:
-                    self._step_replica(replica)
-                    continue
-            if next_event is None:
+            self._step_busy(
+                ranked, math.inf if next_event is None else next_event
+            )
+            due = events.next_time()
+            if due != next_event:
+                # A completion cancelled the event the steps stopped at.
+                next_event = due
+                continue
+            if due is None:
                 break
             when, (kind, payload) = events.pop()
             self._now = max(self._now, when)
@@ -430,6 +445,7 @@ class ServiceFabric:
                 self._arrive(when, payload)
             else:
                 self._fire_hedge(when, payload)
+            next_event = events.next_time()
         self._events = None
         unfinished = [
             r.index
@@ -442,17 +458,47 @@ class ServiceFabric:
             )
         return self._report(requests)
 
+    def _step_busy(
+        self, ranked: List[Tuple[int, ShardReplica]], horizon: float
+    ) -> None:
+        """Step the earliest busy replica while its clock is below
+        ``horizon``, until none is.
+
+        Between two events the busy set only shrinks: a step moves only
+        the stepped replica's clock, and a completion can only cancel
+        events or leave another replica idle, never make one busy.  So
+        the busy replicas go on a heap once, keyed by ``(clock, rank)``
+        (``rank`` orders ``(shard_id, replica_id)``); the stepped one
+        is re-keyed after each step, and one found idle at the top is
+        dropped.  A cancelled event only makes ``horizon`` stop the
+        steps early, and the caller resumes them.
+        """
+        heap = [
+            (replica.clock, rank, replica)
+            for rank, replica in ranked
+            if replica.outstanding
+        ]
+        heapify(heap)
+        step = self._step_replica
+        while heap:
+            clock, rank, replica = heap[0]
+            if not replica.outstanding:
+                heappop(heap)
+            elif clock >= horizon:
+                return
+            else:
+                step(replica)
+                heapreplace(heap, (replica.clock, rank, replica))
+
     def _step_replica(self, replica: ShardReplica) -> None:
         advanced = replica.step()
-        for request_id in list(replica.outstanding):
-            if request_id not in replica.outstanding:
-                continue  # cancelled as a hedge loser this sweep
-            status = replica.service.poll(request_id)
-            if status is RequestStatus.DONE:
-                self._complete(
-                    replica.outstanding[request_id], replica, request_id
-                )
-        if not advanced and replica.outstanding:
+        outstanding = replica.outstanding
+        # Only a request the step finished can have become DONE; the
+        # service lists them in ascending id, the order they were
+        # submitted here.
+        for request_id in replica.service.finished:
+            self._complete(outstanding[request_id], replica, request_id)
+        if not advanced and outstanding:
             raise FabricError(
                 f"replica {replica.shard_id}.{replica.replica_id} idle "
                 f"with {replica.depth} request(s) outstanding"

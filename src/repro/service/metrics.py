@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
+from repro.errors import ServiceError
 from repro.obs.histograms import StreamingHistogram
 
 
@@ -264,11 +265,11 @@ class ServiceMetrics:
 
     def percentile_latency(self, fraction: float) -> Optional[int]:
         """Latency at ``fraction`` (0–1] of completed requests."""
+        if not 0.0 < fraction <= 1.0:
+            raise ServiceError("fraction must be in (0, 1]")
         ordered = self.latencies()
         if not ordered:
             return None
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
         index = min(len(ordered) - 1, int(fraction * len(ordered)))
         return ordered[index]
 

@@ -140,6 +140,9 @@ class AssemblyService:
         self._requests: Dict[int, _Request] = {}
         #: query id -> request id of every RUNNING request.
         self._running: Dict[int, int] = {}
+        #: ids of the requests the last :meth:`step` finished, ascending
+        #: (one list, emptied at the start of every step).
+        self.finished: List[int] = []
         self._next_request_id = 0
 
     # -- submission ----------------------------------------------------------
@@ -262,11 +265,15 @@ class AssemblyService:
         """Advance the service by one global resolution.
 
         Returns ``False`` when nothing is left to do: no pending
-        references, no running queries, no admissible waiters.
+        references, no running queries, no admissible waiters.  The
+        ids of the requests this step finished are in :attr:`finished`,
+        ascending, until the next step.
         """
         server = self.server
+        finished = self.finished
+        if finished:
+            finished.clear()
         advanced = server.step()
-        finished_any = False
         # Only the queries the step collected can have output or be
         # finished: visit their requests in ascending id (docs/service.md,
         # the step contract).  A request started inside this sweep was
@@ -282,8 +289,8 @@ class AssemblyService:
             self._collect(request)
             if request.query.finished:
                 self._finish(request)
-                finished_any = True
-        return advanced or finished_any
+                finished.append(request_id)
+        return advanced or bool(finished)
 
     def run(self) -> None:
         """Step until every submitted request is done.

@@ -178,12 +178,6 @@ class BufferManager:
             f"all {len(self._frames)} frames are pinned; cannot evict"
         )
 
-    def _ensure_room(self) -> None:
-        if self._capacity is None:
-            return
-        while len(self._frames) >= self._capacity:
-            self._evict_one()
-
     # -- fix / unfix ---------------------------------------------------------------
 
     def fix(self, page_id: int) -> Page:
@@ -194,17 +188,21 @@ class BufferManager:
         """
         stats = self.stats
         stats.fixes += 1
-        frame = self._frames.get(page_id)
+        frames = self._frames
+        frame = frames.get(page_id)
         if frame is not None:
             stats.hits += 1
-            self._frames.move_to_end(page_id)
+            frames.move_to_end(page_id)
         else:
             stats.faults += 1
             if page_id in self._ever_resident:
                 stats.re_reads += 1
-            self._ensure_room()
+            capacity = self._capacity
+            if capacity is not None:
+                while len(frames) >= capacity:
+                    self._evict_one()
             frame = _Frame(self._disk.read(page_id))
-            self._frames[page_id] = frame
+            frames[page_id] = frame
             self._ever_resident.add(page_id)
         if frame.pin_count == 0:
             self._pinned_count += 1

@@ -315,9 +315,13 @@ class SimulatedDisk:
 
     def read(self, page_id: int) -> Page:
         """Read a page, moving the head and charging the seek."""
-        self._check(page_id)
+        # _check and _page_image, inlined: this runs once per fault.
+        limit = self._limit
+        if page_id < 0 or (limit is not None and page_id >= limit):
+            self._check(page_id)
         self._perform_read(page_id // self.pages_per_device, page_id, 1)
-        return self._page_image(page_id)
+        image = self._pages.get(page_id)
+        return Page(page_id) if image is None else Page(page_id, image)
 
     def read_run(self, start: int, n_pages: int) -> List[Page]:
         """Read ``n_pages`` contiguous pages as one physical operation.

@@ -40,6 +40,8 @@ class Page:
     change, so RIDs stay valid.
     """
 
+    __slots__ = ("_buf", "page_id", "_slot_count", "_free_offset")
+
     def __init__(self, page_id: int, data: Optional[bytes] = None) -> None:
         if data is None:
             self._buf = bytearray(PAGE_SIZE)
@@ -128,7 +130,12 @@ class Page:
 
         Raises :class:`BadSlotError` for out-of-range or deleted slots.
         """
-        offset, length = self._read_slot(slot)
+        # _read_slot, inlined: this runs once per fetch.
+        if not 0 <= slot < self._slot_count:
+            self._read_slot(slot)  # raises BadSlotError
+        offset, length = _SLOT.unpack_from(
+            self._buf, PAGE_SIZE - (slot + 1) * SLOT_SIZE
+        )
         if length == 0:
             raise BadSlotError(
                 f"slot {slot} on page {self.page_id} is deleted"

@@ -28,6 +28,7 @@ from repro.bench.figures import (
     figure_15,
     figure_16,
 )
+from repro.errors import ReproError
 
 SMALL_SIZES = (100, 200)
 
@@ -103,7 +104,7 @@ class TestFigure15:
         assert figure.notes  # the read-reduction note
 
     def test_buffer_smaller_than_window_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ReproError):
             figure_15(db_sizes=(100,), buffer_capacity=96, large_window=50)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.bench.figures import ALL_FIGURES, DESCRIPTIONS
 from repro.bench.reorg import _make_schedule, _zipf_weights, figure_reorg
+from repro.errors import ReproError
 from repro.storage.oid import Oid
 
 
@@ -91,7 +92,7 @@ class TestScheduleGenerator:
         assert _make_schedule(roots, **args) == _make_schedule(roots, **args)
 
     def test_too_small_database_is_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ReproError):
             _make_schedule(
                 [Oid(1, 1)],
                 phases=2,

@@ -5,6 +5,7 @@ import pytest
 from repro.core import trace
 from repro.core.assembly import Assembly
 from repro.core.trace import AssemblyTracer, TraceEvent
+from repro.errors import AssemblyError
 from repro.storage.oid import Oid
 from repro.iterator import ListSource
 from repro.workloads.acob import generate_acob, make_template, payload_predicate
@@ -33,7 +34,7 @@ class TestTracerBasics:
         assert tracer.counts() == {trace.FETCHED: 1, trace.EMITTED: 1}
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(AssemblyError):
             AssemblyTracer().record("teleported", 0, Oid(1, 1))
 
     def test_event_str(self):

@@ -11,6 +11,8 @@ from repro.fabric import (
     build_sharded_fabric,
     open_loop_workload,
 )
+from repro.fabric.fabric import FabricReport
+from repro.service.metrics import ServiceMetrics
 from repro.workloads.acob import generate_acob
 
 
@@ -163,6 +165,15 @@ class TestValidation:
             build_sharded_fabric(db, clustering="zigzag")
         with pytest.raises(FabricError):
             build_sharded_fabric(db, placement="random")
+
+    def test_percentile_fraction_is_checked_before_the_run_is_read(self):
+        empty = FabricReport(
+            requests=[], fleet=ServiceMetrics(), replicas=ServiceMetrics()
+        )
+        assert empty.percentile_latency_ms(0.99) is None
+        for fraction in (0.0, -0.5, 2.0):
+            with pytest.raises(FabricError):
+                empty.percentile_latency_ms(fraction)
 
     def test_workload_needs_a_count_with_a_process(self):
         fabric = build(n=10, n_shards=1, replicas_per_shard=1)

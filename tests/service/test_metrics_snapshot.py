@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
+
+from repro.errors import ServiceError
 from repro.service.metrics import RequestMetrics, ServiceMetrics
 
 
@@ -31,6 +34,13 @@ class TestServiceMetricsSnapshot:
         assert snapshot["objects_degraded"] == 0
         assert snapshot["fault_retries"] == 0
         assert snapshot["fault_aborts"] == 0
+
+    def test_percentile_fraction_is_checked_before_the_run_is_read(self):
+        empty = ServiceMetrics()
+        assert empty.percentile_latency(0.5) is None
+        for fraction in (0.0, -0.5, 2.0):
+            with pytest.raises(ServiceError):
+                empty.percentile_latency(fraction)
 
     def test_fabric_counters_present_and_zero_by_default(self):
         snapshot = ServiceMetrics().snapshot()

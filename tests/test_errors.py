@@ -1,10 +1,38 @@
 """Tests for the exception hierarchy."""
 
+import ast
+import builtins
 import inspect
+from pathlib import Path
 
 import pytest
 
 from repro import errors
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+#: the one builtin the library may raise: an abstract method's body.
+ALLOWED_BUILTINS = {"NotImplementedError"}
+BUILTIN_ERRORS = {
+    name
+    for name, obj in vars(builtins).items()
+    if isinstance(obj, type) and issubclass(obj, BaseException)
+}
+
+
+def builtin_raises(tree):
+    """``(line, name)`` of every ``raise`` naming a forbidden builtin."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if (
+            isinstance(exc, ast.Name)
+            and exc.id in BUILTIN_ERRORS
+            and exc.id not in ALLOWED_BUILTINS
+        ):
+            found.append((node.lineno, exc.id))
+    return found
 
 
 def all_error_classes():
@@ -65,6 +93,32 @@ class TestHierarchy:
             raise errors.BufferFullError("x")
         with pytest.raises(errors.ReproError):
             raise errors.PlanError("x")
+
+    def test_the_library_raises_no_builtin_error(self):
+        """What ``test_one_base_catches_all`` promises, for every raise:
+        no module under ``src/repro`` raises a builtin exception other
+        than ``NotImplementedError``."""
+        offenders = [
+            f"{path.relative_to(SRC.parent)}:{line} raises {name}"
+            for path in sorted(SRC.rglob("*.py"))
+            for line, name in builtin_raises(ast.parse(path.read_text()))
+        ]
+        assert offenders == []
+
+    def test_the_audit_sees_what_it_forbids(self):
+        tree = ast.parse(
+            "def f(x):\n"
+            "    if x:\n"
+            "        raise ValueError('x')\n"
+            "    if not x:\n"
+            "        raise KeyError\n"
+            "    try:\n"
+            "        pass\n"
+            "    except OSError as error:\n"
+            "        raise errors.ReproError('y') from error\n"
+            "    raise NotImplementedError\n"
+        )
+        assert builtin_raises(tree) == [(3, "ValueError"), (5, "KeyError")]
 
     def test_storage_does_not_cross_into_query(self):
         assert not issubclass(errors.PageError, errors.QueryError)
