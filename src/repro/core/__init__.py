@@ -31,7 +31,6 @@ from repro.core.schedulers import (
     SCHEDULERS,
     AdaptiveElevatorScheduler,
     BreadthFirstScheduler,
-    CScanScheduler,
     DepthFirstScheduler,
     ElevatorScheduler,
     ReferenceScheduler,
@@ -51,7 +50,6 @@ __all__ = [
     "AssemblyStats",
     "AssemblyTracer",
     "BreadthFirstScheduler",
-    "CScanScheduler",
     "FAIL_FAST",
     "PARTIAL",
     "SKIP_OBJECT",

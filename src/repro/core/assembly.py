@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.assembled import AssembledComplexObject, AssembledObject
@@ -302,10 +303,9 @@ class Assembly(VolcanoIterator):
         else:
             # Over the disk, not ``self``: a probe closing over the
             # operator is a cycle, freed only by the cycle collector.
-            disk = self._store.disk
             self._scheduler = make_scheduler(
                 self._scheduler_spec,
-                head_fn=lambda: disk.head_position,
+                head_fn=partial(self._store.disk.head_of, 0),
                 resident_fn=self._store.buffer.is_resident,
             )
         self._window = Window(self._window_size)
@@ -681,11 +681,19 @@ class Assembly(VolcanoIterator):
         bound the prefetch is skipped and the batch degrades to
         per-reference fetching.
         """
-        fetch_pages = self.fetch_pages(refs)
         prefetched: List[int] = []
         batch_span = None
-        if self._spans is not None and fetch_pages:
-            batch_span = self._spans.begin(
+        # Only a prefetch (two or more pages) or the batch span reads
+        # the page list.  A batch lists each page once, in sweep order,
+        # so one whose first and last reference share a page spans one
+        # page: it never prefetches, and skips the routing pass.
+        spans = self._spans
+        if spans is None and refs[0].page_id == refs[-1].page_id:
+            fetch_pages: List[int] = []
+        else:
+            fetch_pages = self.fetch_pages(refs)
+        if spans is not None and fetch_pages:
+            batch_span = spans.begin(
                 "batch",
                 parent=self._assembly_span,
                 kind="batch",

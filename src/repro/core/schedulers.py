@@ -33,7 +33,7 @@ implementation paid (which made abort-heavy runs quadratic).
 
 There is one sorted pool (:class:`SweepPool`, constructed only here)
 and one scheduler body over it (:class:`_SweepScheduler`): the
-elevator, C-SCAN and the adaptive elevator differ only in their pick,
+elevator and the adaptive elevator differ only in their pick,
 and the device server's per-device request queues (§7) are plain
 elevators holding many clients' references.
 """
@@ -131,7 +131,9 @@ class SweepPool:
 
     Entries stay sorted by ``(page_id, -rejection, seq)``, exactly the
     order the original list pools used, so SCAN positioning is one
-    bisect.  Two structural changes make maintenance cheap:
+    bisect on ``(head,)``, which sorts before every ``(head, …)`` entry
+    and so splits the list at the first entry on page ``head`` or
+    above.  Two structural changes make maintenance cheap:
 
     * an **owner index** maps each ``(ref.client, ref.owner)`` to its
       live references, so :meth:`remove_owner` touches only the
@@ -146,6 +148,11 @@ class SweepPool:
     and :meth:`take_run` extends that to contiguous pages in a sweep
     direction, which is what turns an elevator sweep into multi-page
     batched reads.
+
+    A popped page holds about one pending reference on every measured
+    workload, so the cost is per operation, not per page: each pop,
+    batch and take is one call that positions, purges and unindexes in
+    its own frame.
     """
 
     __slots__ = (
@@ -188,21 +195,18 @@ class SweepPool:
             # The same object is being re-added while its old entry is
             # still a tombstone; purge eagerly so it cannot resurrect.
             self._compact()
-        insort(self._entries, (ref.page_id, -ref.rejection, ref.seq, ref))
-        self._owners.setdefault((ref.client, ref.owner), {})[ref_id] = ref
+        page_id = ref.page_id
+        insort(self._entries, (page_id, -ref.rejection, ref.seq, ref))
+        key = (ref.client, ref.owner)
+        bucket = self._owners.get(key)
+        if bucket is None:
+            self._owners[key] = {ref_id: ref}
+        else:
+            bucket[ref_id] = ref
         self._live += 1
         page_live = self._page_live
-        page_live[ref.page_id] = page_live.get(ref.page_id, 0) + 1
-        self._recent_pages.add(ref.page_id)
-
-    def _unindex(self, ref: UnresolvedReference) -> None:
-        key = (ref.client, ref.owner)
-        bucket = self._owners[key]
-        del bucket[id(ref)]
-        if not bucket:
-            del self._owners[key]
-        self._live -= 1
-        self._drop_page_ref(ref.page_id)
+        page_live[page_id] = page_live.get(page_id, 0) + 1
+        self._recent_pages.add(page_id)
 
     def remove_owner(
         self, owner: int, client: Optional[int] = None
@@ -222,13 +226,19 @@ class SweepPool:
 
     def remove_ref(self, ref: UnresolvedReference) -> None:
         """Retract one specific reference (detour and per-query picks)."""
-        self._unindex(ref)
+        key = (ref.client, ref.owner)
+        bucket = self._owners[key]
+        del bucket[id(ref)]
+        if not bucket:
+            del self._owners[key]
+        self._live -= 1
+        self._drop_page_ref(ref.page_id)
         self._dead.add(id(ref))
         if len(self._dead) * 2 > len(self._entries):
             self._compact()
 
     def _drop_page_ref(self, page_id: int) -> None:
-        """One live reference left ``page_id`` (retired or retracted)."""
+        """One live reference left ``page_id`` by retraction."""
         remaining = self._page_live[page_id] - 1
         if remaining:
             self._page_live[page_id] = remaining
@@ -253,91 +263,85 @@ class SweepPool:
             if id(entry[3]) not in self._dead:
                 yield entry
 
-    # -- positioning --------------------------------------------------------
-
-    def _split(self, head: int) -> int:
-        return bisect_left(
-            self._entries, (head, float("-inf"), -1, None)  # type: ignore[arg-type]
-        )
-
-    def _first_live_at_or_above(self, index: int) -> int:
-        """Index of the first live entry at or after ``index``.
-
-        Tombstones met on the way are purged in passing (each is
-        deleted at most once, so the sweep stays amortized O(1)).
-        """
-        while index < len(self._entries):
-            ref_id = id(self._entries[index][3])
-            if ref_id in self._dead:
-                del self._entries[index]
-                self._dead.discard(ref_id)
-            else:
-                return index
-        return -1
-
-    def _first_live_below(self, index: int) -> int:
-        """Index of the first live entry strictly before ``index``."""
-        index = min(index, len(self._entries)) - 1
-        while index >= 0:
-            ref_id = id(self._entries[index][3])
-            if ref_id in self._dead:
-                del self._entries[index]
-                self._dead.discard(ref_id)
-            else:
-                return index
-            index -= 1
-        return -1
-
-    def _locate_next(
-        self, head: int, direction: int
-    ) -> Tuple[int, int]:
-        """Index of the next entry under SCAN, with the (possibly
-        reversed) sweep direction.  The pool must be non-empty."""
-        split = self._split(head)
-        if direction > 0:
-            index = self._first_live_at_or_above(split)
-            if index < 0:
-                direction = -1
-                index = self._first_live_below(len(self._entries))
-        else:
-            index = self._first_live_below(split)
-            if index < 0:
-                direction = 1
-                index = self._first_live_at_or_above(0)
-        return index, direction
-
-    def _pop_at(self, index: int) -> UnresolvedReference:
-        entry = self._entries.pop(index)
-        self._unindex(entry[3])
-        # A single-reference pop usually precedes a read of its page;
-        # siblings left behind may therefore turn resident without any
-        # pool event, so flag the page for the next zero-seek probe.
-        if entry[0] in self._page_live:
-            self._recent_pages.add(entry[0])
-        return entry[3]
-
     # -- single-reference SCAN (the paper's §6.2 elevator) -------------------
+
+    def _locate(self, head: int, direction: int) -> Tuple[int, int]:
+        """Index of the next live entry under SCAN, with the (possibly
+        reversed) sweep direction; tombstones met on the way are purged
+        (each at most once, so the sweep stays amortized O(1)).  The
+        pool must be non-empty.  :meth:`pop_next` inlines this."""
+        entries, dead = self._entries, self._dead
+        index = bisect_left(entries, (head,))  # type: ignore[arg-type]
+        if direction > 0:
+            while index < len(entries) and id(entries[index][3]) in dead:
+                dead.discard(id(entries.pop(index)[3]))
+            if index == len(entries):
+                direction = -1
+        if direction < 0:
+            index -= 1
+            while index >= 0 and id(entries[index][3]) in dead:
+                dead.discard(id(entries.pop(index)[3]))
+                index -= 1
+            if index < 0:
+                direction, index = 1, 0
+                while id(entries[0][3]) in dead:
+                    dead.discard(id(entries.pop(0)[3]))
+        return index, direction
 
     def pop_next(
         self, head: int, direction: int
     ) -> Tuple[UnresolvedReference, int]:
         """Elevator pop: nearest entry in the sweep direction, reversing
-        at the ends.  Returns ``(ref, direction)``."""
-        index, direction = self._locate_next(head, direction)
-        return self._pop_at(index), direction
+        at the ends.  Returns ``(ref, direction)``.  The pool must be
+        non-empty.
 
-    def pop_cscan(self, head: int) -> UnresolvedReference:
-        """C-SCAN pop: upward only, wrapping to the lowest page."""
-        index = self._first_live_at_or_above(self._split(head))
-        if index < 0:
-            index = self._first_live_at_or_above(0)
-        return self._pop_at(index)
+        One frame: the positioning of :meth:`_locate`, then the entry
+        leaves the owner index, the per-page live count and the
+        residency flags in line.
+        """
+        entries, dead = self._entries, self._dead
+        index = bisect_left(entries, (head,))  # type: ignore[arg-type]
+        if direction > 0:
+            while index < len(entries) and id(entries[index][3]) in dead:
+                dead.discard(id(entries.pop(index)[3]))
+            if index == len(entries):
+                direction = -1
+        if direction < 0:
+            index -= 1
+            while index >= 0 and id(entries[index][3]) in dead:
+                dead.discard(id(entries.pop(index)[3]))
+                index -= 1
+            if index < 0:
+                direction, index = 1, 0
+                while id(entries[0][3]) in dead:
+                    dead.discard(id(entries.pop(0)[3]))
+        page_id, _rej, _seq, ref = entries.pop(index)
+        key = (ref.client, ref.owner)
+        bucket = self._owners[key]
+        del bucket[id(ref)]
+        if not bucket:
+            del self._owners[key]
+        self._live -= 1
+        page_live = self._page_live
+        remaining = page_live[page_id] - 1
+        if remaining:
+            page_live[page_id] = remaining
+            # A single-reference pop usually precedes a read of its
+            # page; siblings left behind may therefore turn resident
+            # without any pool event, so flag the page for the next
+            # zero-seek probe.
+            self._recent_pages.add(page_id)
+        else:
+            del page_live[page_id]
+            self._recent_pages.discard(page_id)
+            self._resident_live.discard(page_id)
+        return ref, direction
 
     def peek_next(
         self, head: int, direction: int
     ) -> Tuple[Tuple[int, float, int, UnresolvedReference], int]:
         """Like :meth:`pop_next` but leaves the entry in the pool."""
-        index, direction = self._locate_next(head, direction)
+        index, direction = self._locate(head, direction)
         return self._entries[index], direction
 
     def nearest_of(
@@ -364,23 +368,7 @@ class SweepPool:
     def take_page(self, page_id: int) -> List[UnresolvedReference]:
         """Remove and return every live reference on one page, in pool
         order (higher rejection first, then sequence)."""
-        lo = self._split(page_id)
-        refs: List[UnresolvedReference] = []
-        index = lo
-        while (
-            index < len(self._entries)
-            and self._entries[index][0] == page_id
-        ):
-            ref = self._entries[index][3]
-            ref_id = id(ref)
-            if ref_id in self._dead:
-                self._dead.discard(ref_id)
-            else:
-                refs.append(ref)
-                self._unindex(ref)
-            index += 1
-        del self._entries[lo:index]
-        return refs
+        return self.take_run(page_id, 1, 1)
 
     def take_run(
         self, page_id: int, direction: int, max_pages: int
@@ -389,18 +377,44 @@ class SweepPool:
         direction, up to ``max_pages`` distinct pages.
 
         The run stops at the first page with nothing pending — that is
-        where the physical run would break anyway.
+        where the physical run would break anyway.  Each page is one
+        bisect and one slice deletion; a page leaves the live count and
+        the residency flags whole.  Tombstones after a page's last live
+        entry stay until a sweep or a compaction passes.
         """
-        refs = self.take_page(page_id)
-        pages = 1
+        entries, dead, owners = self._entries, self._dead, self._owners
         page_live = self._page_live
-        while refs and pages < max_pages:
-            next_page = page_id + direction * pages
-            if next_page not in page_live:  # also every page below 0
-                break
-            refs.extend(self.take_page(next_page))
+        refs: List[UnresolvedReference] = []
+        pages = 0
+        while True:
+            taken = page_live.pop(page_id, 0)
+            if not taken:  # nothing pending: only ever the first page
+                return refs
+            self._live -= taken
+            self._recent_pages.discard(page_id)
+            self._resident_live.discard(page_id)
+            # The page's ``taken`` live entries start at the split; the
+            # tombstones among them are purged with them.
+            lo = index = bisect_left(entries, (page_id,))  # type: ignore[arg-type]
+            while taken:
+                ref = entries[index][3]
+                ref_id = id(ref)
+                index += 1
+                if ref_id in dead:
+                    dead.discard(ref_id)
+                    continue
+                taken -= 1
+                refs.append(ref)
+                key = (ref.client, ref.owner)
+                bucket = owners[key]
+                del bucket[ref_id]
+                if not bucket:
+                    del owners[key]
+            del entries[lo:index]
             pages += 1
-        return refs
+            page_id += direction
+            if pages >= max_pages or page_id not in page_live:
+                return refs  # (also every page below 0)
 
     def take_resident_page(
         self, resident_fn: Callable[[int], bool]
@@ -415,22 +429,28 @@ class SweepPool:
         each probe checks just the pages flagged since the last one
         plus previously confirmed pages — not every pending page.
         Confirmed pages are re-verified before being taken, so eviction
-        by a bounded buffer never yields a stale batch.
+        by a bounded buffer never yields a stale batch.  Residency does
+        not change within one probe, so each page is asked once: the
+        earlier probes' pages first, then the newly flagged ones.
         """
-        recent = self._recent_pages
         confirmed = self._resident_live
+        if confirmed:
+            confirmed.difference_update(
+                [page_id for page_id in confirmed if not resident_fn(page_id)]
+            )
+        recent = self._recent_pages
         if recent:
             page_live = self._page_live
             for page_id in recent:
-                if page_id in page_live and resident_fn(page_id):
+                if (
+                    page_id not in confirmed
+                    and page_id in page_live
+                    and resident_fn(page_id)
+                ):
                     confirmed.add(page_id)
             recent.clear()
         if confirmed:
-            stale = [p for p in confirmed if not resident_fn(p)]
-            for page_id in stale:
-                confirmed.discard(page_id)
-            if confirmed:
-                return self.take_page(min(confirmed))
+            return self.take_run(min(confirmed), 1, 1)
         return []
 
     def pop_batch_next(
@@ -439,19 +459,11 @@ class SweepPool:
         """Elevator batch: position like :meth:`pop_next`, then take the
         whole page plus its contiguous continuation in the sweep
         direction.  Returns ``(refs, direction)``."""
-        index, direction = self._locate_next(head, direction)
-        page_id = self._entries[index][0]
-        return self.take_run(page_id, direction, max_pages), direction
-
-    def pop_batch_cscan(
-        self, head: int, max_pages: int
-    ) -> List[UnresolvedReference]:
-        """C-SCAN batch: upward-only positioning, upward run."""
-        index = self._first_live_at_or_above(self._split(head))
-        if index < 0:
-            index = self._first_live_at_or_above(0)
-        page_id = self._entries[index][0]
-        return self.take_run(page_id, 1, max_pages)
+        index, direction = self._locate(head, direction)
+        return (
+            self.take_run(self._entries[index][0], direction, max_pages),
+            direction,
+        )
 
 
 class ReferenceScheduler(ABC):
@@ -670,17 +682,15 @@ class _SweepScheduler(ReferenceScheduler):
 
     A :class:`SweepPool` ordered by physical page, a head probe, an
     optional buffer-residency probe and a sweep direction — plus every
-    operation that does not depend on *which* reference is next: adding,
-    retracting an owner, counting, refusing to pop an empty pool, and
-    the resident-first prelude of a batched pop.  A subclass states
-    only its pick, in ``pop`` and ``pop_batch``.
+    operation that does not depend on *which* reference is next: adding
+    and retracting an owner.  A subclass states its pick, in ``pop``
+    and ``pop_batch``, each refusing an empty pool and counting one op.
 
     ``head_fn`` supplies the live head position (wired to the simulated
-    disk by the assembly operator).  ``resident_fn`` (the buffer
-    manager's residency probe) is what :meth:`_resident_batch` serves
-    zero-seek batches from; the elevator and C-SCAN consult it on
-    batched pops only, so their single-reference ``pop`` keeps the
-    paper's pure sweep.
+    disk by the assembly operator).  ``resident_fn`` is the buffer
+    manager's residency probe; the elevator consults it on batched pops
+    only (zero-seek batches first), so its single-reference ``pop``
+    keeps the paper's pure sweep.
 
     The device server's per-device queues are elevators too (§7: "each
     server would maintain a queue of requests"), holding many clients'
@@ -723,27 +733,6 @@ class _SweepScheduler(ReferenceScheduler):
     def __len__(self) -> int:
         return self._pool._live
 
-    def _begin_pop(self) -> None:
-        """Every pop starts here: refuse an empty pool, count one op."""
-        if not self._pool._live:
-            raise SchedulerError(f"{self.name} scheduler pool is empty")
-        self.ops += 1
-
-    def _resident_batch(self) -> List[UnresolvedReference]:
-        """Begin a batched pop; the zero-seek batch if there is one.
-
-        A pending page that is already buffered is served first, whole,
-        before the sweep spends any head movement.  ``[]`` sends the
-        caller on to its sweep pick.
-        """
-        self._begin_pop()
-        if self._resident_fn is None:
-            return []
-        refs = self._pool.take_resident_page(self._resident_fn)
-        if refs:
-            self.resident_batches += 1
-        return refs
-
     def pop_nearest(self, client: int) -> Optional[UnresolvedReference]:
         """Pop ``client``'s reference nearest the head, or ``None`` when
         it has nothing pending here.
@@ -772,44 +761,29 @@ class ElevatorScheduler(_SweepScheduler):
     name = "elevator"
 
     def pop(self) -> UnresolvedReference:
-        self._begin_pop()
-        ref, self._direction = self._pool.pop_next(
-            self._head_fn(), self._direction
-        )
+        pool = self._pool
+        if not pool._live:
+            raise SchedulerError(f"{self.name} scheduler pool is empty")
+        self.ops += 1
+        ref, self._direction = pool.pop_next(self._head_fn(), self._direction)
         return ref
 
     def pop_batch(self, max_pages: int = 1) -> List[UnresolvedReference]:
-        refs = self._resident_batch()
-        if not refs:
-            refs, self._direction = self._pool.pop_batch_next(
-                self._head_fn(), self._direction, max_pages
-            )
-        return refs
-
-
-class CScanScheduler(_SweepScheduler):
-    """Circular SCAN: sweep upward only, wrap to the lowest page.
-
-    The classic fairness variant of the elevator: instead of reversing
-    at the top, the head jumps back to the lowest pending page and
-    sweeps up again.  Under pure seek-distance accounting the wrap
-    costs a long seek, so C-SCAN trades a little total movement for
-    bounded per-request waiting — worth having as a comparison point
-    for the §6.2 scheduling study.
-    """
-
-    __slots__ = ()
-
-    name = "cscan"
-
-    def pop(self) -> UnresolvedReference:
-        self._begin_pop()
-        return self._pool.pop_cscan(self._head_fn())
-
-    def pop_batch(self, max_pages: int = 1) -> List[UnresolvedReference]:
-        return self._resident_batch() or self._pool.pop_batch_cscan(
-            self._head_fn(), max_pages
+        pool = self._pool
+        if not pool._live:
+            raise SchedulerError(f"{self.name} scheduler pool is empty")
+        self.ops += 1
+        if self._resident_fn is not None:
+            # Resident first: a pending page that is already buffered is
+            # served whole before the sweep spends any head movement.
+            refs = pool.take_resident_page(self._resident_fn)
+            if refs:
+                self.resident_batches += 1
+                return refs
+        refs, self._direction = pool.pop_batch_next(
+            self._head_fn(), self._direction, max_pages
         )
+        return refs
 
 
 #: Default detour budget, in pages, granted to a certain rejector
@@ -879,7 +853,8 @@ class AdaptiveElevatorScheduler(_SweepScheduler):
         self.detours = 0
 
     def pop(self) -> UnresolvedReference:
-        self._begin_pop()
+        self.require_nonempty()
+        self.ops += 1
         ref = self._pick()
         self._pool.remove_ref(ref)
         return ref
@@ -925,23 +900,21 @@ class AdaptiveElevatorScheduler(_SweepScheduler):
         references are free, and extending the run would charge seeks
         the buffer already paid.
         """
-        self._begin_pop()
+        self.require_nonempty()
+        self.ops += 1
         anchor = self._pick()
         was_resident = self._resident_fn(anchor.page_id)
         self._pool.remove_ref(anchor)
         refs = [anchor]
         refs.extend(self._pool.take_page(anchor.page_id))
-        if not was_resident:
-            pages = 1
-            while pages < max_pages:
-                next_page = anchor.page_id + self._direction * pages
-                if next_page < 0:
-                    break
-                more = self._pool.take_page(next_page)
-                if not more:
-                    break
-                refs.extend(more)
-                pages += 1
+        if not was_resident and max_pages > 1:
+            refs.extend(
+                self._pool.take_run(
+                    anchor.page_id + self._direction,
+                    self._direction,
+                    max_pages - 1,
+                )
+            )
         return refs
 
 
@@ -952,7 +925,6 @@ SCHEDULERS: Dict[str, type] = {
         DepthFirstScheduler,
         BreadthFirstScheduler,
         ElevatorScheduler,
-        CScanScheduler,
         AdaptiveElevatorScheduler,
     )
 }
@@ -967,7 +939,7 @@ def make_scheduler(
 
     ``head_fn`` feeds disk-position-aware schedulers; ``resident_fn``
     feeds buffer-aware ones — the adaptive scheduler uses it on every
-    pop, the elevator and C-SCAN only on batched pops.  Schedulers that
+    pop, the elevator only on batched pops.  Schedulers that
     need neither ignore them.
     """
     try:

@@ -5,7 +5,6 @@ import pytest
 from repro.core.schedulers import (
     AdaptiveElevatorScheduler,
     BreadthFirstScheduler,
-    CScanScheduler,
     DepthFirstScheduler,
     ElevatorScheduler,
     UnresolvedReference,
@@ -141,36 +140,6 @@ class TestElevatorResidency:
         s.add(ref(2, page=40, seq=1))
         assert serials(s.pop_batch(max_pages=1)) == [2]
         assert s.resident_batches == 1
-
-    def test_make_scheduler_wires_cscan_too(self):
-        s = make_scheduler(
-            "cscan",
-            head_fn=lambda: 0,
-            resident_fn=lambda page: page == 40,
-        )
-        s.add(ref(1, page=5, seq=0))
-        s.add(ref(2, page=40, seq=1))
-        assert serials(s.pop_batch(max_pages=1)) == [2]
-
-
-class TestCScanPopBatch:
-    def test_run_never_reverses(self):
-        head = [6]
-        s = CScanScheduler(head_fn=lambda: head[0])
-        for name, page in ((1, 7), (2, 8), (3, 5)):
-            s.add(ref(name, page=page, seq=name))
-        batch = s.pop_batch(max_pages=3)
-        # Upward from 6: 7, 8 — then the sweep would wrap, so the
-        # batch ends rather than extend downward through 5.
-        assert serials(batch) == [1, 2]
-
-    def test_wraps_to_lowest(self):
-        head = [50]
-        s = CScanScheduler(head_fn=lambda: head[0])
-        for name, page in ((1, 3), (2, 4)):
-            s.add(ref(name, page=page, seq=name))
-        batch = s.pop_batch(max_pages=2)
-        assert serials(batch) == [1, 2]
 
 
 class TestDequeSchedulers:

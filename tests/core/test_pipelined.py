@@ -40,7 +40,7 @@ from repro.workloads.acob import (
     payload_predicate,
 )
 
-SCHEDULERS = ("depth-first", "breadth-first", "elevator", "cscan")
+SCHEDULERS = ("depth-first", "breadth-first", "elevator")
 CLUSTERINGS = ("inter-object", "intra-object", "unclustered")
 
 

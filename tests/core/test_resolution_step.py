@@ -42,7 +42,7 @@ SCHEDULERS = ("depth-first", "breadth-first", "elevator")
 SELECTIVE = (None, False)
 
 
-def build(scheduler, selective, batch_pages=1):
+def build(scheduler, selective, batch_pages=1, spans=None, config=CONFIG):
     """A fresh store and an operator over it: ``(operator, store, tracer)``.
 
     The right subtree (``n2``) of every other complex object arrives
@@ -50,11 +50,11 @@ def build(scheduler, selective, batch_pages=1):
     linking it exposes the two leaves below (one of them the shared
     border) as remaining references.
     """
-    database, layout = build_layout(CONFIG)
+    database, layout = build_layout(config)
     store = layout.store
     template = make_template(
         database,
-        sharing=CONFIG.sharing,
+        sharing=config.sharing,
         predicate_position=1,
         predicate=payload_predicate(0.5),
     )
@@ -79,6 +79,7 @@ def build(scheduler, selective, batch_pages=1):
         preassembled=preassembled,
         tracer=tracer,
         batch_pages=batch_pages,
+        spans=spans,
     )
     return operator, store, tracer
 

@@ -14,7 +14,6 @@ from repro.core.multidevice import MultiDeviceScheduler
 from repro.core.schedulers import (
     AdaptiveElevatorScheduler,
     BreadthFirstScheduler,
-    CScanScheduler,
     DepthFirstScheduler,
     ElevatorScheduler,
     UnresolvedReference,
@@ -45,7 +44,6 @@ def make_schedulers():
         DepthFirstScheduler(),
         BreadthFirstScheduler(),
         ElevatorScheduler(head_fn=lambda: head[0]),
-        CScanScheduler(head_fn=lambda: head[0]),
         AdaptiveElevatorScheduler(head_fn=lambda: head[0]),
         MultiDeviceScheduler(disk),
     ]

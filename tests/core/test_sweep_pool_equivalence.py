@@ -8,7 +8,7 @@ residency tracking for the zero-seek probe.  None of that may change
 implementation (one sorted list, full scans everywhere).
 
 Hypothesis drives both pools through identical streams of adds,
-elevator/C-SCAN pops, whole-page and run batches, owner retractions,
+elevator pops, whole-page and run batches, owner retractions,
 zero-seek probes, and buffer residency changes (reads after pops,
 arbitrary evictions), asserting after every operation that the two
 pools return the same references and hold the same live entries.
@@ -18,6 +18,13 @@ The residency model follows the buffer's real contract: a page can
 just popped from the pool (or to pages with nothing pending, loaded by
 some other consumer of the buffer); eviction can happen at any time.
 
+Retraction-heavy programs (bursts of ``remove_owner`` / ``remove_ref``,
+then pops that cross the tombstones in both directions and reverse at
+either end, and retracted references added back) run against the same
+naive pool, and a fixed probe program evicts a confirmed page in the
+step that flags new ones — failing a probe that trusts old
+confirmations.
+
 A second property drives the pool the way the device server does: the
 references of several clients in one pool, told apart by ``ref.client``
 alone, with window serials that collide across clients, a global
@@ -25,6 +32,7 @@ admission sequence as the tie-break, per-client retraction and the
 starvation override's nearest-to-head pick.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,7 +67,7 @@ class NaiveSweepPool:
 
     Implements exactly the SweepPool operations the suite compares,
     from the documented semantics — sorted by ``(page, -rejection,
-    seq)``, elevator/C-SCAN positioning, whole-page batches, and a
+    seq)``, elevator positioning, whole-page batches, and a
     full-scan zero-seek probe.
     """
 
@@ -114,13 +122,6 @@ class NaiveSweepPool:
         self.entries.remove(entry)
         return entry[3], direction
 
-    def pop_cscan(self, head):
-        """C-SCAN pop: upward only, wrapping to the lowest page."""
-        above = [entry for entry in self.entries if entry[0] >= head]
-        entry = min(above) if above else min(self.entries)
-        self.entries.remove(entry)
-        return entry[3]
-
     def take_page(self, page_id):
         """Remove and return every reference on one page, pool order."""
         taken = sorted(
@@ -160,12 +161,6 @@ class NaiveSweepPool:
         entry, direction = self._locate(head, direction)
         return self.take_run(entry[0], direction, max_pages), direction
 
-    def pop_batch_cscan(self, head, max_pages):
-        """C-SCAN batch: upward positioning, upward run."""
-        above = [entry for entry in self.entries if entry[0] >= head]
-        entry = min(above) if above else min(self.entries)
-        return self.take_run(entry[0], 1, max_pages)
-
     def live_pages(self):
         """Set of pages with pending references."""
         return {entry[0] for entry in self.entries}
@@ -190,12 +185,10 @@ def pool_op_streams(draw):
                     st.integers(0, 3),             # rejection grade
                 ),
                 st.tuples(st.just("pop"), mark),
-                st.tuples(st.just("cscan"), mark),
                 st.tuples(
                     st.just("take_page"), st.integers(0, N_PAGES - 1)
                 ),
                 st.tuples(st.just("batch"), st.integers(1, 4), mark),
-                st.tuples(st.just("cbatch"), st.integers(1, 4), mark),
                 st.tuples(st.just("retract"), st.integers(0, 4)),
                 st.tuples(st.just("probe")),
                 st.tuples(st.just("evict"), st.integers(0, 63)),
@@ -267,13 +260,6 @@ def test_sweep_pool_matches_naive_reference(ops):
             head = ref.page_id
             if op[1]:
                 mark_read([ref])
-        elif kind == "cscan" and len(naive):
-            ref = pool.pop_cscan(head)
-            naive_ref = naive.pop_cscan(head)
-            assert id(ref) == id(naive_ref)
-            head = ref.page_id
-            if op[1]:
-                mark_read([ref])
         elif kind == "take_page":
             assert_same_refs(
                 pool.take_page(op[1]), naive.take_page(op[1])
@@ -286,13 +272,6 @@ def test_sweep_pool_matches_naive_reference(ops):
             )
             assert_same_refs(refs, naive_refs)
             assert direction == naive_dir
-            if refs:
-                head = refs[-1].page_id
-            if op[2]:
-                mark_read(refs)
-        elif kind == "cbatch" and len(naive):
-            refs = pool.pop_batch_cscan(head, op[1])
-            assert_same_refs(refs, naive.pop_batch_cscan(head, op[1]))
             if refs:
                 head = refs[-1].page_id
             if op[2]:
@@ -358,14 +337,10 @@ def test_probe_after_every_op_matches_full_scan(ops):
             ref = make_ref(serial, page, owner, grade / 4.0, seq)
             pool.add(ref)
             naive.add(ref, seq)
-        elif kind in ("pop", "cscan") and len(naive):
-            if kind == "pop":
-                prev_direction = direction
-                ref, direction = pool.pop_next(head, prev_direction)
-                naive_ref, _ = naive.pop_next(head, prev_direction)
-            else:
-                ref = pool.pop_cscan(head)
-                naive_ref = naive.pop_cscan(head)
+        elif kind == "pop" and len(naive):
+            prev_direction = direction
+            ref, direction = pool.pop_next(head, prev_direction)
+            naive_ref, _ = naive.pop_next(head, prev_direction)
             assert id(ref) == id(naive_ref)
             head = ref.page_id
             if op[1]:
@@ -495,3 +470,194 @@ def test_shared_pool_tells_clients_apart_by_the_reference_alone(ops):
         assert ref is naive.pop_next(head, prev_direction)[0]
         head = ref.page_id
     assert len(pool) == 0
+
+
+@st.composite
+def tombstone_programs(draw):
+    """Retraction-heavy programs: bursts of ``remove_owner`` and
+    ``remove_ref`` leave tombstones across the list, then pops in either
+    sweep direction cross them — from a head parked at the bottom, in
+    the middle or past the top, so the sweep reverses at either end —
+    and retracted references come back."""
+    return draw(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("add"),
+                    st.integers(0, 15),            # page: few, so dense
+                    st.integers(0, 5),             # owner
+                    st.integers(0, 2),             # rejection grade
+                ),
+                st.tuples(
+                    st.just("burst"),
+                    st.lists(st.integers(0, 5), min_size=1, max_size=4),
+                ),
+                st.tuples(st.just("remove_ref"), st.integers(0, 63)),
+                st.tuples(st.just("readd"), st.integers(0, 63)),
+                st.tuples(
+                    st.just("park"),
+                    st.sampled_from((0, 7, 16)),   # bottom, middle, past top
+                    st.sampled_from((1, -1)),
+                ),
+                st.tuples(st.just("pop")),
+                st.tuples(st.just("batch"), st.integers(1, 3)),
+                st.tuples(st.just("take_page"), st.integers(0, 15)),
+            ),
+            max_size=150,
+        )
+    )
+
+
+def run_tombstone_program(pool, ops):
+    """Drive ``pool`` and the naive pool through ``ops``, asserting
+    after every operation; retracted references are kept for re-adding
+    (a re-add while the old entry is still a tombstone must not let it
+    resurrect)."""
+    naive = NaiveSweepPool()
+    head, direction = 0, 1
+    retracted = []
+    serial = 0
+    for op in ops:
+        kind = op[0]
+        if kind == "add":
+            _, page, owner, grade = op
+            serial += 1
+            ref = make_ref(serial, page, owner, grade / 2.0, serial)
+            pool.add(ref)
+            naive.add(ref, ref.seq)
+        elif kind == "burst":
+            for owner in op[1]:
+                removed = pool.remove_owner(owner)
+                assert_same_refs(removed, naive.remove_owner(owner))
+                retracted.extend(removed)
+        elif kind == "remove_ref" and len(naive):
+            ref = naive.entries[op[1] % len(naive)][3]
+            pool.remove_ref(ref)
+            naive.remove_ref(ref)
+            retracted.append(ref)
+        elif kind == "readd" and retracted:
+            ref = retracted.pop(op[1] % len(retracted))
+            pool.add(ref)
+            naive.add(ref, ref.seq)
+        elif kind == "park":
+            _, head, direction = op
+        elif kind == "pop" and len(naive):
+            prev_direction = direction
+            ref, direction = pool.pop_next(head, prev_direction)
+            naive_ref, naive_dir = naive.pop_next(head, prev_direction)
+            assert ref is naive_ref
+            assert direction == naive_dir
+            head = ref.page_id
+        elif kind == "batch" and len(naive):
+            prev_direction = direction
+            refs, direction = pool.pop_batch_next(head, prev_direction, op[1])
+            naive_refs, naive_dir = naive.pop_batch_next(
+                head, prev_direction, op[1]
+            )
+            assert_same_refs(refs, naive_refs)
+            assert direction == naive_dir
+            head = refs[-1].page_id
+        elif kind == "take_page":
+            assert_same_refs(pool.take_page(op[1]), naive.take_page(op[1]))
+        assert_same_state(pool, naive)
+
+
+@given(tombstone_programs())
+@settings(max_examples=80, deadline=None)
+def test_tombstone_heavy_programs_match_naive_reference(ops):
+    """Pops and batches that cross tombstones in both directions, and
+    re-added retracted references, agree with the full scans."""
+    run_tombstone_program(SweepPool(), ops)
+
+
+def test_tombstones_crossed_at_both_reversals():
+    """A fixed program: tombstones sit at both ends of the list, so the
+    reversal at the top and the one at the bottom each purge on their
+    way; then a reference is re-added over its own tombstone."""
+    ends = (0, 1, 2, 17, 18, 19)
+    ops = [("add", page, int(page in ends), 0) for page in range(20)]
+    ops.append(("burst", [1]))
+    top = [("park", 17, 1), ("pop",), ("pop",)]
+    bottom = [("park", 2, -1), ("pop",), ("pop",)]
+    rest = [("remove_ref", 0), ("readd", 6), ("batch", 3), ("readd", 0)]
+    rest += [("readd", 0), ("park", 20, 1), ("pop",), ("batch", 2)]
+    pool = SweepPool()
+    run_tombstone_program(pool, ops)
+    assert len(pool._entries) == 20  # six tombstones, not yet purged
+    pool = SweepPool()
+    run_tombstone_program(pool, ops + top)
+    assert len(pool._entries) == 15  # two popped, 17 to 19 purged
+    pool = SweepPool()
+    run_tombstone_program(pool, ops + top + bottom)
+    # The bottom reversal purges 1 and 0 going down, then 2 — the
+    # tombstone the split pointed at — going up.
+    assert len(pool._entries) == 10
+    run_tombstone_program(SweepPool(), ops + top + bottom + rest)
+
+
+def test_readded_reference_does_not_resurrect_its_tombstone():
+    """Retract a reference, re-add the same object while its tombstone
+    is still in the list: it is pending exactly once."""
+    pool = SweepPool()
+    refs = [make_ref(n, n, n, 0.0, n) for n in range(6)]
+    for ref in refs:
+        pool.add(ref)
+    pool.remove_owner(2)
+    assert len(pool._entries) == 6  # a tombstone, not yet purged
+    pool.add(refs[2])
+    assert len(pool) == 6
+    popped = [pool.pop_next(0, 1)[0] for _ in range(6)]
+    assert popped == refs
+    assert len(pool) == 0 and pool._entries == []
+
+
+def _probe_program(pool_cls):
+    """Pages 3 and 5 are pending and resident; the first probe takes 3
+    and confirms 5.  Then, in one step, 5 is evicted while new
+    references flag pages 7 (resident) and 9 (not).  The second probe
+    must take 7 — not the stale 5."""
+    resident = {3, 5, 7}
+    pool = pool_cls()
+    naive = NaiveSweepPool()
+    refs = {}
+    for serial, page in enumerate((3, 5), start=1):
+        refs[page] = make_ref(serial, page, 0, 0.0, serial)
+        pool.add(refs[page])
+        naive.add(refs[page], serial)
+    first = pool.take_resident_page(resident.__contains__)
+    assert_same_refs(first, naive.take_resident_page(resident.__contains__))
+    resident.discard(5)
+    for serial, page in enumerate((7, 9), start=3):
+        refs[page] = make_ref(serial, page, 1, 0.0, serial)
+        pool.add(refs[page])
+        naive.add(refs[page], serial)
+    second = pool.take_resident_page(resident.__contains__)
+    assert_same_refs(second, naive.take_resident_page(resident.__contains__))
+    assert second == [refs[7]]
+    assert_same_state(pool, naive)
+
+
+class _UncheckedConfirmedPool(SweepPool):
+    """A broken probe: trusts earlier confirmations without re-checking
+    them, so an evicted page is served as a zero-seek batch."""
+
+    def take_resident_page(self, resident_fn):
+        """Checks newly flagged pages only, then takes ``min(confirmed)``."""
+        for page_id in self._recent_pages:
+            if page_id in self._page_live and resident_fn(page_id):
+                self._resident_live.add(page_id)
+        self._recent_pages.clear()
+        if self._resident_live:
+            return self.take_page(min(self._resident_live))
+        return []
+
+
+def test_probe_drops_a_confirmed_page_evicted_as_new_pages_flag():
+    """The eviction-and-flag step of :func:`_probe_program`."""
+    _probe_program(SweepPool)
+
+
+def test_unchecked_confirmed_pages_are_caught():
+    """The oracle is sharp: the broken probe fails the program."""
+    with pytest.raises(AssertionError):
+        _probe_program(_UncheckedConfirmedPool)

@@ -32,7 +32,7 @@ from repro.storage.store import ObjectStore
 from repro.iterator import ListSource
 from repro.workloads.acob import generate_acob, make_template
 
-SCHEDULERS = ("depth-first", "breadth-first", "elevator", "cscan")
+SCHEDULERS = ("depth-first", "breadth-first", "elevator")
 CLUSTERINGS = ("inter-object", "intra-object", "unclustered")
 
 

@@ -20,7 +20,7 @@ from repro.core.assembly import Assembly
 from repro.iterator import ListSource
 from repro.workloads.acob import make_template, payload_predicate
 
-SCHEDULERS = ("depth-first", "breadth-first", "elevator", "cscan", "adaptive")
+SCHEDULERS = ("depth-first", "breadth-first", "elevator", "adaptive")
 CLUSTERINGS = ("inter-object", "intra-object", "unclustered")
 
 

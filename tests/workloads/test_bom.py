@@ -106,7 +106,7 @@ class TestAssemblyAndCostRollup:
         assert op.stats.shared_links == profile.duplicate_references
 
     @pytest.mark.parametrize(
-        "scheduler", ["depth-first", "breadth-first", "elevator", "adaptive", "cscan"]
+        "scheduler", ["depth-first", "breadth-first", "elevator", "adaptive"]
     )
     def test_every_scheduler_handles_recursion(self, scheduler):
         db, _op, emitted = self.run("unclustered", scheduler=scheduler, n=15)
