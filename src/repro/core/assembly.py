@@ -207,6 +207,8 @@ class Assembly(VolcanoIterator):
         super().__init__()
         self._source = source
         self._store = store
+        #: the store's disk, read per fetch for its fault injector.
+        self._disk = store.disk
         # The template lives on the component iterator (its interpreter):
         # one attribute, and push_predicate swaps both at once.
         self._component_iter = ComponentIterator(template.finalize())
@@ -305,7 +307,7 @@ class Assembly(VolcanoIterator):
             # operator is a cycle, freed only by the cycle collector.
             self._scheduler = make_scheduler(
                 self._scheduler_spec,
-                head_fn=partial(self._store.disk.head_of, 0),
+                head_fn=partial(self._disk.head_of, 0),
                 resident_fn=self._store.buffer.is_resident,
             )
         self._window = Window(self._window_size)
@@ -539,7 +541,7 @@ class Assembly(VolcanoIterator):
             total_predicates=template.predicate_count,
         )
         ref = self._component_iter.root_reference(oid)
-        ref.page_id = self._store.page_of(oid)
+        ref.page_id = self._store.directory.page_of(oid)
         ref.owner = state.serial
         ref.seq = self._next_seq()
         if self._tracer is not None:
@@ -768,20 +770,20 @@ class Assembly(VolcanoIterator):
         )
 
     def _fetch_record(self, ref: UnresolvedReference) -> StoredRecord:
-        """Fetch one object, retrying faults under the retry policy.
+        """Fetch one object under a fault injector, retrying faults
+        under the retry policy.
 
-        The fault-free path (no injector on the disk) is a plain fetch
-        — zero bookkeeping, bit-identical behavior.  With an injector,
-        every :class:`~repro.errors.FaultError` is recorded (stats,
-        trace, health tracker) and retried while the policy allows,
-        charging simulated backoff through the injector; exhaustion
-        raises :class:`~repro.errors.RetriesExhaustedError` (or the
-        original fault when no policy was given).
+        :meth:`_fetch_and_expand` calls this only while the disk has an
+        injector; the fault-free path is a plain ``fetch_pinned`` there
+        — zero bookkeeping, bit-identical behavior.  Every
+        :class:`~repro.errors.FaultError` is recorded (stats, trace,
+        health tracker) and retried while the policy allows, charging
+        simulated backoff through the injector; exhaustion raises
+        :class:`~repro.errors.RetriesExhaustedError` (or the original
+        fault when no policy was given).
         """
         fetch = self._store.fetch_pinned
-        injector = self._store.disk.fault_injector
-        if injector is None:
-            return fetch(ref.oid)
+        injector = self._disk.fault_injector
         policy = self._retry_policy
         attempt = 0
         while True:
@@ -793,7 +795,7 @@ class Assembly(VolcanoIterator):
                 if self._health is not None:
                     self._health.record_failure(
                         device,
-                        now=self._store.disk.fault_now(),
+                        now=self._disk.fault_now(),
                         retry_after=getattr(exc, "retry_after", None),
                     )
                 if self._tracer is not None:
@@ -821,7 +823,7 @@ class Assembly(VolcanoIterator):
                         retries=attempt,
                     ) from exc
                 backoff = policy.backoff_ms(
-                    attempt, getattr(self._store.disk, "cost_model", None)
+                    attempt, getattr(self._disk, "cost_model", None)
                 )
                 injector.charge_backoff(backoff)
                 self.stats.fault_retries += 1
@@ -830,7 +832,7 @@ class Assembly(VolcanoIterator):
             else:
                 if self._health is not None:
                     self._health.record_success(
-                        self._store.disk.device_of(ref.page_id)
+                        self._disk.device_of(ref.page_id)
                     )
                 return record
 
@@ -880,12 +882,15 @@ class Assembly(VolcanoIterator):
                 "fetch",
                 parent=self._slot_spans.get(state.serial),
                 kind="fetch",
-                device=self._store.disk.device_of(ref.page_id),
+                device=self._disk.device_of(ref.page_id),
                 oid=str(ref.oid),
                 page=ref.page_id,
             )
         try:
-            record = self._fetch_record(ref)
+            if self._disk.fault_injector is None:
+                record = self._store.fetch_pinned(ref.oid)
+            else:
+                record = self._fetch_record(ref)
         except FaultError as exc:
             if fetch_span is not None:
                 self._spans.end(fetch_span, outcome="faulted")
@@ -945,8 +950,11 @@ class Assembly(VolcanoIterator):
         if predicate is not None:
             predicates_newly_resolved += 1
 
-        self._schedule_children(state, children)
-        self._note_predicates_resolved(state, predicates_newly_resolved)
+        # Both calls are no-ops on a leaf with nothing left to decide.
+        if children:
+            self._schedule_children(state, children)
+        if predicates_newly_resolved:
+            self._note_predicates_resolved(state, predicates_newly_resolved)
 
     def _attach(
         self,
@@ -977,7 +985,7 @@ class Assembly(VolcanoIterator):
         assert self._scheduler is not None
         now: List[UnresolvedReference] = []
         gate = self._selective and state.gate_references()
-        page_of = self._store.page_of
+        page_of = self._store.directory.page_of
         serial = state.serial
         for child in children:
             self._seq += 1

@@ -187,23 +187,26 @@ class BufferManager:
         returned :class:`Page` object stays valid until the final unfix.
         """
         stats = self.stats
-        stats.fixes += 1
         frames = self._frames
         frame = frames.get(page_id)
         if frame is not None:
             stats.hits += 1
             frames.move_to_end(page_id)
         else:
+            capacity = self._capacity
+            if capacity is not None and len(frames) >= capacity:
+                # One eviction is enough: no call leaves more frames
+                # than the capacity.
+                self._evict_one()
+            # Counted only once the read succeeded: a read that raised
+            # (an injected fault) faulted nothing in.
+            frame = _Frame(self._disk.read(page_id))
             stats.faults += 1
             if page_id in self._ever_resident:
                 stats.re_reads += 1
-            capacity = self._capacity
-            if capacity is not None:
-                while len(frames) >= capacity:
-                    self._evict_one()
-            frame = _Frame(self._disk.read(page_id))
             frames[page_id] = frame
             self._ever_resident.add(page_id)
+        stats.fixes += 1
         if frame.pin_count == 0:
             self._pinned_count += 1
         frame.pin_count += 1

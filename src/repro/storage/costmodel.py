@@ -69,6 +69,11 @@ class CostModel:
         This is what makes run batching pay under the full model — the
         constant positioning costs are amortized over the run, not just
         the seek distance.
+
+        Results are memoized in ``_run_cache`` under the key
+        ``(distance, n_pages)``.  :meth:`DeviceLedger.record` probes that
+        memo in line with the same key, so a change to the key format
+        must change both.
         """
         key = (distance, n_pages)
         try:
@@ -156,7 +161,13 @@ class DeviceLedger:
         self, device: int, start_page: int, seek: int, n_pages: int
     ) -> None:
         """Price one performed read — the only place that happens."""
-        cost = self.cost_model.run_service_time(seek, n_pages)
+        # run_service_time's memo probe, inlined: this runs once per
+        # physical read, and reading the model's own memo keeps one.
+        model = self.cost_model
+        try:
+            cost = model._run_cache[seek, n_pages]
+        except KeyError:
+            cost = model.run_service_time(seek, n_pages)
         self.total += cost
         bracket = self._bracket
         if bracket is not None:

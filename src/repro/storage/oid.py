@@ -148,8 +148,15 @@ class OidDirectory:
         return self._entries.get(oid)
 
     def page_of(self, oid: Oid) -> int:
-        """Return just the page id of ``oid`` (elevator scheduling key)."""
-        return self.lookup(oid).page_id
+        """Return just the page id of ``oid`` (elevator scheduling key).
+
+        Raises :class:`UnknownOidError` like :meth:`lookup`; one frame,
+        since the engine calls it for every reference it schedules.
+        """
+        try:
+            return self._entries[oid].page_id
+        except KeyError:
+            raise UnknownOidError(f"{oid} is not registered") from None
 
     def dump(self) -> Dict[Oid, Rid]:
         """A copy of the full OID → RID mapping (snapshot support)."""

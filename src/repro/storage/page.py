@@ -38,6 +38,9 @@ class Page:
     Records are addressed by slot number.  Deleting a record leaves a
     tombstone slot (length 0); slot numbers of live records never
     change, so RIDs stay valid.
+
+    A page built from a ``bytes`` image (a disk read) shares it until
+    its first write: a page that is only read copies nothing.
     """
 
     __slots__ = ("_buf", "page_id", "_slot_count", "_free_offset")
@@ -54,7 +57,10 @@ class Page:
                 raise PageError(
                     f"page image must be {PAGE_SIZE} bytes, got {len(data)}"
                 )
-            self._buf = bytearray(data)
+            # An immutable image is shared until the first write
+            # (:meth:`_writable`); anything else is copied once, so a
+            # page never aliases its caller's buffer.
+            self._buf = data if type(data) is bytes else bytearray(data)
             stored_id, self._slot_count, self._free_offset = (
                 _HEADER.unpack_from(self._buf)
             )
@@ -66,13 +72,15 @@ class Page:
 
     # -- header helpers ----------------------------------------------------
 
+    def _writable(self) -> None:
+        """Switch a shared ``bytes`` image to a private copy before a write."""
+        if type(self._buf) is bytes:
+            self._buf = bytearray(self._buf)
+
     def _write_header(self) -> None:
         _HEADER.pack_into(
             self._buf, 0, self.page_id, self._slot_count, self._free_offset
         )
-
-    def _slot_pos(self, slot: int) -> int:
-        return PAGE_SIZE - (slot + 1) * SLOT_SIZE
 
     def _read_slot(self, slot: int) -> Tuple[int, int]:
         if not 0 <= slot < self._slot_count:
@@ -116,6 +124,7 @@ class Page:
                 f"page {self.page_id}: {length} bytes do not fit "
                 f"({self.free_space} free)"
             )
+        self._writable()
         offset = self._free_offset
         self._buf[offset : offset + length] = record
         slot = self._slot_count
@@ -140,7 +149,28 @@ class Page:
             raise BadSlotError(
                 f"slot {slot} on page {self.page_id} is deleted"
             )
+        # One copy: a slice of a shared image is already ``bytes``, and
+        # ``bytes()`` of ``bytes`` returns it as it is.
         return bytes(self._buf[offset : offset + length])
+
+    def holds(self, slot: int, record: bytes) -> bool:
+        """Does live ``slot`` hold exactly ``record``?
+
+        True exactly when :meth:`read` would return bytes equal to
+        ``record``; false (not an error) for an out-of-range or deleted
+        slot.  Compares in place, copying nothing.
+        """
+        if not 0 <= slot < self._slot_count:
+            return False
+        buf = self._buf
+        offset, length = _SLOT.unpack_from(
+            buf, PAGE_SIZE - (slot + 1) * SLOT_SIZE
+        )
+        return (
+            length != 0
+            and length == len(record)
+            and buf.startswith(record, offset)
+        )
 
     def delete(self, slot: int) -> None:
         """Tombstone ``slot``.  The space is not compacted."""
@@ -149,6 +179,7 @@ class Page:
             raise BadSlotError(
                 f"slot {slot} on page {self.page_id} is already deleted"
             )
+        self._writable()
         self._write_slot(slot, offset, 0)
 
     def update(self, slot: int, record: bytes) -> None:
@@ -166,6 +197,7 @@ class Page:
             raise PageError(
                 f"update must keep length {length}, got {len(record)}"
             )
+        self._writable()
         self._buf[offset : offset + length] = record
 
     def records(self) -> Iterator[Tuple[int, bytes]]:
@@ -180,7 +212,7 @@ class Page:
         return sum(1 for _ in self.records())
 
     def to_bytes(self) -> bytes:
-        """Serialize the full page image."""
+        """Serialize the full page image (an unwritten page's own image)."""
         return bytes(self._buf)
 
     @classmethod

@@ -74,10 +74,10 @@ class ObjectStore:
         self._write_hooks: List[Callable[[Oid], None]] = []
         # Write-through cache of decoded objects, keyed by RID.  A fetch
         # only uses an entry when the page still holds exactly the
-        # entry's bytes, so out-of-band page mutation (fault injection,
-        # corruption tests) safely falls back to the codec, and the
-        # owner OID keeps the directory cross-check intact.  Entries
-        # are immutable and handed out as they are.
+        # entry's bytes (``Page.holds``), so out-of-band page mutation
+        # (fault injection, corruption tests) safely falls back to the
+        # codec, and the owner OID keeps the directory cross-check
+        # intact.  Entries are immutable and handed out as they are.
         self._decoded: Dict[Rid, StoredRecord] = {}
 
     # -- write hooks ------------------------------------------------------------
@@ -228,17 +228,18 @@ class ObjectStore:
         Callers must balance with :meth:`unpin`.
 
         Returns the decoded-cache entry itself while the page still
-        holds the bytes it was decoded from — no copy — and a fresh
-        decode of the page otherwise.  Either way the record is
-        immutable; :meth:`fetch` is the form that hands out a copy.
+        holds the bytes it was decoded from — checked in place, no
+        copy — and a fresh decode of the page otherwise.  Either way
+        the record is immutable; :meth:`fetch` is the form that hands
+        out a copy.
         """
         rid = self.directory.lookup(oid)
         page = self.buffer.fix(rid.page_id)
         try:
-            stored = page.read(rid.slot)
             record = self._decoded.get(rid)
-            if record is None or record.stored != stored:
-                record = self._decode_stored(stored)
+            if record is None or not page.holds(rid.slot, record.stored):
+                # page.read raises BadSlotError for a dead slot.
+                record = self._decode_stored(page.read(rid.slot))
             if record.oid != oid:
                 raise StorageError(
                     f"directory said {oid} at {rid}, page holds {record.oid}"

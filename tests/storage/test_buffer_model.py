@@ -4,14 +4,20 @@ A random stream of fix/unfix operations against a capacity-bounded
 buffer must agree with a reference model tracking pin counts, and must
 uphold the manager's invariants: pinned pages stay resident, capacity
 is never exceeded, and hit/fault counts sum to fixes.
+
+Under injected read faults a fix counts only once its read succeeded,
+as a batch fix does: a failed attempt leaves the counters alone.
 """
+
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import BufferFullError, PinError
+from repro.errors import BufferFullError, FaultError, PinError
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import SimulatedDisk
+from repro.storage.faults import FaultConfig, FaultInjector
 
 N_PAGES = 12
 
@@ -73,3 +79,71 @@ def test_buffer_matches_pin_model(stream):
 
     stats = buffer.stats
     assert stats.hits + stats.faults == stats.fixes
+
+
+def faulting_buffer(seed, capacity):
+    """A buffer over a disk whose reads fail half the time."""
+    disk = SimulatedDisk()
+    FaultInjector(FaultConfig(seed=seed, read_error_rate=0.5)).attach(disk)
+    return BufferManager(disk, capacity=capacity)
+
+
+def counted(stats):
+    """The counters a failed fix must not move (an eviction it made
+    room with did happen, so ``evictions`` may)."""
+    return stats.fixes, stats.hits, stats.faults, stats.re_reads
+
+
+def fix_retrying(buffer, fix, page):
+    """Fix ``page`` until a read succeeds; returns the failed attempts."""
+    failures = 0
+    while True:
+        before = replace(buffer.stats)
+        try:
+            fix(page)
+        except FaultError:
+            if buffer.capacity is None:
+                assert buffer.stats == before
+            assert counted(buffer.stats) == counted(before)
+            failures += 1
+            continue
+        return failures
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, N_PAGES - 1), max_size=60),
+    st.integers(0, 10_000),
+    st.sampled_from([None, 2, 4]),
+)
+def test_failed_fix_counts_nothing(pages, seed, capacity):
+    buffer = faulting_buffer(seed, capacity)
+    for page in pages:
+        resident = buffer.is_resident(page)
+        before = replace(buffer.stats)
+        fix_retrying(buffer, buffer.fix, page)
+        stats = buffer.stats
+        # However many attempts failed: one fix, one hit or one fault.
+        assert stats.fixes == before.fixes + 1
+        assert stats.hits == before.hits + resident
+        assert stats.faults == before.faults + (not resident)
+        assert stats.hits + stats.faults == stats.fixes
+        buffer.unfix(page)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(0, N_PAGES - 1), max_size=60),
+    st.integers(0, 10_000),
+    st.sampled_from([None, 2, 4]),
+)
+def test_fix_and_fix_many_count_faults_alike(pages, seed, capacity):
+    one = faulting_buffer(seed, capacity)
+    many = faulting_buffer(seed, capacity)
+    for page in pages:
+        assert fix_retrying(one, one.fix, page) == fix_retrying(
+            many, lambda p: many.fix_many([p]), page
+        )
+        assert one.stats == many.stats
+        one.unfix(page)
+        many.unfix(page)

@@ -10,9 +10,10 @@ computation across random inputs and call orders.
 
 import struct
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import BadSlotError, ReproError
 from repro.storage.buffer import BufferManager
 from repro.storage.costmodel import CostModel
 from repro.storage.disk import SimulatedDisk
@@ -98,67 +99,120 @@ def fresh_store():
 
 @st.composite
 def store_op_streams(draw):
-    """Random store/fetch/overwrite streams over a small OID space."""
+    """Random store streams over a small OID space.
+
+    Beside store / fetch / overwrite, a stream migrates objects, and
+    writes pages behind the store's back through a fixed frame: a
+    same-length ``poke`` of new field values and a ``tombstone``.
+    """
     return draw(
         st.lists(
-            st.one_of(
-                st.tuples(
-                    st.just("store"),
-                    st.integers(1, 20),  # serial
-                    st.integers(-100, 100),  # payload marker
+            st.tuples(
+                st.sampled_from(
+                    [
+                        "store",
+                        "store",
+                        "fetch",
+                        "fetch",
+                        "overwrite",
+                        "migrate",
+                        "poke",
+                        "tombstone",
+                    ]
                 ),
-                st.tuples(
-                    st.just("fetch"), st.integers(1, 20), st.just(0)
-                ),
-                st.tuples(
-                    st.just("overwrite"),
-                    st.integers(1, 20),
-                    st.integers(-100, 100),
-                ),
+                st.integers(1, 10),  # serial
+                st.integers(-100, 100),  # payload marker / target page
             ),
             max_size=40,
         )
     )
 
 
+def paper_record(serial, marker):
+    """A paper-format record whose first field is ``marker``."""
+    return ObjectRecord(
+        ints=[marker, serial, 0, 1],
+        refs=[Oid(1, serial + slot) for slot in range(8)],
+    )
+
+
+def run_store_op(store, extent, kind, serial, marker, forget=None):
+    """One stream operation; returns ``("ok", value)`` or ``("raised", type)``.
+
+    ``forget`` runs between a write and the fetch that reads it back:
+    clearing the decoded cache there makes that fetch decode the page.
+    """
+    oid = Oid(3, serial)
+    record = paper_record(serial, marker)
+    try:
+        if kind == "store":
+            # One home page per serial keeps the pages from filling.
+            return "ok", store.store_at(oid, record, extent.start + serial - 1)
+        if kind == "fetch":
+            return "ok", store.fetch(oid).encode()
+        if kind == "overwrite":
+            store.overwrite(oid, record)
+            if forget is not None:
+                forget()
+            return "ok", store.fetch(oid).encode()
+        if kind == "migrate":
+            return "ok", store.migrate(oid, extent.start + marker % 20)
+        rid = store.directory.lookup(oid)
+        with store.buffer.fixed(rid.page_id, dirty=True) as page:
+            if kind == "poke":
+                page.update(rid.slot, oid.encode() + record.encode())
+            else:
+                page.delete(rid.slot)
+        return "ok", store.fetch(oid).encode() if kind == "poke" else None
+    except ReproError as exc:
+        return "raised", type(exc)
+
+
 class TestDecodedRecordCache:
     """Fetch via the decoded cache equals fetch via the codec."""
 
     @given(store_op_streams())
-    @settings(max_examples=50, deadline=None)
+    @example(
+        [
+            ("store", 1, 5),
+            ("store", 2, 6),
+            ("migrate", 1, 1),  # onto serial 2's page
+            ("poke", 1, 9),
+            ("fetch", 1, 0),
+            ("tombstone", 2, 0),
+            ("fetch", 2, 0),
+        ]
+    )
+    @settings(max_examples=80, deadline=None)
     def test_cached_store_matches_codec_only_store(self, ops):
         cached = fresh_store()
         naive = fresh_store()
         cached_extent = cached.disk.allocate(20)
         naive_extent = naive.disk.allocate(20)
-        stored = set()
+        dead = set()
         for kind, serial, marker in ops:
-            oid = Oid(3, serial)
-            record = ObjectRecord(
-                ints=[marker, serial, 0, 1],
-                refs=[Oid(1, serial + slot) for slot in range(8)],
+            # Force the codec path, also for the read-back of an
+            # overwrite, which fills the cache again.
+            forget = naive._decoded.clear
+            forget()
+            outcome = run_store_op(cached, cached_extent, kind, serial, marker)
+            expected = run_store_op(
+                naive, naive_extent, kind, serial, marker, forget=forget
             )
-            if kind == "store" and serial not in stored:
-                # One page per serial keeps every page under capacity.
-                rid_a = cached.store_at(
-                    oid, record, cached_extent.start + serial - 1
-                )
-                rid_b = naive.store_at(
-                    oid, record, naive_extent.start + serial - 1
-                )
-                assert rid_a == rid_b
-                stored.add(serial)
-            elif kind == "fetch" and serial in stored:
-                naive._decoded.clear()  # force the codec path
-                assert (
-                    cached.fetch(oid).encode()
-                    == naive.fetch(oid).encode()
-                )
-            elif kind == "overwrite" and serial in stored:
-                cached.overwrite(oid, record)
-                naive.overwrite(oid, record)
-                naive._decoded.clear()
-                assert (
-                    cached.fetch(oid).encode()
-                    == naive.fetch(oid).encode()
-                )
+            assert outcome == expected
+            # A fetch that raised holds no pin.
+            assert cached.buffer.pinned_pages == 0
+            assert naive.buffer.pinned_pages == 0
+            if outcome[0] != "ok":
+                continue
+            if kind == "poke":
+                # The page changed behind the cache: the fetch decodes it.
+                assert outcome[1] == paper_record(serial, marker).encode()
+            elif kind == "tombstone":
+                dead.add(serial)
+            elif kind == "fetch":
+                assert serial not in dead
+        for serial in dead:
+            outcome = run_store_op(cached, cached_extent, "fetch", serial, 0)
+            assert outcome == ("raised", BadSlotError)
+            assert cached.buffer.pinned_pages == 0

@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BadSlotError, PageError, PageFullError
-from repro.storage.page import PAGE_SIZE, Page, records_per_page
+from repro.storage.page import (
+    _SLOT,
+    PAGE_SIZE,
+    SLOT_SIZE,
+    Page,
+    records_per_page,
+)
 
 
 class TestPageBasics:
@@ -154,3 +160,181 @@ def test_page_matches_model(records):
     restored = Page.from_bytes(0, page.to_bytes())
     for slot, record in stored:
         assert restored.read(slot) == record
+
+
+# -- holds() and copy on write --------------------------------------------
+
+
+@st.composite
+def page_programs(draw):
+    """Random insert / delete / update sequences against one page.
+
+    Slots and update lengths are drawn loosely, so a program also tries
+    dead slots, out-of-range slots and wrong-length updates.
+    """
+    return draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("insert"), st.binary(min_size=1, max_size=60)),
+                st.tuples(st.just("delete"), st.integers(-1, 12)),
+                st.tuples(
+                    st.just("update"),
+                    st.integers(-1, 12),
+                    st.integers(0, 255),  # fill byte
+                    st.sampled_from([0, 0, 0, 1, -1]),  # length error
+                ),
+            ),
+            max_size=30,
+        )
+    )
+
+
+def apply_program(page, program, model=None):
+    """Run ``program`` on ``page``; returns the model ``{slot: bytes|None}``.
+
+    ``model`` is what the page holds before the program (empty page
+    when ``None``); it is updated in place.
+    """
+    model = {} if model is None else model
+    for op in program:
+        if op[0] == "insert":
+            record = op[1]
+            if page.fits(len(record)):
+                model[page.insert(record)] = record
+            else:
+                with pytest.raises(PageFullError):
+                    page.insert(record)
+        elif op[0] == "delete":
+            slot = op[1]
+            if model.get(slot) is not None:
+                page.delete(slot)
+                model[slot] = None
+            else:
+                with pytest.raises(BadSlotError):
+                    page.delete(slot)
+        else:
+            _kind, slot, fill, error = op
+            live = model.get(slot)
+            length = (len(live) if live is not None else 3) + error
+            record = bytes([fill]) * max(length, 1)
+            if live is not None and len(record) == len(live):
+                page.update(slot, record)
+                model[slot] = record
+            else:
+                with pytest.raises((BadSlotError, PageError)):
+                    page.update(slot, record)
+    return model
+
+
+def read_or_none(page, slot):
+    try:
+        return page.read(slot)
+    except BadSlotError:
+        return None
+
+
+def holds_violations(page, model):
+    """Where ``page.holds`` disagrees with ``read``, and ``read`` with the model."""
+    candidates = {b"", b"\x00"}
+    for record in model.values():
+        if record:
+            candidates.update(
+                {
+                    record,
+                    record[:-1],
+                    record + b"\x00",
+                    bytes([record[0] ^ 1]) + record[1:],
+                }
+            )
+    found = []
+    for slot in range(-2, page.slot_count + 2):
+        current = read_or_none(page, slot) if slot >= 0 else None
+        if current != model.get(slot):
+            found.append(("read", slot))
+        for record in candidates:
+            expected = current is not None and current == record
+            if page.holds(slot, record) != expected:
+                found.append(("holds", slot, record))
+    return found
+
+
+def cow_violations(page_cls, program):
+    """Writes that reach an image the page was built from."""
+    base = page_cls(5)
+    loaded = apply_program(
+        base, [op for op in program if op[0] == "insert"][:4]
+    )
+    image = base.to_bytes()
+    original = bytes(image)
+    found = []
+    shared = page_cls(5, image)
+    twin = page_cls(5, image)
+    apply_program(shared, program, dict(loaded))
+    if image != original or twin.to_bytes() != original:
+        found.append("bytes image written")
+    source = bytearray(original)
+    private = page_cls(5, source)
+    model = apply_program(private, program, dict(loaded))
+    if bytes(source) != original:
+        found.append("bytearray aliased")
+    restored = page_cls(5, private.to_bytes())
+    if restored.to_bytes() != private.to_bytes():
+        found.append("round trip")
+    if holds_violations(restored, model):
+        found.append("round trip lost records")
+    return found
+
+
+class _HoldsIgnoresLength(Page):
+    """Mutant: ``holds`` accepts any prefix of the stored record."""
+
+    __slots__ = ()
+
+    def holds(self, slot, record):
+        if not 0 <= slot < self.slot_count:
+            return False
+        offset, length = _SLOT.unpack_from(
+            self._buf, PAGE_SIZE - (slot + 1) * SLOT_SIZE
+        )
+        return length != 0 and self._buf.startswith(record, offset)
+
+
+class _SharesItsImage(Page):
+    """Mutant: writes into whatever buffer it was built from."""
+
+    __slots__ = ()
+
+    def __init__(self, page_id, data=None):
+        super().__init__(page_id, data)
+        if data is not None:
+            self._buf = data
+
+
+class TestHoldsAndCopyOnWrite:
+    @settings(max_examples=80, deadline=None)
+    @given(page_programs())
+    def test_holds_is_read_compared(self, program):
+        page = Page(0)
+        model = apply_program(page, program)
+        assert holds_violations(page, model) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(page_programs())
+    def test_a_write_never_reaches_the_image(self, program):
+        assert cow_violations(Page, program) == []
+
+    def test_unwritten_page_hands_back_its_image(self):
+        image = Page(2).to_bytes()
+        assert Page(2, image).to_bytes() is image
+        source = bytearray(image)
+        assert Page(2, source).to_bytes() is not source
+
+    def test_holds_ignoring_length_is_caught(self):
+        program = [("insert", b"abc")]
+        page = _HoldsIgnoresLength(0)
+        model = apply_program(page, program)
+        assert ("holds", 0, b"ab") in holds_violations(page, model)
+
+    def test_page_writing_its_image_is_caught(self):
+        program = [("insert", b"abc"), ("update", 1, 0x7A, 0)]
+        assert "bytearray aliased" in cow_violations(_SharesItsImage, program)
