@@ -33,9 +33,8 @@ from repro.bench.harness import (
     clear_database_cache,
     get_database,
     run_experiment,
-    sweep,
 )
-from repro.bench.report import FigureResult, render, render_all
+from repro.bench.report import FigureResult, render
 from repro.bench.service import (
     figure_service,
     figure_service_cache,
@@ -75,9 +74,7 @@ __all__ = [
     "get_database",
     "load_json",
     "render",
-    "render_all",
     "run_experiment",
-    "sweep",
     "write_csv",
     "write_json",
 ]

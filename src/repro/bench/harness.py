@@ -5,7 +5,7 @@ parameters the paper names: "clustering, scheduling algorithm, window
 size, buffer size and database size" — plus sharing degree (Section
 6.4) and predicate selectivity (Section 6.5).  :func:`run_experiment`
 executes one parameter point and returns every metric the figures (and
-tests) need; :func:`sweep` maps it over a parameter grid.
+tests) need.
 
 Database generation is cached per parameter set: object *definitions*
 are immutable inputs, and each run lays them out on a fresh simulated
@@ -14,8 +14,8 @@ disk so no state leaks between runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.cluster.layout import (
     LayoutResult,
@@ -98,23 +98,6 @@ class ExperimentResult:
     peak_pinned_pages: int
     scheduler_ops: int
     pages_spanned: int
-
-    def as_row(self) -> Dict[str, object]:
-        """Flat dict for table rendering."""
-        return {
-            "db": self.config.n_complex_objects,
-            "clustering": self.config.clustering,
-            "scheduler": self.config.scheduler,
-            "window": self.config.window_size,
-            "avg_seek": round(self.avg_seek, 1),
-            "reads": self.reads,
-            "emitted": self.emitted,
-            "aborted": self.aborted,
-            "fetches": self.fetches,
-            "shared_links": self.shared_links,
-            "re_reads": self.re_reads,
-            "peak_pinned": self.peak_pinned_pages,
-        }
 
 
 _DB_CACHE: Dict[Tuple[int, float, int], ACOBDatabase] = {}
@@ -306,28 +289,3 @@ def trace_experiment(
     result = run_experiment(config, spans=spans)
     writer = write_chrome_trace if fmt == "chrome" else write_jsonl
     return result, str(writer(spans.spans, path))
-
-
-def sweep(
-    base: ExperimentConfig, **axes: Iterable
-) -> List[ExperimentResult]:
-    """Run the cartesian product of ``axes`` over ``base``.
-
-    Example::
-
-        sweep(base, scheduler=["depth-first", "elevator"],
-                    n_complex_objects=[1000, 2000])
-    """
-    results: List[ExperimentResult] = []
-    names = list(axes)
-    values = [list(axes[name]) for name in names]
-
-    def recurse(index: int, config: ExperimentConfig) -> None:
-        if index == len(names):
-            results.append(run_experiment(config))
-            return
-        for value in values[index]:
-            recurse(index + 1, replace(config, **{names[index]: value}))
-
-    recurse(0, base)
-    return results

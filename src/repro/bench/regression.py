@@ -163,11 +163,9 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
     )
     args = parser.parse_args(argv)
     try:
-        baseline = load_json(args.baseline)
-        current = load_json(args.current)
+        report = compare_files(args.baseline, args.current, args.tolerance)
     except FileNotFoundError as exc:
         parser.error(f"cannot read results file: {exc.filename}")
-    report = compare_documents(baseline, current, args.tolerance)
     print(report.describe())
     return 0 if report.clean else 1
 

@@ -82,11 +82,6 @@ def render(figure: FigureResult) -> str:
     return "\n".join(lines)
 
 
-def render_all(figures: Sequence[FigureResult]) -> str:
-    """Render several figures separated by blank lines."""
-    return "\n\n".join(render(f) for f in figures)
-
-
 def monotone_decreasing(values: Sequence[float], slack: float = 0.0) -> bool:
     """Is the sequence non-increasing, up to ``slack`` relative noise?"""
     for before, after in zip(values, values[1:]):

@@ -348,19 +348,6 @@ class DeviceIdleTracker:
         """Stop watching the disk (idempotent)."""
         self._disk.remove_read_tap(self.ledger.record)
 
-    @property
-    def n_devices(self) -> int:
-        """Devices tracked (1 on a single-spindle disk)."""
-        return self.ledger.n_devices
-
-    def device_of(self, page_id: int) -> int:
-        """Which device timeline a page belongs to."""
-        return self._disk.device_of(page_id)
-
-    def busy_until(self, device: int) -> float:
-        """The device's idle watermark: end of its last priced I/O."""
-        return self.ledger.busy_until[device]
-
     def _intervals(self, kind: str) -> List[List[Tuple[float, float]]]:
         return [
             [(begin, end) for begin, end, k, _p, _s in timeline if k == kind]
@@ -473,7 +460,7 @@ class Reorganizer:
         time, so the plan that is priced is the plan that runs.
         """
         clusters = self.planner.plan(
-            self.sketch, self.store.page_of, self._objects_per_page
+            self.sketch, self.store.directory.page_of, self._objects_per_page
         )
         plan = MigrationPlan()
         if not clusters:
@@ -484,7 +471,7 @@ class Reorganizer:
         for cluster in clusters:
             kept: List[Tuple[Oid, int]] = []
             for oid in cluster:
-                source = self.store.page_of(oid)
+                source = self.store.directory.page_of(oid)
                 if buffer.pin_count(source) > 0:
                     skipped += 1
                     continue

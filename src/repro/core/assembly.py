@@ -32,7 +32,7 @@ Mechanics, all from the paper:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -97,10 +97,6 @@ class AssemblyStats:
     missing_components: int = 0
     #: degraded complex objects emitted (``partial`` mode).
     degraded_emitted: int = 0
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict view for benchmark tables: every field, in order."""
-        return asdict(self)
 
 
 class _SharedEntry:

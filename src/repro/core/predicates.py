@@ -90,32 +90,6 @@ def conjunction(predicates: "list[Predicate]") -> Predicate:
     return Predicate(name=name, fn=fn, selectivity=selectivity)
 
 
-def disjunction(predicates: "list[Predicate]") -> Predicate:
-    """OR several predicates on the same component into one.
-
-    Pass rates combine as ``1 - prod(1 - s_i)`` (independence), and the
-    combined test short-circuits on the first pass.
-    """
-    if not predicates:
-        raise TemplateError("disjunction of no predicates")
-    if len(predicates) == 1:
-        return predicates[0]
-    name = " OR ".join(p.name for p in predicates)
-    miss = 1.0
-    for predicate in predicates:
-        miss *= 1.0 - predicate.selectivity
-
-    def fn(record: ObjectRecord) -> bool:
-        return any(p.evaluate(record) for p in predicates)
-
-    return Predicate(name=name, fn=fn, selectivity=1.0 - miss)
-
-
 def always_true(selectivity: float = 1.0) -> Predicate:
     """A pass-everything predicate (useful to exercise the machinery)."""
     return Predicate(name="true", fn=lambda _record: True, selectivity=selectivity)
-
-
-def always_false() -> Predicate:
-    """A reject-everything predicate."""
-    return Predicate(name="false", fn=lambda _record: False, selectivity=0.0)

@@ -143,11 +143,10 @@ class SweepPool:
       or when tombstones reach half the list, triggering one O(n)
       compaction — amortized O(1) per removal.
 
-    The pool also understands the physical layout: :meth:`take_page`
-    removes every live reference on one page (same-page coalescing),
-    and :meth:`take_run` extends that to contiguous pages in a sweep
-    direction, which is what turns an elevator sweep into multi-page
-    batched reads.
+    The pool also understands the physical layout: :meth:`take_run`
+    removes every live reference on one page (same-page coalescing) and
+    on the contiguous pages after it in a sweep direction, which is what
+    turns an elevator sweep into multi-page batched reads.
 
     A popped page holds about one pending reference on every measured
     workload, so the cost is per operation, not per page: each pop,
@@ -365,11 +364,6 @@ class SweepPool:
 
     # -- batched sweeps ------------------------------------------------------
 
-    def take_page(self, page_id: int) -> List[UnresolvedReference]:
-        """Remove and return every live reference on one page, in pool
-        order (higher rejection first, then sequence)."""
-        return self.take_run(page_id, 1, 1)
-
     def take_run(
         self, page_id: int, direction: int, max_pages: int
     ) -> List[UnresolvedReference]:
@@ -500,7 +494,8 @@ class ReferenceScheduler(ABC):
         the next page(s) of the sweep, so one physical fetch satisfies
         every returned reference.  The base implementation is a single
         :meth:`pop`: schedulers without a physical-order pool have no
-        coalescing to exploit.
+        coalescing to exploit, and the adaptive elevator has no batched
+        pick (no figure or workload runs one).
         """
         return [self.pop()]
 
@@ -826,7 +821,7 @@ class AdaptiveElevatorScheduler(_SweepScheduler):
     resident_fn:
         Predicate telling whether a page is currently buffered; wired
         to ``BufferManager.is_resident`` by the assembly operator and
-        consulted by every pick, single or batched.
+        consulted by every pick.
     detour_pages:
         Seek distance a certain rejector is allowed to cost above the
         sweep-optimal choice.  0 disables predicate-driven detours.
@@ -889,33 +884,6 @@ class AdaptiveElevatorScheduler(_SweepScheduler):
         if best is not base_ref:
             self.detours += 1
         return best
-
-    def pop_batch(self, max_pages: int = 1) -> List[UnresolvedReference]:
-        """Batched pop: the chosen reference's whole page (plus its
-        contiguous continuation in the sweep direction) comes along.
-
-        The anchor is picked by the same buffer/predicate-aware logic
-        as :meth:`pop`, so batching changes *grouping*, not priorities.
-        A resident-page anchor batches only its own page — those
-        references are free, and extending the run would charge seeks
-        the buffer already paid.
-        """
-        self.require_nonempty()
-        self.ops += 1
-        anchor = self._pick()
-        was_resident = self._resident_fn(anchor.page_id)
-        self._pool.remove_ref(anchor)
-        refs = [anchor]
-        refs.extend(self._pool.take_page(anchor.page_id))
-        if not was_resident and max_pages > 1:
-            refs.extend(
-                self._pool.take_run(
-                    anchor.page_id + self._direction,
-                    self._direction,
-                    max_pages - 1,
-                )
-            )
-        return refs
 
 
 #: Scheduler registry keyed by benchmark-table names.

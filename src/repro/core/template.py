@@ -455,27 +455,6 @@ class Template:
         self._fingerprint = hashlib.sha1("\n".join(parts).encode()).hexdigest()
         return self._fingerprint
 
-    def describe(self) -> str:
-        """Multi-line, indented rendering (for logs and docs)."""
-        self._require_finalized()
-        lines: List[str] = []
-
-        def render(node: TemplateNode, indent: int, slot: Optional[int]) -> None:
-            prefix = "  " * indent
-            via = f"[slot {slot}] " if slot is not None else ""
-            marks = []
-            if node.shared:
-                marks.append(f"shared {node.sharing_degree:.0%}")
-            if node.predicate is not None:
-                marks.append(f"pred {node.predicate}")
-            tail = f"  ({'; '.join(marks)})" if marks else ""
-            lines.append(f"{prefix}{via}{node.label}: {node.type_name}{tail}")
-            for child_slot in node.child_slots():
-                render(node.children[child_slot], indent + 1, child_slot)
-
-        render(self.root, 0, None)
-        return "\n".join(lines)
-
 
 def binary_tree_template(
     levels: int,

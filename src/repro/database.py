@@ -16,8 +16,7 @@ complex objects, and a query entry point:
     ).run()
 
 ``run`` goes through the optimizer (predicate pushdown, scheduler and
-window selection); ``assemble`` offers direct, fully-manual control
-when an experiment needs it.
+window selection).
 """
 
 from __future__ import annotations
@@ -26,10 +25,8 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.cluster.layout import LayoutResult, layout_database
 from repro.cluster.policies import POLICIES, ClusteringPolicy
-from repro.core.assembly import Assembly
 from repro.core.template import Template
 from repro.errors import ReproError
-from repro.iterator import ListSource
 from repro.objects.builder import GraphBuilder
 from repro.objects.model import ComplexObjectDef, ObjectDef, TypeRegistry
 from repro.query.logical import ComplexObjectQuery, retrieve
@@ -54,10 +51,6 @@ class BoundQuery:
 
     # -- chainable refinements ------------------------------------------------
 
-    def over(self, roots: Sequence[Oid]) -> "BoundQuery":
-        """Restrict to an explicit root set."""
-        return BoundQuery(self._database, self._query.over(roots))
-
     def where_component(self, label: str, predicate) -> "BoundQuery":
         """Predicate on one template component (pushed into assembly)."""
         return BoundQuery(
@@ -73,11 +66,6 @@ class BoundQuery:
         return BoundQuery(self._database, self._query.select(projection))
 
     # -- execution ----------------------------------------------------------------
-
-    @property
-    def logical(self) -> ComplexObjectQuery:
-        """The underlying logical query."""
-        return self._query
 
     def plan(self) -> OptimizedPlan:
         """Optimize without executing."""
@@ -186,29 +174,11 @@ class Database:
             query, self.store, default_roots=default_roots
         )
 
-    def assemble(
-        self,
-        template: Template,
-        roots: Optional[Sequence[Oid]] = None,
-        **assembly_kwargs,
-    ) -> Assembly:
-        """Manual-control assembly operator over this database."""
-        chosen = list(roots) if roots is not None else self.roots
-        return Assembly(
-            ListSource(chosen), self.store, template, **assembly_kwargs
-        )
-
     # -- measurement ---------------------------------------------------------------
-
-    def reset_measurement(self) -> None:
-        """Zero disk/buffer statistics (e.g. between two queries)."""
-        self.disk.reset_stats()
-        self.buffer.drop_clean()
-        self.buffer.reset_stats()
 
     @property
     def avg_seek_per_read(self) -> float:
-        """The paper's metric since the last reset."""
+        """The paper's metric since the disk's statistics were last reset."""
         return self.disk.stats.avg_seek_per_read
 
     def __repr__(self) -> str:

@@ -12,7 +12,6 @@ from repro.fabric.arrivals import ArrivalProcess, PoissonArrivals
 from repro.fabric.builder import build_sharded_fabric, open_loop_workload
 from repro.fabric.parallel import (
     ShardPartition,
-    build_replica_partitions,
     build_shard_partitions,
     partition_fn_for,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "ShardPartition",
     "ShardReplica",
     "SheddingPolicy",
-    "build_replica_partitions",
     "build_shard_partitions",
     "build_sharded_fabric",
     "open_loop_workload",

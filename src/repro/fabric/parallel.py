@@ -1,22 +1,16 @@
 """Shard-local partition stores for exchange-parallel assembly.
 
-The §7 plan shape needs one independent store per partition.  Two
-builders cover the two deployment shapes the volcano layer supports:
+The §7 plan shape needs one independent store per partition.
+:func:`build_shard_partitions` builds the fabric shape: complex objects
+are dealt to shards by consistent-hashing their root OIDs (the same
+:class:`~repro.fabric.router.ConsistentHashRouter` deal
+:func:`~repro.fabric.builder.build_sharded_fabric` uses), and each
+shard lays out only its own partition on its own disk.  The shared
+pool is replicated to every shard — cross-shard fetches do not exist
+in this model.
 
-* :func:`build_shard_partitions` — the fabric shape: complex objects
-  are dealt to shards by consistent-hashing their root OIDs (the same
-  :class:`~repro.fabric.router.ConsistentHashRouter` deal
-  :func:`~repro.fabric.builder.build_sharded_fabric` uses), and each
-  shard lays out only its own partition on its own disk.  The shared
-  pool is replicated to every shard — cross-shard fetches do not
-  exist in this model.
-* :func:`build_replica_partitions` — the local multi-disk shape: one
-  layout is snapshotted and restored, bit-identically, onto ``n``
-  fresh disks; any root can then be assembled on any partition, so
-  round-robin dealing balances perfectly.
-
-Both default to :class:`~repro.storage.costmodel.CostedDisk` backing
-so :meth:`~repro.volcano.assembly.ParallelAssembly.elapsed_ms` can
+The stores default to :class:`~repro.storage.costmodel.CostedDisk`
+backing so :meth:`~repro.volcano.assembly.ParallelAssembly.elapsed_ms` can
 price the run on the event clock.
 """
 
@@ -25,12 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from repro.cluster.layout import (
-    LayoutResult,
-    layout_database,
-    restore_layout,
-    snapshot_layout,
-)
+from repro.cluster.layout import LayoutResult, layout_database
 from repro.errors import FabricError
 from repro.fabric.builder import _make_policy
 from repro.fabric.router import ConsistentHashRouter
@@ -112,29 +101,3 @@ def partition_fn_for(
 ) -> Callable[[Oid, int], int]:
     """A ``ParallelAssembly`` partition function routing by shard owner."""
     return lambda row, position: router.shard_of(row)
-
-
-def build_replica_partitions(
-    layout: LayoutResult,
-    n_partitions: int,
-    *,
-    costed: bool = True,
-    cost_model: Optional[CostModel] = None,
-) -> List[ShardPartition]:
-    """Replicate one laid-out database onto ``n_partitions`` fresh disks.
-
-    Every replica restores the same snapshot, so the page images are
-    bit-identical and a positional round-robin deal (ParallelAssembly's
-    default) keeps the partitions balanced.
-    """
-    if n_partitions <= 0:
-        raise FabricError("n_partitions must be positive")
-    snapshot = snapshot_layout(layout)
-    partitions: List[ShardPartition] = []
-    for index in range(n_partitions):
-        store = _fresh_store(costed, cost_model)
-        restored = restore_layout(snapshot, store)
-        partitions.append(
-            ShardPartition(index=index, store=store, layout=restored)
-        )
-    return partitions

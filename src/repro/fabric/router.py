@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.errors import FabricError
 from repro.storage.oid import Oid
@@ -72,25 +72,6 @@ class ConsistentHashRouter:
         if index == len(self._tokens):
             index = 0  # wrap past the last token
         return self._owners[index]
-
-    def partition(self, oids: Iterable[Oid]) -> List[List[Oid]]:
-        """Split ``oids`` into per-shard lists, preserving input order.
-
-        Stability matters: each shard lays its partition out in this
-        order, so the single-shard partition is exactly the input list
-        and layout is bit-identical to the unsharded path.
-        """
-        parts: List[List[Oid]] = [[] for _ in range(self.n_shards)]
-        for oid in oids:
-            parts[self.shard_of(oid)].append(oid)
-        return parts
-
-    def shares(self, oids: Sequence[Oid]) -> List[float]:
-        """Fraction of ``oids`` each shard owns (balance diagnostics)."""
-        if not oids:
-            return [0.0] * self.n_shards
-        parts = self.partition(oids)
-        return [len(part) / len(oids) for part in parts]
 
     def __repr__(self) -> str:
         return (

@@ -124,32 +124,3 @@ class ListSource(VolcanoIterator):
         row = self._items[self._pos]
         self._pos += 1
         return row
-
-
-class GeneratorSource(VolcanoIterator):
-    """Adapts a generator *factory* to the iterator protocol.
-
-    The factory is called at every ``open`` so the source is
-    re-openable, unlike wrapping a bare generator.
-    """
-
-    def __init__(self, factory) -> None:
-        super().__init__()
-        self._factory = factory
-        self._gen = None
-
-    def _open(self) -> None:
-        self._gen = self._factory()
-
-    def _next(self) -> Optional[Row]:
-        try:
-            return next(self._gen)
-        except StopIteration:
-            return None
-
-    def _close(self) -> None:
-        if self._gen is not None:
-            close = getattr(self._gen, "close", None)
-            if close is not None:
-                close()
-            self._gen = None

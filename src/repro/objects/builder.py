@@ -61,11 +61,6 @@ class GraphBuilder:
         self._objects[oid] = obj
         return obj
 
-    def set_ref(self, source: ObjectDef, field_name: str, target: Oid) -> None:
-        """Wire ``source.field_name`` to ``target`` after creation."""
-        source.otype.ref_slot(field_name)
-        source.refs[field_name] = target
-
     def get(self, oid: Oid) -> ObjectDef:
         """Look up a built object by OID."""
         try:

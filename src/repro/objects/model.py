@@ -127,19 +127,11 @@ class TypeRegistry:
         except KeyError:
             raise ModelError(f"unknown type id {type_id}") from None
 
-    def type_of(self, oid: Oid) -> ObjectType:
-        """The type an OID belongs to (encoded in its ``type_id``)."""
-        return self.by_id(oid.type_id)
-
     def new_oid(self, type_name: str) -> Oid:
         """Mint a fresh OID of the named type."""
         otype = self.by_name(type_name)
         self._serials[otype.type_id] += 1
         return Oid(otype.type_id, self._serials[otype.type_id])
-
-    def types(self) -> List[ObjectType]:
-        """All registered types, in definition order."""
-        return [self._by_id[tid] for tid in sorted(self._by_id)]
 
     def __len__(self) -> int:
         return len(self._by_id)

@@ -7,8 +7,8 @@ cannot: hierarchical :class:`~repro.obs.spans.Span` records stamped on
 the *simulated* clock (the event clock, the service resolution counter,
 or a disk-operation counter — never wall time), streaming
 :class:`~repro.obs.histograms.StreamingHistogram` percentiles, and
-per-device :class:`~repro.obs.devices.DeviceIOTimeline` utilization
-views distilled from the disk's I/O listener capture.
+per-device :class:`~repro.obs.devices.DeviceIOTimeline` samples
+distilled from the disk's read tap.
 
 Everything here is **strictly observational**: enabling a recorder, a
 timeline, or an exporter never changes assembly results, fetch order,

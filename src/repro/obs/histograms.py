@@ -17,7 +17,7 @@ snapshot equality across instrumented and bare runs.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.errors import ReproError
 
@@ -170,33 +170,6 @@ class StreamingHistogram:
             "p90": self.p90,
             "p99": self.p99,
         }
-
-    # -- (de)serialization ---------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        """Lossless JSON-serializable form (exporter round-trip)."""
-        buckets: List[Tuple[int, int]] = sorted(self._buckets.items())
-        return {
-            "subbuckets": self.subbuckets,
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "buckets": [[index, count] for index, count in buckets],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "StreamingHistogram":
-        """Inverse of :meth:`to_dict`."""
-        histogram = cls(subbuckets=data["subbuckets"])
-        histogram.count = data["count"]
-        histogram.total = data["total"]
-        histogram.min = data["min"]
-        histogram.max = data["max"]
-        histogram._buckets = {
-            int(index): int(count) for index, count in data["buckets"]
-        }
-        return histogram
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StreamingHistogram):

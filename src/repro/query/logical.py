@@ -24,7 +24,7 @@ The :mod:`repro.query.optimizer` turns this into a physical plan.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.core.assembled import AssembledComplexObject
 from repro.core.predicates import Predicate
@@ -56,10 +56,6 @@ class ComplexObjectQuery:
     projection: Optional[Callable[[AssembledComplexObject], object]] = None
 
     # -- builder-style refinement -----------------------------------------
-
-    def over(self, roots: Sequence[Oid]) -> "ComplexObjectQuery":
-        """Restrict the query to an explicit root set."""
-        return replace(self, roots=tuple(roots))
 
     def where_component(
         self, label: str, predicate: Predicate
@@ -97,21 +93,6 @@ class ComplexObjectQuery:
         for component in self.component_predicates:
             estimate *= component.predicate.selectivity
         return estimate
-
-    def describe(self) -> str:
-        """Human-readable summary for EXPLAIN output."""
-        parts = [f"retrieve complex objects ({self.template.node_count} components)"]
-        if self.roots is not None:
-            parts.append(f"over {len(self.roots)} explicit roots")
-        for component in self.component_predicates:
-            parts.append(f"where component {component}")
-        if self.residual_predicates:
-            parts.append(
-                f"where {len(self.residual_predicates)} residual predicate(s)"
-            )
-        if self.projection is not None:
-            parts.append("project result")
-        return "\n".join(parts)
 
 
 def retrieve(template: Template) -> ComplexObjectQuery:

@@ -118,13 +118,6 @@ class AdmissionController:
         """Pages currently granted to running requests."""
         return self._granted
 
-    @property
-    def free_pages(self) -> Optional[int]:
-        """Budget still grantable (``None`` when unlimited)."""
-        if self.budget_pages is None:
-            return None
-        return self.budget_pages - self._granted
-
     def waiting(self) -> int:
         """Requests parked in the wait queue (both lanes)."""
         return sum(len(lane) for lane in self._lanes.values())

@@ -44,24 +44,6 @@ class CacheStats:
     evictions: int = 0
     invalidations: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache."""
-        lookups = self.hits + self.misses
-        if lookups == 0:
-            return 0.0
-        return self.hits / lookups
-
-    def as_dict(self) -> Dict[str, float]:
-        """Plain-dict view for metric snapshots."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
 
 class _CacheEntry:
     """One cached complex object plus its member-OID set."""

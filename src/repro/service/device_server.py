@@ -475,10 +475,6 @@ class DeviceServer:
         """Registered queries, registration order."""
         return list(self._queries.values())
 
-    def unfinished(self) -> int:
-        """Number of registered queries still assembling."""
-        return sum(1 for q in self._queries.values() if not q.finished)
-
     def next_result(self) -> Optional[Tuple[int, AssembledComplexObject]]:
         """Round-robin one completed object across queries with output.
 
@@ -577,12 +573,3 @@ class DeviceServerAssembly(VolcanoIterator):
             for query in self._server.active_queries():
                 if query.assembly.is_open:
                     query.assembly.close()
-
-    def total_fetches(self) -> int:
-        """Object fetches through the device server."""
-        if self._server is None:
-            return 0
-        return sum(
-            query.stats.fetches
-            for query in self._server.active_queries()
-        )

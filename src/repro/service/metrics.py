@@ -79,24 +79,6 @@ class RequestMetrics:
             return None
         return self.completed_at - self.started_at
 
-    def as_dict(self) -> Dict[str, object]:
-        """Flat view for reports."""
-        return {
-            "request_id": self.request_id,
-            "queue_wait": self.queue_wait,
-            "latency": self.latency,
-            "run_time": self.run_time,
-            "window": self.window_size,
-            "shrunk": self.shrunk,
-            "cache_hits": self.cache_hits,
-            "emitted": self.emitted,
-            "aborted": self.aborted,
-            "fetches": self.fetches,
-            "shared_links": self.shared_links,
-            "degraded": self.degraded,
-            "fault_retries": self.fault_retries,
-        }
-
 
 @dataclass
 class ServiceMetrics:
@@ -248,13 +230,6 @@ class ServiceMetrics:
         for part in parts:
             total.merge(part)
         return total
-
-    def finished(self) -> List[RequestMetrics]:
-        """Metrics of completed requests, by completion time."""
-        done = [
-            m for m in self.per_request.values() if m.completed_at is not None
-        ]
-        return sorted(done, key=lambda m: (m.completed_at, m.request_id))
 
     def latencies(self) -> List[int]:
         """Completed-request latencies in ticks, ascending."""

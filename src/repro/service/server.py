@@ -24,7 +24,6 @@ from typing import Dict, Iterable, List, Optional
 from repro.core.assembled import AssembledComplexObject
 from repro.core.template import Template
 from repro.errors import ServiceOverloadError, ServiceStateError
-from repro.obs.export import write_chrome_trace, write_jsonl
 from repro.obs.spans import Span, SpanRecorder
 from repro.service.admission import AdmissionController, AdmissionTicket
 from repro.service.cache import AssembledObjectCache
@@ -91,7 +90,9 @@ class AssemblyService:
         bound to the device server's resolution counter and shared with
         every query's operator; recording is strictly observational —
         results and :class:`ServiceMetrics` are bit-identical with or
-        without it.  Export the trace with :meth:`export_trace`.
+        without it.  Export the recorder's spans with
+        :func:`repro.obs.export.write_chrome_trace` or
+        :func:`~repro.obs.export.write_jsonl`.
     reorg_policy:
         Optional :class:`~repro.cluster.reorg.ReorgPolicy` enabling
         online reorganization.  The device server feeds the affinity
@@ -467,27 +468,6 @@ class AssemblyService:
     def request_metrics(self, request_id: int) -> RequestMetrics:
         """Per-request metrics (final once the request is done)."""
         return self._request(request_id).metrics
-
-    def export_trace(self, path: str, fmt: str = "chrome") -> str:
-        """Write the recorded span trace to ``path``; returns the path.
-
-        ``fmt`` is ``"chrome"`` (a Chrome ``trace_event`` JSON document
-        for ``chrome://tracing`` / Perfetto) or ``"jsonl"`` (the flat
-        span log ``python -m repro.obs`` renders, summarizes and
-        diffs).  Raises :class:`~repro.errors.ServiceStateError` when
-        the service was built without a ``span_recorder``.
-        """
-        if self.spans is None:
-            raise ServiceStateError(
-                "export_trace() needs a service built with span_recorder="
-            )
-        if fmt == "chrome":
-            return str(write_chrome_trace(self.spans.spans, path))
-        if fmt == "jsonl":
-            return str(write_jsonl(self.spans.spans, path))
-        raise ServiceStateError(
-            f"unknown trace format {fmt!r} (want 'chrome' or 'jsonl')"
-        )
 
     def _request(self, request_id: int) -> _Request:
         try:

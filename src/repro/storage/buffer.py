@@ -42,13 +42,6 @@ class BufferStats:
     #: the wasted work Figure 15's sharing statistics avoid.
     re_reads: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of fixes served without disk I/O."""
-        if self.fixes == 0:
-            return 0.0
-        return self.hits / self.fixes
-
 
 class _Frame:
     """One buffered page plus its pin count."""
@@ -124,12 +117,6 @@ class BufferManager:
     def reserved_frames(self) -> int:
         """Frames promised to admitted-but-running pinning workloads."""
         return self._reserved_frames
-
-    def unreserved_capacity(self) -> Optional[int]:
-        """Frames still reservable (``None`` on an unbounded pool)."""
-        if self._capacity is None:
-            return None
-        return self._capacity - self._reserved_frames
 
     def reserve(self, n_frames: int) -> None:
         """Promise ``n_frames`` to a future pinning workload.

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DiskError, ExtentError
-from repro.storage.page import PAGE_SIZE, Page
+from repro.storage.page import Page
 
 #: A read tap: called with ``(device, start_page, seek_distance,
 #: n_pages)`` once per physical read operation (a multi-page run is one
@@ -185,11 +185,6 @@ class SimulatedDisk:
         return injector.now if injector is not None else 0.0
 
     # -- geometry -----------------------------------------------------------
-
-    @property
-    def page_size(self) -> int:
-        """Bytes per page (always :data:`PAGE_SIZE`)."""
-        return PAGE_SIZE
 
     def device_of(self, page_id: int) -> int:
         """Which device owns ``page_id`` (always 0 on a single spindle)."""

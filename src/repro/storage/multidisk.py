@@ -100,17 +100,6 @@ class MultiDeviceDisk(SimulatedDisk):
             f"no device has {n_pages} contiguous free pages"
         )
 
-    def allocate_on(self, device: int, n_pages: int) -> Extent:
-        """Allocate an extent on a specific device."""
-        if not 0 <= device < self.n_devices:
-            raise ExtentError(f"no device {device}")
-        extent = self._try_allocate_on(device, n_pages)
-        if extent is None:
-            raise ExtentError(
-                f"device {device} cannot fit {n_pages} more pages"
-            )
-        return extent
-
     def _try_allocate_on(self, device: int, n_pages: int):
         start = self._device_free[device]
         end = start + n_pages

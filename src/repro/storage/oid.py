@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from typing import Dict, Iterator, NamedTuple, Optional
+from typing import Dict, Iterator, NamedTuple
 
 from repro.errors import DuplicateOidError, RecordError, UnknownOidError
 
@@ -142,10 +142,6 @@ class OidDirectory:
         previous = self.lookup(oid)
         self._entries[oid] = rid
         return previous
-
-    def get(self, oid: Oid) -> Optional[Rid]:
-        """Like :meth:`lookup` but returns ``None`` when unmapped."""
-        return self._entries.get(oid)
 
     def page_of(self, oid: Oid) -> int:
         """Return just the page id of ``oid`` (elevator scheduling key).

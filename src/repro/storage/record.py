@@ -64,9 +64,6 @@ class RecordFormat:
         """Encoded size in bytes."""
         return self.n_ints * 4 + self.n_refs * OID_SIZE
 
-    def _int_struct(self) -> struct.Struct:
-        return _codec(self.n_ints, self.n_refs)[0]
-
     def encode(self, ints: Sequence[int], refs: Sequence[Oid]) -> bytes:
         """Encode field values into ``payload_size`` bytes."""
         if len(ints) != self.n_ints:
@@ -133,7 +130,3 @@ class ObjectRecord:
         """Serialize the payload (no OID prefix); :meth:`RecordFormat.decode`
         reads it back."""
         return self.fmt.encode(self.ints, self.refs)
-
-    def live_refs(self) -> List[Oid]:
-        """The non-null references, in slot order."""
-        return [ref for ref in self.refs if not ref.is_null()]

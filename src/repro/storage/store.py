@@ -25,7 +25,7 @@ from repro.errors import (
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import Extent, SimulatedDisk
 from repro.storage.oid import OID_SIZE, Oid, OidDirectory, Rid
-from repro.storage.page import Page
+from repro.storage.page import records_per_page
 from repro.storage.record import PAPER_FORMAT, ObjectRecord, RecordFormat
 
 
@@ -109,60 +109,22 @@ class ObjectStore:
         """The underlying simulated disk."""
         return self._disk
 
-    @property
-    def stored_record_size(self) -> int:
-        """Bytes one object occupies in a page (OID prefix + payload)."""
-        return self._stored_size
-
     def objects_per_page(self) -> int:
         """How many objects fit on one page (9 for the paper geometry)."""
-        probe = Page(0)
-        count = 0
-        while probe.fits(self._stored_size):
-            probe.insert(b"\x00" * self._stored_size)
-            count += 1
-        return count
+        return records_per_page(self._stored_size)
 
     # -- loading (unmeasured phase) ------------------------------------------------
-
-    def store_at(self, oid: Oid, record: ObjectRecord, page_id: int) -> Rid:
-        """Place ``record`` under ``oid`` on page ``page_id``.
-
-        Used by clustering layouts during the load phase: the write
-        goes directly to disk, bypassing the buffer, and the OID
-        directory learns the physical address.  Raises
-        :class:`PageFullError` when the page already holds a full
-        complement of objects.
-        """
-        if oid in self.directory:
-            raise DuplicateOidError(f"{oid} already stored")
-        if record.fmt is not self.fmt and record.fmt != self.fmt:
-            raise RecordError("record format does not match store format")
-        page = self._disk.read(page_id)
-        stored = oid.encode() + record.encode()
-        try:
-            slot = page.insert(stored)
-        except PageFullError:
-            raise PageFullError(
-                f"page {page_id} cannot hold another object"
-            ) from None
-        self._disk.write(page)
-        rid = Rid(page_id, slot)
-        self.directory.register(oid, rid)
-        self._decoded[rid] = StoredRecord(
-            tuple(record.ints), tuple(record.refs), oid, stored
-        )
-        self._notify_write(oid)
-        return rid
 
     def store_page(
         self, page_id: int, items: "List[Tuple[Oid, ObjectRecord]]"
     ) -> List[Rid]:
         """Place a whole page's objects in one write (bulk load path).
 
-        Behaves like repeated :meth:`store_at` for a page that is still
-        empty; the page is built in memory and written once, which is
-        what makes laying out multi-thousand-object databases cheap.
+        Used by clustering layouts during the load phase: the page is
+        built in memory and written once, bypassing the buffer, which is
+        what makes laying out multi-thousand-object databases cheap; the
+        OID directory learns each physical address.  Raises
+        :class:`PageFullError` when the page cannot hold another object.
         """
         page = self._disk.read(page_id)
         rids: List[Rid] = []
@@ -200,10 +162,6 @@ class ObjectStore:
         self._decoded = dict(entries)
 
     # -- fetching (measured phase) ----------------------------------------------------
-
-    def page_of(self, oid: Oid) -> int:
-        """Physical page of ``oid`` — the elevator scheduler's sort key."""
-        return self.directory.page_of(oid)
 
     def _decode_stored(self, stored: bytes) -> StoredRecord:
         ints, refs = self.fmt.decode(stored[OID_SIZE:])
@@ -338,11 +296,6 @@ class PagePlanner:
         self._per_page = store.objects_per_page()
         self._fill: Dict[int, int] = {}
         self._cursor = 0  # first extent index that may have room
-
-    @property
-    def extent(self) -> Extent:
-        """The extent this planner fills."""
-        return self._extent
 
     @property
     def objects_per_page(self) -> int:

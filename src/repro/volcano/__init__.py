@@ -4,17 +4,16 @@ This package is the "set processor" of the paper's Figure 1 — the
 physical-algebra layer the assembly operator plugs into.
 """
 
-from repro.volcano.aggregate import HashAggregate, count_aggregate, sum_aggregate
+from repro.volcano.aggregate import HashAggregate
 from repro.volcano.assembly import (
     AssemblyOperator,
     ComponentFilter,
     InterleavedAssemblies,
     ParallelAssembly,
 )
-from repro.volcano.exchange import Partition, PartitionedExecute
-from repro.volcano.filters import Distinct, Filter, Limit, Project
+from repro.volcano.exchange import PartitionedExecute
+from repro.volcano.filters import Filter, Project
 from repro.iterator import (
-    GeneratorSource,
     ListSource,
     Row,
     VolcanoIterator,
@@ -40,17 +39,13 @@ __all__ = [
     "AssemblyJoinPlan",
     "AssemblyOperator",
     "ComponentFilter",
-    "Distinct",
     "ExternalSort",
     "Filter",
-    "GeneratorSource",
     "HashAggregate",
     "HashJoin",
     "InterleavedAssemblies",
-    "Limit",
     "ListSource",
     "ParallelAssembly",
-    "Partition",
     "PartitionedExecute",
     "Project",
     "PushdownDecision",
@@ -59,12 +54,10 @@ __all__ = [
     "TidScan",
     "VolcanoIterator",
     "collect_operators",
-    "count_aggregate",
     "explain",
     "plan_assembly_join",
     "push_down_component_filters",
     "replace_child",
-    "sum_aggregate",
     "validate_plan",
     "walk_plan",
 ]

@@ -62,29 +62,3 @@ class HashAggregate(VolcanoIterator):
 
     def _close(self) -> None:
         self._results = []
-
-
-def count_aggregate(
-    child: VolcanoIterator, group_key: Callable[[Row], object]
-) -> HashAggregate:
-    """Convenience: ``(key, count)`` per group."""
-    return HashAggregate(
-        child,
-        group_key,
-        init=lambda: 0,
-        step=lambda acc, _row: acc + 1,
-    )
-
-
-def sum_aggregate(
-    child: VolcanoIterator,
-    group_key: Callable[[Row], object],
-    value: Callable[[Row], float],
-) -> HashAggregate:
-    """Convenience: ``(key, sum_of_value)`` per group."""
-    return HashAggregate(
-        child,
-        group_key,
-        init=lambda: 0,
-        step=lambda acc, row: acc + value(row),
-    )

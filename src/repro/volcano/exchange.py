@@ -57,48 +57,6 @@ def _fragment_wants_index(fragment: Callable) -> bool:
     return len(positional) >= 2
 
 
-class Partition(VolcanoIterator):
-    """Materialize the child and expose one round-robin partition."""
-
-    def __init__(
-        self, child: VolcanoIterator, n_partitions: int, index: int
-    ) -> None:
-        super().__init__()
-        if n_partitions <= 0:
-            raise PlanError("n_partitions must be positive")
-        if not 0 <= index < n_partitions:
-            raise PlanError(f"partition index {index} out of range")
-        self._child = child
-        self._n = n_partitions
-        self._index = index
-        self._rows: List[Row] = []
-        self._pos = 0
-
-    def _open(self) -> None:
-        self._child.open()
-        self._rows = []
-        position = 0
-        while True:
-            row = self._child.next()
-            if row is None:
-                break
-            if position % self._n == self._index:
-                self._rows.append(row)
-            position += 1
-        self._child.close()
-        self._pos = 0
-
-    def _next(self) -> Optional[Row]:
-        if self._pos >= len(self._rows):
-            return None
-        row = self._rows[self._pos]
-        self._pos += 1
-        return row
-
-    def _close(self) -> None:
-        self._rows = []
-
-
 class PartitionedExecute(VolcanoIterator):
     """Run a plan fragment per partition; merge demand-driven.
 

@@ -60,7 +60,7 @@ class TidScan(VolcanoIterator):
                 if row is None:
                     break
                 oids.append(self._as_oid(row))
-            oids.sort(key=self._store.page_of)
+            oids.sort(key=self._store.directory.page_of)
             self._pending = oids
         else:
             self._pending = None

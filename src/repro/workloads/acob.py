@@ -85,13 +85,6 @@ class ACOBDatabase:
         visit(0, 0)
         return order
 
-    def type_ids_breadth_first(self) -> List[int]:
-        """Type ids in level order (the order breadth-first fetches)."""
-        return [
-            self.registry.by_name(f"T{p}").type_id
-            for p in range(self.positions)
-        ]
-
 
 def make_registry(levels: int = 3) -> TypeRegistry:
     """Type catalog: one type per tree position, paper field layout."""

@@ -9,7 +9,6 @@ from repro.bench.harness import (
     get_database,
     make_policy,
     run_experiment,
-    sweep,
 )
 from repro.errors import ReproError
 
@@ -93,14 +92,6 @@ class TestRunExperiment:
         assert result.emitted + result.aborted == 50
         assert 0 < result.emitted < 50
 
-    def test_as_row(self):
-        result = run_experiment(
-            ExperimentConfig(n_complex_objects=10, clustering="unclustered")
-        )
-        row = result.as_row()
-        assert row["db"] == 10
-        assert row["emitted"] == 10
-
     def test_runs_are_independent(self):
         config = ExperimentConfig(
             n_complex_objects=15, clustering="unclustered", window_size=3
@@ -109,23 +100,3 @@ class TestRunExperiment:
         second = run_experiment(config)
         assert first.avg_seek == second.avg_seek
         assert first.reads == second.reads
-
-
-class TestSweep:
-    def test_cartesian_product(self):
-        base = ExperimentConfig(
-            n_complex_objects=10, clustering="unclustered", cluster_pages=8
-        )
-        results = sweep(
-            base,
-            scheduler=["depth-first", "elevator"],
-            window_size=[1, 4],
-        )
-        assert len(results) == 4
-        combos = {
-            (r.config.scheduler, r.config.window_size) for r in results
-        }
-        assert combos == {
-            ("depth-first", 1), ("depth-first", 4),
-            ("elevator", 1), ("elevator", 4),
-        }

@@ -5,7 +5,6 @@ from repro.bench.report import (
     dominates,
     monotone_decreasing,
     render,
-    render_all,
     roughly_flat,
 )
 
@@ -52,10 +51,6 @@ class TestRender:
         text = render(figure)
         assert "important caveat" in text
         assert "[ok] sanity" in text
-
-    def test_render_all_joins(self):
-        text = render_all([make_figure(), make_figure()])
-        assert text.count("Figure X") == 2
 
 
 class TestShapeHelpers:

@@ -55,7 +55,7 @@ class TestLayoutDatabase:
             layout = layout_database(
                 small_acob.complex_objects, store, Unclustered(), seed=4
             )
-            return [store.page_of(r) for r in layout.root_order]
+            return [store.directory.page_of(r) for r in layout.root_order]
 
         assert build() == build()
 

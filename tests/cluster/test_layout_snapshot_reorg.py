@@ -88,7 +88,7 @@ class TestReorganizedRoundTrip:
         assert restored_store.directory.dump() == store.directory.dump()
         for root in layout.roots[:12]:
             assert (
-                restored_store.page_of(root)
+                restored_store.directory.page_of(root)
                 in range(
                     layout.extents["reorg-1"].start,
                     layout.extents["reorg-2"].end,

@@ -204,7 +204,7 @@ class TestDeviceIdleTracker:
         for (_, prev_end), (begin, end) in zip(intervals, intervals[1:]):
             assert begin == prev_end
             assert end > begin
-        assert tracker.busy_until(0) == intervals[-1][1]
+        assert tracker.ledger.busy_until[0] == intervals[-1][1]
 
     def test_migration_guard_routes_to_the_migration_ledger(self):
         store, layout = build_store()
@@ -243,13 +243,17 @@ class TestDeviceIdleTracker:
         disk = MultiDeviceDisk(n_devices=2, pages_per_device=32)
         store, layout = build_store(disk=disk)
         tracker = DeviceIdleTracker(disk)
-        assert tracker.n_devices == 2
-        assert tracker.device_of(0) == 0
-        assert tracker.device_of(32) == 1
+        assert tracker.ledger.n_devices == 2
+        assert disk.device_of(0) == 0
+        assert disk.device_of(32) == 1
         store.fetch(layout.roots[0])
         # A layout extent lives on one device; moving an object onto a
         # device-1 extent makes that device's timeline advance too.
-        target = disk.allocate_on(1, 1)
+        target = next(
+            extent
+            for extent in (disk.allocate(1) for _ in range(disk.n_devices))
+            if disk.device_of(extent.start) == 1
+        )
         store.migrate(layout.roots[1], target.start)
         assert tracker.busy_intervals[0] and tracker.busy_intervals[1]
         assert tracker.overlaps() == []
@@ -320,7 +324,7 @@ class TestReorganizer:
         assert "reorg-1" in layout.extents
         extent = layout.extents["reorg-1"]
         for root in layout.roots[:2]:
-            assert store.page_of(root) == extent.start
+            assert store.directory.page_of(root) == extent.start
             assert store.fetch(root).encode() == before[root]
 
     def test_exhausted_fault_budget_aborts_the_round_cleanly(self):

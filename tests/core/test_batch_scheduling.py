@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.schedulers import (
-    AdaptiveElevatorScheduler,
     BreadthFirstScheduler,
     DepthFirstScheduler,
     ElevatorScheduler,
@@ -176,29 +175,6 @@ class TestDequeSchedulers:
         s.remove_owner(1)
         s.add(r)  # the tombstoned object comes back
         assert s.pop().oid.serial == 1
-
-
-class TestAdaptivePopBatch:
-    def test_coalesces_anchor_page(self):
-        s = AdaptiveElevatorScheduler()
-        s.add(ref(1, page=5, seq=0))
-        s.add(ref(2, page=5, seq=1))
-        s.add(ref(3, page=9, seq=2))
-        assert serials(s.pop_batch(max_pages=1)) == [1, 2]
-
-    def test_resident_anchor_does_not_extend(self):
-        s = AdaptiveElevatorScheduler(resident_fn=lambda page: page == 5)
-        s.add(ref(1, page=5, seq=0))
-        s.add(ref(2, page=6, seq=1))
-        # Page 5 is resident: fetching it is free, but its physically
-        # adjacent page 6 is NOT at the head, so no run extension.
-        assert serials(s.pop_batch(max_pages=4)) == [1]
-
-    def test_run_extension_from_disk_anchor(self):
-        s = AdaptiveElevatorScheduler()
-        for name, page in ((1, 5), (2, 6), (3, 9)):
-            s.add(ref(name, page=page, seq=name))
-        assert serials(s.pop_batch(max_pages=4)) == [1, 2]
 
 
 class TestOwnerIndexedPools:

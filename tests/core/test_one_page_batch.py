@@ -7,9 +7,9 @@ reads that page list, and a scheduler batch lists each page once, in
 sweep order — so a batch whose first and last reference share a page
 spans one page and now skips the routing pass.
 
-The old ``_resolve_batch`` is kept here as the oracle.  Under
-the elevator and the adaptive elevator, with spans on and off, over a
-template with a shared border, a predicate whose aborts retract
+The old ``_resolve_batch`` is kept here as the oracle.  Under the
+elevator (the one scheduler with a batched pick), with spans on and
+off, over a template with a shared border, a predicate whose aborts retract
 references popped in the same batch (eager queuing), and a partially
 pre-assembled border, ``Assembly(batch_pages=4)`` must give the same
 rows, ``AssemblyStats``, ``DiskStats``, trace and spans either way; and
@@ -30,7 +30,7 @@ from repro.obs.spans import SpanRecorder
 
 from tests.core.test_resolution_step import build, drive_next, observed
 
-SCHEDULERS = ("elevator", "adaptive")
+SCHEDULERS = ("elevator",)
 SELECTIVE = (None, False)
 
 

@@ -77,7 +77,7 @@ class TestDeviceServerAssembly:
         )
         emitted = op.execute()
         assert len(emitted) == 200
-        assert op.total_fetches() == 200 * 7
+        assert sum(cobj.fetches for cobj in emitted) == 200 * 7
 
     def test_server_restores_single_queue_performance(self):
         """The server-per-device architecture re-establishes exclusive

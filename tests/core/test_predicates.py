@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.predicates import (
     Predicate,
-    always_false,
     always_true,
     int_field_predicate,
     int_less_than,
@@ -55,8 +54,6 @@ class TestHelpers:
 
     def test_always_true_false(self):
         assert always_true().evaluate(record(0))
-        assert not always_false().evaluate(record(0))
-        assert always_false().rejection_probability == 1.0
 
 
 class TestConjunction:
@@ -85,31 +82,3 @@ class TestConjunction:
 
         with pytest.raises(TemplateError):
             conjunction([])
-
-
-class TestDisjunction:
-    def test_ors_tests_and_combines_selectivities(self):
-        from repro.core.predicates import disjunction
-
-        either = disjunction(
-            [int_less_than(0, 3, 0.3), int_field_predicate(
-                "big", 0, lambda v: v > 100, 0.2
-            )]
-        )
-        assert either.selectivity == pytest.approx(1 - 0.7 * 0.8)
-        assert either.evaluate(record(1))
-        assert either.evaluate(record(200))
-        assert not either.evaluate(record(50))
-        assert "OR" in either.name
-
-    def test_single_passthrough(self):
-        from repro.core.predicates import disjunction
-
-        single = int_less_than(0, 10, 0.5)
-        assert disjunction([single]) is single
-
-    def test_empty_rejected(self):
-        from repro.core.predicates import disjunction
-
-        with pytest.raises(TemplateError):
-            disjunction([])

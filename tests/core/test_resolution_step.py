@@ -13,6 +13,8 @@ and the same trace.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.bench.harness import ExperimentConfig, build_layout
@@ -144,7 +146,7 @@ def observed(rows, operator, store, tracer):
     assert store.buffer.pinned_pages == 0
     return {
         "rows": [(row.root_oid, fingerprint_object(row.root)) for row in rows],
-        "stats": operator.stats.as_dict(),
+        "stats": asdict(operator.stats),
         "disk": store.disk.stats,
         "events": tracer.events,
     }

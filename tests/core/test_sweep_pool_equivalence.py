@@ -262,7 +262,7 @@ def test_sweep_pool_matches_naive_reference(ops):
                 mark_read([ref])
         elif kind == "take_page":
             assert_same_refs(
-                pool.take_page(op[1]), naive.take_page(op[1])
+                pool.take_run(op[1], 1, 1), naive.take_page(op[1])
             )
         elif kind == "batch" and len(naive):
             prev_direction = direction
@@ -558,7 +558,7 @@ def run_tombstone_program(pool, ops):
             assert direction == naive_dir
             head = refs[-1].page_id
         elif kind == "take_page":
-            assert_same_refs(pool.take_page(op[1]), naive.take_page(op[1]))
+            assert_same_refs(pool.take_run(op[1], 1, 1), naive.take_page(op[1]))
         assert_same_state(pool, naive)
 
 
@@ -648,7 +648,7 @@ class _UncheckedConfirmedPool(SweepPool):
                 self._resident_live.add(page_id)
         self._recent_pages.clear()
         if self._resident_live:
-            return self.take_page(min(self._resident_live))
+            return self.take_run(min(self._resident_live), 1, 1)
         return []
 
 

@@ -114,12 +114,6 @@ class TestFinalize:
         template = Template(root).finalize()
         assert template.shared_labels() == ["s"]
 
-    def test_describe_renders_tree(self):
-        text = simple_template().describe()
-        assert "root: A" in text
-        assert "[slot 0] left: B" in text
-
-
 class TestRecursion:
     def test_single_level_unroll(self):
         person = TemplateNode("person")

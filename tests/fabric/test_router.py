@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import FabricError
@@ -39,46 +41,24 @@ class TestDeterminism:
         ]
 
 
-class TestPartition:
-    def test_partition_is_exhaustive_and_disjoint(self):
-        oids = root_oids()
-        parts = ConsistentHashRouter(4).partition(oids)
-        assert len(parts) == 4
-        assert sum(len(p) for p in parts) == len(oids)
-        seen = [o for part in parts for o in part]
-        assert sorted(seen, key=repr) == sorted(oids, key=repr)
-
-    def test_partition_preserves_input_order(self):
-        oids = root_oids()
-        router = ConsistentHashRouter(3)
-        for shard_id, part in enumerate(router.partition(oids)):
-            expected = [o for o in oids if router.shard_of(o) == shard_id]
-            assert part == expected
-
-    def test_single_shard_partition_is_the_input_list(self):
-        """The exactness anchor: one shard owns everything, in order."""
-        oids = root_oids()
-        parts = ConsistentHashRouter(1).partition(oids)
-        assert parts == [oids]
-
-    def test_empty_input(self):
-        router = ConsistentHashRouter(2)
-        assert router.partition([]) == [[], []]
-        assert router.shares([]) == [0.0, 0.0]
+def shares(router, oids):
+    """Fraction of ``oids`` each shard owns."""
+    owned = Counter(router.shard_of(oid) for oid in oids)
+    return [owned[shard] / len(oids) for shard in range(router.n_shards)]
 
 
 class TestBalance:
     def test_shares_sum_to_one_and_no_shard_starves(self):
-        shares = ConsistentHashRouter(4).shares(root_oids(240))
-        assert sum(shares) == pytest.approx(1.0)
+        fractions = shares(ConsistentHashRouter(4), root_oids(240))
+        assert sum(fractions) == pytest.approx(1.0)
         # Virtual nodes keep every shard within a loose band of 1/4.
-        for share in shares:
+        for share in fractions:
             assert 0.05 < share < 0.55
 
     def test_more_vnodes_do_not_break_coverage(self):
         oids = root_oids()
-        shares = ConsistentHashRouter(4, vnodes=256).shares(oids)
-        assert all(share > 0 for share in shares)
+        fractions = shares(ConsistentHashRouter(4, vnodes=256), oids)
+        assert all(share > 0 for share in fractions)
 
 
 class TestBoundedMovement:

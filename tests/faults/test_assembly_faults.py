@@ -43,7 +43,7 @@ def leaf_only_page(db, layout):
     oids = [oid for co in db.complex_objects for oid in co.objects]
     oids.extend(db.shared_pool)
     for oid in oids:
-        by_page.setdefault(store.page_of(oid), set()).add(oid)
+        by_page.setdefault(store.directory.page_of(oid), set()).add(oid)
     for page, members in sorted(by_page.items()):
         if not members & roots:
             return page
@@ -192,7 +192,7 @@ class TestPartial:
         """A faulted root has no parent to hang a partial result on:
         the object is skipped even in partial mode."""
         db, layout = build(n=10)
-        root_page = layout.store.page_of(db.complex_objects[0].root)
+        root_page = layout.store.directory.page_of(db.complex_objects[0].root)
         FaultInjector(
             FaultConfig(
                 always_fail_pages=frozenset({root_page}),

@@ -9,6 +9,8 @@ different seed must (for these rates) produce a different schedule.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 from repro.cluster.layout import layout_database
 from repro.cluster.policies import InterObjectClustering
 from repro.core.assembly import Assembly
@@ -68,7 +70,7 @@ class TestReplay:
         assert a_inj.stats.as_dict() == b_inj.stats.as_dict()
         assert a_eng.elapsed == b_eng.elapsed
         assert a_eng.busy_time() == b_eng.busy_time()
-        assert a_op.stats.as_dict() == b_op.stats.as_dict()
+        assert asdict(a_op.stats) == asdict(b_op.stats)
         assert a_drv.stats.fault_retries == b_drv.stats.fault_retries
         assert a_drv.stats.fault_fallbacks == b_drv.stats.fault_fallbacks
         assert [c.root_oid for c in a_out] == [c.root_oid for c in b_out]

@@ -13,7 +13,7 @@ from repro.storage.buffer import BufferManager
 from repro.storage.disk import SimulatedDisk
 from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
-from repro.volcano.aggregate import count_aggregate
+from repro.volcano.aggregate import HashAggregate
 from repro.volcano.filters import Filter, Project
 from repro.iterator import ListSource
 from repro.workloads.acob import generate_acob, make_template
@@ -88,7 +88,7 @@ def test_filter_aggregate_over_assembled_objects():
     """A query plan over assembled complex objects: selection on a
     traversed field plus aggregation, all in memory."""
     db, store, layout = make_layout("intra", n=50)
-    plan = count_aggregate(
+    plan = HashAggregate(
         Filter(
             Assembly(
                 ListSource(layout.root_order),
@@ -101,6 +101,8 @@ def test_filter_aggregate_over_assembled_objects():
             lambda cobj: cobj.root.follow(0, 0).ints[3] % 2 == 0,
         ),
         group_key=lambda cobj: cobj.root.ints[1],  # level (always 0)
+        init=lambda: 0,
+        step=lambda acc, _row: acc + 1,
     )
     rows = plan.execute()
     expected = sum(

@@ -5,10 +5,26 @@ import pytest
 from repro.cluster.layout import layout_database
 from repro.cluster.policies import InterObjectClustering
 from repro.core.assembly import Assembly
+from repro.storage.costmodel import CostedDisk
 from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
 from repro.volcano.exchange import PartitionedExecute
 from repro.workloads.acob import generate_acob, make_template
+
+
+def replica_stores(db, n, disk_class=SimulatedDisk):
+    """``n`` fresh stores, each holding the same layout of ``db``."""
+    stores = []
+    for _ in range(n):
+        store = ObjectStore(disk_class())
+        layout_database(
+            db.complex_objects,
+            store,
+            InterObjectClustering(cluster_pages=32),
+            shared=db.shared_pool,
+        )
+        stores.append(store)
+    return stores
 
 
 def test_partitioned_execute_runs_assembly_fragments():
@@ -85,7 +101,6 @@ def test_indexed_fragments_bind_partition_local_replicas():
     The exchange operator passes the partition number to fragments that
     accept it, so shard-local plans can read from their own replica —
     no shared disk, every replica actually serving pages."""
-    from repro.fabric.parallel import build_replica_partitions
     from repro.volcano.assembly import AssemblyOperator
 
     db = generate_acob(24, seed=21)
@@ -97,14 +112,14 @@ def test_indexed_fragments_bind_partition_local_replicas():
         InterObjectClustering(cluster_pages=32),
         shared=db.shared_pool,
     )
-    replicas = build_replica_partitions(layout, 3, costed=False)
+    replicas = replica_stores(db, 3)
 
     seen_indexes = []
 
     def fragment(source, index):
         seen_indexes.append(index)
         return AssemblyOperator(
-            source, replicas[index].store, make_template(db), window_size=2
+            source, replicas[index], make_template(db), window_size=2
         )
 
     plan = PartitionedExecute(
@@ -115,7 +130,7 @@ def test_indexed_fragments_bind_partition_local_replicas():
     assert seen_indexes == [0, 1, 2]
     assert {c.root_oid for c in emitted} == set(layout.root_order)
     for replica in replicas:
-        assert replica.store.disk.stats.reads > 0
+        assert replica.disk.stats.reads > 0
     assert store.disk.stats.reads == 0  # the original store was not touched
 
 
@@ -181,7 +196,6 @@ def test_interleaved_assemblies_equal_partitioned_execute(n_partitions):
 def test_parallel_assembly_equals_partitioned_execute_over_replicas(
     n_partitions,
 ):
-    from repro.fabric.parallel import build_replica_partitions
     from repro.volcano.assembly import ParallelAssembly
     from repro.iterator import ListSource
 
@@ -196,14 +210,12 @@ def test_parallel_assembly_equals_partitioned_execute_over_replicas(
             InterObjectClustering(cluster_pages=32),
             shared=db.shared_pool,
         )
-        return layout.root_order, build_replica_partitions(
-            layout, n_partitions
-        )
+        return layout.root_order, replica_stores(db, n_partitions, CostedDisk)
 
     roots, wrapper_replicas = replicas()
     wrapper = ParallelAssembly(
         ListSource(roots),
-        [replica.store for replica in wrapper_replicas],
+        wrapper_replicas,
         template,
         window_size=4,
     )
@@ -214,7 +226,7 @@ def test_parallel_assembly_equals_partitioned_execute_over_replicas(
         roots,
         n_partitions,
         lambda source, index: Assembly(
-            source, plan_replicas[index].store, template, window_size=4
+            source, plan_replicas[index], template, window_size=4
         ),
     )
     plan_rows = [cobj.root_oid for cobj in plan.execute()]
@@ -222,9 +234,7 @@ def test_parallel_assembly_equals_partitioned_execute_over_replicas(
     assert len(wrapper_rows) == 60
     assert wrapper_rows == plan_rows
     for mine, theirs in zip(wrapper_replicas, plan_replicas):
-        assert _disk_stats(mine.store.disk) == _disk_stats(theirs.store.disk)
-    elapsed = max(
-        replica.store.disk.service_time_total for replica in plan_replicas
-    )
+        assert _disk_stats(mine.disk) == _disk_stats(theirs.disk)
+    elapsed = max(replica.disk.service_time_total for replica in plan_replicas)
     assert elapsed > 0
     assert wrapper.elapsed_ms() == elapsed

@@ -19,17 +19,6 @@ class TestBuilding:
         second = builder.new_object("Node")
         assert first.oid != second.oid
 
-    def test_set_ref(self, builder):
-        a = builder.new_object("Node")
-        b = builder.new_object("Node")
-        builder.set_ref(a, "next", b.oid)
-        assert a.refs["next"] == b.oid
-
-    def test_set_ref_unknown_field(self, builder):
-        a = builder.new_object("Node")
-        with pytest.raises(ModelError):
-            builder.set_ref(a, "bogus", a.oid)
-
     def test_get(self, builder):
         obj = builder.new_object("Node")
         assert builder.get(obj.oid) is obj

@@ -68,13 +68,6 @@ class TestTypeRegistry:
         assert second == Oid(1, 2)
         assert other == Oid(2, 1)
 
-    def test_type_of(self, registry):
-        oid = registry.new_oid("Residence")
-        assert registry.type_of(oid).name == "Residence"
-
-    def test_types_in_definition_order(self, registry):
-        assert [t.name for t in registry.types()] == ["Person", "Residence"]
-
 
 class TestObjectDef:
     def test_to_record_pads_slots(self, registry):

@@ -1,8 +1,5 @@
 """Tests for the disk read tap and per-device I/O timelines."""
 
-import pytest
-
-from repro.errors import ReproError
 from repro.obs.devices import DeviceIOTimeline, IOSample
 from repro.obs.spans import SpanRecorder
 from repro.storage.disk import SimulatedDisk
@@ -47,7 +44,7 @@ class TestDeviceIOTimeline:
             disk.read(9)
         disk.read(100)  # after detach: not sampled
         assert len(timeline) == 2
-        assert timeline.devices() == [0]
+        assert [s.device for s in timeline.samples] == [0, 0]
         assert timeline.samples[0] == IOSample(
             at=0.0, device=0, start_page=5, distance=5, pages=1
         )
@@ -61,7 +58,6 @@ class TestDeviceIOTimeline:
         assert [s.device for s in timeline.samples] == [0, 1]
         assert [s.start_page for s in timeline.samples] == [6, 8]
         assert [s.pages for s in timeline.samples] == [2, 2]
-        assert timeline.devices() == [0, 1]
 
     def test_attach_detach_idempotent(self):
         disk = SimulatedDisk()
@@ -78,43 +74,10 @@ class TestDeviceIOTimeline:
         timeline.attach()
         disk.read(3)
         disk.read(30)
-        assert timeline.seek_timeline(0) == [(10.0, 3), (20.0, 27)]
-        assert timeline.seek_timeline(1) == []
-
-    def test_busy_and_utilization(self):
-        disk = SimulatedDisk()
-        clock = iter([0.0, 100.0])
-        timeline = DeviceIOTimeline(disk, clock_fn=lambda: next(clock))
-        timeline.attach()
-        disk.read(3)
-        disk.read(30)
-        busy = timeline.busy_ms()
-        assert busy > 0.0
-        assert timeline.utilization() == {0: busy / 100.0}
-        with pytest.raises(ReproError):
-            timeline.utilization(span_ms=-1.0)
-
-    def test_utilization_degenerate_span_uses_work_shares(self):
-        disk = MultiDeviceDisk(n_devices=2, pages_per_device=8)
-        timeline = DeviceIOTimeline(disk, clock_fn=lambda: 5.0).attach()
-        disk.read(1)
-        disk.read(9)
-        shares = timeline.utilization()
-        assert shares[0] > 0.0 and shares[1] > 0.0
-        assert shares[0] + shares[1] == pytest.approx(1.0)
-
-    def test_summary_rollup(self):
-        disk = SimulatedDisk()
-        timeline = DeviceIOTimeline(disk).attach()
-        disk.read(5)
-        disk.read_run(10, 3)
-        summary = timeline.summary()
-        assert set(summary) == {0}
-        entry = summary[0]
-        assert entry["reads"] == 2 and entry["pages"] == 4
-        assert entry["seek_total"] == 5 + 5
-        assert entry["avg_seek"] == pytest.approx(10 / 4)
-        assert entry["busy_ms"] == timeline.busy_ms(0)
+        assert [(s.at, s.device, s.distance) for s in timeline.samples] == [
+            (10.0, 0, 3),
+            (20.0, 0, 27),
+        ]
 
     def test_spans_tap_records_sample_spans(self):
         disk = SimulatedDisk()

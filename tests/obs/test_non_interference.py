@@ -11,6 +11,8 @@ observability off, on, or sampled.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -135,7 +137,7 @@ def service_snapshot(recorder=None):
         for request_id in (first, second, third)
     ]
     per_request = [
-        service.request_metrics(request_id).as_dict()
+        asdict(service.request_metrics(request_id))
         for request_id in (first, second, third)
     ]
     return (

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.cluster.layout import layout_database
 from repro.cluster.policies import InterObjectClustering
-from repro.fabric.parallel import build_replica_partitions
 from repro.obs.spans import SpanRecorder
 from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
@@ -79,12 +78,12 @@ class TestOperatorSpans:
         assert len(recorder.of_kind("assembly")) == 2
 
     def test_parallel_assembly_spans_one_per_partition(self):
-        db, store, layout = laid_out_store()
-        replicas = build_replica_partitions(layout, 3, costed=False)
+        db, _store, layout = laid_out_store()
+        replicas = [laid_out_store()[1] for _ in range(3)]
         recorder = SpanRecorder()
         parallel = ParallelAssembly(
             ListSource(layout.root_order),
-            [replica.store for replica in replicas],
+            replicas,
             make_template(db),
             window_size=2,
             spans=recorder,

@@ -9,9 +9,13 @@ from repro.cluster.layout import layout_database
 from repro.cluster.policies import InterObjectClustering
 from repro.core.assembly import Assembly
 from repro.core.tuning import pin_bound
-from repro.errors import ServiceStateError
 from repro.obs.demo import demo_service_run
-from repro.obs.export import read_jsonl, validate_chrome_trace
+from repro.obs.export import (
+    read_jsonl,
+    validate_chrome_trace,
+    write_chrome_trace,
+    write_jsonl,
+)
 from repro.obs.spans import SpanRecorder
 from repro.service.device_server import DeviceServer
 from repro.service.server import AssemblyService
@@ -106,23 +110,12 @@ class TestServiceSpans:
         service.result(
             service.submit(layout.root_order, make_template(db))
         )
-        chrome = service.export_trace(str(tmp_path / "t.json"))
+        chrome = write_chrome_trace(recorder.spans, str(tmp_path / "t.json"))
         document = json.loads(open(chrome).read())
         assert validate_chrome_trace(document) == []
         assert document["traceEvents"]
-        jsonl = service.export_trace(
-            str(tmp_path / "t.jsonl"), fmt="jsonl"
-        )
+        jsonl = write_jsonl(recorder.spans, str(tmp_path / "t.jsonl"))
         assert read_jsonl(jsonl) == recorder.spans
-        with pytest.raises(ServiceStateError):
-            service.export_trace(str(tmp_path / "x"), fmt="xml")
-
-    def test_export_trace_requires_a_recorder(self, tmp_path):
-        config = ExperimentConfig(n_complex_objects=5, cluster_pages=64)
-        _db, layout = build_layout(config)
-        service = AssemblyService(layout.store)
-        with pytest.raises(ServiceStateError):
-            service.export_trace(str(tmp_path / "t.json"))
 
 
 class TestRetrySpans:

@@ -6,7 +6,6 @@ from repro.core.predicates import always_true, int_less_than
 from repro.core.template import binary_tree_template
 from repro.errors import PlanError, TemplateError
 from repro.query.logical import retrieve
-from repro.storage.oid import Oid
 
 
 @pytest.fixture
@@ -25,10 +24,6 @@ class TestConstruction:
         refined = query.where_component("n1", always_true(0.5))
         assert query.component_predicates == ()
         assert len(refined.component_predicates) == 1
-
-    def test_over_roots(self, query):
-        refined = query.over([Oid(1, 1), Oid(1, 2)])
-        assert refined.roots == (Oid(1, 1), Oid(1, 2))
 
     def test_unknown_component_label_rejected_eagerly(self, query):
         with pytest.raises(TemplateError):
@@ -55,20 +50,3 @@ class TestEstimation:
 
     def test_no_predicates_is_one(self, query):
         assert query.estimated_selectivity() == 1.0
-
-
-class TestDescribe:
-    def test_mentions_everything(self, query):
-        text = (
-            query
-            .over([Oid(1, 1)])
-            .where_component("n1", int_less_than(3, 10, 0.5))
-            .where(lambda c: True)
-            .select(lambda c: c.root_oid)
-            .describe()
-        )
-        assert "7 components" in text
-        assert "1 explicit roots" in text
-        assert "component n1" in text
-        assert "residual" in text
-        assert "project" in text

@@ -102,7 +102,7 @@ class TestMigrationInvalidation:
         assert report.migrations > 0
         assert service.metrics.reorg_cache_invalidations > 0
 
-        moved_pages = {service.store.page_of(root) for root in roots[:2]}
+        moved_pages = {service.store.directory.page_of(root) for root in roots[:2]}
         assert moved_pages == {report.extent.start}
 
         # Next poll: migrated roots re-assemble from the new layout —

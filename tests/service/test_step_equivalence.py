@@ -23,6 +23,8 @@ after every rule.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -152,7 +154,7 @@ def observe(service, layout, accepted):
         ],
         "metrics": service.metrics.snapshot(),
         "per_request": [
-            service.request_metrics(rid).as_dict() for rid in accepted
+            asdict(service.request_metrics(rid)) for rid in accepted
         ],
         "cache": service.cache.stats,
         "disk": layout.store.disk.stats,

@@ -32,7 +32,6 @@ class TestFixUnfix:
         assert buffer.stats.fixes == 2
         assert buffer.stats.faults == 1
         assert buffer.stats.hits == 1
-        assert buffer.stats.hit_rate == 0.5
 
     def test_hit_causes_no_disk_read(self):
         disk = SimulatedDisk()

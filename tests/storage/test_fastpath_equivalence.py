@@ -147,7 +147,8 @@ def run_store_op(store, extent, kind, serial, marker, forget=None):
     try:
         if kind == "store":
             # One home page per serial keeps the pages from filling.
-            return "ok", store.store_at(oid, record, extent.start + serial - 1)
+            page_id = extent.start + serial - 1
+            return "ok", store.store_page(page_id, [(oid, record)])[0]
         if kind == "fetch":
             return "ok", store.fetch(oid).encode()
         if kind == "overwrite":

@@ -61,15 +61,10 @@ class TestAllocation:
         devices = [disk.device_of(e.start) for e in extents]
         assert devices == [0, 1, 2, 0, 1, 2]
 
-    def test_allocate_on_specific_device(self):
-        disk = MultiDeviceDisk(n_devices=2, pages_per_device=100)
-        extent = disk.allocate_on(1, 20)
-        assert disk.device_of(extent.start) == 1
-        assert extent.length == 20
-
     def test_skip_full_device(self):
         disk = MultiDeviceDisk(n_devices=2, pages_per_device=30)
-        disk.allocate_on(0, 25)
+        disk.allocate(25)  # device 0
+        disk.allocate(1)  # device 1; device 0 is next in turn
         extent = disk.allocate(10)  # does not fit device 0's remainder
         assert disk.device_of(extent.start) == 1
 
@@ -79,11 +74,6 @@ class TestAllocation:
         disk.allocate(10)
         with pytest.raises(ExtentError):
             disk.allocate(1)
-
-    def test_allocate_on_bad_device(self):
-        disk = MultiDeviceDisk(n_devices=2, pages_per_device=10)
-        with pytest.raises(ExtentError):
-            disk.allocate_on(5, 1)
 
     def test_extent_never_straddles_devices(self):
         disk = MultiDeviceDisk(n_devices=4, pages_per_device=50)

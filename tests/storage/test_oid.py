@@ -67,9 +67,6 @@ class TestOidDirectory:
         with pytest.raises(UnknownOidError):
             OidDirectory().lookup(Oid(1, 1))
 
-    def test_get_returns_none_for_unknown(self):
-        assert OidDirectory().get(Oid(1, 1)) is None
-
     def test_duplicate_registration(self):
         directory = OidDirectory()
         directory.register(Oid(1, 1), Rid(5, 0))

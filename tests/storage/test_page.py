@@ -51,6 +51,17 @@ class TestPageBasics:
         with pytest.raises(PageFullError):
             page.insert(b"\x01" * 106)
 
+    def test_records_per_page_counts_the_inserts_a_page_accepts(self):
+        """The closed form agrees with filling a fresh page, for every
+        record size a page can be asked to hold."""
+        for size in range(1, PAGE_SIZE + 1):
+            page = Page(0)
+            accepted = 0
+            while page.fits(size):
+                page.insert(b"\x01" * size)
+                accepted += 1
+            assert records_per_page(size) == accepted, size
+
     def test_free_space_decreases(self):
         page = Page(0)
         before = page.free_space

@@ -57,13 +57,6 @@ class TestObjectRecord:
         assert list(ints) == record.ints
         assert list(refs) == record.refs
 
-    def test_live_refs_skips_nulls(self):
-        refs = [NULL_OID] * 8
-        refs[2] = Oid(4, 9)
-        refs[5] = Oid(4, 10)
-        record = ObjectRecord(refs=refs)
-        assert record.live_refs() == [Oid(4, 9), Oid(4, 10)]
-
     def test_wrong_arity_rejected(self):
         with pytest.raises(RecordError):
             ObjectRecord(ints=[1, 2, 3])

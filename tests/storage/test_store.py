@@ -15,7 +15,7 @@ def record(marker: int) -> ObjectRecord:
 class TestStoreFetch:
     def test_roundtrip(self, store):
         extent = store.disk.allocate(1)
-        store.store_at(Oid(1, 1), record(42), extent.start)
+        store.store_page(extent.start, [(Oid(1, 1), record(42))])
         fetched = store.fetch(Oid(1, 1))
         assert fetched.ints[0] == 42
 
@@ -26,15 +26,15 @@ class TestStoreFetch:
     def test_page_fills_then_rejects(self, store):
         extent = store.disk.allocate(1)
         for serial in range(9):
-            store.store_at(Oid(1, serial + 1), record(serial), extent.start)
+            store.store_page(extent.start, [(Oid(1, serial + 1), record(serial))])
         with pytest.raises(PageFullError):
-            store.store_at(Oid(1, 100), record(0), extent.start)
+            store.store_page(extent.start, [(Oid(1, 100), record(0))])
 
     def test_duplicate_oid_rejected(self, store):
         extent = store.disk.allocate(1)
-        store.store_at(Oid(1, 1), record(0), extent.start)
+        store.store_page(extent.start, [(Oid(1, 1), record(0))])
         with pytest.raises(DuplicateOidError):
-            store.store_at(Oid(1, 1), record(1), extent.start)
+            store.store_page(extent.start, [(Oid(1, 1), record(1))])
 
     def test_store_page_bulk(self, store):
         extent = store.disk.allocate(1)
@@ -46,18 +46,18 @@ class TestStoreFetch:
 
     def test_store_page_duplicate_rolls_back_nothing_registered(self, store):
         extent = store.disk.allocate(1)
-        store.store_at(Oid(1, 1), record(0), extent.start)
+        store.store_page(extent.start, [(Oid(1, 1), record(0))])
         with pytest.raises(DuplicateOidError):
             store.store_page(extent.start, [(Oid(1, 1), record(1))])
 
     def test_page_of(self, store):
         extent = store.disk.allocate(3)
-        store.store_at(Oid(1, 1), record(0), extent.start + 2)
-        assert store.page_of(Oid(1, 1)) == extent.start + 2
+        store.store_page(extent.start + 2, [(Oid(1, 1), record(0))])
+        assert store.directory.page_of(Oid(1, 1)) == extent.start + 2
 
     def test_fetch_goes_through_buffer(self, store):
         extent = store.disk.allocate(1)
-        store.store_at(Oid(1, 1), record(0), extent.start)
+        store.store_page(extent.start, [(Oid(1, 1), record(0))])
         store.disk.reset_stats()
         store.fetch(Oid(1, 1))
         store.fetch(Oid(1, 1))
@@ -68,7 +68,7 @@ class TestStoreFetch:
 class TestPinnedFetch:
     def test_fetch_pinned_holds_page(self, store):
         extent = store.disk.allocate(1)
-        store.store_at(Oid(1, 1), record(7), extent.start)
+        store.store_page(extent.start, [(Oid(1, 1), record(7))])
         fetched = store.fetch_pinned(Oid(1, 1))
         assert fetched.ints[0] == 7
         assert store.buffer.pin_count(extent.start) == 1
@@ -77,8 +77,8 @@ class TestPinnedFetch:
 
     def test_two_objects_same_page_two_pins(self, store):
         extent = store.disk.allocate(1)
-        store.store_at(Oid(1, 1), record(1), extent.start)
-        store.store_at(Oid(1, 2), record(2), extent.start)
+        store.store_page(extent.start, [(Oid(1, 1), record(1))])
+        store.store_page(extent.start, [(Oid(1, 2), record(2))])
         store.fetch_pinned(Oid(1, 1))
         store.fetch_pinned(Oid(1, 2))
         assert store.buffer.pin_count(extent.start) == 2
@@ -92,8 +92,8 @@ class TestPinnedFetch:
         or at no slot at all (5) fails either fetch form with the page
         unpinned."""
         extent = store.disk.allocate(1)
-        store.store_at(Oid(1, 1), record(1), extent.start)
-        store.store_at(Oid(1, 2), record(2), extent.start)
+        store.store_page(extent.start, [(Oid(1, 1), record(1))])
+        store.store_page(extent.start, [(Oid(1, 2), record(2))])
         store.directory.relocate(Oid(1, 2), Rid(extent.start, slot))
         for fetch in (store.fetch, store.fetch_pinned):
             with pytest.raises(StorageError):
@@ -104,8 +104,8 @@ class TestPinnedFetch:
 class TestScanExtent:
     def test_scan_extent_physical_order(self, store):
         extent = store.disk.allocate(2)
-        store.store_at(Oid(1, 1), record(1), extent.start + 1)
-        store.store_at(Oid(1, 2), record(2), extent.start)
+        store.store_page(extent.start + 1, [(Oid(1, 1), record(1))])
+        store.store_page(extent.start, [(Oid(1, 2), record(2))])
         scanned = list(store.scan_extent(extent))
         assert [oid for oid, _ in scanned] == [Oid(1, 2), Oid(1, 1)]
 

@@ -112,12 +112,6 @@ class TestQuerying:
         text = database.query(person_template()).explain()
         assert "Assembly" in text and "scheduler=" in text
 
-    def test_over_subset_of_roots(self):
-        _source, database = build_people_db()
-        subset = database.roots[:7]
-        results = database.query(person_template()).over(subset).run()
-        assert {c.root_oid for c in results} == set(subset)
-
     def test_projection(self):
         _source, database = build_people_db()
         ages = (
@@ -136,20 +130,3 @@ class TestWindowFromBuffer:
         # person template has 4 nodes: 3*(W-1)+4 <= 64-8 => W <= 18
         assert plan.choice.window_size == 18
         assert plan.execute()
-
-
-class TestMeasurement:
-    def test_reset_between_queries(self):
-        _source, database = build_people_db()
-        database.query(person_template()).run()
-        first = database.avg_seek_per_read
-        assert first > 0
-        database.reset_measurement()
-        assert database.avg_seek_per_read == 0.0
-
-    def test_manual_assembly(self):
-        _source, database = build_people_db()
-        op = database.assemble(
-            person_template(), window_size=4, scheduler="depth-first"
-        )
-        assert len(op.execute()) == 40

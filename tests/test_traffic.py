@@ -13,6 +13,12 @@ parameter must be *named* by at least one call site under ``src/``
   ``{"cache_capacity": 0}``), the way ``DeviceServer.register`` hands
   ``health`` and ``spans`` to every query's ``Assembly``.
 
+The same rule holds for operators: every concrete ``VolcanoIterator``
+subclass under ``src/repro`` must be named (called, subclassed or
+referenced) by code under ``src/`` outside its own module and the
+package ``__init__`` re-exports, ``examples/`` or ``benchmarks/``,
+unless ``UNDRIVEN_OPERATORS`` says why it waits for a driver.
+
 ``tools/traffic_map.py`` is the measured companion: it runs the traffic
 and lists the functions nothing called.
 """
@@ -162,4 +168,89 @@ def test_every_defaulted_option_is_set_by_some_caller():
     assert unset == [], (
         "options no call site outside tests/ sets (make each a constant "
         f"or wire it to a figure): {unset}"
+    )
+
+
+#: Operators kept without a driver, and why.
+UNDRIVEN_OPERATORS: Dict[str, str] = {
+    "ExternalSort": "ROADMAP item 9: the Section 2 figure drives it, or it goes",
+    "StoreScan": "ROADMAP item 9: the Section 2 figure drives it, or it goes",
+}
+
+
+def _base_names(cls: ast.ClassDef) -> List[str]:
+    return [
+        getattr(base, "id", getattr(base, "attr", None)) for base in cls.bases
+    ]
+
+
+def _is_abstract(cls: ast.ClassDef) -> bool:
+    return any(
+        getattr(decorator, "id", getattr(decorator, "attr", None))
+        == "abstractmethod"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        for decorator in node.decorator_list
+    )
+
+
+def _operator_modules() -> Dict[str, Path]:
+    """Concrete ``VolcanoIterator`` subclasses under ``src/repro``, by
+    name, with the module each is defined in."""
+    classes = {
+        node.name: (node, path)
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+    }
+    operators = {"VolcanoIterator"}
+    grew = True
+    while grew:
+        grew = False
+        for name, (node, _path) in classes.items():
+            if name not in operators and operators & set(_base_names(node)):
+                operators.add(name)
+                grew = True
+    return {
+        name: classes[name][1]
+        for name in operators
+        if name in classes and not _is_abstract(classes[name][0])
+    }
+
+
+def _referenced_names(path: Path) -> Set[str]:
+    """Every name a file uses: bare names and attribute names (calls,
+    base classes and plain references alike; imports do not count)."""
+    names: Set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_operator_is_named_by_a_driver():
+    """An operator no figure, example, workload or library code names is
+    a test fixture shipped as product: delete it or give it a driver."""
+    operators = _operator_modules()
+    assert set(UNDRIVEN_OPERATORS) <= set(operators), (
+        "allow-listed operators that no longer exist: "
+        f"{sorted(set(UNDRIVEN_OPERATORS) - set(operators))}"
+    )
+    files = [
+        path for path in sorted(SRC.rglob("*.py")) if path.name != "__init__.py"
+    ]
+    for directory in ("examples", "benchmarks"):
+        files += sorted((ROOT / directory).rglob("*.py"))
+    undriven = sorted(
+        name
+        for name, module in operators.items()
+        if name not in UNDRIVEN_OPERATORS
+        and not any(
+            name in _referenced_names(path) for path in files if path != module
+        )
+    )
+    assert undriven == [], (
+        f"operators nothing outside tests/ names: {undriven}"
     )

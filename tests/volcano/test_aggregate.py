@@ -1,9 +1,16 @@
 """Tests for hash aggregation."""
 
-from repro.volcano.aggregate import HashAggregate, count_aggregate, sum_aggregate
+from repro.volcano.aggregate import HashAggregate
 from repro.iterator import ListSource
 
 ROWS = [("a", 1), ("b", 2), ("a", 3), ("c", 4), ("a", 5)]
+
+
+def count_aggregate(child, group_key):
+    """``(key, count)`` per group."""
+    return HashAggregate(
+        child, group_key, init=lambda: 0, step=lambda acc, _row: acc + 1
+    )
 
 
 class TestHashAggregate:
@@ -12,8 +19,11 @@ class TestHashAggregate:
         assert sorted(op.execute()) == [("a", 3), ("b", 1), ("c", 1)]
 
     def test_sum(self):
-        op = sum_aggregate(
-            ListSource(ROWS), group_key=lambda r: r[0], value=lambda r: r[1]
+        op = HashAggregate(
+            ListSource(ROWS),
+            group_key=lambda r: r[0],
+            init=lambda: 0,
+            step=lambda acc, row: acc + row[1],
         )
         assert sorted(op.execute()) == [("a", 9), ("b", 2), ("c", 4)]
 

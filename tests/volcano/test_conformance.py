@@ -9,10 +9,10 @@ reopening restarts cleanly, and two executions yield identical rows.
 import pytest
 
 from repro.errors import IteratorStateError
-from repro.volcano.aggregate import count_aggregate
-from repro.volcano.exchange import Partition, PartitionedExecute
-from repro.volcano.filters import Distinct, Filter, Limit, Project
-from repro.iterator import GeneratorSource, ListSource
+from repro.volcano.aggregate import HashAggregate
+from repro.volcano.exchange import PartitionedExecute
+from repro.volcano.filters import Filter, Project
+from repro.iterator import ListSource
 from repro.volcano.joins import HashJoin
 from repro.volcano.scan import StoreScan, TidScan
 from repro.volcano.sort import ExternalSort
@@ -98,7 +98,7 @@ def _record_store():
     oids = []
     for serial in range(4):
         oid = Oid(1, serial + 1)
-        store.store_at(oid, ObjectRecord(ints=[serial, 0, 0, 0]), extent.start)
+        store.store_page(extent.start, [(oid, ObjectRecord(ints=[serial, 0, 0, 0]))])
         oids.append(oid)
     return store, extent, oids
 
@@ -115,11 +115,8 @@ def tid_scan_factory():
 
 OPERATOR_FACTORIES = {
     "list-source": lambda: ListSource([1, 2, 3]),
-    "generator-source": lambda: GeneratorSource(lambda: iter([1, 2, 3])),
     "filter": lambda: Filter(ListSource(range(6)), lambda n: n % 2 == 0),
     "project": lambda: Project(ListSource(range(3)), lambda n: n + 1),
-    "limit": lambda: Limit(ListSource(range(9)), 4),
-    "distinct": lambda: Distinct(ListSource([1, 1, 2, 3, 3])),
     "sort": lambda: ExternalSort(ListSource([3, 1, 2]), key=lambda n: n),
     "hash-join": lambda: HashJoin(
         build=ListSource([(1, "b")]),
@@ -127,10 +124,12 @@ OPERATOR_FACTORIES = {
         build_key=lambda r: r[0],
         probe_key=lambda r: r[0],
     ),
-    "aggregate": lambda: count_aggregate(
-        ListSource("aabbc"), group_key=lambda c: c
+    "aggregate": lambda: HashAggregate(
+        ListSource("aabbc"),
+        group_key=lambda c: c,
+        init=lambda: 0,
+        step=lambda acc, _row: acc + 1,
     ),
-    "partition": lambda: Partition(ListSource(range(7)), 2, 0),
     "partitioned-execute": lambda: PartitionedExecute(
         rows=list(range(6)),
         n_partitions=2,

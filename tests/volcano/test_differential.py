@@ -30,7 +30,7 @@ from repro.storage.buffer import BufferManager
 from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.storage.store import ObjectStore
-from repro.volcano.aggregate import count_aggregate
+from repro.volcano.aggregate import HashAggregate
 from repro.volcano.assembly import AssemblyOperator, ParallelAssembly
 from repro.volcano.filters import Filter, Project
 from repro.iterator import ListSource
@@ -178,8 +178,11 @@ def build_plan(shape, operator, reference_rows):
     if shape == "sort":
         return ExternalSort(operator, key=lambda row: repr(row.root_oid))
     if shape == "aggregate":
-        return count_aggregate(
-            operator, group_key=lambda row: row.object_count()
+        return HashAggregate(
+            operator,
+            group_key=lambda row: row.object_count(),
+            init=lambda: 0,
+            step=lambda acc, _row: acc + 1,
         )
     if shape == "join":
         build = [

@@ -3,35 +3,9 @@
 import pytest
 
 from repro.errors import PlanError, UnknownOidError
-from repro.volcano.exchange import Partition, PartitionedExecute
+from repro.volcano.exchange import PartitionedExecute
 from repro.volcano.filters import Project
 from repro.iterator import ListSource
-
-
-class TestPartition:
-    def test_round_robin_split(self):
-        rows = list(range(10))
-        parts = [
-            Partition(ListSource(rows), 3, i).execute() for i in range(3)
-        ]
-        assert parts[0] == [0, 3, 6, 9]
-        assert parts[1] == [1, 4, 7]
-        assert parts[2] == [2, 5, 8]
-
-    def test_partitions_cover_input(self):
-        rows = list(range(17))
-        seen = []
-        for i in range(4):
-            seen.extend(Partition(ListSource(rows), 4, i).execute())
-        assert sorted(seen) == rows
-
-    def test_bad_index(self):
-        with pytest.raises(PlanError):
-            Partition(ListSource([]), 2, 2)
-
-    def test_bad_count(self):
-        with pytest.raises(PlanError):
-            Partition(ListSource([]), 0, 0)
 
 
 class TestPartitionedExecute:

@@ -1,9 +1,6 @@
-"""Tests for filter / project / limit / distinct."""
+"""Tests for filter / project."""
 
-import pytest
-
-from repro.errors import PlanError
-from repro.volcano.filters import Distinct, Filter, Limit, Project
+from repro.volcano.filters import Filter, Project
 from repro.iterator import ListSource
 
 
@@ -17,12 +14,6 @@ class TestFilter:
         op.execute()
         assert op.seen == 10
         assert op.passed == 3
-        assert op.observed_selectivity == pytest.approx(0.3)
-
-    def test_selectivity_before_input(self):
-        op = Filter(ListSource([]), lambda n: True)
-        op.execute()
-        assert op.observed_selectivity == 0.0
 
     def test_reopen_resets_counts(self):
         op = Filter(ListSource(range(4)), lambda n: True)
@@ -42,48 +33,3 @@ class TestProject:
             lambda n: n * n,
         )
         assert plan.execute() == [1, 9, 25]
-
-
-class TestLimit:
-    def test_caps_output(self):
-        assert Limit(ListSource(range(100)), 3).execute() == [0, 1, 2]
-
-    def test_zero_limit(self):
-        assert Limit(ListSource(range(5)), 0).execute() == []
-
-    def test_limit_larger_than_input(self):
-        assert Limit(ListSource(range(2)), 10).execute() == [0, 1]
-
-    def test_negative_rejected(self):
-        with pytest.raises(PlanError):
-            Limit(ListSource([]), -1)
-
-    def test_stops_pulling_from_child(self):
-        pulled = []
-
-        def gen():
-            for n in range(100):
-                pulled.append(n)
-                yield n
-
-        from repro.iterator import GeneratorSource
-
-        Limit(GeneratorSource(gen), 2).execute()
-        assert len(pulled) == 2
-
-
-class TestDistinct:
-    def test_removes_duplicates(self):
-        op = Distinct(ListSource([1, 2, 1, 3, 2]))
-        assert op.execute() == [1, 2, 3]
-
-    def test_key_function(self):
-        op = Distinct(
-            ListSource([(1, "a"), (1, "b"), (2, "c")]), key=lambda r: r[0]
-        )
-        assert op.execute() == [(1, "a"), (2, "c")]
-
-    def test_reopen_resets_seen(self):
-        op = Distinct(ListSource([1, 1]))
-        assert op.execute() == [1]
-        assert op.execute() == [1]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import IteratorStateError
-from repro.iterator import GeneratorSource, ListSource
+from repro.iterator import ListSource
 
 
 class TestProtocol:
@@ -75,14 +75,3 @@ class TestHelpers:
 
     def test_empty_source(self):
         assert ListSource([]).execute() == []
-
-
-class TestGeneratorSource:
-    def test_yields_factory_output(self):
-        source = GeneratorSource(lambda: iter(range(4)))
-        assert source.execute() == [0, 1, 2, 3]
-
-    def test_reopen_restarts_generator(self):
-        source = GeneratorSource(lambda: iter("ab"))
-        assert source.execute() == ["a", "b"]
-        assert source.execute() == ["a", "b"]

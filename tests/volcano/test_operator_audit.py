@@ -66,7 +66,7 @@ class TestOperatorAudit:
     def test_finds_the_operators(self):
         names = set(operator_classes())
         assert {"InterleavedAssemblies", "ComponentFilter", "ParallelAssembly"} <= names
-        assert len(names) >= 14
+        assert len(names) >= 11
 
     def test_every_operator_is_exported(self):
         missing = sorted(

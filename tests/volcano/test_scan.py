@@ -16,7 +16,7 @@ class TestTidScan:
         for serial in range(n):
             oid = Oid(1, serial + 1)
             page = extent.start + serial // 9
-            store.store_at(oid, ObjectRecord(ints=[serial, 0, 0, 0]), page)
+            store.store_page(page, [(oid, ObjectRecord(ints=[serial, 0, 0, 0]))])
             oids.append(oid)
         store.disk.reset_stats()
         return oids
@@ -32,7 +32,7 @@ class TestTidScan:
         shuffled = list(reversed(oids))
         scan = TidScan(ListSource(shuffled), store, order="sorted")
         rows = scan.execute()
-        pages = [store.page_of(oid) for oid, _ in rows]
+        pages = [store.directory.page_of(oid) for oid, _ in rows]
         assert pages == sorted(pages)
 
     def test_sorted_reduces_seeks(self, store):
@@ -72,10 +72,9 @@ class TestStoreScan:
     def test_scans_extent(self, store):
         extent = store.disk.allocate(2)
         for serial in range(12):
-            store.store_at(
-                Oid(1, serial + 1),
-                ObjectRecord(ints=[serial, 0, 0, 0]),
+            store.store_page(
                 extent.start + serial // 9,
+                [(Oid(1, serial + 1), ObjectRecord(ints=[serial, 0, 0, 0]))],
             )
         rows = StoreScan(store, extent).execute()
         assert len(rows) == 12

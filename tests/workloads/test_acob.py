@@ -111,11 +111,6 @@ class TestDiskOrders:
         names = [db.registry.by_id(t).name for t in order]
         assert names == ["T0", "T1", "T3", "T4", "T2", "T5", "T6"]
 
-    def test_breadth_first_order(self):
-        db = generate_acob(2)
-        names = [db.registry.by_id(t).name for t in db.type_ids_breadth_first()]
-        assert names == [f"T{i}" for i in range(7)]
-
 
 class TestTemplateAndPredicates:
     def test_template_matches_database(self):
