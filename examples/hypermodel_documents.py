@@ -11,8 +11,10 @@ Two things to watch in the output:
 
 * the shared-component table loads each annotation exactly once, no
   matter how many documents link to it;
-* the execution trace (``AssemblyTracer``) shows the interleaving of
-  fetches and links — the Figure 5 walkthrough, on real output.
+* the execution trace shows the interleaving of fetches and links —
+  the Figure 5 walkthrough, on real output.  The operator records each
+  decision as a ``decision`` span on its ``spans=`` recorder, and
+  ``AssemblyTracer`` reads them back as trace events.
 
 Run:  python examples/hypermodel_documents.py
 """
@@ -26,6 +28,7 @@ from repro import (
     SimulatedDisk,
     layout_database,
 )
+from repro.obs import SpanRecorder
 from repro.workloads import generate_hypermodel, hypermodel_template
 
 N_DOCUMENTS = 300
@@ -47,14 +50,14 @@ def main() -> None:
         shared=database.shared_pool,
     )
 
-    tracer = AssemblyTracer()
+    tracer = AssemblyTracer(SpanRecorder())
     operator = Assembly(
         ListSource(layout.root_order),
         store,
         hypermodel_template(),
         window_size=40,
         scheduler="elevator",
-        tracer=tracer,
+        spans=tracer.recorder,
     )
     documents = operator.execute()
 

@@ -174,9 +174,16 @@ class Assembly(VolcanoIterator):
         the operator records an ``assembly`` span over its open/close
         lifetime, a (sampled) ``window-slot`` span per admitted complex
         object, ``fetch`` spans around disk fetches, ``batch`` spans
-        around coalesced prefetches, and ``retry-backoff`` events —
-        strictly observationally: results, fetch order, disk stats and
-        every counter are bit-identical with or without a recorder.
+        around coalesced prefetches, ``retry-backoff`` events, and one
+        instant ``decision`` span per decision under its object's slot:
+        ``admitted``, ``fetched``, ``linked-shared``,
+        ``linked-preassembled``, ``deferred``, ``activated``,
+        ``predicate-passed`` / ``predicate-failed``, ``fault``,
+        ``degraded``, ``aborted`` and ``emitted``
+        (:mod:`repro.core.trace` reads them back as the Figure 5
+        trace) — strictly observationally: results, fetch order, disk
+        stats and every counter are bit-identical with or without a
+        recorder.
     parent_span:
         Span to parent the operator's ``assembly`` span under (the
         service parents it under the owning request's span).
@@ -192,7 +199,6 @@ class Assembly(VolcanoIterator):
         use_sharing_statistics: bool = True,
         selective: Optional[bool] = None,
         preassembled: Optional[Dict[Oid, AssembledObject]] = None,
-        tracer: Optional[trace.AssemblyTracer] = None,
         batch_pages: int = 1,
         retry_policy: Optional[RetryPolicy] = None,
         on_fault: str = FAIL_FAST,
@@ -220,7 +226,6 @@ class Assembly(VolcanoIterator):
             template.has_predicates() if selective is None else selective
         )
         self._preassembled = dict(preassembled or {})
-        self._tracer = tracer
         if batch_pages <= 0:
             raise AssemblyError("batch_pages must be positive")
         self._batch_pages = batch_pages
@@ -312,8 +317,6 @@ class Assembly(VolcanoIterator):
         self._seq = 0
         self._source_done = False
         self.stats = AssemblyStats()
-        if self._tracer is not None:
-            self._tracer.clear()
         if self._spans is not None:
             self._assembly_span = self._spans.begin(
                 "assembly",
@@ -540,12 +543,7 @@ class Assembly(VolcanoIterator):
         ref.page_id = self._store.directory.page_of(oid)
         ref.owner = state.serial
         ref.seq = self._next_seq()
-        if self._tracer is not None:
-            self._tracer.record(
-                trace.ADMITTED, state.serial, oid,
-                label=ref.node.label, page_id=ref.page_id,
-            )
-        self._begin_slot_span(state.serial, oid)
+        self._begin_slot_span(state.serial, oid, ref.node.label, ref.page_id)
         self._scheduler.add(ref)
 
     def _admit_partial(self, root: AssembledObject) -> None:
@@ -566,11 +564,7 @@ class Assembly(VolcanoIterator):
             total_predicates=missing_predicates,
         )
         state.root = root
-        if self._tracer is not None:
-            self._tracer.record(
-                trace.ADMITTED, state.serial, root.oid, label=root.node.label
-            )
-        self._begin_slot_span(state.serial, root.oid)
+        self._begin_slot_span(state.serial, root.oid, root.node.label)
         # Predicates on nodes the partial input already materialized.
         if not self._evaluate_materialized_predicates(state, root):
             return
@@ -584,8 +578,11 @@ class Assembly(VolcanoIterator):
 
     # -- span bookkeeping ----------------------------------------------------
 
-    def _begin_slot_span(self, serial: int, oid: Oid) -> None:
-        """Open a (sampled) ``window-slot`` span for one admitted object."""
+    def _begin_slot_span(
+        self, serial: int, oid: Oid, label: str, page: int = -1
+    ) -> None:
+        """Open a (sampled) ``window-slot`` span for one admitted object,
+        and record its admission under it."""
         if self._spans is None:
             return
         self._slot_spans[serial] = self._spans.begin(
@@ -596,14 +593,39 @@ class Assembly(VolcanoIterator):
             serial=serial,
             oid=str(oid),
         )
+        self._decide(trace.ADMITTED, serial, oid, label, page)
 
-    def _end_slot_span(self, serial: int, outcome: str, **attrs: object) -> None:
-        """Close one object's ``window-slot`` span with its outcome."""
+    def _end_slot_span(
+        self, outcome: str, serial: int, oid: Oid, **attrs: object
+    ) -> None:
+        """Record one object's ``outcome`` decision (emitted or aborted)
+        and close its ``window-slot`` span with it."""
         if self._spans is None:
             return
+        self._decide(outcome, serial, oid)
         span = self._slot_spans.pop(serial, None)
         if span is not None:
             self._spans.end(span, outcome=outcome, **attrs)
+
+    def _decide(
+        self, decision: str, owner: int, oid: Oid, label: str = "",
+        page: int = -1,
+    ) -> None:
+        """Record one decision (a :mod:`repro.core.trace` kind) as an
+        instant ``decision`` span under its owner's window slot.
+
+        Callers hold the one ``self._spans`` guard of their site, so a
+        run without a recorder makes no call here.
+        """
+        self._spans.event(
+            decision,
+            parent=self._slot_spans.get(owner),
+            kind=trace.DECISION,
+            owner=owner,
+            oid=[oid.type_id, oid.serial],
+            label=label,
+            page=page,
+        )
 
     # -- resolution --------------------------------------------------------------------
 
@@ -730,10 +752,10 @@ class Assembly(VolcanoIterator):
         self._attach(state, ref, entry.assembled)
         state.shared_links += 1
         self.stats.shared_links += 1
-        if self._tracer is not None:
-            self._tracer.record(
-                trace.LINKED_SHARED, state.serial, ref.oid,
-                label=ref.node.label, page_id=entry.page_id,
+        if self._spans is not None:
+            self._decide(
+                trace.LINKED_SHARED, state.serial, ref.oid, ref.node.label,
+                entry.page_id,
             )
         # The whole shared subtree is materialized; its predicates
         # passed when it was first assembled (else its first owner
@@ -747,10 +769,10 @@ class Assembly(VolcanoIterator):
         """Attach a sub-object assembled by a lower operator (Figure 17)."""
         sub = self._preassembled[ref.oid]
         self._attach(state, ref, sub)
-        if self._tracer is not None:
-            self._tracer.record(
+        if self._spans is not None:
+            self._decide(
                 trace.LINKED_PREASSEMBLED, state.serial, ref.oid,
-                label=ref.node.label,
+                ref.node.label,
             )
         remaining = self._component_iter.expand_partial(sub)
         # Of ref.node's template subtree, everything except what the
@@ -794,12 +816,11 @@ class Assembly(VolcanoIterator):
                         now=self._disk.fault_now(),
                         retry_after=getattr(exc, "retry_after", None),
                     )
-                if self._tracer is not None:
-                    self._tracer.record(
-                        trace.FAULT, ref.owner, ref.oid,
-                        label=ref.node.label, page_id=ref.page_id,
-                    )
                 if self._spans is not None:
+                    self._decide(
+                        trace.FAULT, ref.owner, ref.oid, ref.node.label,
+                        ref.page_id,
+                    )
                     self._spans.event(
                         "retry-backoff",
                         parent=self._slot_spans.get(ref.owner),
@@ -862,10 +883,10 @@ class Assembly(VolcanoIterator):
         state.missing_components += 1
         state.outstanding_nodes -= ref.node.subtree_nodes
         self.stats.missing_components += 1
-        if self._tracer is not None:
-            self._tracer.record(
-                trace.DEGRADED, state.serial, ref.oid,
-                label=ref.node.label, page_id=ref.page_id,
+        if self._spans is not None:
+            self._decide(
+                trace.DEGRADED, state.serial, ref.oid, ref.node.label,
+                ref.page_id,
             )
 
     def _fetch_and_expand(
@@ -894,6 +915,10 @@ class Assembly(VolcanoIterator):
             return
         if fetch_span is not None:
             self._spans.end(fetch_span, outcome="fetched")
+            self._decide(
+                trace.FETCHED, state.serial, ref.oid, ref.node.label,
+                ref.page_id,
+            )
         # Objects never move once registered, so the scheduler's page id
         # is still the object's physical page — no directory re-lookup.
         page_id = ref.page_id
@@ -902,11 +927,6 @@ class Assembly(VolcanoIterator):
         pinned = self._store.buffer.pinned_pages
         if pinned > self.stats.peak_pinned_pages:
             self.stats.peak_pinned_pages = pinned
-        if self._tracer is not None:
-            self._tracer.record(
-                trace.FETCHED, state.serial, ref.oid,
-                label=ref.node.label, page_id=page_id,
-            )
 
         assembled, children, missing_nodes, missing_predicates = (
             self._component_iter.materialize(ref.oid, ref.node, record)
@@ -923,10 +943,10 @@ class Assembly(VolcanoIterator):
         predicate = ref.node.predicate
         if predicate is not None:
             passed = predicate.evaluate(record.to_record(self._store.fmt))
-            if self._tracer is not None:
-                self._tracer.record(
+            if self._spans is not None:
+                self._decide(
                     trace.PREDICATE_PASSED if passed else trace.PREDICATE_FAILED,
-                    state.serial, ref.oid, label=ref.node.label,
+                    state.serial, ref.oid, ref.node.label,
                 )
             if not passed:
                 if share_this:
@@ -990,10 +1010,9 @@ class Assembly(VolcanoIterator):
             child.seq = self._seq
             if gate and child.node.subtree_predicates == 0:
                 state.deferred.append(child)
-                if self._tracer is not None:
-                    self._tracer.record(
-                        trace.DEFERRED, serial, child.oid,
-                        label=child.node.label,
+                if self._spans is not None:
+                    self._decide(
+                        trace.DEFERRED, serial, child.oid, child.node.label
                     )
             else:
                 now.append(child)
@@ -1017,11 +1036,11 @@ class Assembly(VolcanoIterator):
             released = state.deferred
             state.deferred = []
             self.stats.deferred_scheduled += len(released)
-            if self._tracer is not None:
+            if self._spans is not None:
                 for ref in released:
-                    self._tracer.record(
+                    self._decide(
                         trace.ACTIVATED, state.serial, ref.oid,
-                        label=ref.node.label, page_id=ref.page_id,
+                        ref.node.label, ref.page_id,
                     )
             self._scheduler.add_siblings(released)
 
@@ -1082,12 +1101,8 @@ class Assembly(VolcanoIterator):
         self.stats.emitted += 1
         if state.degraded:
             self.stats.degraded_emitted += 1
-        if self._tracer is not None:
-            self._tracer.record(
-                trace.EMITTED, state.serial, state.root.oid
-            )
         self._end_slot_span(
-            state.serial, "emitted",
+            trace.EMITTED, state.serial, state.root.oid,
             fetches=state.fetches, shared_links=state.shared_links,
         )
         self._fill_window()
@@ -1101,7 +1116,7 @@ class Assembly(VolcanoIterator):
         self._window.retire(state.serial)
         self._release_pins(state)
         self.stats.aborted += 1
-        if self._tracer is not None:
-            self._tracer.record(trace.ABORTED, state.serial, state.root_oid)
-        self._end_slot_span(state.serial, "aborted", fetches=state.fetches)
+        self._end_slot_span(
+            trace.ABORTED, state.serial, state.root_oid, fetches=state.fetches
+        )
         self._fill_window()

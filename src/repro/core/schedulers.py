@@ -43,6 +43,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from bisect import bisect_left, insort
 from collections import deque
+from operator import attrgetter
 from typing import (
     Callable,
     Deque,
@@ -124,6 +125,10 @@ class UnresolvedReference:
             f"UnresolvedReference({self.oid}, page={self.page_id}, "
             f"owner={self.owner}, node={self.node.label!r})"
         )
+
+
+#: Admission order of pooled references (a C-level sort key).
+_BY_SEQ = attrgetter("seq")
 
 
 class SweepPool:
@@ -210,11 +215,16 @@ class SweepPool:
     def remove_owner(
         self, owner: int, client: Optional[int] = None
     ) -> List[UnresolvedReference]:
-        """Retract every reference of one owner — O(k) in the retracted."""
+        """Retract every reference of one owner — O(k log k) in the
+        retracted — and return them in admission (``seq``) order.
+
+        The bucket holds them in insertion order, which differs once a
+        popped or retracted reference is re-added after a newer sibling.
+        """
         bucket = self._owners.pop((client, owner), None)
         if not bucket:
             return []
-        removed = list(bucket.values())
+        removed = sorted(bucket.values(), key=_BY_SEQ)
         for ref in removed:
             self._dead.add(id(ref))
             self._drop_page_ref(ref.page_id)

@@ -1,9 +1,18 @@
-"""Execution tracing for the assembly operator.
+"""The assembly operator's decisions, read back from its span trace.
 
-A :class:`AssemblyTracer` records every observable decision the
-operator makes — admissions, fetches, shared/pre-assembled links,
-deferrals, predicate outcomes, aborts, emissions — as a flat list of
-:class:`TraceEvent` records.  Uses:
+Every observable decision the operator makes — admissions, fetches,
+shared/pre-assembled links, deferrals, predicate outcomes, faults,
+aborts, emissions — is recorded by :class:`~repro.core.assembly.Assembly`
+as an instant span of kind :data:`DECISION` on its
+:class:`~repro.obs.spans.SpanRecorder` (``spans=``), named after one of
+the kind constants below and parented under the owning object's
+``window-slot`` span.  Its attributes are ``owner`` (window serial),
+``oid`` (``[type_id, serial]``, JSON-native so the trace round-trips
+through :func:`repro.obs.export.write_jsonl`), ``label`` and ``page``.
+
+:class:`AssemblyTracer` is a read-only view that turns those spans
+back into a flat list of :class:`TraceEvent` records, in recording
+order.  Uses:
 
 * debugging a template against real data ("why was this never
   fetched?"),
@@ -12,17 +21,21 @@ deferrals, predicate outcomes, aborts, emissions — as a flat list of
 * teaching: `summarize` renders the assembly of a window the way the
   paper's Figure 5 does.
 
-Tracing is strictly observational; enabling it never changes fetch
-order or results.
+Recording is strictly observational; enabling it never changes fetch
+order or results.  A window slot that the recorder samples out takes
+its decisions with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
-from repro.errors import AssemblyError
+from repro.obs.spans import SpanRecorder
 from repro.storage.oid import Oid
+
+#: Span kind of a recorded decision (a span kind, not a trace kind).
+DECISION = "decision"
 
 #: Event kinds, in rough lifecycle order.
 ADMITTED = "admitted"
@@ -68,8 +81,8 @@ class TraceEvent:
     label: str = ""
     #: physical page, where meaningful (-1 otherwise).
     page_id: int = -1
-    #: simulated-clock stamp, when the tracer has a clock (-1.0 means
-    #: unstamped — the historical, purely ordinal trace).
+    #: simulated-clock stamp, when the recorder has a clock (-1.0 means
+    #: unstamped — the purely ordinal trace).
     at: float = -1.0
 
     def __str__(self) -> str:
@@ -80,44 +93,35 @@ class TraceEvent:
 
 
 class AssemblyTracer:
-    """Collects :class:`TraceEvent` records during one execution.
+    """The :class:`TraceEvent` view of a recorder's decision spans.
 
-    ``clock_fn`` optionally stamps each event with the simulated clock
-    (the event engine's milliseconds, the service's resolution counter
-    — never wall time), putting the Figure 5 walkthrough on the same
-    time axis as the observability layer's spans.  Without a clock the
-    trace is purely ordinal, exactly as before: events carry ``at=-1``
-    and render without a time column, so stamping is strictly additive.
+    A live view: :attr:`events` reads the recorder each time, so one
+    view built before an execution sees everything recorded since.  A
+    recorder accumulates across executions (and re-opens) of the
+    operators that share it.  ``at`` is the span's stamp when the
+    recorder has a bound clock (the event engine's milliseconds, the
+    service's resolution counter — never wall time), and ``-1`` on the
+    fallback step counter, so an unclocked trace stays purely ordinal.
     """
 
-    def __init__(self, clock_fn: Optional[Callable[[], float]] = None) -> None:
-        self.events: List[TraceEvent] = []
-        self.clock_fn = clock_fn
+    def __init__(self, recorder: SpanRecorder) -> None:
+        self.recorder = recorder
 
-    # -- recording (called by the assembly operator) -------------------------
-
-    def record(
-        self,
-        kind: str,
-        owner: int,
-        oid: Oid,
-        label: str = "",
-        page_id: int = -1,
-    ) -> None:
-        """Append one event (kind must be a known constant)."""
-        if kind not in KINDS:
-            raise AssemblyError(f"unknown trace event kind {kind!r}")
-        at = -1.0 if self.clock_fn is None else float(self.clock_fn())
-        self.events.append(
+    @property
+    def events(self) -> List[TraceEvent]:
+        """Every recorded decision, in recording order."""
+        stamped = self.recorder.clock_bound
+        return [
             TraceEvent(
-                kind=kind, owner=owner, oid=oid, label=label, page_id=page_id,
-                at=at,
+                kind=span.name,
+                owner=span.attrs["owner"],
+                oid=Oid(*span.attrs["oid"]),
+                label=span.attrs["label"],
+                page_id=span.attrs["page"],
+                at=span.start if stamped else -1.0,
             )
-        )
-
-    def clear(self) -> None:
-        """Drop all recorded events (each ``open`` starts clean)."""
-        self.events = []
+            for span in self.recorder.of_kind(DECISION)
+        ]
 
     # -- queries ---------------------------------------------------------------
 
@@ -150,10 +154,11 @@ class AssemblyTracer:
 
     def summarize(self, max_events: Optional[int] = None) -> str:
         """Multi-line rendering in Figure 5 style."""
-        shown = self.events if max_events is None else self.events[:max_events]
+        events = self.events
+        shown = events if max_events is None else events[:max_events]
         lines = [str(event) for event in shown]
-        if max_events is not None and len(self.events) > max_events:
-            lines.append(f"... {len(self.events) - max_events} more events")
+        if max_events is not None and len(events) > max_events:
+            lines.append(f"... {len(events) - max_events} more events")
         return "\n".join(lines)
 
     def __iter__(self) -> Iterator[TraceEvent]:

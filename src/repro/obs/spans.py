@@ -29,9 +29,8 @@ too, so entire subtrees disappear at zero cost beyond the counter.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import ReproError
 
@@ -218,26 +217,6 @@ class SpanRecorder:
         span.attrs.update(attrs)
         span.end = self.now()
 
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        parent: Optional[Span] = None,
-        kind: str = "",
-        device: int = -1,
-        sample: bool = False,
-        **attrs: object,
-    ) -> Iterator[Span]:
-        """Context-managed :meth:`begin`/:meth:`end` pair."""
-        opened = self.begin(
-            name, parent=parent, kind=kind, device=device, sample=sample,
-            **attrs,
-        )
-        try:
-            yield opened
-        finally:
-            self.end(opened)
-
     def add(
         self,
         name: str,
@@ -279,9 +258,9 @@ class SpanRecorder:
         **attrs: object,
     ) -> Span:
         """Record an instant (zero-duration) event span."""
-        stamp = None if parent is NULL_SPAN else self.now()
         if parent is NULL_SPAN:
             return NULL_SPAN
+        stamp = self.now()
         return self.add(
             name, stamp, stamp, parent=parent, kind=kind, device=device,
             **attrs,
@@ -292,45 +271,13 @@ class SpanRecorder:
     def __len__(self) -> int:
         return len(self.spans)
 
-    def finished(self) -> List[Span]:
-        """Closed spans, in start order."""
-        return [span for span in self.spans if span.finished]
-
     def open_spans(self) -> List[Span]:
         """Spans begun but never ended (should be empty at quiescence)."""
         return [span for span in self.spans if not span.finished]
 
-    def roots(self) -> List[Span]:
-        """Spans with no parent."""
-        return [span for span in self.spans if span.parent_id is None]
-
-    def children_of(self, span: Span) -> List[Span]:
-        """Direct children of one span, in start order."""
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
     def of_kind(self, kind: str) -> List[Span]:
         """All spans of one kind, in start order."""
         return [span for span in self.spans if span.kind == kind]
-
-    def of_name(self, name: str) -> List[Span]:
-        """All spans with one name, in start order."""
-        return [span for span in self.spans if span.name == name]
-
-    def phase_totals(self) -> Dict[str, float]:
-        """Summed duration per span name (finished spans only)."""
-        totals: Dict[str, float] = {}
-        for span in self.spans:
-            if span.finished:
-                totals[span.name] = totals.get(span.name, 0.0) + span.duration
-        return totals
-
-    def clear(self) -> None:
-        """Drop every recorded span (counters reset too)."""
-        self.spans = []
-        self._next_id = 0
-        self._ticks = 0
-        self.sample_candidates = 0
-        self.sampled_out = 0
 
     def __repr__(self) -> str:
         return (

@@ -22,6 +22,7 @@ from repro.core import trace
 from repro.core.assembly import Assembly
 from repro.core.template import Template, TemplateNode
 from repro.iterator import ListSource
+from repro.obs.spans import SpanRecorder
 from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
 from repro.workloads.acob import RIGHT_SLOT, make_template, payload_predicate
@@ -47,6 +48,9 @@ SELECTIVE = (None, False)
 def build(scheduler, selective, batch_pages=1, spans=None, config=CONFIG):
     """A fresh store and an operator over it: ``(operator, store, tracer)``.
 
+    ``tracer`` is the decision view of ``spans``, or ``None`` when the
+    operator runs without a recorder.
+
     The right subtree (``n2``) of every other complex object arrives
     pre-assembled — its root only, re-keyed to the full template, so
     linking it exposes the two leaves below (one of them the shared
@@ -70,7 +74,6 @@ def build(scheduler, selective, batch_pages=1, spans=None, config=CONFIG):
     for row in lower.rows():
         row.root.node = template.node("n2")
         preassembled[row.root_oid] = row.root
-    tracer = trace.AssemblyTracer()
     operator = Assembly(
         ListSource(layout.root_order),
         store,
@@ -79,10 +82,10 @@ def build(scheduler, selective, batch_pages=1, spans=None, config=CONFIG):
         scheduler=scheduler,
         selective=selective,
         preassembled=preassembled,
-        tracer=tracer,
         batch_pages=batch_pages,
         spans=spans,
     )
+    tracer = None if spans is None else trace.AssemblyTracer(spans)
     return operator, store, tracer
 
 
@@ -142,20 +145,30 @@ def drive_external(operator, store, batch_pages=None, resolve_share=1.0):
 
 
 def observed(rows, operator, store, tracer):
-    """Everything one drive leaves behind, in comparable form."""
+    """Everything one drive leaves behind, in comparable form (the
+    decision list only when ``tracer`` is given)."""
     assert store.buffer.pinned_pages == 0
-    return {
+    result = {
         "rows": [(row.root_oid, fingerprint_object(row.root)) for row in rows],
         "stats": asdict(operator.stats),
         "disk": store.disk.stats,
-        "events": tracer.events,
     }
+    if tracer is not None:
+        result["events"] = tracer.events
+    return result
+
+
+def drive_untraced(scheduler, selective, batch_pages=None):
+    """The external drive without a recorder, observed."""
+    operator, store, _ = build(scheduler, selective)
+    rows, _, _ = drive_external(operator, store, batch_pages=batch_pages)
+    return observed(rows, operator, store, None)
 
 
 @pytest.mark.parametrize("selective", SELECTIVE)
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 def test_reference_at_a_time_drives_are_identical(scheduler, selective):
-    operator, store, tracer = build(scheduler, selective)
+    operator, store, tracer = build(scheduler, selective, spans=SpanRecorder())
     reference = observed(drive_next(operator, store), operator, store, tracer)
     # The scenario has everything the step branches on.
     kinds = tracer.counts()
@@ -164,24 +177,29 @@ def test_reference_at_a_time_drives_are_identical(scheduler, selective):
     if selective is None:
         assert kinds[trace.DEFERRED] and kinds[trace.ACTIVATED]
 
-    operator, store, tracer = build(scheduler, selective)
+    operator, store, tracer = build(scheduler, selective, spans=SpanRecorder())
     rows, _, handed_back = drive_external(operator, store)
     assert observed(rows, operator, store, tracer) == reference
     # An abort retracts the owner's pool entries, so nothing stale is popped.
     assert handed_back == operator.stats.refs_resolved
+    # Without a recorder: the same rows, counters and disk accounting.
+    del reference["events"]
+    assert drive_untraced(scheduler, selective) == reference
 
 
 @pytest.mark.parametrize("selective", SELECTIVE)
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 def test_batch_drives_are_identical(scheduler, selective):
-    operator, store, tracer = build(scheduler, selective, batch_pages=4)
+    operator, store, tracer = build(
+        scheduler, selective, batch_pages=4, spans=SpanRecorder()
+    )
     reference = observed(drive_next(operator, store), operator, store, tracer)
     prefetches = (
         reference["stats"].pop("prefetch_batches"),
         reference["stats"].pop("prefetch_pages"),
     )
 
-    operator, store, tracer = build(scheduler, selective)
+    operator, store, tracer = build(scheduler, selective, spans=SpanRecorder())
     rows, driver_prefetches, handed_back = drive_external(
         operator, store, batch_pages=4
     )
@@ -195,6 +213,12 @@ def test_batch_drives_are_identical(scheduler, selective):
         # Eager queuing puts same-page siblings in the batch that
         # aborts their owner: the step skipped them, at their turn.
         assert handed_back > operator.stats.refs_resolved
+    # Without a recorder: the same rows, counters and disk accounting.
+    untraced = drive_untraced(scheduler, selective, batch_pages=4)
+    for key in ("prefetch_batches", "prefetch_pages"):
+        del untraced["stats"][key]
+    del external["events"]
+    assert untraced == external
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
@@ -236,9 +260,10 @@ def test_partial_input_admission_is_traced():
         partial.root.node = full.root
         partial.root.children[1].node = full.node("C")
 
-    tracer = trace.AssemblyTracer()
+    tracer = trace.AssemblyTracer(SpanRecorder())
     completed = Assembly(
-        ListSource(partials), store, full, window_size=2, tracer=tracer
+        ListSource(partials), store, full, window_size=2,
+        spans=tracer.recorder,
     ).execute()
     assert len(completed) == 4
     counts = tracer.counts()

@@ -33,7 +33,7 @@ starvation override's nearest-to-head pick.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.schedulers import SweepPool, UnresolvedReference
@@ -563,6 +563,12 @@ def run_tombstone_program(pool, ops):
 
 
 @given(tombstone_programs())
+@example(
+    # A retracted reference re-added after a newer sibling of its owner:
+    # the retraction still returns the two in admission order.
+    [("add", 0, 2, 0), ("remove_ref", 0), ("add", 0, 2, 0), ("readd", 0),
+     ("burst", [2])]
+)
 @settings(max_examples=80, deadline=None)
 def test_tombstone_heavy_programs_match_naive_reference(ops):
     """Pops and batches that cross tombstones in both directions, and

@@ -1,13 +1,11 @@
 """Tests for assembly tracing."""
 
-import pytest
-
 from repro.core import trace
 from repro.core.assembly import Assembly
 from repro.core.trace import AssemblyTracer, TraceEvent
-from repro.errors import AssemblyError
 from repro.storage.oid import Oid
 from repro.iterator import ListSource
+from repro.obs.spans import SpanRecorder
 from repro.workloads.acob import generate_acob, make_template, payload_predicate
 
 from tests.core.test_assembly import (
@@ -21,21 +19,47 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
 
 
-class TestTracerBasics:
-    def test_record_and_query(self):
-        tracer = AssemblyTracer()
-        tracer.record(trace.FETCHED, 0, Oid(1, 1), label="A", page_id=3)
-        tracer.record(trace.EMITTED, 0, Oid(1, 1))
-        assert len(tracer) == 2
-        assert tracer.fetch_order() == [Oid(1, 1)]
-        assert [e.kind for e in tracer.per_owner(0)] == [
-            trace.FETCHED, trace.EMITTED,
-        ]
-        assert tracer.counts() == {trace.FETCHED: 1, trace.EMITTED: 1}
+def traced(scheduler="depth-first", window=2, n_objects=3):
+    """The Figure 4 database assembled with a recorder; ``(builder,
+    emitted, operator, tracer)``."""
+    store = ObjectStore(SimulatedDisk())
+    builder = figure4_database(n_objects)
+    layout = lay_out_figure4(builder, store)
+    tracer = AssemblyTracer(SpanRecorder())
+    op = Assembly(
+        ListSource(layout.root_order),
+        store,
+        figure4_template(),
+        window_size=window,
+        scheduler=scheduler,
+        spans=tracer.recorder,
+    )
+    emitted = op.execute()
+    return builder, emitted, op, tracer
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(AssemblyError):
-            AssemblyTracer().record("teleported", 0, Oid(1, 1))
+
+class TestTracerBasics:
+    """The view over a recorder that an ``Assembly`` filled."""
+
+    def test_record_and_query(self):
+        _builder, emitted, op, tracer = traced(n_objects=1)
+        decisions = tracer.recorder.of_kind(trace.DECISION)
+        assert len(tracer) == len(decisions) > 0
+        assert [e.kind for e in tracer] == [span.name for span in decisions]
+        first = decisions[0]
+        assert first.start == first.end
+        root = emitted[0].root_oid
+        assert first.attrs == {
+            "owner": 0, "oid": list(root), "label": "A",
+            "page": op.store.directory.page_of(root),
+        }
+        assert len(tracer.fetch_order()) == op.stats.fetches
+        kinds = [e.kind for e in tracer.per_owner(0)]
+        assert (kinds[0], kinds[-1]) == (trace.ADMITTED, trace.EMITTED)
+        assert tracer.counts() == {
+            trace.ADMITTED: 1, trace.FETCHED: op.stats.fetches,
+            trace.EMITTED: 1,
+        }
 
     def test_event_str(self):
         event = TraceEvent(trace.FETCHED, 2, Oid(1, 5), label="B", page_id=9)
@@ -43,34 +67,15 @@ class TestTracerBasics:
         assert "#2" in text and "fetched" in text and "@page 9" in text
 
     def test_summarize_truncates(self):
-        tracer = AssemblyTracer()
-        for serial in range(5):
-            tracer.record(trace.EMITTED, serial, Oid(1, serial + 1))
+        _builder, _emitted, _op, tracer = traced()
         text = tracer.summarize(max_events=2)
-        assert "3 more events" in text
-
-    def test_clear(self):
-        tracer = AssemblyTracer()
-        tracer.record(trace.EMITTED, 0, Oid(1, 1))
-        tracer.clear()
-        assert len(tracer) == 0
+        assert f"{len(tracer) - 2} more events" in text
+        assert len(text.splitlines()) == 3
 
 
 class TestTracedAssembly:
     def run_traced(self, scheduler="depth-first", window=2):
-        store = ObjectStore(SimulatedDisk())
-        builder = figure4_database(3)
-        layout = lay_out_figure4(builder, store)
-        tracer = AssemblyTracer()
-        op = Assembly(
-            ListSource(layout.root_order),
-            store,
-            figure4_template(),
-            window_size=window,
-            scheduler=scheduler,
-            tracer=tracer,
-        )
-        emitted = op.execute()
+        builder, emitted, _op, tracer = traced(scheduler, window)
         return builder, emitted, tracer
 
     def test_fetch_order_matches_figure5(self):
@@ -105,18 +110,20 @@ class TestTracedAssembly:
         assert {c.root_oid for c in traced_out} == {c.root_oid for c in plain}
 
     def test_reopen_clears_trace(self):
+        """A recorder accumulates across re-opens: the second execution
+        appends the same decisions again."""
         store = ObjectStore(SimulatedDisk())
         builder = figure4_database(2)
         layout = lay_out_figure4(builder, store)
-        tracer = AssemblyTracer()
+        tracer = AssemblyTracer(SpanRecorder())
         op = Assembly(
             ListSource(layout.root_order), store, figure4_template(),
-            window_size=1, tracer=tracer,
+            window_size=1, spans=tracer.recorder,
         )
         op.execute()
-        first_len = len(tracer)
+        first = tracer.events
         op.execute()
-        assert len(tracer) == first_len  # cleared, then refilled
+        assert tracer.events == first + first
 
 
 class TestPredicateAndSharingEvents:
@@ -124,7 +131,7 @@ class TestPredicateAndSharingEvents:
         db = generate_acob(30, seed=3)
         store = ObjectStore(SimulatedDisk())
         layout = layout_database(db.complex_objects, store, Unclustered())
-        tracer = AssemblyTracer()
+        tracer = AssemblyTracer(SpanRecorder())
         op = Assembly(
             ListSource(layout.root_order),
             store,
@@ -132,7 +139,7 @@ class TestPredicateAndSharingEvents:
                 db, predicate_position=1, predicate=payload_predicate(0.5)
             ),
             window_size=4,
-            tracer=tracer,
+            spans=tracer.recorder,
         )
         emitted = op.execute()
         counts = tracer.counts()
@@ -157,13 +164,13 @@ class TestPredicateAndSharingEvents:
         layout = layout_database(
             db.complex_objects, store, Unclustered(), shared=db.shared_pool
         )
-        tracer = AssemblyTracer()
+        tracer = AssemblyTracer(SpanRecorder())
         op = Assembly(
             ListSource(layout.root_order),
             store,
             make_template(db, sharing=0.25),
             window_size=5,
-            tracer=tracer,
+            spans=tracer.recorder,
         )
         op.execute()
         assert len(tracer.of_kind(trace.LINKED_SHARED)) == op.stats.shared_links

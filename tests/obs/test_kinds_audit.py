@@ -1,11 +1,15 @@
 """Static audit: the trace-kind registry and its call sites agree.
 
-``AssemblyTracer.record`` rejects unknown kinds at runtime, but only
-on paths a test happens to execute.  This audit walks every source
-file's AST instead: every ``trace.<CONST>`` the code mentions must be
-registered in ``KINDS``, and every registered kind must actually be
-emitted by some ``record(...)`` call — no typo'd constants, no dead
-registry entries.
+The engine records a decision by passing a kind constant as the first
+argument of a recording call — ``Assembly._decide`` or, for the
+emitted/aborted outcome that closes a window slot,
+``Assembly._end_slot_span`` — and nothing checks the kind at runtime.
+This audit walks every source file's AST instead: every
+``trace.<CONST>`` the code mentions must be registered in ``KINDS``
+(``trace.DECISION``, the span kind the decisions are recorded under,
+is not a trace kind), and every registered kind must actually be
+passed to a recording call — no typo'd constants, no dead registry
+entries.
 """
 
 from __future__ import annotations
@@ -16,6 +20,9 @@ from pathlib import Path
 from repro.core import trace
 
 SRC = Path(__file__).parent.parent.parent / "src" / "repro"
+
+#: The calls that record a decision, its kind first.
+RECORDING_CALLS = ("_decide", "_end_slot_span")
 
 
 def iter_source_trees():
@@ -34,6 +41,7 @@ def trace_constants_used():
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "trace"
                 and node.attr.isupper()
+                and node.attr != "DECISION"
             ):
                 used.setdefault(node.attr, []).append(
                     f"{path.name}:{node.lineno}"
@@ -42,14 +50,14 @@ def trace_constants_used():
 
 
 def recorded_kinds():
-    """Kind constants passed as the first argument of a record() call."""
+    """Kind constants passed as the first argument of a recording call."""
     emitted = set()
     for _path, tree in iter_source_trees():
         for node in ast.walk(tree):
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "record"
+                and node.func.attr in RECORDING_CALLS
                 and node.args
             ):
                 continue
@@ -73,10 +81,12 @@ class TestKindsAudit:
         declared = {
             name
             for name, value in vars(trace).items()
-            if name.isupper() and isinstance(value, str) and name != "KINDS"
+            if name.isupper() and isinstance(value, str)
+            and name not in ("KINDS", "DECISION")
         }
         assert {getattr(trace, name) for name in declared} == set(trace.KINDS)
         assert len(trace.KINDS) == len(set(trace.KINDS))
+        assert trace.DECISION not in trace.KINDS
 
     def test_every_used_constant_is_registered(self):
         used = trace_constants_used()
@@ -92,5 +102,5 @@ class TestKindsAudit:
         dead = set(trace.KINDS) - emitted
         assert not dead, (
             f"kinds registered in core/trace.py but never passed to a "
-            f"record() call anywhere in src: {sorted(dead)}"
+            f"recording call anywhere in src: {sorted(dead)}"
         )

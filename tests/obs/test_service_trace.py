@@ -7,7 +7,9 @@ import pytest
 from repro.bench.harness import ExperimentConfig, build_layout
 from repro.cluster.layout import layout_database
 from repro.cluster.policies import InterObjectClustering
+from repro.core import trace
 from repro.core.assembly import Assembly
+from repro.core.trace import AssemblyTracer
 from repro.core.tuning import pin_bound
 from repro.obs.demo import demo_service_run
 from repro.obs.export import (
@@ -116,6 +118,13 @@ class TestServiceSpans:
         assert document["traceEvents"]
         jsonl = write_jsonl(recorder.spans, str(tmp_path / "t.jsonl"))
         assert read_jsonl(jsonl) == recorder.spans
+        # The engine's decisions ride in the same log, one instant span
+        # each, and read back as the same trace events.
+        decisions = [
+            span for span in read_jsonl(jsonl) if span.kind == trace.DECISION
+        ]
+        assert decisions == recorder.of_kind(trace.DECISION)
+        assert len(AssemblyTracer(recorder).of_kind(trace.EMITTED)) == 10
 
 
 class TestRetrySpans:

@@ -23,8 +23,7 @@ class TestSpanBasics:
         parent = recorder.begin("outer")
         child = recorder.begin("inner", parent=parent)
         assert child.parent_id == parent.span_id
-        assert recorder.children_of(parent) == [child]
-        assert recorder.roots() == [parent]
+        assert parent.parent_id is None
 
     def test_double_end_rejected(self):
         recorder = SpanRecorder()
@@ -32,14 +31,6 @@ class TestSpanBasics:
         recorder.end(span)
         with pytest.raises(ReproError):
             recorder.end(span)
-
-    def test_context_manager_closes_on_exception(self):
-        recorder = SpanRecorder()
-        with pytest.raises(RuntimeError):
-            with recorder.span("risky"):
-                raise RuntimeError("boom")
-        assert recorder.open_spans() == []
-        assert recorder.spans[0].finished
 
     def test_fallback_clock_is_a_step_counter(self):
         recorder = SpanRecorder()
@@ -68,18 +59,13 @@ class TestSpanBasics:
         span = recorder.event("retry", kind="retry")
         assert span.start == span.end == 42.0
 
-    def test_queries_and_clear(self):
+    def test_queries(self):
         recorder = SpanRecorder()
-        with recorder.span("a", kind="x"):
-            pass
+        recorder.end(recorder.begin("a", kind="x"))
         recorder.begin("b", kind="y")
         assert len(recorder) == 2
-        assert [s.name for s in recorder.finished()] == ["a"]
+        assert [s.name for s in recorder.open_spans()] == ["b"]
         assert [s.name for s in recorder.of_kind("y")] == ["b"]
-        assert [s.name for s in recorder.of_name("a")] == ["a"]
-        assert recorder.phase_totals() == {"a": 1.0}
-        recorder.clear()
-        assert len(recorder) == 0 and recorder.sample_candidates == 0
 
     def test_to_dict_from_dict_round_trip(self):
         span = Span(name="s", span_id=3, parent_id=1, start=1.0, end=2.0,

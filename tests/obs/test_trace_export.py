@@ -21,9 +21,9 @@ from repro.obs.spans import Span, SpanRecorder
 
 def sample_spans():
     recorder = SpanRecorder()
-    with recorder.span("request", kind="request") as request:
-        with recorder.span("fetch", parent=request, kind="fetch"):
-            pass
+    request = recorder.begin("request", kind="request")
+    recorder.end(recorder.begin("fetch", parent=request, kind="fetch"))
+    recorder.end(request)
     recorder.add("io", start=1.0, end=4.0, kind="device-io", device=2,
                  pages=3)
     recorder.begin("dangling")  # stays open
