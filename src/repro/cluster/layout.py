@@ -129,6 +129,13 @@ def layout_database(
     ``seed`` drives both the policy's internal randomness (slot
     shuffles) and the root-order permutation, so experiments are
     reproducible run to run.
+
+    The load allocates only what it keeps: the placement is grouped by
+    page as OIDs, and each page's records are rendered
+    (:meth:`~repro.objects.model.ObjectDef.to_record`) just before
+    :meth:`~repro.storage.store.ObjectStore.store_page` writes that
+    page, so at most one page of records is alive at a time.  Pages
+    are written in the order the placement first names them.
     """
     shared = shared or {}
     if validate:
@@ -141,16 +148,18 @@ def layout_database(
         lookup.update(cobj.objects)
     lookup.update(shared)
 
-    # Group placements by page so each page is built and written once.
-    by_page: Dict[int, List] = {}
-    page_order: List[int] = []
+    # Pages in first-use order, each with its OIDs in placement order.
+    by_page: Dict[int, List[Oid]] = {}
     for oid, page_id in placement.pages:
-        if page_id not in by_page:
-            by_page[page_id] = []
-            page_order.append(page_id)
-        by_page[page_id].append((oid, lookup[oid].to_record()))
-    for page_id in page_order:
-        store.store_page(page_id, by_page[page_id])
+        oids = by_page.get(page_id)
+        if oids is None:
+            by_page[page_id] = [oid]
+        else:
+            oids.append(oid)
+    for page_id, oids in by_page.items():
+        store.store_page(
+            page_id, [(oid, lookup[oid].to_record()) for oid in oids]
+        )
 
     roots = [cobj.root for cobj in database]
     root_order = list(roots)

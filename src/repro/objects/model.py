@@ -62,12 +62,22 @@ class ObjectType:
             self.int_fields
         ) + len(self.ref_fields):
             raise ModelError(f"type {self.name!r} has duplicate field names")
+        # Field name -> slot, built once: every ObjectDef of the type
+        # probes these per field.  They are not dataclass fields, so
+        # equality, hashing and repr are unchanged; object.__setattr__
+        # sidesteps the frozen-instance guard.
+        object.__setattr__(
+            self, "_int_slots", {name: i for i, name in enumerate(self.int_fields)}
+        )
+        object.__setattr__(
+            self, "_ref_slots", {name: i for i, name in enumerate(self.ref_fields)}
+        )
 
     def int_slot(self, field_name: str) -> int:
         """Slot index of a named integer field."""
         try:
-            return self.int_fields.index(field_name)
-        except ValueError:
+            return self._int_slots[field_name]
+        except KeyError:
             raise ModelError(
                 f"type {self.name!r} has no int field {field_name!r}"
             ) from None
@@ -75,8 +85,8 @@ class ObjectType:
     def ref_slot(self, field_name: str) -> int:
         """Slot index of a named reference field."""
         try:
-            return self.ref_fields.index(field_name)
-        except ValueError:
+            return self._ref_slots[field_name]
+        except KeyError:
             raise ModelError(
                 f"type {self.name!r} has no ref field {field_name!r}"
             ) from None
@@ -158,13 +168,21 @@ class ObjectDef:
 
     def to_record(self) -> ObjectRecord:
         """Render the definition into a storage record (padded slots)."""
-        fmt = self.otype.fmt
-        ints = [0] * fmt.n_ints
-        for name, value in self.ints.items():
-            ints[self.otype.int_slot(name)] = value
-        refs = [NULL_OID] * fmt.n_refs
-        for name, target in self.refs.items():
-            refs[self.otype.ref_slot(name)] = target
+        otype = self.otype
+        fmt = otype.fmt
+        try:
+            ints = [0] * fmt.n_ints
+            int_slots = otype._int_slots
+            for name, value in self.ints.items():
+                ints[int_slots[name]] = value
+            refs = [NULL_OID] * fmt.n_refs
+            ref_slots = otype._ref_slots
+            for name, target in self.refs.items():
+                refs[ref_slots[name]] = target
+        except KeyError as exc:  # a field name added after construction
+            raise ModelError(
+                f"type {otype.name!r} has no field {exc.args[0]!r}"
+            ) from None
         # ints/refs have the right lengths by construction, so skip the
         # ObjectRecord length validation (layout builds call this once
         # per stored object).

@@ -33,8 +33,10 @@ class DiskStats:
     """Head-movement accounting, the paper's metric.
 
     ``avg_seek_per_read`` is the figure plotted throughout Section 6.
-    Writes are tracked separately so database loading never pollutes
-    the read statistics (and callers reset stats after loading anyway).
+    Writes are tracked separately, and loading takes its page images
+    without a read (:meth:`SimulatedDisk.page_image`), so database
+    loading never pollutes the read statistics: it counts writes only
+    (and callers reset stats after loading anyway).
 
     ``reads`` counts *physical* read operations: a multi-page
     :meth:`SimulatedDisk.read_run` is one seek and one read, however
@@ -252,6 +254,15 @@ class SimulatedDisk:
         self._next_free = next_free
 
     # -- I/O ------------------------------------------------------------------
+
+    def page_image(self, page_id: int) -> Page:
+        """The stored image of ``page_id`` as a :class:`Page` (a fresh
+        empty page if never written), without a read: no head moves,
+        nothing is counted and no tap is told.  The load phase builds
+        pages from it; everything measured goes through :meth:`read`.
+        """
+        self._check(page_id)
+        return self._page_image(page_id)
 
     def _page_image(self, page_id: int) -> Page:
         image = self._pages.get(page_id)

@@ -21,10 +21,11 @@ from repro.errors import (
     PageFullError,
     RecordError,
     StorageError,
+    UnknownOidError,
 )
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import Extent, SimulatedDisk
-from repro.storage.oid import OID_SIZE, Oid, OidDirectory, Rid
+from repro.storage.oid import NULL_OID, OID_SIZE, Oid, OidDirectory, Rid
 from repro.storage.page import records_per_page
 from repro.storage.record import PAPER_FORMAT, ObjectRecord, RecordFormat
 
@@ -120,31 +121,48 @@ class ObjectStore:
     ) -> List[Rid]:
         """Place a whole page's objects in one write (bulk load path).
 
-        Used by clustering layouts during the load phase: the page is
-        built in memory and written once, bypassing the buffer, which is
-        what makes laying out multi-thousand-object databases cheap; the
-        OID directory learns each physical address.  Raises
-        :class:`PageFullError` when the page cannot hold another object.
+        Used by clustering layouts during the load phase.  The page is
+        taken from the disk without a read (loading charges no read),
+        each record goes on it with :meth:`Page.insert`, slots
+        continuing after any records already there, and it is written
+        once, bypassing the buffer; the OID directory then learns each
+        physical address.
+
+        All or nothing: an OID stored already or twice in ``items``
+        (:class:`DuplicateOidError`), the null OID
+        (:class:`UnknownOidError`), a record in another format
+        (:class:`RecordError`) or a batch the page cannot hold
+        (:class:`PageFullError`) raises before anything is written or
+        registered.
         """
-        page = self._disk.read(page_id)
-        rids: List[Rid] = []
+        directory = self.directory
+        fmt = self.fmt
+        seen = {NULL_OID}  # the batch so far, and the OID none may take
         entries: List[StoredRecord] = []
         for oid, record in items:
-            if oid in self.directory:
+            if oid in seen:
+                if oid == NULL_OID:
+                    raise UnknownOidError("cannot register the null OID")
+                raise DuplicateOidError(f"{oid} appears twice in the batch")
+            if oid in directory:
                 raise DuplicateOidError(f"{oid} already stored")
-            if record.fmt is not self.fmt and record.fmt != self.fmt:
+            if record.fmt is not fmt and record.fmt != fmt:
                 raise RecordError("record format does not match store format")
+            seen.add(oid)
             stored = oid.encode() + record.encode()
-            slot = page.insert(stored)
-            rids.append(Rid(page_id, slot))
             entries.append(
                 StoredRecord(tuple(record.ints), tuple(record.refs), oid, stored)
             )
+        # The image is the page's own copy: a PageFullError part way
+        # through leaves the disk as it was.
+        page = self._disk.page_image(page_id)
+        rids = [Rid(page_id, page.insert(entry.stored)) for entry in entries]
         self._disk.write(page)
-        for (oid, _record), rid, entry in zip(items, rids, entries):
-            self.directory.register(oid, rid)
-            self._decoded[rid] = entry
-            self._notify_write(oid)
+        decoded = self._decoded
+        for rid, entry in zip(rids, entries):
+            directory.register(entry.oid, rid)
+            decoded[rid] = entry
+            self._notify_write(entry.oid)
         return rids
 
     # -- snapshot / restore ----------------------------------------------------

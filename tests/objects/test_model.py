@@ -1,5 +1,8 @@
 """Tests for the application-level object model."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.objects.model import (
@@ -42,6 +45,18 @@ class TestObjectType:
         reg = TypeRegistry()
         with pytest.raises(ModelError):
             reg.define("Bad", int_fields=("x",), ref_fields=("x",))
+
+    def test_slot_maps_leave_value_semantics_alone(self, registry):
+        """The name -> slot dicts are no dataclass fields: equality,
+        hashing, repr, copies and pickles are what the fields say."""
+        person = registry.by_name("Person")
+        twin = copy.deepcopy(person)
+        assert twin == person and hash(twin) == hash(person)
+        assert repr(twin) == repr(person)
+        assert "_int_slots" not in repr(person)
+        restored = pickle.loads(pickle.dumps(person))
+        assert restored == person
+        assert [restored.ref_slot(n) for n in ("father", "home")] == [0, 1]
 
 
 class TestTypeRegistry:
@@ -90,6 +105,15 @@ class TestObjectDef:
         oid = registry.new_oid("Person")
         with pytest.raises(ModelError):
             ObjectDef(oid=oid, otype=person, ints={"height": 1})
+        with pytest.raises(ModelError):
+            ObjectDef(oid=oid, otype=person, refs={"age": Oid(1, 1)})
+
+    def test_field_added_after_construction_fails_to_render(self, registry):
+        person = registry.by_name("Person")
+        obj = ObjectDef(oid=registry.new_oid("Person"), otype=person)
+        obj.refs["mother"] = Oid(1, 7)
+        with pytest.raises(ModelError, match="mother"):
+            obj.to_record()
 
     def test_referenced_oids_in_field_order(self, registry):
         person = registry.by_name("Person")

@@ -2,10 +2,17 @@
 
 import pytest
 
-from repro.errors import DuplicateOidError, PageFullError, StorageError
-from repro.storage.oid import Oid, Rid
-from repro.storage.record import ObjectRecord
-from repro.storage.store import PagePlanner
+from repro.errors import (
+    DuplicateOidError,
+    PageFullError,
+    RecordError,
+    StorageError,
+    UnknownOidError,
+)
+from repro.storage.costmodel import CostedDisk
+from repro.storage.oid import NULL_OID, Oid, Rid
+from repro.storage.record import ObjectRecord, RecordFormat
+from repro.storage.store import ObjectStore, PagePlanner
 
 
 def record(marker: int) -> ObjectRecord:
@@ -63,6 +70,82 @@ class TestStoreFetch:
         store.fetch(Oid(1, 1))
         assert store.disk.stats.reads == 1  # second fetch is a buffer hit
         assert store.buffer.stats.hits >= 1
+
+
+def store_state(store):
+    """The disk image, directory and decoded cache of ``store``."""
+    return (
+        store.disk.dump_state(),
+        store.directory.dump(),
+        store.dump_decoded(),
+    )
+
+
+class TestStorePageIsAllOrNothing:
+    """A failing ``store_page`` writes, registers and counts nothing."""
+
+    @pytest.mark.parametrize(
+        "items, error, match",
+        [
+            # the same OID twice in one batch
+            (
+                [(Oid(2, 1), record(1)), (Oid(2, 2), record(2)),
+                 (Oid(2, 1), record(3))],
+                DuplicateOidError,
+                "twice in the batch",
+            ),
+            # an OID the directory already holds
+            (
+                [(Oid(2, 1), record(1)), (Oid(1, 1), record(2))],
+                DuplicateOidError,
+                "already stored",
+            ),
+            # a record in another format
+            (
+                [(Oid(2, 1), record(1)),
+                 (Oid(2, 2), ObjectRecord([0], [], RecordFormat(1, 0)))],
+                RecordError,
+                "format",
+            ),
+            # nine objects on a page that holds one already
+            ([(Oid(2, s), record(s)) for s in range(1, 10)], PageFullError, "bytes"),
+            ([(NULL_OID, record(1))], UnknownOidError, "null OID"),
+        ],
+        ids=["in-batch-duplicate", "registered", "format", "overflow", "null"],
+    )
+    def test_failed_batch_leaves_no_trace(self, store, items, error, match):
+        extent = store.disk.allocate(1)
+        store.store_page(extent.start, [(Oid(1, 1), record(0))])
+        written = []
+        store.add_write_hook(written.append)
+        before = store_state(store)
+        writes = store.disk.stats.writes
+        with pytest.raises(error, match=match):
+            store.store_page(extent.start, items)
+        assert store_state(store) == before
+        assert store.disk.stats.writes == writes
+        assert written == []
+
+
+class TestLoadingChargesNoRead:
+    def test_store_page_reads_nothing(self):
+        disk = CostedDisk()
+        disk.allocate(100)
+        page_id = disk.allocate(1).start
+        store = ObjectStore(disk)
+        assert store.store_page(page_id, [(Oid(1, 1), record(1))]) == [
+            Rid(page_id, 0)
+        ]
+        assert disk.stats.reads == 0
+        assert disk.stats.read_seeks == []
+        assert disk.service_time_total == 0.0
+        assert disk.stats.writes == 1
+        assert disk.head_position == page_id
+        # A second batch on the page continues its slot numbers.
+        assert store.store_page(
+            page_id, [(Oid(1, 2), record(2)), (Oid(1, 3), record(3))]
+        ) == [Rid(page_id, 1), Rid(page_id, 2)]
+        assert [store.fetch(Oid(1, s)).ints[0] for s in (1, 2, 3)] == [1, 2, 3]
 
 
 class TestPinnedFetch:
@@ -134,10 +217,13 @@ class TestPagePlanner:
             planner.claim(extent.start)
 
     def test_claim_outside_extent(self, store):
+        store.disk.allocate(2)
         extent = store.disk.allocate(1)
         planner = PagePlanner(store, extent)
-        with pytest.raises(StorageError):
-            planner.claim(extent.start + 5)
+        for page_id in (extent.start - 1, extent.end, extent.start + 5):
+            with pytest.raises(StorageError):
+                planner.claim(page_id)
+        assert planner.claim(extent.start) == 1
 
     def test_next_sequential_skips_full_pages(self, store):
         extent = store.disk.allocate(2)
