@@ -16,7 +16,6 @@ is what elevator scheduling orders fetches by.
 from __future__ import annotations
 
 import struct
-from functools import lru_cache
 from typing import Dict, Iterator, NamedTuple
 
 from repro.errors import DuplicateOidError, RecordError, UnknownOidError
@@ -27,9 +26,8 @@ OID_SIZE = 10
 _OID_STRUCT = struct.Struct(">HQ")
 
 
-@lru_cache(maxsize=1 << 16)
 def _encode_oid(type_id: int, serial: int) -> bytes:
-    """Cached ``struct`` pack of one OID (OIDs repeat across records)."""
+    """``struct`` pack of one OID; :class:`RecordError` if out of range."""
     try:
         return _OID_STRUCT.pack(type_id, serial)
     except struct.error as exc:

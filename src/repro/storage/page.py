@@ -153,25 +153,6 @@ class Page:
         # ``bytes()`` of ``bytes`` returns it as it is.
         return bytes(self._buf[offset : offset + length])
 
-    def holds(self, slot: int, record: bytes) -> bool:
-        """Does live ``slot`` hold exactly ``record``?
-
-        True exactly when :meth:`read` would return bytes equal to
-        ``record``; false (not an error) for an out-of-range or deleted
-        slot.  Compares in place, copying nothing.
-        """
-        if not 0 <= slot < self._slot_count:
-            return False
-        buf = self._buf
-        offset, length = _SLOT.unpack_from(
-            buf, PAGE_SIZE - (slot + 1) * SLOT_SIZE
-        )
-        return (
-            length != 0
-            and length == len(record)
-            and buf.startswith(record, offset)
-        )
-
     def delete(self, slot: int) -> None:
         """Tombstone ``slot``.  The space is not compacted."""
         offset, length = self._read_slot(slot)
@@ -212,8 +193,16 @@ class Page:
         return sum(1 for _ in self.records())
 
     def to_bytes(self) -> bytes:
-        """Serialize the full page image (an unwritten page's own image)."""
-        return bytes(self._buf)
+        """The page's current image as ``bytes``, frozen in place.
+
+        A written page's buffer becomes that image (the next write
+        copies it again), so an image never changes once returned, and
+        a page whose buffer *is* it holds what it held then.
+        """
+        buf = self._buf
+        if type(buf) is not bytes:
+            buf = self._buf = bytes(buf)
+        return buf
 
     @classmethod
     def from_bytes(cls, page_id: int, data: bytes) -> "Page":

@@ -34,17 +34,18 @@ class StoredRecord(NamedTuple):
     """One stored object as the store decoded it, immutable.
 
     ``ints`` and ``refs`` are the decoded field values, ``oid`` the
-    owner OID the stored bytes carry and ``stored`` those bytes (OID
-    prefix + payload).  The decoded-record cache holds one per object,
-    and :meth:`ObjectStore.fetch_pinned` hands out that very entry: a
-    fetch copies nothing, and whoever keeps the fields (an assembled
-    object) shares the cache's tuples.
+    owner OID the stored bytes carry and ``image`` the page image they
+    were decoded from (the object the disk holds, not a copy).  The
+    decoded-record cache holds one per object, and
+    :meth:`ObjectStore.fetch_pinned` hands out that very entry: a fetch
+    copies nothing, and whoever keeps the fields (an assembled object)
+    shares the cache's tuples.
     """
 
     ints: Tuple[int, ...]
     refs: Tuple[Oid, ...]
     oid: Oid
-    stored: bytes
+    image: bytes
 
     def to_record(self, fmt: RecordFormat) -> ObjectRecord:
         """A fresh, mutable :class:`ObjectRecord` with copies of the fields."""
@@ -74,11 +75,11 @@ class ObjectStore:
         self._stored_size = OID_SIZE + fmt.payload_size
         self._write_hooks: List[Callable[[Oid], None]] = []
         # Write-through cache of decoded objects, keyed by RID.  A fetch
-        # only uses an entry when the page still holds exactly the
-        # entry's bytes (``Page.holds``), so out-of-band page mutation
-        # (fault injection, corruption tests) safely falls back to the
-        # codec, and the owner OID keeps the directory cross-check
-        # intact.  Entries are immutable and handed out as they are.
+        # trusts an entry only while the page's image *is* the entry's
+        # (an image never changes, ``Page.to_bytes``); any write since,
+        # out-of-band ones included, means a decode of the slot.  The
+        # owner OID keeps the directory cross-check intact.  Entries
+        # are immutable and handed out as they are.
         self._decoded: Dict[Rid, StoredRecord] = {}
 
     # -- write hooks ------------------------------------------------------------
@@ -138,7 +139,7 @@ class ObjectStore:
         directory = self.directory
         fmt = self.fmt
         seen = {NULL_OID}  # the batch so far, and the OID none may take
-        entries: List[StoredRecord] = []
+        pending: List[Tuple[Oid, ObjectRecord, bytes]] = []
         for oid, record in items:
             if oid in seen:
                 if oid == NULL_OID:
@@ -149,20 +150,18 @@ class ObjectStore:
             if record.fmt is not fmt and record.fmt != fmt:
                 raise RecordError("record format does not match store format")
             seen.add(oid)
-            stored = oid.encode() + record.encode()
-            entries.append(
-                StoredRecord(tuple(record.ints), tuple(record.refs), oid, stored)
-            )
+            pending.append((oid, record, oid.encode() + record.encode()))
         # The image is the page's own copy: a PageFullError part way
         # through leaves the disk as it was.
         page = self._disk.page_image(page_id)
-        rids = [Rid(page_id, page.insert(entry.stored)) for entry in entries]
+        rids = [Rid(page_id, page.insert(stored)) for _oid, _record, stored in pending]
         self._disk.write(page)
+        image = page.to_bytes()  # the object the disk now holds
         decoded = self._decoded
-        for rid, entry in zip(rids, entries):
-            directory.register(entry.oid, rid)
-            decoded[rid] = entry
-            self._notify_write(entry.oid)
+        for (oid, record, _stored), rid in zip(pending, rids):
+            directory.register(oid, rid)
+            decoded[rid] = StoredRecord(tuple(record.ints), tuple(record.refs), oid, image)
+            self._notify_write(oid)
         return rids
 
     # -- snapshot / restore ----------------------------------------------------
@@ -181,9 +180,9 @@ class ObjectStore:
 
     # -- fetching (measured phase) ----------------------------------------------------
 
-    def _decode_stored(self, stored: bytes) -> StoredRecord:
+    def _decode_stored(self, stored: bytes, image: bytes) -> StoredRecord:
         ints, refs = self.fmt.decode(stored[OID_SIZE:])
-        return StoredRecord(ints, refs, Oid.decode(stored[:OID_SIZE]), stored)
+        return StoredRecord(ints, refs, Oid.decode(stored[:OID_SIZE]), image)
 
     def fetch(self, oid: Oid) -> ObjectRecord:
         """Read one object through the buffer (fix, copy, unfix).
@@ -203,19 +202,24 @@ class ObjectStore:
         is how partially assembled objects are guaranteed resident.
         Callers must balance with :meth:`unpin`.
 
-        Returns the decoded-cache entry itself while the page still
-        holds the bytes it was decoded from — checked in place, no
-        copy — and a fresh decode of the page otherwise.  Either way
-        the record is immutable; :meth:`fetch` is the form that hands
-        out a copy.
+        Returns the decoded-cache entry itself while the page's image
+        is the entry's (an identity test); otherwise decodes the slot
+        and caches the result under the current image, keeping the old
+        tuples when the fields are unchanged.  Either way the record is
+        immutable; :meth:`fetch` is the form that hands out a copy.
         """
         rid = self.directory.lookup(oid)
         page = self.buffer.fix(rid.page_id)
         try:
             record = self._decoded.get(rid)
-            if record is None or not page.holds(rid.slot, record.stored):
+            image = page.to_bytes()
+            if record is None or record.image is not image:
                 # page.read raises BadSlotError for a dead slot.
-                record = self._decode_stored(page.read(rid.slot))
+                fresh = self._decode_stored(page.read(rid.slot), image)
+                if record is not None and fresh[:3] == record[:3]:
+                    # Same fields: keep the tuples assembled objects share.
+                    fresh = StoredRecord(record.ints, record.refs, record.oid, image)
+                record = self._decoded[rid] = fresh
             if record.oid != oid:
                 raise StorageError(
                     f"directory said {oid} at {rid}, page holds {record.oid}"
@@ -235,20 +239,25 @@ class ObjectStore:
     def overwrite(self, oid: Oid, record: ObjectRecord) -> None:
         """Replace the stored record of an existing object in place.
 
-        Goes through the buffer (the frame is marked dirty), keeps the
-        object's physical address, and fires the write hooks — the
-        update path that forces the assembly service's result cache to
-        drop complex objects containing ``oid``.
+        Goes through the buffer (the frame is marked dirty once the
+        update returned), keeps the object's physical address, and
+        fires the write hooks — the update path that forces the
+        assembly service's result cache to drop complex objects
+        containing ``oid``.
         """
         if record.fmt is not self.fmt and record.fmt != self.fmt:
             raise RecordError("record format does not match store format")
         rid = self.directory.lookup(oid)
-        stored = oid.encode() + record.encode()
-        with self.buffer.fixed(rid.page_id, dirty=True) as page:
-            page.update(rid.slot, stored)
-        self._decoded[rid] = StoredRecord(
-            tuple(record.ints), tuple(record.refs), oid, stored
-        )
+        buffer = self.buffer
+        page = buffer.fix(rid.page_id)
+        try:
+            page.update(rid.slot, oid.encode() + record.encode())
+        except BaseException:
+            buffer.unfix(rid.page_id)  # nothing written: the frame stays clean
+            raise
+        image = page.to_bytes()
+        buffer.unfix(rid.page_id, dirty=True)
+        self._decoded[rid] = StoredRecord(tuple(record.ints), tuple(record.refs), oid, image)
         self._notify_write(oid)
 
     # -- reorganization (measured phase) -----------------------------------------
@@ -265,19 +274,27 @@ class ObjectStore:
         (:class:`PageFullError`) aborts the move with the object still
         intact at its old address.
 
-        The decoded-record cache entry travels to the new RID (the
-        bytes are unchanged), and the write hooks fire once — which is
-        what evicts every cached assembled object containing ``oid``
-        from the service's result cache.
+        The decoded-record cache entry travels to the new RID (its next
+        fetch decodes the rewritten page and keeps its tuples), and the
+        write hooks fire once — which is what evicts every cached
+        assembled object containing ``oid`` from the service's result
+        cache.
         """
         source = self.directory.lookup(oid)
         if source.page_id == target_page_id:
             return source
-        with self.buffer.fixed(source.page_id) as page:
+        buffer = self.buffer
+        with buffer.fixed(source.page_id) as page:
             stored = page.read(source.slot)
-        with self.buffer.fixed(target_page_id, dirty=True) as page:
+        page = buffer.fix(target_page_id)
+        try:
             slot = page.insert(stored)
-        with self.buffer.fixed(source.page_id, dirty=True) as page:
+        except BaseException:
+            buffer.unfix(target_page_id)  # nothing written: the frame stays clean
+            raise
+        buffer.unfix(target_page_id, dirty=True)
+        # The slot was just read live, so this delete cannot raise.
+        with buffer.fixed(source.page_id, dirty=True) as page:
             page.delete(source.slot)
         target = Rid(target_page_id, slot)
         self.directory.relocate(oid, target)
@@ -294,8 +311,9 @@ class ObjectStore:
         for page_id in range(extent.start, extent.end):
             with self.buffer.fixed(page_id) as page:
                 stored_records = [rec for _slot, rec in page.records()]
+                image = page.to_bytes()
             for stored in stored_records:
-                record = self._decode_stored(stored)
+                record = self._decode_stored(stored, image)
                 yield record.oid, record.to_record(self.fmt)
 
     def __len__(self) -> int:

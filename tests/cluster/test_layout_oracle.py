@@ -39,22 +39,20 @@ def oracle_store_page(store: ObjectStore, page_id, items) -> List[Rid]:
     """The one-``Page.insert``-per-record loader, through a disk read."""
     page = store.disk.read(page_id)
     rids: List[Rid] = []
-    entries: List[StoredRecord] = []
     for oid, record in items:
         if oid in store.directory:
             raise DuplicateOidError(f"{oid} already stored")
         if record.fmt is not store.fmt and record.fmt != store.fmt:
             raise RecordError("record format does not match store format")
-        stored = oid.encode() + record.encode()
-        slot = page.insert(stored)
+        slot = page.insert(oid.encode() + record.encode())
         rids.append(Rid(page_id, slot))
-        entries.append(
-            StoredRecord(tuple(record.ints), tuple(record.refs), oid, stored)
-        )
     store.disk.write(page)
-    for (oid, _record), rid, entry in zip(items, rids, entries):
+    image = store.disk.dump_state()[0][page_id]
+    for (oid, record), rid in zip(items, rids):
         store.directory.register(oid, rid)
-        store._decoded[rid] = entry
+        store._decoded[rid] = StoredRecord(
+            tuple(record.ints), tuple(record.refs), oid, image
+        )
         store._notify_write(oid)
     return rids
 
@@ -134,8 +132,10 @@ def state(layout: LayoutResult):
 def test_layout_matches_page_at_a_time_loader(generator, policy, seed):
     db = GENERATORS[generator](seed)
     built = []
+    stores = []
     for layout_fn in (layout_database, oracle_layout):
         store = ObjectStore(CostedDisk())
+        stores.append(store)
         built.append(
             state(
                 layout_fn(
@@ -148,6 +148,11 @@ def test_layout_matches_page_at_a_time_loader(generator, policy, seed):
             )
         )
     assert built[0] == built[1]
+    # Each cache entry names the disk's own image of its page, not a copy.
+    for store in stores:
+        pages, _next_free = store.disk.dump_state()
+        for rid, entry in store.dump_decoded().items():
+            assert entry.image is pages[rid.page_id]
 
 
 def test_one_page_of_records_alive_at_each_write(monkeypatch):

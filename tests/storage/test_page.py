@@ -5,13 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BadSlotError, PageError, PageFullError
-from repro.storage.page import (
-    _SLOT,
-    PAGE_SIZE,
-    SLOT_SIZE,
-    Page,
-    records_per_page,
-)
+from repro.storage.page import PAGE_SIZE, Page, records_per_page
 
 
 class TestPageBasics:
@@ -173,7 +167,7 @@ def test_page_matches_model(records):
         assert restored.read(slot) == record
 
 
-# -- holds() and copy on write --------------------------------------------
+# -- page images and copy on write --------------------------------------------
 
 
 @st.composite
@@ -244,28 +238,50 @@ def read_or_none(page, slot):
         return None
 
 
-def holds_violations(page, model):
-    """Where ``page.holds`` disagrees with ``read``, and ``read`` with the model."""
-    candidates = {b"", b"\x00"}
-    for record in model.values():
-        if record:
-            candidates.update(
-                {
-                    record,
-                    record[:-1],
-                    record + b"\x00",
-                    bytes([record[0] ^ 1]) + record[1:],
-                }
-            )
+def slot_reads(page):
+    """What ``read`` returns for every slot (``None`` for a dead one)."""
+    return [read_or_none(page, slot) for slot in range(page.slot_count)]
+
+
+def read_violations(page, model):
+    """Slots where ``read`` disagrees with the model."""
     found = []
     for slot in range(-2, page.slot_count + 2):
         current = read_or_none(page, slot) if slot >= 0 else None
         if current != model.get(slot):
             found.append(("read", slot))
-        for record in candidates:
-            expected = current is not None and current == record
-            if page.holds(slot, record) != expected:
-                found.append(("holds", slot, record))
+    return found
+
+
+def image_violations(page_cls, program):
+    """Where an image ``to_bytes`` handed out stopped meaning what it did.
+
+    Records, before the program and after each operation, the image the
+    page returns, a copy of its bytes and what every slot read.  The
+    page must end as the model says, each image must still equal its
+    bytes, a page built from it must read every slot as the page did
+    then, and so must the page itself whenever its image is one
+    recorded before.
+    """
+    page = page_cls(4)
+    model = {}
+    recorded = []
+    found = []
+    for step in range(len(program) + 1):
+        if step:
+            apply_program(page, program[step - 1 : step], model)
+        image = page.to_bytes()
+        reads = slot_reads(page)
+        for earlier, _content, then in recorded:
+            if earlier is image and reads != then:
+                found.append(("page changed under its image", step))
+        recorded.append((image, bytes(image), reads))
+    found.extend(read_violations(page, model))
+    for step, (image, content, reads) in enumerate(recorded):
+        if image != content:
+            found.append(("image written", step))
+        if slot_reads(Page(4, bytes(image))) != reads:
+            found.append(("image reads differently", step))
     return found
 
 
@@ -291,23 +307,18 @@ def cow_violations(page_cls, program):
     restored = page_cls(5, private.to_bytes())
     if restored.to_bytes() != private.to_bytes():
         found.append("round trip")
-    if holds_violations(restored, model):
+    if read_violations(restored, model):
         found.append("round trip lost records")
     return found
 
 
-class _HoldsIgnoresLength(Page):
-    """Mutant: ``holds`` accepts any prefix of the stored record."""
+class _HandsOutItsBuffer(Page):
+    """Mutant: ``to_bytes`` returns the live buffer, frozen or not."""
 
     __slots__ = ()
 
-    def holds(self, slot, record):
-        if not 0 <= slot < self.slot_count:
-            return False
-        offset, length = _SLOT.unpack_from(
-            self._buf, PAGE_SIZE - (slot + 1) * SLOT_SIZE
-        )
-        return length != 0 and self._buf.startswith(record, offset)
+    def to_bytes(self):
+        return self._buf
 
 
 class _SharesItsImage(Page):
@@ -324,10 +335,8 @@ class _SharesItsImage(Page):
 class TestHoldsAndCopyOnWrite:
     @settings(max_examples=80, deadline=None)
     @given(page_programs())
-    def test_holds_is_read_compared(self, program):
-        page = Page(0)
-        model = apply_program(page, program)
-        assert holds_violations(page, model) == []
+    def test_every_image_keeps_what_it_held(self, program):
+        assert image_violations(Page, program) == []
 
     @settings(max_examples=60, deadline=None)
     @given(page_programs())
@@ -340,11 +349,11 @@ class TestHoldsAndCopyOnWrite:
         source = bytearray(image)
         assert Page(2, source).to_bytes() is not source
 
-    def test_holds_ignoring_length_is_caught(self):
-        program = [("insert", b"abc")]
-        page = _HoldsIgnoresLength(0)
-        model = apply_program(page, program)
-        assert ("holds", 0, b"ab") in holds_violations(page, model)
+    def test_accessor_handing_out_its_buffer_is_caught(self):
+        program = [("insert", b"abc"), ("update", 0, 0x7A, 0)]
+        assert ("image written", 1) in image_violations(
+            _HandsOutItsBuffer, program
+        )
 
     def test_page_writing_its_image_is_caught(self):
         program = [("insert", b"abc"), ("update", 1, 0x7A, 0)]

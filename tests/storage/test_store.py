@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import (
+    BadSlotError,
     DuplicateOidError,
     PageFullError,
     RecordError,
@@ -182,6 +183,87 @@ class TestPinnedFetch:
             with pytest.raises(StorageError):
                 fetch(Oid(1, 2))
             assert store.buffer.pin_count(extent.start) == 0
+
+
+class TestAFailedWriteWritesNothing:
+    """A store write that raises leaves no dirty frame behind."""
+
+    def assert_flush_writes_nothing(self, store, page_id, image):
+        stats = store.disk.stats
+        before = (stats.writes, stats.write_seek_total)
+        store.buffer.flush_all()
+        assert (stats.writes, stats.write_seek_total) == before
+        assert store.disk.dump_state()[0][page_id] is image
+
+    def test_migrate_onto_a_full_page(self, store):
+        extent = store.disk.allocate(2)
+        full, other = extent.start, extent.start + 1
+        per_page = store.objects_per_page()
+        store.store_page(
+            full, [(Oid(1, s + 1), record(s)) for s in range(per_page)]
+        )
+        store.store_page(other, [(Oid(1, 100), record(100))])
+        image = store.disk.dump_state()[0][full]
+        with pytest.raises(PageFullError):
+            store.migrate(Oid(1, 100), full)
+        self.assert_flush_writes_nothing(store, full, image)
+        assert store.directory.lookup(Oid(1, 100)).page_id == other
+        assert store.fetch(Oid(1, 100)).ints[0] == 100
+
+    def test_overwrite_of_a_dead_slot(self, store):
+        extent = store.disk.allocate(1)
+        store.store_page(extent.start, [(Oid(1, 1), record(1))])
+        with store.buffer.fixed(extent.start, dirty=True) as page:
+            page.delete(0)
+        store.buffer.flush_all()
+        image = store.disk.dump_state()[0][extent.start]
+        with pytest.raises(BadSlotError):
+            store.overwrite(Oid(1, 1), record(2))
+        self.assert_flush_writes_nothing(store, extent.start, image)
+        assert store.buffer.pinned_pages == 0
+
+
+class TestEntriesNameTheirImage:
+    """A cache entry is trusted while its page's image is its own."""
+
+    def test_loaded_entries_share_the_disk_image(self, store):
+        extent = store.disk.allocate(1)
+        store.store_page(extent.start, [(Oid(1, 1), record(1))])
+        store.store_page(extent.start, [(Oid(1, 2), record(2))])
+        image = store.disk.dump_state()[0][extent.start]
+        for serial in (1, 2):
+            view = store.fetch_pinned(Oid(1, serial))
+            store.unpin(Oid(1, serial))
+            assert view.image is image
+        # The first entry was stamped with the image its batch wrote;
+        # the fetch decoded it again and kept its tuples.
+        assert store.dump_decoded()[Rid(extent.start, 0)].image is image
+
+    def test_migrated_entry_keeps_its_tuples(self, store):
+        extent = store.disk.allocate(2)
+        store.store_page(extent.start, [(Oid(1, 1), record(1))])
+        store.store_page(extent.start + 1, [(Oid(1, 2), record(2))])
+        before = store.fetch_pinned(Oid(1, 1))
+        store.unpin(Oid(1, 1))
+        store.migrate(Oid(1, 1), extent.start + 1)
+        after = store.fetch_pinned(Oid(1, 1))
+        store.unpin(Oid(1, 1))
+        assert after is not before
+        assert after.ints is before.ints and after.refs is before.refs
+        again = store.fetch_pinned(Oid(1, 1))
+        store.unpin(Oid(1, 1))
+        assert again is after
+
+    def test_overwrite_stamps_the_written_image(self, store):
+        extent = store.disk.allocate(1)
+        store.store_page(extent.start, [(Oid(1, 1), record(1))])
+        store.overwrite(Oid(1, 1), record(5))
+        entry = store.dump_decoded()[Rid(extent.start, 0)]
+        view = store.fetch_pinned(Oid(1, 1))
+        store.unpin(Oid(1, 1))
+        assert view is entry and view.ints[0] == 5
+        store.buffer.flush_all()
+        assert store.disk.dump_state()[0][extent.start] is entry.image
 
 
 class TestScanExtent:
