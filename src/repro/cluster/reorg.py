@@ -154,19 +154,19 @@ class AffinitySketch:
             self._groups[group_key] = group
         else:
             self._groups.move_to_end(group_key)
-        window = self._policy.affinity_window
-        recent = group[-window:]
+        # The group holds at most ``affinity_window`` codes (trimmed
+        # below), so it is the recent window itself: no copy.
         code = (oid.type_id << 64) | oid.serial
-        if code in recent:
+        if code in group:
             return
         weights = self._weights
         shifted = code << 80
-        for other in recent:
+        for other in group:
             key = (other << 80) | code if other < code else shifted | other
             weights[key] = weights.get(key, 0.0) + 1.0
         group.append(code)
-        if len(group) > window:
-            del group[: len(group) - window]
+        if len(group) > self._policy.affinity_window:
+            del group[0]
 
     def decay(self) -> None:
         """Age every edge weight by one round; prune negligible ones."""

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Deque, Dict, Iterable, List, Optional, Union
 
 from repro.core.assembled import AssembledComplexObject, AssembledObject
 from repro.core import trace
@@ -304,11 +303,11 @@ class Assembly(VolcanoIterator):
         if isinstance(self._scheduler_spec, ReferenceScheduler):
             self._scheduler = self._scheduler_spec
         else:
-            # Over the disk, not ``self``: a probe closing over the
-            # operator is a cycle, freed only by the cycle collector.
+            # Over the disk's heads, not ``self``: a probe closing over
+            # the operator is a cycle, freed only by the cycle collector.
             self._scheduler = make_scheduler(
                 self._scheduler_spec,
-                head_fn=partial(self._disk.head_of, 0),
+                head_fn=self._disk.head_probe(0),
                 resident_fn=self._store.buffer.is_resident,
             )
         self._window = Window(self._window_size)
@@ -569,7 +568,7 @@ class Assembly(VolcanoIterator):
         if not self._evaluate_materialized_predicates(state, root):
             return
         self._schedule_children(state, refs)
-        if state.is_complete():
+        if state.outstanding_nodes == 0:  # root given, predicates passed
             self._complete(state)
 
     def _next_seq(self) -> int:
@@ -629,26 +628,6 @@ class Assembly(VolcanoIterator):
 
     # -- resolution --------------------------------------------------------------------
 
-    def _route(
-        self, ref: UnresolvedReference
-    ) -> Tuple[Optional[ComplexObjectState], Optional[Callable]]:
-        """Where a popped reference stands right now: ``(state, link)``.
-
-        ``state`` is the owner's window state — ``None`` once the owner
-        left the window (aborted after the reference was queued), which
-        makes the reference stale.  ``link`` satisfies a live reference
-        from memory — the shared-component table or a pre-assembled
-        input — and is ``None`` when resolving it means a fetch.
-        """
-        state = self._window.find(ref.owner)
-        if state is None:
-            return None, None
-        if self._use_sharing and ref.oid in self._shared:
-            return state, self._link_shared
-        if ref.oid in self._preassembled:
-            return state, self._link_preassembled
-        return state, None
-
     def _resolve(self, refs: Iterable[UnresolvedReference]) -> None:
         """The step: resolve popped references, in the order given.
 
@@ -658,18 +637,28 @@ class Assembly(VolcanoIterator):
         prefetch pins.  Liveness is decided per reference, at its turn:
         a predicate abort earlier in the batch retracts the siblings
         that were popped with it.
+
+        Routing — stale (the owner left the window), linked from memory
+        (the shared-component table, filled only with sharing statistics
+        on, or a pre-assembled input) or fetched — runs in this frame.
         """
+        states, shared = self._window.by_serial, self._shared
+        preassembled, stats = self._preassembled, self.stats
         for ref in refs:
-            state, link = self._route(ref)
+            state = states.get(ref.owner)
             if state is None:
                 continue
-            self.stats.refs_resolved += 1
-            if link is None:
-                self._fetch_and_expand(state, ref)
+            stats.refs_resolved += 1
+            oid = ref.oid
+            if oid in shared:
+                self._link_shared(state, ref)
+            elif oid in preassembled:
+                self._link_preassembled(state, ref)
             else:
-                link(state, ref)
-            # An abort marks the state, so this is false for a retired one.
-            if state.is_complete():
+                self._fetch_and_expand(state, ref)
+            # An abort may leave nothing outstanding; ``_complete``
+            # raises if the root is still unset.
+            if state.outstanding_nodes == 0 and not state.aborted:
                 self._complete(state)
 
     def fetch_pages(self, refs: Iterable[UnresolvedReference]) -> List[int]:
@@ -678,13 +667,18 @@ class Assembly(VolcanoIterator):
         In batch order (the order a coalesced read should sweep them).
         References whose owner already aborted, and those the
         shared-component table or a preassembled input satisfies
-        without I/O, contribute nothing (:meth:`_route`).  Every batch
-        driver decides what to prefetch here.
+        without I/O, contribute nothing (routed as :meth:`_resolve`
+        routes them).  Every batch driver decides what to prefetch here.
         """
+        states, shared = self._window.by_serial, self._shared
+        preassembled = self._preassembled
         pages: List[int] = []
         for ref in refs:
-            state, link = self._route(ref)
-            if state is None or link is not None:
+            if (
+                ref.owner not in states
+                or ref.oid in shared
+                or ref.oid in preassembled
+            ):
                 continue
             page_id = ref.page_id  # stamped when it was scheduled
             if page_id not in pages:
@@ -749,7 +743,10 @@ class Assembly(VolcanoIterator):
         entry = self._shared[ref.oid]
         entry.refcount += 1
         state.shared_oids.append(ref.oid)
-        self._attach(state, ref, entry.assembled)
+        if ref.parent is None:
+            state.root = entry.assembled
+        else:
+            ref.parent.swizzle(ref.parent_slot, entry.assembled)
         state.shared_links += 1
         self.stats.shared_links += 1
         if self._spans is not None:
@@ -768,7 +765,10 @@ class Assembly(VolcanoIterator):
     ) -> None:
         """Attach a sub-object assembled by a lower operator (Figure 17)."""
         sub = self._preassembled[ref.oid]
-        self._attach(state, ref, sub)
+        if ref.parent is None:
+            state.root = sub
+        else:
+            ref.parent.swizzle(ref.parent_slot, sub)
         if self._spans is not None:
             self._decide(
                 trace.LINKED_PREASSEMBLED, state.serial, ref.oid,
@@ -892,10 +892,12 @@ class Assembly(VolcanoIterator):
     def _fetch_and_expand(
         self, state: ComplexObjectState, ref: UnresolvedReference
     ) -> None:
-        """The disk path: fetch, pin, swizzle, expand, test predicate."""
+        """The disk path: fetch, pin, swizzle, expand, test predicate;
+        gated or traced children are placed by :meth:`_schedule_children`."""
+        spans = self._spans
         fetch_span = None
-        if self._spans is not None:
-            fetch_span = self._spans.begin(
+        if spans is not None:
+            fetch_span = spans.begin(
                 "fetch",
                 parent=self._slot_spans.get(state.serial),
                 kind="fetch",
@@ -910,79 +912,90 @@ class Assembly(VolcanoIterator):
                 record = self._fetch_record(ref)
         except FaultError as exc:
             if fetch_span is not None:
-                self._spans.end(fetch_span, outcome="faulted")
+                spans.end(fetch_span, outcome="faulted")
             self._degrade(state, ref, exc)
             return
+        # The scheduler's page id is the object's page (no re-lookup).
+        # The object owns the pin before anything below can raise (a
+        # record the template does not fit, a predicate that cannot
+        # evaluate it); a shared entry takes it once the predicate passed.
+        page_id = ref.page_id
+        pinned_pages = state.pinned_pages
+        pinned_pages.append(page_id)
         if fetch_span is not None:
-            self._spans.end(fetch_span, outcome="fetched")
+            spans.end(fetch_span, outcome="fetched")
             self._decide(
                 trace.FETCHED, state.serial, ref.oid, ref.node.label,
-                ref.page_id,
+                page_id,
             )
-        # Objects never move once registered, so the scheduler's page id
-        # is still the object's physical page — no directory re-lookup.
-        page_id = ref.page_id
         state.fetches += 1
-        self.stats.fetches += 1
+        stats = self.stats
+        stats.fetches += 1
         pinned = self._store.buffer.pinned_pages
-        if pinned > self.stats.peak_pinned_pages:
-            self.stats.peak_pinned_pages = pinned
+        if pinned > stats.peak_pinned_pages:
+            stats.peak_pinned_pages = pinned
 
+        node = ref.node
         assembled, children, missing_nodes, missing_predicates = (
-            self._component_iter.materialize(ref.oid, ref.node, record)
+            self._component_iter.materialize(ref.oid, node, record)
         )
-
-        share_this = self._use_sharing and ref.node.shared
-        if not share_this:
-            # (A shared entry owns its pin instead; released when the
-            # last in-window referrer lets go — Section 5, reason two.)
-            state.pinned_pages.append(page_id)
 
         # Early abort on this node's predicate (Section 6.5), tested on
         # a mutable copy: the fetched record is the store's own.
-        predicate = ref.node.predicate
+        predicate = node.predicate
         if predicate is not None:
             passed = predicate.evaluate(record.to_record(self._store.fmt))
-            if self._spans is not None:
+            if spans is not None:
                 self._decide(
                     trace.PREDICATE_PASSED if passed else trace.PREDICATE_FAILED,
-                    state.serial, ref.oid, ref.node.label,
+                    state.serial, ref.oid, node.label,
                 )
             if not passed:
-                if share_this:
-                    # Pin not yet handed to a shared entry: release it.
-                    self._store.buffer.unfix(page_id)
-                self._abort(state)
+                self._abort(state)  # releases the pin with the others
                 return
+            missing_predicates += 1  # this node's, now decided
 
-        if share_this:
+        if self._use_sharing and node.shared:
+            # The entry owns the pin from here (released when the last
+            # in-window referrer lets go — Section 5, reason two).
+            pinned_pages.pop()
             assembled.shared_in = True
             self._shared[ref.oid] = _SharedEntry(assembled, page_id)
             state.shared_oids.append(ref.oid)
 
-        self._attach(state, ref, assembled)
-        state.outstanding_nodes -= 1 + missing_nodes
-        predicates_newly_resolved = missing_predicates
-        if predicate is not None:
-            predicates_newly_resolved += 1
-
-        # Both calls are no-ops on a leaf with nothing left to decide.
-        if children:
-            self._schedule_children(state, children)
-        if predicates_newly_resolved:
-            self._note_predicates_resolved(state, predicates_newly_resolved)
-
-    def _attach(
-        self,
-        state: ComplexObjectState,
-        ref: UnresolvedReference,
-        assembled: AssembledObject,
-    ) -> None:
-        """Swizzle the fetched object into its parent (or set the root)."""
-        if ref.parent is None:
+        # Swizzle.  The slot is free and in range: ``materialize`` made
+        # one reference per followed slot of a fresh parent.
+        parent = ref.parent
+        if parent is None:
             state.root = assembled
         else:
-            ref.parent.swizzle(ref.parent_slot, assembled)
+            parent.children[ref.parent_slot] = assembled
+        state.outstanding_nodes -= 1 + missing_nodes
+
+        # Both steps are no-ops on a leaf with nothing left to decide.
+        if children:
+            if spans is None and not (
+                self._selective and state.gate_references()
+            ):
+                # Place in slot order: page, owner, sequence number.
+                rids = self._store.directory.rids
+                serial = state.serial
+                seq = self._seq
+                for child in children:
+                    seq += 1
+                    try:
+                        child.page_id = rids[child.oid].page_id
+                    except KeyError:
+                        # A dangling reference: the directory raises.
+                        self._store.directory.page_of(child.oid)
+                    child.owner = serial
+                    child.seq = seq
+                self._seq = seq
+                self._scheduler.add_siblings(children)
+            else:
+                self._schedule_children(state, children)
+        if missing_predicates:
+            self._note_predicates_resolved(state, missing_predicates)
 
     def _schedule_children(
         self, state: ComplexObjectState, children: List[UnresolvedReference]
@@ -991,7 +1004,10 @@ class Assembly(VolcanoIterator):
 
         The component iterator built the references; their placement —
         physical page, owner, sequence number in slot order — is
-        stamped here, at scheduling time.
+        stamped here, at scheduling time.  A fetch whose children
+        nothing gates and no span records places them in its own frame
+        (:meth:`_fetch_and_expand`); partial inputs, pre-assembled links
+        and every gated or traced fetch come here.
 
         While the owner still has undecided predicates, references
         whose subtree cannot reject the object are withheld — "first

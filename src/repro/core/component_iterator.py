@@ -70,12 +70,35 @@ class ComponentIterator:
 
         Returns ``(assembled, children, missing_nodes,
         missing_predicates)`` — everything the engine needs from one
-        fetched object; see :meth:`expand` for the last three.  The
+        fetched object, counted as :meth:`expand` counts them.  The
         assembled object keeps the record's tuples themselves (the
-        store's cached values), not copies.
+        store's cached values), not copies.  The pass runs in this
+        frame; :meth:`expand` is the one that skips swizzled slots.
         """
         assembled = AssembledObject(oid, node, record)
-        return (assembled, *self.expand(assembled))
+        refs: List[UnresolvedReference] = []
+        missing_nodes = 0
+        missing_predicates = 0
+        ref_oids = assembled.ref_oids
+        n_refs = len(ref_oids)
+        for slot, child_node in node.slot_children:
+            if slot >= n_refs:
+                raise AssemblyError(
+                    f"{oid}: template expects reference slot "
+                    f"{slot}, record has {n_refs}"
+                )
+            target = ref_oids[slot]
+            if target == NULL_OID:
+                missing_nodes += child_node.subtree_nodes
+                missing_predicates += child_node.subtree_predicates
+                continue
+            refs.append(
+                UnresolvedReference(  # positional: see expand
+                    target, UNPLACED, UNPLACED, child_node, assembled,
+                    slot, UNPLACED, child_node.subtree_rejection,
+                )
+            )
+        return assembled, refs, missing_nodes, missing_predicates
 
     def expand(
         self, assembled: AssembledObject
@@ -96,7 +119,7 @@ class ComponentIterator:
         swizzled = assembled.children
         ref_oids = assembled.ref_oids
         n_refs = len(ref_oids)
-        for slot, child_node in assembled.node.child_items():
+        for slot, child_node in assembled.node.slot_children:
             if slot in swizzled:
                 continue  # already swizzled (partially assembled input)
             if slot >= n_refs:

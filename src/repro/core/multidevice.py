@@ -21,7 +21,6 @@ backlog; the operator consumes completions as they arrive).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import List, Optional
 
 from repro.core.assembled import AssembledComplexObject
@@ -50,7 +49,7 @@ def device_elevators(disk: SimulatedDisk) -> List[ElevatorScheduler]:
     :class:`MultiDeviceScheduler` and the service-wide device server.
     """
     return [
-        ElevatorScheduler(partial(disk.head_of, device))
+        ElevatorScheduler(disk.head_probe(device))
         for device in range(disk.n_devices)
     ]
 

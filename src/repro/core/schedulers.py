@@ -154,9 +154,13 @@ class SweepPool:
     turns an elevator sweep into multi-page batched reads.
 
     A popped page holds about one pending reference on every measured
-    workload, so the cost is per operation, not per page: each pop,
-    batch and take is one call that positions, purges and unindexes in
-    its own frame.
+    workload, so the cost is per operation, not per page.  The two
+    per-reference operations run in the scheduler's frame, not here:
+    :meth:`_SweepScheduler.add` files an entry and
+    :meth:`ElevatorScheduler.pop` positions, purges and unindexes one,
+    each writing this class's fields directly (this module only).
+    Every other operation — retraction, positioning, takes, the
+    zero-seek probe — is one method call here.
     """
 
     __slots__ = (
@@ -191,26 +195,6 @@ class SweepPool:
         return self._live
 
     # -- maintenance --------------------------------------------------------
-
-    def add(self, ref: UnresolvedReference) -> None:
-        """Insert a reference, filed under what it says about itself."""
-        ref_id = id(ref)
-        if ref_id in self._dead:
-            # The same object is being re-added while its old entry is
-            # still a tombstone; purge eagerly so it cannot resurrect.
-            self._compact()
-        page_id = ref.page_id
-        insort(self._entries, (page_id, -ref.rejection, ref.seq, ref))
-        key = (ref.client, ref.owner)
-        bucket = self._owners.get(key)
-        if bucket is None:
-            self._owners[key] = {ref_id: ref}
-        else:
-            bucket[ref_id] = ref
-        self._live += 1
-        page_live = self._page_live
-        page_live[page_id] = page_live.get(page_id, 0) + 1
-        self._recent_pages.add(page_id)
 
     def remove_owner(
         self, owner: int, client: Optional[int] = None
@@ -278,7 +262,8 @@ class SweepPool:
         """Index of the next live entry under SCAN, with the (possibly
         reversed) sweep direction; tombstones met on the way are purged
         (each at most once, so the sweep stays amortized O(1)).  The
-        pool must be non-empty.  :meth:`pop_next` inlines this."""
+        pool must be non-empty.  :meth:`ElevatorScheduler.pop` inlines
+        this."""
         entries, dead = self._entries, self._dead
         index = bisect_left(entries, (head,))  # type: ignore[arg-type]
         if direction > 0:
@@ -296,62 +281,6 @@ class SweepPool:
                 while id(entries[0][3]) in dead:
                     dead.discard(id(entries.pop(0)[3]))
         return index, direction
-
-    def pop_next(
-        self, head: int, direction: int
-    ) -> Tuple[UnresolvedReference, int]:
-        """Elevator pop: nearest entry in the sweep direction, reversing
-        at the ends.  Returns ``(ref, direction)``.  The pool must be
-        non-empty.
-
-        One frame: the positioning of :meth:`_locate`, then the entry
-        leaves the owner index, the per-page live count and the
-        residency flags in line.
-        """
-        entries, dead = self._entries, self._dead
-        index = bisect_left(entries, (head,))  # type: ignore[arg-type]
-        if direction > 0:
-            while index < len(entries) and id(entries[index][3]) in dead:
-                dead.discard(id(entries.pop(index)[3]))
-            if index == len(entries):
-                direction = -1
-        if direction < 0:
-            index -= 1
-            while index >= 0 and id(entries[index][3]) in dead:
-                dead.discard(id(entries.pop(index)[3]))
-                index -= 1
-            if index < 0:
-                direction, index = 1, 0
-                while id(entries[0][3]) in dead:
-                    dead.discard(id(entries.pop(0)[3]))
-        page_id, _rej, _seq, ref = entries.pop(index)
-        key = (ref.client, ref.owner)
-        bucket = self._owners[key]
-        del bucket[id(ref)]
-        if not bucket:
-            del self._owners[key]
-        self._live -= 1
-        page_live = self._page_live
-        remaining = page_live[page_id] - 1
-        if remaining:
-            page_live[page_id] = remaining
-            # A single-reference pop usually precedes a read of its
-            # page; siblings left behind may therefore turn resident
-            # without any pool event, so flag the page for the next
-            # zero-seek probe.
-            self._recent_pages.add(page_id)
-        else:
-            del page_live[page_id]
-            self._recent_pages.discard(page_id)
-            self._resident_live.discard(page_id)
-        return ref, direction
-
-    def peek_next(
-        self, head: int, direction: int
-    ) -> Tuple[Tuple[int, float, int, UnresolvedReference], int]:
-        """Like :meth:`pop_next` but leaves the entry in the pool."""
-        index, direction = self._locate(head, direction)
-        return self._entries[index], direction
 
     def nearest_of(
         self, client: Optional[int], head: int
@@ -456,18 +385,6 @@ class SweepPool:
         if confirmed:
             return self.take_run(min(confirmed), 1, 1)
         return []
-
-    def pop_batch_next(
-        self, head: int, direction: int, max_pages: int
-    ) -> Tuple[List[UnresolvedReference], int]:
-        """Elevator batch: position like :meth:`pop_next`, then take the
-        whole page plus its contiguous continuation in the sweep
-        direction.  Returns ``(refs, direction)``."""
-        index, direction = self._locate(head, direction)
-        return (
-            self.take_run(self._entries[index][0], direction, max_pages),
-            direction,
-        )
 
 
 class ReferenceScheduler(ABC):
@@ -688,11 +605,14 @@ class _SweepScheduler(ReferenceScheduler):
     A :class:`SweepPool` ordered by physical page, a head probe, an
     optional buffer-residency probe and a sweep direction — plus every
     operation that does not depend on *which* reference is next: adding
-    and retracting an owner.  A subclass states its pick, in ``pop``
-    and ``pop_batch``, each refusing an empty pool and counting one op.
+    (the pool's insertion, in this frame) and retracting an owner.  A
+    subclass states its pick, in ``pop`` and ``pop_batch``, each
+    refusing an empty pool and counting one op.
 
     ``head_fn`` supplies the live head position (wired to the simulated
-    disk by the assembly operator).  ``resident_fn`` is the buffer
+    disk by the assembly operator, as :meth:`SimulatedDisk.head_probe
+    <repro.storage.disk.SimulatedDisk.head_probe>`, which costs no
+    Python frame per pop).  ``resident_fn`` is the buffer
     manager's residency probe; the elevator consults it on batched pops
     only (zero-seek batches first), so its single-reference ``pop``
     keeps the paper's pure sweep.
@@ -724,8 +644,28 @@ class _SweepScheduler(ReferenceScheduler):
         self.resident_batches = 0
 
     def add(self, ref: UnresolvedReference) -> None:
+        """Insert a reference into the pool, filed under what it says
+        about itself: sorted entry, owner index, page count and flag."""
         self.ops += 1
-        self._pool.add(ref)
+        pool = self._pool
+        ref_id = id(ref)
+        if ref_id in pool._dead:
+            # The same object is being re-added while its old entry is
+            # still a tombstone; purge eagerly so it cannot resurrect.
+            pool._compact()
+        page_id = ref.page_id
+        insort(pool._entries, (page_id, -ref.rejection, ref.seq, ref))
+        key = (ref.client, ref.owner)
+        owners = pool._owners
+        bucket = owners.get(key)
+        if bucket is None:
+            owners[key] = {ref_id: ref}
+        else:
+            bucket[ref_id] = ref
+        pool._live += 1
+        page_live = pool._page_live
+        page_live[page_id] = page_live.get(page_id, 0) + 1
+        pool._recent_pages.add(page_id)
 
     def remove_owner(
         self, owner: int, client: Optional[int] = None
@@ -766,11 +706,55 @@ class ElevatorScheduler(_SweepScheduler):
     name = "elevator"
 
     def pop(self) -> UnresolvedReference:
+        """Nearest entry in the sweep direction, reversing at the ends.
+
+        One frame: the positioning of :meth:`SweepPool._locate`, then
+        the entry leaves the owner index, the per-page live count and
+        the residency flags in line.
+        """
         pool = self._pool
         if not pool._live:
             raise SchedulerError(f"{self.name} scheduler pool is empty")
         self.ops += 1
-        ref, self._direction = pool.pop_next(self._head_fn(), self._direction)
+        entries, dead = pool._entries, pool._dead
+        direction = self._direction
+        index = bisect_left(entries, (self._head_fn(),))  # type: ignore[arg-type]
+        if direction > 0:
+            while index < len(entries) and id(entries[index][3]) in dead:
+                dead.discard(id(entries.pop(index)[3]))
+            if index == len(entries):
+                direction = -1
+        if direction < 0:
+            index -= 1
+            while index >= 0 and id(entries[index][3]) in dead:
+                dead.discard(id(entries.pop(index)[3]))
+                index -= 1
+            if index < 0:
+                direction, index = 1, 0
+                while id(entries[0][3]) in dead:
+                    dead.discard(id(entries.pop(0)[3]))
+        self._direction = direction
+        page_id, _rej, _seq, ref = entries.pop(index)
+        key = (ref.client, ref.owner)
+        owners = pool._owners
+        bucket = owners[key]
+        del bucket[id(ref)]
+        if not bucket:
+            del owners[key]
+        pool._live -= 1
+        page_live = pool._page_live
+        remaining = page_live[page_id] - 1
+        if remaining:
+            page_live[page_id] = remaining
+            # A single-reference pop usually precedes a read of its
+            # page; siblings left behind may therefore turn resident
+            # without any pool event, so flag the page for the next
+            # zero-seek probe.
+            pool._recent_pages.add(page_id)
+        else:
+            del page_live[page_id]
+            pool._recent_pages.discard(page_id)
+            pool._resident_live.discard(page_id)
         return ref
 
     def pop_batch(self, max_pages: int = 1) -> List[UnresolvedReference]:
@@ -785,10 +769,8 @@ class ElevatorScheduler(_SweepScheduler):
             if refs:
                 self.resident_batches += 1
                 return refs
-        refs, self._direction = pool.pop_batch_next(
-            self._head_fn(), self._direction, max_pages
-        )
-        return refs
+        index, self._direction = pool._locate(self._head_fn(), self._direction)
+        return pool.take_run(pool._entries[index][0], self._direction, max_pages)
 
 
 #: Default detour budget, in pages, granted to a certain rejector
@@ -874,7 +856,8 @@ class AdaptiveElevatorScheduler(_SweepScheduler):
                 return ref
 
         # 2. The sweep-optimal (plain elevator) candidate.
-        entry, self._direction = self._pool.peek_next(head, self._direction)
+        index, self._direction = self._pool._locate(head, self._direction)
+        entry = self._pool._entries[index]
         base_ref = entry[3]
         if self._detour == 0:
             return base_ref

@@ -75,7 +75,9 @@ class TemplateNode:
         self.sharing_degree = sharing_degree
         self.predicate = predicate
         self._children: Dict[int, TemplateNode] = {}
-        self._sorted_items: Optional[List[Tuple[int, "TemplateNode"]]] = None
+        #: ``(slot, child)`` pairs in slot order (kept by :meth:`attach`;
+        #: read-only outside this class).
+        self.slot_children: List[Tuple[int, "TemplateNode"]] = []
         self._recursive: List[_RecursiveEdge] = []
         # Derived at finalize():
         self.subtree_predicates = 0
@@ -117,7 +119,7 @@ class TemplateNode:
                 f"node {self.label!r}: slot {slot} already has a child"
             )
         self._children[slot] = node
-        self._sorted_items = None
+        self.slot_children = sorted(self._children.items())
 
     def recurse(self, slot: int, target_label: str, max_depth: int) -> None:
         """Declare that ``slot`` re-enters the ancestor ``target_label``.
@@ -145,28 +147,14 @@ class TemplateNode:
         """Children keyed by the reference slot that leads to them."""
         return dict(self._children)
 
-    def child_items(self) -> List[Tuple[int, "TemplateNode"]]:
-        """``(slot, child)`` pairs in slot order.
-
-        The list is cached (and invalidated by :meth:`attach`): the
-        component iterator consults it once per fetched object, and the
-        per-call sort plus the defensive dict copy of :attr:`children`
-        dominated the expansion profile.  Callers must not mutate the
-        returned list.
-        """
-        items = self._sorted_items
-        if items is None:
-            items = self._sorted_items = sorted(self._children.items())
-        return items
-
     def child_slots(self) -> List[int]:
         """Reference slots with children, in slot order."""
-        return [slot for slot, _ in self.child_items()]
+        return [slot for slot, _ in self.slot_children]
 
     def walk(self) -> Iterator["TemplateNode"]:
         """Pre-order traversal of the subtree rooted here."""
         yield self
-        for _, child in self.child_items():
+        for _, child in self.slot_children:
             yield from child.walk()
 
     def _clone_shallow(self, suffix: str) -> "TemplateNode":
@@ -450,7 +438,7 @@ class Template:
             stack.append(None)
             stack.extend(
                 (child, child_slot)
-                for child_slot, child in reversed(node.child_items())
+                for child_slot, child in reversed(node.slot_children)
             )
         self._fingerprint = hashlib.sha1("\n".join(parts).encode()).hexdigest()
         return self._fingerprint

@@ -24,7 +24,8 @@ from repro.storage.oid import Oid
 
 @dataclass
 class ComplexObjectState:
-    """Assembly progress of one complex object in the window."""
+    """Assembly progress of one complex object in the window: complete
+    once not ``aborted``, with its ``root`` set and nothing outstanding."""
 
     serial: int
     root_oid: Oid
@@ -50,14 +51,6 @@ class ComplexObjectState:
     #: template subtrees lost to faults (0 unless ``degraded``).
     missing_components: int = 0
 
-    def is_complete(self) -> bool:
-        """All template-reachable components materialized?"""
-        return (
-            not self.aborted
-            and self.root is not None
-            and self.outstanding_nodes == 0
-        )
-
     def gate_references(self) -> bool:
         """Should non-predicate references be deferred right now?"""
         return self.pending_predicates > 0
@@ -70,26 +63,28 @@ class Window:
         if capacity <= 0:
             raise WindowError("window capacity must be positive")
         self.capacity = capacity
-        self._states: Dict[int, ComplexObjectState] = {}
+        #: serial -> state of each in-window object, in admission order
+        #: (read-only outside this class).
+        self.by_serial: Dict[int, ComplexObjectState] = {}
         self._next_serial = 0
         #: high-water mark of simultaneously open complex objects.
         self.peak_occupancy = 0
 
     def __len__(self) -> int:
-        return len(self._states)
+        return len(self.by_serial)
 
     def __contains__(self, serial: int) -> bool:
-        return serial in self._states
+        return serial in self.by_serial
 
     @property
     def is_full(self) -> bool:
         """No room for another complex object?"""
-        return len(self._states) >= self.capacity
+        return len(self.by_serial) >= self.capacity
 
     @property
     def is_empty(self) -> bool:
         """Nothing under assembly?"""
-        return not self._states
+        return not self.by_serial
 
     def admit(self, root_oid: Oid, total_nodes: int, total_predicates: int) -> ComplexObjectState:
         """Open a new complex object; returns its state."""
@@ -105,21 +100,17 @@ class Window:
             outstanding_nodes=total_nodes,
             pending_predicates=total_predicates,
         )
-        self._states[serial] = state
-        self.peak_occupancy = max(self.peak_occupancy, len(self._states))
+        self.by_serial[serial] = state
+        self.peak_occupancy = max(self.peak_occupancy, len(self.by_serial))
         return state
-
-    def find(self, serial: int) -> Optional[ComplexObjectState]:
-        """State of a complex object, or ``None`` once it left the window."""
-        return self._states.get(serial)
 
     def retire(self, serial: int) -> ComplexObjectState:
         """Remove a completed or aborted complex object."""
         try:
-            return self._states.pop(serial)
+            return self.by_serial.pop(serial)
         except KeyError:
             raise WindowError(f"complex object {serial} is not in the window") from None
 
     def states(self) -> List[ComplexObjectState]:
         """All in-window states (admission order)."""
-        return list(self._states.values())
+        return list(self.by_serial.values())

@@ -81,7 +81,8 @@ class BufferManager:
         # move_to_end on access keeps it current.
         self._frames: "OrderedDict[int, _Frame]" = OrderedDict()
         self._ever_resident: Set[int] = set()
-        self._pinned_count = 0
+        #: pages with at least one pin (read-only outside this class).
+        self.pinned_pages = 0
         self._reserved_frames = 0
         self.stats = BufferStats()
 
@@ -96,11 +97,6 @@ class BufferManager:
     def resident_pages(self) -> int:
         """Number of pages currently buffered."""
         return len(self._frames)
-
-    @property
-    def pinned_pages(self) -> int:
-        """Number of pages with at least one pin (O(1))."""
-        return self._pinned_count
 
     def pin_count(self, page_id: int) -> int:
         """Current pin count of ``page_id`` (0 if not resident)."""
@@ -195,7 +191,7 @@ class BufferManager:
             self._ever_resident.add(page_id)
         stats.fixes += 1
         if frame.pin_count == 0:
-            self._pinned_count += 1
+            self.pinned_pages += 1
         frame.pin_count += 1
         return frame.page
 
@@ -270,7 +266,7 @@ class BufferManager:
                     stats.re_reads += 1
                 frame = _Frame(page)
                 frame.pin_count = 1
-                self._pinned_count += 1
+                self.pinned_pages += 1
                 frames[page_id] = frame
                 ever_resident.add(page_id)
                 pages[page_id] = page
@@ -291,7 +287,7 @@ class BufferManager:
             raise PinError(f"page {page_id} is not fixed")
         frame.pin_count -= 1
         if frame.pin_count == 0:
-            self._pinned_count -= 1
+            self.pinned_pages -= 1
         if dirty:
             frame.dirty = True
 

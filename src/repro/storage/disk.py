@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import partial
+from operator import getitem
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DiskError, ExtentError
@@ -196,6 +198,12 @@ class SimulatedDisk:
     def head_of(self, device: int) -> int:
         """Current head position of one device, in pages."""
         return self._heads[device]
+
+    def head_probe(self, device: int) -> Callable[[], int]:
+        """``head_of(device)`` as a zero-argument callable that runs no
+        Python frame (a sweep scheduler asks on every pop).  It holds the
+        head list, which :meth:`reset_stats` parks in place."""
+        return partial(getitem, self._heads, device)
 
     @property
     def head_position(self) -> int:
@@ -402,7 +410,8 @@ class SimulatedDisk:
         """
         self.stats = DiskStats()
         if head_to_zero:
-            self._heads = [
+            # In place: every head probe holds this list.
+            self._heads[:] = [
                 device * self.pages_per_device
                 for device in range(self.n_devices)
             ]

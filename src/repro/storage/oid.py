@@ -93,16 +93,18 @@ class OidDirectory:
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[Oid, Rid] = {}
+        #: OID -> RID; per-reference readers index it and fall back to
+        #: :meth:`lookup` for the error.  Written only by this class.
+        self.rids: Dict[Oid, Rid] = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.rids)
 
     def __contains__(self, oid: Oid) -> bool:
-        return oid in self._entries
+        return oid in self.rids
 
     def __iter__(self) -> Iterator[Oid]:
-        return iter(self._entries)
+        return iter(self.rids)
 
     def register(self, oid: Oid, rid: Rid) -> None:
         """Record the physical address of ``oid``.
@@ -113,9 +115,9 @@ class OidDirectory:
         """
         if oid.is_null():
             raise UnknownOidError("cannot register the null OID")
-        if oid in self._entries:
+        if oid in self.rids:
             raise DuplicateOidError(f"{oid} already registered")
-        self._entries[oid] = rid
+        self.rids[oid] = rid
 
     def lookup(self, oid: Oid) -> Rid:
         """Return the physical address of ``oid``.
@@ -123,7 +125,7 @@ class OidDirectory:
         Raises :class:`UnknownOidError` for unmapped or null OIDs.
         """
         try:
-            return self._entries[oid]
+            return self.rids[oid]
         except KeyError:
             raise UnknownOidError(f"{oid} is not registered") from None
 
@@ -138,23 +140,22 @@ class OidDirectory:
         was never registered (relocation cannot create objects).
         """
         previous = self.lookup(oid)
-        self._entries[oid] = rid
+        self.rids[oid] = rid
         return previous
 
     def page_of(self, oid: Oid) -> int:
         """Return just the page id of ``oid`` (elevator scheduling key).
 
-        Raises :class:`UnknownOidError` like :meth:`lookup`; one frame,
-        since the engine calls it for every reference it schedules.
+        Raises :class:`UnknownOidError` like :meth:`lookup`.
         """
         try:
-            return self._entries[oid].page_id
+            return self.rids[oid].page_id
         except KeyError:
             raise UnknownOidError(f"{oid} is not registered") from None
 
     def dump(self) -> Dict[Oid, Rid]:
         """A copy of the full OID → RID mapping (snapshot support)."""
-        return dict(self._entries)
+        return dict(self.rids)
 
     def load(self, entries: Dict[Oid, Rid]) -> None:
         """Replace the mapping with a copy of ``entries``.
@@ -162,4 +163,4 @@ class OidDirectory:
         Used by harness snapshot/restore to clone a laid-out database
         onto a fresh store without re-registering every object.
         """
-        self._entries = dict(entries)
+        self.rids = dict(entries)

@@ -41,13 +41,16 @@ class Page:
 
     A page built from a ``bytes`` image (a disk read) shares it until
     its first write: a page that is only read copies nothing.
+
+    ``buf`` is that image, a private ``bytearray`` after a write, until
+    :meth:`to_bytes` freezes it; read-only outside this class.
     """
 
-    __slots__ = ("_buf", "page_id", "_slot_count", "_free_offset")
+    __slots__ = ("buf", "page_id", "_slot_count", "_free_offset")
 
     def __init__(self, page_id: int, data: Optional[bytes] = None) -> None:
         if data is None:
-            self._buf = bytearray(PAGE_SIZE)
+            self.buf = bytearray(PAGE_SIZE)
             self.page_id = page_id
             self._slot_count = 0
             self._free_offset = PAGE_HEADER_SIZE
@@ -60,9 +63,9 @@ class Page:
             # An immutable image is shared until the first write
             # (:meth:`_writable`); anything else is copied once, so a
             # page never aliases its caller's buffer.
-            self._buf = data if type(data) is bytes else bytearray(data)
+            self.buf = data if type(data) is bytes else bytearray(data)
             stored_id, self._slot_count, self._free_offset = (
-                _HEADER.unpack_from(self._buf)
+                _HEADER.unpack_from(self.buf)
             )
             self.page_id = stored_id
             if page_id != stored_id:
@@ -74,12 +77,12 @@ class Page:
 
     def _writable(self) -> None:
         """Switch a shared ``bytes`` image to a private copy before a write."""
-        if type(self._buf) is bytes:
-            self._buf = bytearray(self._buf)
+        if type(self.buf) is bytes:
+            self.buf = bytearray(self.buf)
 
     def _write_header(self) -> None:
         _HEADER.pack_into(
-            self._buf, 0, self.page_id, self._slot_count, self._free_offset
+            self.buf, 0, self.page_id, self._slot_count, self._free_offset
         )
 
     def _read_slot(self, slot: int) -> Tuple[int, int]:
@@ -87,11 +90,11 @@ class Page:
             raise BadSlotError(
                 f"slot {slot} out of range on page {self.page_id}"
             )
-        return _SLOT.unpack_from(self._buf, PAGE_SIZE - (slot + 1) * SLOT_SIZE)
+        return _SLOT.unpack_from(self.buf, PAGE_SIZE - (slot + 1) * SLOT_SIZE)
 
     def _write_slot(self, slot: int, offset: int, length: int) -> None:
         _SLOT.pack_into(
-            self._buf, PAGE_SIZE - (slot + 1) * SLOT_SIZE, offset, length
+            self.buf, PAGE_SIZE - (slot + 1) * SLOT_SIZE, offset, length
         )
 
     # -- public interface ---------------------------------------------------
@@ -126,7 +129,7 @@ class Page:
             )
         self._writable()
         offset = self._free_offset
-        self._buf[offset : offset + length] = record
+        self.buf[offset : offset + length] = record
         slot = self._slot_count
         self._slot_count += 1
         self._write_slot(slot, offset, length)
@@ -143,7 +146,7 @@ class Page:
         if not 0 <= slot < self._slot_count:
             self._read_slot(slot)  # raises BadSlotError
         offset, length = _SLOT.unpack_from(
-            self._buf, PAGE_SIZE - (slot + 1) * SLOT_SIZE
+            self.buf, PAGE_SIZE - (slot + 1) * SLOT_SIZE
         )
         if length == 0:
             raise BadSlotError(
@@ -151,7 +154,7 @@ class Page:
             )
         # One copy: a slice of a shared image is already ``bytes``, and
         # ``bytes()`` of ``bytes`` returns it as it is.
-        return bytes(self._buf[offset : offset + length])
+        return bytes(self.buf[offset : offset + length])
 
     def delete(self, slot: int) -> None:
         """Tombstone ``slot``.  The space is not compacted."""
@@ -179,14 +182,14 @@ class Page:
                 f"update must keep length {length}, got {len(record)}"
             )
         self._writable()
-        self._buf[offset : offset + length] = record
+        self.buf[offset : offset + length] = record
 
     def records(self) -> Iterator[Tuple[int, bytes]]:
         """Yield ``(slot, record)`` for every live record in slot order."""
         for slot in range(self._slot_count):
             offset, length = self._read_slot(slot)
             if length:
-                yield slot, bytes(self._buf[offset : offset + length])
+                yield slot, bytes(self.buf[offset : offset + length])
 
     def live_count(self) -> int:
         """Number of non-deleted records."""
@@ -199,9 +202,9 @@ class Page:
         copies it again), so an image never changes once returned, and
         a page whose buffer *is* it holds what it held then.
         """
-        buf = self._buf
+        buf = self.buf
         if type(buf) is not bytes:
-            buf = self._buf = bytes(buf)
+            buf = self.buf = bytes(buf)
         return buf
 
     @classmethod

@@ -207,13 +207,18 @@ class ObjectStore:
         and caches the result under the current image, keeping the old
         tuples when the fields are unchanged.  Either way the record is
         immutable; :meth:`fetch` is the form that hands out a copy.
+        An unwritten page's ``buf`` is its image: no ``to_bytes`` call.
         """
-        rid = self.directory.lookup(oid)
+        try:
+            rid = self.directory.rids[oid]
+        except KeyError:
+            rid = self.directory.lookup(oid)  # raises UnknownOidError
         page = self.buffer.fix(rid.page_id)
         try:
             record = self._decoded.get(rid)
-            image = page.to_bytes()
+            image = page.buf
             if record is None or record.image is not image:
+                image = page.to_bytes()
                 # page.read raises BadSlotError for a dead slot.
                 fresh = self._decode_stored(page.read(rid.slot), image)
                 if record is not None and fresh[:3] == record[:3]:

@@ -24,7 +24,9 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
 from repro.iterator import ListSource
+from repro.core.predicates import int_less_than
 from repro.workloads.acob import generate_acob, make_template
+from tests.integration.test_batch_equivalence import fingerprint_object
 
 
 def load(n=10, buffer_capacity=None, seed=5):
@@ -139,6 +141,51 @@ class TestBufferPressure:
         assert store.buffer.pinned_pages == 0
 
 
+class TestPinsOfARaisingFetch:
+    """A fetch that raises after its page was pinned — a record the
+    template does not fit, a predicate that cannot evaluate the record
+    — leaves no pin once the operator closed, and the same store then
+    serves a good request exactly as a fresh one does."""
+
+    @staticmethod
+    def rows(db, store, layout):
+        """Fingerprints of every complex object of ``layout``, by root
+        (the elevator's emission order follows the head)."""
+        op = Assembly(
+            ListSource(layout.root_order), store, make_template(db),
+            window_size=3,
+        )
+        return sorted(fingerprint_object(row.root) for row in op.execute())
+
+    def assert_serves_like_fresh(self, db, store, layout):
+        assert store.buffer.pinned_pages == 0
+        fresh = load(n=6, seed=4)
+        assert self.rows(db, store, layout) == self.rows(*fresh)
+        assert store.buffer.pinned_pages == 0
+
+    def test_template_that_does_not_fit_the_record(self):
+        db, store, layout = load(n=6, seed=4)
+        template = binary_tree_template(2, left_slot=0, right_slot=8)
+        op = Assembly(ListSource(layout.root_order), store, template)
+        with pytest.raises(AssemblyError, match="reference slot 8"):
+            op.execute()
+        self.assert_serves_like_fresh(db, store, layout)
+
+    def test_predicate_that_raises_on_a_shared_node(self):
+        db, store, layout = load(n=6, seed=4)
+        template = make_template(
+            db,
+            sharing=0.5,
+            predicate_position=db.positions - 1,
+            predicate=int_less_than(9, 5, 0.5),  # the record has fewer ints
+        )
+        assert template.node(f"n{db.positions - 1}").shared
+        op = Assembly(ListSource(layout.root_order), store, template)
+        with pytest.raises(IndexError):
+            op.execute()
+        self.assert_serves_like_fresh(db, store, layout)
+
+
 class TestDirectoryCorruption:
     def test_directory_slot_mismatch_detected(self):
         """If the directory points at the wrong slot, the stored-OID
@@ -147,7 +194,7 @@ class TestDirectoryCorruption:
         first, second = layout.roots[0], layout.roots[1]
         rid_second = store.directory.lookup(second)
         # Corrupt the directory: first now points at second's record.
-        store.directory._entries[first] = rid_second
+        store.directory.rids[first] = rid_second
         with pytest.raises(StorageError):
             store.fetch(first)
         with pytest.raises(StorageError):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.assembly import Assembly
+from repro.core.predicates import Predicate
 from repro.core.stacking import StackedAssembly
 from repro.core.template import Template, TemplateNode
 from repro.errors import AssemblyError
@@ -93,6 +94,29 @@ class TestStackedAssembly:
         _builder, _store, _layout, stacked = build_stacked()
         assert len(stacked.execute()) == 5
         assert len(stacked.execute()) == 5
+
+    def test_rejecting_link_of_the_last_outstanding_node_aborts(self):
+        """Linking a pre-assembled B leaves nothing outstanding and then
+        fails B's predicate: the object is aborted, not completed."""
+        builder, store, layout, _stacked = build_stacked()
+        b_roots = [
+            cobj.objects[cobj.root].refs["b"]
+            for cobj in builder.complex_objects
+        ]
+        lower_template = b_subtree_template()
+        lower = Assembly(ListSource(b_roots), store, lower_template)
+        preassembled = {row.root_oid: row.root for row in lower.execute()}
+        # The linked objects' node; the lower stage already passed it.
+        lower_template.root.predicate = Predicate("never", lambda _r: False)
+        a = TemplateNode("A", type_name="A")
+        a.child(0, "B", type_name="B").child(0, "D", type_name="D")
+        upper = Assembly(
+            ListSource(layout.root_order), store, Template(a),
+            preassembled=preassembled,
+        )
+        assert upper.execute() == []
+        assert upper.stats.aborted == 5 and upper.stats.emitted == 0
+        assert store.buffer.pinned_pages == 0
 
 
 class TestPartialInputs:

@@ -25,6 +25,12 @@ naive pool, and a fixed probe program evicts a confirmed page in the
 step that flags new ones — failing a probe that trusts old
 confirmations.
 
+The elevator files, pops and batches in its own frame
+(``ElevatorScheduler.add`` / ``pop`` / ``pop_batch`` work on the pool's
+fields), so :class:`ElevatorPool` drives those through a real
+scheduler — the head probe and the sweep direction set before each
+pop — and every other operation on its :class:`SweepPool`.
+
 A second property drives the pool the way the device server does: the
 references of several clients in one pool, told apart by ``ref.client``
 alone, with window serials that collide across clients, a global
@@ -36,7 +42,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.schedulers import SweepPool, UnresolvedReference
+from repro.core.schedulers import (
+    ElevatorScheduler,
+    SweepPool,
+    UnresolvedReference,
+)
 from repro.core.template import TemplateNode
 from repro.storage.oid import Oid
 
@@ -60,6 +70,48 @@ def make_ref(serial, page, owner, rejection, seq, client=None):
     )
     ref.client = client
     return ref
+
+
+class ElevatorPool:
+    """A :class:`SweepPool` under an :class:`ElevatorScheduler`.
+
+    ``add`` is the scheduler's; ``pop_next(head, direction)`` and
+    ``pop_batch_next(head, direction, max_pages)`` park the head probe
+    and the sweep direction, pop through the scheduler (no residency
+    probe: the batch is the sweep's) and return the pop with the new
+    direction.  Every other attribute is the pool's (``pool_cls``, so
+    a mutant pool runs under the same scheduler).
+    """
+
+    def __init__(self, pool_cls=SweepPool):
+        """An empty pool under a fresh elevator."""
+        self.head = 0
+        self.scheduler = ElevatorScheduler(head_fn=lambda: self.head)
+        self.scheduler._pool = pool_cls()
+
+    def add(self, ref):
+        """File ``ref`` through the scheduler."""
+        self.scheduler.add(ref)
+
+    def pop_next(self, head, direction):
+        """Elevator pop from ``head`` sweeping in ``direction``."""
+        self.head = head
+        self.scheduler._direction = direction
+        return self.scheduler.pop(), self.scheduler._direction
+
+    def pop_batch_next(self, head, direction, max_pages):
+        """Elevator batch from ``head``: the sweep's next run."""
+        self.head = head
+        self.scheduler._direction = direction
+        return self.scheduler.pop_batch(max_pages), self.scheduler._direction
+
+    def __len__(self):
+        """Number of pending references."""
+        return len(self.scheduler)
+
+    def __getattr__(self, name):
+        """The pool's own operations and fields."""
+        return getattr(self.scheduler._pool, name)
 
 
 class NaiveSweepPool:
@@ -226,7 +278,7 @@ def assert_same_state(pool, naive):
 @settings(max_examples=60, deadline=None)
 def test_sweep_pool_matches_naive_reference(ops):
     """Every operation returns identical refs and leaves equal state."""
-    pool = SweepPool()
+    pool = ElevatorPool()
     naive = NaiveSweepPool()
     resident = set()
     probes = 0
@@ -311,6 +363,11 @@ def test_sweep_pool_matches_naive_reference(ops):
 
 
 @given(pool_op_streams())
+@example(
+    # A single pop leaves a sibling on the page it is about to read:
+    # only the pop can flag that page for the next probe.
+    [("add", 5, 0, 0), ("add", 5, 1, 0), ("pop", True)]
+)
 @settings(max_examples=30, deadline=None)
 def test_probe_after_every_op_matches_full_scan(ops):
     """A probe between every pair of ops still matches the full scan.
@@ -319,7 +376,7 @@ def test_probe_after_every_op_matches_full_scan(ops):
     ``_recent_pages`` flag set is cleared by each probe, so any missed
     flagging event would surface as a divergence on the very next one.
     """
-    pool = SweepPool()
+    pool = ElevatorPool()
     naive = NaiveSweepPool()
     resident = set()
     head, direction = 0, 1
@@ -399,7 +456,7 @@ def test_shared_pool_tells_clients_apart_by_the_reference_alone(ops):
     clients pop in global admission order; and the per-client
     nearest-to-head pick is the one a full scan finds.
     """
-    pool = SweepPool()
+    pool = ElevatorPool()
     naive = NaiveSweepPool()
     head, direction = 0, 1
     admitted = 0
@@ -573,7 +630,7 @@ def run_tombstone_program(pool, ops):
 def test_tombstone_heavy_programs_match_naive_reference(ops):
     """Pops and batches that cross tombstones in both directions, and
     re-added retracted references, agree with the full scans."""
-    run_tombstone_program(SweepPool(), ops)
+    run_tombstone_program(ElevatorPool(), ops)
 
 
 def test_tombstones_crossed_at_both_reversals():
@@ -587,24 +644,24 @@ def test_tombstones_crossed_at_both_reversals():
     bottom = [("park", 2, -1), ("pop",), ("pop",)]
     rest = [("remove_ref", 0), ("readd", 6), ("batch", 3), ("readd", 0)]
     rest += [("readd", 0), ("park", 20, 1), ("pop",), ("batch", 2)]
-    pool = SweepPool()
+    pool = ElevatorPool()
     run_tombstone_program(pool, ops)
     assert len(pool._entries) == 20  # six tombstones, not yet purged
-    pool = SweepPool()
+    pool = ElevatorPool()
     run_tombstone_program(pool, ops + top)
     assert len(pool._entries) == 15  # two popped, 17 to 19 purged
-    pool = SweepPool()
+    pool = ElevatorPool()
     run_tombstone_program(pool, ops + top + bottom)
     # The bottom reversal purges 1 and 0 going down, then 2 — the
     # tombstone the split pointed at — going up.
     assert len(pool._entries) == 10
-    run_tombstone_program(SweepPool(), ops + top + bottom + rest)
+    run_tombstone_program(ElevatorPool(), ops + top + bottom + rest)
 
 
 def test_readded_reference_does_not_resurrect_its_tombstone():
     """Retract a reference, re-add the same object while its tombstone
     is still in the list: it is pending exactly once."""
-    pool = SweepPool()
+    pool = ElevatorPool()
     refs = [make_ref(n, n, n, 0.0, n) for n in range(6)]
     for ref in refs:
         pool.add(ref)
@@ -623,7 +680,7 @@ def _probe_program(pool_cls):
     references flag pages 7 (resident) and 9 (not).  The second probe
     must take 7 — not the stale 5."""
     resident = {3, 5, 7}
-    pool = pool_cls()
+    pool = ElevatorPool(pool_cls)
     naive = NaiveSweepPool()
     refs = {}
     for serial, page in enumerate((3, 5), start=1):

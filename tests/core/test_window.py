@@ -35,7 +35,7 @@ class TestWindow:
             Window(1).retire(42)
 
     def test_find_unknown(self):
-        assert Window(1).find(0) is None
+        assert Window(1).by_serial.get(0) is None
 
     def test_peak_occupancy(self):
         window = Window(3)
@@ -57,20 +57,6 @@ class TestWindow:
 
 
 class TestComplexObjectState:
-    def test_completion_requires_root_and_zero_outstanding(self):
-        state = ComplexObjectState(serial=0, root_oid=Oid(1, 1), outstanding_nodes=1)
-        assert not state.is_complete()
-        state.outstanding_nodes = 0
-        assert not state.is_complete()  # still no root
-        state.root = object()
-        assert state.is_complete()
-
-    def test_aborted_never_complete(self):
-        state = ComplexObjectState(serial=0, root_oid=Oid(1, 1))
-        state.root = object()
-        state.aborted = True
-        assert not state.is_complete()
-
     def test_gating(self):
         state = ComplexObjectState(
             serial=0, root_oid=Oid(1, 1), pending_predicates=2

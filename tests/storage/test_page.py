@@ -318,7 +318,7 @@ class _HandsOutItsBuffer(Page):
     __slots__ = ()
 
     def to_bytes(self):
-        return self._buf
+        return self.buf
 
 
 class _SharesItsImage(Page):
@@ -329,7 +329,7 @@ class _SharesItsImage(Page):
     def __init__(self, page_id, data=None):
         super().__init__(page_id, data)
         if data is not None:
-            self._buf = data
+            self.buf = data
 
 
 class TestHoldsAndCopyOnWrite:
