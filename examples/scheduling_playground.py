@@ -11,7 +11,7 @@ Run:  python examples/scheduling_playground.py [n_complex_objects]
 
 import sys
 
-from repro.bench import ExperimentConfig, run_experiment
+from repro.bench.harness import ExperimentConfig, run_experiment
 
 SCHEDULERS = ("depth-first", "breadth-first", "elevator")
 CLUSTERINGS = ("inter-object", "intra-object", "unclustered")

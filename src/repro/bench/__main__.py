@@ -16,7 +16,7 @@ import time
 from typing import List
 
 from repro.bench.export import write_csv, write_json
-from repro.bench.figures import ALL_FIGURES, DESCRIPTIONS
+from repro.bench.figures import ALL_FIGURES
 from repro.bench.harness import ExperimentConfig, trace_experiment
 from repro.bench.report import FigureResult, render
 
@@ -54,21 +54,13 @@ def main(argv: List[str] = None) -> int:
         "trace to FILE as Chrome trace_event JSON (tracing never "
         "changes any benchmark number)",
     )
-    parser.add_argument(
-        "--trace-sample-rate",
-        type=float,
-        default=1.0,
-        metavar="RATE",
-        help="fraction of window-slot subtrees kept in --trace-out "
-        "(deterministic; default 1.0)",
-    )
     args = parser.parse_args(argv)
 
     if args.list:
         width = max(len(name) for name in ALL_FIGURES)
-        for name in ALL_FIGURES:
-            description = DESCRIPTIONS.get(name, "")
-            print(f"{name:<{width}}  {description}".rstrip())
+        for name, driver in ALL_FIGURES.items():
+            summary = driver.__doc__.strip().splitlines()[0]
+            print(f"{name:<{width}}  {summary}")
         return 0
 
     # --trace-out alone traces one run without sweeping every figure.
@@ -98,9 +90,7 @@ def main(argv: List[str] = None) -> int:
         print(f"wrote {write_json(collected, args.json)}")
     if args.trace_out:
         config = ExperimentConfig(n_complex_objects=100, window_size=8)
-        result, path = trace_experiment(
-            config, args.trace_out, sample_rate=args.trace_sample_rate
-        )
+        result, path = trace_experiment(config, args.trace_out)
         print(
             f"wrote {path} (traced {result.emitted} objects, "
             f"{result.reads} reads)"

@@ -31,29 +31,16 @@ reduced scale; defaults match the other Section 6 figures.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.bench.harness import get_database
+from repro.bench.harness import ExperimentConfig, build_assembly, build_layout
 from repro.bench.report import FigureResult, monotone_decreasing
-from repro.cluster.layout import (
-    LayoutSnapshot,
-    layout_database,
-    restore_layout,
-    snapshot_layout,
-)
-from repro.cluster.policies import InterObjectClustering
 from repro.core.assembly import Assembly
-from repro.core.multidevice import (
-    MultiDeviceScheduler,
-    PipelinedAssembly,
-    PipelineStats,
-)
-from repro.core.schedulers import make_scheduler
-from repro.storage.buffer import BufferManager
+from repro.core.multidevice import MultiDeviceScheduler, PipelinedAssembly
 from repro.storage.costmodel import CostedDisk, CostModel
 from repro.storage.events import AsyncIOEngine
+from repro.storage.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.storage.multidisk import MultiDeviceDisk
-from repro.storage.store import ObjectStore
 from repro.iterator import ListSource
 from repro.workloads.acob import make_template
 
@@ -64,45 +51,8 @@ ISSUE_DEPTHS = (1, 2, 4)
 #: Per-reference CPU cost (ms) that E-2 overlaps with in-flight reads.
 CPU_MS_PER_REF = 0.2
 
-#: Layout snapshots keyed by ``(db_size, cluster_pages, geometry)``.
-#: Geometry is part of the key because placement goes through
-#: ``disk.allocate`` — a multi-device disk stripes extents round-robin,
-#: so the page images differ per device count.
-_LAYOUT_SNAPSHOTS: Dict[Tuple, LayoutSnapshot] = {}
-_LAYOUT_CACHE_LIMIT = 8
 
-
-def _acob_layout(
-    db, db_size: int, cluster_pages: int, geometry, store: ObjectStore
-):
-    """Lay out (or restore from snapshot) the declustered ACOB database.
-
-    ``store`` must be freshly constructed and ``geometry`` must
-    identify the disk's allocation behaviour (device count for
-    multi-device disks).  The first call per key runs the real load
-    phase and captures a snapshot; later calls restore it,
-    bit-identical, without re-running placement and encoding.
-    """
-    key = (db_size, cluster_pages, geometry)
-    snapshot = _LAYOUT_SNAPSHOTS.get(key)
-    if snapshot is not None:
-        return restore_layout(snapshot, store)
-    layout = layout_database(
-        db.complex_objects,
-        store,
-        InterObjectClustering(
-            cluster_pages=cluster_pages,
-            disk_order=db.type_ids_depth_first(),
-        ),
-        shared=db.shared_pool,
-    )
-    _LAYOUT_SNAPSHOTS[key] = snapshot_layout(layout)
-    while len(_LAYOUT_SNAPSHOTS) > _LAYOUT_CACHE_LIMIT:
-        _LAYOUT_SNAPSHOTS.pop(next(iter(_LAYOUT_SNAPSHOTS)))
-    return layout
-
-
-def _pipelined_run(
+def pipelined_run(
     db_size: int,
     n_devices: int,
     window_per_device: int,
@@ -110,23 +60,36 @@ def _pipelined_run(
     issue_depth: int,
     batch_pages: int,
     cpu_ms_per_ref: float = 0.0,
-) -> Tuple[AsyncIOEngine, PipelineStats, int]:
-    """One pipelined assembly over a declustered ACOB layout."""
-    db = get_database(db_size, seed=2)
+    faults: Optional[FaultConfig] = None,
+) -> Tuple[AsyncIOEngine, PipelinedAssembly, Assembly, int]:
+    """One pipelined assembly over a declustered ACOB layout.
+
+    With ``faults``, an injector is attached after the layout (faults
+    model the serving disk, not the bulk load that builds the
+    database) and the operator and driver retry up to three times.
+    Returns the engine, the driver, the operator and the emitted count.
+    """
     disk = MultiDeviceDisk(
         n_devices=n_devices,
         pages_per_device=(7 * cluster_pages) // n_devices + cluster_pages + 88,
     )
-    store = ObjectStore(disk, BufferManager(disk))
-    layout = _acob_layout(
-        db, db_size, cluster_pages, ("multi", n_devices), store
+    db, layout = build_layout(
+        ExperimentConfig(
+            n_complex_objects=db_size, seed=2, cluster_pages=cluster_pages
+        ),
+        disk,
     )
+    injector = retry = None
+    if faults is not None:
+        injector = FaultInjector(faults).attach(disk)
+        retry = RetryPolicy(max_retries=3)
     operator = Assembly(
         ListSource(layout.root_order),
-        store,
+        layout.store,
         make_template(db),
         window_size=window_per_device * n_devices,
         scheduler=MultiDeviceScheduler(disk),
+        retry_policy=retry,
     )
     engine = AsyncIOEngine(disk, CostModel())
     pipeline = PipelinedAssembly(
@@ -135,55 +98,34 @@ def _pipelined_run(
         issue_depth=issue_depth,
         batch_pages=batch_pages,
         cpu_ms_per_ref=cpu_ms_per_ref,
+        retry_policy=retry,
     )
     emitted = pipeline.run()
-    return engine, pipeline.stats, len(emitted)
+    assert injector is None or injector.stats.reads_seen > 0
+    return engine, pipeline, operator, len(emitted)
 
 
-def _synchronous_run(db_size: int, window: int, cluster_pages: int):
-    """The synchronous single-spindle reference: a costed elevator run."""
-    db = get_database(db_size, seed=2)
+def _costed_run(
+    db_size: int, window: int, cluster_pages: int, pipelined: bool
+) -> Tuple[Optional[AsyncIOEngine], CostedDisk, int]:
+    """A costed elevator run on one spindle: the synchronous loop, or
+    the same layout driven by the engine at depth 1 / batch 1."""
     disk = CostedDisk(n_pages=7 * cluster_pages + cluster_pages + 88)
-    store = ObjectStore(disk, BufferManager(disk))
-    layout = _acob_layout(db, db_size, cluster_pages, "costed", store)
-    operator = Assembly(
-        ListSource(layout.root_order),
-        store,
-        make_template(db),
+    config = ExperimentConfig(
+        n_complex_objects=db_size,
+        seed=2,
+        cluster_pages=cluster_pages,
         window_size=window,
-        scheduler=make_scheduler(
-            "elevator",
-            head_fn=lambda: disk.head_position,
-            resident_fn=store.buffer.is_resident,
-        ),
     )
-    emitted = operator.execute()
-    return disk, len(emitted)
-
-
-def _costed_pipelined_run(db_size: int, window: int, cluster_pages: int):
-    """The same layout driven by the engine at depth 1 / batch 1."""
-    db = get_database(db_size, seed=2)
-    disk = CostedDisk(n_pages=7 * cluster_pages + cluster_pages + 88)
-    store = ObjectStore(disk, BufferManager(disk))
-    layout = _acob_layout(db, db_size, cluster_pages, "costed", store)
-    operator = Assembly(
-        ListSource(layout.root_order),
-        store,
-        make_template(db),
-        window_size=window,
-        scheduler=make_scheduler(
-            "elevator",
-            head_fn=lambda: disk.head_position,
-            resident_fn=store.buffer.is_resident,
-        ),
-    )
+    db, layout = build_layout(config, disk)
+    operator = build_assembly(config, db, layout)
+    if not pipelined:
+        return None, disk, len(operator.execute())
     engine = AsyncIOEngine(disk, disk.cost_model)
     pipeline = PipelinedAssembly(
         operator, engine, issue_depth=1, batch_pages=1
     )
-    emitted = pipeline.run()
-    return engine, disk, len(emitted)
+    return engine, disk, len(pipeline.run())
 
 
 def figure_elapsed(
@@ -208,7 +150,7 @@ def figure_elapsed(
     utilizations_at_max: List[float] = []
     emitted_ok = True
     for n_devices in device_counts:
-        engine, _stats, emitted = _pipelined_run(
+        engine, _pipeline, _operator, emitted = pipelined_run(
             db_size,
             n_devices,
             window_per_device,
@@ -260,7 +202,7 @@ def figure_elapsed(
     )
     elapsed_by_depth: List[float] = []
     for depth in issue_depths:
-        engine, _stats, emitted = _pipelined_run(
+        engine, _pipeline, _operator, emitted = pipelined_run(
             db_size,
             n_devices,
             window_per_device,
@@ -299,11 +241,11 @@ def figure_elapsed(
         "declustering keeps every device at least 40% busy",
         all(u >= 0.40 for u in utilizations_at_max),
     )
-    sync_disk, sync_emitted = _synchronous_run(
-        db_size, window_per_device, cluster_pages
+    _, sync_disk, sync_emitted = _costed_run(
+        db_size, window_per_device, cluster_pages, pipelined=False
     )
-    engine, piped_disk, piped_emitted = _costed_pipelined_run(
-        db_size, window_per_device, cluster_pages
+    engine, piped_disk, piped_emitted = _costed_run(
+        db_size, window_per_device, cluster_pages, pipelined=True
     )
     e3.check(
         "single device at depth 1 reproduces the synchronous service "

@@ -277,7 +277,7 @@ def figure_fabric(
     requests_per_point: int = 40,
     calibration_requests: int = 20,
 ) -> List[FigureResult]:
-    """The whole F-family (the CLI's ``fabric`` figure)."""
+    """Figures F-1..F-3: sharded fabric under load, hedging and shedding."""
     return [
         figure_f1(db_size, requests_per_point, calibration_requests),
         figure_f2(db_size, requests_per_point, calibration_requests),

@@ -24,6 +24,7 @@ from repro.bench.elapsed import figure_elapsed
 from repro.bench.fabric import figure_fabric
 from repro.bench.harness import (
     ExperimentConfig,
+    build_assembly,
     build_layout,
     get_database,
     run_experiment,
@@ -52,7 +53,7 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.multidisk import MultiDeviceDisk
 from repro.storage.store import ObjectStore
 from repro.volcano.assembly import InterleavedAssemblies
-from repro.workloads.acob import generate_acob, make_template
+from repro.workloads.acob import make_template
 from repro.workloads.hypermodel import generate_hypermodel, hypermodel_template
 from repro.workloads.sharing import measure_sharing
 
@@ -540,8 +541,11 @@ def ablation_sharing_degree(
     degrees: Sequence[float] = (0.05, 0.10, 0.25, 0.50),
     db_size: int = 2000,
 ) -> FigureResult:
-    """Section 6.4: results at 25% sharing are 'typical of the other
-    benchmarks with differing degrees of sharing'."""
+    """Fetches and shared links vs sharing degree, elevator, window 50 (§6.4).
+
+    Section 6.4: results at 25% sharing are "typical of the other
+    benchmarks with differing degrees of sharing".
+    """
     figure = FigureResult(
         figure_id="Ablation A-3",
         title="sharing-degree sweep, elevator window=50",
@@ -577,8 +581,11 @@ def ablation_adaptive_scheduler(
     db_size: int = 2000,
     selectivities: Sequence[float] = (0.1, 0.3, 0.5),
 ) -> FigureResult:
-    """Section 7: the elevator 'modified to account for predicates,
-    sharing and the buffer size' vs the plain elevator."""
+    """Adaptive vs plain elevator on selective assembly, window 50 (§7).
+
+    Section 7: the elevator "modified to account for predicates,
+    sharing and the buffer size" vs the plain elevator.
+    """
     figure = FigureResult(
         figure_id="Ablation A-4",
         title="adaptive vs plain elevator on selective assembly, window=50",
@@ -676,8 +683,11 @@ def ablation_parallel_contention(
 def ablation_window_tuning(
     buffer_capacity: int = 256, db_size: int = 2000
 ) -> FigureResult:
-    """Section 7: 'for a given buffer size the window size can be
-    tuned so that performance is maximized.'"""
+    """Window size tuned to a restricted buffer's pin bound (§7).
+
+    Section 7: "for a given buffer size the window size can be tuned so
+    that performance is maximized."
+    """
 
     figure = FigureResult(
         figure_id="Ablation A-6",
@@ -744,23 +754,16 @@ def ablation_multi_device(
     )
     criticals: List[float] = []
     for n_devices in device_counts:
-        db = generate_acob(db_size, seed=2)
         disk = MultiDeviceDisk(
             n_devices=n_devices,
             pages_per_device=(7 * 512) // n_devices + 600,
         )
-        store = ObjectStore(disk, BufferManager(disk))
-        layout = layout_database(
-            db.complex_objects,
-            store,
-            InterObjectClustering(
-                cluster_pages=512, disk_order=db.type_ids_depth_first()
-            ),
-            shared=db.shared_pool,
+        db, layout = build_layout(
+            ExperimentConfig(n_complex_objects=db_size, seed=2), disk
         )
         operator = Assembly(
             ListSource(layout.root_order),
-            store,
+            layout.store,
             make_template(db),
             window_size=window_per_device * n_devices,
             scheduler=MultiDeviceScheduler(disk),
@@ -877,26 +880,17 @@ def ablation_cost_model(
         x_label="window size",
         y_label="avg service time per read (ms)",
     )
-    db = generate_acob(db_size, seed=2)
 
     def run(scheduler: str, window: int):
         disk = CostedDisk()
-        store = ObjectStore(disk, BufferManager(disk))
-        layout = layout_database(
-            db.complex_objects,
-            store,
-            InterObjectClustering(
-                cluster_pages=512, disk_order=db.type_ids_depth_first()
-            ),
-            shared=db.shared_pool,
-        )
-        operator = Assembly(
-            ListSource(layout.root_order),
-            store,
-            make_template(db),
-            window_size=window,
+        config = ExperimentConfig(
+            n_complex_objects=db_size,
+            seed=2,
             scheduler=scheduler,
+            window_size=window,
         )
+        db, layout = build_layout(config, disk)
+        operator = build_assembly(config, db, layout)
         emitted = sum(1 for _ in operator.rows())
         assert emitted == db_size
         return disk.avg_service_time_per_read, disk.stats.avg_seek_per_read
@@ -925,7 +919,8 @@ def ablation_cost_model(
     return figure
 
 
-#: Registry for the CLI: name -> zero-argument driver.
+#: Registry for the CLI: name -> zero-argument driver.  The first line
+#: of each driver's docstring is its ``--list`` summary.
 ALL_FIGURES = {
     "fig11": figure_11,
     "fig13": figure_13,
@@ -953,31 +948,3 @@ ALL_FIGURES = {
     "volcano": figure_volcano,
 }
 
-
-#: One-line summaries for ``python -m repro.bench --list``.
-DESCRIPTIONS = {
-    "fig11": "scheduler vs database size at window 1 (Fig. 11A-C)",
-    "fig13": "scheduler vs database size at window 100 (Fig. 13A-C)",
-    "fig14": "seek distance vs window size (Fig. 14)",
-    "fig15": "clustering policies head to head (Fig. 15)",
-    "fig16": "assembly vs pointer-chasing baseline (Fig. 16)",
-    "buffer-bound": "Section 6.3.3 pin bound: measured vs formula",
-    "df-invariance": "depth-first is window-invariant (Section 6.3)",
-    "ablation-scheduler": "scheduler choice ablation",
-    "ablation-buffer": "buffer capacity ablation",
-    "ablation-sharing": "shared-component degree ablation",
-    "ablation-adaptive": "adaptive scheduler ablation",
-    "ablation-parallel": "parallel assembly contention ablation",
-    "ablation-tuning": "window auto-tuning ablation",
-    "ablation-multidevice": "multi-device declustering ablation",
-    "ablation-hypermodel": "hypermodel generality ablation",
-    "ablation-costmodel": "cost model calibration ablation",
-    "baseline-tidscan": "TID-scan baseline comparison",
-    "service": "device-server service figures S-1..S-4",
-    "batch": "batched scheduler figures B-1..B-3",
-    "elapsed": "event-driven elapsed-time figures E-1..E-3",
-    "robustness": "fault-injection robustness figures R-1..R-2",
-    "fabric": "sharded fabric figures F-1..F-3 (load, hedging, shedding)",
-    "reorg": "online reorganization figures G-1..G-3 (shifting hot set)",
-    "volcano": "composable assembly figures V-1..V-3 (plans, pushdown, exchange)",
-}

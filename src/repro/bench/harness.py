@@ -33,7 +33,7 @@ from repro.cluster.policies import (
 from repro.core.assembly import Assembly
 from repro.errors import ReproError
 from repro.iterator import ListSource
-from repro.obs.export import write_chrome_trace, write_jsonl
+from repro.obs.export import write_chrome_trace
 from repro.obs.spans import SpanRecorder
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import SimulatedDisk
@@ -121,23 +121,11 @@ def clear_database_cache() -> None:
     _LAYOUT_SNAPSHOTS.clear()
 
 
-#: Layouts are deterministic functions of these config fields; the
-#: snapshot cache is keyed by them and bounded to the most recent few
-#: entries (page images dominate: ~1 KB per page).
+#: Layouts are deterministic functions of a config's layout fields and
+#: the disk's geometry; the snapshot cache is keyed by them and bounded
+#: to the most recent few entries (page images dominate: ~1 KB per page).
 _LAYOUT_SNAPSHOTS: Dict[Tuple, LayoutSnapshot] = {}
 _LAYOUT_CACHE_LIMIT = 8
-
-
-def _layout_key(config: ExperimentConfig) -> Tuple:
-    """The config fields layout construction actually depends on."""
-    return (
-        config.n_complex_objects,
-        config.sharing,
-        config.seed,
-        config.clustering,
-        config.cluster_pages,
-        config.layout_seed,
-    )
 
 
 def make_policy(config: ExperimentConfig, database: ACOBDatabase) -> ClusteringPolicy:
@@ -157,39 +145,60 @@ def make_policy(config: ExperimentConfig, database: ACOBDatabase) -> ClusteringP
     return Unclustered()
 
 
-def build_layout(config: ExperimentConfig) -> Tuple[ACOBDatabase, LayoutResult]:
-    """Generate (cached) and lay out the configured database.
+def build_layout(
+    config: ExperimentConfig, disk: Optional[SimulatedDisk] = None
+) -> Tuple[ACOBDatabase, LayoutResult]:
+    """Generate (cached) and lay out the configured database on ``disk``.
+
+    ``disk`` must be freshly constructed; the default is an unbounded
+    single :class:`SimulatedDisk`.  A striped or costed disk lays out
+    through the same code; only layouts that differ in policy or seed
+    (the Volcano family's) are built elsewhere.
 
     Layouts are deterministic, so the post-layout disk image is cached
     per parameter point (snapshot/restore): the first build runs the
     placement policy and writes every page; later builds of the same
-    point restore the page images onto a fresh disk/buffer/store.  The
+    point restore the page images onto the fresh disk/buffer/store.  The
     restored state is bit-identical to a rebuild — sweeps that revisit
     a layout (e.g. a window-size sweep at one clustering) skip the
-    whole load phase.
+    whole load phase.  The disk's geometry is part of the key because
+    placement goes through ``disk.allocate``: a multi-device disk
+    stripes extents round-robin, so the page images differ per device
+    count.
     """
     database = get_database(
         config.n_complex_objects, sharing=config.sharing, seed=config.seed
     )
-    key = _layout_key(config)
+    if disk is None:
+        disk = SimulatedDisk()
+    store = ObjectStore(
+        disk, BufferManager(disk, capacity=config.buffer_capacity)
+    )
+    key = (
+        config.n_complex_objects,
+        config.sharing,
+        config.seed,
+        config.clustering,
+        config.cluster_pages,
+        config.layout_seed,
+        disk.n_devices,
+        disk.pages_per_device,
+    )
     snapshot = _LAYOUT_SNAPSHOTS.get(key)
-    disk = SimulatedDisk()
-    buffer = BufferManager(disk, capacity=config.buffer_capacity)
-    store = ObjectStore(disk, buffer)
-    if snapshot is None:
-        layout = layout_database(
-            database.complex_objects,
-            store,
-            make_policy(config, database),
-            shared=database.shared_pool,
-            seed=config.layout_seed,
-            validate=False,  # generators validate once; layouts are hot paths
-        )
-        _LAYOUT_SNAPSHOTS[key] = snapshot_layout(layout)
-        while len(_LAYOUT_SNAPSHOTS) > _LAYOUT_CACHE_LIMIT:
-            _LAYOUT_SNAPSHOTS.pop(next(iter(_LAYOUT_SNAPSHOTS)))
-        return database, layout
-    return database, restore_layout(snapshot, store)
+    if snapshot is not None:
+        return database, restore_layout(snapshot, store)
+    layout = layout_database(
+        database.complex_objects,
+        store,
+        make_policy(config, database),
+        shared=database.shared_pool,
+        seed=config.layout_seed,
+        validate=False,  # generators validate once; layouts are hot paths
+    )
+    _LAYOUT_SNAPSHOTS[key] = snapshot_layout(layout)
+    while len(_LAYOUT_SNAPSHOTS) > _LAYOUT_CACHE_LIMIT:
+        _LAYOUT_SNAPSHOTS.pop(next(iter(_LAYOUT_SNAPSHOTS)))
+    return database, layout
 
 
 def build_assembly(
@@ -268,24 +277,15 @@ def run_experiment(
 
 
 def trace_experiment(
-    config: ExperimentConfig,
-    path: str,
-    fmt: str = "chrome",
-    sample_rate: float = 1.0,
+    config: ExperimentConfig, path: str
 ) -> Tuple[ExperimentResult, str]:
-    """Run one instrumented experiment and export its span trace.
+    """Run one instrumented experiment and write its span trace to
+    ``path`` as Chrome ``trace_event`` JSON (``chrome://tracing`` /
+    Perfetto).
 
-    Returns ``(result, written_path)``.  ``fmt`` is ``"chrome"`` (Chrome
-    ``trace_event`` JSON for ``chrome://tracing`` / Perfetto) or
-    ``"jsonl"`` (the flat span log ``python -m repro.obs`` consumes).
-    ``sample_rate`` thins window-slot subtrees deterministically; the
-    experiment result itself is unaffected by tracing or sampling.
+    Returns ``(result, written_path)``; the experiment result itself is
+    unaffected by tracing.
     """
-    if fmt not in ("chrome", "jsonl"):
-        raise ReproError(
-            f"unknown trace format {fmt!r} (want 'chrome' or 'jsonl')"
-        )
-    spans = SpanRecorder(sample_rate=sample_rate)
+    spans = SpanRecorder()
     result = run_experiment(config, spans=spans)
-    writer = write_chrome_trace if fmt == "chrome" else write_jsonl
-    return result, str(writer(spans.spans, path))
+    return result, str(write_chrome_trace(spans.spans, path))

@@ -8,7 +8,9 @@ CI gate), flagging:
 * figures, series or data points that appeared/disappeared,
 * data points whose y value differs (by more than ``--tolerance``,
   which defaults to :data:`EXACT`),
-* shape checks that regressed from passing to failing.
+* shape checks that regressed from passing to failing,
+* a figure id or a series' x that appears twice in either document
+  (indexing by ``dict()`` would silently keep the last copy).
 
 The simulated disk is deterministic, so on an unchanged tree the diff
 is empty; any drift localizes the change to a figure and series.
@@ -18,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Sequence, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from repro.bench.export import load_json
+from repro.errors import ReproError
 
 #: Relative y difference still read as "the same number".  Every series
 #: is a count or a simulated quantity, so the gate is exact; the slack
@@ -39,12 +42,14 @@ class RegressionReport:
     new_series: List[str] = field(default_factory=list)
     drifted_points: List[str] = field(default_factory=list)
     regressed_checks: List[str] = field(default_factory=list)
+    duplicates: List[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
         """No differences at all?"""
         return not (
-            self.missing_figures
+            self.duplicates
+            or self.missing_figures
             or self.new_figures
             or self.missing_series
             or self.new_series
@@ -58,6 +63,7 @@ class RegressionReport:
             return "no regressions: runs are equivalent"
         lines: List[str] = []
         for label, items in (
+            ("figures or points duplicated", self.duplicates),
             ("figures missing from current run", self.missing_figures),
             ("figures new in current run", self.new_figures),
             ("series missing from current run", self.missing_series),
@@ -71,10 +77,18 @@ class RegressionReport:
         return "\n".join(lines)
 
 
-def _index_figures(document: dict) -> Dict[str, dict]:
-    return {
-        figure["figure_id"]: figure for figure in document["figures"]
-    }
+def _index(
+    pairs: Iterable[Tuple[object, object]], where: str, duplicates: List[str]
+) -> dict:
+    """``dict(pairs)`` keeping the first copy of a key; every later
+    copy is recorded in ``duplicates`` as ``where`` + the key."""
+    index: dict = {}
+    for key, value in pairs:
+        if key in index:
+            duplicates.append(f"{where}{key} appears more than once")
+        else:
+            index[key] = value
+    return index
 
 
 def compare_documents(
@@ -82,8 +96,16 @@ def compare_documents(
 ) -> RegressionReport:
     """Diff two result documents (as loaded by ``export.load_json``)."""
     report = RegressionReport()
-    old = _index_figures(baseline)
-    new = _index_figures(current)
+    old = _index(
+        ((f["figure_id"], f) for f in baseline["figures"]),
+        "baseline: ",
+        report.duplicates,
+    )
+    new = _index(
+        ((f["figure_id"], f) for f in current["figures"]),
+        "current: ",
+        report.duplicates,
+    )
 
     report.missing_figures = sorted(set(old) - set(new))
     report.new_figures = sorted(set(new) - set(old))
@@ -96,8 +118,13 @@ def compare_documents(
             if name not in new_series:
                 report.missing_series.append(f"{figure_id} / {name}")
                 continue
-            old_points = dict(old_series[name])
-            new_points = dict(new_series[name])
+            where = f"{figure_id} / {name} @ x="
+            old_points = _index(
+                old_series[name], f"baseline: {where}", report.duplicates
+            )
+            new_points = _index(
+                new_series[name], f"current: {where}", report.duplicates
+            )
             for x in new_points:
                 if x not in old_points:
                     report.drifted_points.append(
@@ -130,6 +157,18 @@ def compare_documents(
     return report
 
 
+def _load_document(path: Union[str, Path]) -> dict:
+    """Read one export; :class:`ReproError` (naming ``path``) when the
+    file is not JSON or has no ``"figures"`` key."""
+    try:
+        document = load_json(path)
+    except ValueError as exc:
+        raise ReproError(f"{path} is not JSON: {exc}") from exc
+    if not isinstance(document, dict) or "figures" not in document:
+        raise ReproError(f'{path} has no "figures" key')
+    return document
+
+
 def compare_files(
     baseline_path: Union[str, Path],
     current_path: Union[str, Path],
@@ -137,7 +176,9 @@ def compare_files(
 ) -> RegressionReport:
     """Diff two JSON exports on disk."""
     return compare_documents(
-        load_json(baseline_path), load_json(current_path), tolerance
+        _load_document(baseline_path),
+        _load_document(current_path),
+        tolerance,
     )
 
 
@@ -145,7 +186,8 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
     """CLI: compare a current export against an archived baseline.
 
     Exit status 0 when the runs are equivalent, 1 on any regression —
-    which is exactly what a CI step wants.
+    which is exactly what a CI step wants — and 2 when a file is
+    missing, is not JSON or has no ``"figures"`` key.
     """
     import argparse
 
@@ -166,6 +208,8 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
         report = compare_files(args.baseline, args.current, args.tolerance)
     except FileNotFoundError as exc:
         parser.error(f"cannot read results file: {exc.filename}")
+    except ReproError as exc:
+        parser.error(str(exc))
     print(report.describe())
     return 0 if report.clean else 1
 

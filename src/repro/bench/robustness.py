@@ -29,21 +29,14 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+from repro.bench.elapsed import pipelined_run
+from repro.bench.harness import ExperimentConfig, build_layout
 from repro.bench.report import FigureResult
-from repro.cluster.layout import layout_database
-from repro.cluster.policies import InterObjectClustering
 from repro.core.assembly import SKIP_OBJECT, Assembly, AssemblyStats
-from repro.core.multidevice import MultiDeviceScheduler, PipelinedAssembly
-from repro.core.schedulers import make_scheduler
-from repro.storage.buffer import BufferManager
-from repro.storage.costmodel import CostModel
 from repro.storage.disk import SimulatedDisk
-from repro.storage.events import AsyncIOEngine
 from repro.storage.faults import FaultConfig, FaultInjector, RetryPolicy
-from repro.storage.multidisk import MultiDeviceDisk
-from repro.storage.store import ObjectStore
 from repro.iterator import ListSource
-from repro.workloads.acob import generate_acob, make_template
+from repro.workloads.acob import make_template
 
 #: Transient-fault rates swept by R-1 and R-2 (0 = the clean baseline).
 FAULT_RATES = (0.0, 0.02, 0.05, 0.1)
@@ -51,79 +44,16 @@ FAULT_RATES = (0.0, 0.02, 0.05, 0.1)
 FAULT_SEED = 11
 
 
-def _pipelined_faulted_run(
-    db_size: int,
-    n_devices: int,
-    window_per_device: int,
-    cluster_pages: int,
-    fault_rate: float,
-    inject: bool,
-) -> Tuple[AsyncIOEngine, "PipelinedAssembly", int]:
-    """One pipelined assembly, optionally under an attached injector."""
-    db = generate_acob(db_size, seed=2)
-    disk = MultiDeviceDisk(
-        n_devices=n_devices,
-        pages_per_device=(7 * cluster_pages) // n_devices + cluster_pages + 88,
-    )
-    retry = RetryPolicy(max_retries=3)
-    store = ObjectStore(disk, BufferManager(disk))
-    layout = layout_database(
-        db.complex_objects,
-        store,
-        InterObjectClustering(
-            cluster_pages=cluster_pages,
-            disk_order=db.type_ids_depth_first(),
-        ),
-        shared=db.shared_pool,
-    )
-    # Attach only after layout: faults model the serving disk, not the
-    # bulk load that builds the database.
-    injector = None
-    if inject:
-        injector = FaultInjector(
-            FaultConfig(
-                seed=FAULT_SEED,
-                read_error_rate=fault_rate,
-                latency_spike_rate=fault_rate,
-                max_consecutive_failures=2,
-            )
-        ).attach(disk)
-    operator = Assembly(
-        ListSource(layout.root_order),
-        store,
-        make_template(db),
-        window_size=window_per_device * n_devices,
-        scheduler=MultiDeviceScheduler(disk),
-        retry_policy=retry if inject else None,
-    )
-    engine = AsyncIOEngine(disk, CostModel())
-    pipeline = PipelinedAssembly(
-        operator,
-        engine,
-        issue_depth=2,
-        batch_pages=4,
-        retry_policy=retry if inject else None,
-    )
-    emitted = pipeline.run()
-    assert injector is None or injector.stats.reads_seen > 0
-    return engine, pipeline, operator, len(emitted)
-
-
 def _skipping_run(
     db_size: int, window: int, cluster_pages: int, fault_rate: float
 ) -> Tuple[AssemblyStats, int]:
     """Synchronous assembly that abandons objects on exhausted retries."""
-    db = generate_acob(db_size, seed=2)
     disk = SimulatedDisk(n_pages=7 * cluster_pages + cluster_pages + 88)
-    store = ObjectStore(disk, BufferManager(disk))
-    layout = layout_database(
-        db.complex_objects,
-        store,
-        InterObjectClustering(
-            cluster_pages=cluster_pages,
-            disk_order=db.type_ids_depth_first(),
+    db, layout = build_layout(
+        ExperimentConfig(
+            n_complex_objects=db_size, seed=2, cluster_pages=cluster_pages
         ),
-        shared=db.shared_pool,
+        disk,
     )
     if fault_rate > 0.0:
         FaultInjector(
@@ -135,14 +65,10 @@ def _skipping_run(
         ).attach(disk)
     operator = Assembly(
         ListSource(layout.root_order),
-        store,
+        layout.store,
         make_template(db),
         window_size=window,
-        scheduler=make_scheduler(
-            "elevator",
-            head_fn=lambda: disk.head_position,
-            resident_fn=store.buffer.is_resident,
-        ),
+        scheduler="elevator",
         retry_policy=RetryPolicy(max_retries=1),
         on_fault=SKIP_OBJECT,
     )
@@ -169,17 +95,23 @@ def figure_robustness(
         x_label="transient fault rate (per read)",
         y_label="elapsed milliseconds (event clock)",
     )
-    baseline_engine, _, _, baseline_emitted = _pipelined_faulted_run(
+    baseline_engine, _, _, baseline_emitted = pipelined_run(
         db_size, n_devices, window_per_device, cluster_pages,
-        fault_rate=0.0, inject=False,
+        issue_depth=2, batch_pages=4,
     )
     elapsed_by_rate: List[float] = []
     retries_at_max = 0
     emitted_ok = baseline_emitted == db_size
     for rate in fault_rates:
-        engine, pipeline, operator, emitted = _pipelined_faulted_run(
+        engine, pipeline, operator, emitted = pipelined_run(
             db_size, n_devices, window_per_device, cluster_pages,
-            fault_rate=rate, inject=True,
+            issue_depth=2, batch_pages=4,
+            faults=FaultConfig(
+                seed=FAULT_SEED,
+                read_error_rate=rate,
+                latency_spike_rate=rate,
+                max_consecutive_failures=2,
+            ),
         )
         emitted_ok = emitted_ok and emitted == db_size
         retries = (

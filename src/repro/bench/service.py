@@ -393,5 +393,5 @@ def figure_service_cache(
 
 
 def figure_service() -> List[FigureResult]:
-    """The full service benchmark suite, at default parameters."""
+    """Figures S-1..S-4: device server vs per-client queues, result cache."""
     return figure_service_scaling() + [figure_service_cache()]

@@ -27,7 +27,7 @@ Design invariant, relied on by every baseline: a fault check happens
 attempt leaves the disk exactly as it found it, and the eventual
 successful retry performs the identical seek the fault-free run would
 have.  With all rates zero the injector is a no-op and every figure in
-``results/ci_baseline.json`` stays bit-identical.
+``results/results.json`` stays bit-identical.
 
 Determinism: the same :class:`FaultConfig` (seed included) replayed
 against the same access sequence yields the same fault

@@ -103,3 +103,16 @@ class TestCli:
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
         assert "fig11" in out and "baseline-tidscan" in out
+
+    def test_list_prints_one_summary_line_per_figure(self, capsys):
+        """``--list`` reads the registry: one line per driver, its name
+        then the first line of its docstring, and nothing else."""
+        from repro.bench.__main__ import main
+        from repro.bench.figures import ALL_FIGURES
+
+        assert main(["--list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == list(ALL_FIGURES)
+        for line, driver in zip(lines, ALL_FIGURES.values()):
+            summary = line.split(None, 1)[1]
+            assert summary == driver.__doc__.strip().splitlines()[0]

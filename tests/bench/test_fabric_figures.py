@@ -9,7 +9,7 @@ from repro.bench.fabric import (
     _knee,
     figure_fabric,
 )
-from repro.bench.figures import ALL_FIGURES, DESCRIPTIONS
+from repro.bench.figures import ALL_FIGURES
 
 
 class TestFigureFabric:
@@ -59,7 +59,3 @@ class TestKneeDetection:
 class TestRegistry:
     def test_fabric_is_registered(self):
         assert "fabric" in ALL_FIGURES
-
-    def test_every_registered_figure_is_described(self):
-        missing = set(ALL_FIGURES) - set(DESCRIPTIONS)
-        assert not missing, f"figures without --list descriptions: {missing}"

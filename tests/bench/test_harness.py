@@ -5,12 +5,18 @@ import pytest
 from repro.bench.harness import (
     CLUSTERINGS,
     ExperimentConfig,
+    build_layout,
     clear_database_cache,
     get_database,
     make_policy,
     run_experiment,
 )
+from repro.cluster.layout import layout_database
 from repro.errors import ReproError
+from repro.storage.buffer import BufferManager
+from repro.storage.costmodel import CostedDisk
+from repro.storage.multidisk import MultiDeviceDisk
+from repro.storage.store import ObjectStore
 
 
 class TestConfig:
@@ -60,6 +66,47 @@ class TestMakePolicy:
             ExperimentConfig(clustering="inter-object", n_complex_objects=10), db
         )
         assert policy._disk_order == db.type_ids_depth_first()
+
+
+class TestLayoutCache:
+    """One config laid out on disks of three geometries: a cached or
+    restored layout must equal a cold ``layout_database`` on each."""
+
+    CONFIG = ExperimentConfig(n_complex_objects=30, seed=2, cluster_pages=16)
+    DISKS = (
+        lambda: MultiDeviceDisk(n_devices=2, pages_per_device=200),
+        lambda: MultiDeviceDisk(n_devices=4, pages_per_device=100),
+        CostedDisk,
+    )
+
+    def _cold(self, disk):
+        db = get_database(
+            self.CONFIG.n_complex_objects, seed=self.CONFIG.seed
+        )
+        return layout_database(
+            db.complex_objects,
+            ObjectStore(disk, BufferManager(disk)),
+            make_policy(self.CONFIG, db),
+            shared=db.shared_pool,
+            seed=self.CONFIG.layout_seed,
+        )
+
+    @staticmethod
+    def _state(layout):
+        return (
+            layout.store.disk.dump_state(),
+            layout.root_order,
+            layout.extents,
+        )
+
+    def test_each_geometry_gets_its_own_layout(self):
+        clear_database_cache()
+        colds = [self._state(self._cold(make())) for make in self.DISKS]
+        assert colds[0][0] != colds[1][0]  # striping moves the pages
+        for _round in ("build", "restore"):
+            for make, cold in zip(self.DISKS, colds):
+                _db, layout = build_layout(self.CONFIG, make())
+                assert self._state(layout) == cold
 
 
 class TestRunExperiment:

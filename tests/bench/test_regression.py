@@ -93,6 +93,94 @@ class TestCompare:
         ]
 
 
+class TestDuplicates:
+    """Indexing by ``dict()`` kept the last copy of a repeated key, so
+    a drifted duplicate could hide behind a clean report."""
+
+    def test_duplicated_figure_is_a_difference(self):
+        current = make_document(figure_id="Figure 11A")
+        drifted = make_document(y=99.0, figure_id="Figure 11A")
+        current["figures"].insert(0, drifted["figures"][0])
+        report = compare_documents(
+            make_document(figure_id="Figure 11A"), current
+        )
+        assert not report.clean
+        assert report.duplicates == [
+            "current: Figure 11A appears more than once"
+        ]
+        assert "duplicated" in report.describe()
+
+    def test_duplicated_figure_in_the_baseline_too(self):
+        baseline = make_document()
+        baseline["figures"].append(make_document()["figures"][0])
+        report = compare_documents(baseline, make_document())
+        assert report.duplicates == [
+            "baseline: Figure 13A appears more than once"
+        ]
+
+    def test_duplicated_point_is_a_difference(self):
+        current = make_document()
+        current["figures"][0]["series"]["elevator"].insert(0, [1000, 99.0])
+        report = compare_documents(make_document(), current)
+        assert not report.clean
+        assert report.duplicates == [
+            "current: Figure 13A / elevator @ x=1000 appears more than once"
+        ]
+
+    def test_duplicated_point_in_the_baseline_too(self):
+        baseline = make_document()
+        baseline["figures"][0]["series"]["depth-first"].append([1000, 1.0])
+        report = compare_documents(baseline, make_document())
+        assert report.duplicates == [
+            "baseline: Figure 13A / depth-first @ x=1000 "
+            "appears more than once"
+        ]
+
+
+class TestUnreadableDocuments:
+    """A file that is not a results document exits 2 with a message,
+    as a missing file does, instead of a traceback."""
+
+    def _good(self, tmp_path):
+        figure = FigureResult(
+            figure_id="F", title="t", x_label="x", y_label="y"
+        )
+        figure.add_point("s", 1, 2.0)
+        return str(write_json([figure], tmp_path / "good.json"))
+
+    def _exit_code(self, argv):
+        try:
+            main(argv)
+        except SystemExit as exit_:
+            return exit_.code
+        return None
+
+    def test_missing_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.json")
+        assert self._exit_code([self._good(tmp_path), missing]) == 2
+        assert "cannot read results file" in capsys.readouterr().err
+
+    def test_not_json(self, tmp_path, capsys):
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json")
+        assert self._exit_code([str(broken), self._good(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "broken.json is not JSON" in err
+        assert "Traceback" not in err
+
+    def test_no_figures_key(self, tmp_path, capsys):
+        other = tmp_path / "other.json"
+        other.write_text('{"violations_total": 0}')
+        assert self._exit_code([self._good(tmp_path), str(other)]) == 2
+        assert 'other.json has no "figures" key' in capsys.readouterr().err
+
+    def test_top_level_list_has_no_figures_key(self, tmp_path, capsys):
+        other = tmp_path / "list.json"
+        other.write_text("[]")
+        assert self._exit_code([str(other), self._good(tmp_path)]) == 2
+        assert 'list.json has no "figures" key' in capsys.readouterr().err
+
+
 class TestFiles:
     def test_compare_files_roundtrip(self, tmp_path):
         figure = FigureResult(

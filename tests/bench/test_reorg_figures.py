@@ -8,7 +8,7 @@ share one run of the exact configuration the CI baseline archives.
 
 import pytest
 
-from repro.bench.figures import ALL_FIGURES, DESCRIPTIONS
+from repro.bench.figures import ALL_FIGURES
 from repro.bench.reorg import _make_schedule, _zipf_weights, figure_reorg
 from repro.errors import ReproError
 from repro.storage.oid import Oid
@@ -51,7 +51,6 @@ class TestFigureReorg:
 
     def test_registered_in_the_figure_catalog(self):
         assert "reorg" in ALL_FIGURES
-        assert "reorg" in DESCRIPTIONS
 
 
 class TestScheduleGenerator:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.figures import ALL_FIGURES, DESCRIPTIONS
+from repro.bench.figures import ALL_FIGURES
 from repro.bench.volcano import figure_volcano
 
 
@@ -46,6 +46,3 @@ class TestFigureVolcano:
 class TestRegistry:
     def test_volcano_is_registered(self):
         assert "volcano" in ALL_FIGURES
-
-    def test_volcano_is_described(self):
-        assert "volcano" in DESCRIPTIONS
