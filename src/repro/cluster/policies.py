@@ -83,11 +83,6 @@ class Unclustered(ClusteringPolicy):
 
     name = "unclustered"
 
-    def __init__(self, slack_pages: int = 0) -> None:
-        if slack_pages < 0:
-            raise ExtentError("slack_pages must be non-negative")
-        self._slack = slack_pages
-
     def place(
         self,
         database: Sequence[ComplexObjectDef],
@@ -97,7 +92,7 @@ class Unclustered(ClusteringPolicy):
     ) -> Placement:
         objects = _all_objects(database, shared)
         per_page = store.objects_per_page()
-        pages_needed = -(-len(objects) // per_page) + self._slack
+        pages_needed = -(-len(objects) // per_page)
         extent = store.disk.allocate(max(pages_needed, 1))
         planner = PagePlanner(store, extent)
         slots = planner.slots_in_order()

@@ -87,9 +87,6 @@ class ReorgPolicy:
     #: round aborts (maintenance I/O retries for itself; client retry
     #: budgets belong to client requests).
     migration_retries: int = 8
-    #: run a round automatically when the service drains (else only
-    #: explicit ``reorganize()`` calls do).
-    auto: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.decay <= 1.0:

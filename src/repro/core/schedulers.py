@@ -773,10 +773,10 @@ class ElevatorScheduler(_SweepScheduler):
         return pool.take_run(pool._entries[index][0], self._direction, max_pages)
 
 
-#: Default detour budget, in pages, granted to a certain rejector
-#: (rejection = 1.0).  A reference with rejection r may be served up to
+#: Detour budget, in pages, granted to a certain rejector (rejection =
+#: 1.0).  A reference with rejection r may be served up to
 #: ``r * DETOUR_PAGES`` pages "too early" in the sweep.
-DEFAULT_DETOUR_PAGES = 64
+DETOUR_PAGES = 64
 
 
 class AdaptiveElevatorScheduler(_SweepScheduler):
@@ -801,7 +801,7 @@ class AdaptiveElevatorScheduler(_SweepScheduler):
       goes further: a reference likely to *abort* its complex object is
       worth a bounded detour, because a successful abort retracts that
       object's remaining references entirely.  The detour budget is
-      ``rejection x detour_pages``.
+      ``rejection x DETOUR_PAGES``.
 
     The result degrades exactly to the plain elevator when the template
     has no predicates and the buffer has no relevant residents.
@@ -814,9 +814,6 @@ class AdaptiveElevatorScheduler(_SweepScheduler):
         Predicate telling whether a page is currently buffered; wired
         to ``BufferManager.is_resident`` by the assembly operator and
         consulted by every pick.
-    detour_pages:
-        Seek distance a certain rejector is allowed to cost above the
-        sweep-optimal choice.  0 disables predicate-driven detours.
     """
 
     name = "adaptive"
@@ -825,15 +822,11 @@ class AdaptiveElevatorScheduler(_SweepScheduler):
         self,
         head_fn: Optional[Callable[[], int]] = None,
         resident_fn: Optional[Callable[[int], bool]] = None,
-        detour_pages: int = DEFAULT_DETOUR_PAGES,
     ) -> None:
-        if detour_pages < 0:
-            raise SchedulerError("detour_pages must be non-negative")
         super().__init__(
             head_fn,
             resident_fn if resident_fn is not None else (lambda _page: False),
         )
-        self._detour = detour_pages
         #: references served for free because their page was resident.
         self.resident_hits = 0
         #: references served out of sweep order to chase a rejection.
@@ -859,8 +852,6 @@ class AdaptiveElevatorScheduler(_SweepScheduler):
         index, self._direction = self._pool._locate(head, self._direction)
         entry = self._pool._entries[index]
         base_ref = entry[3]
-        if self._detour == 0:
-            return base_ref
         base_distance = abs(entry[0] - head)
 
         # 3. Predicate awareness: a likelier rejector may pre-empt the
@@ -871,7 +862,7 @@ class AdaptiveElevatorScheduler(_SweepScheduler):
             if ref.rejection <= best_rejection:
                 continue
             extra = abs(page - head) - base_distance
-            if extra <= ref.rejection * self._detour:
+            if extra <= ref.rejection * DETOUR_PAGES:
                 best = ref
                 best_rejection = ref.rejection
         if best is not base_ref:

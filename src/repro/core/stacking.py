@@ -38,8 +38,7 @@ class StackedAssembly(VolcanoIterator):
     upper_source / upper_template:
         Root OIDs and full template of the top-down stage.
     window_size / scheduler:
-        Applied to both stages (per-stage overrides via
-        ``lower_kwargs`` / ``upper_kwargs``).
+        Applied to both stages.
 
     The lower stage is a pipeline breaker: it runs to completion during
     ``open`` so its outputs can serve as the upper stage's
@@ -57,22 +56,20 @@ class StackedAssembly(VolcanoIterator):
         store: ObjectStore,
         window_size: int = 1,
         scheduler: Union[str, ReferenceScheduler] = "elevator",
-        lower_kwargs: Optional[dict] = None,
-        upper_kwargs: Optional[dict] = None,
     ) -> None:
         super().__init__()
         self._store = store
-        lower_kwargs = dict(lower_kwargs or {})
-        lower_kwargs.setdefault("window_size", window_size)
-        lower_kwargs.setdefault("scheduler", scheduler)
         self._lower = Assembly(
-            lower_source, store, lower_template, **lower_kwargs
+            lower_source,
+            store,
+            lower_template,
+            window_size=window_size,
+            scheduler=scheduler,
         )
         self._upper_source = upper_source
         self._upper_template = upper_template
-        self._upper_kwargs = dict(upper_kwargs or {})
-        self._upper_kwargs.setdefault("window_size", window_size)
-        self._upper_kwargs.setdefault("scheduler", scheduler)
+        self._window_size = window_size
+        self._scheduler = scheduler
         self._upper: Optional[Assembly] = None
         self.preassembled: Dict[Oid, AssembledObject] = {}
 
@@ -105,8 +102,9 @@ class StackedAssembly(VolcanoIterator):
             self._upper_source,
             self._store,
             self._upper_template,
+            window_size=self._window_size,
+            scheduler=self._scheduler,
             preassembled=self.preassembled,
-            **self._upper_kwargs,
         )
         self._upper.open()
 

@@ -83,18 +83,12 @@ class BoundQuery:
 class Database:
     """One simulated disk, one store, one catalog, many queries."""
 
-    def __init__(
-        self,
-        buffer_capacity: Optional[int] = None,
-        window_ceiling: int = 50,
-    ) -> None:
+    def __init__(self, buffer_capacity: Optional[int] = None) -> None:
         self.disk = SimulatedDisk()
         self.buffer = BufferManager(self.disk, capacity=buffer_capacity)
         self.store = ObjectStore(self.disk, self.buffer)
         self.registry = TypeRegistry()
-        self._optimizer = Optimizer(
-            buffer_capacity=buffer_capacity, window_ceiling=window_ceiling
-        )
+        self._optimizer = Optimizer(buffer_capacity=buffer_capacity)
         self._layout: Optional[LayoutResult] = None
 
     # -- schema and data ------------------------------------------------------

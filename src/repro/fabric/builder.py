@@ -89,11 +89,23 @@ def build_sharded_fabric(
 
     ``speed_factors`` maps ``(shard_id, replica_id)`` to a clock
     multiplier (> 1 = slower hardware) for heterogeneous-fleet
-    experiments; unlisted replicas run at 1.0.
+    experiments; unlisted replicas run at 1.0, and a key naming no
+    replica raises :class:`~repro.errors.FabricError`.
     """
     if replicas_per_shard <= 0:
         raise FabricError("replicas_per_shard must be positive")
     router = ConsistentHashRouter(n_shards, vnodes=vnodes)
+    speed_factors = dict(speed_factors or {})
+    unknown = set(speed_factors) - {
+        (shard_id, replica_id)
+        for shard_id in range(n_shards)
+        for replica_id in range(replicas_per_shard)
+    }
+    if unknown:
+        raise FabricError(
+            f"speed_factors name no replica of {n_shards} shard(s) x "
+            f"{replicas_per_shard} replica(s): {sorted(unknown, key=repr)}"
+        )
     partitions: List[List] = [[] for _ in range(n_shards)]
     for cobj in database.complex_objects:
         partitions[router.shard_of(cobj.root)].append(cobj)
@@ -120,7 +132,7 @@ def build_sharded_fabric(
                 max_waiting=max_waiting,
                 min_window=min_window,
             )
-            factor = (speed_factors or {}).get((shard_id, replica_id), 1.0)
+            factor = speed_factors.get((shard_id, replica_id), 1.0)
             replicas.append(
                 ShardReplica(
                     shard_id,
@@ -139,9 +151,6 @@ def build_sharded_fabric(
                 roots,
                 slo=None if shedding is None else shedding.make_tracker(),
                 placement=placement,
-                shed_priority=(
-                    shedding.shed_priority if shedding is not None else False
-                ),
             )
         )
     return ServiceFabric(
@@ -160,9 +169,7 @@ def open_loop_workload(
     n_requests: Optional[int] = None,
     *,
     roots_per_request: Union[int, Tuple[int, int]] = 2,
-    window_size: int = 8,
     seed: int = 0,
-    use_cache: bool = True,
 ) -> List[RequestSpec]:
     """Pair arrival times with shard-local root picks.
 
@@ -213,11 +220,6 @@ def open_loop_workload(
             cursor = (cursor + 1) % len(order)
         cursors[shard.shard_id] = cursor
         specs.append(
-            RequestSpec(
-                roots=tuple(picked),
-                arrival_ms=when,
-                window_size=window_size,
-                use_cache=use_cache,
-            )
+            RequestSpec(roots=tuple(picked), arrival_ms=when)
         )
     return specs

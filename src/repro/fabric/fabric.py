@@ -71,6 +71,12 @@ from repro.storage.events import EventQueue
 from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
 
+#: Expected fetches per complex object when pricing a hedge delay (the
+#: ACOB template has 7 nodes).
+HEDGE_READS_PER_OBJECT = 7
+#: Typical positioning distance, in pages, of one clustered read.
+HEDGE_SEEK_PAGES = 8
+
 
 @dataclass(frozen=True)
 class RequestSpec:
@@ -78,9 +84,6 @@ class RequestSpec:
 
     roots: Tuple[Oid, ...]
     arrival_ms: float = 0.0
-    window_size: int = 8
-    priority: bool = False
-    use_cache: bool = True
 
     def __post_init__(self) -> None:
         if not self.roots:
@@ -91,54 +94,41 @@ class RequestSpec:
 
 @dataclass(frozen=True)
 class HedgePolicy:
-    """When and how to issue a hedged duplicate.
+    """When to issue a hedged duplicate.
 
     The hedge delay is priced from the fabric's cost model, not
     guessed in wall-clock units: a request for R roots is expected to
-    cost about ``R * reads_per_object`` positioned reads of
-    ``seek_hint_pages`` each, and the duplicate fires after
+    cost about ``R * HEDGE_READS_PER_OBJECT`` positioned reads of
+    ``HEDGE_SEEK_PAGES`` each, and the duplicate fires after
     ``multiplier`` times that — i.e. only once the primary is running
     conspicuously late, which is what keeps hedge overhead bounded.
     """
 
     multiplier: float = 1.5
-    #: expected fetches per complex object (7 for the ACOB template).
-    reads_per_object: int = 7
-    #: typical positioning distance (pages) for one clustered read.
-    seek_hint_pages: int = 8
 
     def __post_init__(self) -> None:
         if self.multiplier <= 0:
             raise FabricError("hedge multiplier must be positive")
-        if self.reads_per_object <= 0 or self.seek_hint_pages < 0:
-            raise FabricError("hedge pricing parameters must be positive")
 
     def delay_ms(self, n_roots: int, cost_model: CostModel) -> float:
         """Milliseconds after arrival before the duplicate is issued."""
-        per_read = cost_model.run_service_time(self.seek_hint_pages, 1)
-        return self.multiplier * n_roots * self.reads_per_object * per_read
+        per_read = cost_model.run_service_time(HEDGE_SEEK_PAGES, 1)
+        return self.multiplier * n_roots * HEDGE_READS_PER_OBJECT * per_read
 
 
 @dataclass(frozen=True)
 class SheddingPolicy:
-    """Declared latency SLO and the tracker parameters enforcing it."""
+    """Declared p99 latency SLO and the tracker window enforcing it."""
 
     target_ms: float
-    percentile: float = 0.99
     window: int = 64
-    recover_ratio: float = 0.8
     min_samples: int = 8
-    #: shed priority-lane requests too?  Off by default: priority
-    #: traffic rides the admission controller's priority lane instead.
-    shed_priority: bool = False
 
     def make_tracker(self) -> SLOTracker:
         """A fresh per-shard tracker configured for this policy."""
         return SLOTracker(
             target_ms=self.target_ms,
-            percentile=self.percentile,
             window=self.window,
-            recover_ratio=self.recover_ratio,
             min_samples=self.min_samples,
         )
 
@@ -153,9 +143,11 @@ class ShardReplica:
     replica hardware) plus any fault-injected delay.  A ledger only
     watches, so attaching it never changes the service's behavior.
 
-    ``submit_kwargs`` are applied to every ``service.submit`` on this
-    replica (e.g. a per-replica ``retry_policy`` / ``on_fault`` mode
-    when its disk carries a fault injector).
+    Every request asks the service's default window.  ``submit_kwargs``
+    are applied to every ``service.submit`` on this replica: nothing in
+    the library sets them; tests use them to reach a ``window_size``
+    or a ``retry_policy`` / ``on_fault`` mode for a replica whose disk
+    carries a fault injector.
     """
 
     def __init__(
@@ -212,12 +204,7 @@ class ShardReplica:
         """Submit one spec to this replica's service; its request id."""
         return self._charge(
             lambda: self.service.submit(
-                list(spec.roots),
-                template,
-                window_size=spec.window_size,
-                priority=spec.priority,
-                use_cache=spec.use_cache,
-                **self.submit_kwargs,
+                list(spec.roots), template, **self.submit_kwargs
             )
         )
 
@@ -260,7 +247,6 @@ class Shard:
         roots: List[Oid],
         slo: Optional[SLOTracker] = None,
         placement: str = "shortest-queue",
-        shed_priority: bool = False,
     ) -> None:
         if not replicas:
             raise FabricError(f"shard {shard_id} has no replicas")
@@ -274,7 +260,6 @@ class Shard:
         self.roots = roots
         self.slo = slo
         self.placement = placement
-        self.shed_priority = shed_priority
         self.metrics = ServiceMetrics()
         self._round_robin = 0
 
@@ -518,19 +503,13 @@ class ServiceFabric:
         shard = self.shards[shard_id]
         request.shard_id = shard_id
         shard.metrics.requests_submitted += 1
-        sheddable = not spec.priority or shard.shed_priority
         # Door shedding bounds the *backlog*: a breached tracker with an
         # idle shard means the overload already drained, and admitting
         # is also what feeds the tracker the fast completions it needs
         # to recover — shedding an idle shard would latch the breach
         # forever (no completions, no new observations).
         backlogged = any(r.outstanding for r in shard.replicas)
-        if (
-            shard.slo is not None
-            and shard.slo.breached
-            and sheddable
-            and backlogged
-        ):
+        if shard.slo is not None and shard.slo.breached and backlogged:
             self._shed(shard, request, when, reason="slo")
             return
         primary = shard.pick_primary()

@@ -31,6 +31,8 @@ from repro.storage.oid import Oid
 
 #: Virtual nodes per shard on the hash ring.
 DEFAULT_VNODES = 64
+#: Prefix of every ring token's hash input.
+RING_SALT = b"repro.fabric"
 
 
 def _digest(data: bytes) -> int:
@@ -47,7 +49,6 @@ class ConsistentHashRouter:
         self,
         n_shards: int,
         vnodes: int = DEFAULT_VNODES,
-        salt: bytes = b"repro.fabric",
     ) -> None:
         if n_shards <= 0:
             raise FabricError("n_shards must be positive")
@@ -55,11 +56,10 @@ class ConsistentHashRouter:
             raise FabricError("vnodes must be positive")
         self.n_shards = n_shards
         self.vnodes = vnodes
-        self.salt = salt
         ring: List[Tuple[int, int]] = []
         for shard in range(n_shards):
             for vnode in range(vnodes):
-                token = _digest(b"%s:%d:%d" % (salt, shard, vnode))
+                token = _digest(b"%s:%d:%d" % (RING_SALT, shard, vnode))
                 ring.append((token, shard))
         ring.sort()
         self._tokens = [token for token, _shard in ring]

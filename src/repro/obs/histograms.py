@@ -22,7 +22,7 @@ from typing import Dict, Optional
 from repro.errors import ReproError
 
 #: Sub-buckets per power of two: relative error <= 1/(2*16) ~ 3%.
-DEFAULT_SUBBUCKETS = 16
+SUBBUCKETS = 16
 
 #: Exponent bias keeping every nonzero bucket index positive (doubles
 #: bottom out at a frexp exponent of -1073), so the reserved zero
@@ -35,16 +35,12 @@ class StreamingHistogram:
     """Log-bucketed streaming histogram with exact min/max tails.
 
     Values must be non-negative (latencies, waits, durations); zero
-    gets its own bucket.  ``subbuckets`` trades memory for relative
-    precision: each power of two is split into that many linear
-    sub-buckets, bounding relative quantile error by
-    ``1 / (2 * subbuckets)``.
+    gets its own bucket.  Each power of two is split into
+    ``SUBBUCKETS`` linear sub-buckets, bounding relative quantile error
+    by ``1 / (2 * SUBBUCKETS)``.
     """
 
-    def __init__(self, subbuckets: int = DEFAULT_SUBBUCKETS) -> None:
-        if subbuckets <= 0:
-            raise ReproError("subbuckets must be positive")
-        self.subbuckets = subbuckets
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self.min: Optional[float] = None
@@ -58,22 +54,20 @@ class StreamingHistogram:
         if value == 0.0:
             return 0
         mantissa, exponent = math.frexp(value)  # mantissa in [0.5, 1)
-        sub = int((mantissa - 0.5) * 2.0 * self.subbuckets)
-        if sub >= self.subbuckets:  # guard the mantissa -> 1.0 edge
-            sub = self.subbuckets - 1
-        return 1 + (exponent + _EXPONENT_BIAS) * self.subbuckets + sub
+        sub = int((mantissa - 0.5) * 2.0 * SUBBUCKETS)
+        if sub >= SUBBUCKETS:  # guard the mantissa -> 1.0 edge
+            sub = SUBBUCKETS - 1
+        return 1 + (exponent + _EXPONENT_BIAS) * SUBBUCKETS + sub
 
     def _bucket_mid(self, index: int) -> float:
         """Representative (midpoint) value of one bucket."""
         if index == 0:
             return 0.0
         index -= 1
-        exponent, sub = divmod(index, self.subbuckets)
+        exponent, sub = divmod(index, SUBBUCKETS)
         exponent -= _EXPONENT_BIAS
-        low = math.ldexp(0.5 + sub / (2.0 * self.subbuckets), exponent)
-        high = math.ldexp(
-            0.5 + (sub + 1) / (2.0 * self.subbuckets), exponent
-        )
+        low = math.ldexp(0.5 + sub / (2.0 * SUBBUCKETS), exponent)
+        high = math.ldexp(0.5 + (sub + 1) / (2.0 * SUBBUCKETS), exponent)
         return (low + high) / 2.0
 
     # -- recording -----------------------------------------------------------
@@ -96,10 +90,6 @@ class StreamingHistogram:
 
     def merge(self, other: "StreamingHistogram") -> None:
         """Fold another histogram in (shard aggregation)."""
-        if other.subbuckets != self.subbuckets:
-            raise ReproError(
-                "cannot merge histograms with different subbucket counts"
-            )
         self.count += other.count
         self.total += other.total
         if other.min is not None and (self.min is None or other.min < self.min):
@@ -175,8 +165,7 @@ class StreamingHistogram:
         if not isinstance(other, StreamingHistogram):
             return NotImplemented
         return (
-            self.subbuckets == other.subbuckets
-            and self.count == other.count
+            self.count == other.count
             and self.total == other.total
             and self.min == other.min
             and self.max == other.max

@@ -9,7 +9,7 @@ and computes the exact percentile over just that window.
 
 Breach detection is hysteretic: the tracker trips when the windowed
 p99 exceeds the target and only recovers once it falls below
-``target * recover_ratio``.  Without the gap, a shard hovering at the
+``target * RECOVER_RATIO``.  Without the gap, a shard hovering at the
 SLO boundary would flap between shedding and admitting on every
 completion, which sheds a *random* subset of requests instead of a
 contiguous overload interval.  Everything is deterministic: same
@@ -23,48 +23,48 @@ from typing import Deque, Dict, Optional
 
 from repro.errors import ReproError
 
+#: The tail held to the target: the windowed p99.
+SLO_PERCENTILE = 0.99
+#: Fraction of the target the windowed p99 must drop below to clear a
+#: breach (the hysteresis gap).
+RECOVER_RATIO = 0.8
+
 
 class SLOTracker:
-    """Tracks one latency objective over a sliding completion window.
+    """Tracks one p99 latency objective over a sliding completion window.
 
     Parameters
     ----------
     target_ms:
-        The latency objective for ``percentile`` (e.g. p99 <= 400 ms).
-    percentile:
-        Which tail to hold to the target, as a fraction in (0, 1].
+        The latency objective for the windowed p99 (e.g. 400 ms).
     window:
         Completions remembered; older ones age out of the percentile.
-    recover_ratio:
-        Fraction of the target the windowed percentile must drop below
-        to clear a breach (hysteresis).  Must be in (0, 1].
     min_samples:
         Completions required before the tracker may trip at all —
         a single slow request out of two is not an overload signal.
+        At most ``window``: the ring never holds more, so a larger
+        value would leave the tracker unable to trip.
     """
 
     def __init__(
         self,
         target_ms: float,
-        percentile: float = 0.99,
         window: int = 64,
-        recover_ratio: float = 0.8,
         min_samples: int = 8,
     ) -> None:
         if target_ms <= 0:
             raise ReproError("target_ms must be positive")
-        if not 0.0 < percentile <= 1.0:
-            raise ReproError("percentile must be in (0, 1]")
         if window <= 0:
             raise ReproError("window must be positive")
-        if not 0.0 < recover_ratio <= 1.0:
-            raise ReproError("recover_ratio must be in (0, 1]")
         if min_samples <= 0:
             raise ReproError("min_samples must be positive")
+        if min_samples > window:
+            raise ReproError(
+                f"min_samples ({min_samples}) exceeds window ({window}): "
+                "the tracker could never trip"
+            )
         self.target_ms = target_ms
-        self.percentile = percentile
         self.window = window
-        self.recover_ratio = recover_ratio
         self.min_samples = min_samples
         self._recent: Deque[float] = deque(maxlen=window)
         self._breached = False
@@ -87,7 +87,7 @@ class SLOTracker:
         if not self._breached and current > self.target_ms:
             self._breached = True
             self.breaches += 1
-        elif self._breached and current < self.target_ms * self.recover_ratio:
+        elif self._breached and current < self.target_ms * RECOVER_RATIO:
             self._breached = False
             self.recoveries += 1
         return self._breached
@@ -97,9 +97,7 @@ class SLOTracker:
         if len(self._recent) < self.min_samples:
             return None
         ordered = sorted(self._recent)
-        index = min(
-            len(ordered) - 1, int(self.percentile * len(ordered))
-        )
+        index = min(len(ordered) - 1, int(SLO_PERCENTILE * len(ordered)))
         return ordered[index]
 
     @property
@@ -111,7 +109,7 @@ class SLOTracker:
         """Flat view for per-shard SLO reporting."""
         return {
             "target_ms": self.target_ms,
-            "percentile": self.percentile,
+            "percentile": SLO_PERCENTILE,
             "window": self.window,
             "current": self.current(),
             "breached": self._breached,
@@ -123,6 +121,6 @@ class SLOTracker:
     def __repr__(self) -> str:
         state = "BREACHED" if self._breached else "ok"
         return (
-            f"SLOTracker(p{self.percentile * 100:g} <= "
+            f"SLOTracker(p{SLO_PERCENTILE * 100:g} <= "
             f"{self.target_ms:g}ms, current={self.current()}, {state})"
         )

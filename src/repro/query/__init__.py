@@ -6,7 +6,7 @@ from repro.query.logical import (
     retrieve,
 )
 from repro.query.optimizer import (
-    DEFAULT_WINDOW_CEILING,
+    WINDOW_CEILING,
     OptimizedPlan,
     Optimizer,
     PhysicalChoice,
@@ -15,9 +15,9 @@ from repro.query.optimizer import (
 __all__ = [
     "ComplexObjectQuery",
     "ComponentPredicate",
-    "DEFAULT_WINDOW_CEILING",
     "OptimizedPlan",
     "Optimizer",
     "PhysicalChoice",
+    "WINDOW_CEILING",
     "retrieve",
 ]

@@ -14,8 +14,8 @@ implements the rules that matter for the assembly operator:
    across-the-board winner); when the pushed-down template carries
    predicates, the integrated adaptive scheduler (Section 7) is chosen.
 3. **Window sizing.**  The window is the largest that the buffer can
-   pin (inverting Section 6.3.3's bound), capped by a configurable
-   ceiling with the paper's diminishing-returns default of 50.
+   pin (inverting Section 6.3.3's bound), capped at the paper's
+   diminishing-returns point of 50.
 4. **Physical plan shape.**  Root source → assembly → residual filters
    → projection, each an ordinary Volcano operator.
 """
@@ -37,7 +37,7 @@ from repro.iterator import ListSource, VolcanoIterator
 from repro.volcano.plan import explain as explain_plan
 
 #: The paper's diminishing-returns window (Section 6.3.3).
-DEFAULT_WINDOW_CEILING = 50
+WINDOW_CEILING = 50
 
 
 @dataclass
@@ -78,21 +78,12 @@ class Optimizer:
     """Chooses physical settings for a :class:`ComplexObjectQuery`.
 
     ``buffer_capacity`` mirrors the buffer manager's configuration (or
-    ``None`` for unbounded); ``window_ceiling`` caps window growth at
+    ``None`` for unbounded); ``WINDOW_CEILING`` caps window growth at
     the paper's diminishing-returns point.
     """
 
-    def __init__(
-        self,
-        buffer_capacity: Optional[int] = None,
-        window_ceiling: int = DEFAULT_WINDOW_CEILING,
-        use_sharing_statistics: bool = True,
-    ) -> None:
-        if window_ceiling <= 0:
-            raise PlanError("window_ceiling must be positive")
+    def __init__(self, buffer_capacity: Optional[int] = None) -> None:
         self._buffer_capacity = buffer_capacity
-        self._window_ceiling = window_ceiling
-        self._use_sharing = use_sharing_statistics
 
     # -- rules ---------------------------------------------------------------
 
@@ -118,9 +109,9 @@ class Optimizer:
     def _choose_window(self, template: Template) -> int:
         """Rule 3: as large as the buffer allows, capped at the knee."""
         if self._buffer_capacity is None:
-            return self._window_ceiling
+            return WINDOW_CEILING
         feasible = max_window_for_buffer(self._buffer_capacity, template)
-        return max(1, min(feasible, self._window_ceiling))
+        return max(1, min(feasible, WINDOW_CEILING))
 
     # -- entry point ------------------------------------------------------------
 
@@ -151,7 +142,6 @@ class Optimizer:
             template,
             window_size=window,
             scheduler=scheduler,
-            use_sharing_statistics=self._use_sharing,
         )
         plan: VolcanoIterator = assembly
         for residual in query.residual_predicates:

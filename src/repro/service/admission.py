@@ -11,7 +11,7 @@ and keeps the sum of claims within a fixed page budget:
   (halving, floor ``min_window``) until its bound fits the remaining
   budget;
 * when even the minimum window does not fit, the request **waits** in
-  a bounded queue with two lanes (priority ahead of FIFO);
+  a bounded FIFO queue;
 * when the wait queue itself is full, the request is **rejected** with
   a typed :class:`~repro.errors.ServiceOverloadError` — load shedding,
   not an infinite backlog.
@@ -33,11 +33,6 @@ from repro.core.tuning import pin_bound
 from repro.errors import ServiceOverloadError, ServiceStateError
 from repro.storage.buffer import BufferManager
 
-#: Wait-queue lanes, in service order.
-PRIORITY_LANE = "priority"
-FIFO_LANE = "fifo"
-LANES = (PRIORITY_LANE, FIFO_LANE)
-
 
 @dataclass
 class AdmissionTicket:
@@ -53,7 +48,6 @@ class AdmissionTicket:
     asked_window: int
     window_size: int
     pinned_budget: int
-    lane: str = FIFO_LANE
     #: set while the ticket waits in the queue.
     waiting: bool = False
 
@@ -72,8 +66,7 @@ class AdmissionController:
         Total pages grantable at once.  ``None`` means unlimited (every
         request admits immediately at its asked window).
     max_waiting:
-        Wait-queue capacity across both lanes; a request arriving with
-        the queue full raises :class:`ServiceOverloadError`.
+        Wait-queue capacity; a request arriving with the queue full raises :class:`ServiceOverloadError`.
     min_window:
         Smallest window shrinking may produce.  Requests whose bound at
         ``min_window`` exceeds the *total* budget are rejected outright
@@ -101,9 +94,7 @@ class AdmissionController:
         self.min_window = min_window
         self._buffer = buffer
         self._granted = 0
-        self._lanes: "dict[str, Deque[tuple[AdmissionTicket, Template]]]" = {
-            lane: deque() for lane in LANES
-        }
+        self._queue: "Deque[tuple[AdmissionTicket, Template]]" = deque()
         #: admission outcomes, for metrics: admitted/shrunk/queued/rejected.
         self.admitted = 0
         self.shrunk = 0
@@ -119,13 +110,12 @@ class AdmissionController:
         return self._granted
 
     def waiting(self) -> int:
-        """Requests parked in the wait queue (both lanes)."""
-        return sum(len(lane) for lane in self._lanes.values())
+        """Requests parked in the wait queue."""
+        return len(self._queue)
 
     def waiting_ids(self) -> List[int]:
-        """Request ids parked in the wait queue, lane by lane."""
-        lanes = self._lanes.values()
-        return [ticket.request_id for lane in lanes for ticket, _ in lane]
+        """Request ids parked in the wait queue, in arrival order."""
+        return [ticket.request_id for ticket, _ in self._queue]
 
     # -- decisions ------------------------------------------------------------
 
@@ -158,7 +148,6 @@ class AdmissionController:
         request_id: int,
         window_size: int,
         template: Template,
-        priority: bool = False,
     ) -> AdmissionTicket:
         """Decide one incoming request: admit, shrink, queue or reject.
 
@@ -167,7 +156,6 @@ class AdmissionController:
         """
         if window_size <= 0:
             raise ServiceStateError("window_size must be positive")
-        lane = PRIORITY_LANE if priority else FIFO_LANE
         minimum_cost = pin_bound(self.min_window, template)
         if (
             self.budget_pages is not None
@@ -186,7 +174,6 @@ class AdmissionController:
                 asked_window=window_size,
                 window_size=window,
                 pinned_budget=cost,
-                lane=lane,
             )
             self._grant(ticket)
             self.admitted += 1
@@ -205,20 +192,19 @@ class AdmissionController:
             asked_window=window_size,
             window_size=window_size,
             pinned_budget=0,
-            lane=lane,
             waiting=True,
         )
-        self._lanes[lane].append((ticket, template))
+        self._queue.append((ticket, template))
         self.queued += 1
         return ticket
 
     def cancel_waiting(self, ticket: AdmissionTicket) -> None:
-        """Remove a still-waiting ticket from its lane.
+        """Remove a still-waiting ticket from the wait queue.
 
         Cancelling a waiting request frees no budget (none was
         granted), so nothing can start as a consequence — unlike
         :meth:`release`.  Raises :class:`ServiceStateError` if the
-        ticket is not actually parked in a lane (already admitted
+        ticket is not actually parked in the queue (already admitted
         tickets must go through :meth:`release` instead).
         """
         if not ticket.waiting:
@@ -226,7 +212,7 @@ class AdmissionController:
                 f"request {ticket.request_id} is not waiting; "
                 "release() its granted budget instead"
             )
-        queue = self._lanes[ticket.lane]
+        queue = self._queue
         for index, (waiting, _template) in enumerate(queue):
             if waiting is ticket:
                 del queue[index]
@@ -234,15 +220,14 @@ class AdmissionController:
                 self.cancelled += 1
                 return
         raise ServiceStateError(
-            f"request {ticket.request_id} not found in the "
-            f"{ticket.lane} lane"
+            f"request {ticket.request_id} not found in the wait queue"
         )
 
     def release(self, ticket: AdmissionTicket) -> List[AdmissionTicket]:
         """Return a finished request's budget; admit waiting requests.
 
-        Waiters are re-examined priority lane first, FIFO within each
-        lane; each admitted waiter's ticket flips to ``waiting=False``
+        Waiters are re-examined in FIFO order; each admitted waiter's
+        ticket flips to ``waiting=False``
         (and may come back shrunk).  Returns the newly admitted
         tickets so the caller can start them.
         """
@@ -262,18 +247,17 @@ class AdmissionController:
 
     def _drain_waiters(self) -> List[AdmissionTicket]:
         started: List[AdmissionTicket] = []
-        for lane in LANES:
-            queue = self._lanes[lane]
-            while queue:
-                ticket, template = queue[0]
-                fitted = self._shrink_to_fit(ticket.asked_window, template)
-                if fitted is None:
-                    break  # head-of-line blocks its lane (FIFO order)
-                queue.popleft()
-                ticket.window_size, ticket.pinned_budget = fitted
-                ticket.waiting = False
-                self._grant_waiter(ticket)
-                started.append(ticket)
+        queue = self._queue
+        while queue:
+            ticket, template = queue[0]
+            fitted = self._shrink_to_fit(ticket.asked_window, template)
+            if fitted is None:
+                break  # head-of-line blocks the queue (FIFO order)
+            queue.popleft()
+            ticket.window_size, ticket.pinned_budget = fitted
+            ticket.waiting = False
+            self._grant_waiter(ticket)
+            started.append(ticket)
         return started
 
     def _grant_waiter(self, ticket: AdmissionTicket) -> None:

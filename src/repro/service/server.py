@@ -62,7 +62,6 @@ class _Request:
         self.ticket: Optional[AdmissionTicket] = None
         self.query: Optional[ClientQuery] = None
         self.assembly_kwargs: Dict[str, object] = {}
-        self.cache_results: bool = True
         self.span: Optional[Span] = None
         self.wait_span: Optional[Span] = None
 
@@ -158,8 +157,6 @@ class AssemblyService:
         roots: Iterable[Oid],
         template: Template,
         window_size: int = 8,
-        priority: bool = False,
-        use_cache: bool = True,
         **assembly_kwargs,
     ) -> int:
         """Accept one assembly request; returns its request id.
@@ -184,7 +181,6 @@ class AssemblyService:
         metrics = self.metrics.open_request(request_id, self.clock)
         request = _Request(request_id, template, fingerprint, metrics)
         request.assembly_kwargs = dict(assembly_kwargs)
-        request.cache_results = use_cache and self.cache is not None
         self._requests[request_id] = request
         if self.spans is not None:
             request.span = self.spans.begin(
@@ -193,7 +189,7 @@ class AssemblyService:
 
         for root in roots:
             cached = None
-            if use_cache and self.cache is not None:
+            if self.cache is not None:
                 cached = self.cache.get(root, fingerprint)
                 if cached is not None:
                     self.metrics.cache_hits += 1
@@ -212,15 +208,13 @@ class AssemblyService:
         # Admission may raise ServiceOverloadError: the request is then
         # dropped entirely (load shedding), not left half-registered.
         try:
-            ticket = self.admission.submit(
-                request_id, window_size, template, priority=priority
-            )
+            ticket = self.admission.submit(request_id, window_size, template)
         except ServiceOverloadError:
             del self._requests[request_id]
             del self.metrics.per_request[request_id]
             self.metrics.requests_submitted -= 1
             self.metrics.cache_hits -= metrics.cache_hits
-            if request.cache_results:
+            if self.cache is not None:
                 self.metrics.cache_misses -= len(request.pending_roots)
             self.metrics.requests_rejected += 1
             if self.spans is not None and request.span is not None:
@@ -308,8 +302,7 @@ class AssemblyService:
             raise ServiceStateError(
                 f"service idle with unfinished requests {stuck}"
             )
-        reorg = self.server.reorg
-        if reorg is not None and reorg.policy.auto:
+        if self.server.reorg is not None:
             self._run_reorg_round()
 
     def reorganize(self, force: bool = True):
@@ -356,11 +349,7 @@ class AssemblyService:
             request.results.append(assembled)
             # Degraded objects are never cached: a later fault-free run
             # must be able to produce the complete structure.
-            if (
-                request.cache_results
-                and self.cache is not None
-                and not assembled.degraded
-            ):
+            if self.cache is not None and not assembled.degraded:
                 self.cache.put(request.fingerprint, assembled)
 
     def _finish(self, request: _Request) -> None:
@@ -402,7 +391,7 @@ class AssemblyService:
     def cancel(self, request_id: int) -> bool:
         """Abandon an unfinished request; ``True`` if it was live.
 
-        A queued request leaves the admission wait lane; a running one
+        A queued request leaves the admission wait queue; a running one
         is deregistered from the device server (its pending references
         retracted) and its granted budget released, which may start
         waiting requests.  Partial results are discarded — the caller

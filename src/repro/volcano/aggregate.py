@@ -1,9 +1,9 @@
 """Grouping and aggregation.
 
 A small hash aggregation operator in the Volcano mould: the child is
-consumed at ``open``, groups accumulate via an init/step/final triple
-(the shape Volcano's aggregation module used), and results stream out
-group by group.
+consumed at ``open``, groups accumulate via an init/step pair (the
+shape of Volcano's aggregation module, less its ``final`` hook), and
+results stream out group by group as ``(key, accumulator)`` rows.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ class HashAggregate(VolcanoIterator):
 
     * ``init()`` creates a fresh accumulator,
     * ``step(acc, row)`` returns the updated accumulator,
-    * ``final(key, acc)`` shapes the output row.
+    * each group leaves as one ``(key, acc)`` row.
     """
 
     def __init__(
@@ -27,14 +27,12 @@ class HashAggregate(VolcanoIterator):
         group_key: Callable[[Row], object],
         init: Callable[[], object],
         step: Callable[[object, Row], object],
-        final: Callable[[object, object], Row] = lambda key, acc: (key, acc),
     ) -> None:
         super().__init__()
         self._child = child
         self._group_key = group_key
         self._init = init
         self._step = step
-        self._final = final
         self._results: List[Row] = []
         self._pos = 0
 
@@ -50,7 +48,7 @@ class HashAggregate(VolcanoIterator):
                 groups[key] = self._init()
             groups[key] = self._step(groups[key], row)
         self._child.close()
-        self._results = [self._final(k, acc) for k, acc in groups.items()]
+        self._results = list(groups.items())
         self._pos = 0
 
     def _next(self) -> Optional[Row]:

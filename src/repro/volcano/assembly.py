@@ -128,9 +128,10 @@ class ParallelAssembly(PartitionedExecute):
       *is* the event-clock elapsed of the parallel run.
     * ``"pipelined"`` — each partition runs to completion at ``open``
       under its own :class:`~repro.storage.events.AsyncIOEngine` and
-      :class:`~repro.core.multidevice.PipelinedAssembly` (issue-ahead
-      via ``issue_depth``); its fragment is a source over the buffered
-      output.  Elapsed is ``max`` over the engines' clocks.
+      :class:`~repro.core.multidevice.PipelinedAssembly` (one batch in
+      flight per device, its default issue depth); its fragment is a
+      source over the buffered output.  Elapsed is ``max`` over the
+      engines' clocks.
     """
 
     def __init__(
@@ -141,7 +142,6 @@ class ParallelAssembly(PartitionedExecute):
         *,
         partition_fn: Optional[Callable[[Row, int], int]] = None,
         driver: str = "sync",
-        issue_depth: int = 1,
         **engine_kwargs: object,
     ) -> None:
         if not stores:
@@ -150,15 +150,12 @@ class ParallelAssembly(PartitionedExecute):
             raise PlanError(
                 f"driver must be one of {PARALLEL_DRIVERS}, got {driver!r}"
             )
-        if issue_depth <= 0:
-            raise PlanError("issue_depth must be positive")
         super().__init__(
             source, len(stores), self._partition_plan, partition_fn
         )
         self._stores = list(stores)
         self._template = template.finalize()
         self._driver = driver
-        self._issue_depth = issue_depth
         self._engine_kwargs = dict(engine_kwargs)
         self._io_engines: List[object] = []
         self._service_t0: List[float] = []
@@ -222,7 +219,6 @@ class ParallelAssembly(PartitionedExecute):
             PipelinedAssembly(
                 engine,
                 io_engine,
-                issue_depth=self._issue_depth,
                 batch_pages=int(self._engine_kwargs.get("batch_pages", 1)),
             ).run()
         )
@@ -257,7 +253,6 @@ class InterleavedAssemblies(PartitionedExecute):
         template: Template,
         n_partitions: int,
         window_size: int = 50,
-        scheduler: str = "elevator",
         **assembly_kwargs,
     ) -> None:
         if n_partitions <= 0:
@@ -271,7 +266,7 @@ class InterleavedAssemblies(PartitionedExecute):
                 store,
                 template,
                 window_size=per_window,
-                scheduler=scheduler,
+                scheduler="elevator",
                 **assembly_kwargs,
             ),
         )

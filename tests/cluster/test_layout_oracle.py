@@ -101,7 +101,7 @@ GENERATORS = {
 }
 
 POLICIES = {
-    "unclustered": lambda: Unclustered(slack_pages=3),
+    "unclustered": Unclustered,
     "inter": lambda: InterObjectClustering(cluster_pages=64),
     "intra": IntraObjectClustering,
 }

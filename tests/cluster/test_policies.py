@@ -58,15 +58,11 @@ class TestUnclustered:
         from repro.storage.disk import SimulatedDisk
         from repro.storage.store import ObjectStore
 
-        first = place(Unclustered(slack_pages=2), database, store, seed=1)
+        first = place(Unclustered(), database, store, seed=1)
         second = place(
-            Unclustered(slack_pages=2), database, ObjectStore(SimulatedDisk()), seed=2
+            Unclustered(), database, ObjectStore(SimulatedDisk()), seed=2
         )
         assert first.pages != second.pages
-
-    def test_negative_slack_rejected(self):
-        with pytest.raises(ExtentError):
-            Unclustered(slack_pages=-1)
 
 
 class TestInterObject:

@@ -61,9 +61,7 @@ class TestPolicyValidation:
             ReorgPolicy(**kwargs)
 
     def test_defaults_are_valid(self):
-        policy = ReorgPolicy()
-        assert policy.auto
-        assert policy.min_observations > 0
+        assert ReorgPolicy().min_observations > 0
 
 
 class TestAffinitySketch:

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.schedulers import AdaptiveElevatorScheduler, make_scheduler
+from repro.core.schedulers import (
+    DETOUR_PAGES,
+    AdaptiveElevatorScheduler,
+    make_scheduler,
+)
 from repro.errors import SchedulerError
 
 from tests.core.test_schedulers import drain, ref
@@ -22,7 +26,7 @@ class TestBufferAwareness:
 
     def test_no_residents_behaves_like_elevator(self):
         head = [5]
-        s = AdaptiveElevatorScheduler(head_fn=lambda: head[0], detour_pages=0)
+        s = AdaptiveElevatorScheduler(head_fn=lambda: head[0])
         for serial, page in ((1, 2), (2, 7), (3, 9)):
             s.add(ref(serial, page=page))
         assert s.pop().oid.serial == 2
@@ -33,29 +37,32 @@ class TestBufferAwareness:
 
 
 class TestPredicateDetours:
+    """Budget ``rejection x DETOUR_PAGES`` (64 pages for a certain
+    rejector) above the sweep-optimal choice."""
+
     def test_detour_to_likely_rejector(self):
-        s = AdaptiveElevatorScheduler(head_fn=lambda: 0, detour_pages=100)
+        s = AdaptiveElevatorScheduler(head_fn=lambda: 0)
         s.add(ref(1, page=5, rejection=0.0, seq=1))
-        s.add(ref(2, page=60, rejection=0.9, seq=2))  # extra 55 <= 90
+        s.add(ref(2, page=60, rejection=0.9, seq=2))  # extra 55 <= 57.6
         assert s.pop().oid.serial == 2
         assert s.detours == 1
 
     def test_detour_budget_respected(self):
-        s = AdaptiveElevatorScheduler(head_fn=lambda: 0, detour_pages=10)
+        s = AdaptiveElevatorScheduler(head_fn=lambda: 0)
         s.add(ref(1, page=5, rejection=0.0, seq=1))
-        s.add(ref(2, page=60, rejection=0.9, seq=2))  # extra 55 > 9
+        s.add(ref(2, page=70, rejection=0.9, seq=2))  # extra 65 > 57.6
         assert s.pop().oid.serial == 1
         assert s.detours == 0
 
-    def test_zero_detour_disables(self):
-        s = AdaptiveElevatorScheduler(head_fn=lambda: 0, detour_pages=0)
+    @pytest.mark.parametrize(
+        "extra, detours", [(DETOUR_PAGES, True), (DETOUR_PAGES + 1, False)]
+    )
+    def test_budget_edge_for_a_certain_rejector(self, extra, detours):
+        s = AdaptiveElevatorScheduler(head_fn=lambda: 0)
         s.add(ref(1, page=5, rejection=0.0, seq=1))
-        s.add(ref(2, page=6, rejection=1.0, seq=2))
-        assert s.pop().oid.serial == 1
-
-    def test_negative_detour_rejected(self):
-        with pytest.raises(SchedulerError):
-            AdaptiveElevatorScheduler(detour_pages=-1)
+        s.add(ref(2, page=5 + extra, rejection=1.0, seq=2))
+        assert s.pop().oid.serial == (2 if detours else 1)
+        assert s.detours == int(detours)
 
 
 class TestPoolSemantics:

@@ -69,6 +69,15 @@ def build_direct(db, clustering, cluster_pages, buffer_capacity):
     return store, layout, service
 
 
+def ask_window(fabric, window):
+    """Every replica submits at ``window``: fabric requests carry no
+    window of their own, so a test reaches one through the replicas'
+    ``submit_kwargs``."""
+    for shard in fabric.shards:
+        for replica in shard.replicas:
+            replica.submit_kwargs = {"window_size": window}
+
+
 def content_fingerprint(emitted):
     """Logical object content only — no serials, no fetch accounting —
     comparable across different layouts and drive orders."""
@@ -102,12 +111,9 @@ def test_degenerate_fabric_is_bit_identical_to_the_plain_service(
         buffer_capacity=buffer_capacity,
         max_waiting=MAX_WAITING,
     )
+    ask_window(fabric, window)
     specs = open_loop_workload(
-        fabric,
-        [0.0] * (n // 2),
-        roots_per_request=2,
-        window_size=window,
-        seed=3,
+        fabric, [0.0] * (n // 2), roots_per_request=2, seed=3
     )
     report = fabric.run(specs)
     assert not report.shed
@@ -115,9 +121,7 @@ def test_degenerate_fabric_is_bit_identical_to_the_plain_service(
     store, _layout, service = build_direct(db, clustering, 64, buffer_capacity)
     template = make_template(db)
     ids = [
-        service.submit(
-            list(spec.roots), template, window_size=spec.window_size
-        )
+        service.submit(list(spec.roots), template, window_size=window)
         for spec in specs
     ]
     service.run()
@@ -154,12 +158,9 @@ def test_arrival_timing_never_changes_request_content(
             cluster_pages=64,
             max_waiting=MAX_WAITING,
         )
+        ask_window(fabric, window)
         specs = open_loop_workload(
-            fabric,
-            arrivals,
-            roots_per_request=2,
-            window_size=window,
-            seed=4,
+            fabric, arrivals, roots_per_request=2, seed=4
         )
         report = fabric.run(specs)
         assert not report.shed
@@ -197,17 +198,13 @@ def test_sharded_content_matches_a_bare_assembly_run(
         cluster_pages=64,
         max_waiting=MAX_WAITING,
     )
+    ask_window(fabric, window)
     specs = []
     from repro.fabric import RequestSpec
 
     for shard in fabric.shards:
         for i in range(0, len(shard.roots), 2):
-            specs.append(
-                RequestSpec(
-                    roots=tuple(shard.roots[i : i + 2]),
-                    window_size=window,
-                )
-            )
+            specs.append(RequestSpec(roots=tuple(shard.roots[i : i + 2])))
     report = fabric.run(specs)
     assert not report.shed
     fabric_objects = [

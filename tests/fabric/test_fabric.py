@@ -166,6 +166,20 @@ class TestValidation:
         with pytest.raises(FabricError):
             build_sharded_fabric(db, placement="random")
 
+    @pytest.mark.parametrize("key", [(0, 2), (2, 0), (-1, 0)])
+    def test_builder_rejects_speed_factors_naming_no_replica(self, key):
+        """A mistyped key would otherwise measure a fleet with no slow
+        replica at all: 2 shards x 2 replicas own keys (0..1, 0..1)."""
+        db = generate_acob(10, seed=2)
+        with pytest.raises(FabricError, match="name no replica"):
+            build_sharded_fabric(
+                db, n_shards=2, replicas_per_shard=2, speed_factors={key: 6.0}
+            )
+        slow = build_sharded_fabric(
+            db, n_shards=2, replicas_per_shard=2, speed_factors={(1, 1): 6.0}
+        )
+        assert slow.shards[1].replicas[1].speed_factor == 6.0
+
     def test_percentile_fraction_is_checked_before_the_run_is_read(self):
         empty = FabricReport(
             requests=[], fleet=ServiceMetrics(), replicas=ServiceMetrics()

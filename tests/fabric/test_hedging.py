@@ -40,9 +40,8 @@ def run(fabric, count=16, rate=2.0):
 class TestHedgePolicy:
     def test_delay_is_priced_from_the_cost_model(self):
         model = CostModel()
-        policy = HedgePolicy(
-            multiplier=2.0, reads_per_object=7, seek_hint_pages=8
-        )
+        policy = HedgePolicy(multiplier=2.0)
+        # 7 fetches per ACOB object, each a positioned read of 8 pages.
         per_read = model.run_service_time(8, 1)
         assert policy.delay_ms(3, model) == pytest.approx(
             2.0 * 3 * 7 * per_read
@@ -51,8 +50,6 @@ class TestHedgePolicy:
     def test_validation(self):
         with pytest.raises(FabricError):
             HedgePolicy(multiplier=0.0)
-        with pytest.raises(FabricError):
-            HedgePolicy(reads_per_object=0)
 
 
 class TestHedgedRuns:

@@ -32,14 +32,6 @@ class TestDeterminism:
         backward = {o: router.shard_of(o) for o in reversed(oids)}
         assert forward == backward
 
-    def test_salt_changes_the_ring(self):
-        oids = root_oids()
-        default = ConsistentHashRouter(4)
-        salted = ConsistentHashRouter(4, salt=b"other-ring")
-        assert [default.shard_of(o) for o in oids] != [
-            salted.shard_of(o) for o in oids
-        ]
-
 
 def shares(router, oids):
     """Fraction of ``oids`` each shard owns."""

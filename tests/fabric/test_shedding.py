@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
+import pytest
 
+from repro.errors import ReproError
 from repro.fabric import (
     PoissonArrivals,
     SheddingPolicy,
@@ -75,29 +76,13 @@ class TestSheddingUnderOverload:
         assert slo["breaches"] == 0 and not slo["breached"]
 
 
-class TestPriorityExemption:
-    def test_priority_requests_ride_out_the_breach(self):
-        fabric = build(TIGHT)  # shed_priority defaults to False
-        specs = [
-            dataclasses.replace(spec, priority=(index % 2 == 1))
-            for index, spec in enumerate(overload_specs(fabric))
-        ]
-        report = fabric.run(specs)
-        slo_shed = [r for r in report.shed if r.shed_reason == "slo"]
-        assert slo_shed  # the breach really happened
-        assert all(not r.spec.priority for r in slo_shed)
-
-    def test_shed_priority_flag_drops_priority_traffic_too(self):
-        policy = dataclasses.replace(TIGHT, shed_priority=True)
-        fabric = build(policy)
-        specs = [
-            dataclasses.replace(spec, priority=True)
-            for spec in overload_specs(fabric)
-        ]
-        report = fabric.run(specs)
-        assert any(
-            r.spec.priority and r.shed_reason == "slo" for r in report.shed
-        )
+class TestPolicyValidation:
+    def test_a_tracker_that_could_never_trip_fails_the_build(self):
+        """``min_samples`` above ``window``: the ring never holds enough
+        completions, so the shard would never shed.  The builder makes
+        every shard's tracker, so the fabric refuses to stand up."""
+        with pytest.raises(ReproError, match="could never trip"):
+            build(SheddingPolicy(target_ms=150.0, window=4, min_samples=8))
 
 
 class TestAdmissionOverloadCountsAsShed:

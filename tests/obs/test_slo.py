@@ -42,9 +42,9 @@ class TestBreachAndRecovery:
         assert t.recoveries == 0
 
     def test_hysteresis_holds_the_breach_in_the_gray_zone(self):
-        """Target 100, recover_ratio 0.8: a windowed percentile of 90
-        is below target but above the recovery bar — still breached."""
-        t = tracker(recover_ratio=0.8)
+        """Target 100, recovery bar 0.8 x 100: a windowed percentile of
+        90 is below target but above the bar — still breached."""
+        t = tracker()
         for _ in range(8):
             t.observe(150.0)
         assert t.breached
@@ -54,7 +54,7 @@ class TestBreachAndRecovery:
         assert t.recoveries == 0
 
     def test_recovery_below_the_bar(self):
-        t = tracker(recover_ratio=0.8)
+        t = tracker()
         for _ in range(8):
             t.observe(150.0)
         for _ in range(8):
@@ -71,12 +71,14 @@ class TestBreachAndRecovery:
 
 class TestPercentile:
     def test_windowed_percentile_is_exact_over_the_ring(self):
-        t = tracker(percentile=0.5, window=9, min_samples=9)
-        for value in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0):
-            t.observe(value)
-        assert t.current() == 5.0
-        t.observe(100.0)  # pushes 1.0 out of the window
-        assert t.current() == 6.0
+        """The p99 of 200 samples is index int(0.99 * 200) = 198 of the
+        sorted window: the second largest, not the maximum."""
+        t = tracker(window=200, min_samples=200)
+        for value in range(1, 201):
+            t.observe(float(value))
+        assert t.current() == 199.0
+        t.observe(1_000.0)  # pushes 1.0 out of the window
+        assert t.current() == 200.0
 
     def test_old_samples_age_out(self):
         t = tracker(window=8, min_samples=8)
@@ -107,13 +109,17 @@ class TestSnapshotAndValidation:
         with pytest.raises(ReproError):
             SLOTracker(target_ms=0.0)
         with pytest.raises(ReproError):
-            SLOTracker(target_ms=1.0, percentile=1.5)
-        with pytest.raises(ReproError):
             SLOTracker(target_ms=1.0, window=0)
         with pytest.raises(ReproError):
-            SLOTracker(target_ms=1.0, recover_ratio=0.0)
-        with pytest.raises(ReproError):
             SLOTracker(target_ms=1.0, min_samples=0)
+
+    def test_min_samples_above_window_rejected(self):
+        """The ring holds at most ``window`` completions: a larger
+        ``min_samples`` would keep ``current()`` at None forever and the
+        tracker could never trip."""
+        with pytest.raises(ReproError, match="could never trip"):
+            SLOTracker(target_ms=1.0, window=4, min_samples=5)
+        assert SLOTracker(target_ms=1.0, window=4, min_samples=4).window == 4
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ReproError):

@@ -1,14 +1,10 @@
-"""Admission control: pin-bound pricing, shrinking, lanes, shedding."""
+"""Admission control: pin-bound pricing, shrinking, queueing, shedding."""
 
 import pytest
 
 from repro.core.tuning import pin_bound
 from repro.errors import ServiceOverloadError, ServiceStateError
-from repro.service.admission import (
-    AdmissionController,
-    FIFO_LANE,
-    PRIORITY_LANE,
-)
+from repro.service.admission import AdmissionController
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import SimulatedDisk
 from repro.workloads.acob import generate_acob, make_template
@@ -89,18 +85,6 @@ class TestQueueAndReject:
         assert started[0].window_size == 4
         assert started[1].window_size == 4
         assert controller.granted_pages == 50
-
-    def test_priority_lane_served_first(self, template):
-        controller = AdmissionController(budget_pages=50)
-        first = controller.submit(0, 8, template)
-        fifo = controller.submit(1, 8, template, priority=False)
-        urgent = controller.submit(2, 8, template, priority=True)
-        assert fifo.lane == FIFO_LANE and urgent.lane == PRIORITY_LANE
-        started = controller.release(first)
-        # Priority drains first and takes the whole budget (W=8 = 49),
-        # head-of-line blocking the FIFO lane.
-        assert [t.request_id for t in started] == [2]
-        assert fifo.waiting
 
 
 class TestBufferLedger:

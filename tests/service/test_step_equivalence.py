@@ -5,8 +5,8 @@ ever accepted; it now visits only the requests whose queries the device
 server collected during the step.  The old loop is kept here as the
 oracle and both services are driven through the same generated submit /
 step / cancel / result programs under an admission budget tight enough
-that low ids wait while higher (priority) ids run and that a finishing
-request starts waiters in the middle of a sweep.  Everything a client
+that requests wait, start shrunk, and that a finishing request starts
+waiters in the middle of a sweep.  Everything a client
 or an operator can observe must agree after every single rule.
 
 The device server's fairness has an oracle of its own: the per-query
@@ -168,11 +168,9 @@ def apply(rule, service, layout, template, accepted):
     kind = rule[0]
     try:
         if kind == "submit":
-            _, picks, window, priority = rule
+            _, picks, window = rule
             roots = [layout.root_order[i] for i in picks]
-            rid = service.submit(
-                roots, template, window_size=window, priority=priority
-            )
+            rid = service.submit(roots, template, window_size=window)
             accepted.append(rid)
             return rid
         if kind == "resubmit":
@@ -234,7 +232,6 @@ submits = st.tuples(
         st.integers(0, N_OBJECTS - 1), min_size=1, max_size=6, unique=True
     ),
     st.sampled_from([1, 2, 4, 8]),
-    st.booleans(),
 )
 rules = st.one_of(
     submits,
@@ -249,7 +246,7 @@ rules = st.one_of(
 @settings(max_examples=150)
 @given(
     # An opening burst overfills the budget, so every program has
-    # waiters in both lanes before the free-form rules begin.
+    # waiters in the queue before the free-form rules begin.
     burst=st.lists(submits, min_size=4, max_size=8),
     rest=st.lists(rules, max_size=25),
 )
@@ -316,25 +313,24 @@ def test_release_starts_a_higher_id_mid_sweep():
     """A finishing request starts waiters mid-sweep, pinned without
     hypothesis.
 
-    Request 0 holds the whole budget; 1 (FIFO) and 2 (priority) queue.
-    When 0 finishes, its release starts 2 (asked for a window of 1) and
-    then 1 (shrunk to fit beside it) inside the sweep that is finishing
-    0; both are RUNNING when the step returns.
+    Request 0 holds the whole budget; 1 and 2 queue.  When 0 finishes,
+    its release starts 1 (asked for a window of 1) and then 2 (shrunk
+    to fit beside it) inside the sweep that is finishing 0; both are
+    RUNNING when the step returns.
     """
     service, layout, template = build(AssemblyService)
     roots = layout.root_order
     first = service.submit(roots[:4], template, window_size=4)
-    fifo = service.submit(roots[4:8], template, window_size=4)
-    urgent = service.submit(
-        roots[8:12], template, window_size=1, priority=True
-    )
+    small = service.submit(roots[4:8], template, window_size=1)
+    large = service.submit(roots[8:12], template, window_size=4)
     assert running_ids(service) == [first]
-    assert service.admission.waiting_ids() == [urgent, fifo]
+    assert service.admission.waiting_ids() == [small, large]
     while service.poll(first) is not RequestStatus.DONE:
         assert service.step()
-    assert service.request_metrics(fifo).shrunk
-    assert running_ids(service) == [fifo, urgent]
+    assert not service.request_metrics(small).shrunk
+    assert service.request_metrics(large).shrunk
+    assert running_ids(service) == [small, large]
     service.run()
     assert service._running == {}
-    for rid in (first, fifo, urgent):
+    for rid in (first, small, large):
         assert len(service.result(rid)) == 4

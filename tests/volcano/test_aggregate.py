@@ -28,12 +28,13 @@ class TestHashAggregate:
         assert sorted(op.execute()) == [("a", 9), ("b", 2), ("c", 4)]
 
     def test_custom_fold(self):
+        """Any fold shapes the accumulator; each group leaves as one
+        ``(key, accumulator)`` row."""
         op = HashAggregate(
             ListSource(ROWS),
             group_key=lambda r: r[0],
-            init=list,
-            step=lambda acc, row: acc + [row[1]],
-            final=lambda key, acc: (key, max(acc)),
+            init=lambda: 0,
+            step=lambda acc, row: max(acc, row[1]),
         )
         assert sorted(op.execute()) == [("a", 5), ("b", 2), ("c", 4)]
 
