@@ -34,6 +34,7 @@ from repro.errors import (
     AssemblyError,
     BufferFullError,
     DeviceDownError,
+    DiskError,
     TransientReadError,
 )
 from repro.storage.disk import SimulatedDisk
@@ -55,31 +56,43 @@ def device_elevators(disk: SimulatedDisk) -> List[ElevatorScheduler]:
 
 
 class MultiDeviceScheduler(ReferenceScheduler):
-    """One elevator per device; ``pop`` serves the deepest queue."""
+    """One elevator per device; ``pop`` serves the deepest queue.
+
+    The scheduler keeps every device's pending count in one list,
+    updated by each operation that adds or takes references, so the
+    deepest-queue pick and the event-driven driver's scan read depths
+    without asking any queue.
+    """
 
     name = "multi-device"
 
     def __init__(self, disk: MultiDeviceDisk) -> None:
         super().__init__()
-        self._disk = disk
         self._queues = device_elevators(disk)
+        self._depths = [0] * len(self._queues)
+        self._pages_per_device = disk.pages_per_device
         self._turn = 0
 
     # -- pool maintenance -----------------------------------------------------
 
     def add(self, ref: UnresolvedReference) -> None:
         self.ops += 1
-        device = self._disk.device_of(ref.page_id)
+        page_id = ref.page_id
+        device = page_id // self._pages_per_device
+        if page_id < 0 or device >= len(self._depths):
+            raise DiskError(f"page {page_id} is on no device of this disk")
         self._queues[device].add(ref)
+        self._depths[device] += 1
 
     def _deepest_queue(self) -> int:
         # Longest queue first; ties rotate so no device starves.
+        depths = self._depths
         best = None
         best_depth = -1
-        n = len(self._queues)
+        n = len(depths)
         for offset in range(n):
             index = (self._turn + offset) % n
-            depth = len(self._queues[index])
+            depth = depths[index]
             if depth > best_depth:
                 best = index
                 best_depth = depth
@@ -89,8 +102,7 @@ class MultiDeviceScheduler(ReferenceScheduler):
 
     def pop(self) -> UnresolvedReference:
         self.require_nonempty()
-        self.ops += 1
-        return self._queues[self._deepest_queue()].pop()
+        return self.pop_on(self._deepest_queue())
 
     def pop_batch(self, max_pages: int = 1) -> List[UnresolvedReference]:
         """Batch from the deepest device's sweep.
@@ -100,34 +112,45 @@ class MultiDeviceScheduler(ReferenceScheduler):
         device boundary by construction.
         """
         self.require_nonempty()
-        self.ops += 1
-        return self._queues[self._deepest_queue()].pop_batch(max_pages)
+        return self.pop_batch_on(self._deepest_queue(), max_pages)
 
     def remove_owner(self, owner: int) -> List[UnresolvedReference]:
         removed: List[UnresolvedReference] = []
-        for queue in self._queues:
-            removed.extend(queue.remove_owner(owner))
+        depths = self._depths
+        for device, queue in enumerate(self._queues):
+            retracted = queue.remove_owner(owner)
+            if retracted:
+                depths[device] -= len(retracted)
+                removed.extend(retracted)
         self.ops += len(removed)
         return removed
 
     def __len__(self) -> int:
-        return sum(len(queue) for queue in self._queues)
+        return sum(self._depths)
 
     # -- per-device view (event-driven drivers) ------------------------------
 
     def queue_depths(self) -> List[int]:
-        """Pending references per device."""
-        return [len(queue) for queue in self._queues]
+        """Pending references per device: a live view, not a copy.
+
+        The list is the scheduler's own and changes with every add,
+        pop and retraction; callers read it and never write it.
+        """
+        return self._depths
 
     def pop_on(self, device: int) -> UnresolvedReference:
         self.ops += 1
-        return self._queues[device].pop()
+        ref = self._queues[device].pop()
+        self._depths[device] -= 1
+        return ref
 
     def pop_batch_on(
         self, device: int, max_pages: int = 1
     ) -> List[UnresolvedReference]:
         self.ops += 1
-        return self._queues[device].pop_batch(max_pages)
+        batch = self._queues[device].pop_batch(max_pages)
+        self._depths[device] -= len(batch)
+        return batch
 
 
 @dataclass
@@ -178,6 +201,13 @@ class PipelinedAssembly:
     pins and references of everything still in flight are handed back
     before it propagates.
 
+    An issue costs O(1) bookkeeping: the issue loop is :meth:`run`'s
+    own, its depth scan reads the scheduler's ``queue_depths`` (the
+    live list of a :class:`MultiDeviceScheduler`), the in-flight count
+    through the engine's live ``in_flight_by_device``, and the circuit
+    breaker only while the clock is below its ``reopened_by``
+    watermark, which a fallback may raise.
+
     ``issue_depth=1`` with a single device and ``batch_pages=1``
     degenerates to the synchronous loop exactly (the property-tested
     invariance); deeper issue hides ``cpu_ms_per_ref`` of resolution
@@ -225,62 +255,22 @@ class PipelinedAssembly:
 
     # -- issuing -------------------------------------------------------------
 
-    def _issue_ready(self, scheduler: ReferenceScheduler) -> None:
-        """Issue batches until every pending device is at issue depth."""
-        engine = self._engine
-        batch_pages = self._batch_pages
-        issue_depth = self._issue_depth
-        available = self.health.available
-        in_flight = self._in_flight
-        now = engine.clock.now  # issuing does not move the clock
-        depths = scheduler.queue_depths()
-        while True:
-            best, best_depth = -1, 0
-            for device, depth in enumerate(depths):
-                if (
-                    depth > best_depth
-                    and in_flight[device] < issue_depth
-                    and available(device, now)
-                ):
-                    best, best_depth = device, depth
-            if best < 0:
-                break
-            if batch_pages == 1:
-                batch = [scheduler.pop_on(best)]
-            else:
-                batch = scheduler.pop_batch_on(best, batch_pages)
-            if self._issue(best, batch):
-                # A fallback may have added references on any device.
-                depths = scheduler.queue_depths()
-            else:
-                depths[best] -= len(batch)
-        self.stats.max_in_flight = max(
-            self.stats.max_in_flight, sum(in_flight)
-        )
+    def _issue(
+        self, device: int, batch: List[UnresolvedReference], pages: List[int]
+    ) -> bool:
+        """Issue one popped batch whose ``pages`` must be read; True if
+        it took a fallback instead.
 
-    def _issue(self, device: int, batch: List[UnresolvedReference]) -> bool:
-        """Issue one popped batch; True if it took a fallback instead."""
+        The pages are pinned by one ``fix_many`` inside the engine's
+        ledger bracket.  A pin bound that cannot take them, or issue-time
+        retries that ran out, resolve the batch synchronously on the
+        device's timeline; a down device quarantines it and puts the
+        batch back in the pool.  A fallback may add references on any
+        device, and a fault may open the device's breaker.
+        """
         engine = self._engine
         stats = self.stats
-        pages = self._assembly.fetch_pages(batch)
         stats.issued += 1
-        buffer = self._buffer
-        is_resident = buffer.is_resident
-        for page_id in pages:
-            if not is_resident(page_id):
-                break
-        else:
-            # Nothing reads, so nothing can fault: pin and complete at
-            # "now".  Plain fixes suffice: every page already holds a
-            # frame, so fix_many's admission test (immovable + distinct
-            # <= frames <= capacity) could not fail.
-            for page_id in pages:
-                buffer.fix(page_id)
-            if pages and engine.disk.fault_injector is not None:
-                self.health.record_success(device)
-            engine.issue(device, None, payload=(batch, pages))
-            stats.zero_read_issues += 1
-            return False
         try:
             io = engine.issue(
                 device,
@@ -361,29 +351,92 @@ class PipelinedAssembly:
     # -- driving -------------------------------------------------------------
 
     def run(self) -> List[AssembledComplexObject]:
-        """Drive the operator to completion; returns everything emitted."""
+        """Drive the operator to completion; returns everything emitted.
+
+        Between two completions the loop issues until no pending device
+        is below issue depth and available: the deepest such backlog
+        first, ties to the lowest device.  A batch whose pages are all
+        resident reads nothing, so nothing can fault: it is pinned with
+        plain fixes (every page already holds a frame, so ``fix_many``'s
+        admission test could not fail) and issued without an ``io_fn``.
+        Every other batch goes through :meth:`_issue`.
+        """
         assembly = self._assembly
         if not assembly.is_open:
             assembly.open()
         engine = self._engine
+        clock = engine.clock
+        issue = engine.issue
         scheduler = assembly.scheduler
-        unfix = self._buffer.unfix
+        queue_depths = scheduler.queue_depths
+        pop_on = scheduler.pop_on
+        pop_batch_on = scheduler.pop_batch_on
+        fetch_pages = assembly.fetch_pages
+        buffer = self._buffer
+        fix = buffer.fix
+        unfix = buffer.unfix
+        is_resident = buffer.is_resident
+        health = self.health
+        available = health.available
+        record_success = (
+            health.record_success
+            if engine.disk.fault_injector is not None
+            else None
+        )
+        stats = self.stats
+        in_flight = self._in_flight
+        issue_depth = self._issue_depth
+        batch_pages = self._batch_pages
+        cpu_ms_per_ref = self._cpu_ms_per_ref
         out: List[AssembledComplexObject] = []
         try:
             while True:
-                self._issue_ready(scheduler)
-                if engine.idle():
-                    now = engine.clock.now
+                now = clock.now  # issuing does not move the clock
+                reopened_by = health.reopened_by
+                while True:
+                    depths = queue_depths()
+                    best, best_depth = -1, 0
+                    for device, depth in enumerate(depths):
+                        if (
+                            depth > best_depth
+                            and in_flight[device] < issue_depth
+                            and (now >= reopened_by or available(device, now))
+                        ):
+                            best, best_depth = device, depth
+                    if best < 0:
+                        break
+                    if batch_pages == 1:
+                        batch = [pop_on(best)]
+                    else:
+                        batch = pop_batch_on(best, batch_pages)
+                    pages = fetch_pages(batch)
+                    for page_id in pages:
+                        if not is_resident(page_id):
+                            break
+                    else:
+                        for page_id in pages:
+                            fix(page_id)
+                        if pages and record_success is not None:
+                            record_success(best)
+                        issue(best, None, (batch, pages))
+                        stats.issued += 1
+                        stats.zero_read_issues += 1
+                        continue
+                    if self._issue(best, batch, pages):
+                        # A fallback may have opened a breaker.
+                        reopened_by = health.reopened_by
+                outstanding = sum(in_flight)
+                if outstanding > stats.max_in_flight:
+                    stats.max_in_flight = outstanding
+                if not outstanding:
                     recovery = (
-                        self.health.next_recovery(now)
-                        if any(scheduler.queue_depths())
-                        else None
+                        health.next_recovery(now) if any(depths) else None
                     )
                     if recovery is not None:
                         # References pending but nothing issuable:
                         # every pending device is quarantined.  Let
                         # simulated time pass to the earliest recovery.
-                        self.stats.quarantine_wait_ms += recovery - now
+                        stats.quarantine_wait_ms += recovery - now
                         engine.wait_until(recovery)
                     else:
                         out.extend(assembly.drain_emitted())
@@ -401,8 +454,8 @@ class PipelinedAssembly:
                 finally:
                     for page_id in pinned:
                         unfix(page_id)
-                if self._cpu_ms_per_ref and batch:
-                    engine.spend_cpu(self._cpu_ms_per_ref * len(batch))
+                if cpu_ms_per_ref and batch:
+                    engine.spend_cpu(cpu_ms_per_ref * len(batch))
         finally:
             # Only an escaping exception finds requests still in
             # flight: their pins go back to the buffer and their

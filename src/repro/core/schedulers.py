@@ -154,13 +154,14 @@ class SweepPool:
     turns an elevator sweep into multi-page batched reads.
 
     A popped page holds about one pending reference on every measured
-    workload, so the cost is per operation, not per page.  The two
-    per-reference operations run in the scheduler's frame, not here:
-    :meth:`_SweepScheduler.add` files an entry and
+    workload, so the cost is per operation, not per page.  The
+    per-operation work runs in the scheduler's frame, not here:
+    :meth:`_SweepScheduler.add` files an entry,
     :meth:`ElevatorScheduler.pop` positions, purges and unindexes one,
+    and :meth:`ElevatorScheduler.pop_batch` positions before its take,
     each writing this class's fields directly (this module only).
-    Every other operation — retraction, positioning, takes, the
-    zero-seek probe — is one method call here.
+    Every other operation — retraction, the adaptive pick's
+    positioning, takes, the zero-seek probe — is one method call here.
     """
 
     __slots__ = (
@@ -262,8 +263,9 @@ class SweepPool:
         """Index of the next live entry under SCAN, with the (possibly
         reversed) sweep direction; tombstones met on the way are purged
         (each at most once, so the sweep stays amortized O(1)).  The
-        pool must be non-empty.  :meth:`ElevatorScheduler.pop` inlines
-        this."""
+        pool must be non-empty.  :meth:`ElevatorScheduler.pop` and
+        :meth:`ElevatorScheduler.pop_batch` inline this; the adaptive
+        pick calls it."""
         entries, dead = self._entries, self._dead
         index = bisect_left(entries, (head,))  # type: ignore[arg-type]
         if direction > 0:
@@ -758,6 +760,11 @@ class ElevatorScheduler(_SweepScheduler):
         return ref
 
     def pop_batch(self, max_pages: int = 1) -> List[UnresolvedReference]:
+        """The sweep-next page whole, plus its contiguous continuation.
+
+        Positions in this frame, as :meth:`pop` does; the take is one
+        :meth:`SweepPool.take_run`.
+        """
         pool = self._pool
         if not pool._live:
             raise SchedulerError(f"{self.name} scheduler pool is empty")
@@ -769,8 +776,25 @@ class ElevatorScheduler(_SweepScheduler):
             if refs:
                 self.resident_batches += 1
                 return refs
-        index, self._direction = pool._locate(self._head_fn(), self._direction)
-        return pool.take_run(pool._entries[index][0], self._direction, max_pages)
+        entries, dead = pool._entries, pool._dead
+        direction = self._direction
+        index = bisect_left(entries, (self._head_fn(),))  # type: ignore[arg-type]
+        if direction > 0:
+            while index < len(entries) and id(entries[index][3]) in dead:
+                dead.discard(id(entries.pop(index)[3]))
+            if index == len(entries):
+                direction = -1
+        if direction < 0:
+            index -= 1
+            while index >= 0 and id(entries[index][3]) in dead:
+                dead.discard(id(entries.pop(index)[3]))
+                index -= 1
+            if index < 0:
+                direction, index = 1, 0
+                while id(entries[0][3]) in dead:
+                    dead.discard(id(entries.pop(0)[3]))
+        self._direction = direction
+        return pool.take_run(entries[index][0], direction, max_pages)
 
 
 #: Detour budget, in pages, granted to a certain rejector (rejection =

@@ -143,10 +143,11 @@ class ShardReplica:
     replica hardware) plus any fault-injected delay.  A ledger only
     watches, so attaching it never changes the service's behavior.
 
-    Every request asks the service's default window.  ``submit_kwargs``
-    are applied to every ``service.submit`` on this replica: nothing in
-    the library sets them; tests use them to reach a ``window_size``
-    or a ``retry_policy`` / ``on_fault`` mode for a replica whose disk
+    Every request asks the service's default window.  The attribute
+    ``submit_kwargs`` (empty here) is applied to every
+    ``service.submit`` on this replica: nothing in the library sets
+    it; tests assign it to reach a ``window_size`` or a
+    ``retry_policy`` / ``on_fault`` mode for a replica whose disk
     carries a fault injector.
     """
 
@@ -158,7 +159,6 @@ class ShardReplica:
         service: AssemblyService,
         cost_model: Optional[CostModel] = None,
         speed_factor: float = 1.0,
-        submit_kwargs: Optional[Dict[str, Any]] = None,
     ) -> None:
         if speed_factor <= 0:
             raise FabricError("speed_factor must be positive")
@@ -170,7 +170,7 @@ class ShardReplica:
         self.cost_model = self.ledger.cost_model
         store.disk.add_read_tap(self.ledger.record)
         self.speed_factor = speed_factor
-        self.submit_kwargs = dict(submit_kwargs or {})
+        self.submit_kwargs: Dict[str, Any] = {}
         self.clock = 0.0
         #: service request id -> in-flight fabric request.
         self.outstanding: Dict[int, "FabricRequest"] = {}

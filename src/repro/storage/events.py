@@ -251,24 +251,33 @@ class AsyncIOEngine:
         """
         if not 0 <= device < self.n_devices:
             raise DiskError(f"no device {device}")
-        ledger = self.ledger
         issue_time = self.clock.now
-        reads = pages_total = 0
-        injected = 0.0
-        if io_fn is not None:
-            start = ledger.busy_until[device]
-            if start < issue_time:
-                start = issue_time
-            # The bracket accumulates left-to-right from ``start``, one
-            # term per physical read, so a serialized schedule
-            # reproduces CostedDisk's float sum exactly.
-            mark = ledger.mark(start)
-            self.disk.add_read_tap(self._tap)
-            try:
-                io_fn()
-            finally:
-                self.disk.remove_read_tap(self._tap)
-                reads, pages_total, complete, injected = ledger.since(mark)
+        if io_fn is None:
+            # Reads nothing: straight into the ready lane at "now".
+            handle = self._next_handle
+            self._next_handle = handle + 1
+            io = InFlightIO(
+                handle, device, payload, 0, 0, issue_time, issue_time
+            )
+            self._ready.append((issue_time, handle, io))
+            self._in_flight[device] += 1
+            self.issues += 1
+            self.zero_read_issues += 1
+            return io
+        ledger = self.ledger
+        start = ledger.busy_until[device]
+        if start < issue_time:
+            start = issue_time
+        # The bracket accumulates left-to-right from ``start``, one term
+        # per physical read, so a serialized schedule reproduces
+        # CostedDisk's float sum exactly.
+        mark = ledger.mark(start)
+        self.disk.add_read_tap(self._tap)
+        try:
+            io_fn()
+        finally:
+            self.disk.remove_read_tap(self._tap)
+            reads, pages_total, complete, injected = ledger.since(mark)
         if reads or injected:
             # Latency spikes and retry backoffs injected while this
             # request's reads ran occupy the issuing device's timeline.

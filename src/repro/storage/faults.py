@@ -359,6 +359,11 @@ class DeviceHealthTracker:
     success closes the breaker immediately (the successful probe).
     Devices unknown to the tracker are created on first touch, so one
     tracker serves disks of any width.
+
+    :attr:`reopened_by` is the latest reopening time ever set on any
+    device.  A success only lowers a device's quarantine, so no device
+    is quarantined at or after it: a driver asks :meth:`available`
+    only while its clock is below the watermark.
     """
 
     def __init__(
@@ -374,6 +379,8 @@ class DeviceHealthTracker:
         self._devices: Dict[int, _DeviceHealth] = {
             device: _DeviceHealth() for device in range(max(0, n_devices))
         }
+        #: every device is available at or after this time.
+        self.reopened_by = 0.0
 
     def _get(self, device: int) -> _DeviceHealth:
         health = self._devices.get(device)
@@ -400,14 +407,16 @@ class DeviceHealthTracker:
         health.failures += 1
         health.consecutive_failures += 1
         if retry_after is not None:
-            if retry_after > health.quarantined_until:
-                health.quarantines += 1
-                health.quarantined_until = retry_after
+            until = retry_after
         elif health.consecutive_failures >= self.failure_threshold:
             until = now + self.cooldown
-            if until > health.quarantined_until:
-                health.quarantines += 1
-                health.quarantined_until = until
+        else:
+            return
+        if until > health.quarantined_until:
+            health.quarantines += 1
+            health.quarantined_until = until
+            if until > self.reopened_by:
+                self.reopened_by = until
 
     def available(self, device: int, now: float) -> bool:
         """May ``device`` be issued to at time ``now``?"""

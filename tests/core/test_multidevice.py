@@ -1,6 +1,8 @@
 """Tests for multi-device assembly (Section 7 future work)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.layout import layout_database
 from repro.cluster.policies import InterObjectClustering
@@ -8,8 +10,9 @@ from repro.core.assembly import Assembly
 from repro.core.multidevice import MultiDeviceScheduler
 from repro.core.schedulers import UnresolvedReference
 from repro.core.template import TemplateNode
-from repro.errors import SchedulerError
+from repro.errors import DiskError, SchedulerError
 from repro.storage.buffer import BufferManager
+from repro.storage.faults import DeviceHealthTracker
 from repro.storage.multidisk import MultiDeviceDisk
 from repro.storage.store import ObjectStore
 from repro.iterator import ListSource
@@ -102,6 +105,120 @@ class TestScheduler:
         _disk, scheduler = self.make()
         with pytest.raises(SchedulerError):
             scheduler.pop()
+
+    def test_page_off_the_disk_is_refused(self):
+        _disk, scheduler = self.make()
+        for page in (-1, 200):
+            with pytest.raises(DiskError):
+                scheduler.add(ref(1, page=page))
+        assert scheduler.queue_depths() == [0, 0]
+        assert len(scheduler) == 0
+
+    def test_queue_depths_is_a_live_view(self):
+        _disk, scheduler = self.make()
+        depths = scheduler.queue_depths()
+        scheduler.add(ref(1, page=105))
+        assert depths == [0, 1]
+        scheduler.pop_on(1)
+        assert depths == [0, 0]
+
+
+PAGES_PER_DEVICE = 8
+
+#: one operation of a scheduler program: its name and its draws.
+OPERATIONS = st.one_of(
+    st.tuples(
+        st.just("add"), st.integers(0, 4 * PAGES_PER_DEVICE - 1),
+        st.integers(0, 3),
+    ),
+    st.tuples(
+        st.just("add_siblings"),
+        st.lists(st.integers(0, 4 * PAGES_PER_DEVICE - 1), max_size=4),
+        st.integers(0, 3),
+    ),
+    st.tuples(st.just("pop")),
+    st.tuples(st.just("pop_batch"), st.integers(1, 4)),
+    st.tuples(st.just("pop_on"), st.integers(0, 3)),
+    st.tuples(st.just("pop_batch_on"), st.integers(0, 3), st.integers(1, 4)),
+    st.tuples(st.just("remove_owner"), st.integers(0, 3)),
+)
+
+
+class TestLiveDepths:
+    """The scheduler's depth list against its queues, after every
+    operation of random programs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_devices=st.integers(1, 4),
+        program=st.lists(OPERATIONS, max_size=60),
+    )
+    def test_depths_match_the_queues(self, n_devices, program):
+        disk = MultiDeviceDisk(
+            n_devices=n_devices, pages_per_device=PAGES_PER_DEVICE
+        )
+        scheduler = MultiDeviceScheduler(disk)
+        pages = n_devices * PAGES_PER_DEVICE
+        seq = 0
+        for op, *args in program:
+            if op == "add":
+                seq += 1
+                scheduler.add(ref(seq, args[0] % pages, args[1], seq))
+            elif op == "add_siblings":
+                refs = []
+                for page in args[0]:
+                    seq += 1
+                    refs.append(ref(seq, page % pages, args[1], seq))
+                scheduler.add_siblings(refs)
+            elif op == "remove_owner":
+                scheduler.remove_owner(args[0])
+            else:
+                if op in ("pop_on", "pop_batch_on"):
+                    args[0] %= n_devices
+                try:
+                    getattr(scheduler, op)(*args)
+                except SchedulerError:
+                    pass  # an empty pool or device refuses, unchanged
+            depths = scheduler.queue_depths()
+            assert depths == [len(queue) for queue in scheduler._queues]
+            assert len(scheduler) == sum(depths)
+
+
+class TestReopeningWatermark:
+    """``reopened_by`` bounds every quarantine the tracker ever set."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_devices=st.integers(1, 4),
+        events=st.lists(
+            st.tuples(
+                st.sampled_from(["failure", "down", "success"]),
+                st.integers(0, 4),
+                st.floats(0.0, 500.0),
+                st.floats(0.0, 200.0),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_no_device_is_quarantined_past_the_watermark(
+        self, n_devices, events
+    ):
+        health = DeviceHealthTracker(n_devices, cooldown=50.0)
+        devices = range(n_devices + 1)  # one past: created on first touch
+        for kind, device, when, outage in events:
+            device %= n_devices + 1
+            if kind == "success":
+                health.record_success(device)
+            elif kind == "down":
+                health.record_failure(
+                    device, now=when, retry_after=when + outage
+                )
+            else:
+                health.record_failure(device, now=when)
+            for d in devices:
+                assert health.reopened_by >= health.quarantined_until(d)
+            for now in (health.reopened_by, health.reopened_by + 1.0):
+                assert all(health.available(d, now) for d in devices)
 
 
 def abort_heavy_ops(scheduler_of, n=120):

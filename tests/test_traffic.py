@@ -111,10 +111,6 @@ KEPT_FOR_TESTS: Dict[str, str] = {
     "DeviceHealthTracker.failure_threshold": _FAULT_PATH,
     "DeviceHealthTracker.cooldown": _FAULT_PATH,
     "ReorgPolicy.migration_retries": _FAULT_PATH,
-    "ShardReplica.submit_kwargs": (
-        "the only way a test reaches a faulted replica in partial mode "
-        "(tests/fabric/test_cache_degraded.py)"
-    ),
     "ReorgPolicy.group_capacity": _SKETCH,
     "ReorgPolicy.prune_epsilon": _SKETCH,
 }
