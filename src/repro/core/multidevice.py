@@ -1,4 +1,4 @@
-"""Per-device request queues: the server-per-device scheduler (§7).
+"""Per-device request queues and the one rule that picks among them (§7).
 
 Pairs with :class:`repro.storage.multidisk.MultiDeviceDisk`: one
 elevator queue per device ("each server would maintain a queue of
@@ -8,20 +8,24 @@ Because every queue orders only its own device's fetches against its
 own head, devices never perturb each other's sweeps — the multi-device
 generalization of exclusive device control.
 
-``pop`` serves the device with the **deepest queue**.  Elevator sweeps
-pay off in proportion to queue depth, so an equal (round-robin) service
-rate is counterproductive: it drains the low-traffic devices to depth
-zero and their sweeps degenerate to random seeks.  Longest-queue-first
-keeps every device's backlog — and therefore every device's sweep
-quality — as deep as the reference flow allows, which is also how a
-real asynchronous server array behaves (each server works off its own
-backlog; the operator consumes completions as they arrive).
+Every driver serves the device with the **deepest queue**, through
+:func:`deepest_device`.  Elevator sweeps pay off in proportion to queue
+depth, so an equal (round-robin) service rate is counterproductive: it
+drains the low-traffic devices to depth zero and their sweeps
+degenerate to random seeks.  Longest-queue-first keeps every device's
+backlog — and therefore every device's sweep quality — as deep as the
+reference flow allows, which is also how a real asynchronous server
+array behaves (each server works off its own backlog; the operator
+consumes completions as they arrive).  The synchronous pop rotates
+ties; the overlapped driver and the device server
+(:mod:`repro.service.device_server`, pooling in one
+:class:`MultiDeviceScheduler`) send them to the lowest device.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.assembled import AssembledComplexObject
 from repro.core.assembly import Assembly
@@ -40,36 +44,58 @@ from repro.errors import (
 from repro.storage.disk import SimulatedDisk
 from repro.storage.events import AsyncIOEngine
 from repro.storage.faults import DeviceHealthTracker, RetryPolicy
-from repro.storage.multidisk import MultiDeviceDisk
 
 
-def device_elevators(disk: SimulatedDisk) -> List[ElevatorScheduler]:
-    """One elevator per device of ``disk``, each sweeping its own head.
+def deepest_device(
+    depths: Sequence[int],
+    start: int,
+    in_flight: Sequence[int],
+    cap: int,
+    health: Optional[DeviceHealthTracker],
+    now: float,
+) -> int:
+    """The deepest device with references pending, fewer than ``cap``
+    in flight and available at ``now`` under ``health``; -1 if none.
 
-    The §7 server array, built in one place for the operator-private
-    :class:`MultiDeviceScheduler` and the service-wide device server.
+    Ties go to the first in ``start, …, n-1, 0, …, start-1``.  The
+    breaker is asked only below its ``reopened_by`` watermark.
     """
-    return [
-        ElevatorScheduler(disk.head_probe(device))
-        for device in range(disk.n_devices)
-    ]
+    n = len(depths)
+    order = [*range(start, n), *range(start)] if start else range(n)
+    gated = health is not None and now < health.reopened_by
+    best, best_depth = -1, 0
+    for device in order:
+        depth = depths[device]
+        if (
+            depth > best_depth
+            and in_flight[device] < cap
+            and (not gated or health.available(device, now))
+        ):
+            best, best_depth = device, depth
+    return best
 
 
 class MultiDeviceScheduler(ReferenceScheduler):
-    """One elevator per device; ``pop`` serves the deepest queue.
+    """One elevator per device of any disk; ``pop`` serves the deepest
+    queue, ties rotating past the device served last.
 
     The scheduler keeps every device's pending count in one list,
-    updated by each operation that adds or takes references, so the
-    deepest-queue pick and the event-driven driver's scan read depths
-    without asking any queue.
+    updated by each operation that adds or takes references, so
+    :func:`deepest_device` reads depths without asking any queue.
     """
 
     name = "multi-device"
 
-    def __init__(self, disk: MultiDeviceDisk) -> None:
+    def __init__(self, disk: SimulatedDisk) -> None:
         super().__init__()
-        self._queues = device_elevators(disk)
-        self._depths = [0] * len(self._queues)
+        self._queues = [
+            ElevatorScheduler(disk.head_probe(device))
+            for device in range(disk.n_devices)
+        ]
+        self._n_devices = disk.n_devices
+        self._depths = [0] * disk.n_devices
+        #: nothing is ever in flight for a synchronous pop.
+        self._idle = [0] * disk.n_devices
         self._pages_per_device = disk.pages_per_device
         self._turn = 0
 
@@ -79,30 +105,18 @@ class MultiDeviceScheduler(ReferenceScheduler):
         self.ops += 1
         page_id = ref.page_id
         device = page_id // self._pages_per_device
-        if page_id < 0 or device >= len(self._depths):
+        if page_id < 0 or device >= self._n_devices:
             raise DiskError(f"page {page_id} is on no device of this disk")
         self._queues[device].add(ref)
         self._depths[device] += 1
 
-    def _deepest_queue(self) -> int:
-        # Longest queue first; ties rotate so no device starves.
-        depths = self._depths
-        best = None
-        best_depth = -1
-        n = len(depths)
-        for offset in range(n):
-            index = (self._turn + offset) % n
-            depth = depths[index]
-            if depth > best_depth:
-                best = index
-                best_depth = depth
-        assert best is not None and best_depth > 0
-        self._turn = (best + 1) % n
-        return best
-
     def pop(self) -> UnresolvedReference:
         self.require_nonempty()
-        return self.pop_on(self._deepest_queue())
+        device = deepest_device(
+            self._depths, self._turn, self._idle, 1, None, 0.0
+        )
+        self._turn = (device + 1) % self._n_devices
+        return self.pop_on(device)
 
     def pop_batch(self, max_pages: int = 1) -> List[UnresolvedReference]:
         """Batch from the deepest device's sweep.
@@ -112,13 +126,19 @@ class MultiDeviceScheduler(ReferenceScheduler):
         device boundary by construction.
         """
         self.require_nonempty()
-        return self.pop_batch_on(self._deepest_queue(), max_pages)
+        device = deepest_device(
+            self._depths, self._turn, self._idle, 1, None, 0.0
+        )
+        self._turn = (device + 1) % self._n_devices
+        return self.pop_batch_on(device, max_pages)
 
-    def remove_owner(self, owner: int) -> List[UnresolvedReference]:
+    def remove_owner(
+        self, owner: int, client: Optional[int] = None
+    ) -> List[UnresolvedReference]:
         removed: List[UnresolvedReference] = []
         depths = self._depths
         for device, queue in enumerate(self._queues):
-            retracted = queue.remove_owner(owner)
+            retracted = queue.remove_owner(owner, client)
             if retracted:
                 depths[device] -= len(retracted)
                 removed.extend(retracted)
@@ -128,7 +148,7 @@ class MultiDeviceScheduler(ReferenceScheduler):
     def __len__(self) -> int:
         return sum(self._depths)
 
-    # -- per-device view (event-driven drivers) ------------------------------
+    # -- per-device view (event-driven drivers, the device server) ----------
 
     def queue_depths(self) -> List[int]:
         """Pending references per device: a live view, not a copy.
@@ -151,6 +171,20 @@ class MultiDeviceScheduler(ReferenceScheduler):
         batch = self._queues[device].pop_batch(max_pages)
         self._depths[device] -= len(batch)
         return batch
+
+    def pop_nearest(
+        self, client: int
+    ) -> Optional[Tuple[int, UnresolvedReference]]:
+        """The device server's starvation override: ``(device, ref)`` for
+        ``client``'s reference nearest the head of the first device that
+        holds one (``None`` if none does)."""
+        for device, queue in enumerate(self._queues):
+            ref = queue.pop_nearest(client)
+            if ref is not None:
+                self.ops += 1
+                self._depths[device] -= 1
+                return device, ref
+        return None
 
 
 @dataclass
@@ -202,11 +236,12 @@ class PipelinedAssembly:
     before it propagates.
 
     An issue costs O(1) bookkeeping: the issue loop is :meth:`run`'s
-    own, its depth scan reads the scheduler's ``queue_depths`` (the
-    live list of a :class:`MultiDeviceScheduler`), the in-flight count
-    through the engine's live ``in_flight_by_device``, and the circuit
-    breaker only while the clock is below its ``reopened_by``
-    watermark, which a fallback may raise.
+    own, and each scan is one :func:`deepest_device` call over the
+    scheduler's ``queue_depths`` (the live list of a
+    :class:`MultiDeviceScheduler`) and the engine's live
+    ``in_flight_by_device``, which asks the circuit breaker only while
+    the clock is below its ``reopened_by`` watermark (a fallback may
+    raise it).
 
     ``issue_depth=1`` with a single device and ``batch_pages=1``
     degenerates to the synchronous loop exactly (the property-tested
@@ -257,9 +292,8 @@ class PipelinedAssembly:
 
     def _issue(
         self, device: int, batch: List[UnresolvedReference], pages: List[int]
-    ) -> bool:
-        """Issue one popped batch whose ``pages`` must be read; True if
-        it took a fallback instead.
+    ) -> None:
+        """Issue one popped batch whose ``pages`` must be read.
 
         The pages are pinned by one ``fix_many`` inside the engine's
         ledger bracket.  A pin bound that cannot take them, or issue-time
@@ -301,8 +335,6 @@ class PipelinedAssembly:
                 stats.physical_issues += 1
             else:
                 stats.zero_read_issues += 1
-            return False
-        return True
 
     def _resolve_on_timeline(
         self, device: int, batch: List[UnresolvedReference]
@@ -377,7 +409,6 @@ class PipelinedAssembly:
         unfix = buffer.unfix
         is_resident = buffer.is_resident
         health = self.health
-        available = health.available
         record_success = (
             health.record_success
             if engine.disk.fault_injector is not None
@@ -392,17 +423,11 @@ class PipelinedAssembly:
         try:
             while True:
                 now = clock.now  # issuing does not move the clock
-                reopened_by = health.reopened_by
                 while True:
                     depths = queue_depths()
-                    best, best_depth = -1, 0
-                    for device, depth in enumerate(depths):
-                        if (
-                            depth > best_depth
-                            and in_flight[device] < issue_depth
-                            and (now >= reopened_by or available(device, now))
-                        ):
-                            best, best_depth = device, depth
+                    best = deepest_device(
+                        depths, 0, in_flight, issue_depth, health, now
+                    )
                     if best < 0:
                         break
                     if batch_pages == 1:
@@ -422,9 +447,7 @@ class PipelinedAssembly:
                         stats.issued += 1
                         stats.zero_read_issues += 1
                         continue
-                    if self._issue(best, batch, pages):
-                        # A fallback may have opened a breaker.
-                        reopened_by = health.reopened_by
+                    self._issue(best, batch, pages)
                 outstanding = sum(in_flight)
                 if outstanding > stats.max_in_flight:
                     stats.max_in_flight = outstanding

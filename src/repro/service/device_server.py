@@ -11,11 +11,12 @@ it to a dynamic registry of independent client queries:
   but its scheduler is a :class:`_ProxyScheduler` that names the query
   on every unresolved reference (``ref.client``) and forwards it into
   the server's **global** pool.
-* The global pool is one :class:`~repro.core.schedulers.
-  ElevatorScheduler` per physical device — the very class a private
-  operator sweeps with, built by :func:`~repro.core.multidevice.
-  device_elevators` — so all concurrent queries share a single sweep
-  per head: the exclusive-control assumption restored service-wide.
+* The global pool is one :class:`~repro.core.multidevice.
+  MultiDeviceScheduler`, one elevator per device, so all concurrent
+  queries share a single sweep per head: the exclusive-control
+  assumption restored service-wide.  Each step serves the device
+  :func:`~repro.core.multidevice.deepest_device` picks (ties to the
+  lowest), or probes — see :meth:`DeviceServer._probe`.
 * Fairness: pure SCAN can park on one query's hot region while another
   query's references wait at the far end of the disk.  The server
   stamps each query with the service clock when it was last served
@@ -37,7 +38,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from repro.cluster.reorg import Reorganizer
 from repro.core.assembled import AssembledComplexObject
 from repro.core.assembly import Assembly
-from repro.core.multidevice import device_elevators
+from repro.core.multidevice import MultiDeviceScheduler, deepest_device
 from repro.core.schedulers import ReferenceScheduler, UnresolvedReference
 from repro.core.template import Template
 from repro.errors import AssemblyError, SchedulerError, ServiceStateError
@@ -57,8 +58,8 @@ class _ProxyScheduler(ReferenceScheduler):
     The owning :class:`~repro.core.assembly.Assembly` believes this is
     its private reference pool; every ``add`` writes the query id onto
     the reference (``ref.client``) and lands it in the device server's
-    per-device elevator queues, and ``pop`` is forbidden — only the
-    server drains the pool, through :meth:`Assembly.resolve_external`.
+    pool, and ``pop`` is forbidden — only the server drains the pool,
+    through :meth:`Assembly.resolve_external`.
     """
 
     name = "device-server-proxy"
@@ -133,9 +134,9 @@ class DeviceServer:
     Parameters
     ----------
     store:
-        The shared object store.  If its disk is a
-        :class:`MultiDeviceDisk`, the server keeps one elevator queue
-        per device; otherwise a single queue sweeps the lone head.
+        The shared object store.  The server pools references in one
+        elevator queue per device of its disk (one queue for a
+        single-device disk).
     starvation_bound:
         Maximum global resolutions a query with pending references may
         wait between services (per-query fairness).  ``None`` disables
@@ -169,8 +170,11 @@ class DeviceServer:
         self.starvation_bound = starvation_bound
         self.spans = spans
         #: the global pool, one elevator per device.
-        self._queues = device_elevators(store.disk)
-        self._pages_per_device = store.disk.pages_per_device
+        self._pool = MultiDeviceScheduler(store.disk)
+        #: its live pending count per device (never written here).
+        self._depths = self._pool.queue_depths()
+        #: nothing is in flight between two synchronous steps.
+        self._idle = [0] * store.disk.n_devices
         self._queries: Dict[int, ClientQuery] = {}
         self._pending: Dict[int, int] = {}
         self._pending_total = 0
@@ -192,13 +196,13 @@ class DeviceServer:
         #: per-device circuit breaker, shared with every registered
         #: query's operator (failures recorded on their fetch paths
         #: quarantine the device for the whole sweep).
-        self.health = DeviceHealthTracker(len(self._queues))
+        self.health = DeviceHealthTracker(store.disk.n_devices)
         if reorg_policy is not None:
-            queues = self._queues  # not ``self``: that would be a cycle
+            depths = self._depths  # not ``self``: that would be a cycle
             self.reorg: Optional[Reorganizer] = Reorganizer(
                 store,
                 reorg_policy,
-                idle_check=lambda: not any(map(len, queues)),
+                idle_check=lambda: not any(depths),
             )
         else:
             self.reorg = None
@@ -270,7 +274,7 @@ class DeviceServer:
         # the pool's tie-break is the global admission sequence.
         self._seq += 1
         ref.seq = self._seq
-        self._queues[ref.page_id // self._pages_per_device].add(ref)
+        self._pool.add(ref)
         self._pending_total += 1
         client = ref.client
         pending = self._pending
@@ -283,9 +287,7 @@ class DeviceServer:
         pending[client] += 1
 
     def _retract(self, query_id: int, owner: int) -> List[UnresolvedReference]:
-        removed: List[UnresolvedReference] = []
-        for queue in self._queues:
-            removed.extend(queue.remove_owner(owner, query_id))
+        removed = self._pool.remove_owner(owner, query_id)
         if removed:
             self._pending[query_id] -= len(removed)
             self._pending_total -= len(removed)
@@ -300,8 +302,8 @@ class DeviceServer:
         return self._pending_total
 
     def queue_depths(self) -> List[int]:
-        """Pending references per device (balance diagnostics)."""
-        return [len(queue) for queue in self._queues]
+        """Pending references per device: the pool's live list."""
+        return self._depths
 
     # -- scheduling ---------------------------------------------------------
 
@@ -332,61 +334,15 @@ class DeviceServer:
             return None
         return None
 
-    def _deepest_device(self) -> int:
-        # Deepest queue first: elevator sweeps pay off in proportion to
-        # queue depth (same rule as MultiDeviceScheduler); ties resolve
-        # to the lowest device index, deterministically.  Quarantined
-        # devices are skipped — unless every pending device is
-        # quarantined, in which case the earliest-recovering one is
-        # probed anyway (on the synchronous path, only attempts advance
-        # the injector's op clock, so probing is what ends an outage).
-        # A lone queue is the deepest or the only probe: either way, 0.
-        if len(self._queues) == 1:
-            return 0
-        now = self.store.disk.fault_now()
-        best = None
-        best_depth = 0
-        probe = None
-        probe_recovery = None
-        for device, queue in enumerate(self._queues):
-            depth = len(queue)
-            if depth == 0:
-                continue
-            if not self.health.available(device, now):
-                recovery = self.health.quarantined_until(device)
-                if probe_recovery is None or recovery < probe_recovery:
-                    probe, probe_recovery = device, recovery
-                continue
-            if depth > best_depth:
-                best, best_depth = device, depth
-        if best is None:
-            best = probe
-        if best is None:
-            raise SchedulerError("device server pool is empty")
-        return best
-
-    def _pop(self, device: int) -> UnresolvedReference:
-        """Pop the SCAN-next reference on ``device``.
-
-        A reference stops counting as pending here, at pop: until it is
-        served it belongs to the step that popped it.
-        """
-        ref = self._queues[device].pop()
-        self._pending[ref.client] -= 1
-        self._pending_total -= 1
-        return ref
-
-    def _pop_starved(self, query_id: int) -> Tuple[int, UnresolvedReference]:
-        """The starvation override: ``(device, ref)`` for the starved
-        query's reference nearest the head of the first device that
-        holds one."""
-        for device, queue in enumerate(self._queues):
-            ref = queue.pop_nearest(query_id)
-            if ref is not None:
-                self._pending[query_id] -= 1
-                self._pending_total -= 1
-                return device, ref
-        raise SchedulerError(f"query {query_id} has no pending reference")
+    def _probe(self) -> int:
+        """The pending device that reopens first (lowest on ties), served
+        when every pending device is quarantined: on the synchronous op
+        clock only an attempt ends an outage, where the overlapped
+        driver can wait on its engine clock."""
+        return min(
+            (device for device, depth in enumerate(self._depths) if depth),
+            key=self.health.quarantined_until,
+        )
 
     # -- execution -----------------------------------------------------------
 
@@ -409,10 +365,25 @@ class DeviceServer:
             return False
         starved = self._starved_query()
         if starved is None:
-            device = self._deepest_device()
-            ref = self._pop(device)
+            depths = self._depths
+            if len(depths) == 1:
+                device = 0  # the deepest queue or the only probe
+            else:
+                # No clock is read before some breaker has opened.
+                health = self.health
+                now = self.store.disk.fault_now() if health.reopened_by else 0.0
+                device = deepest_device(
+                    depths, 0, self._idle, 1, health, now
+                )
+                if device < 0:
+                    device = self._probe()
+            ref = self._pool.pop_on(device)
         else:
-            device, ref = self._pop_starved(starved)
+            # A starved query has a reference pending somewhere.
+            device, ref = self._pool.pop_nearest(starved)
+        # Popped, a reference is this step's, no longer pending.
+        self._pending[ref.client] -= 1
+        self._pending_total -= 1
         pop_span = None
         if self.spans is not None:
             pop_span = self.spans.begin(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.cluster.layout import layout_database
 from repro.cluster.policies import InterObjectClustering
 from repro.core.assembly import Assembly
-from repro.core.multidevice import MultiDeviceScheduler
+from repro.core.multidevice import MultiDeviceScheduler, deepest_device
 from repro.core.schedulers import UnresolvedReference
 from repro.core.template import TemplateNode
 from repro.errors import DiskError, SchedulerError
@@ -16,6 +16,7 @@ from repro.storage.faults import DeviceHealthTracker
 from repro.storage.multidisk import MultiDeviceDisk
 from repro.storage.store import ObjectStore
 from repro.iterator import ListSource
+from repro.service.device_server import DeviceServer
 from repro.workloads.acob import (
     generate_acob,
     make_template,
@@ -219,6 +220,153 @@ class TestReopeningWatermark:
                 assert health.reopened_by >= health.quarantined_until(d)
             for now in (health.reopened_by, health.reopened_by + 1.0):
                 assert all(health.available(d, now) for d in devices)
+
+
+class ParentPicks:
+    """The three deepest-queue scans :func:`deepest_device` replaced,
+    kept verbatim: the scheduler's rotating pick, the overlapped
+    driver's inline scan and the device server's pick with its probe.
+    Each reads the attributes its owner gave it."""
+
+    def __init__(self, depths, turn, health, now):
+        self._depths = list(depths)
+        self._turn = turn
+        self._queues = [[None] * depth for depth in depths]
+        self.health = health
+        self.now = now
+
+    def fault_now(self):
+        return self.now
+
+    @property
+    def store(self):
+        return self  # ``self.store.disk.fault_now()``
+
+    @property
+    def disk(self):
+        return self
+
+    def _deepest_queue(self) -> int:
+        # Longest queue first; ties rotate so no device starves.
+        depths = self._depths
+        best = None
+        best_depth = -1
+        n = len(depths)
+        for offset in range(n):
+            index = (self._turn + offset) % n
+            depth = depths[index]
+            if depth > best_depth:
+                best = index
+                best_depth = depth
+        assert best is not None and best_depth > 0
+        self._turn = (best + 1) % n
+        return best
+
+    def pipelined_scan(self, in_flight, issue_depth) -> int:
+        depths = self._depths
+        now = self.now
+        available = self.health.available
+        reopened_by = self.health.reopened_by
+        best, best_depth = -1, 0
+        for device, depth in enumerate(depths):
+            if (
+                depth > best_depth
+                and in_flight[device] < issue_depth
+                and (now >= reopened_by or available(device, now))
+            ):
+                best, best_depth = device, depth
+        return best
+
+    def _deepest_device(self) -> int:
+        if len(self._queues) == 1:
+            return 0
+        now = self.store.disk.fault_now()
+        best = None
+        best_depth = 0
+        probe = None
+        probe_recovery = None
+        for device, queue in enumerate(self._queues):
+            depth = len(queue)
+            if depth == 0:
+                continue
+            if not self.health.available(device, now):
+                recovery = self.health.quarantined_until(device)
+                if probe_recovery is None or recovery < probe_recovery:
+                    probe, probe_recovery = device, recovery
+                continue
+            if depth > best_depth:
+                best, best_depth = device, depth
+        if best is None:
+            best = probe
+        if best is None:
+            raise SchedulerError("device server pool is empty")
+        return best
+
+
+#: breaker events over devices 0..6: (kind, device, when, outage).
+BREAKER_EVENTS = st.lists(
+    st.tuples(
+        st.sampled_from(["failure", "down", "success"]),
+        st.integers(0, 6),
+        st.floats(0.0, 300.0),
+        st.floats(0.0, 200.0),
+    ),
+    max_size=12,
+)
+
+
+class TestOnePickRule:
+    """:func:`deepest_device` picks what each parent scan picked."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        depths=st.lists(st.integers(0, 5), min_size=1, max_size=7),
+        flights=st.lists(st.integers(0, 3), min_size=7, max_size=7),
+        cap=st.integers(1, 3),
+        events=BREAKER_EVENTS,
+        start=st.integers(0, 6),
+        now=st.floats(0.0, 600.0),
+    )
+    def test_each_driver_picks_what_its_parent_scan_picked(
+        self, depths, flights, cap, events, start, now
+    ):
+        n = len(depths)
+        start %= n
+        in_flight = flights[:n]
+        health = DeviceHealthTracker(n, failure_threshold=2, cooldown=50.0)
+        for kind, device, when, outage in events:
+            device %= n
+            if kind == "success":
+                health.record_success(device)
+            elif kind == "down":
+                health.record_failure(
+                    device, now=when, retry_after=when + outage
+                )
+            else:
+                health.record_failure(device, now=when)
+        parent = ParentPicks(depths, start, health, now)
+        idle = [0] * n
+
+        # The overlapped driver: start 0, its in-flight cap, the breaker.
+        assert deepest_device(
+            depths, 0, in_flight, cap, health, now
+        ) == parent.pipelined_scan(in_flight, cap)
+        if not any(depths):
+            assert deepest_device(depths, start, idle, 1, None, 0.0) == -1
+            return
+
+        # The synchronous pop: rotation from ``start``, no cap or breaker.
+        assert deepest_device(
+            depths, start, idle, 1, None, 0.0
+        ) == parent._deepest_queue()
+
+        # The device server: start 0, the breaker on the op clock read
+        # once a breaker has opened, the probe when nothing qualifies.
+        server_now = now if health.reopened_by else 0.0
+        picked = deepest_device(depths, 0, idle, 1, health, server_now)
+        if picked < 0:
+            picked = DeviceServer._probe(parent)
+        assert picked == parent._deepest_device()
 
 
 def abort_heavy_ops(scheduler_of, n=120):

@@ -1,5 +1,5 @@
-"""The gain verdict of ``tools/ab_pairs.py`` (the tool itself runs
-the observatory and is not run here)."""
+"""The gain and no-regression verdicts of ``tools/ab_pairs.py`` (the
+tool itself runs the observatory and is not run here)."""
 
 from __future__ import annotations
 
@@ -62,3 +62,39 @@ class TestVerdict:
             ab_pairs.verdict(PARENT, PARENT[:-1], True)
         with pytest.raises(ValueError):
             ab_pairs.verdict([], [], True)
+
+
+class TestBoundedVerdict:
+    """The no-regression verdict: the observatory's own rule over the
+    pairs' medians and quartiles, with the metric's bound."""
+
+    compare = ab_pairs.load_compare(TOOL.parents[1])
+
+    def judge(self, change, parent=PARENT):
+        return ab_pairs.bounded_verdict(
+            self.compare, "objects_per_s", "higher", 0.25, parent, change
+        )
+
+    def test_unchanged(self):
+        assert self.judge([value - 1.0 for value in PARENT]) == "unchanged"
+
+    def test_regressed_beyond_the_bound(self):
+        change = [value * 0.5 for value in PARENT]
+        assert self.judge(change) == "regressed beyond bound 25%"
+
+    def test_a_spread_wider_than_the_bound_is_unresolved(self):
+        wide = [50.0, 150.0, 60.0, 140.0, 70.0, 130.0, 80.0, 120.0, 55.0,
+                145.0]
+        assert self.judge(wide, parent=wide).startswith("unresolved (spread")
+
+    def test_exact_metrics_compare_by_equality(self):
+        sim = [10.0, 11.0, 12.0]
+        verdict = ab_pairs.bounded_verdict(
+            self.compare, "sim_elapsed_ms", "lower", 0.15, sim, sim
+        )
+        assert verdict == "identical"
+        moved = ab_pairs.bounded_verdict(
+            self.compare, "sim_elapsed_ms", "lower", 0.15, sim,
+            [10.0, 11.5, 12.0],
+        )
+        assert moved == "regressed (exact metric moved)"

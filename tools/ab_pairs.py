@@ -4,8 +4,10 @@
     python3 tools/ab_pairs.py PARENT CHANGE --workload piped_4dev \\
         --pairs 10 --seed 4401
 
-``PARENT`` and ``CHANGE`` are two checkouts side by side (say, a
-``git clone`` of the parent commit and a copy of the working tree).
+``PARENT`` and ``CHANGE`` are two checkouts side by side, made the
+same way (say, ``cp -r`` of a parent clone and of the working tree):
+on ``service_closed`` a ``git clone`` against a ``cp -r`` copy of the
+same commit read ``objects_per_s`` 0.961 × in an A/A run of ten pairs.
 Pair ``i`` runs ``benchmarks/observatory/run.py --workload W --seed
 SEED+i --trace 0`` once in each, parent first on even pairs and change
 first on odd ones, so drift over the session falls on both sides
@@ -14,16 +16,21 @@ list and each metric's direction come from ``CHANGE``'s
 ``BENCHMARK.json``.
 
 For each end-to-end metric it prints both sides' median and quartiles,
-the ratio of the medians (change / parent) and the pairs the change
-won, then the gain verdict of :func:`verdict`: at least nine tenths of
-the pairs won (ties count for neither side) and a median gap wider
-than the parent's interquartile range.  Run nothing else alongside:
-wall-clock metrics here drift between minutes.
+the ratio of the medians (change / parent), the pairs the change won
+and the no-regression verdict of :func:`bounded_verdict`:
+``benchmarks/observatory/compare.py``'s rule (loaded from ``CHANGE``)
+over the two sides' medians and quartiles, with the metric's ``bound``
+from ``BENCHMARK.json``.  Then it prints the gain verdict of
+:func:`verdict` for ``--metric``: at least nine tenths of the pairs won
+(ties count for neither side) and a median gap wider than the parent's
+interquartile range.  Run nothing else alongside: wall-clock metrics
+here drift between minutes.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import statistics
 import subprocess
@@ -31,9 +38,11 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from types import ModuleType
 from typing import Dict, List, Optional, Sequence, Tuple
 
 RUNNER = Path("benchmarks") / "observatory" / "run.py"
+COMPARE = Path("benchmarks") / "observatory" / "compare.py"
 
 
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -84,6 +93,38 @@ def verdict(
     return Verdict(wins=wins, pairs=len(parent), gap=gap, parent_iqr=q3 - q1)
 
 
+def load_compare(checkout: Path) -> ModuleType:
+    """``checkout``'s ``benchmarks/observatory/compare.py``, imported."""
+    spec = importlib.util.spec_from_file_location(
+        "observatory_compare", checkout / COMPARE
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bounded_verdict(
+    compare: ModuleType,
+    metric: str,
+    better: str,
+    bound: float,
+    parent: Sequence[float],
+    change: Sequence[float],
+) -> str:
+    """``compare.verdict`` over the pairs: each side's runs stand in for
+    one observatory file's passes (median and quartiles).  Both sides
+    ran the same seeds, so the exact metrics compare by equality."""
+    documents = []
+    for values in (parent, change):
+        q1, median, q3 = quartiles(values)
+        documents.append({
+            "seed": "pairs",
+            "end_to_end": {metric: median},
+            "quartiles": {metric: [q1, median, q3]},
+        })
+    return compare.verdict(metric, better, bound, *documents)
+
+
 def run_once(
     checkout: Path, workload: str, seed: int, out: Path
 ) -> Dict[str, Optional[float]]:
@@ -111,6 +152,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    compare = load_compare(args.change)
     runs: Dict[str, List[Dict[str, Optional[float]]]] = {
         "parent": [], "change": []
     }
@@ -130,7 +173,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"{args.workload}: {args.pairs} alternating pairs, seeds "
           f"{args.seed}..{args.seed + args.pairs - 1}")
     print(f"{'metric':<20}{'parent median [q1 .. q3]':>34}"
-          f"{'change median [q1 .. q3]':>34}{'ratio':>8}{'wins':>8}")
+          f"{'change median [q1 .. q3]':>34}{'ratio':>8}{'wins':>8}"
+          "  no-regression verdict")
     verdicts: Dict[str, Verdict] = {}
     for name, direction in better.items():
         parent = [row[name] for row in runs["parent"]]
@@ -140,8 +184,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         verdicts[name] = verdict(parent, change, direction == "higher")
         base, after = statistics.median(parent), statistics.median(change)
         ratio = f"{after / base:.3f}" if base else "-"
+        bounded = bounded_verdict(
+            compare, name, direction, bounds[name], parent, change
+        )
         print(f"{name:<20}{spread(parent):>34}{spread(change):>34}"
-              f"{ratio:>8}{verdicts[name].wins:>5}/{args.pairs}")
+              f"{ratio:>8}{verdicts[name].wins:>5}/{args.pairs}  {bounded}")
     claimed = verdicts[args.metric]
     print(
         f"verdict on {args.metric}: {claimed.wins}/{claimed.pairs} pairs won, "
