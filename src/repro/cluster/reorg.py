@@ -337,7 +337,7 @@ class DeviceIdleTracker:
         self, disk, cost_model: Optional[CostModel] = None
     ) -> None:
         self._disk = disk
-        self.ledger = DeviceLedger(disk, cost_model, intervals=True)
+        self.ledger = DeviceLedger(disk.n_devices, cost_model, intervals=True)
         self.cost_model = self.ledger.cost_model
         disk.add_read_tap(self.ledger.record)
 

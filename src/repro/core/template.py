@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import TemplateError
@@ -216,8 +217,16 @@ class Template:
         into the shared catalog template.
         """
         self._require_finalized()
-
-        def rec(node: TemplateNode) -> TemplateNode:
+        # Pre-order with an explicit stack of ``((slot, node), parent's
+        # copy)`` (a recursive local function would be a reference
+        # cycle): each copy is attached to its parent's copy when it is
+        # made, in the original slot order.
+        root: Optional[TemplateNode] = None
+        stack: List[
+            Tuple[Tuple[int, TemplateNode], Optional[TemplateNode]]
+        ] = [((0, self.root), None)]
+        while stack:
+            (slot, node), parent = stack.pop()
             copy = TemplateNode(
                 label=node.label,
                 type_name=node.type_name,
@@ -225,11 +234,12 @@ class Template:
                 sharing_degree=node.sharing_degree,
                 predicate=node.predicate,
             )
-            for slot, child in node._children.items():
-                copy.attach(slot, rec(child))
-            return copy
-
-        return Template(rec(self.root)).finalize()
+            if parent is None:
+                root = copy
+            else:
+                parent.attach(slot, copy)
+            stack += zip(reversed(node._children.items()), repeat(copy))
+        return Template(root).finalize()
 
     def with_predicate(self, label: str, predicate: Predicate) -> "Template":
         """A clone with ``predicate`` folded onto the node ``label``.
@@ -300,16 +310,18 @@ class Template:
 
     def _collect_recursive(self) -> List[Tuple[TemplateNode, Dict[str, TemplateNode]]]:
         found: List[Tuple[TemplateNode, Dict[str, TemplateNode]]] = []
-
-        def visit(node: TemplateNode, ancestors: Dict[str, TemplateNode]) -> None:
+        # Pre-order with an explicit stack: a recursive local function
+        # would be a reference cycle.
+        stack: List[Tuple[TemplateNode, Dict[str, TemplateNode]]] = [
+            (self.root, {})
+        ]
+        while stack:
+            node, ancestors = stack.pop()
             here = dict(ancestors)
             here[node.label] = node
             if node._recursive:
                 found.append((node, here))
-            for child in node._children.values():
-                visit(child, here)
-
-        visit(self.root, {})
+            stack += zip(reversed(node._children.values()), repeat(here))
         return found
 
     def _copy_subtree(self, root: TemplateNode) -> TemplateNode:
@@ -317,23 +329,41 @@ class Template:
         self._copy_counter += 1
         suffix = f"+{self._copy_counter}"
         relabel: Dict[str, str] = {}
-
-        def rec(node: TemplateNode) -> TemplateNode:
+        top: Optional[TemplateNode] = None
+        # Pre-order with an explicit stack (a recursive local function
+        # would be a reference cycle).  ``(node, parent's copy, slot)``
+        # copies a node; the ``(node, copy)`` pushed under its children
+        # closes its subtree, where its recursive edges are copied with
+        # the subtree's labels known, as the recursion did.
+        stack: List[tuple] = [(root, None, 0)]
+        while stack:
+            item = stack.pop()
+            if len(item) == 2:
+                node, copy = item
+                copy._recursive = [
+                    _RecursiveEdge(
+                        slot=edge.slot,
+                        target_label=relabel.get(
+                            edge.target_label, edge.target_label
+                        ),
+                        max_depth=edge.max_depth - 1,
+                    )
+                    for edge in node._recursive
+                ]
+                continue
+            node, parent, slot = item
             copy = node._clone_shallow(suffix)
             relabel[node.label] = copy.label
-            for slot, child in node._children.items():
-                copy.attach(slot, rec(child))
-            copy._recursive = [
-                _RecursiveEdge(
-                    slot=edge.slot,
-                    target_label=relabel.get(edge.target_label, edge.target_label),
-                    max_depth=edge.max_depth - 1,
-                )
-                for edge in node._recursive
-            ]
-            return copy
-
-        return rec(root)
+            if parent is None:
+                top = copy
+            else:
+                parent.attach(slot, copy)
+            stack.append((node, copy))
+            stack += (
+                (child, copy, child_slot)
+                for child_slot, child in reversed(node._children.items())
+            )
+        return top
 
     def _annotate(self, node: TemplateNode, depth: int) -> None:
         node.depth = depth
@@ -459,14 +489,26 @@ def binary_tree_template(
     if levels <= 0:
         raise TemplateError("binary tree needs at least one level")
 
-    def build(position: int, level: int) -> TemplateNode:
+    # Pre-order with an explicit stack (a recursive local function would
+    # be a reference cycle): each node is attached to its parent when it
+    # is built, left child before right.
+    root: Optional[TemplateNode] = None
+    stack: List[Tuple[int, int, Optional[TemplateNode], int]] = [
+        (0, 0, None, 0)
+    ]
+    while stack:
+        position, level, parent, slot = stack.pop()
         node = TemplateNode(
             label=f"{label_prefix}{position}",
             type_name=f"T{position}",
         )
+        if parent is None:
+            root = node
+        else:
+            parent.attach(slot, node)
         if level + 1 < levels:
-            node.attach(left_slot, build(2 * position + 1, level + 1))
-            node.attach(right_slot, build(2 * position + 2, level + 1))
-        return node
-
-    return Template(build(0, 0)).finalize()
+            stack += (
+                (2 * position + 2, level + 1, node, right_slot),
+                (2 * position + 1, level + 1, node, left_slot),
+            )
+    return Template(root).finalize()

@@ -56,6 +56,7 @@ fabric turned a request away under overload.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heapreplace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -166,9 +167,10 @@ class ShardReplica:
         self.replica_id = replica_id
         self.store = store
         self.service = service
-        self.ledger = DeviceLedger(store.disk, cost_model)
+        self._disk = store.disk
+        self.ledger = DeviceLedger(self._disk.n_devices, cost_model)
         self.cost_model = self.ledger.cost_model
-        store.disk.add_read_tap(self.ledger.record)
+        self._disk.add_read_tap(self.ledger.record)
         self.speed_factor = speed_factor
         self.submit_kwargs: Dict[str, Any] = {}
         self.clock = 0.0
@@ -188,14 +190,15 @@ class ShardReplica:
     def _charge(self, action: Callable[[], Any]) -> Any:
         """Run ``action`` and bill its priced I/O to the clock."""
         ledger = self.ledger
+        injector = self._disk.fault_injector
         # Bracketed on the running total: the clock advances by the
         # total's growth, the same float difference it always has.
         before = ledger.total
-        mark = ledger.mark(before)
+        mark = ledger.mark(before, injector)
         try:
             return action()
         finally:
-            _reads, _pages, after, injected = ledger.since(mark)
+            _reads, _pages, after, injected = ledger.since(mark, injector)
             delta = after - before + injected
             if delta:
                 self.clock += delta * self.speed_factor
@@ -212,12 +215,13 @@ class ShardReplica:
         """One service step, billed to the replica clock."""
         # _charge, inlined: this runs once per resolution.
         ledger = self.ledger
+        injector = self._disk.fault_injector
         before = ledger.total
-        mark = ledger.mark(before)
+        mark = ledger.mark(before, injector)
         try:
             return self.service.step()
         finally:
-            _reads, _pages, after, injected = ledger.since(mark)
+            _reads, _pages, after, injected = ledger.since(mark, injector)
             delta = after - before + injected
             if delta:
                 self.clock += delta * self.speed_factor
@@ -250,6 +254,14 @@ class Shard:
     ) -> None:
         if not replicas:
             raise FabricError(f"shard {shard_id} has no replicas")
+        # A request names its replicas by id (FabricRequest.attempts),
+        # and the fabric finds one as ``replicas[replica_id]``.
+        for position, replica in enumerate(replicas):
+            if (replica.shard_id, replica.replica_id) != (shard_id, position):
+                raise FabricError(
+                    f"shard {shard_id}'s replica at position {position} is "
+                    f"{replica.shard_id}.{replica.replica_id}"
+                )
         if placement not in ("shortest-queue", "round-robin"):
             raise FabricError(
                 f"unknown placement {placement!r} "
@@ -305,8 +317,9 @@ class FabricRequest:
         self.spec = spec
         self.shard_id = -1
         self.status = self.PENDING
-        #: (replica, service request id) per issued copy; primary first.
-        self.attempts: List[Tuple[ShardReplica, int]] = []
+        #: (replica id, service request id) per issued copy, primary
+        #: first; the replica is ``shards[shard_id].replicas[replica id]``.
+        self.attempts: List[Tuple[int, int]] = []
         self.hedge_handle: Optional[int] = None
         self.hedged = False
         self.won_by_hedge = False
@@ -392,7 +405,10 @@ class ServiceFabric:
         self._now = 0.0
         self._events: Optional[EventQueue] = None
         if span_recorder is not None:
-            span_recorder.bind_clock(lambda: self._now)
+            # Through a weak proxy: a clock over ``self`` would put the
+            # whole fleet in a cycle with the recorder it holds.
+            fabric = weakref.proxy(self)
+            span_recorder.bind_clock(lambda: fabric._now)
 
     # -- the run loop --------------------------------------------------------
 
@@ -521,7 +537,7 @@ class ServiceFabric:
             self._shed(shard, request, when, reason="overload")
             return
         request.status = FabricRequest.RUNNING
-        request.attempts.append((primary, request_id))
+        request.attempts.append((primary.replica_id, request_id))
         primary.outstanding[request_id] = request
         if primary.service.poll(request_id) is RequestStatus.DONE:
             # Served entirely from the result cache: done on arrival.
@@ -558,8 +574,8 @@ class ServiceFabric:
         if request.status is not FabricRequest.RUNNING:
             return
         shard = self.shards[request.shard_id]
-        primary, _primary_id = request.attempts[0]
-        target = shard.pick_hedge_target(primary)
+        primary_id, _request_id = request.attempts[0]
+        target = shard.pick_hedge_target(shard.replicas[primary_id])
         if target is None:
             return
         if not target.outstanding:
@@ -569,7 +585,7 @@ class ServiceFabric:
         except ServiceOverloadError:
             return  # nowhere to hedge to; the primary keeps running
         request.hedged = True
-        request.attempts.append((target, duplicate_id))
+        request.attempts.append((target.replica_id, duplicate_id))
         target.outstanding[duplicate_id] = request
         shard.metrics.hedge_fired += 1
         if self.spans is not None:
@@ -600,16 +616,19 @@ class ServiceFabric:
         del winner.outstanding[winner_id]
         request.status = FabricRequest.DONE
         request.complete_ms = complete_ms
+        winner_attempt = (winner.replica_id, winner_id)
         request.won_by_hedge = (
-            request.hedged and (winner, winner_id) == request.attempts[-1]
+            request.hedged and winner_attempt == request.attempts[-1]
         )
         if request.hedge_handle is not None:
             assert self._events is not None
             self._events.cancel(request.hedge_handle)
             request.hedge_handle = None
-        for loser, loser_id in request.attempts:
-            if loser is winner and loser_id == winner_id:
+        for attempt in request.attempts:
+            if attempt == winner_attempt:
                 continue
+            loser_replica, loser_id = attempt
+            loser = shard.replicas[loser_replica]
             if loser_id in loser.outstanding:
                 loser.service.cancel(loser_id)
                 del loser.outstanding[loser_id]

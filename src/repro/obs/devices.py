@@ -12,6 +12,7 @@ anywhere.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -51,6 +52,12 @@ class DeviceIOTimeline:
         Optional recorder; each observed read is also added as a
         completed zero-width ``device-io-sample`` span, putting raw
         reads on the same trace as the higher-level spans.
+
+    The timeline holds its disk through a weak reference (the tap
+    rule, :meth:`~repro.storage.disk.SimulatedDisk.add_read_tap`): the
+    attached disk holds the timeline's tap, so a timeline left attached
+    is freed with its disk, and one that outlives its disk detaches as
+    a no-op.
     """
 
     def __init__(
@@ -59,7 +66,7 @@ class DeviceIOTimeline:
         clock_fn: Optional[Callable[[], float]] = None,
         spans: Optional[SpanRecorder] = None,
     ) -> None:
-        self.disk = disk
+        self._disk = weakref.ref(disk)
         self._clock_fn = clock_fn
         self.spans = spans
         self.samples: List[IOSample] = []
@@ -68,12 +75,16 @@ class DeviceIOTimeline:
 
     def attach(self) -> "DeviceIOTimeline":
         """Start observing (idempotent); returns self for chaining."""
-        self.disk.add_read_tap(self._on_read)
+        disk = self._disk()
+        if disk is not None:
+            disk.add_read_tap(self._on_read)
         return self
 
     def detach(self) -> None:
         """Stop observing (idempotent)."""
-        self.disk.remove_read_tap(self._on_read)
+        disk = self._disk()
+        if disk is not None:
+            disk.remove_read_tap(self._on_read)
 
     def __enter__(self) -> "DeviceIOTimeline":
         return self.attach()

@@ -18,6 +18,7 @@ the simulated disk.
 
 from __future__ import annotations
 
+import weakref
 from enum import Enum
 from typing import Dict, Iterable, List, Optional
 
@@ -125,7 +126,10 @@ class AssemblyService:
             reorg_policy=reorg_policy,
         )
         if span_recorder is not None:
-            span_recorder.bind_clock(lambda: float(self.server.resolutions))
+            # Through a weak proxy: the server holds the recorder, so a
+            # clock over the service would cycle the whole stack.
+            server = weakref.proxy(self.server)
+            span_recorder.bind_clock(lambda: float(server.resolutions))
         self.admission = AdmissionController(
             budget_pages=budget_pages,
             max_waiting=max_waiting,
@@ -369,6 +373,9 @@ class AssemblyService:
             request.metrics.degraded = stats.degraded_emitted
             self.server.deregister(request.query.query_id)
             del self._running[request.query.query_id]
+            # A finished request keeps its metrics and results, not
+            # its operator (window, component iterator, scheduler).
+            request.query = None
         request.status = RequestStatus.DONE
         request.metrics.completed_at = self.clock
         self.metrics.requests_completed += 1

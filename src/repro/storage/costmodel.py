@@ -32,7 +32,7 @@ rotational latency), ~1 ms settle, ~0.3 ms to transfer 1 KB.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import DiskError
 from repro.storage.disk import SimulatedDisk
@@ -106,7 +106,11 @@ class DeviceLedger:
     """Per-device simulated time of the reads one disk performed.
 
     :meth:`record` is a read tap: whoever wants the ledger fed adds it
-    to the disk (``disk.add_read_tap(ledger.record)``).  A read
+    to the disk (``disk.add_read_tap(ledger.record)``).  The ledger
+    holds no reference to that disk (the tap rule,
+    :meth:`~repro.storage.disk.SimulatedDisk.add_read_tap`): it is
+    built for a device count, and a bracket's owner hands it the
+    disk's fault injector.  A read
     normally occupies its own device back to back with that device's
     previous read (``busy_until`` advances by its price).  While a
     *bracket* is open (:meth:`mark` … :meth:`since`) reads are instead
@@ -128,13 +132,12 @@ class DeviceLedger:
 
     def __init__(
         self,
-        disk: SimulatedDisk,
+        n_devices: int,
         cost_model: Optional[CostModel] = None,
         intervals: bool = False,
     ) -> None:
-        self.disk = disk
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.n_devices = disk.n_devices
+        self.n_devices = n_devices
         #: what :meth:`occupy` stamps on retained intervals.
         self.kind = SERVING
         #: per device, in occupation order; ``None`` when not retained.
@@ -196,25 +199,28 @@ class DeviceLedger:
 
     # -- brackets ------------------------------------------------------------
 
-    def mark(self, origin: float) -> float:
+    def mark(self, origin: float, injector: Any) -> float:
         """Open a bracket: fold the reads from now on onto ``origin``.
 
-        Returns the mark to hand to :meth:`since`.
+        ``injector`` is the disk's
+        :class:`~repro.storage.faults.FaultInjector` (``None`` without
+        one).  Returns the mark to hand to :meth:`since`.
         """
         self._bracket = [origin, 0, 0]
-        injector = self.disk.fault_injector
         return 0.0 if injector is None else injector.injected_ms_total
 
-    def since(self, mark: float) -> Tuple[int, int, float, float]:
+    def since(
+        self, mark: float, injector: Any
+    ) -> Tuple[int, int, float, float]:
         """Close the bracket: ``(reads, pages, end_ms, injected_ms)``.
 
         ``end_ms`` is the origin plus the price of each read performed
-        since :meth:`mark`; ``injected_ms`` is what a fault injector
-        added meanwhile (latency spikes, retry back-off) — time the
-        bracket's owner bills beside the reads.
+        since :meth:`mark`; ``injected_ms`` is what ``injector`` (the
+        one :meth:`mark` was given) added meanwhile (latency spikes,
+        retry back-off) — time the bracket's owner bills beside the
+        reads.
         """
         (end, reads, pages), self._bracket = self._bracket, None
-        injector = self.disk.fault_injector
         injected = 0.0 if injector is None else injector.injected_ms_total - mark
         return reads, pages, end, injected
 
@@ -226,7 +232,7 @@ class CostedDisk(SimulatedDisk):
         self, cost_model: Optional[CostModel] = None, **kwargs
     ) -> None:
         super().__init__(**kwargs)
-        self.ledger = DeviceLedger(self, cost_model)
+        self.ledger = DeviceLedger(self.n_devices, cost_model)
         self.cost_model = self.ledger.cost_model
         self.add_read_tap(self.ledger.record)
 

@@ -288,6 +288,14 @@ class SimulatedDisk:
         already decided to perform.  This is the disk's one post-read
         hook: every simulated clock is a
         :class:`~repro.storage.costmodel.DeviceLedger` fed from it.
+
+        The rule for taps: a tap never reaches back to its disk.  What
+        it calls holds only what it writes (a ledger, a stats list); an
+        owner that needs the disk again is handed what it needs per
+        call (the ledger's fault injector) or keeps a
+        :func:`weakref.ref` to it (a timeline, to detach).  A tap that
+        held its disk would put the disk, and every page image in it,
+        in a reference cycle that only the cycle collector frees.
         """
         if tap not in self._read_taps:
             self._read_taps.append(tap)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
 
 from repro.errors import DiskError
@@ -190,7 +191,7 @@ class AsyncIOEngine:
         #: the device timelines.  Fed only while a request's ``io_fn``
         #: runs: reads nobody issued are not the engine's, and a
         #: discarded engine leaves nothing behind on the disk.
-        self.ledger = DeviceLedger(disk, cost_model)
+        self.ledger = DeviceLedger(disk.n_devices, cost_model)
         self._tap = self.ledger.record
         self.cost_model = self.ledger.cost_model
         self.clock = EventClock()
@@ -211,8 +212,10 @@ class AsyncIOEngine:
         self.wait_time = 0.0
         # A fault injector's down intervals should run on *this* clock,
         # not its synchronous op counter, once an engine drives the disk.
+        # The binding reads the clock alone: one over ``self`` would put
+        # engine, disk and injector in a reference cycle.
         if disk.fault_injector is not None:
-            disk.fault_injector.bind_clock(lambda: self.clock.now)
+            disk.fault_injector.bind_clock(partial(getattr, self.clock, "now"))
 
     # -- occupancy -----------------------------------------------------------
 
@@ -271,20 +274,24 @@ class AsyncIOEngine:
         # The bracket accumulates left-to-right from ``start``, one term
         # per physical read, so a serialized schedule reproduces
         # CostedDisk's float sum exactly.
-        mark = ledger.mark(start)
-        self.disk.add_read_tap(self._tap)
+        disk = self.disk
+        injector = disk.fault_injector
+        mark = ledger.mark(start, injector)
+        disk.add_read_tap(self._tap)
         try:
             io_fn()
         finally:
-            self.disk.remove_read_tap(self._tap)
-            reads, pages_total, complete, injected = ledger.since(mark)
+            disk.remove_read_tap(self._tap)
+            reads, pages_total, complete, injected = ledger.since(
+                mark, injector
+            )
         if reads or injected:
             # Latency spikes and retry backoffs injected while this
             # request's reads ran occupy the issuing device's timeline.
             if injected:
                 complete += injected
             ledger.occupy(device, start, complete, pages_total)
-            self.disk.charge_busy(device, complete - start)
+            disk.charge_busy(device, complete - start)
         else:
             start = issue_time
             complete = issue_time

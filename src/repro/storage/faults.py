@@ -38,6 +38,7 @@ event engine — the same elapsed time, which the replay tests assert.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
@@ -164,7 +165,10 @@ class FaultInjector:
         self._rng = random.Random(config.seed)
         self._consecutive: Dict[int, int] = {}
         self._clock_fn: Optional[Callable[[], float]] = None
-        self._disk: Optional[SimulatedDisk] = None
+        #: the disk attached to, held weakly (the disk holds this
+        #: injector), and the page-to-device divisor read off it.
+        self._disk: Optional[weakref.ref] = None
+        self._pages_per_device = 0
         self._down_by_device: Dict[int, List[DownInterval]] = {}
         for interval in config.down_intervals:
             self._down_by_device.setdefault(interval.device, []).append(
@@ -180,14 +184,16 @@ class FaultInjector:
         if disk.fault_injector is not None:
             raise DiskError("disk already has a fault injector attached")
         disk.fault_injector = self
-        self._disk = disk
+        self._disk = weakref.ref(disk)
+        self._pages_per_device = disk.pages_per_device
         return self
 
     def detach(self) -> None:
         """Remove this injector from its disk (fault-free from now on)."""
-        if self._disk is not None:
-            self._disk.fault_injector = None
-            self._disk = None
+        disk = self._disk() if self._disk is not None else None
+        if disk is not None:
+            disk.fault_injector = None
+        self._disk = None
 
     def bind_clock(self, clock_fn: Callable[[], float]) -> None:
         """Drive down intervals from an external simulated clock.
@@ -243,7 +249,8 @@ class FaultInjector:
         """
         self.stats.reads_seen += 1
         op = self.stats.reads_seen
-        device = self._disk.device_of(start)
+        # The disk checked ``start`` before asking.
+        device = start // self._pages_per_device
 
         recovery = self.next_recovery(device, self.now)
         if recovery is not None:

@@ -21,10 +21,29 @@ matching per-device request queues live in
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List
 
 from repro.errors import DiskError, ExtentError
 from repro.storage.disk import DiskStats, Extent, SimulatedDisk
+
+
+def _record_device_read(
+    device_stats: List[DiskStats],
+    device: int,
+    _start: int,
+    seek: int,
+    n_pages: int,
+) -> None:
+    """A :class:`MultiDeviceDisk`'s own read tap (over its
+    ``device_stats``): mirror the read into its device."""
+    stats = device_stats[device]
+    stats.reads += 1
+    stats.pages_read += n_pages
+    if n_pages > 1:
+        stats.run_reads += 1
+    stats.read_seek_total += seek
+    stats.read_seeks.append(seek)
 
 
 class MultiDeviceDisk(SimulatedDisk):
@@ -45,21 +64,10 @@ class MultiDeviceDisk(SimulatedDisk):
         # Per-device allocation cursor and round-robin pointer.
         self._device_free: List[int] = list(self._heads)
         self._next_device = 0
-        self.add_read_tap(self._record_device_read)
+        # The disk's own read tap holds the stats list, not the disk.
+        self.add_read_tap(partial(_record_device_read, self.device_stats))
 
     # -- per-device accounting -----------------------------------------------
-
-    def _record_device_read(
-        self, device: int, _start: int, seek: int, n_pages: int
-    ) -> None:
-        """The disk's own read tap: mirror the read into its device."""
-        stats = self.device_stats[device]
-        stats.reads += 1
-        stats.pages_read += n_pages
-        if n_pages > 1:
-            stats.run_reads += 1
-        stats.read_seek_total += seek
-        stats.read_seeks.append(seek)
 
     def charge_busy(self, device: int, milliseconds: float) -> None:
         """Mirror engine-scheduled device time, per device too."""
@@ -114,7 +122,8 @@ class MultiDeviceDisk(SimulatedDisk):
     def reset_stats(self, head_to_zero: bool = True) -> None:
         """Also forgets the per-device stats."""
         super().reset_stats(head_to_zero=head_to_zero)
-        self.device_stats = [DiskStats() for _ in range(self.n_devices)]
+        # In place: the read tap holds this list.
+        self.device_stats[:] = [DiskStats() for _ in range(self.n_devices)]
 
     def __repr__(self) -> str:
         return (

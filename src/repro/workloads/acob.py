@@ -75,14 +75,15 @@ class ACOBDatabase:
         layout artifact of Figure 11A / Figure 12.
         """
         order: List[int] = []
-
-        def visit(position: int, level: int) -> None:
+        # Pre-order with an explicit stack: a recursive local function
+        # would be a reference cycle.
+        stack = [(0, 0)]
+        while stack:
+            position, level = stack.pop()
             order.append(self.registry.by_name(f"T{position}").type_id)
             if level + 1 < self.levels:
-                visit(2 * position + 1, level + 1)
-                visit(2 * position + 2, level + 1)
-
-        visit(0, 0)
+                level += 1
+                stack += ((2 * position + 2, level), (2 * position + 1, level))
         return order
 
 

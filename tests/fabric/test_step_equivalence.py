@@ -179,10 +179,7 @@ def observe(fabric, report):
             (
                 request.status,
                 request.shard_id,
-                [
-                    (replica.replica_id, request_id)
-                    for replica, request_id in request.attempts
-                ],
+                list(request.attempts),
                 request.complete_ms,
                 request.won_by_hedge,
                 request.shed_reason,

@@ -185,7 +185,7 @@ class HeapEngine:
 
     def __init__(self, disk, cost_model):
         self.disk = disk
-        self.ledger = DeviceLedger(disk, cost_model)
+        self.ledger = DeviceLedger(disk.n_devices, cost_model)
         self.tap = self.ledger.record
         self.now = 0.0
         self.in_flight = [0] * disk.n_devices
@@ -199,13 +199,13 @@ class HeapEngine:
         reads = 0
         if io_fn is not None:
             start = max(self.now, self.ledger.busy_until[device])
-            mark = self.ledger.mark(start)
+            mark = self.ledger.mark(start, None)
             self.disk.add_read_tap(self.tap)
             try:
                 io_fn()
             finally:
                 self.disk.remove_read_tap(self.tap)
-                reads, pages, end, _injected = self.ledger.since(mark)
+                reads, pages, end, _injected = self.ledger.since(mark, None)
             if reads:
                 complete = end
                 self.ledger.occupy(device, start, complete, pages)

@@ -57,7 +57,7 @@ def perform(disk, op):
 
 def ledger_on(disk, **kwargs):
     """A ledger fed from ``disk``'s read tap."""
-    ledger = DeviceLedger(disk, MODEL, **kwargs)
+    ledger = DeviceLedger(disk.n_devices, MODEL, **kwargs)
     disk.add_read_tap(ledger.record)
     return ledger
 
@@ -132,10 +132,10 @@ def test_since_returns_exactly_the_reads_of_the_bracket(
         perform(disk, op)
     placed = list(ledger.busy_until)
     reads = watch(disk)
-    mark = ledger.mark(origin)
+    mark = ledger.mark(origin, disk.fault_injector)
     for op in inside:
         perform(disk, op)
-    n_reads, n_pages, end, injected = ledger.since(mark)
+    n_reads, n_pages, end, injected = ledger.since(mark, disk.fault_injector)
     bracketed = list(reads)
     expected = origin
     for _device, _start, seek, n in bracketed:
@@ -213,7 +213,7 @@ def test_untapped_ledger_stops_recording_and_reset_forgets():
 
 
 def test_occupy_stamps_the_current_kind():
-    ledger = DeviceLedger(SimulatedDisk(), MODEL, intervals=True)
+    ledger = DeviceLedger(1, MODEL, intervals=True)
     ledger.occupy(0, 0.0, 4.0, pages=2, seek=7)
     ledger.kind = MIGRATION
     ledger.occupy(0, 4.0, 5.0)
