@@ -31,6 +31,7 @@ from bisect import bisect_left, insort
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.harness import (
+    PREDICATE_POSITION,
     ExperimentConfig,
     ExperimentResult,
     build_layout,
@@ -244,7 +245,7 @@ def figure_batch(
         template = make_template(
             database,
             sharing=base_config.sharing,
-            predicate_position=base_config.predicate_position,
+            predicate_position=PREDICATE_POSITION,
             predicate=payload_predicate(selectivity),
         )
         if scheduler is None:

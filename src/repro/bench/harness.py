@@ -47,6 +47,9 @@ from repro.workloads.acob import (
 
 #: Clustering names accepted by :class:`ExperimentConfig`.
 CLUSTERINGS = ("inter-object", "intra-object", "unclustered")
+#: The tree position a selective run's predicate sits on: a level-1
+#: node, so failing objects abort after two fetches.
+PREDICATE_POSITION = 1
 
 
 @dataclass(frozen=True)
@@ -59,15 +62,12 @@ class ExperimentConfig:
     window_size: int = 1
     buffer_capacity: Optional[int] = None
     sharing: float = 0.0
-    #: predicate pass rate; ``None`` disables selective assembly.
+    #: predicate pass rate (on :data:`PREDICATE_POSITION`); ``None``
+    #: disables selective assembly.
     selectivity: Optional[float] = None
-    #: tree position carrying the predicate (level-1 node by default,
-    #: so failing objects abort after two fetches).
-    predicate_position: int = 1
     use_sharing_statistics: bool = True
     cluster_pages: int = 512
     seed: int = 7
-    layout_seed: int = 0
     #: distinct pages per scheduler batch; 1 = the paper's unbatched loop.
     batch_pages: int = 1
 
@@ -180,7 +180,6 @@ def build_layout(
         config.seed,
         config.clustering,
         config.cluster_pages,
-        config.layout_seed,
         disk.n_devices,
         disk.pages_per_device,
     )
@@ -192,7 +191,6 @@ def build_layout(
         store,
         make_policy(config, database),
         shared=database.shared_pool,
-        seed=config.layout_seed,
         validate=False,  # generators validate once; layouts are hot paths
     )
     _LAYOUT_SNAPSHOTS[key] = snapshot_layout(layout)
@@ -205,28 +203,25 @@ def build_assembly(
     config: ExperimentConfig,
     database: ACOBDatabase,
     layout: LayoutResult,
-    spans: Optional[SpanRecorder] = None,
+    **kwargs,
 ) -> Assembly:
     """Construct the assembly operator for one run.
 
-    ``spans`` optionally attaches a
-    :class:`~repro.obs.spans.SpanRecorder` to the operator; tracing is
-    strictly observational and never changes results or disk metrics.
+    ``kwargs`` go to the operator: a trace's ``spans`` recorder
+    (:func:`trace_experiment`); tracing is strictly observational and
+    never changes results or disk metrics.
     """
     predicate = None
     predicate_position = None
     if config.selectivity is not None:
         predicate = payload_predicate(config.selectivity)
-        predicate_position = config.predicate_position
+        predicate_position = PREDICATE_POSITION
     template = make_template(
         database,
         sharing=config.sharing,
         predicate_position=predicate_position,
         predicate=predicate,
     )
-    kwargs: Dict[str, object] = {}
-    if spans is not None:
-        kwargs["spans"] = spans
     return Assembly(
         ListSource(layout.root_order),
         layout.store,
@@ -239,15 +234,20 @@ def build_assembly(
     )
 
 
-def run_experiment(
-    config: ExperimentConfig, spans: Optional[SpanRecorder] = None
-) -> ExperimentResult:
-    """Execute one parameter point and collect all metrics.
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Execute one parameter point and collect all metrics."""
+    return _run(config, None)
 
-    When a ``spans`` recorder is given, its clock is bound to the run's
-    disk page counter — a deterministic simulated-time axis — and the
-    operator emits assembly/window-slot/fetch/batch spans into it.  The
-    returned metrics are bit-identical with or without the recorder.
+
+def _run(
+    config: ExperimentConfig, spans: Optional[SpanRecorder]
+) -> ExperimentResult:
+    """One parameter point, traced into ``spans`` unless it is ``None``.
+
+    A recorder's clock is bound to the run's disk page counter — a
+    deterministic simulated-time axis — and the operator emits
+    assembly/window-slot/fetch/batch spans into it.  The returned
+    metrics are bit-identical with or without the recorder.
     """
     database, layout = build_layout(config)
     if spans is not None:
@@ -287,5 +287,5 @@ def trace_experiment(
     unaffected by tracing.
     """
     spans = SpanRecorder()
-    result = run_experiment(config, spans=spans)
+    result = _run(config, spans)
     return result, str(write_chrome_trace(spans.spans, path))

@@ -121,7 +121,6 @@ def layout_database(
     policy: ClusteringPolicy,
     shared: Optional[Dict[Oid, ObjectDef]] = None,
     seed: int = 0,
-    shuffle_roots: bool = True,
     validate: bool = True,
 ) -> LayoutResult:
     """Place ``database`` on ``store`` under ``policy`` and reset stats.
@@ -163,8 +162,7 @@ def layout_database(
 
     roots = [cobj.root for cobj in database]
     root_order = list(roots)
-    if shuffle_roots:
-        rng.shuffle(root_order)
+    rng.shuffle(root_order)
 
     store.disk.reset_stats()
     store.buffer.drop_clean()

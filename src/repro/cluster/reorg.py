@@ -43,7 +43,7 @@ from operator import itemgetter
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.errors import ServiceStateError, TransientReadError
-from repro.storage.costmodel import MIGRATION, SERVING, CostModel, DeviceLedger
+from repro.storage.costmodel import MIGRATION, SERVING, DeviceLedger
 from repro.storage.disk import Extent
 from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
@@ -333,11 +333,9 @@ class DeviceIdleTracker:
     asserted.
     """
 
-    def __init__(
-        self, disk, cost_model: Optional[CostModel] = None
-    ) -> None:
+    def __init__(self, disk) -> None:
         self._disk = disk
-        self.ledger = DeviceLedger(disk.n_devices, cost_model, intervals=True)
+        self.ledger = DeviceLedger(disk.n_devices, intervals=True)
         self.cost_model = self.ledger.cost_model
         disk.add_read_tap(self.ledger.record)
 
@@ -417,14 +415,13 @@ class Reorganizer:
         self,
         store: ObjectStore,
         policy: Optional[ReorgPolicy] = None,
-        cost_model: Optional[CostModel] = None,
         idle_check: Optional[Callable[[], bool]] = None,
     ) -> None:
         self.store = store
         self.policy = policy or ReorgPolicy()
         self.sketch = AffinitySketch(self.policy)
         self.planner = ReorgPlanner(self.policy)
-        self.tracker = DeviceIdleTracker(store.disk, cost_model)
+        self.tracker = DeviceIdleTracker(store.disk)
         self._idle_check = idle_check
         self._layout = None
         self._objects_per_page = store.objects_per_page()

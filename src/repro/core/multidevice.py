@@ -165,7 +165,7 @@ class MultiDeviceScheduler(ReferenceScheduler):
         return ref
 
     def pop_batch_on(
-        self, device: int, max_pages: int = 1
+        self, device: int, max_pages: int
     ) -> List[UnresolvedReference]:
         self.ops += 1
         batch = self._queues[device].pop_batch(max_pages)

@@ -90,6 +90,6 @@ def conjunction(predicates: "list[Predicate]") -> Predicate:
     return Predicate(name=name, fn=fn, selectivity=selectivity)
 
 
-def always_true(selectivity: float = 1.0) -> Predicate:
+def always_true() -> Predicate:
     """A pass-everything predicate (useful to exercise the machinery)."""
-    return Predicate(name="true", fn=lambda _record: True, selectivity=selectivity)
+    return Predicate(name="true", fn=lambda _record: True, selectivity=1.0)

@@ -52,29 +52,15 @@ class TemplateNode:
     annotation (ratio of shared objects to sharing objects, Section 6.4).
     """
 
-    def __init__(
-        self,
-        label: str,
-        type_name: str = "",
-        shared: bool = False,
-        sharing_degree: float = 0.0,
-        predicate: Optional[Predicate] = None,
-    ) -> None:
+    def __init__(self, label: str, type_name: str = "") -> None:
         if not label:
             raise TemplateError("template node needs a non-empty label")
-        if not 0.0 <= sharing_degree <= 1.0:
-            raise TemplateError(
-                f"node {label!r}: sharing_degree must be in [0, 1]"
-            )
-        if sharing_degree > 0.0 and not shared:
-            raise TemplateError(
-                f"node {label!r}: sharing_degree set on a non-shared node"
-            )
         self.label = label
         self.type_name = type_name or label
-        self.shared = shared
-        self.sharing_degree = sharing_degree
-        self.predicate = predicate
+        # Set by :meth:`child`, which checks them, or copied by a clone.
+        self.shared = False
+        self.sharing_degree = 0.0
+        self.predicate: Optional[Predicate] = None
         self._children: Dict[int, TemplateNode] = {}
         #: ``(slot, child)`` pairs in slot order (kept by :meth:`attach`;
         #: read-only outside this class).
@@ -101,13 +87,18 @@ class TemplateNode:
         predicate: Optional[Predicate] = None,
     ) -> "TemplateNode":
         """Attach and return a child template node on reference ``slot``."""
-        node = TemplateNode(
-            label=label,
-            type_name=type_name,
-            shared=shared,
-            sharing_degree=sharing_degree,
-            predicate=predicate,
-        )
+        if not 0.0 <= sharing_degree <= 1.0:
+            raise TemplateError(
+                f"node {label!r}: sharing_degree must be in [0, 1]"
+            )
+        if sharing_degree > 0.0 and not shared:
+            raise TemplateError(
+                f"node {label!r}: sharing_degree set on a non-shared node"
+            )
+        node = TemplateNode(label, type_name)
+        node.shared = shared
+        node.sharing_degree = sharing_degree
+        node.predicate = predicate
         self.attach(slot, node)
         return node
 
@@ -159,13 +150,11 @@ class TemplateNode:
             yield from child.walk()
 
     def _clone_shallow(self, suffix: str) -> "TemplateNode":
-        return TemplateNode(
-            label=f"{self.label}{suffix}",
-            type_name=self.type_name,
-            shared=self.shared,
-            sharing_degree=self.sharing_degree,
-            predicate=self.predicate,
-        )
+        copy = TemplateNode(f"{self.label}{suffix}", self.type_name)
+        copy.shared = self.shared
+        copy.sharing_degree = self.sharing_degree
+        copy.predicate = self.predicate
+        return copy
 
     def __repr__(self) -> str:
         flags = []
@@ -227,13 +216,10 @@ class Template:
         ] = [((0, self.root), None)]
         while stack:
             (slot, node), parent = stack.pop()
-            copy = TemplateNode(
-                label=node.label,
-                type_name=node.type_name,
-                shared=node.shared,
-                sharing_degree=node.sharing_degree,
-                predicate=node.predicate,
-            )
+            copy = TemplateNode(node.label, node.type_name)
+            copy.shared = node.shared
+            copy.sharing_degree = node.sharing_degree
+            copy.predicate = node.predicate
             if parent is None:
                 root = copy
             else:
@@ -478,7 +464,6 @@ def binary_tree_template(
     levels: int,
     left_slot: int = 0,
     right_slot: int = 1,
-    label_prefix: str = "n",
 ) -> Template:
     """Template for the paper's benchmark object: a binary tree.
 
@@ -498,10 +483,7 @@ def binary_tree_template(
     ]
     while stack:
         position, level, parent, slot = stack.pop()
-        node = TemplateNode(
-            label=f"{label_prefix}{position}",
-            type_name=f"T{position}",
-        )
+        node = TemplateNode(f"n{position}", f"T{position}")
         if parent is None:
             root = node
         else:

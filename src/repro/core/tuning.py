@@ -23,6 +23,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.core.template import Template
 from repro.errors import AssemblyError
 
+#: Buffer frames :func:`max_window_for_buffer` keeps out of the window.
+HEADROOM = 8
+
 
 def pin_bound(window_size: int, template: Optional[Template] = None) -> int:
     """Maximum pages pinned by a window of ``window_size`` objects.
@@ -40,25 +43,23 @@ def pin_bound(window_size: int, template: Optional[Template] = None) -> int:
 
 
 def max_window_for_buffer(
-    buffer_capacity: int,
-    template: Optional[Template] = None,
-    headroom: int = 8,
+    buffer_capacity: int, template: Optional[Template] = None
 ) -> int:
     """Largest window whose pin bound fits the buffer.
 
-    ``headroom`` reserves frames for non-assembly traffic (index pages,
-    the page being read, ...).  Returns at least 1; a buffer too small
-    even for one complex object raises, because assembly could deadlock
-    on pinning.
+    :data:`HEADROOM` frames stay reserved for non-assembly traffic
+    (index pages, the page being read, ...).  Returns at least 1; a
+    buffer too small even for one complex object raises, because
+    assembly could deadlock on pinning.
     """
     if buffer_capacity <= 0:
         raise AssemblyError("buffer_capacity must be positive")
     nodes = 7 if template is None else template.finalize().node_count
-    usable = buffer_capacity - headroom
+    usable = buffer_capacity - HEADROOM
     if usable < nodes:
         raise AssemblyError(
             f"buffer of {buffer_capacity} frames cannot hold even one "
-            f"{nodes}-component complex object (+{headroom} headroom)"
+            f"{nodes}-component complex object (+{HEADROOM} headroom)"
         )
     # (nodes-1)*(W-1) + nodes <= usable
     return max(1, (usable - nodes) // (nodes - 1) + 1)
@@ -77,7 +78,6 @@ class TuningResult:
 def tune_window(
     run: Callable[[int], float],
     buffer_capacity: Optional[int] = None,
-    template: Optional[Template] = None,
     candidates: Sequence[int] = (1, 10, 25, 50, 100, 200),
 ) -> TuningResult:
     """Probe window sizes and return the best measured one.
@@ -85,13 +85,14 @@ def tune_window(
     ``run(window_size)`` must execute the workload and return its
     average seek distance per read (the harness's
     :func:`~repro.bench.harness.run_experiment` composes directly).
-    Candidates exceeding the buffer's pin bound are skipped — they
-    would deadlock, not merely run slowly.
+    Candidates exceeding the buffer's pin bound (for the paper's
+    7-object template) are skipped — they would deadlock, not merely
+    run slowly.
     """
     probes: List[Tuple[int, float]] = []
     ceiling = None
     if buffer_capacity is not None:
-        ceiling = max_window_for_buffer(buffer_capacity, template)
+        ceiling = max_window_for_buffer(buffer_capacity)
     for window in candidates:
         if window <= 0:
             raise AssemblyError("window candidates must be positive")

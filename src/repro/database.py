@@ -102,7 +102,6 @@ class Database:
         source: Union[GraphBuilder, Sequence[ComplexObjectDef]],
         clustering: Union[str, ClusteringPolicy] = "inter-object",
         shared: Optional[Dict[Oid, ObjectDef]] = None,
-        seed: int = 0,
         **policy_kwargs,
     ) -> LayoutResult:
         """Place complex objects on disk under a clustering policy.
@@ -137,7 +136,6 @@ class Database:
             self.store,
             policy,
             shared=shared,
-            seed=seed,
         )
         return self._layout
 

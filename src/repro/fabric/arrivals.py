@@ -33,7 +33,7 @@ from repro.errors import FabricError
 class ArrivalProcess:
     """Base class: a seeded generator of absolute arrival times (ms)."""
 
-    def __init__(self, seed: int = 0) -> None:
+    def __init__(self, seed: int) -> None:
         self.seed = seed
 
     def _generate(self, rng: random.Random) -> Iterator[float]:

@@ -42,10 +42,12 @@ from repro.fabric.fabric import (
 from repro.fabric.router import ConsistentHashRouter
 from repro.service.server import AssemblyService
 from repro.storage.buffer import BufferManager
-from repro.storage.costmodel import CostModel
 from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
 from repro.workloads.acob import ACOBDatabase, make_template
+
+#: The clustering every fabric shard lays its partition out under.
+CLUSTERING = "inter-object"
 
 
 def _make_policy(
@@ -69,23 +71,20 @@ def build_sharded_fabric(
     n_shards: int = 1,
     replicas_per_shard: int = 1,
     *,
-    clustering: str = "inter-object",
     cluster_pages: int = 512,
     buffer_capacity: Optional[int] = None,
     cache_capacity: int = 256,
-    starvation_bound: Optional[int] = 64,
     max_waiting: int = 16,
-    min_window: int = 1,
     layout_seed: int = 0,
-    vnodes: int = 64,
-    cost_model: Optional[CostModel] = None,
     hedging: Optional[HedgePolicy] = None,
     shedding: Optional[SheddingPolicy] = None,
     placement: str = "shortest-queue",
     speed_factors: Optional[Dict[Tuple[int, int], float]] = None,
-    span_recorder=None,
 ) -> ServiceFabric:
     """Partition ``database`` across shards and stand the fabric up.
+
+    Every shard lays its partition out under :data:`CLUSTERING`, and
+    every replica's service keeps the service defaults.
 
     ``speed_factors`` maps ``(shard_id, replica_id)`` to a clock
     multiplier (> 1 = slower hardware) for heterogeneous-fleet
@@ -94,7 +93,7 @@ def build_sharded_fabric(
     """
     if replicas_per_shard <= 0:
         raise FabricError("replicas_per_shard must be positive")
-    router = ConsistentHashRouter(n_shards, vnodes=vnodes)
+    router = ConsistentHashRouter(n_shards)
     speed_factors = dict(speed_factors or {})
     unknown = set(speed_factors) - {
         (shard_id, replica_id)
@@ -120,17 +119,13 @@ def build_sharded_fabric(
             layout = layout_database(
                 partition,
                 store,
-                _make_policy(clustering, cluster_pages, database),
+                _make_policy(CLUSTERING, cluster_pages, database),
                 shared=database.shared_pool,
                 seed=layout_seed,
                 validate=False,
             )
             service = AssemblyService(
-                store,
-                cache_capacity=cache_capacity,
-                starvation_bound=starvation_bound,
-                max_waiting=max_waiting,
-                min_window=min_window,
+                store, cache_capacity=cache_capacity, max_waiting=max_waiting
             )
             factor = speed_factors.get((shard_id, replica_id), 1.0)
             replicas.append(
@@ -139,7 +134,6 @@ def build_sharded_fabric(
                     replica_id,
                     store,
                     service,
-                    cost_model=cost_model,
                     speed_factor=factor,
                 )
             )
@@ -153,14 +147,7 @@ def build_sharded_fabric(
                 placement=placement,
             )
         )
-    return ServiceFabric(
-        shards,
-        router,
-        make_template(database),
-        cost_model=cost_model,
-        hedging=hedging,
-        span_recorder=span_recorder,
-    )
+    return ServiceFabric(shards, router, make_template(database), hedging=hedging)
 
 
 def open_loop_workload(

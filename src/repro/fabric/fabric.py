@@ -56,7 +56,6 @@ fabric turned a request away under overload.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heapreplace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -158,7 +157,6 @@ class ShardReplica:
         replica_id: int,
         store: ObjectStore,
         service: AssemblyService,
-        cost_model: Optional[CostModel] = None,
         speed_factor: float = 1.0,
     ) -> None:
         if speed_factor <= 0:
@@ -168,7 +166,7 @@ class ShardReplica:
         self.store = store
         self.service = service
         self._disk = store.disk
-        self.ledger = DeviceLedger(self._disk.n_devices, cost_model)
+        self.ledger = DeviceLedger(self._disk.n_devices)
         self.cost_model = self.ledger.cost_model
         self._disk.add_read_tap(self.ledger.record)
         self.speed_factor = speed_factor
@@ -387,9 +385,7 @@ class ServiceFabric:
         shards: List[Shard],
         router: ConsistentHashRouter,
         template: Template,
-        cost_model: Optional[CostModel] = None,
         hedging: Optional[HedgePolicy] = None,
-        span_recorder: Optional[Any] = None,
     ) -> None:
         if router.n_shards != len(shards):
             raise FabricError(
@@ -399,16 +395,9 @@ class ServiceFabric:
         self.shards = shards
         self.router = router
         self.template = template.finalize()
-        self.cost_model = cost_model if cost_model is not None else CostModel()
+        self.cost_model = CostModel()
         self.hedging = hedging
-        self.spans = span_recorder
-        self._now = 0.0
         self._events: Optional[EventQueue] = None
-        if span_recorder is not None:
-            # Through a weak proxy: a clock over ``self`` would put the
-            # whole fleet in a cycle with the recorder it holds.
-            fabric = weakref.proxy(self)
-            span_recorder.bind_clock(lambda: fabric._now)
 
     # -- the run loop --------------------------------------------------------
 
@@ -441,7 +430,6 @@ class ServiceFabric:
             if due is None:
                 break
             when, (kind, payload) = events.pop()
-            self._now = max(self._now, when)
             if kind == "arrival":
                 self._arrive(when, payload)
             else:
@@ -526,7 +514,7 @@ class ServiceFabric:
         # forever (no completions, no new observations).
         backlogged = any(r.outstanding for r in shard.replicas)
         if shard.slo is not None and shard.slo.breached and backlogged:
-            self._shed(shard, request, when, reason="slo")
+            self._shed(shard, request, reason="slo")
             return
         primary = shard.pick_primary()
         if not primary.outstanding:
@@ -534,7 +522,7 @@ class ServiceFabric:
         try:
             request_id = primary.submit(spec, self.template)
         except ServiceOverloadError:
-            self._shed(shard, request, when, reason="overload")
+            self._shed(shard, request, reason="overload")
             return
         request.status = FabricRequest.RUNNING
         request.attempts.append((primary.replica_id, request_id))
@@ -553,21 +541,11 @@ class ServiceFabric:
             )
 
     def _shed(
-        self, shard: Shard, request: FabricRequest, when: float, reason: str
+        self, shard: Shard, request: FabricRequest, reason: str
     ) -> None:
         request.status = FabricRequest.SHED
         request.shed_reason = reason
         shard.metrics.requests_shed += 1
-        if self.spans is not None:
-            self.spans.add(
-                "fabric-shed",
-                start=when,
-                end=when,
-                kind="fabric-shed",
-                shard=shard.shard_id,
-                request=request.index,
-                reason=reason,
-            )
 
     def _fire_hedge(self, when: float, request: FabricRequest) -> None:
         request.hedge_handle = None
@@ -588,16 +566,6 @@ class ServiceFabric:
         request.attempts.append((target.replica_id, duplicate_id))
         target.outstanding[duplicate_id] = request
         shard.metrics.hedge_fired += 1
-        if self.spans is not None:
-            self.spans.add(
-                "fabric-hedge",
-                start=when,
-                end=when,
-                kind="fabric-hedge",
-                shard=shard.shard_id,
-                request=request.index,
-                replica=target.replica_id,
-            )
         if target.service.poll(duplicate_id) is RequestStatus.DONE:
             self._complete(request, target, duplicate_id, at=when)
 
@@ -640,18 +608,6 @@ class ServiceFabric:
             shard.metrics.hedge_won += 1
         if shard.slo is not None:
             shard.slo.observe(latency)
-        self._now = max(self._now, complete_ms)
-        if self.spans is not None:
-            self.spans.add(
-                "fabric-request",
-                start=request.spec.arrival_ms,
-                end=complete_ms,
-                kind="fabric-request",
-                shard=request.shard_id,
-                request=request.index,
-                hedged=request.hedged,
-                won_by_hedge=request.won_by_hedge,
-            )
 
     # -- readout -------------------------------------------------------------
 

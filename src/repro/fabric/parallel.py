@@ -17,14 +17,14 @@ price the run on the event clock.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.cluster.layout import LayoutResult, layout_database
 from repro.errors import FabricError
 from repro.fabric.builder import _make_policy
 from repro.fabric.router import ConsistentHashRouter
 from repro.storage.buffer import BufferManager
-from repro.storage.costmodel import CostedDisk, CostModel
+from repro.storage.costmodel import CostedDisk
 from repro.storage.disk import SimulatedDisk
 from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
@@ -45,11 +45,9 @@ class ShardPartition:
         return self.layout.root_order
 
 
-def _fresh_store(
-    costed: bool, cost_model: Optional[CostModel]
-) -> ObjectStore:
+def _fresh_store(costed: bool) -> ObjectStore:
     if costed:
-        disk = CostedDisk(cost_model)
+        disk = CostedDisk()
     else:
         disk = SimulatedDisk()
     return ObjectStore(disk, BufferManager(disk))
@@ -61,10 +59,7 @@ def build_shard_partitions(
     *,
     clustering: str = "inter-object",
     cluster_pages: int = 512,
-    layout_seed: int = 0,
-    vnodes: int = 64,
     costed: bool = True,
-    cost_model: Optional[CostModel] = None,
 ) -> Tuple[List[ShardPartition], ConsistentHashRouter]:
     """Deal ``database`` across ``n_shards`` shard-local stores.
 
@@ -75,19 +70,18 @@ def build_shard_partitions(
     """
     if n_shards <= 0:
         raise FabricError("n_shards must be positive")
-    router = ConsistentHashRouter(n_shards, vnodes=vnodes)
+    router = ConsistentHashRouter(n_shards)
     dealt: List[List] = [[] for _ in range(n_shards)]
     for cobj in database.complex_objects:
         dealt[router.shard_of(cobj.root)].append(cobj)
     partitions: List[ShardPartition] = []
     for shard_id, partition_objects in enumerate(dealt):
-        store = _fresh_store(costed, cost_model)
+        store = _fresh_store(costed)
         layout = layout_database(
             partition_objects,
             store,
             _make_policy(clustering, cluster_pages, database),
             shared=database.shared_pool,
-            seed=layout_seed,
             validate=False,
         )
         partitions.append(

@@ -30,7 +30,7 @@ from repro.errors import FabricError
 from repro.storage.oid import Oid
 
 #: Virtual nodes per shard on the hash ring.
-DEFAULT_VNODES = 64
+VNODES = 64
 #: Prefix of every ring token's hash input.
 RING_SALT = b"repro.fabric"
 
@@ -45,20 +45,13 @@ def _digest(data: bytes) -> int:
 class ConsistentHashRouter:
     """Maps OIDs to one of ``n_shards`` via a virtual-node hash ring."""
 
-    def __init__(
-        self,
-        n_shards: int,
-        vnodes: int = DEFAULT_VNODES,
-    ) -> None:
+    def __init__(self, n_shards: int) -> None:
         if n_shards <= 0:
             raise FabricError("n_shards must be positive")
-        if vnodes <= 0:
-            raise FabricError("vnodes must be positive")
         self.n_shards = n_shards
-        self.vnodes = vnodes
         ring: List[Tuple[int, int]] = []
         for shard in range(n_shards):
-            for vnode in range(vnodes):
+            for vnode in range(VNODES):
                 token = _digest(b"%s:%d:%d" % (RING_SALT, shard, vnode))
                 ring.append((token, shard))
         ring.sort()
@@ -76,5 +69,5 @@ class ConsistentHashRouter:
     def __repr__(self) -> str:
         return (
             f"ConsistentHashRouter(shards={self.n_shards}, "
-            f"vnodes={self.vnodes})"
+            f"vnodes={VNODES})"
         )

@@ -95,8 +95,8 @@ class ObjectType:
 class TypeRegistry:
     """Catalog of object types plus per-type OID serial counters."""
 
-    def __init__(self, fmt: RecordFormat = PAPER_FORMAT) -> None:
-        self.fmt = fmt
+    def __init__(self) -> None:
+        self.fmt = PAPER_FORMAT
         self._by_id: Dict[int, ObjectType] = {}
         self._by_name: Dict[str, ObjectType] = {}
         self._serials: Dict[int, int] = {}

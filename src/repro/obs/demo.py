@@ -12,7 +12,7 @@ artifact and the exporter tests drive the same function.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.cluster.layout import layout_database
 from repro.cluster.policies import InterObjectClustering
@@ -24,25 +24,30 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
 from repro.workloads.acob import generate_acob, make_template
 
+#: The demo workload: ``N_CLIENTS`` clients each submit
+#: ``REQUESTS_PER_CLIENT`` requests of ``ROOTS_PER_REQUEST`` roots at
+#: window ``WINDOW``, over ``N_OBJECTS`` ACOB objects generated from
+#: ``SEED``.
+N_OBJECTS = 60
+N_CLIENTS = 3
+REQUESTS_PER_CLIENT = 2
+ROOTS_PER_REQUEST = 5
+WINDOW = 4
+SEED = 7
+
 
 def demo_service_run(
-    n_objects: int = 60,
-    n_clients: int = 3,
-    requests_per_client: int = 2,
-    roots_per_request: int = 5,
-    window: int = 4,
     sample_rate: float = 1.0,
-    seed: int = 7,
-    recorder: Optional[SpanRecorder] = None,
 ) -> Tuple[SpanRecorder, AssemblyService]:
     """Run the instrumented demo workload; returns (recorder, service).
 
     Deterministic end to end: the database, layout, request schedule
     and service execution are all seeded, and every span is stamped on
     the service's resolution clock — two calls with the same arguments
-    produce structurally identical traces.
+    produce structurally identical traces.  ``sample_rate`` goes to
+    the recorder.
     """
-    database = generate_acob(n_objects, seed=seed)
+    database = generate_acob(N_OBJECTS, seed=SEED)
     disk = SimulatedDisk()
     store = ObjectStore(disk, BufferManager(disk))
     layout = layout_database(
@@ -53,8 +58,7 @@ def demo_service_run(
         ),
         shared=database.shared_pool,
     )
-    if recorder is None:
-        recorder = SpanRecorder(sample_rate=sample_rate)
+    recorder = SpanRecorder(sample_rate=sample_rate)
     service = AssemblyService(store, span_recorder=recorder)
     timeline = DeviceIOTimeline(
         disk,
@@ -66,15 +70,15 @@ def demo_service_run(
         roots = list(layout.root_order)
         cursor = 0
         request_ids = []
-        for _request in range(requests_per_client):
-            for _client in range(n_clients):
+        for _request in range(REQUESTS_PER_CLIENT):
+            for _client in range(N_CLIENTS):
                 batch = [
                     roots[(cursor + i) % len(roots)]
-                    for i in range(roots_per_request)
+                    for i in range(ROOTS_PER_REQUEST)
                 ]
-                cursor += roots_per_request
+                cursor += ROOTS_PER_REQUEST
                 request_ids.append(
-                    service.submit(batch, template, window_size=window)
+                    service.submit(batch, template, window_size=WINDOW)
                 )
         service.run()
         for request_id in request_ids:

@@ -13,16 +13,16 @@ Two formats, two purposes:
   (:func:`diff_spans`) and re-rendered later.
 
 The simulated clocks are unitless-but-consistent within a trace;
-Chrome's viewer assumes microseconds, so ``scale_us`` (default 1000.0,
-i.e. clock-milliseconds) positions spans sensibly without changing
-their relative structure.
+Chrome's viewer assumes microseconds, so :data:`SCALE_US` (clock
+milliseconds) positions spans sensibly without changing their relative
+structure.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Sequence, Union
 
 from repro.errors import ReproError
 
@@ -31,9 +31,13 @@ from repro.obs.spans import Span
 
 #: Required keys of a Chrome complete event (validators check these).
 CHROME_EVENT_KEYS = ("name", "ph", "ts", "dur", "pid", "tid")
+#: Chrome microseconds per clock unit: the clocks count milliseconds.
+SCALE_US = 1000.0
+#: Difference lines :func:`diff_spans` reports before it summarizes.
+DIFF_LIMIT = 20
 
 
-def span_to_trace_event(span: Span, scale_us: float = 1000.0) -> Dict[str, object]:
+def span_to_trace_event(span: Span) -> Dict[str, object]:
     """One finished span as a Chrome complete ("ph": "X") event."""
     if not span.finished:
         raise ReproError(
@@ -49,17 +53,15 @@ def span_to_trace_event(span: Span, scale_us: float = 1000.0) -> Dict[str, objec
         "name": span.name,
         "cat": span.kind or "span",
         "ph": "X",
-        "ts": span.start * scale_us,
-        "dur": span.duration * scale_us,
+        "ts": span.start * SCALE_US,
+        "dur": span.duration * SCALE_US,
         "pid": 1,
         "tid": track,
         "args": args,
     }
 
 
-def chrome_trace_document(
-    spans: Iterable[Span], scale_us: float = 1000.0
-) -> Dict[str, object]:
+def chrome_trace_document(spans: Iterable[Span]) -> Dict[str, object]:
     """The full Chrome trace JSON object for a set of spans.
 
     Open spans are skipped (their count lands in ``otherData`` so a
@@ -69,7 +71,7 @@ def chrome_trace_document(
     skipped = sum(1 for span in spans if not span.finished)
     return {
         "traceEvents": [
-            span_to_trace_event(span, scale_us) for span in finished
+            span_to_trace_event(span) for span in finished
         ],
         "displayTimeUnit": "ms",
         "otherData": {
@@ -80,15 +82,11 @@ def chrome_trace_document(
     }
 
 
-def write_chrome_trace(
-    spans: Iterable[Span],
-    path: Union[str, Path],
-    scale_us: float = 1000.0,
-) -> Path:
+def write_chrome_trace(spans: Iterable[Span], path: Union[str, Path]) -> Path:
     """Write the Chrome trace JSON file; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    document = chrome_trace_document(list(spans), scale_us)
+    document = chrome_trace_document(list(spans))
     path.write_text(json.dumps(document, indent=1, sort_keys=True))
     return path
 
@@ -230,13 +228,12 @@ def diff_spans(
     a: Sequence[Span],
     b: Sequence[Span],
     with_timing: bool = False,
-    limit: Optional[int] = 20,
 ) -> List[str]:
     """Structural differences between two traces (empty = equivalent).
 
     Compares span-by-span in recording order: name, kind, device and
     tree depth (plus stamps when ``with_timing``).  Returns
-    human-readable difference lines, capped at ``limit``.
+    human-readable difference lines, capped at :data:`DIFF_LIMIT`.
     """
     rows_a = _structure(a, with_timing)
     rows_b = _structure(b, with_timing)
@@ -248,8 +245,8 @@ def diff_spans(
         differences.append(
             f"span count differs: {len(rows_a)} != {len(rows_b)}"
         )
-    if limit is not None and len(differences) > limit:
-        overflow = len(differences) - limit
-        differences = differences[:limit]
+    if len(differences) > DIFF_LIMIT:
+        overflow = len(differences) - DIFF_LIMIT
+        differences = differences[:DIFF_LIMIT]
         differences.append(f"... {overflow} more difference(s)")
     return differences

@@ -102,15 +102,15 @@ NULL_SPAN = Span(name="", span_id=-1, parent_id=None, start=0.0, end=0.0)
 class SpanRecorder:
     """Collects spans during one execution, on an injected clock.
 
+    Until :meth:`bind_clock` attaches a clock (a zero-argument callable
+    returning the current simulated time as a float: the assembly
+    service binds its resolution counter, the bench harness its disk's
+    page counter), an internal step counter that advances by one per
+    stamp stands in — ordering without duration, still fully
+    deterministic.
+
     Parameters
     ----------
-    clock_fn:
-        Zero-argument callable returning the current simulated time as
-        a float.  ``None`` falls back to an internal step counter that
-        advances by one per stamp — ordering without duration, still
-        fully deterministic.  Bind a real clock later with
-        :meth:`bind_clock` (the assembly service binds its resolution
-        counter, the event engine its millisecond clock).
     sample_rate:
         Fraction of sampled-class spans to keep, in [0, 1].  Applies
         to spans begun with ``sample=True`` (window slots) and to
@@ -118,16 +118,12 @@ class SpanRecorder:
         ``sample=False`` and are never dropped.
     """
 
-    def __init__(
-        self,
-        clock_fn: Optional[Callable[[], float]] = None,
-        sample_rate: float = 1.0,
-    ) -> None:
+    def __init__(self, sample_rate: float = 1.0) -> None:
         if not 0.0 <= sample_rate <= 1.0:
             raise ReproError(
                 f"sample_rate must be in [0, 1], got {sample_rate!r}"
             )
-        self._clock_fn = clock_fn
+        self._clock_fn: Optional[Callable[[], float]] = None
         self.sample_rate = sample_rate
         self.spans: List[Span] = []
         self._next_id = 0
@@ -139,11 +135,9 @@ class SpanRecorder:
 
     # -- clock ---------------------------------------------------------------
 
-    def bind_clock(
-        self, clock_fn: Callable[[], float], force: bool = False
-    ) -> None:
-        """Attach a clock; an already-bound clock wins unless forced."""
-        if self._clock_fn is None or force:
+    def bind_clock(self, clock_fn: Callable[[], float]) -> None:
+        """Attach a clock; an already-bound clock wins."""
+        if self._clock_fn is None:
             self._clock_fn = clock_fn
 
     @property

@@ -8,7 +8,7 @@ and keeps the sum of claims within a fixed page budget:
 
 * a request that fits is **admitted** at its asked window size;
 * a request that does not fit is **shrunk** — its window is reduced
-  (halving, floor ``min_window``) until its bound fits the remaining
+  (halving, floor :data:`MIN_WINDOW`) until its bound fits the remaining
   budget;
 * when even the minimum window does not fit, the request **waits** in
   a bounded FIFO queue;
@@ -57,6 +57,12 @@ class AdmissionTicket:
         return self.window_size < self.asked_window
 
 
+#: Smallest window shrinking may produce.  Requests whose bound at
+#: ``MIN_WINDOW`` exceeds the *total* budget are rejected outright —
+#: they could never run.
+MIN_WINDOW = 1
+
+
 class AdmissionController:
     """Keeps concurrent queries' pin claims within a page budget.
 
@@ -67,10 +73,6 @@ class AdmissionController:
         request admits immediately at its asked window).
     max_waiting:
         Wait-queue capacity; a request arriving with the queue full raises :class:`ServiceOverloadError`.
-    min_window:
-        Smallest window shrinking may produce.  Requests whose bound at
-        ``min_window`` exceeds the *total* budget are rejected outright
-        — they could never run.
     buffer:
         Optional bounded buffer manager to mirror grants into (via its
         ``reserve``/``unreserve`` ledger).
@@ -80,18 +82,15 @@ class AdmissionController:
         self,
         budget_pages: Optional[int] = None,
         max_waiting: int = 16,
-        min_window: int = 1,
         buffer: Optional[BufferManager] = None,
     ) -> None:
         if budget_pages is not None and budget_pages <= 0:
             raise ServiceStateError("budget_pages must be positive")
         if max_waiting < 0:
             raise ServiceStateError("max_waiting cannot be negative")
-        if min_window <= 0:
-            raise ServiceStateError("min_window must be positive")
         self.budget_pages = budget_pages
         self.max_waiting = max_waiting
-        self.min_window = min_window
+        self.min_window = MIN_WINDOW
         self._buffer = buffer
         self._granted = 0
         self._queue: "Deque[tuple[AdmissionTicket, Template]]" = deque()

@@ -79,10 +79,8 @@ class AssemblyService:
         buffer's capacity when that is bounded, else unlimited.
     cache_capacity:
         Result-cache size in complex objects; ``0`` disables caching.
-    starvation_bound:
-        Device-server fairness bound (see :class:`DeviceServer`).
-    max_waiting / min_window:
-        Admission wait-queue capacity and smallest shrunk window.
+    max_waiting:
+        Admission wait-queue capacity.
     span_recorder:
         Optional :class:`~repro.obs.spans.SpanRecorder` tracing every
         request's life (``request`` → ``queue-wait`` → ``assembly`` →
@@ -109,9 +107,7 @@ class AssemblyService:
         store: ObjectStore,
         budget_pages: Optional[int] = None,
         cache_capacity: int = 256,
-        starvation_bound: Optional[int] = 64,
         max_waiting: int = 16,
-        min_window: int = 1,
         span_recorder: Optional[SpanRecorder] = None,
         reorg_policy=None,
     ) -> None:
@@ -120,10 +116,7 @@ class AssemblyService:
             budget_pages = store.buffer.capacity
         self.spans = span_recorder
         self.server = DeviceServer(
-            store,
-            starvation_bound=starvation_bound,
-            spans=span_recorder,
-            reorg_policy=reorg_policy,
+            store, spans=span_recorder, reorg_policy=reorg_policy
         )
         if span_recorder is not None:
             # Through a weak proxy: the server holds the recorder, so a
@@ -133,7 +126,6 @@ class AssemblyService:
         self.admission = AdmissionController(
             budget_pages=budget_pages,
             max_waiting=max_waiting,
-            min_window=min_window,
             buffer=store.buffer,
         )
         self.cache: Optional[AssembledObjectCache] = None
@@ -309,19 +301,19 @@ class AssemblyService:
         if self.server.reorg is not None:
             self._run_reorg_round()
 
-    def reorganize(self, force: bool = True):
+    def reorganize(self):
         """Run one reorganization round now; returns its report.
 
         Raises :class:`ServiceStateError` when the service was built
-        without a ``reorg_policy``.  ``force`` (default) runs the round
-        even below the policy's observation threshold — the operator
-        asked for it explicitly.
+        without a ``reorg_policy``.  The round runs even below the
+        policy's observation threshold — the operator asked for it
+        explicitly.
         """
         if self.server.reorg is None:
             raise ServiceStateError(
                 "reorganize() needs a service built with reorg_policy="
             )
-        return self._run_reorg_round(force=force)
+        return self._run_reorg_round(force=True)
 
     def _run_reorg_round(self, force: bool = False):
         """Execute one round and fold its activity into the metrics.

@@ -32,25 +32,25 @@ rotational latency), ~1 ms settle, ~0.3 ms to transfer 1 KB.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, ClassVar, List, Optional, Tuple
 
-from repro.errors import DiskError
 from repro.storage.disk import SimulatedDisk
 
 
 @dataclass(frozen=True)
 class CostModel:
-    """Per-read service-time pricing, in milliseconds."""
+    """Per-read service-time pricing, in milliseconds.
 
-    seek_per_page: float = 0.03
-    settle: float = 1.0
-    rotational_latency: float = 8.3
-    transfer: float = 0.3
+    The four prices are constants of the model, not fields: every
+    figure, example and workload prices with them.
+    """
+
+    seek_per_page: ClassVar[float] = 0.03
+    settle: ClassVar[float] = 1.0
+    rotational_latency: ClassVar[float] = 8.3
+    transfer: ClassVar[float] = 0.3
 
     def __post_init__(self) -> None:
-        for name in ("seek_per_page", "settle", "rotational_latency", "transfer"):
-            if getattr(self, name) < 0:
-                raise DiskError(f"{name} must be non-negative")
         # Memo of (distance, n_pages) -> milliseconds.  The model is
         # frozen, distances repeat heavily under sweep scheduling, and
         # the cache is not a dataclass field, so equality/hash/asdict
@@ -87,11 +87,6 @@ class CostModel:
         self._run_cache[key] = cost
         return cost
 
-
-#: A pricing where only distance matters — reproduces the paper's metric.
-SEEK_ONLY = CostModel(
-    seek_per_page=1.0, settle=0.0, rotational_latency=0.0, transfer=0.0
-)
 
 
 #: Interval kinds: reads served for a query, reads a migration performed.
@@ -188,14 +183,14 @@ class DeviceLedger:
                 )
 
     def occupy(
-        self, device: int, begin: float, end: float,
-        pages: int = 0, seek: int = 0,
+        self, device: int, begin: float, end: float, pages: int = 0
     ) -> None:
-        """Put ``[begin, end)`` on ``device``'s timeline."""
+        """Put ``[begin, end)`` on ``device``'s timeline (a seek of 0:
+        the occupations that come here are priced by their caller)."""
         self.busy_until[device] = end
         self.busy_time[device] += end - begin
         if self.intervals is not None:
-            self.intervals[device].append((begin, end, self.kind, pages, seek))
+            self.intervals[device].append((begin, end, self.kind, pages, 0))
 
     # -- brackets ------------------------------------------------------------
 
@@ -228,11 +223,9 @@ class DeviceLedger:
 class CostedDisk(SimulatedDisk):
     """A simulated disk that also accumulates service time."""
 
-    def __init__(
-        self, cost_model: Optional[CostModel] = None, **kwargs
-    ) -> None:
+    def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
-        self.ledger = DeviceLedger(self.n_devices, cost_model)
+        self.ledger = DeviceLedger(self.n_devices)
         self.cost_model = self.ledger.cost_model
         self.add_read_tap(self.ledger.record)
 

@@ -365,11 +365,10 @@ class AsyncIOEngine:
         """Simulated milliseconds since the engine started."""
         return self.clock.now
 
-    def busy_time(self, device: Optional[int] = None) -> float:
-        """Milliseconds one device (or all of them, summed) served I/O."""
-        if device is None:
-            return sum(self.ledger.busy_time)
-        return self.ledger.busy_time[device]
+    def busy_time(self) -> float:
+        """Milliseconds the devices served I/O, summed (one device's
+        share is ``ledger.busy_time[device]``)."""
+        return sum(self.ledger.busy_time)
 
     def utilization(self, device: int) -> float:
         """Busy fraction of one device's timeline (0.0 before any I/O)."""

@@ -66,13 +66,12 @@ class ObjectStore:
         self,
         disk: SimulatedDisk,
         buffer: Optional[BufferManager] = None,
-        fmt: RecordFormat = PAPER_FORMAT,
     ) -> None:
         self._disk = disk
         self.buffer = buffer if buffer is not None else BufferManager(disk)
-        self.fmt = fmt
+        self.fmt = PAPER_FORMAT
         self.directory = OidDirectory()
-        self._stored_size = OID_SIZE + fmt.payload_size
+        self._stored_size = OID_SIZE + PAPER_FORMAT.payload_size
         self._write_hooks: List[Callable[[Oid], None]] = []
         # Write-through cache of decoded objects, keyed by RID.  A fetch
         # trusts an entry only while the page's image *is* the entry's

@@ -73,22 +73,22 @@ def describe_operator(operator: VolcanoIterator) -> str:
 MAX_PLAN_DEPTH = 64
 
 
-def walk_plan(
-    plan: VolcanoIterator, depth: int = 0
-) -> Iterator[Tuple[int, VolcanoIterator]]:
+def walk_plan(plan: VolcanoIterator) -> Iterator[Tuple[int, VolcanoIterator]]:
     """Yield ``(depth, operator)`` pairs in pre-order.
 
     Raises :class:`PlanError` past :data:`MAX_PLAN_DEPTH` so a cyclic
-    plan fails loudly instead of recursing forever.
+    plan fails loudly instead of walking forever.
     """
-    if depth > MAX_PLAN_DEPTH:
-        raise PlanError(
-            f"plan deeper than {MAX_PLAN_DEPTH} operators; "
-            f"is an operator its own input?"
-        )
-    yield depth, plan
-    for child in child_operators(plan):
-        yield from walk_plan(child, depth + 1)
+    stack = [(0, plan)]
+    while stack:
+        depth, operator = stack.pop()
+        if depth > MAX_PLAN_DEPTH:
+            raise PlanError(
+                f"plan deeper than {MAX_PLAN_DEPTH} operators; "
+                f"is an operator its own input?"
+            )
+        yield depth, operator
+        stack += [(depth + 1, child) for child in reversed(child_operators(operator))]
 
 
 def collect_operators(plan: VolcanoIterator) -> List[VolcanoIterator]:

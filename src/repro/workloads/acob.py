@@ -31,6 +31,8 @@ from repro.storage.oid import Oid
 
 #: Exclusive upper bound of the ``payload`` integer field.
 PAYLOAD_RANGE = 1_000_000
+#: Tree levels of a complex object: the paper's 3 (7 objects).
+LEVELS = 3
 
 #: Reference slots used for the binary tree edges.
 LEFT_SLOT = 0
@@ -87,10 +89,10 @@ class ACOBDatabase:
         return order
 
 
-def make_registry(levels: int = 3) -> TypeRegistry:
+def make_registry() -> TypeRegistry:
     """Type catalog: one type per tree position, paper field layout."""
     registry = TypeRegistry()
-    for position in range(2 ** levels - 1):
+    for position in range(2 ** LEVELS - 1):
         registry.define(
             f"T{position}",
             int_fields=("id", "level", "position", "payload"),
@@ -101,9 +103,7 @@ def make_registry(levels: int = 3) -> TypeRegistry:
 
 def generate_acob(
     n_complex_objects: int,
-    levels: int = 3,
     sharing: float = 0.0,
-    shared_position: Optional[int] = None,
     seed: int = 7,
 ) -> ACOBDatabase:
     """Generate ``n_complex_objects`` binary-tree complex objects.
@@ -111,30 +111,22 @@ def generate_acob(
     ``sharing`` is the paper's Section 6.4 ratio of shared objects to
     sharing objects ("100 objects sharing 5 sub-objects exhibit .05
     sharing"): a pool of ``round(n * sharing)`` shared leaf objects is
-    created at ``shared_position`` (default: the last leaf), and every
+    created at the last leaf position, and every
     complex object's reference at that position points into the pool
     instead of a private leaf.
     """
     if n_complex_objects <= 0:
         raise ReproError("need at least one complex object")
-    if levels <= 0:
-        raise ReproError("need at least one tree level")
     if not 0.0 <= sharing <= 1.0:
         raise ReproError("sharing must be in [0, 1]")
-    positions = 2 ** levels - 1
-    if shared_position is None:
-        shared_position = positions - 1
-    first_leaf = 2 ** (levels - 1) - 1
-    if sharing > 0.0 and not first_leaf <= shared_position < positions:
-        raise ReproError(
-            f"shared_position {shared_position} is not a leaf position"
-        )
+    positions = 2 ** LEVELS - 1
+    shared_position = positions - 1
 
     rng = random.Random(seed)
-    registry = make_registry(levels)
+    registry = make_registry()
     builder = GraphBuilder(registry)
     database = ACOBDatabase(
-        registry=registry, complex_objects=[], levels=levels
+        registry=registry, complex_objects=[], levels=LEVELS
     )
 
     shared_pool: List[ObjectDef] = []
@@ -145,7 +137,7 @@ def generate_acob(
                 f"T{shared_position}",
                 ints={
                     "id": -1,
-                    "level": levels - 1,
+                    "level": LEVELS - 1,
                     "position": shared_position,
                     "payload": rng.randrange(PAYLOAD_RANGE),
                 },
@@ -213,13 +205,12 @@ def self_or_shared(
 def make_template(
     database: ACOBDatabase,
     sharing: float = 0.0,
-    shared_position: Optional[int] = None,
     predicate_position: Optional[int] = None,
     predicate: Optional[Predicate] = None,
 ) -> Template:
     """Build the assembly template matching a generated database.
 
-    ``sharing`` annotates the shared leaf's template node (Section 5's
+    ``sharing`` annotates the last leaf's template node (Section 5's
     border-of-shared-components marker).  ``predicate_position`` hangs
     ``predicate`` on that tree position (Figure 16's selective
     assembly).
@@ -228,10 +219,7 @@ def make_template(
         database.levels, left_slot=LEFT_SLOT, right_slot=RIGHT_SLOT
     )
     if sharing > 0.0:
-        position = (
-            database.positions - 1 if shared_position is None else shared_position
-        )
-        node = template.node(f"n{position}")
+        node = template.node(f"n{database.positions - 1}")
         node.shared = True
         node.sharing_degree = sharing
     if predicate_position is not None:

@@ -40,6 +40,8 @@ STANDARD_SLOT = 3
 #: Integer slots: part id, level, unit cost, quantity.
 COST_SLOT = 2
 QUANTITY_SLOT = 3
+#: The template's sharing annotation on the standard-part node.
+CATALOG_SHARING = 0.3
 
 
 @dataclass
@@ -153,9 +155,7 @@ def generate_bom(
     return database
 
 
-def bom_template(
-    depth: int = 3, catalog_sharing: float = 0.3
-) -> Template:
+def bom_template(depth: int = 3) -> Template:
     """The recursive product template: one Part node, self-re-entrant.
 
     Declared with :meth:`TemplateNode.recurse` on every sub-part slot
@@ -170,7 +170,7 @@ def bom_template(
         "standard",
         type_name="StandardPart",
         shared=True,
-        sharing_degree=catalog_sharing,
+        sharing_degree=CATALOG_SHARING,
     )
     for slot in range(MAX_SUBPARTS):
         part.recurse(slot, target_label="part", max_depth=depth - 1)

@@ -35,6 +35,10 @@ FANOUT = 5
 ANNOTATION_SLOT = 5
 #: Integer slot of every node's payload attribute.
 PAYLOAD_SLOT = 3
+#: Aggregation levels of a document (the root is level 0).
+LEVELS = 3
+#: The template's sharing annotation on every annotation node.
+ANNOTATION_SHARING = 0.3
 
 
 @dataclass
@@ -59,12 +63,11 @@ class HyperModelDatabase:
 
 def generate_hypermodel(
     n_documents: int,
-    levels: int = 3,
     annotation_probability: float = 0.3,
     annotation_pool_size: Optional[int] = None,
     seed: int = 21,
 ) -> HyperModelDatabase:
-    """Generate ``n_documents`` documents of ``levels`` aggregation levels.
+    """Generate ``n_documents`` documents of :data:`LEVELS` aggregation levels.
 
     Each leaf section carries an annotation link with
     ``annotation_probability``; link targets are drawn from a shared
@@ -73,8 +76,6 @@ def generate_hypermodel(
     """
     if n_documents <= 0:
         raise ReproError("need at least one document")
-    if levels <= 0:
-        raise ReproError("need at least one level")
     if not 0.0 <= annotation_probability <= 1.0:
         raise ReproError("annotation_probability must be in [0, 1]")
 
@@ -123,7 +124,7 @@ def generate_hypermodel(
 
         def build_section(level: int) -> ObjectDef:
             refs: Dict[str, Oid] = {}
-            if level + 1 < levels:
+            if level + 1 < LEVELS:
                 for index in range(FANOUT):
                     refs[f"part{index}"] = build_section(level + 1).oid
             elif annotations and rng.random() < annotation_probability:
@@ -152,20 +153,13 @@ def generate_hypermodel(
         registry=registry,
         complex_objects=builder.complex_objects,
         shared_pool=builder.shared_objects,
-        levels=levels,
+        levels=LEVELS,
         annotation_probability=annotation_probability,
     )
 
 
-def hypermodel_template(
-    levels: int = 3,
-    with_annotations: bool = True,
-    annotation_sharing: float = 0.3,
-) -> Template:
+def hypermodel_template() -> Template:
     """Template for one document: fan-out-5 hierarchy plus annotations."""
-    if levels <= 0:
-        raise ReproError("need at least one level")
-
     counter = [0]
 
     def build(level: int) -> TemplateNode:
@@ -174,16 +168,16 @@ def hypermodel_template(
         node = TemplateNode(
             label, type_name="Document" if level == 0 else "Section"
         )
-        if level + 1 < levels:
+        if level + 1 < LEVELS:
             for slot in range(FANOUT):
                 node.attach(slot, build(level + 1))
-        elif with_annotations:
+        else:
             node.child(
                 ANNOTATION_SLOT,
                 f"note@{label}",
                 type_name="Annotation",
                 shared=True,
-                sharing_degree=annotation_sharing,
+                sharing_degree=ANNOTATION_SHARING,
             )
         return node
 

@@ -30,6 +30,10 @@ FATHER_SLOT = 0
 RESIDENCE_SLOT = 1
 #: Integer slot of Residence.city.
 CITY_SLOT = 0
+#: Probability that a child lives in the father's residence.
+SHARE_RESIDENCE_PROBABILITY = 0.3
+#: Probability that a person has no recorded father.
+ORPHAN_PROBABILITY = 0.0
 
 
 @dataclass
@@ -52,18 +56,16 @@ class PersonDatabase:
 def generate_people(
     n_people: int,
     n_cities: int = 20,
-    share_residence_probability: float = 0.3,
-    orphan_probability: float = 0.0,
     seed: int = 11,
 ) -> PersonDatabase:
     """Build ``n_people`` complex objects: person → father, residences.
 
-    With probability ``share_residence_probability`` a child lives in
+    With probability :data:`SHARE_RESIDENCE_PROBABILITY` a child lives in
     the father's residence — the same storage object, i.e. a shared
     component inside one complex object ("multiple, possibly shared,
     object references contained within a single object", Section 4).
 
-    With probability ``orphan_probability`` a person has no recorded
+    With probability :data:`ORPHAN_PROBABILITY` a person has no recorded
     father: the reference slot stays null and the data is shallower
     than the template, which assembly must handle (and the
     ``lives-close-to-father`` query must answer ``False`` for).
@@ -72,10 +74,6 @@ def generate_people(
         raise ReproError("need at least one person")
     if n_cities <= 0:
         raise ReproError("need at least one city")
-    if not 0.0 <= share_residence_probability <= 1.0:
-        raise ReproError("share_residence_probability must be in [0, 1]")
-    if not 0.0 <= orphan_probability <= 1.0:
-        raise ReproError("orphan_probability must be in [0, 1]")
 
     rng = random.Random(seed)
     registry = TypeRegistry()
@@ -95,7 +93,7 @@ def generate_people(
     )
 
     for index in range(n_people):
-        orphan = rng.random() < orphan_probability
+        orphan = rng.random() < ORPHAN_PROBABILITY
         components = []
         refs = {}
         if not orphan:
@@ -111,7 +109,7 @@ def generate_people(
             )
             refs["father"] = father.oid
             components.extend([father, father_home])
-        shares = (not orphan) and rng.random() < share_residence_probability
+        shares = (not orphan) and rng.random() < SHARE_RESIDENCE_PROBABILITY
         if shares:
             child_home = father_home
             child_city = father_city
@@ -139,21 +137,21 @@ def generate_people(
     return database
 
 
-def person_template(share_residences: bool = True) -> Template:
+def person_template() -> Template:
     """Template: person → {father → residence, residence}.
 
     The father edge is declared *recursively* (a Person referencing a
     Person) and unrolled one level, demonstrating Section 5's recursive
-    template definitions.  Residence nodes are marked shared when
-    ``share_residences`` — child and father may point at one object.
+    template definitions.  Residence nodes are marked shared — child
+    and father may point at one object.
     """
     person = TemplateNode("person", type_name="Person")
     person.child(
         RESIDENCE_SLOT,
         "residence",
         type_name="Residence",
-        shared=share_residences,
-        sharing_degree=0.3 if share_residences else 0.0,
+        shared=True,
+        sharing_degree=0.3,
     )
     person.recurse(FATHER_SLOT, target_label="person", max_depth=1)
     return Template(person).finalize()

@@ -88,7 +88,6 @@ class TestLayoutCache:
             ObjectStore(disk, BufferManager(disk)),
             make_policy(self.CONFIG, db),
             shared=db.shared_pool,
-            seed=self.CONFIG.layout_seed,
         )
 
     @staticmethod

@@ -37,15 +37,6 @@ class TestLayoutDatabase:
         assert sorted(layout.root_order) == sorted(layout.roots)
         assert layout.root_order != layout.roots  # shuffled (seed 9)
 
-    def test_root_order_optionally_unshuffled(self, small_acob, store):
-        layout = layout_database(
-            small_acob.complex_objects,
-            store,
-            Unclustered(),
-            shuffle_roots=False,
-        )
-        assert layout.root_order == layout.roots
-
     def test_layout_deterministic_in_seed(self, small_acob):
         from repro.storage.disk import SimulatedDisk
         from repro.storage.store import ObjectStore

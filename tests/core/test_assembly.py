@@ -6,6 +6,8 @@ checking the exact resolution orders Section 6.2 lists for depth-first
 and breadth-first scheduling.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster.layout import layout_database
@@ -49,13 +51,14 @@ def figure4_template():
 
 
 def lay_out_figure4(builder, store):
-    return layout_database(
+    """The Figure-4 layout, its roots fed in load order."""
+    layout = layout_database(
         builder.complex_objects,
         store,
         Unclustered(),
         shared=builder.shared_objects,
-        shuffle_roots=False,
     )
+    return replace(layout, root_order=list(layout.roots))
 
 
 def spy_fetch_order(store):

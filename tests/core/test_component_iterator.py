@@ -121,7 +121,8 @@ class TestStatistics:
         assert ci.root_reference(Oid(1, 1)).rejection == pytest.approx(0.7)
 
     def test_rejection_cached(self):
-        root = TemplateNode("root", predicate=int_less_than(0, 5, 0.5))
+        root = TemplateNode("root")
+        root.predicate = int_less_than(0, 5, 0.5)
         ci = ComponentIterator(Template(root))
         assert ci.root_reference(Oid(1, 1)).rejection == 0.5
         assert ci.root_reference(Oid(1, 2)).rejection == 0.5

@@ -8,6 +8,8 @@ cell that holds the function), left for the collector on every call.
 must agree exactly, over generated databases and templates.
 """
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +19,7 @@ from repro.core.template import (
     _RecursiveEdge,
     binary_tree_template,
 )
+from repro.workloads import acob
 from repro.workloads.acob import generate_acob
 
 
@@ -33,9 +36,9 @@ def recursive_type_ids_depth_first(database):
     return order
 
 
-def recursive_binary_tree_template(levels, left_slot, right_slot, prefix):
+def recursive_binary_tree_template(levels, left_slot, right_slot):
     def build(position, level):
-        node = TemplateNode(label=f"{prefix}{position}", type_name=f"T{position}")
+        node = TemplateNode(label=f"n{position}", type_name=f"T{position}")
         if level + 1 < levels:
             node.attach(left_slot, build(2 * position + 1, level + 1))
             node.attach(right_slot, build(2 * position + 2, level + 1))
@@ -61,13 +64,10 @@ def recursive_collect_recursive(template):
 
 def recursive_clone(template):
     def rec(node):
-        copy = TemplateNode(
-            label=node.label,
-            type_name=node.type_name,
-            shared=node.shared,
-            sharing_degree=node.sharing_degree,
-            predicate=node.predicate,
-        )
+        copy = TemplateNode(label=node.label, type_name=node.type_name)
+        copy.shared = node.shared
+        copy.sharing_degree = node.sharing_degree
+        copy.predicate = node.predicate
         for slot, child in node._children.items():
             copy.attach(slot, rec(child))
         return copy
@@ -173,7 +173,8 @@ def build(spec, template_class=Template):
     seed=st.integers(0, 50),
 )
 def test_type_ids_depth_first(n_objects, levels, seed):
-    database = generate_acob(n_objects, levels=levels, seed=seed)
+    with mock.patch.object(acob, "LEVELS", levels):
+        database = generate_acob(n_objects, seed=seed)
     assert database.type_ids_depth_first() == recursive_type_ids_depth_first(
         database
     )
@@ -183,12 +184,11 @@ def test_type_ids_depth_first(n_objects, levels, seed):
 @given(
     levels=st.integers(1, 7),
     slots=st.sampled_from([(0, 1), (1, 0), (3, 5), (7, 2)]),
-    prefix=st.sampled_from(["n", "node-"]),
 )
-def test_binary_tree_template(levels, slots, prefix):
+def test_binary_tree_template(levels, slots):
     left, right = slots
-    built = binary_tree_template(levels, left, right, prefix)
-    oracle = recursive_binary_tree_template(levels, left, right, prefix)
+    built = binary_tree_template(levels, left, right)
+    oracle = recursive_binary_tree_template(levels, left, right)
     assert shape(built.root) == shape(oracle.root)
     assert built.fingerprint() == oracle.fingerprint()
 

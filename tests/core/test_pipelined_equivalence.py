@@ -276,7 +276,7 @@ def drive(driver_cls, case):
         "elapsed": engine.elapsed,
         "issues": engine.issues,
         "zero_read_issues": engine.zero_read_issues,
-        "busy": [engine.busy_time(d) for d in range(engine.n_devices)],
+        "busy": list(engine.ledger.busy_time),
         "pipeline": asdict(driver.stats),
         "operator": asdict(operator.stats),
         "health": driver.health.snapshot(),

@@ -91,7 +91,7 @@ def run(buffer_cls, capacity=None, faults=None):
             "elapsed": engine.elapsed,
             "issues": engine.issues,
             "zero_read_issues": engine.zero_read_issues,
-            "busy": [engine.busy_time(d) for d in range(engine.n_devices)],
+            "busy": list(engine.ledger.busy_time),
             "pipeline": asdict(driver.stats),
             "operator": asdict(operator.stats),
             "health": driver.health.snapshot(),

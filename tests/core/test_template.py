@@ -37,11 +37,11 @@ class TestTemplateNode:
 
     def test_sharing_degree_requires_shared(self):
         with pytest.raises(TemplateError):
-            TemplateNode("n", sharing_degree=0.5)
+            TemplateNode("r").child(0, "n", sharing_degree=0.5)
 
     def test_sharing_degree_bounds(self):
         with pytest.raises(TemplateError):
-            TemplateNode("n", shared=True, sharing_degree=1.5)
+            TemplateNode("r").child(0, "n", shared=True, sharing_degree=1.5)
 
     def test_walk_preorder(self):
         template = simple_template()

@@ -15,11 +15,9 @@ def random_trees(draw):
     def build(depth):
         label = f"node{counter[0]}"
         counter[0] += 1
-        node = TemplateNode(
-            label,
-            shared=draw(st.booleans()),
-            predicate=always_true() if draw(st.booleans()) else None,
-        )
+        node = TemplateNode(label)
+        node.shared = draw(st.booleans())
+        node.predicate = always_true() if draw(st.booleans()) else None
         if depth < 3:
             n_children = draw(st.integers(0, 3))
             slots = draw(

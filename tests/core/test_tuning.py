@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.template import Template, TemplateNode, binary_tree_template
+from repro.core import tuning
 from repro.core.tuning import (
+    HEADROOM,
     max_window_for_buffer,
     pin_bound,
     tune_window,
@@ -48,16 +50,17 @@ class TestPinBound:
 class TestMaxWindow:
     def test_inverts_bound(self):
         for capacity in (64, 128, 512, 2048):
-            window = max_window_for_buffer(capacity, headroom=8)
-            assert pin_bound(window) <= capacity - 8
-            assert pin_bound(window + 1) > capacity - 8
+            window = max_window_for_buffer(capacity)
+            assert pin_bound(window) <= capacity - HEADROOM
+            assert pin_bound(window + 1) > capacity - HEADROOM
 
     def test_tiny_buffer_rejected(self):
         with pytest.raises(AssemblyError):
             max_window_for_buffer(10)
 
-    def test_at_least_one(self):
-        assert max_window_for_buffer(16, headroom=0) >= 1
+    def test_at_least_one(self, monkeypatch):
+        monkeypatch.setattr(tuning, "HEADROOM", 0)
+        assert max_window_for_buffer(16) >= 1
 
     def test_bad_capacity(self):
         with pytest.raises(AssemblyError):

@@ -19,6 +19,8 @@ engine and chaos exactness suites:
 
 from __future__ import annotations
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +32,7 @@ from repro.fabric import (
     build_sharded_fabric,
     open_loop_workload,
 )
+from repro.fabric import builder
 from repro.fabric.builder import _make_policy
 from repro.service.server import AssemblyService
 from repro.storage.buffer import BufferManager
@@ -60,13 +63,16 @@ def build_direct(db, clustering, cluster_pages, buffer_capacity):
         validate=False,
     )
     service = AssemblyService(
-        store,
-        cache_capacity=256,
-        starvation_bound=64,
-        max_waiting=MAX_WAITING,
-        min_window=1,
+        store, cache_capacity=256, max_waiting=MAX_WAITING
     )
     return store, layout, service
+
+
+def build_fabric(db, clustering, **kwargs):
+    """``build_sharded_fabric`` with its shards laid out under
+    ``clustering`` (the builder's one clustering, patched)."""
+    with mock.patch.object(builder, "CLUSTERING", clustering):
+        return build_sharded_fabric(db, **kwargs)
 
 
 def ask_window(fabric, window):
@@ -102,11 +108,11 @@ def test_degenerate_fabric_is_bit_identical_to_the_plain_service(
     clustering, window, n, buffer_capacity
 ):
     db = generate_acob(n, seed=2)
-    fabric = build_sharded_fabric(
+    fabric = build_fabric(
         db,
+        clustering,
         n_shards=1,
         replicas_per_shard=1,
-        clustering=clustering,
         cluster_pages=64,
         buffer_capacity=buffer_capacity,
         max_waiting=MAX_WAITING,
@@ -150,12 +156,12 @@ def test_arrival_timing_never_changes_request_content(
 ):
     def run(arrivals):
         db = generate_acob(n, seed=2)
-        fabric = build_sharded_fabric(
+        fabric = build_fabric(
             db,
+            clustering,
             n_shards=1,
             replicas_per_shard=1,
-            clustering=clustering,
-            cluster_pages=64,
+                cluster_pages=64,
             max_waiting=MAX_WAITING,
         )
         ask_window(fabric, window)
@@ -190,11 +196,11 @@ def test_sharded_content_matches_a_bare_assembly_run(
     a single bare Assembly operator emits over the unsharded layout,
     whatever core scheduler that operator uses."""
     db = generate_acob(n, seed=2)
-    fabric = build_sharded_fabric(
+    fabric = build_fabric(
         db,
+        clustering,
         n_shards=2,
         replicas_per_shard=1,
-        clustering=clustering,
         cluster_pages=64,
         max_waiting=MAX_WAITING,
     )

@@ -11,6 +11,7 @@ from repro.fabric import (
     build_sharded_fabric,
     open_loop_workload,
 )
+from repro.fabric import builder
 from repro.fabric.fabric import FabricReport
 from repro.service.metrics import ServiceMetrics
 from repro.workloads.acob import generate_acob
@@ -159,10 +160,14 @@ class TestValidation:
         with pytest.raises(FabricError):
             build_sharded_fabric(db, replicas_per_shard=0)
 
-    def test_builder_rejects_unknown_clustering_and_placement(self):
+    def test_builder_rejects_unknown_clustering_and_placement(
+        self, monkeypatch
+    ):
         db = generate_acob(10, seed=2)
-        with pytest.raises(FabricError):
-            build_sharded_fabric(db, clustering="zigzag")
+        with monkeypatch.context() as patch:
+            patch.setattr(builder, "CLUSTERING", "zigzag")
+            with pytest.raises(FabricError):
+                build_sharded_fabric(db)
         with pytest.raises(FabricError):
             build_sharded_fabric(db, placement="random")
 

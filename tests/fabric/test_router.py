@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from repro.errors import FabricError
+from repro.fabric import router
 from repro.fabric.router import ConsistentHashRouter
 from repro.workloads.acob import generate_acob
 
@@ -47,9 +48,10 @@ class TestBalance:
         for share in fractions:
             assert 0.05 < share < 0.55
 
-    def test_more_vnodes_do_not_break_coverage(self):
+    def test_more_vnodes_do_not_break_coverage(self, monkeypatch):
+        monkeypatch.setattr(router, "VNODES", 256)
         oids = root_oids()
-        fractions = shares(ConsistentHashRouter(4, vnodes=256), oids)
+        fractions = shares(ConsistentHashRouter(4), oids)
         assert all(share > 0 for share in fractions)
 
 
@@ -71,8 +73,6 @@ class TestBoundedMovement:
 
 
 class TestValidation:
-    def test_rejects_nonpositive_shards_and_vnodes(self):
+    def test_rejects_nonpositive_shards(self):
         with pytest.raises(FabricError):
             ConsistentHashRouter(0)
-        with pytest.raises(FabricError):
-            ConsistentHashRouter(2, vnodes=0)

@@ -71,7 +71,6 @@ class RepickFabric(ServiceFabric):
             if next_event is None:
                 break
             when, (kind, payload) = events.pop()
-            self._now = max(self._now, when)
             if kind == "arrival":
                 self._arrive(when, payload)
             else:
@@ -158,7 +157,6 @@ def build(fabric_class, hedged, shed, placement, fault_seed, n_shards=2):
         built.shards,
         built.router,
         built.template,
-        cost_model=built.cost_model,
         hedging=built.hedging,
     )
 
@@ -270,7 +268,6 @@ def test_a_completion_can_cancel_the_event_the_steps_stopped_at():
             built.shards,
             built.router,
             built.template,
-            cost_model=built.cost_model,
             hedging=built.hedging,
         )
         roots = fabric.shards[0].roots

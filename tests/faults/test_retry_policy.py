@@ -51,8 +51,11 @@ class TestBackoff:
 
     def test_custom_model_changes_the_price(self):
         policy = RetryPolicy()
-        slow = CostModel(settle=5.0, rotational_latency=20.0)
-        assert policy.backoff_ms(0, slow) == 25.0
+        class Slow(CostModel):
+            settle = 5.0
+            rotational_latency = 20.0
+
+        assert policy.backoff_ms(0, Slow()) == 25.0
 
     def test_flat_backoff_with_multiplier_one(self):
         policy = RetryPolicy(base_backoff_ms=3.0, backoff_multiplier=1.0)

@@ -15,7 +15,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.harness import ExperimentConfig, build_assembly, build_layout
+from repro.bench.harness import (
+    PREDICATE_POSITION,
+    ExperimentConfig,
+    build_assembly,
+    build_layout,
+)
 from repro.core.assembly import Assembly
 from repro.iterator import ListSource
 from repro.workloads.acob import make_template, payload_predicate
@@ -101,7 +106,7 @@ def test_abort_mid_batch_skips_inflight_siblings():
         database, layout = build_layout(config)
         template = make_template(
             database,
-            predicate_position=config.predicate_position,
+            predicate_position=PREDICATE_POSITION,
             predicate=payload_predicate(0.4),
         )
         operator = Assembly(

@@ -81,7 +81,8 @@ class TestDeviceIOTimeline:
 
     def test_spans_tap_records_sample_spans(self):
         disk = SimulatedDisk()
-        recorder = SpanRecorder(clock_fn=lambda: 1.0)
+        recorder = SpanRecorder()
+        recorder.bind_clock(lambda: 1.0)
         timeline = DeviceIOTimeline(
             disk, clock_fn=lambda: 1.0, spans=recorder
         ).attach()

@@ -34,7 +34,10 @@ def run_walkthrough(clock_fn=None):
     store = ObjectStore(SimulatedDisk())
     builder = figure4_database(3)
     layout = lay_out_figure4(builder, store)
-    tracer = AssemblyTracer(SpanRecorder(clock_fn=clock_fn))
+    recorder = SpanRecorder()
+    if clock_fn is not None:
+        recorder.bind_clock(clock_fn)
+    tracer = AssemblyTracer(recorder)
     operator = Assembly(
         ListSource(layout.root_order),
         store,

@@ -15,27 +15,25 @@ entries.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
 from repro.core import trace
-
-SRC = Path(__file__).parent.parent.parent / "src" / "repro"
+from tests.source_index import package
 
 #: The calls that record a decision, its kind first.
 RECORDING_CALLS = ("_decide", "_end_slot_span")
 
 
-def iter_source_trees():
-    """(path, parsed module) for every file under src/repro."""
-    for path in sorted(SRC.rglob("*.py")):
-        yield path, ast.parse(path.read_text(), filename=str(path))
+def iter_source_nodes():
+    """(path, every AST node) for every file under src/repro."""
+    for file in package():
+        yield file.path, file.nodes
 
 
 def trace_constants_used():
     """Every UPPERCASE attribute read off the ``trace`` module."""
     used = {}
-    for path, tree in iter_source_trees():
-        for node in ast.walk(tree):
+    for path, nodes in iter_source_nodes():
+        for node in nodes:
             if (
                 isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)
@@ -52,8 +50,8 @@ def trace_constants_used():
 def recorded_kinds():
     """Kind constants passed as the first argument of a recording call."""
     emitted = set()
-    for _path, tree in iter_source_trees():
-        for node in ast.walk(tree):
+    for _path, nodes in iter_source_nodes():
+        for node in nodes:
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)

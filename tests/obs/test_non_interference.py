@@ -16,7 +16,13 @@ from dataclasses import asdict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.harness import ExperimentConfig, build_layout, run_experiment
+from repro.bench import harness
+from repro.bench.harness import (
+    ExperimentConfig,
+    build_layout,
+    run_experiment,
+    trace_experiment,
+)
 from repro.cluster.layout import layout_database
 from repro.core.assembly import Assembly
 from repro.core.schedulers import make_scheduler
@@ -161,13 +167,23 @@ def test_service_snapshot_identical_off_on_sampled():
     assert snapshot["p99_latency"] is not None
 
 
-def test_run_experiment_metrics_identical_with_recorder():
-    """The bench harness path keeps the guarantee end to end."""
+def test_run_experiment_metrics_identical_with_recorder(
+    monkeypatch, tmp_path
+):
+    """The bench harness path keeps the guarantee end to end: the
+    traced run (``trace_experiment``) measures what the bare one does."""
     config = ExperimentConfig(
         n_complex_objects=40, window_size=6, scheduler="elevator"
     )
     bare = run_experiment(config)
-    recorder = SpanRecorder()
-    traced = run_experiment(config, spans=recorder)
+    made = []
+
+    def recording():
+        made.append(SpanRecorder())
+        return made[-1]
+
+    monkeypatch.setattr(harness, "SpanRecorder", recording)
+    traced, _path = trace_experiment(config, tmp_path / "trace.json")
     assert traced == bare
+    (recorder,) = made
     assert recorder.of_kind("assembly") and recorder.open_spans() == []

@@ -19,6 +19,7 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.spans import SpanRecorder
+from repro.service import admission
 from repro.service.device_server import DeviceServer
 from repro.service.server import AssemblyService
 from repro.storage.buffer import BufferManager
@@ -65,7 +66,8 @@ class TestServiceSpans:
         assert request_span.start == 0.0
         assert request_span.end == float(service.clock)
 
-    def test_queue_wait_span_measures_admission_delay(self):
+    def test_queue_wait_span_measures_admission_delay(self, monkeypatch):
+        monkeypatch.setattr(admission, "MIN_WINDOW", 8)
         recorder = SpanRecorder()
         config = ExperimentConfig(n_complex_objects=20, cluster_pages=64)
         db, layout = build_layout(config)
@@ -75,7 +77,6 @@ class TestServiceSpans:
             span_recorder=recorder,
             budget_pages=pin_bound(8, template),
             max_waiting=2,
-            min_window=8,
         )
         service.submit(layout.root_order[:10], template)
         queued = service.submit(layout.root_order[10:], template)
@@ -85,7 +86,8 @@ class TestServiceSpans:
         assert wait.finished and wait.duration > 0
         assert wait.duration == service.request_metrics(queued).queue_wait
 
-    def test_rejected_request_closes_its_span(self):
+    def test_rejected_request_closes_its_span(self, monkeypatch):
+        monkeypatch.setattr(admission, "MIN_WINDOW", 8)
         from repro.errors import ServiceOverloadError
 
         recorder = SpanRecorder()
@@ -97,7 +99,6 @@ class TestServiceSpans:
             span_recorder=recorder,
             budget_pages=pin_bound(8, template),
             max_waiting=0,
-            min_window=8,
         )
         service.submit(layout.root_order[:10], template)
         with pytest.raises(ServiceOverloadError):
@@ -134,9 +135,8 @@ class TestRetrySpans:
         store = ObjectStore(disk, BufferManager(disk))
         layout = layout_database(db.complex_objects, store,
                                  InterObjectClustering(cluster_pages=64))
-        recorder = SpanRecorder(
-            clock_fn=lambda: float(disk.stats.pages_read)
-        )
+        recorder = SpanRecorder()
+        recorder.bind_clock(lambda: float(disk.stats.pages_read))
         FaultInjector(
             FaultConfig(seed=11, read_error_rate=0.3,
                         max_consecutive_failures=2)
@@ -157,10 +157,8 @@ class TestRetrySpans:
 
 class TestDemoRun:
     def test_demo_is_deterministic_and_complete(self):
-        first, _service = demo_service_run(n_objects=30, n_clients=2,
-                                           requests_per_client=1)
-        second, _service = demo_service_run(n_objects=30, n_clients=2,
-                                            requests_per_client=1)
+        first, _service = demo_service_run()
+        second, _service = demo_service_run()
         from repro.obs.export import diff_spans
 
         assert diff_spans(first.spans, second.spans, with_timing=True) == []
@@ -170,11 +168,8 @@ class TestDemoRun:
                 "device-io"} <= kinds
 
     def test_demo_sampling_thins_slot_detail(self):
-        full, _ = demo_service_run(n_objects=30, n_clients=2,
-                                   requests_per_client=1)
-        sampled, _ = demo_service_run(n_objects=30, n_clients=2,
-                                      requests_per_client=1,
-                                      sample_rate=0.25)
+        full, _ = demo_service_run()
+        sampled, _ = demo_service_run(sample_rate=0.25)
         assert len(sampled.of_kind("window-slot")) < len(
             full.of_kind("window-slot")
         )

@@ -9,7 +9,8 @@ from repro.obs.spans import NULL_SPAN, Span, SpanRecorder
 class TestSpanBasics:
     def test_begin_end_stamps_and_duration(self):
         clock = iter([10.0, 17.0])
-        recorder = SpanRecorder(clock_fn=lambda: next(clock))
+        recorder = SpanRecorder()
+        recorder.bind_clock(lambda: next(clock))
         span = recorder.begin("work", kind="request")
         assert not span.finished and span.duration == 0.0
         recorder.end(span, outcome="done")
@@ -44,18 +45,18 @@ class TestSpanBasics:
         recorder.bind_clock(lambda: 5.0)
         recorder.bind_clock(lambda: 99.0)
         assert recorder.now() == 5.0
-        recorder.bind_clock(lambda: 99.0, force=True)
-        assert recorder.now() == 99.0
 
     def test_add_records_explicit_stamps(self):
-        recorder = SpanRecorder(clock_fn=lambda: 0.0)
+        recorder = SpanRecorder()
+        recorder.bind_clock(lambda: 0.0)
         span = recorder.add("io", start=3.0, end=9.5, kind="device-io",
                             device=2, pages=4)
         assert span.finished and span.duration == 6.5
         assert span.device == 2 and span.attrs["pages"] == 4
 
     def test_event_is_zero_duration(self):
-        recorder = SpanRecorder(clock_fn=lambda: 42.0)
+        recorder = SpanRecorder()
+        recorder.bind_clock(lambda: 42.0)
         span = recorder.event("retry", kind="retry")
         assert span.start == span.end == 42.0
 

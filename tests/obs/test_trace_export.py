@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import ReproError
+from repro.obs import export
 from repro.obs.export import (
     chrome_trace_document,
     diff_spans,
@@ -122,12 +123,13 @@ class TestDiff:
         assert any("count differs" in line
                    for line in diff_spans(a, b[:-1]))
 
-    def test_limit_caps_output(self):
+    def test_limit_caps_output(self, monkeypatch):
+        monkeypatch.setattr(export, "DIFF_LIMIT", 2)
         a = [Span(name=f"a{i}", span_id=i, parent_id=None, start=0.0,
                   end=1.0) for i in range(5)]
         b = [Span(name=f"b{i}", span_id=i, parent_id=None, start=0.0,
                   end=1.0) for i in range(5)]
-        differences = diff_spans(a, b, limit=2)
+        differences = diff_spans(a, b)
         assert len(differences) == 3
         assert "more difference" in differences[-1]
 

@@ -21,7 +21,7 @@ class TestConstruction:
         assert query.projection is None
 
     def test_immutable_refinement(self, query):
-        refined = query.where_component("n1", always_true(0.5))
+        refined = query.where_component("n1", always_true())
         assert query.component_predicates == ()
         assert len(refined.component_predicates) == 1
 

@@ -104,8 +104,6 @@ class TestValidation:
             AdmissionController(budget_pages=0)
         with pytest.raises(ServiceStateError):
             AdmissionController(max_waiting=-1)
-        with pytest.raises(ServiceStateError):
-            AdmissionController(min_window=0)
         controller = AdmissionController()
         with pytest.raises(ServiceStateError):
             controller.submit(0, 0, template)

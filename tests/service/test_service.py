@@ -9,6 +9,7 @@ from repro.errors import (
     ServiceStateError,
     UnknownOidError,
 )
+from repro.service import admission
 from repro.service.device_server import DeviceServer, DeviceServerAssembly
 from repro.service.server import AssemblyService, RequestStatus
 from repro.storage.oid import Oid
@@ -224,12 +225,13 @@ class TestAdmissionIntegration:
         )
         assert len(service.result(blocker)) == 6
 
-    def test_queued_request_starts_after_release(self):
+    def test_queued_request_starts_after_release(self, monkeypatch):
+        monkeypatch.setattr(admission, "MIN_WINDOW", 8)
         db, layout = build(n=20)
         template = make_template(db)
         budget = pin_bound(8, template)
         service = AssemblyService(
-            layout.store, budget_pages=budget, max_waiting=2, min_window=8
+            layout.store, budget_pages=budget, max_waiting=2
         )
         first = service.submit(layout.root_order[:10], template)
         queued = service.submit(layout.root_order[10:], template)

@@ -130,22 +130,25 @@ class TestMultiDeviceRuns:
 
 
 class TestCostedRuns:
-    def test_run_pays_one_positioning_many_transfers(self):
-        model = CostModel(
+    @pytest.fixture(autouse=True)
+    def priced(self, monkeypatch):
+        """Round prices: 1 ms/page seek, 2 settle, 3 rotation, 1 transfer."""
+        prices = dict(
             seek_per_page=1.0, settle=2.0, rotational_latency=3.0, transfer=1.0
         )
-        disk = CostedDisk(cost_model=model)
+        for name, value in prices.items():
+            monkeypatch.setattr(CostModel, name, value)
+
+    def test_run_pays_one_positioning_many_transfers(self):
+        disk = CostedDisk()
         disk.read_run(10, 4)
         # settle + 10-page seek + rotation + 4 transfers.
         assert disk.service_time_total == pytest.approx(2 + 10 + 3 + 4)
 
     def test_run_cheaper_than_page_at_a_time(self):
-        model = CostModel(
-            seek_per_page=1.0, settle=2.0, rotational_latency=3.0, transfer=1.0
-        )
-        run = CostedDisk(cost_model=model)
+        run = CostedDisk()
         run.read_run(10, 4)
-        paged = CostedDisk(cost_model=model)
+        paged = CostedDisk()
         for page_id in (10, 11, 12, 13):
             paged.read(page_id)
         assert run.service_time_total < paged.service_time_total

@@ -13,10 +13,16 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.events import AsyncIOEngine, EventClock
 from repro.storage.multidisk import MultiDeviceDisk
 
-#: distance + one ms per transferred page: easy arithmetic in tests.
-LINEAR = CostModel(
-    seek_per_page=1.0, settle=0.0, rotational_latency=0.0, transfer=1.0
-)
+class Linear(CostModel):
+    """Distance + one ms per transferred page: easy arithmetic in tests."""
+
+    seek_per_page = 1.0
+    settle = 0.0
+    rotational_latency = 0.0
+    transfer = 1.0
+
+
+LINEAR = Linear()
 
 
 class TestEventClock:
@@ -63,7 +69,7 @@ class TestIssueAndComplete:
         assert io.complete_time == 11.0
         assert engine.wait_next() is io
         assert engine.elapsed == 11.0
-        assert engine.busy_time(0) == 11.0
+        assert engine.ledger.busy_time[0] == 11.0
 
     def test_zero_read_issue_completes_immediately(self):
         disk, engine = self.make()
@@ -282,7 +288,7 @@ def check_against_heap(engine_cls, n_devices, program):
         assert engine.clock.now == oracle.now
         assert list(engine.in_flight_by_device) == oracle.in_flight
         for device in range(n_devices):
-            assert engine.busy_time(device) == oracle.ledger.busy_time[device]
+            assert engine.ledger.busy_time[device] == oracle.ledger.busy_time[device]
         assert engine.idle() == (not oracle.heap)
         assert engine.issues == oracle.issues
         assert engine.zero_read_issues == oracle.zero_read_issues

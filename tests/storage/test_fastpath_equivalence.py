@@ -85,10 +85,16 @@ class TestCostModelMemo:
     def test_memo_is_per_instance(self):
         fast = CostModel()
         fast.run_service_time(10, 4)  # warm one instance's memo
-        slow = CostModel(seek_per_page=1.0)
+        slow = SlowSeek()
         assert slow.run_service_time(10, 4) == self.reference_cost(
             slow, 10, 4
         )
+
+
+class SlowSeek(CostModel):
+    """A second pricing, for the per-instance memo."""
+
+    seek_per_page = 1.0
 
 
 def fresh_store():

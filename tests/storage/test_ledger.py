@@ -214,11 +214,11 @@ def test_untapped_ledger_stops_recording_and_reset_forgets():
 
 def test_occupy_stamps_the_current_kind():
     ledger = DeviceLedger(1, MODEL, intervals=True)
-    ledger.occupy(0, 0.0, 4.0, pages=2, seek=7)
+    ledger.occupy(0, 0.0, 4.0, pages=2)
     ledger.kind = MIGRATION
     ledger.occupy(0, 4.0, 5.0)
     assert ledger.intervals[0] == [
-        (0.0, 4.0, SERVING, 2, 7), (4.0, 5.0, MIGRATION, 0, 0)
+        (0.0, 4.0, SERVING, 2, 0), (4.0, 5.0, MIGRATION, 0, 0)
     ]
     assert ledger.busy_until == [5.0] and ledger.busy_time == [5.0]
 

@@ -3,13 +3,12 @@
 import ast
 import builtins
 import inspect
-from pathlib import Path
 
 import pytest
 
 from repro import errors
+from tests.source_index import SRC, package
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: the one builtin the library may raise: an abstract method's body.
 ALLOWED_BUILTINS = {"NotImplementedError"}
 BUILTIN_ERRORS = {
@@ -99,9 +98,9 @@ class TestHierarchy:
         no module under ``src/repro`` raises a builtin exception other
         than ``NotImplementedError``."""
         offenders = [
-            f"{path.relative_to(SRC.parent)}:{line} raises {name}"
-            for path in sorted(SRC.rglob("*.py"))
-            for line, name in builtin_raises(ast.parse(path.read_text()))
+            f"{file.path.relative_to(SRC)}:{line} raises {name}"
+            for file in package()
+            for line, name in builtin_raises(file.tree)
         ]
         assert offenders == []
 

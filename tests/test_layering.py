@@ -20,17 +20,17 @@ import ast
 from pathlib import Path
 from typing import Dict, Iterator, List, Set, Tuple
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from tests.source_index import SRC, package, source
 
 
 def _modules() -> Dict[str, Path]:
     """Dotted module name → source file, for everything under ``src/repro``."""
     modules = {}
-    for path in sorted((SRC / "repro").rglob("*.py")):
-        parts = list(path.relative_to(SRC).with_suffix("").parts)
+    for file in package():
+        parts = list(file.path.relative_to(SRC).with_suffix("").parts)
         if parts[-1] == "__init__":
             parts.pop()
-        modules[".".join(parts)] = path
+        modules[".".join(parts)] = file.path
     return modules
 
 
@@ -74,7 +74,7 @@ def _nested_lines(tree: ast.Module) -> Set[int]:
 def test_no_deferred_or_type_checking_repro_imports():
     offenders = []
     for name, path in _modules().items():
-        tree = ast.parse(path.read_text())
+        tree = source(path).tree
         nested = _nested_lines(tree)
         for node, _ in _repro_imports(name, path, tree):
             if node.lineno in nested:
@@ -97,7 +97,7 @@ def _graph() -> Dict[str, Set[str]]:
     graph: Dict[str, Set[str]] = {}
     for name, path in modules.items():
         edges: Set[str] = set()
-        for _, targets in _repro_imports(name, path, ast.parse(path.read_text())):
+        for _, targets in _repro_imports(name, path, source(path).tree):
             for target in targets:
                 while target:
                     if target in modules and not f"{name}.".startswith(f"{target}."):

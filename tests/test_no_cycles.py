@@ -160,15 +160,13 @@ def test_submitting_leaves_no_template_cycle():
     assert cyclic_garbage(run) == {}
 
 
-@pytest.mark.parametrize("spans", [False, True])
-def test_hedged_fabric(spans):
+def test_hedged_fabric():
     def run():
         fabric = build_sharded_fabric(
             generate_acob(20, seed=2),
             n_shards=2,
             replicas_per_shard=2,
             hedging=HedgePolicy(multiplier=1.0),
-            span_recorder=SpanRecorder() if spans else None,
         )
         specs = open_loop_workload(
             fabric, [0.0, 0.0, 5.0, 5.0, 10.0, 40.0], seed=1

@@ -17,14 +17,14 @@ import ast
 from pathlib import Path
 from typing import List
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from tests.source_index import PACKAGE, SRC, package, source
 
 
 def _calls_of(path: Path, name: str) -> List[int]:
     """Lines on which ``path`` calls the bare name ``name``."""
     return [
         node.lineno
-        for node in ast.walk(ast.parse(path.read_text()))
+        for node in source(path).nodes
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id == name
@@ -33,13 +33,13 @@ def _calls_of(path: Path, name: str) -> List[int]:
 
 def test_the_sweep_pool_is_constructed_in_one_module():
     builders = [
-        str(path.relative_to(SRC))
-        for path in sorted((SRC / "repro").rglob("*.py"))
-        if _calls_of(path, "SweepPool")
+        str(file.path.relative_to(SRC))
+        for file in package()
+        if _calls_of(file.path, "SweepPool")
     ]
     assert builders == ["repro/core/schedulers.py"]
 
 
 def test_the_device_server_keeps_no_identity_keyed_table():
-    server = SRC / "repro" / "service" / "device_server.py"
+    server = PACKAGE / "service" / "device_server.py"
     assert _calls_of(server, "id") == []

@@ -18,7 +18,8 @@ import ast
 from pathlib import Path
 from typing import Set
 
-from tests.test_one_pool import SRC, _calls_of
+from tests.source_index import PACKAGE, SRC, package, source
+from tests.test_one_pool import _calls_of
 
 MAX_ENGINE_ATTRIBUTES = 29
 
@@ -27,7 +28,7 @@ def _instance_attributes(path: Path, class_name: str) -> Set[str]:
     """Names ``class_name`` (defined in ``path``) assigns on ``self``."""
     (cls,) = [
         node
-        for node in ast.walk(ast.parse(path.read_text()))
+        for node in source(path).nodes
         if isinstance(node, ast.ClassDef) and node.name == class_name
     ]
     return {
@@ -41,23 +42,21 @@ def _instance_attributes(path: Path, class_name: str) -> Set[str]:
 
 
 def test_references_are_constructed_in_one_module():
-    sources = sorted((SRC / "repro").rglob("*.py"))
     builders = [
-        str(path.relative_to(SRC))
-        for path in sources
-        if _calls_of(path, "UnresolvedReference")
+        str(file.path.relative_to(SRC))
+        for file in package()
+        if _calls_of(file.path, "UnresolvedReference")
     ]
     assert builders == ["repro/core/component_iterator.py"]
     assert [
-        str(path.relative_to(SRC))
-        for path in sources
-        if "ChildReference" in path.read_text()
+        str(file.path.relative_to(SRC))
+        for file in package()
+        if "ChildReference" in file.text
     ] == []
 
 
 def test_the_engine_stays_under_the_key_sharing_limit():
-    repro = SRC / "repro"
     attributes = _instance_attributes(
-        repro / "core" / "assembly.py", "Assembly"
-    ) | _instance_attributes(repro / "iterator.py", "VolcanoIterator")
+        PACKAGE / "core" / "assembly.py", "Assembly"
+    ) | _instance_attributes(PACKAGE / "iterator.py", "VolcanoIterator")
     assert len(attributes) <= MAX_ENGINE_ATTRIBUTES, sorted(attributes)

@@ -2,13 +2,27 @@
 
 An option nothing outside ``tests/`` sets has one value in use and is a
 constant in disguise: it doubles the configurations the property suites
-must sample, for a value no figure, example or workload measures.  For
-every holder in ``HOLDERS`` — the six classes the drivers are built
-from, the request path from the fabric down to admission, the policy
-objects and the helper operators — every defaulted option (a
-constructor or function parameter, or a dataclass field) must be
-*named* by at least one call site under ``src/`` (outside the holder's
-own module), ``examples/`` or ``benchmarks/`` —
+must sample, for a value no figure, example or workload measures.
+
+**Holders** are read off the tree: every public class (its
+constructor's parameters, or its fields when it is a dataclass), every
+public method of one, and every public module-level function under
+``src/repro``.  Three named rules take holders out, each held by its
+own test below:
+
+* *counters and results* — classes named ``*Stats``, ``*Metrics``,
+  ``*Report``, ``*Result`` or ``Span``, with their methods: what they
+  hold is measured, not chosen;
+* *records* — a dataclass nothing under ``src/``, ``examples/`` or
+  ``benchmarks/`` constructs outside its own module: its own module
+  fills every field;
+* *figure grids* — the drivers ``ALL_FIGURES`` registers and the
+  sub-figures they call in their own module: their parameters are the
+  figure's grid (ROADMAP item 3 turns them into settings).
+
+Every defaulted option of every holder left must be *named* by at
+least one call site under ``src/`` (outside the holder's own module),
+``examples/`` or ``benchmarks/`` —
 
 * as a keyword argument of a call to the holder,
 * as a positional argument of a direct call (``DeviceHealthTracker(n)``),
@@ -18,10 +32,18 @@ own module), ``examples/`` or ``benchmarks/`` —
   ``{"cache_capacity": 0}``), the way ``DeviceServer.register`` hands
   ``health`` and ``spans`` to every query's ``Assembly``.
 
+A call reaches a holder by its own name, by a module-level alias
+(``AssemblyOperator = Assembly``), by ``super().__init__`` from a
+subclass, through a function that forwards its ``**kwargs`` to one of
+those (to a fixpoint), or through a registry dispatch in
+``REGISTRY_DISPATCH``, the one case the tree does not show.  Calls are
+matched by bare name: an over-approximation, so the rule can miss an
+unset option but never flags a set one.  The call sites are indexed in
+one pass over the session's cached trees.
+
 ``KEPT_FOR_TESTS`` names the few options kept on purpose, each with its
 reason; it is exact, so an entry whose option goes or gains a caller
-fails as well.  Counters and results (``*Stats``, ``*Metrics``,
-``*Report``, ``Span``) are not options and are not holders.
+fails as well.
 
 The same rule holds for operators: every concrete ``VolcanoIterator``
 subclass under ``src/repro`` must be named (called, subclassed or
@@ -36,69 +58,35 @@ and lists the functions nothing called.
 from __future__ import annotations
 
 import ast
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src" / "repro"
+from tests.source_index import PACKAGE, SourceFile, package, source, sources
 
-#: Option holder → (its module under src/repro, the names callers call
-#: it by).  A holder is a class (its constructor's parameters, or its
-#: fields when it is a dataclass), a ``Class.method`` or a module-level
-#: function.
-HOLDERS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
-    # The drivers.
-    "Assembly": ("core/assembly.py", ("Assembly", "AssemblyOperator")),
-    "PipelinedAssembly": ("core/multidevice.py", ("PipelinedAssembly",)),
-    "DeviceServer": ("service/device_server.py", ("DeviceServer",)),
-    "DeviceServerAssembly": (
-        "service/device_server.py", ("DeviceServerAssembly",)
-    ),
-    "AssemblyService": ("service/server.py", ("AssemblyService",)),
-    "BufferManager": ("storage/buffer.py", ("BufferManager",)),
-    # The request path: fabric → replica → service → admission.
-    "RequestSpec": ("fabric/fabric.py", ("RequestSpec",)),
-    "open_loop_workload": ("fabric/builder.py", ("open_loop_workload",)),
-    "ShardReplica": ("fabric/fabric.py", ("ShardReplica",)),
-    "Shard": ("fabric/fabric.py", ("Shard",)),
-    "AssemblyService.submit": ("service/server.py", ("submit",)),
-    "AdmissionController": (
-        "service/admission.py", ("AdmissionController",)
-    ),
-    "AdmissionController.submit": ("service/admission.py", ("submit",)),
-    # The policy objects.
-    "SheddingPolicy": ("fabric/fabric.py", ("SheddingPolicy",)),
-    "SLOTracker": ("obs/slo.py", ("SLOTracker",)),
-    "HedgePolicy": ("fabric/fabric.py", ("HedgePolicy",)),
-    "ReorgPolicy": ("cluster/reorg.py", ("ReorgPolicy",)),
-    "ConsistentHashRouter": (
-        "fabric/router.py", ("ConsistentHashRouter",)
-    ),
-    "Unclustered": ("cluster/policies.py", ("Unclustered",)),
-    "FaultConfig": ("storage/faults.py", ("FaultConfig",)),
-    "RetryPolicy": ("storage/faults.py", ("RetryPolicy",)),
-    "DeviceHealthTracker": ("storage/faults.py", ("DeviceHealthTracker",)),
-    # The helper operators.
-    "AdaptiveElevatorScheduler": (
-        "core/schedulers.py", ("AdaptiveElevatorScheduler", "make_scheduler")
-    ),
-    "StreamingHistogram": ("obs/histograms.py", ("StreamingHistogram",)),
-    "HashAggregate": ("volcano/aggregate.py", ("HashAggregate",)),
-    "Database": ("database.py", ("Database",)),
-    "Optimizer": ("query/optimizer.py", ("Optimizer",)),
-    "ParallelAssembly": ("volcano/assembly.py", ("ParallelAssembly",)),
-    "InterleavedAssemblies": (
-        "volcano/assembly.py", ("InterleavedAssemblies",)
-    ),
-    "StackedAssembly": ("core/stacking.py", ("StackedAssembly",)),
-}
+#: Where call sites that count live.
+CALLERS = ("src", "examples", "benchmarks")
+
+#: Class-name suffixes (and one name) of counters and results.
+COUNTER_SUFFIXES = ("Stats", "Metrics", "Report", "Result")
+COUNTER_NAMES = frozenset({"Span"})
+
+#: Dispatcher function → the module-level registry dict it calls an
+#: entry of (``SCHEDULERS[name](…)``): a call to the dispatcher counts
+#: as a call to every class the registry holds.
+REGISTRY_DISPATCH: Dict[str, str] = {"make_scheduler": "SCHEDULERS"}
+
+#: The module holding ``ALL_FIGURES``.
+FIGURE_REGISTRY = PACKAGE / "bench" / "figures.py"
 
 _FAULT_PATH = "a fault-path knob: ROADMAP item 2's crash and fault sweeps drive it"
 _SKETCH = (
     "tests/cluster/test_sketch_equivalence.py samples it; ROADMAP item 8 "
     "decides the sketch"
 )
+_SECTION_2 = "ROADMAP item 10: the Section 2 figure drives sort and heap, or they go"
+_CLI = "set from the command line by the module's own main()"
 
 #: Options kept although only tests set them, and why.  The list is
 #: exact: an entry whose option disappears or gains a caller fails too.
@@ -113,26 +101,69 @@ KEPT_FOR_TESTS: Dict[str, str] = {
     "ReorgPolicy.migration_retries": _FAULT_PATH,
     "ReorgPolicy.group_capacity": _SKETCH,
     "ReorgPolicy.prune_epsilon": _SKETCH,
+    "HeapFile.extent_pages": _SECTION_2,
+    "ExternalSort.run_capacity": _SECTION_2,
+    "ExternalSort.store": _SECTION_2,
+    "ExternalSort.reverse": _SECTION_2,
+    "plan_assembly_join.pages_spanned": (
+        "ROADMAP item 11: the estimate-vs-engine figure drives the chooser, "
+        "or it goes"
+    ),
+    "DeviceServer.starvation_bound": (
+        "DeviceServerAssembly, in the same module, turns the override off "
+        "with None; the starvation tests sweep the bound"
+    ),
+    "main.argv": f"{_CLI} (sys.argv); tests pass it in its place",
+    "compare_files.tolerance": f"{_CLI}: --tolerance",
+    "compare_documents.tolerance": f"{_CLI}: --tolerance",
 }
+
+#: The 30 holders of the hand-kept table this rule replaced: the
+#: derived set must keep covering each of them.
+FORMER_HOLDERS = (
+    "Assembly", "PipelinedAssembly", "DeviceServer", "DeviceServerAssembly",
+    "AssemblyService", "BufferManager", "RequestSpec", "open_loop_workload",
+    "ShardReplica", "Shard", "AssemblyService.submit", "AdmissionController",
+    "AdmissionController.submit", "SheddingPolicy", "SLOTracker",
+    "HedgePolicy", "ReorgPolicy", "ConsistentHashRouter", "Unclustered",
+    "FaultConfig", "RetryPolicy", "DeviceHealthTracker",
+    "AdaptiveElevatorScheduler", "StreamingHistogram", "HashAggregate",
+    "Database", "Optimizer", "ParallelAssembly", "InterleavedAssemblies",
+    "StackedAssembly",
+)
+
+
+@dataclass(frozen=True)
+class Holder:
+    """One option holder: a constructor, a method or a function."""
+
+    name: str  # "Class", "Class.method" or "function"
+    module: Path
+    ordered: Tuple[str, ...]  # every parameter, in positional order
+    defaulted: Tuple[str, ...]
+    dataclass: bool = False
+
+
+def _bare(node: ast.AST) -> Optional[str]:
+    """The bare name of a ``Name`` or ``Attribute``."""
+    return getattr(node, "id", getattr(node, "attr", None))
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
     """``@dataclass`` or ``@dataclass(...)``, by bare name."""
-    targets = [getattr(d, "func", d) for d in cls.decorator_list]
     return any(
-        getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
-        for target in targets
+        _bare(getattr(d, "func", d)) == "dataclass" for d in cls.decorator_list
     )
 
 
 def _function_parameters(
-    function: ast.FunctionDef, is_method: bool
-) -> Tuple[List[str], List[str]]:
+    function: ast.FunctionDef, skip_first: bool
+) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     """``(every parameter in positional order, the defaulted ones)``."""
     args = function.args
     positional = args.posonlyargs + args.args
-    if is_method:
-        positional = positional[1:]  # self
+    if skip_first:
+        positional = positional[1:]  # self or cls
     ordered = [a.arg for a in positional + args.kwonlyargs]
     defaulted = [a.arg for a in positional[len(positional) - len(args.defaults):]]
     defaulted += [
@@ -140,114 +171,83 @@ def _function_parameters(
         for a, default in zip(args.kwonlyargs, args.kw_defaults)
         if default is not None
     ]
-    return ordered, defaulted
+    return tuple(ordered), tuple(defaulted)
 
 
-def _parameters(tree: ast.AST, holder: str) -> Tuple[List[str], List[str]]:
-    """``(ordered parameters, defaulted ones)`` of one holder: a class's
-    constructor (a dataclass's fields), a method or a function."""
-    name, _, method = holder.partition(".")
-    (node,) = [
-        node
-        for node in tree.body
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
-        and node.name == name
-    ]
-    if isinstance(node, ast.FunctionDef):
-        return _function_parameters(node, is_method=False)
-    if not method and _is_dataclass(node):
-        fields = [
-            statement
-            for statement in node.body
-            if isinstance(statement, ast.AnnAssign)
-            and isinstance(statement.target, ast.Name)
-            and "ClassVar" not in ast.unparse(statement.annotation)
-        ]
-        return (
-            [field.target.id for field in fields],
-            [field.target.id for field in fields if field.value is not None],
-        )
-    functions = [
+def _fields(cls: ast.ClassDef) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """``(fields in order, the defaulted ones)`` of a dataclass."""
+    fields = [
         statement
-        for statement in node.body
-        if isinstance(statement, ast.FunctionDef)
-        and statement.name == (method or "__init__")
+        for statement in cls.body
+        if isinstance(statement, ast.AnnAssign)
+        and isinstance(statement.target, ast.Name)
+        and "ClassVar" not in ast.unparse(statement.annotation)
     ]
-    if not functions and not method:
-        return [], []  # no constructor of its own: nothing to set
-    (function,) = functions
-    return _function_parameters(function, is_method=True)
+    return (
+        tuple(field.target.id for field in fields),
+        tuple(field.target.id for field in fields if field.value is not None),
+    )
 
 
-def _callee(call: ast.Call):
-    return getattr(call.func, "attr", getattr(call.func, "id", None))
+def _is_static(function: ast.FunctionDef) -> bool:
+    return any(_bare(d) == "staticmethod" for d in function.decorator_list)
 
 
-def _forwarders(trees: List[ast.AST], call_names: Tuple[str, ...]) -> Set[str]:
-    """``call_names`` plus every function that hands its own ``**kwargs``
-    to one of them (``DeviceServer.register`` → ``Assembly``), to a
-    fixpoint.  Matched by bare name: an over-approximation, so the test
-    can miss an unset option but never flags a set one."""
-    names = set(call_names)
-    functions = [
-        node
-        for tree in trees
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.args.kwarg is not None
-    ]
-    grew = True
-    while grew:
-        grew = False
-        for function in functions:
-            if function.name in names:
-                continue
-            for node in ast.walk(function):
-                if (
-                    isinstance(node, ast.Call)
-                    and _callee(node) in names
-                    and any(
-                        k.arg is None
-                        and isinstance(k.value, ast.Name)
-                        and k.value.id == function.args.kwarg.arg
-                        for k in node.keywords
-                    )
-                ):
-                    names.add(function.name)
-                    grew = True
-                    break
-    return names
-
-
-def _named(
-    tree: ast.AST, callees: Set[str], own_name: str, ordered: List[str]
-) -> Set[str]:
-    """Option names one file hands to the holder: keywords of its calls
-    (direct or through a forwarder), the parameters a direct call fills
-    by position, plus — when one of those calls unpacks a ``**kwargs``
-    — the string keys the file puts into dicts."""
-    named: Set[str] = set()
-    keys: Set[str] = set()
-    forwards = False
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            if _callee(node) in callees:
-                named.update(k.arg for k in node.keywords if k.arg)
-                forwards = forwards or any(
-                    k.arg is None for k in node.keywords
+def _module_holders(file: SourceFile) -> Iterator[Holder]:
+    """Every public class, public method and public module-level
+    function one module defines."""
+    for node in file.tree.body:
+        if getattr(node, "name", "_").startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            yield Holder(node.name, file.path, *_function_parameters(node, False))
+        elif isinstance(node, ast.ClassDef):
+            methods = [s for s in node.body if isinstance(s, ast.FunctionDef)]
+            init = [m for m in methods if m.name == "__init__"]
+            if _is_dataclass(node):
+                yield Holder(node.name, file.path, *_fields(node), dataclass=True)
+            elif init:
+                yield Holder(
+                    node.name, file.path, *_function_parameters(init[0], True)
                 )
-                if _callee(node) == own_name and not any(
-                    isinstance(arg, ast.Starred) for arg in node.args
-                ):
-                    named.update(ordered[: len(node.args)])
-            elif _callee(node) == "setdefault":
-                keys.update(_strings(node.args[:1]))
-        elif isinstance(node, ast.Dict):
-            keys.update(_strings(node.keys))
-        elif isinstance(node, ast.Subscript) and isinstance(
-            node.ctx, ast.Store
-        ):
-            keys.update(_strings([node.slice]))
-    return named | keys if forwards else named
+            else:  # no constructor of its own: nothing to set
+                yield Holder(node.name, file.path, (), ())
+            for method in methods:
+                if not method.name.startswith("_"):
+                    yield Holder(
+                        f"{node.name}.{method.name}",
+                        file.path,
+                        *_function_parameters(method, not _is_static(method)),
+                    )
+
+
+@lru_cache(maxsize=None)
+def all_holders() -> Tuple[Holder, ...]:
+    """Every holder under ``src/repro``, before the exclusion rules."""
+    return tuple(h for file in package() for h in _module_holders(file))
+
+
+# -- the call-site index ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CallSite:
+    """One call: where it is and which option names it hands over."""
+
+    path: Path
+    keywords: FrozenSet[str]
+    positional: Optional[int]  # None when it unpacks ``*args``
+    forwards: bool  # it unpacks a ``**`` mapping
+
+
+@dataclass
+class CallIndex:
+    """Every call site under ``CALLERS``, by bare callee name."""
+
+    calls: Dict[str, List[CallSite]]
+    keys: Dict[Path, FrozenSet[str]]  # string keys a file puts in dicts
+    forwarded_by: Dict[str, Set[str]]  # callee → functions passing it **kwargs
+    aliases: Dict[str, Set[str]]  # name → module-level aliases of it
 
 
 def _strings(nodes) -> Set[str]:
@@ -258,40 +258,252 @@ def _strings(nodes) -> Set[str]:
     }
 
 
-@lru_cache(maxsize=None)
-def _trees() -> Dict[Path, ast.AST]:
-    """Every file that may hold a call site (and every module under
-    ``src/repro``), parsed once."""
-    files = sorted(SRC.rglob("*.py"))
-    for directory in ("examples", "benchmarks"):
-        files += sorted((ROOT / directory).rglob("*.py"))
-    return {path: ast.parse(path.read_text()) for path in files}
+def _scoped(tree: ast.Module) -> Iterator[Tuple[ast.AST, Tuple, Tuple[str, ...]]]:
+    """Every node with its enclosing functions (innermost last, each
+    paired with its forwarding name: a constructor forwards as its
+    class) and the base names of its innermost enclosing class."""
+    stack: List[Tuple[ast.AST, Tuple, Tuple[str, ...]]] = [(tree, (), ())]
+    while stack:
+        node, functions, bases = stack.pop()
+        yield node, functions, bases
+        if isinstance(node, ast.ClassDef):
+            inner_bases = tuple(_bare(base) for base in node.bases)
+            for child in node.body:
+                if isinstance(child, ast.FunctionDef):
+                    name = node.name if child.name == "__init__" else child.name
+                    stack.append((child, functions + ((child, name),), inner_bases))
+                else:
+                    stack.append((child, functions, inner_bases))
+            continue
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                stack.append((child, functions + ((child, child.name),), bases))
+            else:
+                stack.append((child, functions, bases))
+
+
+def _is_super_init(call: ast.Call) -> bool:
+    func = call.func
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == "__init__"
+        and isinstance(func.value, ast.Call)
+        and _bare(func.value.func) == "super"
+    )
 
 
 @lru_cache(maxsize=None)
-def _unset_options() -> Tuple[str, ...]:
+def call_index() -> CallIndex:
+    """One pass over every caller file's cached tree."""
+    index = CallIndex({}, {}, {}, {})
+    for file in sources(*CALLERS):
+        keys: Set[str] = set()
+        for node, functions, bases in _scoped(file.tree):
+            if isinstance(node, ast.Call):
+                callees = bases if _is_super_init(node) else (_bare(node.func),)
+                unpacked = [
+                    k.value.id
+                    for k in node.keywords
+                    if k.arg is None and isinstance(k.value, ast.Name)
+                ]
+                site = CallSite(
+                    file.path,
+                    frozenset(k.arg for k in node.keywords if k.arg),
+                    None
+                    if any(isinstance(a, ast.Starred) for a in node.args)
+                    else len(node.args),
+                    any(k.arg is None for k in node.keywords),
+                )
+                for callee in callees:
+                    index.calls.setdefault(callee, []).append(site)
+                    for function, name in reversed(functions):
+                        kwarg = function.args.kwarg
+                        if kwarg is not None and kwarg.arg in unpacked:
+                            index.forwarded_by.setdefault(callee, set()).add(name)
+                            break
+                if callees == ("setdefault",):
+                    keys |= _strings(node.args[:1])
+            elif isinstance(node, ast.Dict):
+                keys |= _strings(node.keys)
+            elif isinstance(node, ast.Subscript) and isinstance(
+                node.ctx, ast.Store
+            ):
+                keys |= _strings([node.slice])
+            elif (
+                not functions
+                and isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Name)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+            ):
+                index.aliases.setdefault(node.value.id, set()).add(
+                    node.targets[0].id
+                )
+        index.keys[file.path] = frozenset(keys)
+    return index
+
+
+def _registry_classes(dispatcher: str, registry: str) -> Set[str]:
+    """The classes ``registry`` (a module-level value) holds, when
+    ``dispatcher`` is a function of the same module that subscripts it;
+    empty when the dispatch is not there."""
+    for file in package():
+        body = file.tree.body
+        functions = {n.name: n for n in body if isinstance(n, ast.FunctionDef)}
+        classes = {n.name for n in body if isinstance(n, ast.ClassDef)}
+        values = [
+            node.value
+            for node in body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and registry
+            in [
+                _bare(t)
+                for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            ]
+        ]
+        if dispatcher in functions and values and any(
+            isinstance(node, ast.Subscript) and _bare(node.value) == registry
+            for node in ast.walk(functions[dispatcher])
+        ):
+            return {
+                node.id
+                for node in ast.walk(values[0])
+                if isinstance(node, ast.Name) and node.id in classes
+            }
+    return set()
+
+
+def _call_names(holder: Holder) -> Tuple[Set[str], Set[str]]:
+    """``(names a direct call uses, names any call uses)``: the direct
+    ones fill parameters by position too."""
+    own = holder.name.rpartition(".")[2]
+    direct = {own} | call_index().aliases.get(own, set())
+    dispatchers = {
+        dispatcher
+        for dispatcher, registry in REGISTRY_DISPATCH.items()
+        if own in _registry_classes(dispatcher, registry)
+    }
+    names = set(direct | dispatchers)
+    grow = list(names)
+    while grow:  # the **kwargs forwarders, to a fixpoint
+        for forwarder in call_index().forwarded_by.get(grow.pop(), ()):
+            if forwarder not in names:
+                names.add(forwarder)
+                grow.append(forwarder)
+    return direct, names
+
+
+def _named(holder: Holder) -> Set[str]:
+    """Option names the call sites outside the holder's module hand it."""
+    index = call_index()
+    direct, callees = _call_names(holder)
+    named: Set[str] = set()
+    for callee in callees:
+        for site in index.calls.get(callee, ()):
+            if site.path == holder.module:
+                continue
+            named |= site.keywords
+            if callee in direct and site.positional is not None:
+                named.update(holder.ordered[: site.positional])
+            if site.forwards:
+                named |= index.keys[site.path]
+    return named
+
+
+# -- the named exclusion rules ----------------------------------------------
+
+
+def is_counter(class_name: str) -> bool:
+    """Counters and results: what they hold is measured, not chosen."""
+    return class_name in COUNTER_NAMES or class_name.endswith(COUNTER_SUFFIXES)
+
+
+@lru_cache(maxsize=None)
+def records() -> FrozenSet[str]:
+    """Dataclasses no call site outside their own module constructs."""
+    index = call_index()
+    return frozenset(
+        holder.name
+        for holder in all_holders()
+        if holder.dataclass
+        and not any(
+            site.path != holder.module
+            for name in _call_names(holder)[0]
+            for site in index.calls.get(name, ())
+        )
+    )
+
+
+@lru_cache(maxsize=None)
+def figure_grids() -> FrozenSet[Tuple[Path, str]]:
+    """``(module, function)`` of every driver ``ALL_FIGURES`` registers,
+    and of every module-level function a driver calls in its module."""
+    tree = source(FIGURE_REGISTRY).tree
+    (registry,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [_bare(t) for t in node.targets] == ["ALL_FIGURES"]
+    ]
+    modules = {
+        alias.asname or alias.name: PACKAGE.joinpath(
+            *node.module.split(".")[1:]
+        ).with_suffix(".py")
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+    }
+    grids: Set[Tuple[Path, str]] = set()
+    for value in registry.values:
+        driver = value.id
+        module = modules.get(driver, FIGURE_REGISTRY)
+        functions = {
+            node.name: node
+            for node in source(module).tree.body
+            if isinstance(node, ast.FunctionDef)
+        }
+        grids.add((module, driver))
+        grids.update(
+            (module, node.func.id)
+            for node in ast.walk(functions[driver])
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in functions
+        )
+    return frozenset(grids)
+
+
+def holders() -> List[Holder]:
+    """The holders the rule checks: every one the three rules leave."""
+    grids = figure_grids()
+    return [
+        holder
+        for holder in all_holders()
+        if not is_counter(holder.name.partition(".")[0])
+        and holder.name not in records()
+        and (holder.module, holder.name) not in grids
+    ]
+
+
+@lru_cache(maxsize=None)
+def unset_options() -> Tuple[str, ...]:
     """``Holder.option`` for every defaulted option of every holder that
     no call site outside ``tests/`` (and outside its own module) sets."""
-    trees = _trees()
     unset = []
-    for holder, (module, call_names) in HOLDERS.items():
-        own = SRC / module
-        ordered, defaulted = _parameters(trees[own], holder)
-        callers = [tree for path, tree in trees.items() if path != own]
-        callees = _forwarders(list(trees.values()), call_names)
-        own_name = holder.rpartition(".")[2]
-        named: Set[str] = set()
-        for tree in callers:
-            named |= _named(tree, callees, own_name, ordered)
-        unset += [
-            f"{holder}.{option}" for option in defaulted if option not in named
-        ]
+    for holder in holders():
+        if holder.defaulted:
+            named = _named(holder)
+            unset += [
+                f"{holder.name}.{option}"
+                for option in holder.defaulted
+                if option not in named
+            ]
     return tuple(unset)
 
 
 def test_every_defaulted_option_is_set_by_some_caller():
     unexplained = [
-        option for option in _unset_options() if option not in KEPT_FOR_TESTS
+        option for option in unset_options() if option not in KEPT_FOR_TESTS
     ]
     assert unexplained == [], (
         "options no call site outside tests/ sets (make each a constant "
@@ -302,10 +514,69 @@ def test_every_defaulted_option_is_set_by_some_caller():
 def test_kept_for_tests_names_only_options_still_unset():
     """An allow-listed option that is gone, or that a caller now sets,
     leaves the list: it no longer needs the exemption."""
-    stale = sorted(set(KEPT_FOR_TESTS) - set(_unset_options()))
+    stale = sorted(set(KEPT_FOR_TESTS) - set(unset_options()))
     assert stale == [], (
         f"KEPT_FOR_TESTS entries that no longer exist or gained a caller: "
         f"{stale}"
+    )
+
+
+def test_the_derived_holders_cover_the_former_table():
+    names = {holder.name for holder in holders()}
+    assert sorted(set(FORMER_HOLDERS) - names) == []
+
+
+def test_counters_and_results_are_not_holders():
+    for name in ("ServiceMetrics", "PipelineStats", "FabricReport",
+                 "FigureResult", "LayoutResult", "Span"):
+        assert is_counter(name), name
+    for name in ("SpanRecorder", "StatsSink", "ResultCache", "Spanner"):
+        assert not is_counter(name), name
+    checked = {holder.name for holder in holders()}
+    assert "ServiceMetrics" not in checked and "SpanRecorder" in checked
+
+
+def test_records_are_the_dataclasses_only_their_module_builds():
+    found = records()
+    assert {
+        "ReorgRound", "MigrationPlan", "ComplexObjectState", "TraceEvent",
+        "AdmissionTicket", "ACOBDatabase",
+    } <= found
+    # Constructed by callers elsewhere (or not a dataclass): holders.
+    assert not {"FaultConfig", "RequestSpec", "ReorgPolicy", "Assembly"} & found
+
+
+def test_figure_grids_are_the_registered_drivers_and_their_sub_figures():
+    grids = {name for _module, name in figure_grids()}
+    assert {"figure_11", "figure_fabric", "figure_volcano"} <= grids
+    assert not {"build_sharded_fabric", "build_layout"} & grids
+    # A sub-figure is one the driver calls in the driver's own module.
+    (module,) = {m for m, name in figure_grids() if name == "figure_fabric"}
+    assert module == PACKAGE / "bench" / "fabric.py"
+
+
+def test_each_registry_dispatch_is_real():
+    """``REGISTRY_DISPATCH`` stays small and names only dispatches the
+    tree really makes."""
+    assert len(REGISTRY_DISPATCH) <= 3
+    for dispatcher, registry in REGISTRY_DISPATCH.items():
+        assert _registry_classes(dispatcher, registry), (dispatcher, registry)
+    assert not _registry_classes("make_scheduler", "ALL_FIGURES")
+
+
+def test_call_names_are_derived():
+    """Aliases, ``super().__init__``, ``**kwargs`` forwarders and the
+    registry dispatch each reach their holder."""
+    by_name = {holder.name: holder for holder in all_holders()}
+    assert "AssemblyOperator" in _call_names(by_name["Assembly"])[0]
+    assert "register" in _call_names(by_name["Assembly"])[1]
+    assert "make_scheduler" in _call_names(
+        by_name["AdaptiveElevatorScheduler"]
+    )[1]
+    # ParallelAssembly hands PipelinedAssembly its options by super().
+    assert any(
+        site.path == PACKAGE / "volcano" / "assembly.py"
+        for site in call_index().calls["PipelinedAssembly"]
     )
 
 
@@ -316,16 +587,9 @@ UNDRIVEN_OPERATORS: Dict[str, str] = {
 }
 
 
-def _base_names(cls: ast.ClassDef) -> List[str]:
-    return [
-        getattr(base, "id", getattr(base, "attr", None)) for base in cls.bases
-    ]
-
-
 def _is_abstract(cls: ast.ClassDef) -> bool:
     return any(
-        getattr(decorator, "id", getattr(decorator, "attr", None))
-        == "abstractmethod"
+        _bare(decorator) == "abstractmethod"
         for node in cls.body
         if isinstance(node, ast.FunctionDef)
         for decorator in node.decorator_list
@@ -336,9 +600,9 @@ def _operator_modules() -> Dict[str, Path]:
     """Concrete ``VolcanoIterator`` subclasses under ``src/repro``, by
     name, with the module each is defined in."""
     classes = {
-        node.name: (node, path)
-        for path in sorted(SRC.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
+        node.name: (node, file.path)
+        for file in package()
+        for node in file.nodes
         if isinstance(node, ast.ClassDef)
     }
     operators = {"VolcanoIterator"}
@@ -346,7 +610,9 @@ def _operator_modules() -> Dict[str, Path]:
     while grew:
         grew = False
         for name, (node, _path) in classes.items():
-            if name not in operators and operators & set(_base_names(node)):
+            if name not in operators and operators & {
+                _bare(base) for base in node.bases
+            }:
                 operators.add(name)
                 grew = True
     return {
@@ -354,18 +620,6 @@ def _operator_modules() -> Dict[str, Path]:
         for name in operators
         if name in classes and not _is_abstract(classes[name][0])
     }
-
-
-def _referenced_names(path: Path) -> Set[str]:
-    """Every name a file uses: bare names and attribute names (calls,
-    base classes and plain references alike; imports do not count)."""
-    names: Set[str] = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
 
 
 def test_every_operator_is_named_by_a_driver():
@@ -377,17 +631,15 @@ def test_every_operator_is_named_by_a_driver():
         f"{sorted(set(UNDRIVEN_OPERATORS) - set(operators))}"
     )
     files = [
-        path for path in sorted(SRC.rglob("*.py")) if path.name != "__init__.py"
+        file
+        for file in sources(*CALLERS)
+        if not (file.path.is_relative_to(PACKAGE) and file.path.name == "__init__.py")
     ]
-    for directory in ("examples", "benchmarks"):
-        files += sorted((ROOT / directory).rglob("*.py"))
     undriven = sorted(
         name
         for name, module in operators.items()
         if name not in UNDRIVEN_OPERATORS
-        and not any(
-            name in _referenced_names(path) for path in files if path != module
-        )
+        and not any(name in file.names for file in files if file.path != module)
     )
     assert undriven == [], (
         f"operators nothing outside tests/ names: {undriven}"

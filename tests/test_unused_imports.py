@@ -20,11 +20,10 @@ fails tier-1 first.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 from typing import Dict, Iterator, List, Set, Tuple
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
+from tests.source_index import ROOT, SRC, package, sources
+
 #: Where the rules without a ``src``-only exemption look.
 TREES = ("src", "tests", "benchmarks", "examples")
 
@@ -65,13 +64,13 @@ def _read(tree: ast.AST) -> Set[str]:
 
 def test_no_unused_module_level_imports():
     offenders: List[str] = []
-    for path in sorted((SRC / "repro").rglob("*.py")):
-        if path.name == "__init__.py":
+    for file in package():
+        if file.path.name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text())
+        tree = file.tree
         read = _read(tree)
         offenders += [
-            f"{path.relative_to(SRC)}:{line}: {name}"
+            f"{file.path.relative_to(SRC)}:{line}: {name}"
             for name, line in _imported(tree).items()
             if name not in read
         ]
@@ -82,9 +81,8 @@ def test_no_unused_module_level_imports():
 
 def _modules() -> Iterator[Tuple[str, ast.Module]]:
     """``(repo-relative path, parsed module)`` of every file in TREES."""
-    for tree in TREES:
-        for path in sorted((ROOT / tree).rglob("*.py")):
-            yield str(path.relative_to(ROOT)), ast.parse(path.read_text())
+    for file in sources(*TREES):
+        yield str(file.path.relative_to(ROOT)), file.tree
 
 
 def _mutable_defaults(tree: ast.AST) -> List[int]:

@@ -15,26 +15,26 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
-from pathlib import Path
 
 import repro.volcano
 from repro.iterator import VolcanoIterator
 from repro.volcano.plan import describe_operator, walk_plan
 
 from test_conformance import OPERATOR_FACTORIES
+from tests.source_index import PACKAGE, package
 
-VOLCANO_SRC = Path(repro.volcano.__file__).parent
+VOLCANO_SRC = PACKAGE / "volcano"
 
 
 def operator_classes():
     """name -> class, for every concrete operator defined in volcano/."""
     classes = {}
-    for path in sorted(VOLCANO_SRC.glob("*.py")):
-        if path.name == "__init__.py":
+    for file in package():
+        path = file.path
+        if path.parent != VOLCANO_SRC or path.name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text(), filename=str(path))
         module = importlib.import_module(f"repro.volcano.{path.stem}")
-        for node in ast.walk(tree):
+        for node in file.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             obj = getattr(module, node.name, None)

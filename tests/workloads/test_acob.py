@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.objects.model import validate_database
+from repro.workloads import acob
 from repro.workloads.acob import (
     PAYLOAD_RANGE,
     PAYLOAD_SLOT,
@@ -60,15 +61,14 @@ class TestGeometry:
         b = generate_acob(5, seed=2)
         assert a.payloads != b.payloads
 
-    def test_two_level_trees(self):
-        db = generate_acob(4, levels=2)
+    def test_two_level_trees(self, monkeypatch):
+        monkeypatch.setattr(acob, "LEVELS", 2)
+        db = generate_acob(4)
         assert all(len(c) == 3 for c in db.complex_objects)
 
     def test_bad_parameters(self):
         with pytest.raises(ReproError):
             generate_acob(0)
-        with pytest.raises(ReproError):
-            generate_acob(5, levels=0)
         with pytest.raises(ReproError):
             generate_acob(5, sharing=1.5)
 
@@ -93,15 +93,6 @@ class TestSharing:
             assert len(external) == 1
             assert external[0] in pool
 
-    def test_custom_shared_position(self):
-        db = generate_acob(10, sharing=0.2, shared_position=3)
-        for cobj in db.complex_objects:
-            positions = {o.ints["position"] for o in cobj.objects.values()}
-            assert 3 not in positions
-
-    def test_non_leaf_shared_position_rejected(self):
-        with pytest.raises(ReproError):
-            generate_acob(10, sharing=0.2, shared_position=1)
 
 
 class TestDiskOrders:

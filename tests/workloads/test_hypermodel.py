@@ -10,6 +10,7 @@ from repro.objects.model import validate_database
 from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
 from repro.iterator import ListSource
+from repro.workloads import hypermodel
 from repro.workloads.hypermodel import (
     FANOUT,
     generate_hypermodel,
@@ -19,13 +20,13 @@ from repro.workloads.hypermodel import (
 
 class TestGenerator:
     def test_document_structure(self):
-        db = generate_hypermodel(4, levels=3, annotation_probability=0.0)
+        db = generate_hypermodel(4, annotation_probability=0.0)
         assert db.n_documents == 4
         assert db.sections_per_document() == 1 + 5 + 25
         assert all(len(c) == 31 for c in db.complex_objects)
 
     def test_fanout(self):
-        db = generate_hypermodel(2, levels=2, annotation_probability=0.0)
+        db = generate_hypermodel(2, annotation_probability=0.0)
         cobj = db.complex_objects[0]
         root = cobj.objects[cobj.root]
         children = [
@@ -54,7 +55,7 @@ class TestGenerator:
         assert db.shared_pool == {}
 
     def test_levels_annotated(self):
-        db = generate_hypermodel(2, levels=3, annotation_probability=0.0)
+        db = generate_hypermodel(2, annotation_probability=0.0)
         cobj = db.complex_objects[0]
         levels = sorted(
             {obj.ints["level"] for obj in cobj.objects.values()}
@@ -65,25 +66,19 @@ class TestGenerator:
         with pytest.raises(ReproError):
             generate_hypermodel(0)
         with pytest.raises(ReproError):
-            generate_hypermodel(2, levels=0)
-        with pytest.raises(ReproError):
             generate_hypermodel(2, annotation_probability=1.5)
 
 
 class TestTemplate:
-    def test_node_counts(self):
-        bare = hypermodel_template(levels=2, with_annotations=False)
-        assert bare.node_count == 6  # root + 5 sections
-        noted = hypermodel_template(levels=2, with_annotations=True)
-        assert noted.node_count == 6 + 5  # one note slot per leaf
+    def test_node_counts(self, monkeypatch):
+        monkeypatch.setattr(hypermodel, "LEVELS", 2)
+        noted = hypermodel_template()
+        assert noted.node_count == 6 + 5  # root + 5 sections, a note each
 
-    def test_annotation_nodes_shared(self):
-        template = hypermodel_template(levels=2)
+    def test_annotation_nodes_shared(self, monkeypatch):
+        monkeypatch.setattr(hypermodel, "LEVELS", 2)
+        template = hypermodel_template()
         assert len(template.shared_labels()) == FANOUT
-
-    def test_bad_levels(self):
-        with pytest.raises(ReproError):
-            hypermodel_template(levels=0)
 
 
 class TestAssemblyOverHyperModel:

@@ -11,6 +11,7 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
 from repro.volcano.filters import Filter
 from repro.iterator import ListSource
+from repro.workloads import person
 from repro.workloads.person import (
     FATHER_SLOT,
     RESIDENCE_SLOT,
@@ -35,16 +36,18 @@ class TestGenerator:
         father = cobj.objects[child.refs["father"]]
         assert "residence" in father.refs
 
-    def test_shared_residences_occur(self):
-        db = generate_people(50, share_residence_probability=1.0, seed=3)
+    def test_shared_residences_occur(self, monkeypatch):
+        monkeypatch.setattr(person, "SHARE_RESIDENCE_PROBABILITY", 1.0)
+        db = generate_people(50, seed=3)
         for cobj in db.complex_objects:
             child = cobj.objects[cobj.root]
             father = cobj.objects[child.refs["father"]]
             assert child.refs["residence"] == father.refs["residence"]
             assert len(cobj) == 3  # child, father, one shared residence
 
-    def test_no_sharing_when_probability_zero(self):
-        db = generate_people(20, share_residence_probability=0.0, seed=4)
+    def test_no_sharing_when_probability_zero(self, monkeypatch):
+        monkeypatch.setattr(person, "SHARE_RESIDENCE_PROBABILITY", 0.0)
+        db = generate_people(20, seed=4)
         assert all(len(c) == 4 for c in db.complex_objects)
 
     def test_oracle_shape(self):
@@ -57,21 +60,19 @@ class TestGenerator:
             generate_people(0)
         with pytest.raises(ReproError):
             generate_people(5, n_cities=0)
-        with pytest.raises(ReproError):
-            generate_people(5, share_residence_probability=2.0)
-        with pytest.raises(ReproError):
-            generate_people(5, orphan_probability=-0.1)
 
-    def test_orphans_have_no_father(self):
-        db = generate_people(30, orphan_probability=1.0, seed=8)
+    def test_orphans_have_no_father(self, monkeypatch):
+        monkeypatch.setattr(person, "ORPHAN_PROBABILITY", 1.0)
+        db = generate_people(30, seed=8)
         for cobj in db.complex_objects:
             child = cobj.objects[cobj.root]
             assert "father" not in child.refs
             assert len(cobj) == 2  # person + own residence
         assert not any(db.close_to_father)
 
-    def test_mixed_orphans_validate(self):
-        db = generate_people(40, orphan_probability=0.4, seed=9)
+    def test_mixed_orphans_validate(self, monkeypatch):
+        monkeypatch.setattr(person, "ORPHAN_PROBABILITY", 0.4)
+        db = generate_people(40, seed=9)
         validate_database(db.complex_objects, db.shared_pool)
         sizes = {len(c) for c in db.complex_objects}
         assert 2 in sizes  # some orphans
@@ -87,19 +88,13 @@ class TestTemplate:
         assert RESIDENCE_SLOT in father.children
 
     def test_residences_marked_shared(self):
-        template = person_template(share_residences=True)
+        template = person_template()
         assert len(template.shared_labels()) == 2
-
-    def test_unshared_variant(self):
-        template = person_template(share_residences=False)
-        assert template.shared_labels() == []
 
 
 class TestQuery:
-    def run_query(self, n=60, seed=7, orphan_probability=0.0):
-        db = generate_people(
-            n, seed=seed, orphan_probability=orphan_probability
-        )
+    def run_query(self, n=60, seed=7):
+        db = generate_people(n, seed=seed)
         store = ObjectStore(SimulatedDisk())
         layout = layout_database(
             db.complex_objects, store, Unclustered(), shared=db.shared_pool
@@ -124,9 +119,10 @@ class TestQuery:
         )
         assert person_ids == expected
 
-    def test_query_with_orphans_matches_oracle(self):
+    def test_query_with_orphans_matches_oracle(self, monkeypatch):
         """Shallow data (null fathers) assembles and filters correctly."""
-        db, close = self.run_query(n=80, seed=12, orphan_probability=0.3)
+        monkeypatch.setattr(person, "ORPHAN_PROBABILITY", 0.3)
+        db, close = self.run_query(n=80, seed=12)
         person_ids = sorted(c.root.ints[1] for c in close)
         expected = sorted(
             2 * i for i, flag in enumerate(db.close_to_father) if flag

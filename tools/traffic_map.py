@@ -19,8 +19,9 @@ directory that leads ``PYTHONPATH``, so the subprocesses the commands
 start (one per observatory workload) are recorded too.  Everything runs
 from a copy of the tree in that temporary directory: the checkout gains
 no ``__pycache__`` and no output file.  Standard library only; about
-six minutes under the hook, so this is a documented command, not a
-test or a CI job.
+six minutes under the hook, so this is not a tier-1 test: the weekly
+``traffic map`` CI workflow fails when its output differs from the
+committed ``results/traffic/uncalled.txt``.
 
 A function's line count is ``end_lineno - lineno + 1`` of its ``def``
 (a nested ``def`` is a function of its own and also lies inside its
