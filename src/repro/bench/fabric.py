@@ -53,17 +53,34 @@ SHED_LOADS = (0.5, 1.0, 2.0, 3.0)
 KNEE_FACTOR = 5.0
 
 
-def _build(db, **kwargs) -> ServiceFabric:
+def _build(
+    db,
+    n_shards,
+    replicas_per_shard=1,
+    *,
+    placement="shortest-queue",
+    speed_factors=None,
+    hedging=None,
+    shedding=None,
+) -> ServiceFabric:
     """One fabric, benchmark configuration: bounded buffers so each
     shard's admission serializes its backlog (queueing is the signal),
     a deep wait queue so nothing is rejected unless F-3 asks for it,
     and no result cache (the workload wraps the root population, and
     zero-latency cache hits would flatter every curve)."""
-    kwargs.setdefault("buffer_capacity", 64)
-    kwargs.setdefault("max_waiting", 10_000)
-    kwargs.setdefault("cache_capacity", 0)
-    kwargs.setdefault("cluster_pages", 64)
-    return build_sharded_fabric(db, **kwargs)
+    return build_sharded_fabric(
+        db,
+        n_shards,
+        replicas_per_shard,
+        cluster_pages=64,
+        buffer_capacity=64,
+        cache_capacity=0,
+        max_waiting=10_000,
+        hedging=hedging,
+        shedding=shedding,
+        placement=placement,
+        speed_factors=speed_factors,
+    )
 
 
 def _calibrate_service_ms(db, requests: int) -> float:

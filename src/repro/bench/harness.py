@@ -24,12 +24,7 @@ from repro.cluster.layout import (
     restore_layout,
     snapshot_layout,
 )
-from repro.cluster.policies import (
-    ClusteringPolicy,
-    InterObjectClustering,
-    IntraObjectClustering,
-    Unclustered,
-)
+from repro.cluster.policies import make_policy
 from repro.core.assembly import Assembly
 from repro.errors import ReproError
 from repro.iterator import ListSource
@@ -128,23 +123,6 @@ _LAYOUT_SNAPSHOTS: Dict[Tuple, LayoutSnapshot] = {}
 _LAYOUT_CACHE_LIMIT = 8
 
 
-def make_policy(config: ExperimentConfig, database: ACOBDatabase) -> ClusteringPolicy:
-    """Instantiate the clustering policy a config names.
-
-    Inter-object clustering gets the depth-first-friendly cluster disk
-    order — the Figure 12 layout whose mismatch with breadth-first
-    fetch order produces the Figure 11A artifact.
-    """
-    if config.clustering == "inter-object":
-        return InterObjectClustering(
-            cluster_pages=config.cluster_pages,
-            disk_order=database.type_ids_depth_first(),
-        )
-    if config.clustering == "intra-object":
-        return IntraObjectClustering()
-    return Unclustered()
-
-
 def build_layout(
     config: ExperimentConfig, disk: Optional[SimulatedDisk] = None
 ) -> Tuple[ACOBDatabase, LayoutResult]:
@@ -186,10 +164,17 @@ def build_layout(
     snapshot = _LAYOUT_SNAPSHOTS.get(key)
     if snapshot is not None:
         return database, restore_layout(snapshot, store)
+    # Inter-object clustering gets the depth-first-friendly cluster disk
+    # order: the Figure 12 layout whose mismatch with breadth-first
+    # fetch order produces the Figure 11A artifact.
     layout = layout_database(
         database.complex_objects,
         store,
-        make_policy(config, database),
+        make_policy(
+            config.clustering,
+            cluster_pages=config.cluster_pages,
+            disk_order=database.type_ids_depth_first(),
+        ),
         shared=database.shared_pool,
         validate=False,  # generators validate once; layouts are hot paths
     )
@@ -203,13 +188,13 @@ def build_assembly(
     config: ExperimentConfig,
     database: ACOBDatabase,
     layout: LayoutResult,
-    **kwargs,
+    spans: Optional[SpanRecorder] = None,
 ) -> Assembly:
     """Construct the assembly operator for one run.
 
-    ``kwargs`` go to the operator: a trace's ``spans`` recorder
-    (:func:`trace_experiment`); tracing is strictly observational and
-    never changes results or disk metrics.
+    ``spans`` is a trace's recorder (:func:`trace_experiment`); tracing
+    is strictly observational and never changes results or disk
+    metrics.
     """
     predicate = None
     predicate_position = None
@@ -230,7 +215,7 @@ def build_assembly(
         scheduler=config.scheduler,
         use_sharing_statistics=config.use_sharing_statistics,
         batch_pages=config.batch_pages,
-        **kwargs,
+        spans=spans,
     )
 
 

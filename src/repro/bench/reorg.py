@@ -136,21 +136,14 @@ def _run_mode(
     schedule: Schedule,
     window: int,
     reorg_policy: Optional[ReorgPolicy] = None,
-    pass_kwarg: bool = True,
 ) -> _ModeRun:
-    """Replay ``schedule`` against one layout; price every phase.
-
-    ``pass_kwarg=False`` builds the service without mentioning
-    ``reorg_policy`` at all — the G-3 anchor distinguishing "feature
-    absent" from "feature off".
-    """
+    """Replay ``schedule`` against one layout; price every phase."""
     database, layout = build_layout(config)
     template = make_template(database)
     store = layout.store
-    kwargs: Dict[str, object] = {"cache_capacity": 0}
-    if pass_kwarg:
-        kwargs["reorg_policy"] = reorg_policy
-    service = AssemblyService(store, **kwargs)
+    service = AssemblyService(
+        store, cache_capacity=0, reorg_policy=reorg_policy
+    )
     reorg = service.server.reorg
     if reorg is not None:
         reorg.bind_layout(layout)
@@ -365,11 +358,8 @@ def figure_reorg(
         schedule,
         window,
         reorg_policy=None,
-        pass_kwarg=True,
     )
-    plain_run = _run_mode(
-        config_for("intra-object"), schedule, window, pass_kwarg=False
-    )
+    plain_run = _run_mode(config_for("intra-object"), schedule, window)
     for phase in range(phases):
         anchor.add_point(
             "reorg_policy=None", phase + 1, round(off_run.avg_seek[phase], 3)

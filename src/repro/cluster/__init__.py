@@ -9,12 +9,12 @@ from repro.cluster.layout import (
 )
 from repro.cluster.policies import (
     DEFAULT_CLUSTER_PAGES,
-    POLICIES,
     ClusteringPolicy,
     InterObjectClustering,
     IntraObjectClustering,
     Placement,
     Unclustered,
+    make_policy,
 )
 from repro.cluster.reorg import (
     AffinitySketch,
@@ -29,7 +29,6 @@ from repro.cluster.reorg import (
 
 __all__ = [
     "DEFAULT_CLUSTER_PAGES",
-    "POLICIES",
     "AffinitySketch",
     "ClusteringPolicy",
     "DeviceIdleTracker",
@@ -46,6 +45,7 @@ __all__ = [
     "ReorgRound",
     "Unclustered",
     "layout_database",
+    "make_policy",
     "restore_layout",
     "snapshot_layout",
 ]

@@ -217,9 +217,22 @@ class IntraObjectClustering(ClusteringPolicy):
         return placement
 
 
-#: The three paper policies keyed by their benchmark-table names.
-POLICIES = {
-    Unclustered.name: Unclustered,
-    InterObjectClustering.name: InterObjectClustering,
-    IntraObjectClustering.name: IntraObjectClustering,
-}
+def make_policy(
+    clustering: str,
+    cluster_pages: int = DEFAULT_CLUSTER_PAGES,
+    disk_order: Optional[Sequence[int]] = None,
+) -> ClusteringPolicy:
+    """A fresh policy by its benchmark-table name (a policy may keep
+    per-layout state, so every layout gets its own).
+
+    ``cluster_pages`` and ``disk_order`` shape inter-object clustering
+    (:class:`InterObjectClustering`); the other two policies take no
+    parameters.  An unknown name raises
+    :class:`~repro.errors.StorageError`.
+    """
+    if clustering == InterObjectClustering.name:
+        return InterObjectClustering(cluster_pages, disk_order)
+    for policy in (IntraObjectClustering, Unclustered):
+        if clustering == policy.name:
+            return policy()
+    raise StorageError(f"unknown clustering {clustering!r}")

@@ -22,7 +22,6 @@ from repro.core.tuning import (
 from repro.core.component_iterator import ComponentIterator
 from repro.core.predicates import (
     Predicate,
-    always_true,
     int_field_predicate,
     int_less_than,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "TemplateNode",
     "UnresolvedReference",
     "Window",
-    "always_true",
     "binary_tree_template",
     "int_field_predicate",
     "int_less_than",

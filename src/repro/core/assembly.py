@@ -67,6 +67,15 @@ PARTIAL = "partial"
 ON_FAULT_MODES = (FAIL_FAST, SKIP_OBJECT, PARTIAL)
 
 
+def check_on_fault(on_fault: str) -> None:
+    """Raise :class:`~repro.errors.AssemblyError` unless ``on_fault`` is
+    one of :data:`ON_FAULT_MODES`."""
+    if on_fault not in ON_FAULT_MODES:
+        raise AssemblyError(
+            f"on_fault must be one of {ON_FAULT_MODES}, got {on_fault!r}"
+        )
+
+
 @dataclass
 class AssemblyStats:
     """Counters for one execution of the assembly operator."""
@@ -228,10 +237,7 @@ class Assembly(VolcanoIterator):
         if batch_pages <= 0:
             raise AssemblyError("batch_pages must be positive")
         self._batch_pages = batch_pages
-        if on_fault not in ON_FAULT_MODES:
-            raise AssemblyError(
-                f"on_fault must be one of {ON_FAULT_MODES}, got {on_fault!r}"
-            )
+        check_on_fault(on_fault)
         self._retry_policy = retry_policy
         self._on_fault = on_fault
         self._health = health

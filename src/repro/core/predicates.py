@@ -72,8 +72,9 @@ def conjunction(predicates: "list[Predicate]") -> Predicate:
     """AND several predicates on the same component into one.
 
     Selectivities multiply (the usual independence assumption), and the
-    combined test short-circuits.  The optimizer uses this when a query
-    places several conditions on one template component.
+    combined test short-circuits.  Its one caller is
+    :meth:`Template.with_predicate <repro.core.template.Template.with_predicate>`,
+    when a pushed predicate lands on a component that already has one.
     """
     if not predicates:
         raise TemplateError("conjunction of no predicates")
@@ -89,7 +90,3 @@ def conjunction(predicates: "list[Predicate]") -> Predicate:
 
     return Predicate(name=name, fn=fn, selectivity=selectivity)
 
-
-def always_true() -> Predicate:
-    """A pass-everything predicate (useful to exercise the machinery)."""
-    return Predicate(name="true", fn=lambda _record: True, selectivity=1.0)

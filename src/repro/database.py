@@ -24,7 +24,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.cluster.layout import LayoutResult, layout_database
-from repro.cluster.policies import POLICIES, ClusteringPolicy
+from repro.cluster.policies import (
+    DEFAULT_CLUSTER_PAGES,
+    ClusteringPolicy,
+    make_policy,
+)
 from repro.core.template import Template
 from repro.errors import ReproError
 from repro.objects.builder import GraphBuilder
@@ -102,13 +106,16 @@ class Database:
         source: Union[GraphBuilder, Sequence[ComplexObjectDef]],
         clustering: Union[str, ClusteringPolicy] = "inter-object",
         shared: Optional[Dict[Oid, ObjectDef]] = None,
-        **policy_kwargs,
+        cluster_pages: int = DEFAULT_CLUSTER_PAGES,
     ) -> LayoutResult:
         """Place complex objects on disk under a clustering policy.
 
         ``source`` is either a validated :class:`GraphBuilder` (its
         complex objects and shared pool are taken) or an explicit list
-        of complex objects (+ optional ``shared`` pool).  A database
+        of complex objects (+ optional ``shared`` pool).
+        ``clustering`` is a policy or its name
+        (:func:`~repro.cluster.policies.make_policy`; ``cluster_pages``
+        sizes a named inter-object policy's clusters).  A database
         loads once; reloading is an error, as on-disk OIDs are
         immutable.
         """
@@ -122,13 +129,7 @@ class Database:
             complex_objects = list(source)
             shared = shared or {}
         if isinstance(clustering, str):
-            try:
-                policy = POLICIES[clustering](**policy_kwargs)
-            except KeyError:
-                raise ReproError(
-                    f"unknown clustering {clustering!r}; "
-                    f"choose from {sorted(POLICIES)}"
-                ) from None
+            policy = make_policy(clustering, cluster_pages=cluster_pages)
         else:
             policy = clustering
         self._layout = layout_database(

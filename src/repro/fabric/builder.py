@@ -23,12 +23,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.layout import layout_database
-from repro.cluster.policies import (
-    ClusteringPolicy,
-    InterObjectClustering,
-    IntraObjectClustering,
-    Unclustered,
-)
+from repro.cluster.policies import make_policy
 from repro.errors import FabricError
 from repro.fabric.arrivals import ArrivalProcess
 from repro.fabric.fabric import (
@@ -48,22 +43,6 @@ from repro.workloads.acob import ACOBDatabase, make_template
 
 #: The clustering every fabric shard lays its partition out under.
 CLUSTERING = "inter-object"
-
-
-def _make_policy(
-    clustering: str, cluster_pages: int, database: ACOBDatabase
-) -> ClusteringPolicy:
-    """A fresh policy instance (policies may keep per-layout state)."""
-    if clustering == "inter-object":
-        return InterObjectClustering(
-            cluster_pages=cluster_pages,
-            disk_order=database.type_ids_depth_first(),
-        )
-    if clustering == "intra-object":
-        return IntraObjectClustering()
-    if clustering == "unclustered":
-        return Unclustered()
-    raise FabricError(f"unknown clustering {clustering!r}")
 
 
 def build_sharded_fabric(
@@ -119,7 +98,11 @@ def build_sharded_fabric(
             layout = layout_database(
                 partition,
                 store,
-                _make_policy(CLUSTERING, cluster_pages, database),
+                make_policy(
+                    CLUSTERING,
+                    cluster_pages=cluster_pages,
+                    disk_order=database.type_ids_depth_first(),
+                ),
                 shared=database.shared_pool,
                 seed=layout_seed,
                 validate=False,

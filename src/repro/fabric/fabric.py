@@ -143,12 +143,9 @@ class ShardReplica:
     replica hardware) plus any fault-injected delay.  A ledger only
     watches, so attaching it never changes the service's behavior.
 
-    Every request asks the service's default window.  The attribute
-    ``submit_kwargs`` (empty here) is applied to every
-    ``service.submit`` on this replica: nothing in the library sets
-    it; tests assign it to reach a ``window_size`` or a
-    ``retry_policy`` / ``on_fault`` mode for a replica whose disk
-    carries a fault injector.
+    Every request is submitted with the service's defaults: its
+    default window and fail-fast fault handling.  Fabric requests carry
+    no window or fault mode of their own.
     """
 
     def __init__(
@@ -170,7 +167,6 @@ class ShardReplica:
         self.cost_model = self.ledger.cost_model
         self._disk.add_read_tap(self.ledger.record)
         self.speed_factor = speed_factor
-        self.submit_kwargs: Dict[str, Any] = {}
         self.clock = 0.0
         #: service request id -> in-flight fabric request.
         self.outstanding: Dict[int, "FabricRequest"] = {}
@@ -204,9 +200,7 @@ class ShardReplica:
     def submit(self, spec: RequestSpec, template: Template) -> int:
         """Submit one spec to this replica's service; its request id."""
         return self._charge(
-            lambda: self.service.submit(
-                list(spec.roots), template, **self.submit_kwargs
-            )
+            lambda: self.service.submit(list(spec.roots), template)
         )
 
     def step(self) -> bool:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 from repro.cluster.layout import LayoutResult, layout_database
+from repro.cluster.policies import make_policy
 from repro.errors import FabricError
-from repro.fabric.builder import _make_policy
 from repro.fabric.router import ConsistentHashRouter
 from repro.storage.buffer import BufferManager
 from repro.storage.costmodel import CostedDisk
@@ -80,7 +80,11 @@ def build_shard_partitions(
         layout = layout_database(
             partition_objects,
             store,
-            _make_policy(clustering, cluster_pages, database),
+            make_policy(
+                clustering,
+                cluster_pages=cluster_pages,
+                disk_order=database.type_ids_depth_first(),
+            ),
             shared=database.shared_pool,
             validate=False,
         )

@@ -37,13 +37,14 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.cluster.reorg import Reorganizer
 from repro.core.assembled import AssembledComplexObject
-from repro.core.assembly import Assembly
+from repro.core.assembly import FAIL_FAST, Assembly
 from repro.core.multidevice import MultiDeviceScheduler, deepest_device
 from repro.core.schedulers import ReferenceScheduler, UnresolvedReference
 from repro.core.template import Template
 from repro.errors import AssemblyError, SchedulerError, ServiceStateError
 from repro.iterator import ListSource, Row, VolcanoIterator
-from repro.storage.faults import DeviceHealthTracker
+from repro.obs.spans import Span
+from repro.storage.faults import DeviceHealthTracker, RetryPolicy
 from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
 
@@ -143,8 +144,7 @@ class DeviceServer:
         the bound (pure global SCAN).
     spans:
         Optional :class:`~repro.obs.spans.SpanRecorder` shared with
-        every registered query's operator (unless the caller passes its
-        own ``spans=`` to :meth:`register`).  Each step records one
+        every registered query's operator.  Each step records one
         ``scheduler-pop`` span.  Strictly observational.
     reorg_policy:
         Optional :class:`~repro.cluster.reorg.ReorgPolicy` enabling the
@@ -214,20 +214,18 @@ class DeviceServer:
         roots: Union[VolcanoIterator, Iterable[Oid]],
         template: Template,
         window_size: int = 8,
-        **assembly_kwargs,
+        retry_policy: Optional[RetryPolicy] = None,
+        on_fault: str = FAIL_FAST,
+        parent_span: Optional[Span] = None,
     ) -> ClientQuery:
         """Admit a new live query; its root references enter the pool.
 
         ``roots`` may be any Volcano iterator yielding root OIDs (or a
-        plain iterable, wrapped in a :class:`ListSource`).  Remaining
-        keyword arguments go to :class:`~repro.core.assembly.Assembly`
-        unchanged (sharing statistics, selective assembly, …).
+        plain iterable, wrapped in a :class:`ListSource`).  The query's
+        :class:`~repro.core.assembly.Assembly` takes the named options
+        from the caller and its scheduler (a proxy into the pool),
+        health tracker and span recorder from the server.
         """
-        if "scheduler" in assembly_kwargs:
-            raise ServiceStateError(
-                "device-server queries cannot choose a private scheduler; "
-                "the server owns the reference pool"
-            )
         query_id = self._next_query_id
         self._next_query_id += 1
         source = (
@@ -235,17 +233,17 @@ class DeviceServer:
             if isinstance(roots, VolcanoIterator)
             else ListSource(list(roots))
         )
-        proxy = _ProxyScheduler(self, query_id)
-        assembly_kwargs.setdefault("health", self.health)
-        if self.spans is not None:
-            assembly_kwargs.setdefault("spans", self.spans)
         assembly = Assembly(
             source,
             self.store,
             template,
             window_size=window_size,
-            scheduler=proxy,
-            **assembly_kwargs,
+            scheduler=_ProxyScheduler(self, query_id),
+            retry_policy=retry_policy,
+            on_fault=on_fault,
+            health=self.health,
+            spans=self.spans,
+            parent_span=parent_span,
         )
         query = ClientQuery(query_id, assembly, self.resolutions)
         self._queries[query_id] = query
@@ -499,7 +497,6 @@ class DeviceServerAssembly(VolcanoIterator):
         template: Template,
         n_partitions: int,
         window_size: int = 50,
-        **assembly_kwargs,
     ) -> None:
         super().__init__()
         if n_partitions <= 0:
@@ -511,7 +508,6 @@ class DeviceServerAssembly(VolcanoIterator):
         self._store = store
         self._template = template
         self._per_window = max(1, window_size // n_partitions)
-        self._assembly_kwargs = assembly_kwargs
         self._server: Optional[DeviceServer] = None
 
     def _open(self) -> None:
@@ -519,10 +515,7 @@ class DeviceServerAssembly(VolcanoIterator):
         try:
             for part in self._partitions:
                 self._server.register(
-                    part,
-                    self._template,
-                    window_size=self._per_window,
-                    **self._assembly_kwargs,
+                    part, self._template, window_size=self._per_window
                 )
         except BaseException:
             self._close()  # the partitions already registered stay open otherwise

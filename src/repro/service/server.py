@@ -23,6 +23,7 @@ from enum import Enum
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.assembled import AssembledComplexObject
+from repro.core.assembly import FAIL_FAST, check_on_fault
 from repro.core.template import Template
 from repro.errors import ServiceOverloadError, ServiceStateError
 from repro.obs.spans import Span, SpanRecorder
@@ -30,6 +31,7 @@ from repro.service.admission import AdmissionController, AdmissionTicket
 from repro.service.cache import AssembledObjectCache
 from repro.service.device_server import ClientQuery, DeviceServer
 from repro.service.metrics import RequestMetrics, ServiceMetrics
+from repro.storage.faults import RetryPolicy
 from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
 
@@ -52,17 +54,20 @@ class _Request:
         template: Template,
         fingerprint: str,
         metrics: RequestMetrics,
+        retry_policy: Optional[RetryPolicy],
+        on_fault: str,
     ) -> None:
         self.request_id = request_id
         self.template = template
         self.fingerprint = fingerprint
         self.metrics = metrics
+        self.retry_policy = retry_policy
+        self.on_fault = on_fault
         self.status = RequestStatus.QUEUED
         self.results: List[AssembledComplexObject] = []
         self.pending_roots: List[Oid] = []
         self.ticket: Optional[AdmissionTicket] = None
         self.query: Optional[ClientQuery] = None
-        self.assembly_kwargs: Dict[str, object] = {}
         self.span: Optional[Span] = None
         self.wait_span: Optional[Span] = None
 
@@ -153,20 +158,30 @@ class AssemblyService:
         roots: Iterable[Oid],
         template: Template,
         window_size: int = 8,
-        **assembly_kwargs,
+        retry_policy: Optional[RetryPolicy] = None,
+        on_fault: str = FAIL_FAST,
     ) -> int:
         """Accept one assembly request; returns its request id.
 
         Roots already in the result cache are answered immediately (no
         admission, no disk); the rest go through admission control and,
-        once granted, into the device server.  Raises
+        once granted, into the device server.  ``retry_policy`` and
+        ``on_fault`` are the request's fault handling, as on
+        :class:`~repro.core.assembly.Assembly`.  Raises
         :class:`~repro.errors.ServiceOverloadError` when the budget is
-        exhausted and the wait queue is full, and
+        exhausted and the wait queue is full,
         :class:`~repro.errors.UnknownOidError` for a root the store does
-        not hold; a rejected submit leaves no trace in the service.
+        not hold, :class:`~repro.errors.AssemblyError` for an unknown
+        ``on_fault`` and :class:`~repro.errors.ServiceStateError` for a
+        ``window_size`` below 1; a rejected submit leaves no trace in
+        the service.
         """
-        # Roots come from outside the program: every one is checked
-        # against the OID directory before anything is counted.
+        # Checked before anything is counted: a bad option found later
+        # would leave a counted request behind, or fail inside another
+        # client's step when the queued request starts.
+        check_on_fault(on_fault)
+        if window_size <= 0:
+            raise ServiceStateError("window_size must be positive")
         roots = list(roots)
         for root in roots:
             self.store.directory.lookup(root)
@@ -175,8 +190,9 @@ class AssemblyService:
         request_id = self._next_request_id
         self._next_request_id += 1
         metrics = self.metrics.open_request(request_id, self.clock)
-        request = _Request(request_id, template, fingerprint, metrics)
-        request.assembly_kwargs = dict(assembly_kwargs)
+        request = _Request(
+            request_id, template, fingerprint, metrics, retry_policy, on_fault
+        )
         self._requests[request_id] = request
         if self.spans is not None:
             request.span = self.spans.begin(
@@ -234,12 +250,13 @@ class AssemblyService:
             if request.wait_span is not None:
                 self.spans.end(request.wait_span)
                 request.wait_span = None
-            request.assembly_kwargs.setdefault("parent_span", request.span)
         request.query = self.server.register(
             request.pending_roots,
             request.template,
             window_size=request.ticket.window_size,
-            **request.assembly_kwargs,
+            retry_policy=request.retry_policy,
+            on_fault=request.on_fault,
+            parent_span=request.span,
         )
         request.status = RequestStatus.RUNNING
         self._running[request.query.query_id] = request.request_id

@@ -223,8 +223,8 @@ class DeviceLedger:
 class CostedDisk(SimulatedDisk):
     """A simulated disk that also accumulates service time."""
 
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
+    def __init__(self, n_pages: Optional[int] = None) -> None:
+        super().__init__(n_pages)
         self.ledger = DeviceLedger(self.n_devices)
         self.cost_model = self.ledger.cost_model
         self.add_read_tap(self.ledger.record)

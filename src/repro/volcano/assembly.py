@@ -132,6 +132,12 @@ class ParallelAssembly(PartitionedExecute):
       flight per device, its default issue depth); its fragment is a
       source over the buffered output.  Elapsed is ``max`` over the
       engines' clocks.
+
+    Every partition's engine runs the elevator scheduler at
+    ``window_size``, one reference per step; a plan that needs other
+    engine options builds its fragments itself
+    (:class:`~repro.volcano.exchange.PartitionedExecute` with an
+    :class:`Assembly` per partition).
     """
 
     def __init__(
@@ -142,7 +148,7 @@ class ParallelAssembly(PartitionedExecute):
         *,
         partition_fn: Optional[Callable[[Row, int], int]] = None,
         driver: str = "sync",
-        **engine_kwargs: object,
+        window_size: int = 1,
     ) -> None:
         if not stores:
             raise PlanError("ParallelAssembly needs at least one store")
@@ -156,7 +162,7 @@ class ParallelAssembly(PartitionedExecute):
         self._stores = list(stores)
         self._template = template.finalize()
         self._driver = driver
-        self._engine_kwargs = dict(engine_kwargs)
+        self._window_size = window_size
         self._io_engines: List[object] = []
         self._service_t0: List[float] = []
 
@@ -167,12 +173,10 @@ class ParallelAssembly(PartitionedExecute):
 
     def describe(self) -> str:
         """One-line ``explain`` rendering: partitions, window, driver."""
-        scheduler = self._engine_kwargs.get("scheduler", "elevator")
-        name = scheduler if isinstance(scheduler, str) else type(scheduler).__name__
         return (
             f"ParallelAssembly(partitions={self.n_partitions}, "
-            f"window={self._engine_kwargs.get('window_size', 1)}, "
-            f"scheduler={name}, driver={self._driver})"
+            f"window={self._window_size}, scheduler=elevator, "
+            f"driver={self._driver})"
         )
 
     def elapsed_ms(self) -> float:
@@ -207,7 +211,7 @@ class ParallelAssembly(PartitionedExecute):
             getattr(store.disk, "service_time_total", 0.0)
         )
         engine = Assembly(
-            source, store, self._template, **self._engine_kwargs
+            source, store, self._template, window_size=self._window_size
         )
         if self._driver == "sync":
             return engine
@@ -215,13 +219,7 @@ class ParallelAssembly(PartitionedExecute):
             store.disk, getattr(store.disk, "cost_model", None)
         )
         self._io_engines.append(io_engine)
-        return ListSource(
-            PipelinedAssembly(
-                engine,
-                io_engine,
-                batch_pages=int(self._engine_kwargs.get("batch_pages", 1)),
-            ).run()
-        )
+        return ListSource(PipelinedAssembly(engine, io_engine).run())
 
 
 class InterleavedAssemblies(PartitionedExecute):
@@ -253,7 +251,6 @@ class InterleavedAssemblies(PartitionedExecute):
         template: Template,
         n_partitions: int,
         window_size: int = 50,
-        **assembly_kwargs,
     ) -> None:
         if n_partitions <= 0:
             raise AssemblyError("need at least one partition")
@@ -262,12 +259,7 @@ class InterleavedAssemblies(PartitionedExecute):
             roots,
             n_partitions,
             lambda source: Assembly(
-                source,
-                store,
-                template,
-                window_size=per_window,
-                scheduler="elevator",
-                **assembly_kwargs,
+                source, store, template, window_size=per_window
             ),
         )
 

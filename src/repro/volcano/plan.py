@@ -294,12 +294,12 @@ class AssemblyJoinPlan:
 
 
 def _assemble_then_join(
-    roots, build_rows, build_key, store, template, engine_kwargs
+    roots, build_rows, build_key, store, template, window_size
 ) -> VolcanoIterator:
     return HashJoin(
         build=ListSource(list(build_rows)),
         probe=Assembly(
-            ListSource(list(roots)), store, template, **engine_kwargs
+            ListSource(list(roots)), store, template, window_size=window_size
         ),
         build_key=build_key,
         probe_key=lambda row: row.root_oid,
@@ -307,13 +307,13 @@ def _assemble_then_join(
 
 
 def _join_then_assemble(
-    roots, build_rows, build_key, store, template, engine_kwargs
+    roots, build_rows, build_key, store, template, window_size
 ) -> VolcanoIterator:
     matches = {build_key(row) for row in build_rows}
     semi_join = Filter(ListSource(list(roots)), matches.__contains__)
     return HashJoin(
         build=ListSource(list(build_rows)),
-        probe=Assembly(semi_join, store, template, **engine_kwargs),
+        probe=Assembly(semi_join, store, template, window_size=window_size),
         build_key=build_key,
         probe_key=lambda row: row.root_oid,
     )
@@ -327,7 +327,7 @@ def plan_assembly_join(
     template,
     *,
     pages_spanned: Optional[int] = None,
-    **engine_kwargs: object,
+    window_size: int = 1,
 ) -> AssemblyJoinPlan:
     """Cost-based choice between assemble-then-join and join-then-assemble.
 
@@ -341,6 +341,9 @@ def plan_assembly_join(
       the join selectivity, plus a per-row CPU epsilon for the extra
       hash lookups.  Ties (join selectivity 1.0) go to the simpler
       assemble-then-join shape.
+
+    Either shape's assembly engine runs the elevator scheduler at
+    ``window_size``.
     """
     roots = list(roots)
     build_rows = list(build_rows)
@@ -361,12 +364,12 @@ def plan_assembly_join(
     if cost_join_first < cost_assemble_first:
         shape = "join-then-assemble"
         plan = _join_then_assemble(
-            roots, build_rows, build_key, store, template, engine_kwargs
+            roots, build_rows, build_key, store, template, window_size
         )
     else:
         shape = "assemble-then-join"
         plan = _assemble_then_join(
-            roots, build_rows, build_key, store, template, engine_kwargs
+            roots, build_rows, build_key, store, template, window_size
         )
     choice = AssemblyJoinChoice(
         shape=shape,

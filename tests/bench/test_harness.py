@@ -8,10 +8,10 @@ from repro.bench.harness import (
     build_layout,
     clear_database_cache,
     get_database,
-    make_policy,
     run_experiment,
 )
 from repro.cluster.layout import layout_database
+from repro.cluster.policies import make_policy
 from repro.errors import ReproError
 from repro.storage.buffer import BufferManager
 from repro.storage.costmodel import CostedDisk
@@ -53,19 +53,20 @@ class TestDatabaseCache:
 
 class TestMakePolicy:
     def test_policies_by_name(self):
-        db = get_database(10)
         for name in CLUSTERINGS:
-            policy = make_policy(
-                ExperimentConfig(clustering=name, n_complex_objects=10), db
+            _db, layout = build_layout(
+                ExperimentConfig(clustering=name, n_complex_objects=10)
             )
-            assert policy.name == name
+            assert layout.policy_name == name
 
     def test_inter_object_uses_df_friendly_order(self):
-        db = get_database(10)
-        policy = make_policy(
-            ExperimentConfig(clustering="inter-object", n_complex_objects=10), db
+        db, layout = build_layout(
+            ExperimentConfig(clustering="inter-object", n_complex_objects=10)
         )
-        assert policy._disk_order == db.type_ids_depth_first()
+        by_start = sorted(layout.extents, key=lambda n: layout.extents[n].start)
+        assert by_start == [
+            f"type-{type_id}" for type_id in db.type_ids_depth_first()
+        ]
 
 
 class TestLayoutCache:
@@ -86,7 +87,11 @@ class TestLayoutCache:
         return layout_database(
             db.complex_objects,
             ObjectStore(disk, BufferManager(disk)),
-            make_policy(self.CONFIG, db),
+            make_policy(
+                self.CONFIG.clustering,
+                cluster_pages=self.CONFIG.cluster_pages,
+                disk_order=db.type_ids_depth_first(),
+            ),
             shared=db.shared_pool,
         )
 

@@ -4,12 +4,13 @@ import pytest
 
 from repro.core.assembled import AssembledObject
 from repro.core.component_iterator import UNPLACED, ComponentIterator
-from repro.core.predicates import always_true, int_less_than
+from repro.core.predicates import int_less_than
 from repro.core.schedulers import UnresolvedReference
 from repro.core.template import Template, TemplateNode, binary_tree_template
 from repro.errors import AssemblyError
 from repro.storage.oid import NULL_OID, Oid
 from repro.storage.record import ObjectRecord
+from tests.helpers import always_true
 
 
 def record(refs=None, ints=None):

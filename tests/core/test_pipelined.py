@@ -19,11 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.layout import layout_database
-from repro.cluster.policies import (
-    InterObjectClustering,
-    IntraObjectClustering,
-    Unclustered,
-)
+from repro.cluster.policies import InterObjectClustering, make_policy
 from repro.core.assembly import Assembly
 from repro.core.multidevice import MultiDeviceScheduler, PipelinedAssembly
 from repro.core.schedulers import make_scheduler
@@ -44,14 +40,6 @@ SCHEDULERS = ("depth-first", "breadth-first", "elevator")
 CLUSTERINGS = ("inter-object", "intra-object", "unclustered")
 
 
-def make_policy(name):
-    if name == "inter-object":
-        return InterObjectClustering(cluster_pages=64)
-    if name == "intra-object":
-        return IntraObjectClustering()
-    return Unclustered()
-
-
 def build_single(
     n=60, clustering="inter-object", scheduler="elevator",
     window=8, selectivity=None, buffer_capacity=None,
@@ -60,7 +48,7 @@ def build_single(
     disk = CostedDisk(n_pages=4096)
     store = ObjectStore(disk, BufferManager(disk, capacity=buffer_capacity))
     layout = layout_database(
-        db.complex_objects, store, make_policy(clustering),
+        db.complex_objects, store, make_policy(clustering, cluster_pages=64),
         shared=db.shared_pool,
     )
     template = make_template(

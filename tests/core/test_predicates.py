@@ -4,12 +4,12 @@ import pytest
 
 from repro.core.predicates import (
     Predicate,
-    always_true,
     int_field_predicate,
     int_less_than,
 )
 from repro.errors import TemplateError
 from repro.storage.record import ObjectRecord
+from tests.helpers import always_true
 
 
 def record(*ints):

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core.predicates import always_true, int_less_than
+from repro.core.predicates import int_less_than
 from repro.core.template import Template, TemplateNode, binary_tree_template
 from repro.errors import TemplateError
+from tests.helpers import always_true
 
 
 def simple_template():

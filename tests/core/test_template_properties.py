@@ -3,8 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.predicates import always_true
 from repro.core.template import Template, TemplateNode
+from tests.helpers import always_true
 
 
 @st.composite

@@ -9,6 +9,8 @@ every replica's LRU stays clean.
 
 from __future__ import annotations
 
+import functools
+
 from repro.fabric import (
     HedgePolicy,
     PoissonArrivals,
@@ -42,10 +44,12 @@ def build_faulty_fabric(n=40, fault_seed=7):
             max_consecutive_failures=4,
         )
     ).attach(flaky.store.disk)
-    flaky.submit_kwargs = {
-        "retry_policy": RetryPolicy(max_retries=1),
-        "on_fault": "partial",
-    }
+    # Fabric requests carry no fault mode: wrap the replica's submit.
+    flaky.service.submit = functools.partial(
+        flaky.service.submit,
+        retry_policy=RetryPolicy(max_retries=1),
+        on_fault="partial",
+    )
     return fabric, injector
 
 

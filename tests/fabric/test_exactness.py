@@ -19,12 +19,14 @@ engine and chaos exactness suites:
 
 from __future__ import annotations
 
+import functools
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.layout import layout_database
+from repro.cluster.policies import make_policy
 from repro.core.assembly import Assembly
 from repro.core.schedulers import make_scheduler
 from repro.fabric import (
@@ -33,7 +35,6 @@ from repro.fabric import (
     open_loop_workload,
 )
 from repro.fabric import builder
-from repro.fabric.builder import _make_policy
 from repro.service.server import AssemblyService
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import SimulatedDisk
@@ -57,7 +58,11 @@ def build_direct(db, clustering, cluster_pages, buffer_capacity):
     layout = layout_database(
         list(db.complex_objects),
         store,
-        _make_policy(clustering, cluster_pages, db),
+        make_policy(
+            clustering,
+            cluster_pages=cluster_pages,
+            disk_order=db.type_ids_depth_first(),
+        ),
         shared=db.shared_pool,
         seed=0,
         validate=False,
@@ -77,11 +82,13 @@ def build_fabric(db, clustering, **kwargs):
 
 def ask_window(fabric, window):
     """Every replica submits at ``window``: fabric requests carry no
-    window of their own, so a test reaches one through the replicas'
-    ``submit_kwargs``."""
+    window of their own, so a test wraps each replica's
+    ``service.submit``."""
     for shard in fabric.shards:
         for replica in shard.replicas:
-            replica.submit_kwargs = {"window_size": window}
+            replica.service.submit = functools.partial(
+                replica.service.submit, window_size=window
+            )
 
 
 def content_fingerprint(emitted):
@@ -224,7 +231,9 @@ def test_sharded_content_matches_a_bare_assembly_run(
     layout = layout_database(
         list(db2.complex_objects),
         store,
-        _make_policy(clustering, 64, db2),
+        make_policy(
+            clustering, cluster_pages=64, disk_order=db2.type_ids_depth_first()
+        ),
         shared=db2.shared_pool,
         seed=0,
         validate=False,

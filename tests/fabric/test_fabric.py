@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import FabricError
+from repro.errors import FabricError, StorageError
 from repro.fabric import (
     PoissonArrivals,
     RequestSpec,
@@ -166,7 +166,9 @@ class TestValidation:
         db = generate_acob(10, seed=2)
         with monkeypatch.context() as patch:
             patch.setattr(builder, "CLUSTERING", "zigzag")
-            with pytest.raises(FabricError):
+            # The one clustering-name map (cluster.policies.make_policy)
+            # rejects the name, with its own error type.
+            with pytest.raises(StorageError, match="unknown clustering"):
                 build_sharded_fabric(db)
         with pytest.raises(FabricError):
             build_sharded_fabric(db, placement="random")

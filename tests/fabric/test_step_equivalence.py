@@ -15,6 +15,7 @@ the merged metrics.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -149,10 +150,12 @@ def build(fabric_class, hedged, shed, placement, fault_seed, n_shards=2):
             seed=fault_seed, read_error_rate=0.2, max_consecutive_failures=2
         )
     ).attach(flaky.store.disk)
-    flaky.submit_kwargs = {
-        "retry_policy": RetryPolicy(max_retries=1),
-        "on_fault": "partial",
-    }
+    # Fabric requests carry no fault mode: wrap the replica's submit.
+    flaky.service.submit = functools.partial(
+        flaky.service.submit,
+        retry_policy=RetryPolicy(max_retries=1),
+        on_fault="partial",
+    )
     return fabric_class(
         built.shards,
         built.router,

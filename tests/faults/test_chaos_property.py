@@ -15,11 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.layout import layout_database
-from repro.cluster.policies import (
-    InterObjectClustering,
-    IntraObjectClustering,
-    Unclustered,
-)
+from repro.cluster.policies import InterObjectClustering, make_policy
 from repro.core.assembly import Assembly
 from repro.core.multidevice import MultiDeviceScheduler, PipelinedAssembly
 from repro.core.schedulers import make_scheduler
@@ -36,20 +32,12 @@ SCHEDULERS = ("depth-first", "breadth-first", "elevator")
 CLUSTERINGS = ("inter-object", "intra-object", "unclustered")
 
 
-def make_policy(name):
-    if name == "inter-object":
-        return InterObjectClustering(cluster_pages=64)
-    if name == "intra-object":
-        return IntraObjectClustering()
-    return Unclustered()
-
-
 def build_single(n, clustering, scheduler, window, retry=None):
     db = generate_acob(n, seed=2)
     disk = CostedDisk(n_pages=4096)
     store = ObjectStore(disk, BufferManager(disk))
     layout = layout_database(
-        db.complex_objects, store, make_policy(clustering),
+        db.complex_objects, store, make_policy(clustering, cluster_pages=64),
         shared=db.shared_pool,
     )
     operator = Assembly(

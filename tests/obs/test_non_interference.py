@@ -24,6 +24,7 @@ from repro.bench.harness import (
     trace_experiment,
 )
 from repro.cluster.layout import layout_database
+from repro.cluster.policies import make_policy
 from repro.core.assembly import Assembly
 from repro.core.schedulers import make_scheduler
 from repro.obs.spans import SpanRecorder
@@ -39,7 +40,6 @@ from tests.faults.test_chaos_property import (
     SCHEDULERS,
     CLUSTERINGS,
     fingerprint,
-    make_policy,
 )
 
 
@@ -53,7 +53,7 @@ def run_once(n, clustering, scheduler, window, recorder=None, fault_rate=0.0,
     disk = CostedDisk(n_pages=4096)
     store = ObjectStore(disk, BufferManager(disk))
     layout = layout_database(
-        db.complex_objects, store, make_policy(clustering),
+        db.complex_objects, store, make_policy(clustering, cluster_pages=64),
         shared=db.shared_pool,
     )
     retry = RetryPolicy(max_retries=2) if fault_rate else None

@@ -1,20 +1,25 @@
 """Operator-level spans: observability flows through the plan layer.
 
-The assembly operator forwards every engine knob to the inner engine,
-including the span recorder — so a plan-wrapped assembly is observable
-exactly like the bare driver, and parallel assembly records one
-assembly span per partition.  The non-interference contract from the
+The assembly operator is the engine, span recorder included — so a
+plan-wrapped assembly is observable exactly like the bare driver, and
+a parallel assembly whose partition engines share a recorder records
+one assembly span per partition.  The non-interference contract from the
 obs layer must hold at operator level too: recording spans leaves row
 output and disk accounting bit-identical.
 """
 
 from __future__ import annotations
 
+import functools
+from unittest import mock
+
 from repro.cluster.layout import layout_database
 from repro.cluster.policies import InterObjectClustering
+from repro.core.assembly import Assembly
 from repro.obs.spans import SpanRecorder
 from repro.storage.disk import SimulatedDisk
 from repro.storage.store import ObjectStore
+from repro.volcano import assembly as volcano_assembly
 from repro.volcano.assembly import AssemblyOperator, ParallelAssembly
 from repro.volcano.filters import Filter
 from repro.iterator import ListSource
@@ -86,9 +91,15 @@ class TestOperatorSpans:
             replicas,
             make_template(db),
             window_size=2,
-            spans=recorder,
         )
-        rows = parallel.execute()
+        # The recorder reaches each partition's engine through the
+        # engine class the fragments are built from.
+        with mock.patch.object(
+            volcano_assembly,
+            "Assembly",
+            functools.partial(Assembly, spans=recorder),
+        ):
+            rows = parallel.execute()
         assert len(rows) == 10
         assert len(recorder.of_kind("assembly")) == 3
         assert recorder.open_spans() == []

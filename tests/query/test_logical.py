@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core.predicates import always_true, int_less_than
+from repro.core.predicates import int_less_than
 from repro.core.template import binary_tree_template
 from repro.errors import PlanError, TemplateError
 from repro.query.logical import retrieve
+from tests.helpers import always_true
 
 
 @pytest.fixture

@@ -50,14 +50,6 @@ class TestRegistry:
             cobj.verify_swizzled()
         assert layout.store.buffer.pinned_pages == 0
 
-    def test_register_rejects_private_scheduler(self):
-        db, layout = build(n=5)
-        server = DeviceServer(layout.store)
-        with pytest.raises(ServiceStateError):
-            server.register(
-                layout.root_order, make_template(db), scheduler="elevator"
-            )
-
     def test_proxy_pop_is_forbidden(self):
         db, layout = build(n=5)
         server = DeviceServer(layout.store)

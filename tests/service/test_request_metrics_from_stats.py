@@ -27,7 +27,11 @@ from repro.workloads.acob import make_template, payload_predicate
 
 
 def traced_counts(tracer):
-    counts = tracer.counts()
+    return decision_counts(tracer.counts())
+
+
+def decision_counts(counts):
+    """The four metrics, from decision counts by kind."""
     return {
         "fetches": counts.get(trace.FETCHED, 0),
         "emitted": counts.get(trace.EMITTED, 0),
@@ -165,7 +169,8 @@ class TestDecisionOrderUnderFaults:
 
 def test_per_request_metrics_on_the_s1_workload():
     """Four closed-loop clients, the S-1 schedule: every request's
-    metrics equal the counts of a tracer riding along on its query."""
+    metrics equal the decision counts the service's trace records under
+    that request's span."""
     db, layout = build_layout(
         ExperimentConfig(
             n_complex_objects=120,
@@ -176,8 +181,11 @@ def test_per_request_metrics_on_the_s1_workload():
     )
     template = make_template(db)
     schedule = _client_schedule(layout.root_order, 4, 3, 10)
-    service = AssemblyService(layout.store, cache_capacity=0)
-    tracers = {}
+    recorder = SpanRecorder()
+    service = AssemblyService(
+        layout.store, cache_capacity=0, span_recorder=recorder
+    )
+    submitted = []
     cursors = [0] * len(schedule)
     outstanding = {}
 
@@ -187,11 +195,8 @@ def test_per_request_metrics_on_the_s1_workload():
             return
         roots = schedule[client][cursors[client]]
         cursors[client] += 1
-        tracer = AssemblyTracer(SpanRecorder())
-        request_id = service.submit(
-            roots, template, window_size=8, spans=tracer.recorder
-        )
-        tracers[request_id] = tracer
+        request_id = service.submit(roots, template, window_size=8)
+        submitted.append(request_id)
         outstanding[client] = request_id
 
     for client in range(len(schedule)):
@@ -202,10 +207,21 @@ def test_per_request_metrics_on_the_s1_workload():
             if service.poll(request_id) is RequestStatus.DONE:
                 submit_next(client)
 
-    assert len(tracers) == 12
-    for request_id, tracer in tracers.items():
+    # Each decision belongs to the request span it hangs under
+    # (request → assembly → window-slot → decision).
+    by_id = {span.span_id: span for span in recorder.spans}
+    traced = {request_id: {} for request_id in submitted}
+    for span in recorder.of_kind(trace.DECISION):
+        request = span
+        while request.kind != "request":
+            request = by_id[request.parent_id]
+        counts = traced[request.attrs["request_id"]]
+        counts[span.name] = counts.get(span.name, 0) + 1
+
+    assert len(traced) == 12
+    for request_id, counts in traced.items():
         metrics = service.metrics.per_request[request_id]
-        assert stats_counts(metrics) == traced_counts(tracer)
+        assert stats_counts(metrics) == decision_counts(counts)
         assert stats_counts(metrics) == {
             "fetches": 70, "emitted": 10, "aborted": 0, "shared_links": 0,
         }

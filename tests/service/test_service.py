@@ -5,6 +5,7 @@ import pytest
 from repro.bench.harness import ExperimentConfig, build_layout
 from repro.core.tuning import pin_bound
 from repro.errors import (
+    AssemblyError,
     ServiceOverloadError,
     ServiceStateError,
     UnknownOidError,
@@ -141,6 +142,57 @@ class TestUnknownRoot:
         assert not any(
             q.assembly.is_open for q in operator._server.active_queries()
         )
+
+
+class TestRejectedSubmit:
+    """A submit whose options the engine would refuse raises before the
+    service counts anything, whether it would start at once or queue
+    behind a full budget (where it used to start inside another
+    client's step and fail there)."""
+
+    BAD = [
+        ({"windw_size": 3}, TypeError),
+        ({"scheduler": "elevator"}, TypeError),
+        ({"on_fault": "bogus"}, AssemblyError),
+        ({"window_size": 0}, ServiceStateError),
+    ]
+
+    @pytest.mark.parametrize("queued", [False, True], ids=["admitted", "queued"])
+    @pytest.mark.parametrize(
+        "options, error",
+        BAD,
+        ids=["misspelt", "scheduler", "on_fault", "window_size"],
+    )
+    def test_rejected_options_leave_no_trace(
+        self, monkeypatch, queued, options, error
+    ):
+        monkeypatch.setattr(admission, "MIN_WINDOW", 8)
+        db, layout = build(n=20)
+        template = make_template(db)
+        roots = layout.root_order
+        # Queued: the other client's W=8 fills the budget.
+        budget = pin_bound(8, template) if queued else None
+        service = AssemblyService(
+            layout.store, budget_pages=budget, max_waiting=2
+        )
+        other = service.submit(roots[:10], template, window_size=8)
+
+        def state():
+            return (
+                service.metrics.snapshot(),
+                service.admission.granted_pages,
+                service.admission.waiting_ids(),
+                sorted(service._requests),
+                service.server.pending_total(),
+            )
+
+        options = {"window_size": 8, **options}
+        before = state()
+        with pytest.raises(error):
+            service.submit(roots[10:], template, **options)
+        assert state() == before
+        assert len(service.result(other)) == 10
+        service.run()  # nothing is left queued or running
 
 
 class TestCacheIntegration:

@@ -18,14 +18,11 @@ def build_people_db(n=40, buffer_capacity=None, clustering="inter-object"):
     source = generate_people(n, seed=31)
     database = Database(buffer_capacity=buffer_capacity)
     # The workload carries its own registry; load the raw objects.
-    policy_kwargs = {}
-    if clustering == "inter-object":
-        policy_kwargs["cluster_pages"] = 64
     database.load(
         source.complex_objects,
         clustering=clustering,
         shared=source.shared_pool,
-        **policy_kwargs,
+        cluster_pages=64,
     )
     return source, database
 

@@ -24,22 +24,25 @@ Every defaulted option of every holder left must be *named* by at
 least one call site under ``src/`` (outside the holder's own module),
 ``examples/`` or ``benchmarks/`` —
 
-* as a keyword argument of a call to the holder,
-* as a positional argument of a direct call (``DeviceHealthTracker(n)``),
-  or
-* as a string key placed in a ``**kwargs`` dict that a call forwards
-  (``kwargs["health"] = …``, ``kwargs.setdefault("spans", …)``,
-  ``{"cache_capacity": 0}``), the way ``DeviceServer.register`` hands
-  ``health`` and ``spans`` to every query's ``Assembly``.
+* as a keyword argument of a call to the holder, or
+* as a positional argument of a direct call (``DeviceHealthTracker(n)``).
 
 A call reaches a holder by its own name, by a module-level alias
 (``AssemblyOperator = Assembly``), by ``super().__init__`` from a
-subclass, through a function that forwards its ``**kwargs`` to one of
-those (to a fixpoint), or through a registry dispatch in
-``REGISTRY_DISPATCH``, the one case the tree does not show.  Calls are
-matched by bare name: an over-approximation, so the rule can miss an
-unset option but never flags a set one.  The call sites are indexed in
-one pass over the session's cached trees.
+subclass, or through a registry dispatch in ``REGISTRY_DISPATCH``, the
+one case the tree does not show.  Calls are matched by bare name: an
+over-approximation, so the rule can miss an unset option but never
+flags a set one.  The call sites are indexed in one pass over the
+session's cached trees.
+
+Options travel by name only: no call under ``src/`` or ``examples/``
+unpacks a ``**`` mapping, and no function there takes a ``**``
+parameter, except the span-attribute sinks (the ``SpanRecorder``
+methods taking ``**attrs``) and the ``HAND_ON`` functions, named by file
+and qualified name, that hand their own ``**attrs`` straight to one.
+Span attributes are recorded data, not options.  A forwarder would hide which options its callers really set
+from the rule above, and would reject a misspelt option only where it
+lands, not where it was passed.
 
 ``KEPT_FOR_TESTS`` names the few options kept on purpose, each with its
 reason; it is exact, so an entry whose option goes or gains a caller
@@ -61,9 +64,25 @@ import ast
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
-from tests.source_index import PACKAGE, SourceFile, package, source, sources
+from tests.source_index import (
+    PACKAGE,
+    ROOT,
+    SourceFile,
+    package,
+    source,
+    sources,
+)
 
 #: Where call sites that count live.
 CALLERS = ("src", "examples", "benchmarks")
@@ -87,6 +106,10 @@ _SKETCH = (
 )
 _SECTION_2 = "ROADMAP item 10: the Section 2 figure drives sort and heap, or they go"
 _CLI = "set from the command line by the module's own main()"
+_CHOOSER = (
+    "ROADMAP item 11: the estimate-vs-engine figure drives the chooser, "
+    "or it goes"
+)
 
 #: Options kept although only tests set them, and why.  The list is
 #: exact: an entry whose option disappears or gains a caller fails too.
@@ -105,9 +128,17 @@ KEPT_FOR_TESTS: Dict[str, str] = {
     "ExternalSort.run_capacity": _SECTION_2,
     "ExternalSort.store": _SECTION_2,
     "ExternalSort.reverse": _SECTION_2,
-    "plan_assembly_join.pages_spanned": (
-        "ROADMAP item 11: the estimate-vs-engine figure drives the chooser, "
-        "or it goes"
+    "AssemblyService.submit.retry_policy": _FAULT_PATH,
+    "AssemblyService.submit.on_fault": _FAULT_PATH,
+    "plan_assembly_join.pages_spanned": _CHOOSER,
+    "plan_assembly_join.window_size": _CHOOSER,
+    "SpanRecorder.add.parent": (
+        "event, in the same module, records its instant under its caller's "
+        "parent through add"
+    ),
+    "build_assembly.spans": (
+        "trace_experiment, in the same module, passes its recorder "
+        "(python -m repro.bench --trace-out)"
     ),
     "DeviceServer.starvation_bound": (
         "DeviceServerAssembly, in the same module, turns the override off "
@@ -237,7 +268,6 @@ class CallSite:
     path: Path
     keywords: FrozenSet[str]
     positional: Optional[int]  # None when it unpacks ``*args``
-    forwards: bool  # it unpacks a ``**`` mapping
 
 
 @dataclass
@@ -245,41 +275,19 @@ class CallIndex:
     """Every call site under ``CALLERS``, by bare callee name."""
 
     calls: Dict[str, List[CallSite]]
-    keys: Dict[Path, FrozenSet[str]]  # string keys a file puts in dicts
-    forwarded_by: Dict[str, Set[str]]  # callee → functions passing it **kwargs
     aliases: Dict[str, Set[str]]  # name → module-level aliases of it
 
 
-def _strings(nodes) -> Set[str]:
-    return {
-        node.value
-        for node in nodes
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)
-    }
-
-
-def _scoped(tree: ast.Module) -> Iterator[Tuple[ast.AST, Tuple, Tuple[str, ...]]]:
-    """Every node with its enclosing functions (innermost last, each
-    paired with its forwarding name: a constructor forwards as its
-    class) and the base names of its innermost enclosing class."""
-    stack: List[Tuple[ast.AST, Tuple, Tuple[str, ...]]] = [(tree, (), ())]
+def _with_bases(tree: ast.Module) -> Iterator[Tuple[ast.AST, Tuple[str, ...]]]:
+    """Every node with the base names of its innermost enclosing class
+    (what ``super().__init__`` there reaches)."""
+    stack: List[Tuple[ast.AST, Tuple[str, ...]]] = [(tree, ())]
     while stack:
-        node, functions, bases = stack.pop()
-        yield node, functions, bases
+        node, bases = stack.pop()
+        yield node, bases
         if isinstance(node, ast.ClassDef):
-            inner_bases = tuple(_bare(base) for base in node.bases)
-            for child in node.body:
-                if isinstance(child, ast.FunctionDef):
-                    name = node.name if child.name == "__init__" else child.name
-                    stack.append((child, functions + ((child, name),), inner_bases))
-                else:
-                    stack.append((child, functions, inner_bases))
-            continue
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.FunctionDef):
-                stack.append((child, functions + ((child, child.name),), bases))
-            else:
-                stack.append((child, functions, bases))
+            bases = tuple(_bare(base) for base in node.bases)
+        stack += [(child, bases) for child in ast.iter_child_nodes(node)]
 
 
 def _is_super_init(call: ast.Call) -> bool:
@@ -295,43 +303,23 @@ def _is_super_init(call: ast.Call) -> bool:
 @lru_cache(maxsize=None)
 def call_index() -> CallIndex:
     """One pass over every caller file's cached tree."""
-    index = CallIndex({}, {}, {}, {})
+    index = CallIndex({}, {})
     for file in sources(*CALLERS):
-        keys: Set[str] = set()
-        for node, functions, bases in _scoped(file.tree):
+        for node, bases in _with_bases(file.tree):
             if isinstance(node, ast.Call):
-                callees = bases if _is_super_init(node) else (_bare(node.func),)
-                unpacked = [
-                    k.value.id
-                    for k in node.keywords
-                    if k.arg is None and isinstance(k.value, ast.Name)
-                ]
                 site = CallSite(
                     file.path,
                     frozenset(k.arg for k in node.keywords if k.arg),
                     None
                     if any(isinstance(a, ast.Starred) for a in node.args)
                     else len(node.args),
-                    any(k.arg is None for k in node.keywords),
                 )
+                callees = bases if _is_super_init(node) else (_bare(node.func),)
                 for callee in callees:
                     index.calls.setdefault(callee, []).append(site)
-                    for function, name in reversed(functions):
-                        kwarg = function.args.kwarg
-                        if kwarg is not None and kwarg.arg in unpacked:
-                            index.forwarded_by.setdefault(callee, set()).add(name)
-                            break
-                if callees == ("setdefault",):
-                    keys |= _strings(node.args[:1])
-            elif isinstance(node, ast.Dict):
-                keys |= _strings(node.keys)
-            elif isinstance(node, ast.Subscript) and isinstance(
-                node.ctx, ast.Store
-            ):
-                keys |= _strings([node.slice])
-            elif (
-                not functions
-                and isinstance(node, ast.Assign)
+        for node in file.tree.body:
+            if (
+                isinstance(node, ast.Assign)
                 and isinstance(node.value, ast.Name)
                 and len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name)
@@ -339,7 +327,6 @@ def call_index() -> CallIndex:
                 index.aliases.setdefault(node.value.id, set()).add(
                     node.targets[0].id
                 )
-        index.keys[file.path] = frozenset(keys)
     return index
 
 
@@ -383,14 +370,7 @@ def _call_names(holder: Holder) -> Tuple[Set[str], Set[str]]:
         for dispatcher, registry in REGISTRY_DISPATCH.items()
         if own in _registry_classes(dispatcher, registry)
     }
-    names = set(direct | dispatchers)
-    grow = list(names)
-    while grow:  # the **kwargs forwarders, to a fixpoint
-        for forwarder in call_index().forwarded_by.get(grow.pop(), ()):
-            if forwarder not in names:
-                names.add(forwarder)
-                grow.append(forwarder)
-    return direct, names
+    return direct, direct | dispatchers
 
 
 def _named(holder: Holder) -> Set[str]:
@@ -405,8 +385,6 @@ def _named(holder: Holder) -> Set[str]:
             named |= site.keywords
             if callee in direct and site.positional is not None:
                 named.update(holder.ordered[: site.positional])
-            if site.forwards:
-                named |= index.keys[site.path]
     return named
 
 
@@ -565,11 +543,10 @@ def test_each_registry_dispatch_is_real():
 
 
 def test_call_names_are_derived():
-    """Aliases, ``super().__init__``, ``**kwargs`` forwarders and the
-    registry dispatch each reach their holder."""
+    """Aliases, ``super().__init__`` and the registry dispatch each
+    reach their holder."""
     by_name = {holder.name: holder for holder in all_holders()}
     assert "AssemblyOperator" in _call_names(by_name["Assembly"])[0]
-    assert "register" in _call_names(by_name["Assembly"])[1]
     assert "make_scheduler" in _call_names(
         by_name["AdaptiveElevatorScheduler"]
     )[1]
@@ -578,6 +555,143 @@ def test_call_names_are_derived():
         site.path == PACKAGE / "volcano" / "assembly.py"
         for site in call_index().calls["PipelinedAssembly"]
     )
+
+
+# -- options travel by name ---------------------------------------------------
+
+#: Where the no-``**`` rule looks.
+NAMED_OPTION_CALLERS = ("src", "examples")
+
+#: Where the span-attribute sinks are defined.
+SPANS = "src/repro/obs/spans.py"
+
+#: The functions that hand their own ``**attrs`` straight on, as
+#: ``**``, into a sink, by file and qualified name: the one other place
+#: a ``**`` may stand.
+HAND_ON = frozenset(
+    {
+        f"{SPANS}:SpanRecorder.event",
+        "src/repro/core/assembly.py:Assembly._end_slot_span",
+    }
+)
+
+
+@lru_cache(maxsize=None)
+def span_sinks() -> FrozenSet[str]:
+    """The ``SpanRecorder`` methods taking ``**attrs``: they record
+    their mapping as span attributes."""
+    (recorder,) = [
+        node
+        for node in source(ROOT / SPANS).tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "SpanRecorder"
+    ]
+    return frozenset(
+        method.name
+        for method in recorder.body
+        if isinstance(method, ast.FunctionDef) and method.args.kwarg is not None
+    )
+
+
+def _functions(
+    node: ast.AST, prefix: str = ""
+) -> Iterator[Tuple[str, ast.FunctionDef]]:
+    """Every function under ``node``, with its qualified name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if isinstance(child, ast.FunctionDef):
+                yield name, child
+            yield from _functions(child, name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+def _mapping_lines(where: str, tree: ast.Module) -> Tuple[List[int], Set[str]]:
+    """Lines of every ``**`` in the module at ``where`` that is not span
+    attributes, and the ``HAND_ON`` functions it holds.
+
+    A ``**`` may stand only in a sink's own parameters, and in a
+    ``HAND_ON`` function's parameters when every use of them is a
+    ``**`` into a sink call, which is then no option mapping either."""
+    sinks = span_sinks()
+    own = {f"{SPANS}:SpanRecorder.{sink}" for sink in sinks}
+    lines = []
+    found = set()
+    handed_on: Set[int] = set()
+    for qualname, function in _functions(tree):
+        key = f"{where}:{qualname}"
+        if function.args.kwarg is None or (key in own and key not in HAND_ON):
+            continue
+        if key not in HAND_ON:
+            lines.append(function.lineno)
+            continue
+        found.add(key)
+        name = function.args.kwarg.arg
+        calls = [
+            (call, keyword.value)
+            for call in ast.walk(function)
+            if isinstance(call, ast.Call) and _bare(call.func) in sinks
+            for keyword in call.keywords
+            if keyword.arg is None
+        ]
+        uses = [
+            use
+            for use in ast.walk(function)
+            if isinstance(use, ast.Name) and use.id == name
+        ]
+        if not uses or not {id(use) for use in uses} <= {
+            id(value) for _, value in calls
+        }:
+            lines.append(function.lineno)
+        handed_on |= {
+            id(call)
+            for call, value in calls
+            if isinstance(value, ast.Name) and value.id == name
+        }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in handed_on:
+            lines += [node.lineno for k in node.keywords if k.arg is None]
+    return sorted(lines), found
+
+
+def test_options_travel_by_name():
+    """No ``**`` forwarder: each option is a named parameter where it is
+    taken, so a misspelt one fails at the call and the rule above sees
+    who sets what."""
+    assert span_sinks() == {"begin", "add", "event", "end"}
+    found = []
+    held: Set[str] = set()
+    for file in sources(*NAMED_OPTION_CALLERS):
+        where = str(file.path.relative_to(ROOT))
+        lines, hand_on = _mapping_lines(where, file.tree)
+        found += [f"{where}:{line}" for line in lines]
+        held |= hand_on
+    assert found == [], f"** option mappings (name each option): {found}"
+    assert held == HAND_ON  # exact: an entry whose function goes fails
+
+
+def test_the_named_option_rule_bites():
+    """A forwarding parameter, its unpacking call, a literal mapping, an
+    unused ``**`` parameter and a ``**`` into a method that shares a
+    sink's name are caught; the ``HAND_ON`` functions pass."""
+    tree = ast.parse(
+        "def submit(roots, **options):\n"
+        "    register(roots, **options)\n"
+        "class SpanRecorder:\n"
+        "    def event(self, name, **attrs):\n"
+        "        return self.add(name, 0, 0, **attrs)\n"
+        "def window(part):\n"
+        "    register(part, **{'window_size': 4})\n"
+        "def unused(**options):\n"
+        "    pass\n"
+        "def grow(self, **options):\n"
+        "    self.pool.add(**options)\n"
+        "def stamp(span):\n"
+        "    recorder.end(span, **{'outcome': 'x'})\n"
+    )
+    lines, found = _mapping_lines(SPANS, tree)
+    assert lines == [1, 2, 7, 8, 10, 11, 13]
+    assert found == {f"{SPANS}:SpanRecorder.event"}
 
 
 #: Operators kept without a driver, and why.

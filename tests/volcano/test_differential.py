@@ -14,23 +14,22 @@ real behavioural change.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.layout import layout_database
-from repro.cluster.policies import (
-    InterObjectClustering,
-    IntraObjectClustering,
-    Unclustered,
-)
+from repro.cluster.policies import make_policy
 from repro.core.assembly import Assembly
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.storage.store import ObjectStore
 from repro.volcano.aggregate import HashAggregate
+from repro.volcano import assembly as volcano_assembly
 from repro.volcano.assembly import AssemblyOperator, ParallelAssembly
 from repro.volcano.filters import Filter, Project
 from repro.iterator import ListSource
@@ -44,20 +43,12 @@ CLUSTERINGS = ("inter-object", "intra-object", "unclustered")
 SHAPES = ("bare", "filter", "project", "sort", "aggregate", "join")
 
 
-def make_policy(name):
-    if name == "inter-object":
-        return InterObjectClustering(cluster_pages=64)
-    if name == "intra-object":
-        return IntraObjectClustering()
-    return Unclustered()
-
-
 def build_store(db, clustering, fault_rate, fault_seed):
     """A laid-out store; repeated calls are bit-identical."""
     disk = SimulatedDisk()
     store = ObjectStore(disk, BufferManager(disk))
     layout = layout_database(
-        db.complex_objects, store, make_policy(clustering),
+        db.complex_objects, store, make_policy(clustering, cluster_pages=64),
         shared=db.shared_pool,
     )
     if fault_rate > 0.0:
@@ -286,9 +277,15 @@ class TestDifferentialConformance:
             ListSource(roots),
             [store for store, _layout in plan_replicas],
             template,
-            **kwargs,
+            window_size=window,
         )
-        plan_rows = parallel.execute()
+        # ParallelAssembly's engines run the elevator without retries;
+        # the sampled scheduler and retry policy reach them through the
+        # engine class the fragments are built from.
+        with mock.patch.object(
+            volcano_assembly, "Assembly", functools.partial(Assembly, **kwargs)
+        ):
+            plan_rows = parallel.execute()
 
         ref_replicas = replica_stores()
         reference_rows = []

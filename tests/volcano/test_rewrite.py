@@ -257,7 +257,7 @@ class TestJoinOrderMetamorphic:
             lambda item: item[0],
             store2,
             make_template(_DB),
-            dict(window_size=3),
+            3,  # window_size
         )
         validate_plan(other)
         assert multiset(chosen_rows) == multiset(other.execute())
