@@ -12,9 +12,9 @@ Run:  python examples/scheduling_playground.py [n_complex_objects]
 import sys
 
 from repro.bench.harness import ExperimentConfig, run_experiment
+from repro.cluster.policies import CLUSTERINGS
 
 SCHEDULERS = ("depth-first", "breadth-first", "elevator")
-CLUSTERINGS = ("inter-object", "intra-object", "unclustered")
 WINDOWS = (1, 10, 50)
 
 

@@ -38,6 +38,7 @@ from repro.bench.harness import (
     run_experiment,
 )
 from repro.bench.report import FigureResult
+from repro.cluster.policies import CLUSTERINGS
 from repro.core.assembly import Assembly
 from repro.core.schedulers import ReferenceScheduler, UnresolvedReference
 from repro.iterator import ListSource
@@ -45,8 +46,6 @@ from repro.workloads.acob import make_template, payload_predicate
 
 #: Batch sizes swept by every figure (1 = the paper's unbatched loop).
 BATCH_SIZES = (1, 2, 4, 8)
-#: Clustering order used in the figures' legends.
-CLUSTERING_ORDER = ("inter-object", "intra-object", "unclustered")
 
 
 class _LegacyElevatorScheduler(ReferenceScheduler):
@@ -114,7 +113,7 @@ def _batch_sweep(
 ) -> Dict[str, Dict[int, ExperimentResult]]:
     """One elevator run per clustering x batch size."""
     results: Dict[str, Dict[int, ExperimentResult]] = {}
-    for clustering in CLUSTERING_ORDER:
+    for clustering in CLUSTERINGS:
         results[clustering] = {}
         for batch in batch_sizes:
             results[clustering][batch] = run_experiment(
@@ -152,7 +151,7 @@ def figure_batch(
         x_label="batch size (pages per scheduler batch)",
         y_label="average seek distance per page read (pages)",
     )
-    for clustering in CLUSTERING_ORDER:
+    for clustering in CLUSTERINGS:
         for batch in batch_sizes:
             b1.add_point(clustering, batch, sweep[clustering][batch].avg_seek)
         totals = ", ".join(
@@ -187,7 +186,7 @@ def figure_batch(
         x_label="batch size (pages per scheduler batch)",
         y_label="physical read operations",
     )
-    for clustering in CLUSTERING_ORDER:
+    for clustering in CLUSTERINGS:
         for batch in batch_sizes:
             b2.add_point(clustering, batch, sweep[clustering][batch].reads)
     for clustering in ("intra-object", "unclustered"):
@@ -201,7 +200,7 @@ def figure_batch(
         all(
             sweep[c][b].emitted == sweep[c][unbatched].emitted
             and sweep[c][b].fetches == sweep[c][unbatched].fetches
-            for c in CLUSTERING_ORDER
+            for c in CLUSTERINGS
             for b in batched
         ),
     )
@@ -209,7 +208,7 @@ def figure_batch(
         "pages transferred invariant (unbounded buffer)",
         all(
             sweep[c][b].pages_read == sweep[c][unbatched].pages_read
-            for c in CLUSTERING_ORDER
+            for c in CLUSTERINGS
             for b in batched
         ),
     )

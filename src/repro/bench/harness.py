@@ -24,7 +24,7 @@ from repro.cluster.layout import (
     restore_layout,
     snapshot_layout,
 )
-from repro.cluster.policies import make_policy
+from repro.cluster.policies import CLUSTERINGS, make_policy
 from repro.core.assembly import Assembly
 from repro.errors import ReproError
 from repro.iterator import ListSource
@@ -40,8 +40,6 @@ from repro.workloads.acob import (
     payload_predicate,
 )
 
-#: Clustering names accepted by :class:`ExperimentConfig`.
-CLUSTERINGS = ("inter-object", "intra-object", "unclustered")
 #: The tree position a selective run's predicate sits on: a level-1
 #: node, so failing objects abort after two fetches.
 PREDICATE_POSITION = 1
@@ -108,12 +106,6 @@ def get_database(
             n_complex_objects, sharing=sharing, seed=seed
         )
     return _DB_CACHE[key]
-
-
-def clear_database_cache() -> None:
-    """Drop cached databases and layouts (tests use this to bound memory)."""
-    _DB_CACHE.clear()
-    _LAYOUT_SNAPSHOTS.clear()
 
 
 #: Layouts are deterministic functions of a config's layout fields and

@@ -217,6 +217,15 @@ class IntraObjectClustering(ClusteringPolicy):
         return placement
 
 
+#: The clustering names :func:`make_policy` takes, in the figures'
+#: legend order.
+CLUSTERINGS = (
+    InterObjectClustering.name,
+    IntraObjectClustering.name,
+    Unclustered.name,
+)
+
+
 def make_policy(
     clustering: str,
     cluster_pages: int = DEFAULT_CLUSTER_PAGES,

@@ -137,9 +137,6 @@ class AffinitySketch:
         #: references observed since construction (never decayed).
         self.observations = 0
 
-    def __len__(self) -> int:
-        return len(self._weights)
-
     def observe(self, group_key: Hashable, oid: Oid) -> None:
         """Record that ``oid`` was resolved for the group's object."""
         self.observations += 1
@@ -334,14 +331,9 @@ class DeviceIdleTracker:
     """
 
     def __init__(self, disk) -> None:
-        self._disk = disk
         self.ledger = DeviceLedger(disk.n_devices, intervals=True)
         self.cost_model = self.ledger.cost_model
         disk.add_read_tap(self.ledger.record)
-
-    def detach(self) -> None:
-        """Stop watching the disk (idempotent)."""
-        self._disk.remove_read_tap(self.ledger.record)
 
     def _intervals(self, kind: str) -> List[List[Tuple[float, float]]]:
         return [
@@ -518,17 +510,17 @@ class Reorganizer:
 
     # -- execution ------------------------------------------------------------
 
-    def run_round(self, force: bool = False) -> ReorgRound:
+    def run_round(self) -> ReorgRound:
         """Plan and execute one migration batch inside the idle window.
 
         Returns an empty :class:`ReorgRound` (zero migrations) when the
-        sketch is not :meth:`ready` (unless ``force``), the pool is not
-        idle, or the planner finds nothing worth moving.  The sketch
+        sketch is not :meth:`ready`, the pool is not idle, or the
+        planner finds nothing worth moving.  The sketch
         decays once per *executed* planning pass, so hot sets age with
         reorganization activity, not with wall time.
         """
         round_report = ReorgRound()
-        if not force and not self.ready():
+        if not self.ready():
             return round_report
         if self._idle_check is not None and not self._idle_check():
             return round_report

@@ -99,12 +99,6 @@ class AssembledObject:
                 return obj
         return None
 
-    def __repr__(self) -> str:
-        return (
-            f"AssembledObject({self.oid}, {self.node.label!r}, "
-            f"children={sorted(self.children)})"
-        )
-
 
 @dataclass
 class AssembledComplexObject:
@@ -160,9 +154,3 @@ class AssembledComplexObject:
                         f"{obj.oid}: slot {slot} swizzled to "
                         f"{obj.children[slot].oid}, expected {target}"
                     )
-
-    def __repr__(self) -> str:
-        return (
-            f"AssembledComplexObject(root={self.root_oid}, "
-            f"objects={self.object_count()}, fetches={self.fetches})"
-        )

@@ -120,12 +120,6 @@ class UnresolvedReference:
         self.is_root = is_root
         self.client: Optional[int] = None
 
-    def __repr__(self) -> str:
-        return (
-            f"UnresolvedReference({self.oid}, page={self.page_id}, "
-            f"owner={self.owner}, node={self.node.label!r})"
-        )
-
 
 #: Admission order of pooled references (a C-level sort key).
 _BY_SEQ = attrgetter("seq")

@@ -139,10 +139,6 @@ class TemplateNode:
         """Children keyed by the reference slot that leads to them."""
         return dict(self._children)
 
-    def child_slots(self) -> List[int]:
-        """Reference slots with children, in slot order."""
-        return [slot for slot, _ in self.slot_children]
-
     def walk(self) -> Iterator["TemplateNode"]:
         """Pre-order traversal of the subtree rooted here."""
         yield self
@@ -155,18 +151,6 @@ class TemplateNode:
         copy.sharing_degree = self.sharing_degree
         copy.predicate = self.predicate
         return copy
-
-    def __repr__(self) -> str:
-        flags = []
-        if self.shared:
-            flags.append(f"shared={self.sharing_degree:.2f}")
-        if self.predicate is not None:
-            flags.append(f"pred={self.predicate.name}")
-        extra = (", " + ", ".join(flags)) if flags else ""
-        return (
-            f"TemplateNode({self.label!r}, children={len(self._children)}"
-            f"{extra})"
-        )
 
 
 class Template:
@@ -386,12 +370,6 @@ class Template:
         self._require_finalized()
         return self.root.subtree_predicates
 
-    @property
-    def max_depth(self) -> int:
-        """Deepest node's depth (root is 0)."""
-        self._require_finalized()
-        return max(node.depth for node in self.root.walk())
-
     def node(self, label: str) -> TemplateNode:
         """Look a node up by label."""
         self._require_finalized()
@@ -404,11 +382,6 @@ class Template:
         """All nodes in pre-order."""
         self._require_finalized()
         return list(self.root.walk())
-
-    def shared_labels(self) -> List[str]:
-        """Labels of shared-border nodes."""
-        self._require_finalized()
-        return [n.label for n in self.root.walk() if n.shared]
 
     def has_predicates(self) -> bool:
         """Does any node carry a predicate?"""

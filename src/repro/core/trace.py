@@ -29,7 +29,7 @@ its decisions with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import List, Optional
 
 from repro.obs.spans import SpanRecorder
 from repro.storage.oid import Oid
@@ -123,34 +123,7 @@ class AssemblyTracer:
             for span in self.recorder.of_kind(DECISION)
         ]
 
-    # -- queries ---------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def of_kind(self, kind: str) -> List[TraceEvent]:
-        """All events of one kind, in occurrence order."""
-        return [e for e in self.events if e.kind == kind]
-
-    def fetch_order(self) -> List[Oid]:
-        """OIDs in the order the operator fetched them from disk."""
-        return [e.oid for e in self.events if e.kind == FETCHED]
-
-    def resolution_order(self) -> List[Oid]:
-        """OIDs in resolution order (fetches and links together)."""
-        kinds = (FETCHED, LINKED_SHARED, LINKED_PREASSEMBLED)
-        return [e.oid for e in self.events if e.kind in kinds]
-
-    def per_owner(self, owner: int) -> List[TraceEvent]:
-        """The life of one complex object."""
-        return [e for e in self.events if e.owner == owner]
-
-    def counts(self) -> Dict[str, int]:
-        """Event counts by kind (only kinds that occurred)."""
-        out: Dict[str, int] = {}
-        for event in self.events:
-            out[event.kind] = out.get(event.kind, 0) + 1
-        return out
+    # -- rendering -----------------------------------------------------------
 
     def summarize(self, max_events: Optional[int] = None) -> str:
         """Multi-line rendering in Figure 5 style."""
@@ -160,6 +133,3 @@ class AssemblyTracer:
         if max_events is not None and len(events) > max_events:
             lines.append(f"... {len(events) - max_events} more events")
         return "\n".join(lines)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)

@@ -6,22 +6,22 @@ owns one simulated disk and object store, a type registry, the loaded
 complex objects, and a query entry point:
 
     db = Database(buffer_capacity=512)
-    builder = db.builder()
+    builder = GraphBuilder(db.registry)
     ... define types, build complex objects ...
     db.load(builder, clustering="inter-object")
 
     template = ...                      # or a workload's template
     results = db.query(template).where_component(
         "residence", in_oregon
-    ).run()
+    ).plan().execute()
 
-``run`` goes through the optimizer (predicate pushdown, scheduler and
+``plan`` goes through the optimizer (predicate pushdown, scheduler and
 window selection).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from repro.cluster.layout import LayoutResult, layout_database
 from repro.cluster.policies import (
@@ -44,9 +44,9 @@ from repro.storage.store import ObjectStore
 class BoundQuery:
     """A :class:`ComplexObjectQuery` bound to a database.
 
-    Thin wrapper adding ``run`` / ``plan`` / ``explain`` that route
-    through the database's optimizer; the refinement methods mirror the
-    logical query's and stay chainable.
+    Thin wrapper adding ``plan`` / ``explain`` that route through the
+    database's optimizer (the caller runs ``plan().execute()``); the
+    refinement methods mirror the logical query's and stay chainable.
     """
 
     def __init__(self, database: "Database", query: ComplexObjectQuery) -> None:
@@ -79,10 +79,6 @@ class BoundQuery:
         """The physical plan and optimizer choices, as text."""
         return self.plan().explain()
 
-    def run(self) -> List:
-        """Optimize and execute; returns the materialized results."""
-        return self.plan().execute()
-
 
 class Database:
     """One simulated disk, one store, one catalog, many queries."""
@@ -96,10 +92,6 @@ class Database:
         self._layout: Optional[LayoutResult] = None
 
     # -- schema and data ------------------------------------------------------
-
-    def builder(self) -> GraphBuilder:
-        """A graph builder bound to this database's type registry."""
-        return GraphBuilder(self.registry)
 
     def load(
         self,
@@ -140,18 +132,6 @@ class Database:
         )
         return self._layout
 
-    @property
-    def layout(self) -> LayoutResult:
-        """The load result (roots, extents); raises if not loaded."""
-        if self._layout is None:
-            raise ReproError("database has not been loaded")
-        return self._layout
-
-    @property
-    def roots(self) -> List[Oid]:
-        """Root OIDs in the canonical (shuffled) input order."""
-        return list(self.layout.root_order)
-
     # -- querying ---------------------------------------------------------------
 
     def query(self, template: Template) -> BoundQuery:
@@ -173,11 +153,3 @@ class Database:
     def avg_seek_per_read(self) -> float:
         """The paper's metric since the disk's statistics were last reset."""
         return self.disk.stats.avg_seek_per_read
-
-    def __repr__(self) -> str:
-        loaded = (
-            f"{self.layout.object_count} objects"
-            if self._layout is not None
-            else "empty"
-        )
-        return f"Database({loaded}, buffer={self.buffer.capacity})"

@@ -218,12 +218,6 @@ class ShardReplica:
             if delta:
                 self.clock += delta * self.speed_factor
 
-    def __repr__(self) -> str:
-        return (
-            f"ShardReplica({self.shard_id}.{self.replica_id}, "
-            f"clock={self.clock:.1f}ms, depth={self.depth})"
-        )
-
 
 class Shard:
     """One shard: its replicas, roots, SLO tracker and metrics.

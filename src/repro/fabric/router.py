@@ -65,9 +65,3 @@ class ConsistentHashRouter:
         if index == len(self._tokens):
             index = 0  # wrap past the last token
         return self._owners[index]
-
-    def __repr__(self) -> str:
-        return (
-            f"ConsistentHashRouter(shards={self.n_shards}, "
-            f"vnodes={VNODES})"
-        )

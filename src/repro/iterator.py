@@ -99,9 +99,6 @@ class VolcanoIterator(ABC):
         """Run to completion and collect every row."""
         return list(self.rows())
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._state.value})"
-
 
 class ListSource(VolcanoIterator):
     """An iterator over a pre-materialized list of rows.

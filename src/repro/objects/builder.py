@@ -61,16 +61,6 @@ class GraphBuilder:
         self._objects[oid] = obj
         return obj
 
-    def get(self, oid: Oid) -> ObjectDef:
-        """Look up a built object by OID."""
-        try:
-            return self._objects[oid]
-        except KeyError:
-            try:
-                return self._shared[oid]
-            except KeyError:
-                raise ModelError(f"{oid} was not built here") from None
-
     # -- grouping -------------------------------------------------------------
 
     def complex_object(

@@ -130,21 +130,11 @@ class TypeRegistry:
         except KeyError:
             raise ModelError(f"unknown type {name!r}") from None
 
-    def by_id(self, type_id: int) -> ObjectType:
-        """Look a type up by id."""
-        try:
-            return self._by_id[type_id]
-        except KeyError:
-            raise ModelError(f"unknown type id {type_id}") from None
-
     def new_oid(self, type_name: str) -> Oid:
         """Mint a fresh OID of the named type."""
         otype = self.by_name(type_name)
         self._serials[otype.type_id] += 1
         return Oid(otype.type_id, self._serials[otype.type_id])
-
-    def __len__(self) -> int:
-        return len(self._by_id)
 
 
 @dataclass
@@ -230,15 +220,6 @@ class ComplexObjectDef:
 
     def __iter__(self) -> Iterator[ObjectDef]:
         return iter(self.objects.values())
-
-    def external_refs(self) -> List[Oid]:
-        """References leaving this complex object (shared components)."""
-        return [
-            target
-            for obj in self.objects.values()
-            for target in obj.referenced_oids()
-            if target not in self.objects
-        ]
 
     def traverse_depth_first(self) -> List[ObjectDef]:
         """Private components in depth-first, field-order traversal.

@@ -86,12 +86,6 @@ class DeviceIOTimeline:
         if disk is not None:
             disk.remove_read_tap(self._on_read)
 
-    def __enter__(self) -> "DeviceIOTimeline":
-        return self.attach()
-
-    def __exit__(self, *_exc) -> None:
-        self.detach()
-
     # -- capture -------------------------------------------------------------
 
     def _now(self) -> float:
@@ -121,9 +115,3 @@ class DeviceIOTimeline:
                 seek=distance,
                 pages=pages,
             )
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def __repr__(self) -> str:
-        return f"DeviceIOTimeline(samples={len(self.samples)})"

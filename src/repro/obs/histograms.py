@@ -171,9 +171,3 @@ class StreamingHistogram:
             and self.max == other.max
             and self._buckets == other._buckets
         )
-
-    def __repr__(self) -> str:
-        return (
-            f"StreamingHistogram(count={self.count}, min={self.min}, "
-            f"max={self.max})"
-        )

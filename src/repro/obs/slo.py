@@ -117,10 +117,3 @@ class SLOTracker:
             "breaches": self.breaches,
             "recoveries": self.recoveries,
         }
-
-    def __repr__(self) -> str:
-        state = "BREACHED" if self._breached else "ok"
-        return (
-            f"SLOTracker(p{SLO_PERCENTILE * 100:g} <= "
-            f"{self.target_ms:g}ms, current={self.current()}, {state})"
-        )

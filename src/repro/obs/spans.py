@@ -262,9 +262,6 @@ class SpanRecorder:
 
     # -- queries -------------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self.spans)
-
     def open_spans(self) -> List[Span]:
         """Spans begun but never ended (should be empty at quiescence)."""
         return [span for span in self.spans if not span.finished]
@@ -272,10 +269,3 @@ class SpanRecorder:
     def of_kind(self, kind: str) -> List[Span]:
         """All spans of one kind, in start order."""
         return [span for span in self.spans if span.kind == kind]
-
-    def __repr__(self) -> str:
-        return (
-            f"SpanRecorder(spans={len(self.spans)}, "
-            f"sample_rate={self.sample_rate}, "
-            f"clock={'bound' if self.clock_bound else 'ticks'})"
-        )

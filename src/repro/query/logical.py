@@ -40,9 +40,6 @@ class ComponentPredicate:
     label: str
     predicate: Predicate
 
-    def __str__(self) -> str:
-        return f"{self.label}: {self.predicate}"
-
 
 @dataclass(frozen=True)
 class ComplexObjectQuery:

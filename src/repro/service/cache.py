@@ -74,12 +74,6 @@ class AssembledObjectCache:
         self.stats = CacheStats()
         self._wired_store: Optional["weakref.ref[ObjectStore]"] = None
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: CacheKey) -> bool:
-        return key in self._entries
-
     # -- lookup / insert ------------------------------------------------------
 
     def get(
@@ -140,11 +134,6 @@ class AssembledObjectCache:
             dropped += 1
         self.stats.invalidations += dropped
         return dropped
-
-    def clear(self) -> None:
-        """Drop everything (stats are kept)."""
-        self._entries.clear()
-        self._by_member.clear()
 
     # -- store wiring ---------------------------------------------------------
 

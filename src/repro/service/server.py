@@ -318,21 +318,7 @@ class AssemblyService:
         if self.server.reorg is not None:
             self._run_reorg_round()
 
-    def reorganize(self):
-        """Run one reorganization round now; returns its report.
-
-        Raises :class:`ServiceStateError` when the service was built
-        without a ``reorg_policy``.  The round runs even below the
-        policy's observation threshold — the operator asked for it
-        explicitly.
-        """
-        if self.server.reorg is None:
-            raise ServiceStateError(
-                "reorganize() needs a service built with reorg_policy="
-            )
-        return self._run_reorg_round(force=True)
-
-    def _run_reorg_round(self, force: bool = False):
+    def _run_reorg_round(self) -> None:
         """Execute one round and fold its activity into the metrics.
 
         Cache invalidations are measured as the invalidation-counter
@@ -346,7 +332,7 @@ class AssemblyService:
         invalidations_before = (
             self.cache.stats.invalidations if self.cache is not None else 0
         )
-        report = reorg.run_round(force=force)
+        report = reorg.run_round()
         self.metrics.reorg_rounds = reorg.rounds
         self.metrics.reorg_migrations += report.migrations
         self.metrics.reorg_pages_written += report.pages_touched
@@ -355,7 +341,6 @@ class AssemblyService:
             self.metrics.reorg_cache_invalidations += (
                 self.cache.stats.invalidations - invalidations_before
             )
-        return report
 
     def _collect(self, request: _Request) -> None:
         for assembled in request.query.take_results():

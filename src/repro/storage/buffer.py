@@ -325,10 +325,3 @@ class BufferManager:
         """Zero the counters (resident pages are untouched)."""
         self.stats = BufferStats()
         self._ever_resident = set(self._frames)
-
-    def __repr__(self) -> str:
-        cap = "unbounded" if self._capacity is None else str(self._capacity)
-        return (
-            f"BufferManager(capacity={cap}, resident={len(self._frames)}, "
-            f"pinned={self.pinned_pages})"
-        )

@@ -58,10 +58,6 @@ class CostModel:
         # frozen-instance guard.
         object.__setattr__(self, "_run_cache", {})
 
-    def service_time(self, distance: int) -> float:
-        """Milliseconds to serve one read that moved ``distance`` pages."""
-        return self.run_service_time(distance, 1)
-
     def run_service_time(self, distance: int, n_pages: int) -> float:
         """Milliseconds for one contiguous run: one positioning, one
         rotational wait, then ``n_pages`` sequential page transfers.

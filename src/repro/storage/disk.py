@@ -195,14 +195,11 @@ class SimulatedDisk:
         self._check(page_id)
         return page_id // self.pages_per_device
 
-    def head_of(self, device: int) -> int:
-        """Current head position of one device, in pages."""
-        return self._heads[device]
-
     def head_probe(self, device: int) -> Callable[[], int]:
-        """``head_of(device)`` as a zero-argument callable that runs no
-        Python frame (a sweep scheduler asks on every pop).  It holds the
-        head list, which :meth:`reset_stats` parks in place."""
+        """The head position of ``device``, in pages, as a zero-argument
+        callable that runs no Python frame (a sweep scheduler asks on
+        every pop).  It holds the head list, which :meth:`reset_stats`
+        parks in place."""
         return partial(getitem, self._heads, device)
 
     @property
@@ -423,10 +420,3 @@ class SimulatedDisk:
                 device * self.pages_per_device
                 for device in range(self.n_devices)
             ]
-
-    def __repr__(self) -> str:
-        limit = "unbounded" if self._limit is None else str(self._limit)
-        return (
-            f"SimulatedDisk(pages={limit}, allocated={self._next_free}, "
-            f"head={self._heads[0]})"
-        )

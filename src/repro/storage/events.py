@@ -88,10 +88,6 @@ class EventQueue:
         self._next_handle = 0
         self._cancelled: set = set()
 
-    def __len__(self) -> int:
-        """Live (scheduled, not cancelled) entries."""
-        return len(self._heap) - len(self._cancelled)
-
     def schedule(self, when: float, payload: Any) -> int:
         """Enqueue ``payload`` at simulated time ``when``; its handle."""
         if when < 0:
@@ -379,9 +375,3 @@ class AsyncIOEngine:
     def utilizations(self) -> List[float]:
         """Per-device busy fractions."""
         return [self.utilization(d) for d in range(self.n_devices)]
-
-    def __repr__(self) -> str:
-        return (
-            f"AsyncIOEngine(devices={self.n_devices}, "
-            f"now={self.clock.now:.1f}ms, in_flight={sum(self._in_flight)})"
-        )

@@ -110,16 +110,6 @@ class FaultConfig:
                 "max_consecutive_failures must be positive or None"
             )
 
-    @property
-    def enabled(self) -> bool:
-        """Would this configuration ever inject anything?"""
-        return bool(
-            self.read_error_rate
-            or self.latency_spike_rate
-            or self.down_intervals
-            or self.always_fail_pages
-        )
-
 
 @dataclass
 class FaultStats:
@@ -297,13 +287,6 @@ class FaultInjector:
             page_id=page_id,
             device=device,
             attempt=attempt,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"FaultInjector(seed={self.config.seed}, "
-            f"rate={self.config.read_error_rate}, "
-            f"faults={self.stats.transient_errors})"
         )
 
 

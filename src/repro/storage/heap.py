@@ -126,9 +126,3 @@ class HeapFile:
     def flush(self) -> None:
         """Write all dirty buffered pages of this file back to disk."""
         self.buffer.flush_all()
-
-    def __repr__(self) -> str:
-        return (
-            f"HeapFile(name={self.name!r}, pages={len(self._pages)}, "
-            f"records={self._record_count})"
-        )

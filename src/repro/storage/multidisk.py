@@ -124,9 +124,3 @@ class MultiDeviceDisk(SimulatedDisk):
         super().reset_stats(head_to_zero=head_to_zero)
         # In place: the read tap holds this list.
         self.device_stats[:] = [DiskStats() for _ in range(self.n_devices)]
-
-    def __repr__(self) -> str:
-        return (
-            f"MultiDeviceDisk(devices={self.n_devices}, "
-            f"pages_per_device={self.pages_per_device})"
-        )

@@ -79,9 +79,6 @@ class Rid(NamedTuple):
     page_id: int
     slot: int
 
-    def __str__(self) -> str:
-        return f"RID<{self.page_id}.{self.slot}>"
-
 
 class OidDirectory:
     """Mapping from logical OIDs to physical record addresses.

@@ -110,10 +110,6 @@ class Page:
         used_by_slots = self._slot_count * SLOT_SIZE
         return PAGE_SIZE - used_by_slots - self._free_offset
 
-    def fits(self, length: int) -> bool:
-        """Would a record of ``length`` bytes fit (with a new slot entry)?"""
-        return length + SLOT_SIZE <= self.free_space
-
     def insert(self, record: bytes) -> int:
         """Append a record; return its slot number.
 
@@ -211,12 +207,6 @@ class Page:
     def from_bytes(cls, page_id: int, data: bytes) -> "Page":
         """Deserialize a page image produced by :meth:`to_bytes`."""
         return cls(page_id, data)
-
-    def __repr__(self) -> str:
-        return (
-            f"Page(id={self.page_id}, slots={self._slot_count}, "
-            f"free={self.free_space})"
-        )
 
 
 def records_per_page(record_size: int) -> int:

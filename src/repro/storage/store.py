@@ -320,9 +320,6 @@ class ObjectStore:
                 record = self._decode_stored(stored, image)
                 yield record.oid, record.to_record(self.fmt)
 
-    def __len__(self) -> int:
-        return len(self.directory)
-
 
 class PagePlanner:
     """Sequential page-filling helper for layouts.
@@ -336,15 +333,6 @@ class PagePlanner:
         self._per_page = store.objects_per_page()
         self._fill: Dict[int, int] = {}
         self._cursor = 0  # first extent index that may have room
-
-    @property
-    def objects_per_page(self) -> int:
-        """Packing factor used by the planner."""
-        return self._per_page
-
-    def capacity(self) -> int:
-        """Total objects the extent can hold."""
-        return self._extent.length * self._per_page
 
     def slots_in_order(self) -> List[int]:
         """Page ids repeated once per free object slot, physical order."""

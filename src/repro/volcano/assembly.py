@@ -166,15 +166,10 @@ class ParallelAssembly(PartitionedExecute):
         self._io_engines: List[object] = []
         self._service_t0: List[float] = []
 
-    @property
-    def n_partitions(self) -> int:
-        """Degree of parallelism (one engine per store)."""
-        return len(self._stores)
-
     def describe(self) -> str:
         """One-line ``explain`` rendering: partitions, window, driver."""
         return (
-            f"ParallelAssembly(partitions={self.n_partitions}, "
+            f"ParallelAssembly(partitions={len(self._stores)}, "
             f"window={self._window_size}, scheduler=elevator, "
             f"driver={self._driver})"
         )
@@ -262,7 +257,3 @@ class InterleavedAssemblies(PartitionedExecute):
                 source, store, template, window_size=per_window
             ),
         )
-
-    def total_fetches(self) -> int:
-        """Object fetches across all partitions (readable after close)."""
-        return sum(op.stats.fetches for op in self._plans)

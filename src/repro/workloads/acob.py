@@ -54,20 +54,9 @@ class ACOBDatabase:
     payloads: List[Dict[int, int]] = field(default_factory=list)
 
     @property
-    def n_complex_objects(self) -> int:
-        """Number of complex objects in the database."""
-        return len(self.complex_objects)
-
-    @property
     def positions(self) -> int:
         """Tree positions per complex object (7 for 3 levels)."""
         return 2 ** self.levels - 1
-
-    def total_objects(self) -> int:
-        """Private plus shared storage objects."""
-        return (
-            sum(len(c) for c in self.complex_objects) + len(self.shared_pool)
-        )
 
     def type_ids_depth_first(self) -> List[int]:
         """Type ids in depth-first tree-position order.

@@ -55,11 +55,6 @@ class BomDatabase:
     #: oracle: rolled-up cost of each product, in generation order.
     costs: List[int] = field(default_factory=list)
 
-    @property
-    def n_products(self) -> int:
-        """Number of products (complex-object roots)."""
-        return len(self.complex_objects)
-
 
 def generate_bom(
     n_products: int,

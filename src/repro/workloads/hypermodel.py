@@ -51,11 +51,6 @@ class HyperModelDatabase:
     levels: int = 3
     annotation_probability: float = 0.0
 
-    @property
-    def n_documents(self) -> int:
-        """Number of documents (complex-object roots)."""
-        return len(self.complex_objects)
-
     def sections_per_document(self) -> int:
         """Aggregation-hierarchy nodes per document."""
         return sum(FANOUT ** level for level in range(self.levels))

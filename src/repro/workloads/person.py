@@ -47,11 +47,6 @@ class PersonDatabase:
     #: oracle: does person ``i`` live in the same city as the father?
     close_to_father: List[bool] = field(default_factory=list)
 
-    @property
-    def n_people(self) -> int:
-        """Number of child persons (complex-object roots)."""
-        return len(self.complex_objects)
-
 
 def generate_people(
     n_people: int,

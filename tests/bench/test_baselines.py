@@ -7,7 +7,7 @@ class TestFlatTemplate:
     def test_single_node(self):
         template = flat_template()
         assert template.node_count == 1
-        assert template.max_depth == 0
+        assert template.root.depth == 0
         assert not template.has_predicates()
 
 

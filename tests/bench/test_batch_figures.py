@@ -1,6 +1,7 @@
 """Figures B-1..B-3 hold their shape checks at reduced scale."""
 
-from repro.bench.batch import BATCH_SIZES, CLUSTERING_ORDER, figure_batch
+from repro.bench.batch import BATCH_SIZES, figure_batch
+from repro.cluster.policies import CLUSTERINGS
 from repro.bench.figures import ALL_FIGURES
 
 
@@ -18,7 +19,7 @@ class TestFigureBatch:
     def test_series_cover_grid(self):
         b1, b2, b3 = figure_batch(db_size=120, batch_sizes=(1, 2))
         for figure in (b1, b2):
-            assert set(figure.series) == set(CLUSTERING_ORDER)
+            assert set(figure.series) == set(CLUSTERINGS)
             for name in figure.series:
                 assert figure.xs() == [1, 2]
         assert set(b3.series) == {

@@ -2,16 +2,15 @@
 
 import pytest
 
+from repro.bench import harness
 from repro.bench.harness import (
-    CLUSTERINGS,
     ExperimentConfig,
     build_layout,
-    clear_database_cache,
     get_database,
     run_experiment,
 )
 from repro.cluster.layout import layout_database
-from repro.cluster.policies import make_policy
+from repro.cluster.policies import CLUSTERINGS, make_policy
 from repro.errors import ReproError
 from repro.storage.buffer import BufferManager
 from repro.storage.costmodel import CostedDisk
@@ -35,20 +34,15 @@ class TestConfig:
 
 
 class TestDatabaseCache:
-    def test_cache_returns_same_object(self):
-        clear_database_cache()
+    def test_cache_returns_same_object(self, monkeypatch):
+        monkeypatch.setattr(harness, "_DB_CACHE", {})
         first = get_database(10, seed=3)
         second = get_database(10, seed=3)
         assert first is second
 
-    def test_cache_distinguishes_parameters(self):
-        clear_database_cache()
+    def test_cache_distinguishes_parameters(self, monkeypatch):
+        monkeypatch.setattr(harness, "_DB_CACHE", {})
         assert get_database(10, seed=3) is not get_database(10, sharing=0.1, seed=3)
-
-    def test_clear(self):
-        first = get_database(10, seed=3)
-        clear_database_cache()
-        assert get_database(10, seed=3) is not first
 
 
 class TestMakePolicy:
@@ -103,8 +97,8 @@ class TestLayoutCache:
             layout.extents,
         )
 
-    def test_each_geometry_gets_its_own_layout(self):
-        clear_database_cache()
+    def test_each_geometry_gets_its_own_layout(self, monkeypatch):
+        monkeypatch.setattr(harness, "_LAYOUT_SNAPSHOTS", {})
         colds = [self._state(self._cold(make())) for make in self.DISKS]
         assert colds[0][0] != colds[1][0]  # striping moves the pages
         for _round in ("build", "restore"):

@@ -21,7 +21,7 @@ class TestLayoutDatabase:
             for oid, obj in cobj.objects.items():
                 record = store.fetch(oid)
                 assert record.ints[2] == obj.ints["position"]
-        assert layout.object_count == small_acob.total_objects()
+        assert layout.object_count == len(store.directory.rids)
 
     def test_stats_reset_after_load(self, small_acob, store):
         layout_database(small_acob.complex_objects, store, Unclustered())

@@ -145,10 +145,10 @@ class TestSnapshotIsolation:
         restore_layout(snapshot, store_b)
         assert store_b.fetch(victim).encode() == record.encode()
 
-    def test_assembly_on_restored_layout_matches_rebuild(self):
+    def test_assembly_on_restored_layout_matches_rebuild(self, monkeypatch):
         """Seek behaviour on a restored clone equals the rebuilt one."""
+        from repro.bench import harness
         from repro.bench.harness import ExperimentConfig, run_experiment
-        from repro.bench.harness import clear_database_cache
 
         config = ExperimentConfig(
             n_complex_objects=40,
@@ -158,7 +158,8 @@ class TestSnapshotIsolation:
         )
         warm = run_experiment(config)  # populates the layout cache
         cached = run_experiment(config)  # restored from snapshot
-        clear_database_cache()
+        monkeypatch.setattr(harness, "_DB_CACHE", {})
+        monkeypatch.setattr(harness, "_LAYOUT_SNAPSHOTS", {})
         rebuilt = run_experiment(config)  # cold rebuild
         from dataclasses import asdict
 

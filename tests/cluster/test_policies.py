@@ -30,7 +30,11 @@ def place(policy, database, store, seed=0):
 class TestUnclustered:
     def test_places_every_object(self, database, store):
         placement = place(Unclustered(), database, store)
-        assert len(placement.pages) == database.total_objects()
+        expected = {
+            oid for cobj in database.complex_objects for oid in cobj.objects
+        } | set(database.shared_pool)
+        assert {oid for oid, _page in placement.pages} == expected
+        assert len(placement.pages) == len(expected)
 
     def test_respects_page_capacity(self, database, store):
         placement = place(Unclustered(), database, store)
@@ -42,7 +46,7 @@ class TestUnclustered:
     def test_single_extent_sized_to_database(self, database, store):
         placement = place(Unclustered(), database, store)
         extent = placement.extents["all"]
-        assert extent.length == -(-database.total_objects() // 9)
+        assert extent.length == -(-len(placement.pages) // 9)
 
     def test_deterministic_under_seed(self, database, store):
         from repro.storage.disk import SimulatedDisk
@@ -137,4 +141,8 @@ class TestIntraObject:
 
     def test_places_every_object(self, database, store):
         placement = place(IntraObjectClustering(), database, store)
-        assert len(placement.pages) == database.total_objects()
+        expected = {
+            oid for cobj in database.complex_objects for oid in cobj.objects
+        } | set(database.shared_pool)
+        assert {oid for oid, _page in placement.pages} == expected
+        assert len(placement.pages) == len(expected)

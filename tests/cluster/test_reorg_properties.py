@@ -23,11 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.harness import ExperimentConfig, build_layout
+from repro.cluster.policies import CLUSTERINGS
 from repro.cluster.reorg import ReorgPolicy
 from repro.service.server import AssemblyService
 from repro.storage.faults import FaultConfig, FaultInjector, RetryPolicy
 from repro.workloads.acob import make_template
-from tests.faults.test_chaos_property import CLUSTERINGS
 
 DB_SIZE = 24
 BATCH = 4

@@ -80,13 +80,13 @@ class TestAffinitySketch:
         sketch = AffinitySketch(ReorgPolicy(min_weight=1.0))
         sketch.observe("a", oid(1))
         sketch.observe("b", oid(2))
-        assert len(sketch) == 0
+        assert sketch.hot_codes() == []
 
     def test_repeat_within_window_is_not_a_self_pair(self):
         sketch = AffinitySketch(ReorgPolicy(min_weight=1.0))
         sketch.observe("q", oid(1))
         sketch.observe("q", oid(1))
-        assert len(sketch) == 0
+        assert sketch.hot_codes() == []
         assert sketch.observations == 2
 
     def test_affinity_window_bounds_pairing_horizon(self):
@@ -107,11 +107,11 @@ class TestAffinitySketch:
         )
         sketch.observe("q", oid(1))
         sketch.observe("q", oid(2))
-        assert len(sketch) == 1
+        assert len(sketch.hot_codes()) == 1
         sketch.decay()  # 1.0 -> 0.5, survives
         assert dict(sketch.hot_codes())[edge(1, 2)] == 0.5
-        sketch.decay()  # 0.5 -> 0.25 < epsilon, pruned
-        assert len(sketch) == 0
+        sketch.decay()  # 0.5 -> 0.25 < epsilon, pruned (0.25 >= min_weight)
+        assert sketch.hot_codes() == []
 
     def test_group_capacity_is_an_lru(self):
         sketch = AffinitySketch(
@@ -228,15 +228,6 @@ class TestDeviceIdleTracker:
         ledger.occupy(0, 20.0, 22.0)
         assert tracker.overlaps() == [(0, (4.0, 9.0), (8.0, 12.0))]
 
-    def test_detach_stops_observing(self):
-        store, layout = build_store()
-        tracker = DeviceIdleTracker(store.disk)
-        store.fetch(layout.roots[0])
-        seen = len(tracker.busy_intervals[0])
-        tracker.detach()
-        store.fetch(layout.roots[1])
-        assert len(tracker.busy_intervals[0]) == seen
-
     def test_multi_device_timelines_are_independent(self):
         disk = MultiDeviceDisk(n_devices=2, pages_per_device=32)
         store, layout = build_store(disk=disk)
@@ -276,15 +267,6 @@ class TestReorganizer:
         report = reorg.run_round()
         assert report.migrations == 0
         assert reorg.rounds == 0
-
-    def test_force_overrides_readiness(self):
-        store, layout = build_store()
-        reorg = Reorganizer(store, AGGRESSIVE)
-        reorg.observe("q", layout.roots[0])
-        reorg.observe("q", layout.roots[1])
-        assert not reorg.ready()
-        report = reorg.run_round(force=True)
-        assert report.migrations == 2
 
     def test_idle_check_vetoes_a_round(self):
         store, layout = build_store()

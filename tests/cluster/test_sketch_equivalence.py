@@ -176,7 +176,7 @@ def edge_code(low, high):
 def observable(sketch):
     """Hot edges with bit-exact weights, edge count, observations."""
     edges = [(code, weight.hex()) for code, weight in sketch.hot_codes()]
-    return edges, len(sketch), sketch.observations
+    return edges, len(sketch._weights), sketch.observations
 
 
 def oracle_observable(oracle):

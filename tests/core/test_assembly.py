@@ -75,7 +75,7 @@ def spy_fetch_order(store):
 
 
 def label_of(builder, oid):
-    type_name = builder.registry.by_id(oid.type_id).name
+    type_name = "ABCD"[oid.type_id - 1]  # defined in this order, ids dense
     return f"{type_name}{oid.serial}"
 
 

@@ -34,7 +34,7 @@ class TestInterleavedAssemblies:
         assert {c.root_oid for c in emitted} == set(layout.roots)
         for cobj in emitted:
             cobj.verify_swizzled()
-        assert op.total_fetches() == 200 * 7
+        assert sum(cobj.fetches for cobj in emitted) == 200 * 7
 
     def test_contention_grows_with_partitions(self):
         """Section 7: independent queues break the exclusive-control

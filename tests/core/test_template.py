@@ -20,7 +20,6 @@ class TestTemplateNode:
         root = TemplateNode("r")
         child = root.child(2, "c")
         assert root.children == {2: child}
-        assert root.child_slots() == [2]
 
     def test_duplicate_slot_rejected(self):
         root = TemplateNode("r")
@@ -56,7 +55,6 @@ class TestFinalize:
         template = simple_template()
         assert template.node_count == 3
         assert template.predicate_count == 0
-        assert template.max_depth == 1
         assert template.root.subtree_nodes == 3
         assert template.node("left").subtree_nodes == 1
         assert template.node("left").depth == 1
@@ -113,7 +111,7 @@ class TestFinalize:
         root = TemplateNode("root")
         root.child(0, "s", shared=True, sharing_degree=0.2)
         template = Template(root).finalize()
-        assert template.shared_labels() == ["s"]
+        assert template.node("s").shared and not template.root.shared
 
 class TestRecursion:
     def test_single_level_unroll(self):
@@ -133,7 +131,7 @@ class TestRecursion:
         template = Template(node).finalize()
         # A chain of 4 nodes (root + 3 unrolled levels).
         assert template.node_count == 4
-        assert template.max_depth == 3
+        assert template.node("n+1+2+3").depth == 3
 
     def test_zero_depth_ignored(self):
         node = TemplateNode("n")
@@ -158,8 +156,8 @@ class TestRecursion:
         person.child(1, "home", shared=True, sharing_degree=0.3)
         person.recurse(0, "person", max_depth=1)
         template = Template(person).finalize()
-        shared = template.shared_labels()
-        assert len(shared) == 2  # both residences marked shared
+        # both residences marked shared
+        assert template.node("home").shared and template.node("home+1").shared
 
     def test_recursion_inside_branch(self):
         root = TemplateNode("root")
@@ -173,9 +171,9 @@ class TestBinaryTreeTemplate:
     def test_three_levels_is_paper_object(self):
         template = binary_tree_template(3)
         assert template.node_count == 7
-        assert template.max_depth == 2
-        assert template.node("n0").child_slots() == [0, 1]
-        assert template.node("n3").child_slots() == []
+        assert template.node("n3").depth == 2
+        assert sorted(template.node("n0").children) == [0, 1]
+        assert template.node("n3").children == {}
 
     def test_positional_labels(self):
         template = binary_tree_template(3)

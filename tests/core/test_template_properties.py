@@ -65,7 +65,7 @@ def test_clone_is_deep_and_equal(tree):
         assert cloned.label == original.label
         assert cloned.shared == original.shared
         assert cloned.predicate is original.predicate
-        assert cloned.child_slots() == original.child_slots()
+        assert list(cloned.children) == list(original.children)
         assert cloned.subtree_nodes == original.subtree_nodes
     # Mutating the clone does not touch the original.
     copies[0].predicate = always_true()
@@ -86,5 +86,7 @@ def test_linear_recursion_node_count(depth, extra_children):
     node.recurse(0, "n", max_depth=depth)
     template = Template(node).finalize()
     assert template.node_count == (depth + 1) * (1 + extra_children)
-    expected_depth = depth + (1 if extra_children else 0)
-    assert template.max_depth == expected_depth
+    # The deepest node closes the last unrolled level.
+    unrolled = "".join(f"+{level}" for level in range(1, depth + 1))
+    deepest = template.node(("leaf0" if extra_children else "n") + unrolled)
+    assert deepest.depth == depth + (1 if extra_children else 0)

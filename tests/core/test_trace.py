@@ -1,5 +1,7 @@
 """Tests for assembly tracing."""
 
+from collections import Counter
+
 from repro.core import trace
 from repro.core.assembly import Assembly
 from repro.core.trace import AssemblyTracer, TraceEvent
@@ -44,8 +46,9 @@ class TestTracerBasics:
     def test_record_and_query(self):
         _builder, emitted, op, tracer = traced(n_objects=1)
         decisions = tracer.recorder.of_kind(trace.DECISION)
-        assert len(tracer) == len(decisions) > 0
-        assert [e.kind for e in tracer] == [span.name for span in decisions]
+        events = tracer.events
+        assert len(events) == len(decisions) > 0
+        assert [e.kind for e in events] == [span.name for span in decisions]
         first = decisions[0]
         assert first.start == first.end
         root = emitted[0].root_oid
@@ -53,13 +56,11 @@ class TestTracerBasics:
             "owner": 0, "oid": list(root), "label": "A",
             "page": op.store.directory.page_of(root),
         }
-        assert len(tracer.fetch_order()) == op.stats.fetches
-        kinds = [e.kind for e in tracer.per_owner(0)]
-        assert (kinds[0], kinds[-1]) == (trace.ADMITTED, trace.EMITTED)
-        assert tracer.counts() == {
-            trace.ADMITTED: 1, trace.FETCHED: op.stats.fetches,
-            trace.EMITTED: 1,
-        }
+        # One object: admitted, each component fetched, emitted.
+        fetched = [(0, trace.FETCHED)] * op.stats.fetches
+        assert [(e.owner, e.kind) for e in events] == (
+            [(0, trace.ADMITTED)] + fetched + [(0, trace.EMITTED)]
+        )
 
     def test_event_str(self):
         event = TraceEvent(trace.FETCHED, 2, Oid(1, 5), label="B", page_id=9)
@@ -69,7 +70,7 @@ class TestTracerBasics:
     def test_summarize_truncates(self):
         _builder, _emitted, _op, tracer = traced()
         text = tracer.summarize(max_events=2)
-        assert f"{len(tracer) - 2} more events" in text
+        assert f"{len(tracer.events) - 2} more events" in text
         assert len(text.splitlines()) == 3
 
 
@@ -80,23 +81,32 @@ class TestTracedAssembly:
 
     def test_fetch_order_matches_figure5(self):
         """The tracer replays Section 6.2's depth-first order."""
-        builder, _emitted, tracer = self.run_traced()
-        labels = [
-            f"{builder.registry.by_id(oid.type_id).name}{oid.serial}"
-            for oid in tracer.fetch_order()
+        _builder, _emitted, tracer = self.run_traced()
+        # The window admits two objects, then fetches the first's.
+        assert [
+            (e.kind, f"{e.label}{e.oid.serial}") for e in tracer.events[:6]
+        ] == [
+            (trace.ADMITTED, "A1"), (trace.ADMITTED, "A2"),
+            (trace.FETCHED, "A1"), (trace.FETCHED, "B1"),
+            (trace.FETCHED, "D1"), (trace.FETCHED, "C1"),
         ]
-        assert labels[:4] == ["A1", "B1", "D1", "C1"]
 
     def test_every_object_emits_once(self):
         _builder, emitted, tracer = self.run_traced()
-        assert len(tracer.of_kind(trace.EMITTED)) == len(emitted) == 3
+        assert len(emitted) == 3
+        assert [
+            e.oid for e in tracer.events if e.kind == trace.EMITTED
+        ] == [cobj.root_oid for cobj in emitted]
 
     def test_admissions_precede_fetches_per_owner(self):
         _builder, _emitted, tracer = self.run_traced()
-        for owner in range(3):
-            kinds = [e.kind for e in tracer.per_owner(owner)]
-            assert kinds[0] == trace.ADMITTED
-            assert kinds[-1] == trace.EMITTED
+        events = tracer.events
+        # Each owner's first decision is its admission, its last its
+        # emission (a dict keeps the last value written per key).
+        firsts = {e.owner: e.kind for e in reversed(events)}
+        lasts = {e.owner: e.kind for e in events}
+        assert firsts == dict.fromkeys(range(3), trace.ADMITTED)
+        assert lasts == dict.fromkeys(range(3), trace.EMITTED)
 
     def test_tracing_does_not_change_results(self):
         _builder, traced_out, _tracer = self.run_traced("elevator", 2)
@@ -142,20 +152,18 @@ class TestPredicateAndSharingEvents:
             spans=tracer.recorder,
         )
         emitted = op.execute()
-        counts = tracer.counts()
+        events = tracer.events
+        counts = Counter(e.kind for e in events)
         assert counts[trace.PREDICATE_PASSED] == len(emitted)
         assert counts[trace.PREDICATE_FAILED] == op.stats.aborted
         assert counts[trace.ABORTED] == op.stats.aborted
         assert counts.get(trace.DEFERRED, 0) > 0
         # Every emitted object's deferred refs were activated.
+        aborted = {e.owner for e in events if e.kind == trace.ABORTED}
         assert counts.get(trace.ACTIVATED, 0) == counts[trace.DEFERRED] - sum(
             1
-            for owner in range(30)
-            if any(
-                e.kind == trace.ABORTED for e in tracer.per_owner(owner)
-            )
-            for e in tracer.per_owner(owner)
-            if e.kind == trace.DEFERRED
+            for e in events
+            if e.kind == trace.DEFERRED and e.owner in aborted
         )
 
     def test_shared_link_events(self):
@@ -173,8 +181,6 @@ class TestPredicateAndSharingEvents:
             spans=tracer.recorder,
         )
         op.execute()
-        assert len(tracer.of_kind(trace.LINKED_SHARED)) == op.stats.shared_links
-        # Resolution order interleaves fetches and links.
-        assert len(tracer.resolution_order()) == (
-            op.stats.fetches + op.stats.shared_links
-        )
+        counts = Counter(e.kind for e in tracer.events)
+        assert counts[trace.LINKED_SHARED] == op.stats.shared_links
+        assert counts[trace.FETCHED] == op.stats.fetches

@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.layout import layout_database
-from repro.cluster.policies import make_policy
+from repro.cluster.policies import CLUSTERINGS, make_policy
 from repro.core.assembly import Assembly
 from repro.core.schedulers import make_scheduler
 from repro.fabric import (
@@ -42,11 +42,7 @@ from repro.storage.store import ObjectStore
 from repro.iterator import ListSource
 from repro.workloads.acob import generate_acob, make_template
 
-from tests.faults.test_chaos_property import (
-    CLUSTERINGS,
-    SCHEDULERS,
-    fingerprint,
-)
+from tests.faults.test_chaos_property import SCHEDULERS, fingerprint
 
 MAX_WAITING = 10_000  # keep admission out of the comparison
 

@@ -146,7 +146,7 @@ class TestSkipObject:
         emitted = operator.execute()
         stats = operator.stats
         assert stats.fault_skipped > 0
-        assert len(emitted) + stats.fault_skipped == db.n_complex_objects
+        assert len(emitted) + stats.fault_skipped == len(db.complex_objects)
         assert stats.fault_skipped == stats.aborted
         # Skipped is all-or-nothing: nothing emitted is degraded.
         assert all(not c.degraded for c in emitted)
@@ -174,7 +174,7 @@ class TestPartial:
         stats = operator.stats
         # Only non-root, predicate-free subtrees degrade; the faulted
         # page holds no roots, so every object still comes out.
-        assert len(emitted) == db.n_complex_objects
+        assert len(emitted) == len(db.complex_objects)
         assert stats.degraded_emitted > 0
         assert stats.missing_components >= stats.degraded_emitted
         assert stats.fault_skipped == 0
@@ -208,7 +208,7 @@ class TestPartial:
         assert operator.stats.fault_skipped > 0
         assert (
             len(emitted) + operator.stats.fault_skipped
-            == db.n_complex_objects
+            == len(db.complex_objects)
         )
 
 

@@ -15,7 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.layout import layout_database
-from repro.cluster.policies import InterObjectClustering, make_policy
+from repro.cluster.policies import (
+    CLUSTERINGS,
+    InterObjectClustering,
+    make_policy,
+)
 from repro.core.assembly import Assembly
 from repro.core.multidevice import MultiDeviceScheduler, PipelinedAssembly
 from repro.core.schedulers import make_scheduler
@@ -29,7 +33,6 @@ from repro.iterator import ListSource
 from repro.workloads.acob import generate_acob, make_template
 
 SCHEDULERS = ("depth-first", "breadth-first", "elevator")
-CLUSTERINGS = ("inter-object", "intra-object", "unclustered")
 
 
 def build_single(n, clustering, scheduler, window, retry=None):

@@ -35,14 +35,6 @@ class TestConfig:
         with pytest.raises(DiskError):
             DownInterval(device=-1, start=0.0, end=1.0)
 
-    def test_enabled(self):
-        assert not FaultConfig().enabled
-        assert FaultConfig(read_error_rate=0.1).enabled
-        assert FaultConfig(always_fail_pages=frozenset({3})).enabled
-        assert FaultConfig(
-            down_intervals=(DownInterval(0, 0.0, 2.0),)
-        ).enabled
-
 
 class TestAttachment:
     def test_attach_detach(self):

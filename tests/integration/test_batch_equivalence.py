@@ -21,12 +21,12 @@ from repro.bench.harness import (
     build_assembly,
     build_layout,
 )
+from repro.cluster.policies import CLUSTERINGS
 from repro.core.assembly import Assembly
 from repro.iterator import ListSource
 from repro.workloads.acob import make_template, payload_predicate
 
 SCHEDULERS = ("depth-first", "breadth-first", "elevator", "adaptive")
-CLUSTERINGS = ("inter-object", "intra-object", "unclustered")
 
 
 def fingerprint_object(obj):

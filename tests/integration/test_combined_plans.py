@@ -98,7 +98,8 @@ def test_database_facade_with_sampled_statistics():
         .where_component(
             "n2", int_less_than(3, bound, selectivity=selectivity)
         )
-        .run()
+        .plan()
+        .execute()
     )
     expected = sum(1 for payloads in db.payloads if payloads[2] < bound)
     assert len(results) == expected

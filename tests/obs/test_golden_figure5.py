@@ -53,12 +53,13 @@ def run_walkthrough(clock_fn=None):
 def structural_rows(builder, tracer):
     """Fixture-comparable shape of a trace (no stamps, no pages)."""
     def name(oid):
-        return f"{builder.registry.by_id(oid.type_id).name}{oid.serial}"
+        # figure4_database defines A, B, C, D in that order: ids 1..4.
+        return f"{'ABCD'[oid.type_id - 1]}{oid.serial}"
 
     return [
         {"kind": e.kind, "owner": e.owner, "object": name(e.oid),
          "label": e.label}
-        for e in tracer
+        for e in tracer.events
     ]
 
 
@@ -91,13 +92,15 @@ class TestGoldenFigure5:
         _b, _e, stamped = run_walkthrough(
             clock_fn=lambda: float(next(ticks))
         )
-        stamps = [event.at for event in stamped]
+        stamps = [event.at for event in stamped.events]
         # The ``assembly`` and first ``window-slot`` spans take the
         # first ticks, so the first decision is not stamped 0.
         assert stamps == sorted(stamps) and stamps[0] > 0.0
         assert "t=" in stamped.summarize()
         _b2, _e2, plain = run_walkthrough()
-        assert all(event.at == -1.0 for event in plain)
+        assert all(event.at == -1.0 for event in plain.events)
         assert "t=" not in plain.summarize()
         # Identical decision sequence either way.
-        assert [e.kind for e in stamped] == [e.kind for e in plain]
+        assert [e.kind for e in stamped.events] == [
+            e.kind for e in plain.events
+        ]

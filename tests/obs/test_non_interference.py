@@ -24,7 +24,7 @@ from repro.bench.harness import (
     trace_experiment,
 )
 from repro.cluster.layout import layout_database
-from repro.cluster.policies import make_policy
+from repro.cluster.policies import CLUSTERINGS, make_policy
 from repro.core.assembly import Assembly
 from repro.core.schedulers import make_scheduler
 from repro.obs.spans import SpanRecorder
@@ -36,11 +36,7 @@ from repro.storage.store import ObjectStore
 from repro.iterator import ListSource
 from repro.workloads.acob import generate_acob, make_template
 
-from tests.faults.test_chaos_property import (
-    SCHEDULERS,
-    CLUSTERINGS,
-    fingerprint,
-)
+from tests.faults.test_chaos_property import SCHEDULERS, fingerprint
 
 
 def run_once(n, clustering, scheduler, window, recorder=None, fault_rate=0.0,

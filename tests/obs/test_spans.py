@@ -64,7 +64,7 @@ class TestSpanBasics:
         recorder = SpanRecorder()
         recorder.end(recorder.begin("a", kind="x"))
         recorder.begin("b", kind="y")
-        assert len(recorder) == 2
+        assert len(recorder.spans) == 2
         assert [s.name for s in recorder.open_spans()] == ["b"]
         assert [s.name for s in recorder.of_kind("y")] == ["b"]
 
@@ -107,7 +107,7 @@ class TestSampling:
         recorder.end(grandchild)  # all no-ops
         recorder.end(child)
         recorder.end(dropped)
-        assert len(recorder) == 0
+        assert len(recorder.spans) == 0
 
     def test_unsampled_structural_spans_never_dropped(self):
         recorder = SpanRecorder(sample_rate=0.0)

@@ -71,7 +71,9 @@ class TestEviction:
         cache = AssembledObjectCache(capacity=4)
         for obj in objects[:6]:
             cache.put(fingerprint, obj)
-        assert len(cache) == 4
+        assert cache.stats.evictions == 2
+        for obj in objects[2:6]:
+            assert cache.get(obj.root_oid, fingerprint) is not None
 
 
 class TestInvalidation:
@@ -115,12 +117,3 @@ class TestInvalidation:
         root = objects[4].root_oid
         store.overwrite(root, store.fetch(root))
         assert cache.get(root, fingerprint) is not None
-
-    def test_clear_drops_everything(self, assembled):
-        fingerprint, _store, objects = assembled
-        cache = AssembledObjectCache(capacity=8)
-        for obj in objects[:3]:
-            cache.put(fingerprint, obj)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get(objects[0].root_oid, fingerprint) is None

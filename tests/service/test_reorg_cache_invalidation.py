@@ -41,11 +41,10 @@ def build_service(**service_kwargs):
 #: One assembly pass gives every co-resolved pair weight 1 (the device
 #: server feeds the sketch automatically); ``min_weight=3`` keeps that
 #: background affinity below threshold so only the explicitly repeated
-#: co-accesses in these tests plan migrations.  No test here observes
-#: anywhere near ``min_observations`` references, so the round a drained
-#: ``run()`` attempts never passes the sketch's readiness gate: only the
-#: explicit (forced) ``reorganize()`` calls execute rounds.
-RECURRING_ONLY = ReorgPolicy(min_weight=3.0, min_observations=1_000_000)
+#: co-accesses in these tests plan migrations.  ``result()`` only steps
+#: the service; a round runs when a test drains it with ``run()``, and
+#: any observation passes the sketch's readiness gate.
+RECURRING_ONLY = ReorgPolicy(min_weight=3.0, min_observations=1)
 
 
 def assemble(service, template, roots, window=4):
@@ -94,17 +93,20 @@ class TestMigrationInvalidation:
         assemble(service, template, roots)  # all six served from cache
         assert service.metrics.cache_hits - hits_before == len(roots)
 
-        # Recurring co-access of two roots' members, then an explicit
-        # round in the drained service: their pages get repacked.
+        # Recurring co-access of two roots' members, then a round in the
+        # drained service: their pages get repacked onto one fresh page.
         for context in range(4):
             for root in roots[:2]:
                 reorg.observe(("hot", context), root)
-        report = service.reorganize()
-        assert report.migrations > 0
+        pages_before = set(service.store.directory.rids.values())
+        service.run()
+        assert reorg.rounds == 1
+        assert service.metrics.reorg_migrations > 0
         assert service.metrics.reorg_cache_invalidations > 0
 
         moved_pages = {service.store.directory.page_of(root) for root in roots[:2]}
-        assert moved_pages == {report.extent.start}
+        assert len(moved_pages) == 1
+        assert moved_pages.isdisjoint(rid.page_id for rid in pages_before)
 
         # Next poll: migrated roots re-assemble from the new layout —
         # cache misses, byte-equal content; untouched roots stay hot.
@@ -124,10 +126,13 @@ class TestMigrationInvalidation:
         service, layout, template = build_service(
             cache_capacity=8, reorg_policy=RECURRING_ONLY
         )
-        assemble(service, template, layout.root_order[:3])
+        roots = layout.root_order[:3]
+        assemble(service, template, roots)
         # One pass of background affinity stays below min_weight: the
         # round plans nothing and the cache keeps every entry.
-        report = service.reorganize()
-        assert report.migrations == 0
+        service.run()
+        assert service.metrics.reorg_migrations == 0
         assert service.metrics.reorg_cache_invalidations == 0
-        assert len(service.cache) == 3
+        fingerprint = template.finalize().fingerprint()
+        for root in roots:
+            assert service.cache.get(root, fingerprint) is not None

@@ -14,6 +14,8 @@ also pin the order of decisions after a fault.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.bench.harness import ExperimentConfig, build_layout
 from repro.bench.service import _client_schedule
 from repro.core import trace
@@ -27,7 +29,7 @@ from repro.workloads.acob import make_template, payload_predicate
 
 
 def traced_counts(tracer):
-    return decision_counts(tracer.counts())
+    return decision_counts(Counter(e.kind for e in tracer.events))
 
 
 def decision_counts(counts):

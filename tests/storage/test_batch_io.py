@@ -118,8 +118,8 @@ class TestMultiDeviceRuns:
     def test_heads_settle_per_device(self):
         disk = MultiDeviceDisk(n_devices=2, pages_per_device=100)
         disk.read_run(98, 4)
-        assert disk.head_of(0) == 99
-        assert disk.head_of(1) == 101
+        assert disk.head_probe(0)() == 99
+        assert disk.head_probe(1)() == 101
 
     def test_single_device_run_counts_once(self):
         disk = MultiDeviceDisk(n_devices=2, pages_per_device=100)

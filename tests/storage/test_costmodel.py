@@ -19,9 +19,11 @@ class TestCostModel:
         )
         model = CostModel()
         # Zero-distance read: no positioning at all.
-        assert model.service_time(0) == pytest.approx(6.0)
+        assert model.run_service_time(0, 1) == pytest.approx(6.0)
         # 10-page seek: settle + 10*0.1 + rotation + transfer.
-        assert model.service_time(10) == pytest.approx(2.0 + 1.0 + 5.0 + 1.0)
+        assert model.run_service_time(10, 1) == pytest.approx(
+            2.0 + 1.0 + 5.0 + 1.0
+        )
 
     def test_seek_only_degenerates_to_distance(self, monkeypatch):
         price(
@@ -29,8 +31,8 @@ class TestCostModel:
             seek_per_page=1.0, settle=0.0, rotational_latency=0.0, transfer=0.0,
         )
         model = CostModel()
-        assert model.service_time(0) == 0.0
-        assert model.service_time(37) == 37.0
+        assert model.run_service_time(0, 1) == 0.0
+        assert model.run_service_time(37, 1) == 37.0
 
 
 class TestCostedDisk:

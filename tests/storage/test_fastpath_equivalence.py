@@ -74,14 +74,6 @@ class TestCostModelMemo:
             assert model.run_service_time(distance, n_pages) == expected
             assert model.run_service_time(distance, n_pages) == expected
 
-    @given(st.integers(0, 5000))
-    @settings(max_examples=40, deadline=None)
-    def test_single_read_is_run_of_one(self, distance):
-        model = CostModel()
-        assert model.service_time(distance) == model.run_service_time(
-            distance, 1
-        )
-
     def test_memo_is_per_instance(self):
         fast = CostModel()
         fast.run_service_time(10, 4)  # warm one instance's memo

@@ -72,7 +72,7 @@ def watch(disk):
 
 
 def heads(disk):
-    return [disk.head_of(device) for device in range(disk.n_devices)]
+    return [disk.head_probe(device)() for device in range(disk.n_devices)]
 
 
 @settings(max_examples=60, deadline=None)

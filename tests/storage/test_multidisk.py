@@ -49,8 +49,8 @@ class TestIndependentHeads:
         disk.read(70)
         disk.read(170)
         disk.reset_stats()
-        assert disk.head_of(0) == 0
-        assert disk.head_of(1) == 100
+        assert disk.head_probe(0)() == 0
+        assert disk.head_probe(1)() == 100
         assert disk.device_stats[0].reads == 0
 
 

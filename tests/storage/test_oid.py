@@ -53,7 +53,6 @@ class TestRid:
         rid = Rid(7, 3)
         assert rid.page_id == 7
         assert rid.slot == 3
-        assert str(rid) == "RID<7.3>"
 
 
 class TestOidDirectory:

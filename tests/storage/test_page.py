@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BadSlotError, PageError, PageFullError
-from repro.storage.page import PAGE_SIZE, Page, records_per_page
+from repro.storage.page import PAGE_SIZE, SLOT_SIZE, Page, records_per_page
 
 
 class TestPageBasics:
@@ -51,9 +51,11 @@ class TestPageBasics:
         for size in range(1, PAGE_SIZE + 1):
             page = Page(0)
             accepted = 0
-            while page.fits(size):
+            while size + SLOT_SIZE <= page.free_space:
                 page.insert(b"\x01" * size)
                 accepted += 1
+            with pytest.raises(PageFullError):
+                page.insert(b"\x01" * size)
             assert records_per_page(size) == accepted, size
 
     def test_free_space_decreases(self):
@@ -61,11 +63,6 @@ class TestPageBasics:
         before = page.free_space
         page.insert(b"abcd")
         assert page.free_space == before - 4 - 4  # record + slot entry
-
-    def test_fits(self):
-        page = Page(0)
-        assert page.fits(page.free_space - 4)
-        assert not page.fits(page.free_space)
 
 
 class TestDeleteUpdate:
@@ -156,9 +153,10 @@ def test_page_matches_model(records):
     page = Page(0)
     stored = []
     for record in records:
-        if page.fits(len(record)):
-            slot = page.insert(record)
-            stored.append((slot, record))
+        try:
+            stored.append((page.insert(record), record))
+        except PageFullError:
+            pass
     for slot, record in stored:
         assert page.read(slot) == record
     # Serialization preserves everything.
@@ -204,7 +202,7 @@ def apply_program(page, program, model=None):
     for op in program:
         if op[0] == "insert":
             record = op[1]
-            if page.fits(len(record)):
+            if len(record) + SLOT_SIZE <= page.free_space:
                 model[page.insert(record)] = record
             else:
                 with pytest.raises(PageFullError):

@@ -279,8 +279,8 @@ class TestPagePlanner:
     def test_capacity(self, store):
         extent = store.disk.allocate(3)
         planner = PagePlanner(store, extent)
-        assert planner.capacity() == 27
-        assert planner.objects_per_page == 9
+        assert store.objects_per_page() == 9
+        assert len(planner.slots_in_order()) == 27
 
     def test_slots_in_order(self, store):
         extent = store.disk.allocate(2)

@@ -5,6 +5,7 @@ import pytest
 from repro import Database
 from repro.cluster.policies import IntraObjectClustering
 from repro.errors import ReproError
+from repro.objects.builder import GraphBuilder
 from repro.workloads.person import (
     RESIDENCE_SLOT,
     lives_close_to_father,
@@ -30,8 +31,8 @@ def build_people_db(n=40, buffer_capacity=None, clustering="inter-object"):
 class TestLoad:
     def test_load_by_policy_name(self):
         _source, database = build_people_db()
-        assert database.layout.object_count > 0
-        assert len(database.roots) == 40
+        assert len(database.store.directory.rids) > 40
+        assert len(database.query(person_template()).plan().execute()) == 40
 
     def test_load_twice_rejected(self):
         source, database = build_people_db()
@@ -53,27 +54,27 @@ class TestLoad:
             clustering=IntraObjectClustering(),
             shared=source.shared_pool,
         )
-        assert len(database.roots) == 5
+        assert len(database.query(person_template()).plan().execute()) == 5
 
     def test_builder_load_validates(self):
         database = Database()
-        builder = database.builder()
+        builder = GraphBuilder(database.registry)
         builder.define_type("Solo", int_fields=("x",))
         root = builder.new_object("Solo", ints={"x": 1})
         builder.complex_object(root)
         database.load(builder, clustering="unclustered")
-        assert len(database.roots) == 1
+        assert list(database.store.directory.rids) == [root.oid]
 
     def test_unloaded_access_rejected(self):
         database = Database()
         with pytest.raises(ReproError):
-            _ = database.roots
+            database.query(person_template()).plan()
 
 
 class TestQuerying:
     def test_query_runs_through_optimizer(self):
         source, database = build_people_db()
-        results = database.query(person_template()).run()
+        results = database.query(person_template()).plan().execute()
         assert len(results) == 40
         for cobj in results:
             cobj.verify_swizzled()
@@ -83,7 +84,8 @@ class TestQuerying:
         results = (
             database.query(person_template())
             .where(lives_close_to_father)
-            .run()
+            .plan()
+            .execute()
         )
         assert len(results) == sum(source.close_to_father)
 
@@ -114,7 +116,8 @@ class TestQuerying:
         ages = (
             database.query(person_template())
             .select(lambda c: c.root.ints[0])
-            .run()
+            .plan()
+            .execute()
         )
         assert len(ages) == 40
         assert all(isinstance(age, int) for age in ages)

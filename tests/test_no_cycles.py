@@ -135,8 +135,7 @@ def test_service_with_cache_and_reorg():
         template = make_template(db)
         service.submit(layout.root_order[:10], template)
         service.submit(layout.root_order[5:15], template)
-        service.run()
-        service.reorganize()
+        service.run()  # past min_observations: one round runs here
         service.submit(layout.root_order[:5], template)  # cache hits
         service.run()
         return service.metrics.requests_completed
@@ -203,6 +202,6 @@ def test_device_timeline_left_attached():
             ListSource(layout.root_order), store, make_template(db),
             window_size=4,
         ).execute()
-        return len(timeline)
+        return len(timeline.samples)
 
     assert cyclic_garbage(run) == {}

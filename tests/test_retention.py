@@ -130,14 +130,15 @@ def test_a_reorganization_round():
     db, store, layout = small_stack(clustered=False)
     service = AssemblyService(
         store,
-        reorg_policy=ReorgPolicy(min_weight=3.0, min_observations=1_000_000),
+        reorg_policy=ReorgPolicy(min_weight=3.0, min_observations=1),
     )
     service.submit(layout.root_order, make_template(db))
-    service.run()
+    service.run()  # its round finds no pair above min_weight
+    reorg = service.server.reorg
     for context in range(4):
         for root in layout.root_order[:2]:
-            service.server.reorg.observe(("hot", context), root)
-    report = service.reorganize()
+            reorg.observe(("hot", context), root)
+    report = reorg.run_round()
     assert report.migrations > 0
     assert reachable_components(report) == set()
 

@@ -55,12 +55,17 @@ package ``__init__`` re-exports, ``examples/`` or ``benchmarks/``,
 unless ``UNDRIVEN_OPERATORS`` says why it waits for a driver.
 
 ``tools/traffic_map.py`` is the measured companion: it runs the traffic
-and lists the functions nothing called.
+and lists the functions nothing called, each beside its owner from
+``results/traffic/owners.txt``.  The committed listing and table are
+checked here: every listed function has an owner from the table's
+closed vocabulary, every ``item N`` is an open ROADMAP item, and every
+owner names a function that still exists and is still listed.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -758,3 +763,122 @@ def test_every_operator_is_named_by_a_driver():
     assert undriven == [], (
         f"operators nothing outside tests/ names: {undriven}"
     )
+
+
+# -- every uncalled function has an owner -------------------------------------
+
+#: The traffic map's committed listing and its owner table.
+UNCALLED = ROOT / "results" / "traffic" / "uncalled.txt"
+OWNERS = ROOT / "results" / "traffic" / "owners.txt"
+
+_MODULE_ROW = re.compile(r"^(\S+\.py)  \d+ / \d+$")
+_FUNCTION_ROW = re.compile(r"^ +\d+  (\S+)  \d+  (.+)$")
+#: The closed vocabulary; group 1 is an item's number.
+_OWNER = re.compile(
+    r"^(?:item (\d+): \S.*|interface|tracer name|safety: \S.*)$"
+)
+
+
+def listed_owners(listing: str) -> Dict[str, str]:
+    """``module:Qualified.name -> printed owner`` of the listing."""
+    found: Dict[str, str] = {}
+    module = ""
+    for line in listing.splitlines():
+        header = _MODULE_ROW.match(line)
+        row = _FUNCTION_ROW.match(line)
+        if header:
+            module = header.group(1)
+        elif row:
+            found[f"{module}:{row.group(1)}"] = row.group(2)
+    return found
+
+
+def owner_table(table: str) -> Dict[str, str]:
+    """``module:Qualified.name -> owner`` of the table (``#`` lines
+    are its header)."""
+    return dict(
+        line.split(None, 1)
+        for line in table.splitlines()
+        if line.strip() and not line.startswith("#")
+    )
+
+
+def open_items(roadmap: str) -> FrozenSet[int]:
+    """The numbered entries under ROADMAP's ``### Items``."""
+    items = roadmap.split("### Items", 1)[1].split("\n### ", 1)[0]
+    return frozenset(
+        int(number) for number in re.findall(r"^(\d+)\. \*\*", items, re.M)
+    )
+
+
+@lru_cache(maxsize=None)
+def defined_functions() -> FrozenSet[str]:
+    """``module:Qualified.name`` of every function under ``src/repro``."""
+    return frozenset(
+        f"{file.path.relative_to(PACKAGE).as_posix()}:{name}"
+        for file in package()
+        for name, _function in _functions(file.tree)
+    )
+
+
+def owner_problems(
+    listing: Dict[str, str],
+    table: Dict[str, str],
+    items: FrozenSet[int],
+    defined: FrozenSet[str],
+) -> List[str]:
+    """Every way the listing, the table, the items and the tree
+    disagree."""
+    problems = [
+        f"{key}: UNOWNED" if key not in table else f"{key}: listed as "
+        f"{printed!r}, owned as {table[key]!r}"
+        for key, printed in listing.items()
+        if table.get(key) != printed
+    ]
+    for key, owner in table.items():
+        vocabulary = _OWNER.match(owner)
+        if vocabulary is None:
+            problems.append(f"{key}: {owner!r} is not in the vocabulary")
+        elif vocabulary.group(1) and int(vocabulary.group(1)) not in items:
+            problems.append(f"{key}: item {vocabulary.group(1)} is not open")
+        if key not in defined:
+            problems.append(f"{key}: no such function")
+        elif key not in listing:
+            problems.append(f"{key}: not listed as uncalled (stale owner)")
+    return problems
+
+
+def test_every_uncalled_function_has_an_owner():
+    problems = owner_problems(
+        listed_owners(UNCALLED.read_text()),
+        owner_table(OWNERS.read_text()),
+        open_items((ROOT / "ROADMAP.md").read_text()),
+        defined_functions(),
+    )
+    assert problems == [], problems
+
+
+def test_the_owner_check_bites():
+    """A missing owner, a closed item, a name outside the vocabulary
+    and an owner whose function went (or gained a caller) each fail."""
+    listing = {
+        "a.py:f": "item 1: x",
+        "a.py:g": "UNOWNED",
+        "a.py:C.h": "interface",
+    }
+    table = {
+        "a.py:f": "item 1: x",
+        "a.py:C.h": "item 13: y",
+        "a.py:gone": "safety: z",
+        "a.py:called": "because",
+    }
+    defined = frozenset({"a.py:f", "a.py:g", "a.py:C.h", "a.py:called"})
+    assert owner_problems(listing, table, frozenset({1}), defined) == [
+        "a.py:g: UNOWNED",
+        "a.py:C.h: listed as 'interface', owned as 'item 13: y'",
+        "a.py:C.h: item 13 is not open",
+        "a.py:gone: no such function",
+        "a.py:called: 'because' is not in the vocabulary",
+        "a.py:called: not listed as uncalled (stale owner)",
+    ]
+    assert {13, 14} & open_items((ROOT / "ROADMAP.md").read_text()) == set()

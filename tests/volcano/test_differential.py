@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.layout import layout_database
-from repro.cluster.policies import make_policy
+from repro.cluster.policies import CLUSTERINGS, make_policy
 from repro.core.assembly import Assembly
 from repro.storage.buffer import BufferManager
 from repro.storage.disk import SimulatedDisk
@@ -39,7 +39,6 @@ from repro.volcano.sort import ExternalSort
 from repro.workloads.acob import generate_acob, make_template, payload_predicate
 
 SCHEDULERS = ("depth-first", "breadth-first", "elevator")
-CLUSTERINGS = ("inter-object", "intra-object", "unclustered")
 SHAPES = ("bare", "filter", "project", "sort", "aggregate", "join")
 
 

@@ -78,18 +78,22 @@ def build_from_recipe(recipe):
     return plan
 
 
+def content(value):
+    """A row's content: an assembled object by what it holds, a join
+    row by its members' contents."""
+    if hasattr(value, "root_oid"):
+        walk = tuple(
+            (obj.oid, obj.ints, obj.ref_oids, sorted(obj.children))
+            for obj in value.root.walk()
+        )
+        return repr((value.root_oid, walk))
+    if isinstance(value, tuple):
+        return tuple(content(member) for member in value)
+    return repr(value)
+
+
 def multiset(rows):
-    out = []
-    for row in rows:
-        if hasattr(row, "root_oid"):
-            walk = tuple(
-                (obj.oid, obj.ints, obj.ref_oids, sorted(obj.children))
-                for obj in row.root.walk()
-            )
-            out.append(repr((row.root_oid, walk)))
-        else:
-            out.append(repr(row))
-    return Counter(out)
+    return Counter(content(row) for row in rows)
 
 
 LAYER = st.one_of(

@@ -20,11 +20,11 @@ class TestGeometry:
         db = generate_acob(10)
         assert db.positions == 7
         assert all(len(c) == 7 for c in db.complex_objects)
-        assert db.total_objects() == 70
+        assert len(db.complex_objects) == 10
+        assert db.shared_pool == {}  # 10 x 7 objects, all private
 
     def test_one_type_per_position(self):
         db = generate_acob(5)
-        assert len(db.registry) == 7
         for cobj in db.complex_objects:
             types = sorted(oid.type_id for oid in cobj.objects)
             assert types == list(range(1, 8))
@@ -87,11 +87,12 @@ class TestSharing:
 
     def test_references_land_in_pool(self):
         db = generate_acob(20, sharing=0.25)
-        pool = set(db.shared_pool)
+        # Every reference is private or lands in the pool ...
+        validate_database(db.complex_objects, db.shared_pool)
         for cobj in db.complex_objects:
-            external = cobj.external_refs()
-            assert len(external) == 1
-            assert external[0] in pool
+            # ... and exactly one per complex object lands in the pool.
+            refs = [t for obj in cobj for t in obj.referenced_oids()]
+            assert sum(t in db.shared_pool for t in refs) == 1
 
 
 
@@ -99,8 +100,11 @@ class TestDiskOrders:
     def test_depth_first_order(self):
         db = generate_acob(2)
         order = db.type_ids_depth_first()
-        names = [db.registry.by_id(t).name for t in order]
-        assert names == ["T0", "T1", "T3", "T4", "T2", "T5", "T6"]
+        types = [db.registry.by_name(f"T{p}") for p in range(7)]
+        name = {t.type_id: t.name for t in types}
+        assert [name[t] for t in order] == [
+            "T0", "T1", "T3", "T4", "T2", "T5", "T6",
+        ]
 
 
 class TestTemplateAndPredicates:

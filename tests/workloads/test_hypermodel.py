@@ -21,7 +21,7 @@ from repro.workloads.hypermodel import (
 class TestGenerator:
     def test_document_structure(self):
         db = generate_hypermodel(4, annotation_probability=0.0)
-        assert db.n_documents == 4
+        assert len(db.complex_objects) == 4
         assert db.sections_per_document() == 1 + 5 + 25
         assert all(len(c) == 31 for c in db.complex_objects)
 
@@ -44,11 +44,12 @@ class TestGenerator:
             30, annotation_probability=1.0, annotation_pool_size=3, seed=1
         )
         assert len(db.shared_pool) == 3
-        linked = set()
-        for cobj in db.complex_objects:
-            linked.update(cobj.external_refs())
-        assert linked <= set(db.shared_pool)
-        assert linked  # at least one link landed
+        # Every reference is private or lands in the pool, and some do.
+        validate_database(db.complex_objects, db.shared_pool)
+        assert any(
+            set(obj.referenced_oids()) & set(db.shared_pool)
+            for obj in db.complex_objects[0]
+        )
 
     def test_no_annotations_means_no_pool(self):
         db = generate_hypermodel(3, annotation_probability=0.0)
@@ -78,7 +79,9 @@ class TestTemplate:
     def test_annotation_nodes_shared(self, monkeypatch):
         monkeypatch.setattr(hypermodel, "LEVELS", 2)
         template = hypermodel_template()
-        assert len(template.shared_labels()) == FANOUT
+        assert not template.node("s1").shared
+        for section in range(1, FANOUT + 1):
+            assert template.node(f"note@s{section}").shared
 
 
 class TestAssemblyOverHyperModel:

@@ -24,7 +24,7 @@ from repro.workloads.person import (
 class TestGenerator:
     def test_structure(self):
         db = generate_people(10, seed=1)
-        assert db.n_people == 10
+        assert len(db.complex_objects) == 10
         validate_database(db.complex_objects, db.shared_pool)
 
     def test_father_and_residence_wired(self):
@@ -89,7 +89,9 @@ class TestTemplate:
 
     def test_residences_marked_shared(self):
         template = person_template()
-        assert len(template.shared_labels()) == 2
+        assert template.node("residence").shared
+        assert template.node("residence+1").shared
+        assert not template.node("person+1").shared
 
 
 class TestQuery:

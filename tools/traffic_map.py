@@ -21,11 +21,22 @@ from a copy of the tree in that temporary directory: the checkout gains
 no ``__pycache__`` and no output file.  Standard library only; about
 six minutes under the hook, so this is not a tier-1 test: the weekly
 ``traffic map`` CI workflow fails when its output differs from the
-committed ``results/traffic/uncalled.txt``.
+committed ``results/traffic/uncalled.txt`` (so a newly uncalled or
+unowned function fails it).
 
 A function's line count is ``end_lineno - lineno + 1`` of its ``def``
 (a nested ``def`` is a function of its own and also lies inside its
-parent's span).
+parent's span).  Each is listed by its qualified name (``Class.method``,
+``function.inner``), with its owner beside it: the reason it is kept,
+read from ``results/traffic/owners.txt`` (one ``module:Qualified.name
+owner`` line per function).  That file's header fixes the vocabulary:
+``item N: ...`` (an open ROADMAP item and what it does with the
+function), ``interface`` (an abstract declaration whose overrides are
+called), ``tracer name`` (a name the observatory's frozen tracer wraps)
+or ``safety: ...`` (the misuse or input it guards against).  A
+function with no owner prints as ``UNOWNED``; the listing ends with the
+line total of each kind of owner.  ``tests/test_traffic.py`` checks
+the committed listing and table against each other and the ROADMAP.
 """
 
 from __future__ import annotations
@@ -104,7 +115,7 @@ def traffic(tree: Path, out: Path) -> List[List[str]]:
 
 
 def functions(src: Path) -> Dict[str, List[Tuple[int, int, str, int]]]:
-    """``module -> [(def line, first line, name, line count)]``.
+    """``module -> [(def line, first line, qualified name, line count)]``.
 
     A code object's first line is its first decorator's when it has
     one; the recorder reports that line, the listing the ``def`` line.
@@ -112,30 +123,63 @@ def functions(src: Path) -> Dict[str, List[Tuple[int, int, str, int]]]:
     found: Dict[str, List[Tuple[int, int, str, int]]] = {}
     for path in sorted(src.rglob("*.py")):
         rows = []
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min(
-                    [node.lineno] + [d.lineno for d in node.decorator_list]
-                )
-                rows.append((
-                    node.lineno, first, node.name,
-                    node.end_lineno - node.lineno + 1,
-                ))
+        stack = [(ast.parse(path.read_text()), "")]
+        while stack:
+            node, prefix = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                name = prefix
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min(
+                        [child.lineno]
+                        + [d.lineno for d in child.decorator_list]
+                    )
+                    name = prefix + child.name
+                    rows.append((
+                        child.lineno, first, name,
+                        child.end_lineno - child.lineno + 1,
+                    ))
+                    name += "."
+                elif isinstance(child, ast.ClassDef):
+                    name = prefix + child.name + "."
+                stack.append((child, name))
         found[str(path.relative_to(src))] = sorted(rows)
     return found
+
+
+def owners(table: Path) -> Dict[str, str]:
+    """``module:Qualified.name -> owner`` from the owner table (empty
+    when ``table`` does not exist); ``#`` lines are its header."""
+    if not table.exists():
+        return {}
+    found = {}
+    for line in table.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            key, owner = line.split(None, 1)
+            found[key] = owner.strip()
+    return found
+
+
+def kind(owner: str) -> str:
+    """What an owner totals under: ``item N``, ``interface``, ``tracer
+    name``, ``safety`` or ``UNOWNED``."""
+    return owner.split(":", 1)[0]
 
 
 def report(
     found: Dict[str, List[Tuple[int, int, str, int]]],
     called: Set[Tuple[str, int, str]],
+    owned: Dict[str, str],
 ) -> None:
-    """Print the uncalled functions, per module and in total."""
+    """Print the uncalled functions with their owners, per module, then
+    the line total of each kind of owner and in all."""
     total = uncalled_total = 0
+    by_kind: Dict[str, int] = {}
     for module, rows in found.items():
         module_lines = sum(row[3] for row in rows)
         total += module_lines
         uncalled = [
-            row for row in rows if (module, row[1], row[2]) not in called
+            row for row in rows
+            if (module, row[1], row[2].rpartition(".")[2]) not in called
         ]
         if not uncalled:
             continue
@@ -143,7 +187,16 @@ def report(
         uncalled_total += uncalled_lines
         print(f"{module}  {uncalled_lines} / {module_lines}")
         for lineno, _first, name, lines in uncalled:
-            print(f"    {lineno:5d}  {name}  {lines}")
+            owner = owned.get(f"{module}:{name}", "UNOWNED")
+            by_kind[kind(owner)] = by_kind.get(kind(owner), 0) + lines
+            print(f"    {lineno:5d}  {name}  {lines}  {owner}")
+    for owner_kind in sorted(
+        by_kind,
+        key=lambda k: (0, int(k[5:]), "")
+        if k.startswith("item ")
+        else (1, 0, k),
+    ):
+        print(f"OWNER  {owner_kind}  {by_kind[owner_kind]}")
     share = 100.0 * uncalled_total / total if total else 0.0
     print(
         f"TOTAL  {uncalled_total} / {total} function lines under "
@@ -193,7 +246,10 @@ def main(argv=None) -> int:
             for line in log.read_text().splitlines():
                 module, lineno, name = line.rsplit(":", 2)
                 called.add((module, int(lineno), name))
-        report(functions(src), called)
+        report(
+            functions(src), called,
+            owners(args.root / "results" / "traffic" / "owners.txt"),
+        )
         return 1 if failed else 0
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
